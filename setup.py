@@ -1,8 +1,9 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""The package's only build description (there is no ``pyproject.toml``).
 
-``pip install -e . --no-use-pep517 --no-build-isolation`` uses this file
-directly (legacy editable install); PEP 517 front-ends read
-``pyproject.toml`` instead.
+``pip install -e .`` reads this file through setuptools' legacy
+backend; ``pip install -e . --no-use-pep517 --no-build-isolation`` does
+the same in environments without the ``wheel`` package.  Nothing needs
+installing to run from a checkout: ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

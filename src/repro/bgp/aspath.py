@@ -127,7 +127,10 @@ class ASPath:
 
     def contains(self, asn: int) -> bool:
         """Return True if ``asn`` appears anywhere on the path."""
-        return asn in set(self.asns())
+        for segment in self._segments:
+            if asn in segment.asns:
+                return True
+        return False
 
     def hops_from_origin(self, asn: int) -> int | None:
         """Return the number of AS-level hops between ``asn`` and the origin.

@@ -96,6 +96,19 @@ class PathAttributes:
             set_frozen_field(self, "_hash", cached)
         return cached
 
+    def decision_key(self) -> tuple:
+        """The attribute part of the best-path sort key, cached like the hash."""
+        cached = self.__dict__.get("_decision_key")
+        if cached is None:
+            cached = (
+                -self.effective_local_pref(),
+                self.as_path.length(),
+                int(self.origin),
+                self.med if self.med is not None else 0,
+            )
+            set_frozen_field(self, "_decision_key", cached)
+        return cached
+
     def replace(self, **changes) -> "PathAttributes":
         """Return a copy with the given fields replaced.
 

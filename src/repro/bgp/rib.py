@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.route import RouteEntry
-from repro.net.lpm import LpmTable
+from repro.net.lpm import JournalledLpm, LpmTable
 
 
 class AdjRibIn:
@@ -61,9 +61,9 @@ class LocRib:
     def __init__(self):
         self._candidates: dict[Prefix, list[RouteEntry]] = {}
         self._best: dict[Prefix, RouteEntry] = {}
-        #: Per-family radix trie over the best routes, kept in sync with
-        #: ``_best`` so LPM lookups never scan the table (or cross families).
-        self._lpm = LpmTable()
+        #: Per-family radix trie over the best routes, patched from ``_best``
+        #: on lookup so LPM never scans the table (or crosses families).
+        self._lpm = JournalledLpm(self._best)
 
     def set_candidates(self, prefix: Prefix, entries: Iterable[RouteEntry]) -> None:
         """Replace the candidate list for ``prefix``."""
@@ -76,12 +76,10 @@ class LocRib:
     def set_best(self, prefix: Prefix, entry: RouteEntry | None) -> None:
         """Set (or clear, with None) the best route for ``prefix``."""
         if entry is None:
-            if self._best.pop(prefix, None) is not None:
-                self._lpm.delete(prefix)
+            self._best.pop(prefix, None)
         else:
-            best = entry.replace(best=True)
-            self._best[prefix] = best
-            self._lpm.insert(prefix, best)
+            self._best[prefix] = entry if entry.best else entry.replace(best=True)
+        self._lpm.touch(prefix)
 
     def best(self, prefix: Prefix) -> RouteEntry | None:
         """Return the best route for exactly ``prefix`` (no longest-prefix match)."""
@@ -112,8 +110,8 @@ class LocRib:
     def remove(self, prefix: Prefix) -> None:
         """Drop the prefix from both candidates and best."""
         self._candidates.pop(prefix, None)
-        if self._best.pop(prefix, None) is not None:
-            self._lpm.delete(prefix)
+        self._best.pop(prefix, None)
+        self._lpm.touch(prefix)
 
     def __len__(self) -> int:
         return len(self._best)

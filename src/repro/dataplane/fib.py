@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.rib import LocRib
 from repro.bgp.route import RouteEntry
-from repro.net.lpm import LpmTable
+from repro.net.lpm import JournalledLpm
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,19 @@ class Fib:
     def __init__(self, asn: int):
         self.asn = asn
         self._entries: dict[Prefix, FibEntry] = {}
-        #: Per-family radix trie mirroring ``_entries`` for O(bits) lookups.
-        self._lpm = LpmTable()
+        #: Per-family radix trie for O(bits) lookups, patched from
+        #: ``_entries`` on lookup.
+        self._lpm = JournalledLpm(self._entries)
 
     def install(self, entry: FibEntry) -> None:
         """Install (or replace) the entry for the entry's prefix."""
         self._entries[entry.prefix] = entry
-        self._lpm.insert(entry.prefix, entry)
+        self._lpm.touch(entry.prefix)
 
     def remove(self, prefix: Prefix) -> None:
         """Remove the entry for ``prefix`` if present."""
         if self._entries.pop(prefix, None) is not None:
-            self._lpm.delete(prefix)
+            self._lpm.touch(prefix)
 
     def lookup(self, address: int, family: AddressFamily | None = None) -> FibEntry | None:
         """Longest-prefix-match lookup for an integer IPv4/IPv6 address.

@@ -240,11 +240,14 @@ class Experiment:
         if value is None or value == "auto":
             return value
         try:
-            return int(value)
+            count = int(value)
         except (TypeError, ValueError):
+            count = 0
+        if count < 1:
             raise ExperimentError(
-                f"experiment parameter 'shards' must be an integer or 'auto', got {value!r}"
-            ) from None
+                f"experiment parameter 'shards' must be a positive integer or 'auto', got {value!r}"
+            )
+        return count
 
     def residency_policy(self) -> str | None:
         """The spec's pool-residency policy (None = whatever is active)."""

@@ -378,3 +378,40 @@ class LpmTable:
     def __contains__(self, prefix: Prefix) -> bool:
         trie = self._trie(prefix.family)
         return trie is not None and prefix in trie
+
+
+class JournalledLpm:
+    """A lazily patched LPM index over an authoritative ``{prefix: value}`` dict.
+
+    The owner (a Loc-RIB, a FIB) writes its dict and only records the prefix with
+    :meth:`touch`; the first :meth:`longest_match` after a run of writes
+    replays the journal in write order as trie inserts and deletes — a
+    patch, never a rebuild.  Convergence writes thousands of best routes
+    and looks none up, so it pays no trie work; a reader interleaving
+    lookups with writes pays the inserts an eager index would, later.
+    """
+
+    __slots__ = ("_source", "_table", "_journal")
+
+    def __init__(self, source: dict[Prefix, Any]):
+        self._source = source
+        self._table = LpmTable()
+        #: Prefixes written since the last lookup (a dict: ordered, deduplicated).
+        self._journal: dict[Prefix, None] = {}
+
+    def touch(self, prefix: Prefix) -> None:
+        """Record that ``prefix`` was set or removed in the source dict."""
+        self._journal[prefix] = None
+
+    def longest_match(
+        self, address: int, family: AddressFamily | None = None
+    ) -> tuple[Prefix, Any] | None:
+        """LPM lookup over the source dict's current content."""
+        if self._journal:
+            for prefix in self._journal:
+                if prefix in self._source:
+                    self._table.insert(prefix, self._source[prefix])
+                else:
+                    self._table.delete(prefix)
+            self._journal.clear()
+        return self._table.longest_match(address, family)

@@ -46,6 +46,9 @@ class ServiceDefinition:
 class CommunityServiceCatalog:
     """The set of community services one AS offers, keyed by community."""
 
+    #: Memo of :meth:`blackhole_communities`, reset by :meth:`add`.
+    _blackholes: list[Community] | None = None
+
     def __init__(self, owner_asn: int, services: Iterable[ServiceDefinition] = ()):
         self.owner_asn = owner_asn
         self._services: dict[Community, ServiceDefinition] = {}
@@ -59,6 +62,11 @@ class CommunityServiceCatalog:
                 f"community {service.community} already defined in AS{self.owner_asn}'s catalog"
             )
         self._services[service.community] = service
+        self._blackholes = None
+
+    def __getstate__(self) -> dict:
+        # The memo stays home: router configs ship to shard workers as pickles.
+        return {k: v for k, v in self.__dict__.items() if k != "_blackholes"}
 
     def get(self, community: Community) -> ServiceDefinition | None:
         """Return the service triggered by ``community`` (None if undefined)."""
@@ -85,8 +93,10 @@ class CommunityServiceCatalog:
         )
 
     def blackhole_communities(self) -> list[Community]:
-        """Return the communities that trigger blackholing at this AS."""
-        return [s.community for s in self.services_of_type(ActionType.BLACKHOLE)]
+        """Return the communities that trigger blackholing at this AS (memoised until ``add``)."""
+        if self._blackholes is None:
+            self._blackholes = [s.community for s in self.services_of_type(ActionType.BLACKHOLE)]
+        return list(self._blackholes)
 
     def communities(self) -> list[Community]:
         """Return every documented trigger community."""

@@ -16,13 +16,7 @@ from repro.bgp.route import RouteEntry
 
 def _comparison_key(entry: RouteEntry) -> tuple:
     """Return a sort key; *smaller* keys are more preferred."""
-    return (
-        -entry.attributes.effective_local_pref(),
-        entry.attributes.path_length(),
-        int(entry.attributes.origin),
-        entry.attributes.med if entry.attributes.med is not None else 0,
-        entry.learned_from,
-    )
+    return (entry.attributes.decision_key(), entry.learned_from)
 
 
 def compare_routes(a: RouteEntry, b: RouteEntry) -> int:

@@ -24,10 +24,11 @@ keyed on ``(router_asn, prefix)`` to convergence:
   its best route (or it seeds an origination), so stable regions of
   the graph are never re-walked and transient bests that were
   overtaken in the queue are never exported;
-* exports share a batch-scoped memo: the outbound-attribute rewrite
-  depends on the best route minus its prefix, so announcing K prefixes
-  with identical attributes pays the policy/prepend/rewrite cost once
-  per (router, neighbor) instead of K times;
+* a popped pair exports through one :meth:`Router.export_fanout`: the
+  route-level gates run once per changed best route, and the rewrite is
+  memoised per batch under :meth:`Router.export_memo_key` (the policy's
+  *neighbor signature* plus per-session additions, not the neighbor), so
+  sessions treated alike and prefixes with equal attributes share it;
 * the returned :class:`SimulationReport` merges every event: its
   ``dirty`` map records each (router, prefix) whose best route changed,
   which :meth:`~repro.dataplane.forwarding.DataPlane.rebuild` uses to
@@ -507,7 +508,7 @@ class BgpSimulator:
         # minus its prefix and imported attributes on the inbound ones
         # minus the prefix, so prefixes sharing attributes pay the export
         # rewrite and the import filter/action chain once (see
-        # :meth:`Router.export_to` / :meth:`Router.import_announcement`).
+        # :meth:`Router.export_fanout` / :meth:`Router.import_announcement`).
         export_cache: dict = {}
         import_cache: dict = {}
         for prefix, origins in seeds.items():
@@ -712,26 +713,21 @@ class BgpSimulator:
                 changed = True
             if not changed:
                 continue
-            for neighbor_asn in current.neighbors():
+            for neighbor_asn, announcement in current.export_fanout(prefix, export_cache):
                 neighbor = routers.get(neighbor_asn)
                 if neighbor is None:
                     continue
-                decision = current.export_to(neighbor_asn, prefix, export_cache)
-                imported = False
-                if decision.export and decision.announcement is not None:
-                    neighbor.import_announcement(decision.announcement, import_cache)
-                    report.announcements_processed += 1
-                    imported = True
-                elif neighbor.remove_announcement(prefix, current_asn):
-                    report.announcements_processed += 1
-                    imported = True
-                if imported:
-                    needs_refresh.add(neighbor_asn)
-                    holders.add(neighbor_asn)
-                    touched.add(neighbor_asn)
-                    if neighbor_asn not in queued:
-                        queued.add(neighbor_asn)
-                        queue.append(neighbor_asn)
+                if announcement is not None:
+                    neighbor.import_announcement(announcement, import_cache)
+                elif not neighbor.remove_announcement(prefix, current_asn):
+                    continue
+                report.announcements_processed += 1
+                needs_refresh.add(neighbor_asn)
+                holders.add(neighbor_asn)
+                touched.add(neighbor_asn)
+                if neighbor_asn not in queued:
+                    queued.add(neighbor_asn)
+                    queue.append(neighbor_asn)
         report.rounds += steps
 
     # ------------------------------------------------------------- inspection

@@ -47,9 +47,9 @@ class ImportResult:
     best_changed: bool = False
 
 
-#: Sentinel stored in the batch import memo for as-path-loop rejections
-#: (the only rejection whose reason is prefix-independent).
-_LOOP_REJECT = ("as-path loop",)
+#: The only rejection reason that is prefix-independent, hence the only
+#: rejection the batch import memo may replay.
+_LOOP_REJECT = "as-path loop"
 
 
 @dataclass
@@ -198,105 +198,66 @@ class Router:
         instead of K times.  Filter rejections are never memoised: their
         reasons quote the concrete prefix, so replaying them across
         prefixes would store wrong rejection reasons.
+
+        A rejected update still implicitly withdraws whatever this
+        sender announced for the prefix before (RFC 4271 §9.1.4): the
+        rejected entry replaces the stale one, so it never lingers.
         """
         sender = announcement.sender_asn
         if sender not in self.neighbor_relationships:
             raise RoutingError(f"AS{self.asn} received an announcement from non-neighbor AS{sender}")
-
-        attributes = announcement.attributes
-        key = None
+        prefix = announcement.prefix
+        key = memo = None
         if cache is not None and not self.inbound_filters.prefix_scoped():
             key = (
                 self.asn,
                 sender,
-                attributes,
-                announcement.prefix.family,
-                announcement.prefix.length,
+                announcement.attributes,
+                prefix.family,
+                prefix.length,
                 announcement.origin_asn,
             )
             memo = cache.get(key)
-            if memo is not None:
-                return self._replay_import(announcement, sender, memo)
-
-        # Loop prevention: reject routes already containing our ASN.  The
-        # update still implicitly withdraws whatever this sender announced
-        # for the prefix before (RFC 4271 §9.1.4): the rejected entry
-        # replaces the stale one so it can never linger as a candidate.
-        if attributes.as_path.contains(self.asn):
-            entry = RouteEntry(
-                prefix=announcement.prefix,
-                attributes=attributes,
-                learned_from=sender,
-                rejected=True,
-                rejection_reason="as-path loop",
-            )
-            self._rib_in(sender).update(entry)
-            if key is not None:
-                cache[key] = _LOOP_REJECT
-            return ImportResult(False, entry=entry, reason="as-path loop")
-
-        is_blackhole_tagged = self._is_blackhole_tagged(attributes.communities)
-        decision = self.inbound_filters.evaluate(
-            announcement.prefix, announcement.origin_asn, is_blackhole_tagged
-        )
-        if not decision:
-            entry = RouteEntry(
-                prefix=announcement.prefix,
-                attributes=attributes,
-                learned_from=sender,
-                rejected=True,
-                rejection_reason=decision.reason,
-            )
-            self._rib_in(sender).update(entry)
-            return ImportResult(False, entry=entry, reason=decision.reason)
-
-        # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
-        # only this AS's own policies (community services) can set it.
-        if attributes.local_pref is not None:
-            attributes = attributes.replace(local_pref=None)
-
-        entry = RouteEntry(
-            prefix=announcement.prefix, attributes=attributes, learned_from=sender
-        )
-        entry, triggered = self._apply_community_services(entry)
+        if memo is not None:
+            entry, triggered = memo[0].replace(prefix=prefix), memo[1]
+        else:
+            entry, triggered = self._import_entry(announcement, sender)
+            if key is not None and entry.rejection_reason in (None, _LOOP_REJECT):
+                cache[key] = (entry, triggered)
         self._rib_in(sender).update(entry)
-        if key is not None:
-            cache[key] = (
-                entry.attributes,
-                entry.blackholed,
-                entry.export_prepend,
-                entry.suppress_to,
-                entry.announce_only_to,
-                tuple(triggered),
-            )
-        return ImportResult(True, entry=entry, triggered_services=triggered)
+        if entry.rejected:
+            return ImportResult(False, entry=entry, reason=entry.rejection_reason)
+        return ImportResult(True, entry=entry, triggered_services=list(triggered))
 
-    def _replay_import(
-        self, announcement: Announcement, sender: int, memo: tuple
-    ) -> ImportResult:
-        """Rebuild a memoised import outcome for a new prefix of the same shape."""
-        if memo is _LOOP_REJECT:
-            entry = RouteEntry(
-                prefix=announcement.prefix,
-                attributes=announcement.attributes,
-                learned_from=sender,
-                rejected=True,
-                rejection_reason="as-path loop",
+    def _import_entry(self, announcement: Announcement, sender: int) -> tuple[RouteEntry, tuple]:
+        """Run the import pipeline: the entry to store and the services it triggered."""
+        attributes = announcement.attributes
+        # Loop prevention: reject routes already containing our ASN.
+        reason = _LOOP_REJECT if attributes.as_path.contains(self.asn) else None
+        if reason is None:
+            decision = self.inbound_filters.evaluate(
+                announcement.prefix,
+                announcement.origin_asn,
+                self._is_blackhole_tagged(attributes.communities),
             )
-            self._rib_in(sender).update(entry)
-            return ImportResult(False, entry=entry, reason="as-path loop")
-        attributes, blackholed, export_prepend, suppress_to, announce_only_to, triggered = memo
+            if not decision:
+                reason = decision.reason
+        effects, triggered = {}, ()
+        if reason is None:
+            # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
+            # only this AS's own policies (community services) can set it.
+            if attributes.local_pref is not None:
+                attributes = attributes.replace(local_pref=None)
+            attributes, effects, triggered = self._apply_community_services(attributes, sender)
         entry = RouteEntry(
             prefix=announcement.prefix,
             attributes=attributes,
             learned_from=sender,
-            blackholed=blackholed,
-            export_prepend=export_prepend,
-            suppress_to=suppress_to,
-            announce_only_to=announce_only_to,
+            rejected=reason is not None,
+            rejection_reason=reason,
+            **effects,
         )
-        self._rib_in(sender).update(entry)
-        return ImportResult(True, entry=entry, triggered_services=list(triggered))
+        return entry, triggered
 
     def process_announcement(self, announcement: Announcement) -> ImportResult:
         """Import one announcement from a neighbor; returns what happened.
@@ -320,30 +281,41 @@ class Router:
 
     def _is_blackhole_tagged(self, communities: CommunitySet) -> bool:
         """True if the announcement carries a blackhole community relevant here."""
-        if communities.blackhole_communities():
-            return True
-        if self.services is not None:
-            return any(c in communities for c in self.services.blackhole_communities())
-        return False
+        if not communities:
+            return False
+        return bool(communities.blackhole_communities()) or (
+            self.services is not None
+            and any(c in communities for c in self.services.blackhole_communities())
+        )
 
-    def _apply_community_services(self, entry: RouteEntry) -> tuple[RouteEntry, list[ActionType]]:
-        """Apply this AS's own community services to an imported route."""
+    def _apply_community_services(
+        self, attributes: PathAttributes, sender: int
+    ) -> tuple[PathAttributes, dict, tuple]:
+        """Apply this AS's own community services to a route accepted from ``sender``.
+
+        Returns the attributes, the export-side :class:`RouteEntry`
+        fields the services set, and the triggered action types.  A
+        route that carries no communities, or none the catalogue
+        documents, passes through without allocating anything.
+        """
+        matching = (
+            self.services.matching(attributes.communities)
+            if self.services is not None and attributes.communities
+            else ()
+        )
+        if not matching:
+            return attributes, {}, ()
+        from_customer = (
+            self.relationship_with(sender) == Relationship.CUSTOMER
+            or self.asys.act_on_communities_from_any_neighbor
+        )
         triggered: list[ActionType] = []
-        if self.services is None:
-            return entry, triggered
-        relationship = self.relationship_with(entry.learned_from)
-        attributes = entry.attributes
-        blackholed = entry.blackholed
-        export_prepend = entry.export_prepend
-        suppress_to = set(entry.suppress_to)
-        announce_only_to = entry.announce_only_to
-
-        for service in self.services.matching(attributes.communities):
-            if (
-                service.customers_only
-                and relationship != Relationship.CUSTOMER
-                and not self.asys.act_on_communities_from_any_neighbor
-            ):
+        blackholed = False
+        export_prepend = 0
+        suppress_to: set[int] = set()
+        announce_only_to = None
+        for service in matching:
+            if service.customers_only and not from_customer:
                 continue
             outcome = service.action.apply(attributes, self.asn)
             if service.action_type == ActionType.PREPEND:
@@ -360,15 +332,13 @@ class Router:
                 else:
                     announce_only_to = frozenset(announce_only_to & outcome.announce_only_to)
             triggered.append(service.action_type)
-
-        new_entry = entry.replace(
-            attributes=attributes,
+        effects = dict(
             blackholed=blackholed,
             export_prepend=export_prepend,
             suppress_to=frozenset(suppress_to),
             announce_only_to=announce_only_to,
         )
-        return new_entry, triggered
+        return attributes, effects, tuple(triggered)
 
     # -------------------------------------------------------------- selection
     def _candidates(self, prefix: Prefix) -> list[RouteEntry]:
@@ -393,9 +363,13 @@ class Router:
         """
         return self._refresh_best(prefix)
 
-    def _refresh_best(self, prefix: Prefix) -> bool:
-        """Recompute the best route for ``prefix``; return True if it changed."""
-        candidates = self._candidates(prefix)
+    def _refresh_best(self, prefix: Prefix, candidates: list[RouteEntry] | None = None) -> bool:
+        """Recompute the best route for ``prefix``; return True if it changed.
+
+        A caller holding the complete ``candidates`` (shard state install) skips the scan.
+        """
+        if candidates is None:
+            candidates = self._candidates(prefix)
         previous = self.loc_rib.best(prefix)
         new_best = best_path(candidates)
         self.loc_rib.set_candidates(prefix, candidates)
@@ -445,6 +419,91 @@ class Router:
             self.export_community_additions.get(neighbor_asn),
         )
 
+    def _route_scope(self, best: RouteEntry | None) -> tuple[str, bool, bool]:
+        """The export gates that do not depend on the session, run once per best route.
+
+        ``(why nobody receives it | "", NO_PEER is set, customers only)``.
+        """
+        if best is None:
+            return "no best route", False, False
+        communities = best.attributes.communities
+        no_peer = False
+        if communities:
+            if NO_ADVERTISE in communities:
+                return "NO_ADVERTISE", False, False
+            if NO_EXPORT in communities:
+                return "NO_EXPORT", False, False
+            no_peer = NO_PEER in communities
+        # A blackholed best route is still exported: most operators scope
+        # blackhole routes with NO_EXPORT, and exporting the rest keeps
+        # multi-hop blackhole propagation (observed in the wild) possible.
+        # Gao-Rexford: peer and provider routes go to customers only.
+        customers_only = best.learned_from != self.asn and self.relationship_with(
+            best.learned_from
+        ) in (Relationship.PEER, Relationship.PROVIDER)
+        return "", no_peer, customers_only
+
+    def _session_block(
+        self, best: RouteEntry | None, scope: tuple, neighbor_asn: int, relationship_out: Relationship
+    ) -> str:
+        """Why ``best`` is not exported on one session ("" when it is)."""
+        blocked, no_peer, customers_only = scope
+        # Do not send a route back to the neighbor we learned it from.
+        if best is not None and best.learned_from == neighbor_asn:
+            return "split horizon"
+        if blocked:
+            return blocked
+        if no_peer and relationship_out == Relationship.PEER:
+            return "NO_PEER"
+        # Restrictions set by community actions at this AS.
+        if neighbor_asn in best.suppress_to:
+            return "suppressed by community action"
+        if best.announce_only_to is not None and neighbor_asn not in best.announce_only_to:
+            return "not in selective-announce set"
+        if customers_only and relationship_out != Relationship.CUSTOMER:
+            return "valley-free export rule"
+        return ""
+
+    def _announcement(
+        self, best: RouteEntry, neighbor_asn: int, cache: dict | None, shared_key: tuple | None
+    ) -> Announcement:
+        """Rewrite ``best`` for one session, through the ``cache`` memo if given."""
+        attributes = best.attributes
+        key = memo = None
+        if cache is not None:
+            key = (shared_key or self.export_memo_key(neighbor_asn), attributes, best.export_prepend)
+            memo = cache.get(key)
+        if memo is None:
+            # Communities: propagation policy decides what is forwarded; vendors
+            # that do not send communities by default strip everything unless
+            # explicitly configured.
+            if not self.vendor.effective_send_communities(self.send_community_configured):
+                outbound_communities = CommunitySet()
+            else:
+                outbound_communities = self.propagation_policy.outbound_communities(
+                    attributes.communities, self.asn, neighbor_asn
+                )
+            additions = self.export_community_additions.get(neighbor_asn)
+            if additions:
+                outbound_communities = outbound_communities.union(additions)
+            # AS0 is falsy but a representable (spoofed) origin, so only an
+            # empty path falls back to the exporter's own ASN.
+            origin_asn = attributes.as_path.origin_asn
+            memo = (
+                attributes.replace(
+                    as_path=attributes.as_path.prepend(self.asn, 1 + best.export_prepend),
+                    communities=outbound_communities,
+                    local_pref=None,
+                    med=None,
+                ),
+                self.asn if origin_asn is None else origin_asn,
+            )
+            if key is not None:
+                cache[key] = memo
+        return Announcement(
+            prefix=best.prefix, attributes=memo[0], sender_asn=self.asn, origin_asn=memo[1]
+        )
+
     def export_to(
         self,
         neighbor_asn: int,
@@ -457,113 +516,57 @@ class Router:
         ``cache`` is an optional batch-scoped memo (see
         :meth:`BgpSimulator.apply`): the outbound-attribute construction
         depends on everything about the best route *except* its prefix,
-        so a batch announcing many prefixes with identical attributes
-        pays the policy/prepend/rewrite cost once per (router, neighbor,
-        attributes) instead of once per prefix.  The cache must not
-        outlive the propagation pass — policies, sessions and export
-        additions may change between passes.
-
-        ``shared_key`` (a :meth:`export_memo_key` value) replaces the
-        ``(router, neighbor)`` part of the memo key so sessions with
-        identical export-relevant configuration share entries; the
-        per-route gates (split horizon, scoping communities, suppress /
-        selective-announce sets, valley-free rule) still run against the
-        concrete ``neighbor_asn`` before the memo is consulted, so only
-        the rewrite tail is shared.
+        and on the session only through :meth:`export_memo_key`, so a
+        batch pays the policy/prepend/rewrite cost once per (router,
+        neighbor signature, attributes) — not per prefix, not per
+        neighbor.  The cache must not outlive the propagation pass —
+        policies, sessions and export additions may change between
+        passes.  ``shared_key`` is this session's :meth:`export_memo_key`
+        when the caller already holds it.  The gates (split horizon,
+        scoping communities, suppress / selective-announce sets,
+        valley-free rule) run against the concrete ``neighbor_asn``
+        before the memo is consulted, so only the rewrite tail is shared.
         """
         relationship_out = self.relationship_with(neighbor_asn)
         if relationship_out is None:
             return ExportDecision(False, reason=f"AS{neighbor_asn} is not a neighbor")
         best = self.loc_rib.best(prefix)
-        if best is None:
-            return ExportDecision(False, reason="no best route")
-        if best.blackholed:
-            # Traffic is dropped here; the blackholed route itself is still a
-            # candidate for export in real deployments, but most operators
-            # scope blackhole routes with NO_EXPORT.  We keep exporting so
-            # multi-hop blackhole propagation (observed in the wild) is possible.
-            pass
-        # Do not send a route back to the neighbor we learned it from.
-        if best.learned_from == neighbor_asn:
-            return ExportDecision(False, reason="split horizon")
-        attributes = best.attributes
-        # Well-known scoping communities.
-        if attributes.communities:
-            if NO_ADVERTISE in attributes.communities:
-                return ExportDecision(False, reason="NO_ADVERTISE")
-            if NO_EXPORT in attributes.communities:
-                return ExportDecision(False, reason="NO_EXPORT")
-            if relationship_out == Relationship.PEER and NO_PEER in attributes.communities:
-                return ExportDecision(False, reason="NO_PEER")
-        # Restrictions set by community actions at this AS.
-        if neighbor_asn in best.suppress_to:
-            return ExportDecision(False, reason="suppressed by community action")
-        if best.announce_only_to is not None and neighbor_asn not in best.announce_only_to:
-            return ExportDecision(False, reason="not in selective-announce set")
-        # Gao-Rexford export rule.
-        relationship_in = (
-            None
-            if best.learned_from == self.asn
-            else self.relationship_with(best.learned_from)
+        reason = self._session_block(best, self._route_scope(best), neighbor_asn, relationship_out)
+        if reason:
+            return ExportDecision(False, reason=reason)
+        return ExportDecision(
+            True, announcement=self._announcement(best, neighbor_asn, cache, shared_key)
         )
-        if relationship_in in (Relationship.PEER, Relationship.PROVIDER):
-            if relationship_out != Relationship.CUSTOMER:
-                return ExportDecision(False, reason="valley-free export rule")
 
-        key = None
-        if cache is not None:
-            if shared_key is not None:
-                key = (shared_key, attributes, best.export_prepend)
-            else:
-                key = (self.asn, neighbor_asn, attributes, best.export_prepend)
-            memo = cache.get(key)
-            if memo is not None:
-                outbound_attributes, origin_asn = memo
-                return ExportDecision(
-                    True,
-                    announcement=Announcement(
-                        prefix=prefix,
-                        attributes=outbound_attributes,
-                        sender_asn=self.asn,
-                        origin_asn=origin_asn,
-                    ),
-                )
+    def export_fanout(
+        self, prefix: Prefix, cache: dict | None = None
+    ) -> list[tuple[int, Announcement | None]]:
+        """What each neighbor receives for ``prefix`` now, in :meth:`neighbors` order.
 
-        # Build the outbound attributes.
-        # Communities: propagation policy decides what is forwarded; vendors
-        # that do not send communities by default strip everything unless
-        # explicitly configured.
-        if not self.vendor.effective_send_communities(self.send_community_configured):
-            outbound_communities = CommunitySet()
-        else:
-            outbound_communities = self.propagation_policy.outbound_communities(
-                attributes.communities, self.asn, neighbor_asn
-            )
-        additions = self.export_community_additions.get(neighbor_asn)
-        if additions:
-            outbound_communities = outbound_communities.union(additions)
-        prepend_count = 1 + best.export_prepend
-        outbound_path = attributes.as_path.prepend(self.asn, prepend_count)
-        outbound_attributes = attributes.replace(
-            as_path=outbound_path,
-            communities=outbound_communities,
-            local_pref=None,
-            med=None,
-        )
-        # AS0 is falsy but a representable (spoofed) origin, so only an
-        # empty path falls back to the exporter's own ASN.
-        origin_asn = attributes.as_path.origin_asn
-        if origin_asn is None:
-            origin_asn = self.asn
-        if key is not None:
-            cache[key] = (outbound_attributes, origin_asn)
-        announcement = Announcement(
-            prefix=prefix,
-            attributes=outbound_attributes,
-            sender_asn=self.asn,
-            origin_asn=origin_asn,
-        )
-        return ExportDecision(True, announcement=announcement)
+        ``None`` means "withdraw what you hold from me".  Same gates and
+        rewrite as :meth:`export_to`, arranged for the propagation loop:
+        the route-level gates run once, and sessions with equal
+        :meth:`export_memo_key` share one :class:`Announcement` — a
+        transit router exporting to seven customers builds one attribute
+        bundle and one AS path.
+        """
+        best = self.loc_rib.best(prefix)
+        scope = self._route_scope(best)
+        nobody = bool(scope[0])
+        relationships = self.neighbor_relationships
+        shared: dict[tuple, Announcement] = {}
+        plan: list[tuple[int, Announcement | None]] = []
+        for neighbor_asn in self.neighbors():
+            announcement = None
+            if not nobody and not self._session_block(
+                best, scope, neighbor_asn, relationships[neighbor_asn]
+            ):
+                key = self.export_memo_key(neighbor_asn)
+                announcement = shared.get(key)
+                if announcement is None:
+                    announcement = shared[key] = self._announcement(best, neighbor_asn, cache, key)
+            plan.append((neighbor_asn, announcement))
+        return plan
 
     def export_all_to(
         self,
@@ -578,9 +581,8 @@ class Router:
         plus this router's :meth:`export_memo_key` so every collector
         session of one peer shares the rewrite work.
         """
-        announcements = []
-        for prefix in self.loc_rib.prefixes():
-            decision = self.export_to(neighbor_asn, prefix, cache, shared_key=shared_key)
-            if decision.export and decision.announcement is not None:
-                announcements.append(decision.announcement)
-        return announcements
+        decisions = (
+            self.export_to(neighbor_asn, prefix, cache, shared_key)
+            for prefix in self.loc_rib.prefixes()
+        )
+        return [decision.announcement for decision in decisions if decision.export]

@@ -213,7 +213,6 @@ def install_prefix_state(
     pair replaces whatever the worker held for it.
     """
     from repro.bgp.route import RouteEntry
-    from repro.routing.decision import best_path
 
     routers = simulator.routers
     holders_map = simulator._prefix_holders
@@ -228,8 +227,8 @@ def install_prefix_state(
                 rib.withdraw(prefix)
         for neighbor, entry in adjacent:
             router._rib_in(neighbor).update(entry)
-        # Re-select exactly like Router._refresh_best, but build the
-        # candidate list from the delta itself: after the install the
+        # Re-select through Router._refresh_best, but with the candidate
+        # list built from the delta itself: after the install the
         # snapshot *is* the complete per-prefix RIB state, so scanning
         # every neighbor RIB again (O(degree) per pair) would only
         # rediscover these entries.
@@ -239,16 +238,7 @@ def install_prefix_state(
                 RouteEntry(prefix=prefix, attributes=originated, learned_from=asn)
             )
         candidates.extend(entry for _neighbor, entry in adjacent)
-        loc_rib = router.loc_rib
-        previous = loc_rib.best(prefix)
-        new_best = best_path(candidates)
-        loc_rib.set_candidates(prefix, candidates)
-        if not (previous is None and new_best is None) and not (
-            previous is not None
-            and new_best is not None
-            and previous.same_route(new_best)
-        ):
-            loc_rib.set_best(prefix, new_best)
+        router._refresh_best(prefix, candidates)
         holders_map.setdefault(prefix, set()).add(asn)
 
 

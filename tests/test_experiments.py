@@ -391,3 +391,12 @@ class TestWorkerBudget:
         result = run_experiment(spec)
         assert result.status is ExperimentStatus.ERROR
         assert "shards" in (result.error or "")
+
+    @pytest.mark.parametrize("shards", [0, -3, "0", "-3"])
+    def test_non_positive_shards_param_is_rejected_like_a_malformed_one(self, shards):
+        # Zero and negative counts used to be coerced to 1 without a word.
+        bad = run_experiment(get("feasibility").default_spec(seed=3, shards=shards))
+        malformed = run_experiment(get("feasibility").default_spec(seed=3, shards="banana"))
+        assert bad.status is malformed.status is ExperimentStatus.ERROR
+        assert bad.error == malformed.error.replace("'banana'", repr(shards))
+        assert bad.error.startswith("ExperimentError: experiment parameter 'shards'")

@@ -411,6 +411,35 @@ class TestCollectorSessions:
         assert 99 in router.adj_rib_in
 
 
+    def test_blackhole_service_added_after_the_first_import_is_honoured(self):
+        # The catalogue caches its blackhole list (asked on every import);
+        # add() must invalidate it.
+        from repro.policy.actions import BlackholeAction, PrependAction
+
+        trigger = Community(10, 999)  # not a conventional :666 value
+        catalog = CommunityServiceCatalog(
+            10, [ServiceDefinition(Community(10, 421), PrependAction(count=1))]
+        )
+        router = Router(
+            AutonomousSystem(asn=10), {30: Relationship.CUSTOMER}, services=catalog
+        )
+        announcement = Announcement(
+            prefix=Prefix.from_string("203.0.113.7/32"),
+            attributes=PathAttributes(as_path=ASPath.of(30), communities=CommunitySet.of(trigger)),
+            sender_asn=30,
+            origin_asn=30,
+        )
+        assert catalog.blackhole_communities() == []
+        assert not router.process_announcement(announcement).accepted  # a plain /32: too long
+        catalog.add(ServiceDefinition(trigger, BlackholeAction(), customers_only=False))
+        assert catalog.blackhole_communities() == [trigger]
+        result = router.process_announcement(announcement)
+        assert result.accepted and result.entry.blackholed
+        # The returned list is the caller's to mutate.
+        catalog.blackhole_communities().clear()
+        assert catalog.blackhole_communities() == [trigger]
+
+
 class TestHandRolledCopies:
     """Guard the hand-rolled replace()/same_route() against field drift.
 
