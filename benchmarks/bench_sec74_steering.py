@@ -56,8 +56,8 @@ def test_sec74_business_relationship_gate(benchmark):
 
     def run():
         topology = build_figure8b_topology()
-        topology.relationships._relationships[(1, 2)] = Relationship.PEER
-        topology.relationships._relationships[(2, 1)] = Relationship.PEER
+        topology.relationships._adjacency[1][2] = Relationship.PEER
+        topology.relationships._adjacency[2][1] = Relationship.PEER
         roles = ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1)
         return LocalPrefSteeringAttack(topology, roles, LOCALPREF_VICTIM).run()
 

@@ -20,5 +20,5 @@ setup(
     entry_points={"console_scripts": ["repro-bgp=repro.cli:main"]},
     # The lint engine (repro.analysis) is deliberately stdlib-only so the
     # CI gate needs no installs; the dev extra carries the test harness.
-    extras_require={"dev": ["pytest", "pytest-benchmark"]},
+    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

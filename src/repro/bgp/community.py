@@ -179,12 +179,35 @@ class CommunitySet:
     displaying and sending (Section 6.3 of the paper); this container
     mirrors that: iteration and wire encoding are always in sorted
     order regardless of insertion order.
+
+    The set is immutable, so the sorted order is computed on the first
+    iteration and kept; it is a cache only — equality, hashing, pickling
+    and copying see the member frozenset alone.
     """
 
-    __slots__ = ("_communities",)
+    __slots__ = ("_communities", "_sorted")
 
     def __init__(self, communities: Iterable[Community] = ()):
         self._communities: frozenset[Community] = frozenset(self._coerce(c) for c in communities)
+        self._sorted: tuple[Community, ...] | None = None
+
+    @classmethod
+    def _of_members(cls, members: frozenset[Community]) -> "CommunitySet":
+        """Wrap a frozenset whose members are already :class:`Community` objects."""
+        wrapped = cls.__new__(cls)
+        wrapped._communities = members
+        wrapped._sorted = None
+        return wrapped
+
+    def __getstate__(self) -> tuple[None, dict[str, frozenset[Community]]]:
+        # The cached order stays home: community sets ship to shard
+        # workers inside pickled router configs.  Same shape as the
+        # default state of a one-slot object, so the bytes did not move.
+        return None, {"_communities": self._communities}
+
+    def __setstate__(self, state: tuple[None, dict[str, frozenset[Community]]]) -> None:
+        self._communities = state[1]["_communities"]
+        self._sorted = None
 
     @staticmethod
     def _coerce(value: Community | str | int) -> Community:
@@ -199,32 +222,31 @@ class CommunitySet:
     @classmethod
     def of(cls, *communities: Community | str | int) -> "CommunitySet":
         """Build a set from community objects, strings, or raw integers."""
-        return cls(cls._coerce(c) for c in communities)
+        return cls(communities)
 
     def add(self, *communities: Community | str | int) -> "CommunitySet":
         """Return a new set with the given communities added."""
-        return CommunitySet(list(self._communities) + [self._coerce(c) for c in communities])
+        return self._of_members(self._communities.union(map(self._coerce, communities)))
 
     def remove(self, *communities: Community | str | int) -> "CommunitySet":
         """Return a new set with the given communities removed (missing ones ignored)."""
-        drop = {self._coerce(c) for c in communities}
-        return CommunitySet(c for c in self._communities if c not in drop)
+        return self._of_members(self._communities.difference(map(self._coerce, communities)))
 
     def remove_asn(self, asn: int) -> "CommunitySet":
         """Return a new set without any community whose ASN part is ``asn``."""
-        return CommunitySet(c for c in self._communities if c.asn != asn)
+        return self._of_members(frozenset(c for c in self._communities if c.asn != asn))
 
     def keep_asn(self, asn: int) -> "CommunitySet":
         """Return a new set with only communities whose ASN part is ``asn``."""
-        return CommunitySet(c for c in self._communities if c.asn == asn)
+        return self._of_members(frozenset(c for c in self._communities if c.asn == asn))
 
     def filter(self, predicate) -> "CommunitySet":
         """Return a new set with only communities matching ``predicate``."""
-        return CommunitySet(c for c in self._communities if predicate(c))
+        return self._of_members(frozenset(c for c in self._communities if predicate(c)))
 
     def union(self, other: "CommunitySet") -> "CommunitySet":
         """Return the union of two community sets."""
-        return CommunitySet(list(self._communities) + list(other._communities))
+        return self._of_members(self._communities | other._communities)
 
     def asns(self) -> set[int]:
         """Return the distinct ASN parts present in the set."""
@@ -242,7 +264,10 @@ class CommunitySet:
         return self._coerce(value) in self._communities
 
     def __iter__(self) -> Iterator[Community]:
-        return iter(sorted(self._communities))
+        ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = tuple(sorted(self._communities))
+        return iter(ordered)
 
     def __len__(self) -> int:
         return len(self._communities)

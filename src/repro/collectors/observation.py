@@ -8,19 +8,40 @@ produce these; the Section 4 analyses consume them; and the MRT bridge
 serialises them to and from standard BGP archives losslessly — IPv4 and
 IPv6 announcements and withdrawals all round-trip.
 
-:class:`ObservationArchive` keeps its observations indexed: per-platform
-and per-collector buckets plus an :class:`~repro.net.lpm.LpmTable` over
-the observed prefixes, so the per-platform slicing and prefix queries
-the Section 4 analyses hammer are bucket lookups instead of O(n)
-rescans of the whole archive.
+:class:`ObservationArchive` answers its queries from state built on
+first use, never on :meth:`~ObservationArchive.add` (the inner loop of
+the harvest and of :meth:`~ObservationArchive.from_mrt`):
+
+* **Buckets.**  Platform, collector, peer and exact-prefix groupings
+  are plain dicts of observation lists in archive order.  Each builds
+  independently the first time a query needs it; from then on appends
+  keep it in sync.
+* **Journalled trie.**  Only ``covered_by`` / ``covering`` need prefix
+  containment, so the radix trie sits behind a
+  :class:`~repro.net.lpm.JournalledLpm` over the exact-prefix buckets:
+  no trie node exists until the first such query, and later new
+  prefixes are replayed into it, not rebuilt.
+* **Derived-fact memo.**  Every Section 4 analysis starts from the same
+  per-route facts: the collapsed path, the last-occurrence position of
+  each ASN and the conservative (first-occurrence) tagger of each
+  community.  :class:`RouteFacts` holds them, one row per *distinct*
+  ``(as_path, communities)`` route, shared by equal observations.
+  Several analyses also want the same whole-archive scan (distinct
+  communities, the §4.3 forwarder summary).
+  :meth:`~ObservationArchive.derived` memoises all of those.  The
+  rule: ``add`` drops the whole memo, so a query after an append
+  recomputes from the full archive; the distinct-route table survives
+  (a row depends on its route alone) and nothing derived is pickled or
+  copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
@@ -32,7 +53,7 @@ from repro.mrt.constants import AFI_IPV4, AFI_IPV6
 from repro.mrt.entries import Bgp4mpMessage
 from repro.mrt.reader import MrtReader
 from repro.mrt.writer import MrtWriter
-from repro.net.lpm import LpmTable
+from repro.net.lpm import JournalledLpm
 
 #: MRT common headers carry a 32-bit Unix timestamp; anything outside
 #: this window used to wrap silently through the ``& 0xFFFFFFFF`` mask.
@@ -48,6 +69,8 @@ _MRT_TIMESTAMP_LIMIT = 1 << 32
 _PEER_IPV6_BASE = 0x20010DB8 << 96
 _COLLECTOR_IPV4 = 0xC0000201  # 192.0.2.1
 _COLLECTOR_IPV6 = _PEER_IPV6_BASE | (0xFFFF << 64) | 1
+
+_T = TypeVar("_T")
 
 
 def peer_ip_for(peer_asn: int, address_family: int) -> int:
@@ -133,29 +156,96 @@ class RouteObservation:
         return community.asn in self.path_asns
 
 
-class _ArchiveIndex:
-    """The query indexes of one archive: buckets plus a prefix trie."""
+class RouteFacts:
+    """What the Section 4 analyses derive from one ``(as_path, communities)`` route."""
 
-    __slots__ = ("platform_buckets", "collector_buckets", "prefix_table", "peer_asns")
+    __slots__ = ("path", "last", "taggers")
+
+    def __init__(self, as_path: tuple[int, ...], communities: CommunitySet):
+        collapsed: list[int] = []
+        for asn in as_path:
+            if not collapsed or collapsed[-1] != asn:
+                collapsed.append(asn)
+        #: The AS path with prepending collapsed (collector peer first).
+        self.path: tuple[int, ...] = tuple(collapsed)
+        #: ASN -> its position closest to the origin (optimistic attribution).
+        self.last: dict[int, int] = {asn: index for index, asn in enumerate(collapsed)}
+        # ASN -> its position closest to the collector (the paper's
+        # conservative attribution); the same map on a loop-free path.
+        first = self.last
+        if len(first) != len(collapsed):
+            first = {}
+            for index, asn in enumerate(collapsed):
+                first.setdefault(asn, index)
+        #: ``(community, conservative tagger position or None if off-path)``
+        #: per attached community, in the set's sorted order.
+        self.taggers: tuple[tuple[Community, int | None], ...] = tuple(
+            (community, first.get(community.asn)) for community in communities
+        )
+
+
+def _route_facts(archive: "ObservationArchive") -> tuple[RouteFacts, ...]:
+    rows = archive._routes
+    facts: list[RouteFacts] = []
+    for observation in archive:
+        route = (observation.as_path, observation.communities)
+        row = rows.get(route)
+        if row is None:
+            row = rows[route] = RouteFacts(*route)
+        facts.append(row)
+    return tuple(facts)
+
+
+def _unique_communities(archive: "ObservationArchive") -> frozenset[Community]:
+    communities: set[Community] = set()
+    for observation in archive:
+        communities.update(observation.communities)
+    return frozenset(communities)
+
+
+#: The bucket kinds of an archive index and the key each groups by.
+_BUCKET_KEYS: dict[str, Callable[[RouteObservation], Any]] = {
+    "platform": attrgetter("platform"),
+    "collector": attrgetter("platform", "collector_id"),
+    "peer": attrgetter("peer_asn"),
+    "prefix": attrgetter("prefix"),
+}
+
+
+class _ArchiveIndex:
+    """The buckets of one archive: ``kind -> key -> observations`` in archive order.
+
+    A kind is grouped on first use; from then on appends keep it in sync.
+    """
+
+    __slots__ = ("buckets", "trie")
 
     def __init__(self) -> None:
-        self.platform_buckets: dict[str, list[RouteObservation]] = {}
-        self.collector_buckets: dict[tuple[str, str], list[RouteObservation]] = {}
-        #: prefix -> observations of exactly that prefix, in archive order.
-        self.prefix_table = LpmTable()
-        self.peer_asns: set[int] = set()
+        self.buckets: dict[str, dict[Any, list[RouteObservation]]] = {}
+        #: Containment index over the ``prefix`` buckets (same lists).
+        self.trie: JournalledLpm | None = None
+
+    def grouped_by(
+        self, kind: str, observations: list[RouteObservation]
+    ) -> dict[Any, list[RouteObservation]]:
+        buckets = self.buckets.get(kind)
+        if buckets is None:
+            buckets = self.buckets[kind] = {}
+            key = _BUCKET_KEYS[kind]
+            for observation in observations:
+                buckets.setdefault(key(observation), []).append(observation)
+        return buckets
 
     def add(self, observation: RouteObservation) -> None:
-        self.platform_buckets.setdefault(observation.platform, []).append(observation)
-        self.collector_buckets.setdefault(
-            (observation.platform, observation.collector_id), []
-        ).append(observation)
-        bucket = self.prefix_table.get(observation.prefix)
-        if bucket is None:
-            self.prefix_table.insert(observation.prefix, [observation])
-        else:
-            bucket.append(observation)
-        self.peer_asns.add(observation.peer_asn)
+        for kind, buckets in self.buckets.items():
+            key = _BUCKET_KEYS[kind](observation)
+            bucket = buckets.get(key)
+            if bucket is not None:
+                bucket.append(observation)
+            else:
+                buckets[key] = [observation]
+                if kind == "prefix" and self.trie is not None:
+                    self.trie.touch(key)
 
 
 class ObservationArchive:
@@ -163,9 +253,27 @@ class ObservationArchive:
 
     def __init__(self, observations: Iterable[RouteObservation] = ()):
         self._observations: list[RouteObservation] = list(observations)
-        #: Built lazily on the first indexed query; appends keep it in
-        #: sync incrementally instead of invalidating it.
+        #: Buckets, built per kind by the first query that needs them.
         self._index: _ArchiveIndex | None = None
+        #: Results of :meth:`derived`, dropped by :meth:`add`.
+        self._derived: dict[Callable, Any] | None = None
+        #: One :class:`RouteFacts` row per distinct route.  A row is a pure
+        #: function of its key, so appends never stale it and the archives
+        #: cut from this one (:meth:`_subset`) share the table.
+        self._routes: dict[tuple[tuple[int, ...], CommunitySet], RouteFacts] = {}
+
+    def __getstate__(self) -> list[RouteObservation]:
+        # Buckets and derived facts stay home; a copy starts without them.
+        return list(self._observations)
+
+    def __setstate__(self, observations: list[RouteObservation]) -> None:
+        self.__init__(observations)
+
+    def _subset(self, observations: Iterable[RouteObservation]) -> "ObservationArchive":
+        """A new archive over some of this one's observations."""
+        subset = ObservationArchive(observations)
+        subset._routes = self._routes
+        return subset
 
     # --------------------------------------------------------------- mutation
     def add(self, observation: RouteObservation) -> None:
@@ -173,6 +281,7 @@ class ObservationArchive:
         self._observations.append(observation)
         if self._index is not None:
             self._index.add(observation)
+        self._derived = None
 
     def extend(self, observations: Iterable[RouteObservation]) -> None:
         """Append many observations."""
@@ -180,13 +289,33 @@ class ObservationArchive:
             self.add(observation)
 
     # ---------------------------------------------------------------- indexes
-    def _ensure_index(self) -> _ArchiveIndex:
+    def _buckets(self, kind: str) -> dict[Any, list[RouteObservation]]:
         if self._index is None:
-            index = _ArchiveIndex()
-            for observation in self._observations:
-                index.add(observation)
-            self._index = index
-        return self._index
+            self._index = _ArchiveIndex()
+        return self._index.grouped_by(kind, self._observations)
+
+    def _prefix_trie(self) -> JournalledLpm:
+        prefix_buckets = self._buckets("prefix")
+        if self._index.trie is None:
+            self._index.trie = JournalledLpm(prefix_buckets)
+        return self._index.trie
+
+    # ---------------------------------------------------------- derived facts
+    def derived(self, compute: Callable[["ObservationArchive"], _T]) -> _T:
+        """Return ``compute(self)``, memoised (per function) until the next :meth:`add`.
+
+        Callers share the returned object: treat it as read-only.
+        """
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        if compute not in memo:
+            memo[compute] = compute(self)
+        return memo[compute]
+
+    def route_facts(self) -> tuple[RouteFacts, ...]:
+        """The :class:`RouteFacts` of every observation, in archive order (memoised)."""
+        return self.derived(_route_facts)
 
     # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -197,47 +326,45 @@ class ObservationArchive:
 
     def filter(self, predicate: Callable[[RouteObservation], bool]) -> "ObservationArchive":
         """Return a new archive with only the matching observations."""
-        return ObservationArchive(o for o in self._observations if predicate(o))
+        return self._subset(o for o in self._observations if predicate(o))
 
     def by_platform(self, platform: str) -> "ObservationArchive":
         """Return only the observations of one platform (bucket lookup)."""
-        return ObservationArchive(self._ensure_index().platform_buckets.get(platform, ()))
+        return self._subset(self._buckets("platform").get(platform, ()))
 
     def by_collector(self, platform: str, collector_id: str) -> "ObservationArchive":
         """Return only one collector's observations (bucket lookup)."""
-        bucket = self._ensure_index().collector_buckets.get((platform, collector_id), ())
-        return ObservationArchive(bucket)
+        return self._subset(self._buckets("collector").get((platform, collector_id), ()))
 
     def platforms(self) -> list[str]:
         """Return the distinct platform names, sorted."""
-        return sorted(self._ensure_index().platform_buckets)
+        return sorted(self._buckets("platform"))
 
     def collectors(self) -> list[tuple[str, str]]:
         """Return the distinct (platform, collector) pairs, sorted."""
-        return sorted(self._ensure_index().collector_buckets)
+        return sorted(self._buckets("collector"))
 
     def peer_asns(self) -> set[int]:
         """Return the distinct collector-peer ASNs."""
-        return set(self._ensure_index().peer_asns)
+        return set(self._buckets("peer"))
 
     def prefixes(self) -> set[Prefix]:
         """Return the distinct observed prefixes."""
-        return {prefix for prefix, _bucket in self._ensure_index().prefix_table.items()}
+        return set(self._buckets("prefix"))
 
     def observations_for(self, prefix: Prefix) -> list[RouteObservation]:
         """Return the observations of exactly ``prefix``, in archive order."""
-        bucket = self._ensure_index().prefix_table.get(prefix)
-        return list(bucket) if bucket else []
+        return list(self._buckets("prefix").get(prefix, ()))
 
     def covered_by(self, prefix: Prefix) -> "ObservationArchive":
         """Observations whose prefix lies inside ``prefix`` (more specifics)."""
-        matches = sorted(self._ensure_index().prefix_table.covered(prefix))
-        return ObservationArchive(o for _prefix, bucket in matches for o in bucket)
+        matches = sorted(self._prefix_trie().covered(prefix))
+        return self._subset(o for _prefix, bucket in matches for o in bucket)
 
     def covering(self, prefix: Prefix) -> "ObservationArchive":
         """Observations whose prefix covers ``prefix`` (less specifics)."""
-        matches = sorted(self._ensure_index().prefix_table.covering(prefix))
-        return ObservationArchive(o for _prefix, bucket in matches for o in bucket)
+        matches = sorted(self._prefix_trie().covering(prefix))
+        return self._subset(o for _prefix, bucket in matches for o in bucket)
 
     def announcements(self) -> "ObservationArchive":
         """Return only the announcement observations."""
@@ -253,17 +380,11 @@ class ObservationArchive:
 
     def observed_community_asns(self) -> set[int]:
         """Return every ASN encoded in any observed community."""
-        asns: set[int] = set()
-        for observation in self._observations:
-            asns |= observation.community_asns()
-        return asns
+        return {community.asn for community in self.derived(_unique_communities)}
 
     def unique_communities(self) -> set[Community]:
-        """Return the distinct communities observed."""
-        communities: set[Community] = set()
-        for observation in self._observations:
-            communities.update(observation.communities)
-        return communities
+        """Return the distinct communities observed (a fresh set; the scan is memoised)."""
+        return set(self.derived(_unique_communities))
 
     # ------------------------------------------------------------------- MRT
     def to_mrt_messages(self, collector_asn: int = 65000) -> Iterator[Bgp4mpMessage]:

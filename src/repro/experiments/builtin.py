@@ -78,6 +78,9 @@ class ReportExperiment(Experiment):
                 dataset.blackhole_list,
             )
         report = MeasurementReport(archive, topology, blackhole_list)
+        # The forwarder and distinct-community scans are memoised on the
+        # archive, so the headline metrics and the report's own Table 1,
+        # Figure 3 and Section 4.3 share one pass each.
         forwarders = transit_forwarders(archive)
         return {
             "report": report.full_report(),

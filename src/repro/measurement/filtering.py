@@ -10,11 +10,12 @@ its acknowledged biases all follow the paper.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.bgp.community import Community
-from repro.collectors.observation import ObservationArchive
+from repro.bgp.prefix import Prefix
+from repro.collectors.observation import ObservationArchive, RouteFacts
 from repro.utils.stats import fraction
 
 
@@ -86,72 +87,63 @@ class FilteringInference:
         ]
 
 
-def _record_path_edges(inference: FilteringInference, path: tuple[int, ...]) -> None:
-    """Count, per directed edge, on how many paths the edge was observed."""
-    for downstream, upstream in zip(path, path[1:]):
-        # The announcement travelled upstream -> downstream (origin towards peer).
-        edge = (upstream, downstream)
-        indications = inference.edges.get(edge)
-        if indications is None:
-            indications = EdgeIndications(edge=edge)
-            inference.edges[edge] = indications
-        indications.paths_observed += 1
-
-
 def infer_filtering(archive: ObservationArchive) -> FilteringInference:
-    """Run the Figure 6 filtering-inference heuristic over the archive."""
+    """Run the Figure 6 filtering-inference heuristic over the archive.
+
+    Equal routes yield equal indications, so the archive is first
+    reduced to its distinct routes (:class:`RouteFacts` rows, in order
+    of first appearance) with their observation counts, and every
+    indication is added ``count`` at a time.
+    """
     inference = FilteringInference()
+    edges = inference.edges
+    facts = archive.route_facts()
 
-    # Group observations by prefix (the paper iterates per prefix and
-    # considers all updates "at the same time").
-    by_prefix: dict = defaultdict(list)
-    for observation in archive:
-        by_prefix[observation.prefix].append(observation)
-        _record_path_edges(inference, observation.path_without_prepending)
-    inference.total_edges_observed = len(inference.edges)
+    # Count, per directed edge, on how many observed paths it appeared.
+    for route, count in Counter(facts).items():
+        path = route.path
+        for downstream, upstream in zip(path, path[1:]):
+            # The announcement travelled upstream -> downstream (origin towards peer).
+            edge = (upstream, downstream)
+            if edge not in edges:
+                edges[edge] = EdgeIndications(edge=edge)
+            edges[edge].paths_observed += count
+    inference.total_edges_observed = len(edges)
 
-    for prefix, observations in by_prefix.items():
+    # The paper iterates per prefix and considers all updates "at the same time".
+    by_prefix: dict[Prefix, Counter[RouteFacts]] = defaultdict(Counter)
+    for observation, route in zip(archive, facts):
+        by_prefix[observation.prefix][route] += 1
+
+    for routes in by_prefix.values():
         # For each community, find where it was (conservatively) added and
         # which ASes were seen forwarding it onward.
-        forwarding_evidence: dict[Community, set[int]] = defaultdict(set)
-        carrying_paths: dict[Community, list[tuple[int, ...]]] = defaultdict(list)
-        for observation in observations:
-            path = observation.path_without_prepending
-            positions: dict[int, int] = {}
-            for index, asn in enumerate(path):
-                if asn not in positions:
-                    positions[asn] = index
-            for community in observation.communities:
-                tagger_index = positions.get(community.asn)
-                if tagger_index is None or tagger_index == 0:
+        forwarded_by: dict[int, set[Community]] = defaultdict(set)
+        for route, count in routes.items():
+            path = route.path
+            for community, tagger_index in route.taggers:
+                if not tagger_index:
+                    # Off-path, or tagged by the collector peer itself.
                     continue
-                carrying_paths[community].append(path)
                 # The tagger added the community on the edge towards the next AS.
-                added_edge = (path[tagger_index], path[tagger_index - 1])
-                entry = inference.edges.setdefault(
-                    added_edge, EdgeIndications(edge=added_edge)
-                )
-                entry.added += 1
+                edges[(path[tagger_index], path[tagger_index - 1])].added += count
                 # Every AS between the tagger and the peer forwarded it onward.
                 for index in range(tagger_index - 1, 0, -1):
-                    edge = (path[index], path[index - 1])
-                    entry = inference.edges.setdefault(edge, EdgeIndications(edge=edge))
-                    entry.forwarded += 1
-                    forwarding_evidence[community].add(path[index])
+                    edges[(path[index], path[index - 1])].forwarded += count
+                    forwarded_by[path[index]].add(community)
+        if not forwarded_by:
+            continue
 
-        # Filtering indications: an AS known to forward the community (for
+        # Filtering indications: an AS known to forward a community (for
         # this prefix) appears on another path whose observation does not
-        # carry the community.
-        for observation in observations:
-            path = observation.path_without_prepending
-            present = set(observation.communities)
-            for community, forwarders in forwarding_evidence.items():
-                if community in present:
-                    continue
-                for index in range(1, len(path)):
-                    asn = path[index]
-                    if asn in forwarders:
-                        edge = (asn, path[index - 1])
-                        entry = inference.edges.setdefault(edge, EdgeIndications(edge=edge))
-                        entry.filtered += 1
+        # carry that community — one indication per such community.
+        for route, count in routes.items():
+            path = route.path
+            present = {community for community, _index in route.taggers}
+            for index in range(1, len(path)):
+                forwarded = forwarded_by.get(path[index])
+                if forwarded:
+                    missing = len(forwarded - present)
+                    if missing:
+                        edges[(path[index], path[index - 1])].filtered += count * missing
     return inference

@@ -15,10 +15,11 @@ The central methodological choices follow the paper:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.bgp.community import Community, is_private_asn
-from repro.collectors.observation import ObservationArchive, RouteObservation
+from repro.collectors.observation import ObservationArchive, RouteFacts, RouteObservation
 from repro.utils.stats import Ecdf, Histogram, fraction
 
 
@@ -36,6 +37,15 @@ class CommunityClassification:
     tagger_index: int | None
 
 
+def _taggers(
+    route: RouteFacts, conservative: bool
+) -> Iterable[tuple[Community, int | None]]:
+    """``(community, tagger position or None)`` per community of one route."""
+    if conservative:
+        return route.taggers
+    return [(community, route.last.get(community.asn)) for community, _ in route.taggers]
+
+
 def classify_communities(
     archive: ObservationArchive, conservative: bool = True
 ) -> list[CommunityClassification]:
@@ -48,39 +58,19 @@ def classify_communities(
     attribution) — the ablation benchmark compares the two.
     """
     classifications: list[CommunityClassification] = []
-    for observation in archive:
-        path = list(observation.path_without_prepending)
-        position_of: dict[int, int] = {}
-        for index, asn in enumerate(path):
-            if conservative:
-                if asn not in position_of:
-                    position_of[asn] = index
-            else:
-                position_of[asn] = index
-        for community in observation.communities:
-            index = position_of.get(community.asn)
-            if index is None:
-                classifications.append(
-                    CommunityClassification(
-                        community=community,
-                        observation=observation,
-                        on_path=False,
-                        hops_travelled=None,
-                        tagger_index=None,
-                    )
+    for observation, route in zip(archive, archive.route_facts()):
+        for community, index in _taggers(route, conservative):
+            # Hops from the tagger to the observation point, plus the edge
+            # from the collector peer to the collector itself.
+            classifications.append(
+                CommunityClassification(
+                    community=community,
+                    observation=observation,
+                    on_path=index is not None,
+                    hops_travelled=None if index is None else index + 1,
+                    tagger_index=index,
                 )
-            else:
-                # Hops from the tagger to the observation point, plus the edge
-                # from the collector peer to the collector itself.
-                classifications.append(
-                    CommunityClassification(
-                        community=community,
-                        observation=observation,
-                        on_path=True,
-                        hops_travelled=index + 1,
-                        tagger_index=index,
-                    )
-                )
+            )
     return classifications
 
 
@@ -99,20 +89,12 @@ class ObservedAsSummary:
 
 def _summary_for(name: str, archive: ObservationArchive) -> ObservedAsSummary:
     peer_asns = archive.peer_asns()
-    all_asns: set[int] = set()
     on_path_asns: set[int] = set()
     off_path_asns: set[int] = set()
-    for observation in archive:
-        # Same membership as the collapsed path: collapsing only drops
-        # consecutive duplicates, so the cached ASN set is equivalent.
-        path = observation.path_asns
-        for community in observation.communities:
-            asn = community.asn
-            all_asns.add(asn)
-            if asn in path:
-                on_path_asns.add(asn)
-            else:
-                off_path_asns.add(asn)
+    for route in archive.route_facts():
+        for community, index in route.taggers:
+            (off_path_asns if index is None else on_path_asns).add(community.asn)
+    all_asns = on_path_asns | off_path_asns
     off_path_only = off_path_asns - on_path_asns
     return ObservedAsSummary(
         platform=name,
@@ -165,11 +147,10 @@ def propagation_distance_ecdf(
     """
     blackhole_communities = blackhole_communities or set()
     per_community: dict[Community, int] = {}
-    for item in classify_communities(archive, conservative=conservative):
-        if not item.on_path or item.hops_travelled is None:
-            continue
-        existing = per_community.get(item.community, 0)
-        per_community[item.community] = max(existing, item.hops_travelled)
+    for route in archive.route_facts():
+        for community, index in _taggers(route, conservative):
+            if index is not None and index >= per_community.get(community, 0):
+                per_community[community] = index + 1
     all_distances = list(per_community.values())
     blackhole_distances = [
         distance
@@ -195,18 +176,15 @@ def relative_distance_by_path_length(
     the distance — both choices taken from the paper.
     """
     per_length: dict[int, list[float]] = defaultdict(list)
-    for item in classify_communities(archive):
-        if not item.on_path or item.hops_travelled is None or item.tagger_index is None:
-            continue
-        path = item.observation.path_without_prepending
-        path_length = len(path)
+    for route in archive.route_facts():
+        path_length = len(route.path)
         if not min_path_length <= path_length <= max_path_length:
             continue
-        if item.tagger_index == 0:
-            # Community of the monitor's direct peer: excluded.
-            continue
-        relative = item.hops_travelled / path_length
-        per_length[path_length].append(min(1.0, relative))
+        for _community, index in route.taggers:
+            # Off-path (None) has no distance; position 0 is the community
+            # of the monitor's direct peer: excluded.
+            if index:
+                per_length[path_length].append(min(1.0, (index + 1) / path_length))
     return {length: Ecdf(values) for length, values in sorted(per_length.items())}
 
 
@@ -231,9 +209,10 @@ def top_values(archive: ObservationArchive, n: int = 10) -> TopValues:
     """Compute the top-``n`` community values for on-path and off-path communities."""
     on_path_histogram = Histogram()
     off_path_histogram = Histogram()
-    for item in classify_communities(archive):
-        target = on_path_histogram if item.on_path else off_path_histogram
-        target.add(item.community.value)
+    for route in archive.route_facts():
+        for community, index in route.taggers:
+            target = off_path_histogram if index is None else on_path_histogram
+            target.add(community.value)
 
     def ranked(histogram: Histogram) -> list[tuple[int, float]]:
         total = histogram.total()
@@ -274,30 +253,31 @@ def transit_forwarders(archive: ObservationArchive) -> TransitForwarderSummary:
     are excluded from the forwarding evidence; and AS2 counts as a
     forwarder if an update with path ``... AS3 AS2 AS1 ...`` carries a
     community ``AS1:X`` tagged by an AS strictly closer to the origin
-    than AS2.
+    than AS2.  The scan is memoised on the archive; each call returns
+    its own copy of the two sets.
     """
+    summary = archive.derived(_scan_transit_forwarders)
+    return TransitForwarderSummary(
+        transit_forwarders=set(summary.transit_forwarders),
+        transit_ases=set(summary.transit_ases),
+    )
+
+
+def _scan_transit_forwarders(archive: ObservationArchive) -> TransitForwarderSummary:
     transit_ases: set[int] = set()
     forwarders: set[int] = set()
-    for observation in archive:
-        path = list(observation.path_without_prepending)
+    for route in archive.route_facts():
+        path = route.path
         if len(path) < 2:
             continue
         # Transit role: on the path, neither origin nor the collector peer.
-        for asn in path[1:-1]:
-            transit_ases.add(asn)
-        position_of: dict[int, int] = {}
-        for index, asn in enumerate(path):
-            if asn not in position_of:
-                position_of[asn] = index
-        for community in observation.communities:
-            tagger_index = position_of.get(community.asn)
-            if tagger_index is None:
-                continue
-            # Every AS strictly between the tagger and the collector peer
-            # relayed a foreign community; the peer itself is excluded
-            # because its session with the collector may be special.
-            for index in range(1, tagger_index):
-                forwarders.add(path[index])
+        transit_ases.update(path[1:-1])
+        for _community, tagger_index in route.taggers:
+            if tagger_index is not None:
+                # Every AS strictly between the tagger and the collector peer
+                # relayed a foreign community; the peer itself is excluded
+                # because its session with the collector may be special.
+                forwarders.update(path[1:tagger_index])
     return TransitForwarderSummary(
         transit_forwarders=forwarders & transit_ases, transit_ases=transit_ases
     )

@@ -48,22 +48,21 @@ def _overview_for(
     ipv6 = len(prefixes) - ipv4
     path_asns: set[int] = set()
     origin_asns: set[int] = set()
-    for observation in archive:
-        path = observation.path_without_prepending
+    # Without a topology, transit ASes are inferred structurally: an AS
+    # that appears on a path as neither origin nor collector peer.
+    interior_asns: set[int] = set()
+    for route in archive.route_facts():
+        path = route.path
         path_asns.update(path)
         if path:
             origin_asns.add(path[-1])
-    transit_asns = {
-        asn for asn in path_asns if roles.get(asn) in (AsRole.TRANSIT, AsRole.TIER1)
-    }
-    if not roles:
-        # Without a topology, infer transit ASes structurally: an AS that
-        # appears on a path as neither origin nor collector peer.
-        transit_asns = set()
-        for observation in archive:
-            path = observation.path_without_prepending
-            for asn in path[1:-1]:
-                transit_asns.add(asn)
+            interior_asns.update(path[1:-1])
+    if roles:
+        transit_asns = {
+            asn for asn in path_asns if roles.get(asn) in (AsRole.TRANSIT, AsRole.TIER1)
+        }
+    else:
+        transit_asns = interior_asns
     stub_asns = path_asns - transit_asns
     return PlatformOverview(
         platform=name,
@@ -96,11 +95,14 @@ def dataset_overview(
 def updates_with_communities_by_collector(
     archive: ObservationArchive,
 ) -> dict[str, dict[str, float]]:
-    """Compute Figure 4(a): per platform, per collector, the fraction of updates
-    carrying at least one community."""
+    """Compute Figure 4(a): per platform, per collector, the fraction of
+    announcements carrying at least one community (withdrawals carry none
+    by construction and are not counted)."""
     totals: dict[tuple[str, str], int] = defaultdict(int)
     tagged: dict[tuple[str, str], int] = defaultdict(int)
     for observation in archive:
+        if observation.withdrawn:
+            continue
         key = (observation.platform, observation.collector_id)
         totals[key] += 1
         if observation.has_communities:
@@ -112,10 +114,11 @@ def updates_with_communities_by_collector(
 
 
 def overall_update_community_fraction(archive: ObservationArchive) -> float:
-    """Return the overall fraction of updates with at least one community (>75 % in the paper)."""
-    total = len(archive)
-    tagged = sum(1 for o in archive if o.has_communities)
-    return fraction(tagged, total)
+    """Return the overall fraction of announcements with at least one community
+    (>75 % in the paper); withdrawals are not announcements and do not count."""
+    announcements = [o for o in archive if not o.withdrawn]
+    tagged = sum(1 for o in announcements if o.has_communities)
+    return fraction(tagged, len(announcements))
 
 
 @dataclass(frozen=True)
@@ -135,10 +138,12 @@ class PerUpdateDistributions:
 
 
 def communities_per_update_ecdf(archive: ObservationArchive) -> PerUpdateDistributions:
-    """Compute Figure 4(b) over every observation in the archive."""
+    """Compute Figure 4(b) over every announcement in the archive."""
     community_counts = []
     asn_counts = []
     for observation in archive:
+        if observation.withdrawn:
+            continue
         community_counts.append(len(observation.communities))
         asn_counts.append(len(observation.community_asns()))
     return PerUpdateDistributions(

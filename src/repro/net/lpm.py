@@ -383,12 +383,14 @@ class LpmTable:
 class JournalledLpm:
     """A lazily patched LPM index over an authoritative ``{prefix: value}`` dict.
 
-    The owner (a Loc-RIB, a FIB) writes its dict and only records the prefix with
-    :meth:`touch`; the first :meth:`longest_match` after a run of writes
-    replays the journal in write order as trie inserts and deletes — a
-    patch, never a rebuild.  Convergence writes thousands of best routes
-    and looks none up, so it pays no trie work; a reader interleaving
-    lookups with writes pays the inserts an eager index would, later.
+    The owner (a Loc-RIB, a FIB, an observation archive's prefix buckets)
+    writes its dict and only records the prefix with :meth:`touch`; the
+    first lookup (:meth:`longest_match`, :meth:`covering`,
+    :meth:`covered`) after a run of writes replays the journal in write
+    order as trie inserts and deletes — a patch, never a rebuild.
+    Convergence writes thousands of best routes and looks none up, so it
+    pays no trie work; a reader interleaving lookups with writes pays
+    the inserts an eager index would, later.
     """
 
     __slots__ = ("_source", "_table", "_journal")
@@ -396,22 +398,39 @@ class JournalledLpm:
     def __init__(self, source: dict[Prefix, Any]):
         self._source = source
         self._table = LpmTable()
-        #: Prefixes written since the last lookup (a dict: ordered, deduplicated).
-        self._journal: dict[Prefix, None] = {}
+        #: Prefixes written since the last lookup (a dict: ordered,
+        #: deduplicated); whatever ``source`` already holds is pending.
+        self._journal: dict[Prefix, None] = dict.fromkeys(source)
 
     def touch(self, prefix: Prefix) -> None:
         """Record that ``prefix`` was set or removed in the source dict."""
         self._journal[prefix] = None
+
+    def _replay(self) -> None:
+        """Bring the trie up to date with the source dict."""
+        for prefix in self._journal:
+            if prefix in self._source:
+                self._table.insert(prefix, self._source[prefix])
+            else:
+                self._table.delete(prefix)
+        self._journal.clear()
 
     def longest_match(
         self, address: int, family: AddressFamily | None = None
     ) -> tuple[Prefix, Any] | None:
         """LPM lookup over the source dict's current content."""
         if self._journal:
-            for prefix in self._journal:
-                if prefix in self._source:
-                    self._table.insert(prefix, self._source[prefix])
-                else:
-                    self._table.delete(prefix)
-            self._journal.clear()
+            self._replay()
         return self._table.longest_match(address, family)
+
+    def covering(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
+        """Entries whose prefix covers ``prefix``, least specific first."""
+        if self._journal:
+            self._replay()
+        return self._table.covering(prefix)
+
+    def covered(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
+        """Entries covered by ``prefix`` (equal or more specific)."""
+        if self._journal:
+            self._replay()
+        return self._table.covered(prefix)

@@ -80,81 +80,82 @@ def format_caida_line(edge: RelationshipEdge) -> str:
 
 
 class RelationshipDataset:
-    """A symmetric store of AS relationships, queried from either endpoint."""
+    """A symmetric store of AS relationships, queried from either endpoint.
+
+    Stored as per-AS adjacency (``asn -> {neighbor: relationship as seen
+    from asn}``), so the per-AS queries cost the AS's degree, not a scan
+    of every edge in the dataset.
+    """
 
     def __init__(self):
-        self._relationships: dict[tuple[int, int], Relationship] = {}
+        self._adjacency: dict[int, dict[int, Relationship]] = {}
 
     def add(self, asn_a: int, asn_b: int, relationship: Relationship) -> None:
         """Record that, from ``asn_a``'s view, ``asn_b`` is ``relationship``."""
         if asn_a == asn_b:
             raise TopologyError(f"AS{asn_a} cannot have a relationship with itself")
-        existing = self._relationships.get((asn_a, asn_b))
+        existing = self.get(asn_a, asn_b)
         if existing is not None and existing != relationship:
             raise TopologyError(
                 f"conflicting relationship for AS{asn_a}-AS{asn_b}: "
                 f"{existing.name} vs {relationship.name}"
             )
-        self._relationships[(asn_a, asn_b)] = relationship
-        self._relationships[(asn_b, asn_a)] = relationship.inverse()
+        self._adjacency.setdefault(asn_a, {})[asn_b] = relationship
+        self._adjacency.setdefault(asn_b, {})[asn_a] = relationship.inverse()
 
     def get(self, asn_a: int, asn_b: int) -> Relationship | None:
         """Return the relationship from ``asn_a``'s view of ``asn_b`` (None if no edge)."""
-        return self._relationships.get((asn_a, asn_b))
+        return self._adjacency.get(asn_a, {}).get(asn_b)
 
     def has_edge(self, asn_a: int, asn_b: int) -> bool:
         """Return True if the two ASes are adjacent."""
-        return (asn_a, asn_b) in self._relationships
+        return asn_b in self._adjacency.get(asn_a, ())
+
+    def _neighbors_with(self, asn: int, relationship: Relationship) -> list[int]:
+        return sorted(
+            neighbor
+            for neighbor, seen_as in self._adjacency.get(asn, {}).items()
+            if seen_as == relationship
+        )
 
     def neighbors(self, asn: int) -> list[int]:
         """Return every AS adjacent to ``asn``."""
-        return sorted({b for (a, b) in self._relationships if a == asn})
+        return sorted(self._adjacency.get(asn, ()))
 
     def customers(self, asn: int) -> list[int]:
         """Return the customers of ``asn``."""
-        return sorted(
-            b
-            for (a, b), rel in self._relationships.items()
-            if a == asn and rel == Relationship.CUSTOMER
-        )
+        return self._neighbors_with(asn, Relationship.CUSTOMER)
 
     def providers(self, asn: int) -> list[int]:
         """Return the providers of ``asn``."""
-        return sorted(
-            b
-            for (a, b), rel in self._relationships.items()
-            if a == asn and rel == Relationship.PROVIDER
-        )
+        return self._neighbors_with(asn, Relationship.PROVIDER)
 
     def peers(self, asn: int) -> list[int]:
         """Return the settlement-free peers of ``asn``."""
-        return sorted(
-            b
-            for (a, b), rel in self._relationships.items()
-            if a == asn and rel == Relationship.PEER
-        )
+        return self._neighbors_with(asn, Relationship.PEER)
 
     def edges(self) -> Iterator[RelationshipEdge]:
         """Yield each undirected edge exactly once (customer/peer orientation)."""
-        seen: set[frozenset[int]] = set()
-        for (asn_a, asn_b), relationship in sorted(self._relationships.items()):
-            key = frozenset((asn_a, asn_b))
-            if key in seen:
-                continue
-            seen.add(key)
-            if relationship == Relationship.PROVIDER:
-                # Emit from the provider's side for a canonical orientation.
-                yield RelationshipEdge(asn_b, asn_a, Relationship.CUSTOMER)
-            else:
-                yield RelationshipEdge(asn_a, asn_b, relationship)
+        for asn_a in sorted(self._adjacency):
+            neighbors = self._adjacency[asn_a]
+            for asn_b in sorted(neighbors):
+                if asn_b < asn_a:
+                    # Already emitted from the lower-numbered endpoint.
+                    continue
+                relationship = neighbors[asn_b]
+                if relationship == Relationship.PROVIDER:
+                    # Emit from the provider's side for a canonical orientation.
+                    yield RelationshipEdge(asn_b, asn_a, Relationship.CUSTOMER)
+                else:
+                    yield RelationshipEdge(asn_a, asn_b, relationship)
 
     def edge_count(self) -> int:
         """Return the number of undirected AS edges."""
-        return len(self._relationships) // 2
+        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
 
     def asns(self) -> set[int]:
         """Return every AS that appears in at least one edge."""
-        return {a for (a, _b) in self._relationships}
+        return set(self._adjacency)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "RelationshipDataset":

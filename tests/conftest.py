@@ -51,3 +51,12 @@ def dataset(small_topology, deployment):
 def archive(dataset):
     """The observation archive of the shared dataset."""
     return dataset.archive
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden",
+        action="store_true",
+        default=False,
+        help="rewrite tests/fixtures/golden/* from the current tree instead of comparing",
+    )

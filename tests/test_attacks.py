@@ -169,8 +169,8 @@ class TestSteering:
         from repro.topology.relationships import Relationship
 
         # Rewire AS2 as a peer of AS1 rather than a customer.
-        topology.relationships._relationships[(1, 2)] = Relationship.PEER
-        topology.relationships._relationships[(2, 1)] = Relationship.PEER
+        topology.relationships._adjacency[1][2] = Relationship.PEER
+        topology.relationships._adjacency[2][1] = Relationship.PEER
         roles = ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1)
         attack = LocalPrefSteeringAttack(topology, roles, VICTIM_FIG8B)
         result = attack.run()

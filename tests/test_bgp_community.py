@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -182,3 +185,87 @@ class TestCommunitySet:
         communities = CommunitySet(Community(a, v) for a, v in pairs)
         assert len(communities) == len({(a, v) for a, v in pairs})
         assert list(communities) == sorted(communities)
+
+
+# ------------------------------------------------- algebra vs a frozenset oracle
+_PAIRS = st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+
+
+def _spelled(pair: tuple[int, int], spelling: int):
+    """One community in one of the three spellings the API coerces."""
+    asn, value = pair
+    return (Community(asn, value), f"{asn}:{value}", (asn << 16) | value)[spelling]
+
+
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("add"), st.lists(st.tuples(_PAIRS, st.integers(0, 2)), max_size=4)),
+    st.tuples(st.just("remove"), st.lists(st.tuples(_PAIRS, st.integers(0, 2)), max_size=4)),
+    st.tuples(st.just("union"), st.lists(_PAIRS, max_size=4)),
+    st.tuples(st.just("remove_asn"), st.integers(0, 0xFFFF)),
+    st.tuples(st.just("keep_asn"), st.integers(0, 0xFFFF)),
+    st.tuples(st.just("filter_even"), st.none()),
+)
+
+
+class TestCommunitySetAlgebra:
+    @given(st.lists(_PAIRS, max_size=8), st.lists(_OPERATIONS, max_size=8))
+    def test_operations_match_a_frozenset_oracle(self, initial, operations):
+        communities = CommunitySet(Community(a, v) for a, v in initial)
+        oracle = frozenset(Community(a, v) for a, v in initial)
+        for name, argument in operations:
+            before = communities
+            list(before)  # warm the cached order: a result must not inherit it
+            if name == "add":
+                communities = communities.add(*(_spelled(p, s) for p, s in argument))
+                oracle = oracle | {Community(*p) for p, _ in argument}
+            elif name == "remove":
+                communities = communities.remove(*(_spelled(p, s) for p, s in argument))
+                oracle = oracle - {Community(*p) for p, _ in argument}
+            elif name == "union":
+                other = CommunitySet(Community(*p) for p in argument)
+                communities = communities.union(other)
+                oracle = oracle | {Community(*p) for p in argument}
+            elif name == "remove_asn":
+                communities = communities.remove_asn(argument)
+                oracle = frozenset(c for c in oracle if c.asn != argument)
+            elif name == "keep_asn":
+                communities = communities.keep_asn(argument)
+                oracle = frozenset(c for c in oracle if c.asn == argument)
+            else:
+                communities = communities.filter(lambda c: c.value % 2 == 0)
+                oracle = frozenset(c for c in oracle if c.value % 2 == 0)
+            assert list(communities) == sorted(oracle)
+            assert list(communities) == sorted(oracle)  # second pass reads the cache
+            assert len(communities) == len(oracle)
+            assert communities == CommunitySet(oracle)
+            assert hash(communities) == hash(CommunitySet(oracle))  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+            assert list(before) == sorted(before._communities)  # operand untouched
+
+    def test_coercion_errors_unchanged(self):
+        base = CommunitySet.of("1:1")
+        for bad in ("banana", "1:2:3", "1:x"):
+            for call in (CommunitySet.of, base.add, base.remove, base.__contains__):
+                with pytest.raises(CommunityError):
+                    call(bad)
+        for bad in (-1, 1 << 32, 3.14, None):
+            for call in (CommunitySet.of, base.add, base.remove):
+                with pytest.raises(CommunityError):
+                    call(bad)
+
+    def test_cached_order_does_not_travel(self):
+        communities = CommunitySet.of("3:3", "1:1", "2:666")
+        cold = pickle.dumps(communities)
+        assert list(communities) == [Community(1, 1), Community(2, 666), Community(3, 3)]
+        assert pickle.dumps(communities) == cold  # the cache adds no byte
+        for clone in (pickle.loads(cold), copy.copy(communities), copy.deepcopy(communities)):
+            assert clone._sorted is None
+            assert clone == communities
+            assert hash(clone) == hash(communities)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+            assert list(clone) == list(communities)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        warm, cold = CommunitySet.of("2:2", "1:1"), CommunitySet.of("1:1", "2:2")
+        list(warm)
+        assert warm == cold
+        assert hash(warm) == hash(cold)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        assert len({warm, cold}) == 1

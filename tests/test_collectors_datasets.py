@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
@@ -82,6 +86,130 @@ class TestObservations:
         assert archive.write_mrt(path) == 2
         loaded = ObservationArchive.from_mrt(path)
         assert {str(o.prefix) for o in loaded} == {"203.0.113.0/24", "2001:db8::/32"}
+
+
+# ------------------------------------------------ archive queries vs brute force
+_POOL_PREFIXES = [
+    Prefix.from_string(text)
+    for text in (
+        "10.0.0.0/8",
+        "10.1.0.0/16",
+        "10.1.2.0/24",
+        "10.1.2.128/25",
+        "192.0.2.0/24",
+        "2001:db8::/32",
+        "2001:db8:1::/48",
+        "2001:db8:1:2::/64",
+        "2001:db9::/32",
+    )
+]
+_POOL_COLLECTORS = [("RIS", "ris-00"), ("RIS", "ris-01"), ("RV", "rv-00"), ("PCH", "pch-00")]
+_QUERY_KINDS = ("exact", "covered", "covering", "prefixes", "platform", "collector", "peers", "memo")
+
+_OBSERVATIONS = st.builds(
+    lambda where, peer, prefix, path, communities: RouteObservation(
+        platform=where[0],
+        collector_id=where[1],
+        peer_asn=peer,
+        prefix=prefix,
+        as_path=(peer, *path),
+        communities=CommunitySet.of(*communities),
+    ),
+    st.sampled_from(_POOL_COLLECTORS),
+    st.integers(1, 4),
+    st.sampled_from(_POOL_PREFIXES),
+    st.lists(st.integers(1, 6), max_size=4).map(tuple),
+    st.lists(st.sampled_from(["1:1", "2:2", "5:666", "64512:9"]), max_size=3),
+)
+#: A step either appends an observation or runs some of the query kinds.
+_STEPS = st.lists(
+    st.one_of(_OBSERVATIONS, st.sets(st.sampled_from(_QUERY_KINDS), min_size=1)), max_size=30
+)
+
+
+def _in_prefix_order(rows: list[RouteObservation], keep) -> list[RouteObservation]:
+    """Brute force for ``covered_by`` / ``covering``: matching prefixes sorted, rows in archive order."""
+    matching = sorted({o.prefix for o in rows if keep(o.prefix)})
+    return [o for prefix in matching for o in rows if o.prefix == prefix]
+
+
+def _check_against_scan(archive: ObservationArchive, rows: list[RouteObservation], kinds) -> None:
+    assert list(archive) == rows
+    for prefix in _POOL_PREFIXES:
+        if "exact" in kinds:
+            assert archive.observations_for(prefix) == [o for o in rows if o.prefix == prefix]
+        if "covered" in kinds:
+            assert list(archive.covered_by(prefix)) == _in_prefix_order(
+                rows, prefix.contains_prefix
+            )
+        if "covering" in kinds:
+            assert list(archive.covering(prefix)) == _in_prefix_order(
+                rows, lambda other: other.contains_prefix(prefix)
+            )
+    if "prefixes" in kinds:
+        assert archive.prefixes() == {o.prefix for o in rows}
+    if "platform" in kinds:
+        assert archive.platforms() == sorted({o.platform for o in rows})
+        for platform in ("RIS", "RV", "PCH", "IS"):
+            assert list(archive.by_platform(platform)) == [o for o in rows if o.platform == platform]
+    if "collector" in kinds:
+        assert archive.collectors() == sorted({(o.platform, o.collector_id) for o in rows})
+        for platform, collector in _POOL_COLLECTORS:
+            assert list(archive.by_collector(platform, collector)) == [
+                o for o in rows if (o.platform, o.collector_id) == (platform, collector)
+            ]
+    if "peers" in kinds:
+        assert archive.peer_asns() == {o.peer_asn for o in rows}
+    if "memo" in kinds:
+        assert archive.unique_communities() == {c for o in rows for c in o.communities}
+        assert archive.observed_community_asns() == {c.asn for o in rows for c in o.communities}
+        facts = archive.route_facts()
+        assert len(facts) == len(rows)
+        for observation, route in zip(rows, facts):
+            assert route.path == observation.path_without_prepending
+            assert [c for c, _ in route.taggers] == list(observation.communities)
+
+
+class TestArchiveIndexes:
+    @settings(deadline=None)
+    @given(_STEPS)
+    def test_queries_match_a_scan_over_interleaved_adds(self, steps):
+        archive = ObservationArchive()
+        rows: list[RouteObservation] = []
+        for step in steps:
+            if isinstance(step, RouteObservation):
+                archive.add(step)
+                rows.append(step)
+            else:
+                _check_against_scan(archive, rows, step)
+        _check_against_scan(archive, rows, _QUERY_KINDS)
+
+    def test_results_are_the_callers_own(self):
+        archive = ObservationArchive([make_observation()])
+        archive.unique_communities().clear()
+        archive.peer_asns().clear()
+        archive.prefixes().clear()
+        archive.observations_for(Prefix.from_string("203.0.113.0/24")).clear()
+        archive.by_platform("RIS").add(make_observation(peer=99))
+        _check_against_scan(archive, [make_observation()], _QUERY_KINDS)
+
+    def test_indexes_and_memo_do_not_travel(self):
+        archive = ObservationArchive(
+            [make_observation(), make_observation(peer=20, prefix="2001:db8::/32")]
+        )
+        cold = pickle.dumps(archive)
+        archive.route_facts(), archive.unique_communities(), archive.platforms()
+        assert len(archive.covering(Prefix.from_string("203.0.113.128/25"))) == 1
+        assert archive._index.trie is not None and archive._derived and archive._routes
+        assert pickle.dumps(archive) == cold  # warm indexes and memo add no byte
+        for clone in (pickle.loads(cold), copy.copy(archive), copy.deepcopy(archive)):
+            assert clone._index is None and clone._derived is None and not clone._routes
+            assert list(clone) == list(archive)
+            # A copy appends to its own list, never behind the original's indexes.
+            clone.add(make_observation(peer=30))
+            assert len(clone) == 3 and len(archive) == 2
+            _check_against_scan(clone, list(clone), _QUERY_KINDS)
+        _check_against_scan(archive, list(archive), _QUERY_KINDS)
 
 
 class TestDeployment:

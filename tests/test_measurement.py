@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
@@ -13,8 +16,10 @@ from repro.measurement.blackhole import (
     blackhole_prefix_stats,
     identify_blackhole_communities,
 )
-from repro.measurement.filtering import infer_filtering
+from repro.measurement.filtering import EdgeIndications, FilteringInference, infer_filtering
 from repro.measurement.propagation import (
+    CommunityClassification,
+    TransitForwarderSummary,
     classify_communities,
     observed_as_summary,
     propagation_distance_ecdf,
@@ -267,3 +272,188 @@ class TestTimeseriesAndReport:
         ):
             assert marker in text
         assert len(report.rendered_tables) == 11
+
+
+# ------------------------------------------------ per-observation loop oracles
+# The analyses as they were written before the archive memoised per-route
+# facts: every observation recomputes its collapsed path and position map.
+def classify_oracle(archive: ObservationArchive, conservative: bool) -> list[CommunityClassification]:
+    classifications = []
+    for item in archive:
+        position_of: dict[int, int] = {}
+        for index, asn in enumerate(item.path_without_prepending):
+            if not conservative or asn not in position_of:
+                position_of[asn] = index
+        for community in item.communities:
+            index = position_of.get(community.asn)
+            classifications.append(
+                CommunityClassification(
+                    community=community,
+                    observation=item,
+                    on_path=index is not None,
+                    hops_travelled=None if index is None else index + 1,
+                    tagger_index=index,
+                )
+            )
+    return classifications
+
+
+def transit_forwarders_oracle(archive: ObservationArchive) -> TransitForwarderSummary:
+    transit_ases: set[int] = set()
+    forwarders: set[int] = set()
+    for item in archive:
+        path = item.path_without_prepending
+        if len(path) < 2:
+            continue
+        transit_ases.update(path[1:-1])
+        for classified in classify_oracle(ObservationArchive([item]), conservative=True):
+            if classified.on_path:
+                forwarders.update(path[1 : classified.tagger_index])
+    return TransitForwarderSummary(forwarders & transit_ases, transit_ases)
+
+
+def infer_filtering_oracle(archive: ObservationArchive) -> FilteringInference:
+    inference = FilteringInference()
+
+    def edge(upstream: int, downstream: int) -> EdgeIndications:
+        return inference.edges.setdefault(
+            (upstream, downstream), EdgeIndications(edge=(upstream, downstream))
+        )
+
+    by_prefix = defaultdict(list)
+    for item in archive:
+        by_prefix[item.prefix].append(item)
+        path = item.path_without_prepending
+        for downstream, upstream in zip(path, path[1:]):
+            edge(upstream, downstream).paths_observed += 1
+    inference.total_edges_observed = len(inference.edges)
+    for observations in by_prefix.values():
+        forwarding_evidence: dict[Community, set[int]] = defaultdict(set)
+        for item in observations:
+            path = item.path_without_prepending
+            for classified in classify_oracle(ObservationArchive([item]), conservative=True):
+                tagger_index = classified.tagger_index
+                if not tagger_index:
+                    continue
+                edge(path[tagger_index], path[tagger_index - 1]).added += 1
+                for index in range(tagger_index - 1, 0, -1):
+                    edge(path[index], path[index - 1]).forwarded += 1
+                    forwarding_evidence[classified.community].add(path[index])
+        for item in observations:
+            path = item.path_without_prepending
+            for community, forwarders in forwarding_evidence.items():
+                if community in item.communities:
+                    continue
+                for index in range(1, len(path)):
+                    if path[index] in forwarders:
+                        edge(path[index], path[index - 1]).filtered += 1
+    return inference
+
+
+#: Short paths over six ASNs: prepending, repeats (first != last occurrence)
+#: and duplicate routes are all common; so are shared prefixes.
+_ARCHIVES = st.lists(
+    st.builds(
+        observation,
+        path=st.lists(st.integers(1, 6), min_size=1, max_size=6).map(tuple),
+        communities=st.lists(
+            st.sampled_from(["1:10", "2:20", "3:666", "4:40", "6:60", "64512:7", "9:9"]),
+            max_size=4,
+        ).map(tuple),
+        platform=st.sampled_from(["RIS", "RV"]),
+        prefix=st.sampled_from(["203.0.113.0/24", "198.51.100.0/24", "2001:db8::/32"]),
+    ),
+    max_size=12,
+)
+
+
+def edge_rows(inference: FilteringInference) -> list[tuple]:
+    return [
+        (key, e.edge, e.forwarded, e.filtered, e.added, e.paths_observed)
+        for key, e in inference.edges.items()
+    ]
+
+
+class TestDerivedFactsMatchThePerObservationLoops:
+    @settings(deadline=None)
+    @given(_ARCHIVES)
+    def test_classification_both_attributions(self, rows):
+        archive = ObservationArchive(rows)
+        for conservative in (True, False):
+            assert classify_communities(archive, conservative) == classify_oracle(
+                archive, conservative
+            )
+
+    @settings(deadline=None)
+    @given(_ARCHIVES)
+    def test_forwarders_and_filtering(self, rows):
+        archive = ObservationArchive(rows)
+        assert transit_forwarders(archive) == transit_forwarders_oracle(archive)
+        inference, expected = infer_filtering(archive), infer_filtering_oracle(archive)
+        assert edge_rows(inference) == edge_rows(expected)  # same counts, same dict order
+        assert inference.total_edges_observed == expected.total_edges_observed
+
+    def test_whole_dataset(self, archive):
+        for conservative in (True, False):
+            assert classify_communities(archive, conservative) == classify_oracle(
+                archive, conservative
+            )
+        assert transit_forwarders(archive) == transit_forwarders_oracle(archive)
+        assert edge_rows(infer_filtering(archive)) == edge_rows(infer_filtering_oracle(archive))
+
+    @settings(deadline=None)
+    @given(_ARCHIVES, _ARCHIVES)
+    def test_an_add_after_a_query_shows_in_every_memoised_result(self, first, later):
+        archive = ObservationArchive(first)
+        rows = list(first)
+        for row in [None, *later]:
+            if row is not None:
+                archive.add(row)
+                rows.append(row)
+            fresh = ObservationArchive(rows)
+            assert classify_communities(archive) == classify_oracle(fresh, True)
+            assert transit_forwarders(archive) == transit_forwarders_oracle(fresh)
+            assert archive.unique_communities() == {c for o in rows for c in o.communities}
+            assert observed_as_summary(archive) == observed_as_summary(fresh)
+
+    def test_memoised_summaries_are_the_callers_own(self):
+        archive = ObservationArchive([observation((5, 4, 3, 2, 1), ("1:100",))])
+        transit_forwarders(archive).transit_ases.clear()
+        transit_forwarders(archive).transit_forwarders.clear()
+        assert transit_forwarders(archive) == transit_forwarders_oracle(archive)
+        assert transit_forwarders(archive).transit_count == 3
+
+
+class TestWithdrawalsAreNotUpdatesWithoutCommunities:
+    def test_announcements_only_in_the_update_statistics(self):
+        withdrawal = RouteObservation(
+            platform="RIS",
+            collector_id="ris-00",
+            peer_asn=5,
+            prefix=Prefix.from_string("203.0.113.0/24"),
+            as_path=(),
+            withdrawn=True,
+        )
+        announcements = [
+            observation((5, 4, 1), ("1:100", "4:1")),
+            observation((5, 3, 1), ("1:100",)),
+            observation((5, 2, 1), ()),
+            observation((7, 2, 1), ("2:2",), platform="RV", collector="rv-00"),
+        ]
+        mixed = ObservationArchive([withdrawal, *announcements, withdrawal, withdrawal, withdrawal])
+        plain = ObservationArchive(announcements)
+        assert overall_update_community_fraction(mixed) == 0.75
+        assert updates_with_communities_by_collector(mixed) == {
+            "RIS": {"ris-00": pytest.approx(2 / 3)},
+            "RV": {"rv-00": 1.0},
+        }
+        for analysis in (
+            overall_update_community_fraction,
+            updates_with_communities_by_collector,
+            lambda a: communities_per_update_ecdf(a).communities_per_update.values,
+            lambda a: communities_per_update_ecdf(a).asns_per_update.values,
+        ):
+            assert analysis(mixed) == analysis(plain)
+        # A withdrawal-only collector has no announcements to take a fraction of.
+        assert updates_with_communities_by_collector(ObservationArchive([withdrawal])) == {}
+        assert overall_update_community_fraction(ObservationArchive([withdrawal])) == 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.bgp.community import Community
 from repro.bgp.prefix import Prefix
@@ -104,6 +105,68 @@ class TestAutonomousSystem:
         assert asys.originates(prefix)
         assert asys.originates(prefix.subprefix(32, 5))
         assert not asys.originates(Prefix.from_string("192.0.2.0/24"))
+
+
+class _EdgeScanOracle:
+    """The flat ``{(a, b): relationship}`` store and its full-scan queries."""
+
+    def __init__(self):
+        self.relationships: dict[tuple[int, int], Relationship] = {}
+
+    def add(self, asn_a: int, asn_b: int, relationship: Relationship) -> bool:
+        """Apply one add; return False where the dataset must raise."""
+        existing = self.relationships.get((asn_a, asn_b))
+        if asn_a == asn_b or (existing is not None and existing != relationship):
+            return False
+        self.relationships[(asn_a, asn_b)] = relationship
+        self.relationships[(asn_b, asn_a)] = relationship.inverse()
+        return True
+
+    def related(self, asn: int, wanted: Relationship | None = None) -> list[int]:
+        return sorted(
+            b
+            for (a, b), relationship in self.relationships.items()
+            if a == asn and wanted in (None, relationship)
+        )
+
+
+class TestRelationshipAdjacency:
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 8), st.integers(1, 8), st.sampled_from(list(Relationship))),
+            max_size=40,
+        )
+    )
+    def test_answers_match_an_edge_scan(self, adds):
+        dataset, oracle = RelationshipDataset(), _EdgeScanOracle()
+        for asn_a, asn_b, relationship in adds:
+            # The small ASN range makes re-adds, reversed re-adds and
+            # conflicting re-adds all common.
+            if oracle.add(asn_a, asn_b, relationship):
+                dataset.add(asn_a, asn_b, relationship)
+            else:
+                with pytest.raises(TopologyError):
+                    dataset.add(asn_a, asn_b, relationship)
+        assert dataset.asns() == {a for a, _b in oracle.relationships}
+        assert dataset.edge_count() == len(oracle.relationships) // 2
+        for asn in range(0, 10):
+            assert dataset.neighbors(asn) == oracle.related(asn)
+            assert dataset.customers(asn) == oracle.related(asn, Relationship.CUSTOMER)
+            assert dataset.providers(asn) == oracle.related(asn, Relationship.PROVIDER)
+            assert dataset.peers(asn) == oracle.related(asn, Relationship.PEER)
+            for other in range(0, 10):
+                assert dataset.get(asn, other) == oracle.relationships.get((asn, other))
+                assert dataset.has_edge(asn, other) == ((asn, other) in oracle.relationships)
+        edges = list(dataset.edges())
+        assert len(edges) == dataset.edge_count()
+        # Each undirected edge once, in order of its lower-sorting (a, b) key.
+        assert [frozenset((e.asn_a, e.asn_b)) for e in edges] == list(
+            dict.fromkeys(frozenset(pair) for pair in sorted(oracle.relationships))
+        )
+        for edge in edges:
+            assert edge.relationship != Relationship.PROVIDER
+            assert oracle.relationships[(edge.asn_a, edge.asn_b)] == edge.relationship
+        assert RelationshipDataset.from_lines(dataset.to_lines()).to_lines() == dataset.to_lines()
 
 
 class TestIxp:
