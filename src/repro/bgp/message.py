@@ -35,6 +35,13 @@ FLAG_TRANSITIVE = 0x40
 FLAG_PARTIAL = 0x20
 FLAG_EXTENDED_LENGTH = 0x10
 
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_MESSAGE_HEADER = struct.Struct("!16sHB")
+_ATTRIBUTE_HEADER = struct.Struct("!BBB")
+_ATTRIBUTE_HEADER_EXTENDED = struct.Struct("!BBH")
+_LARGE_COMMUNITY = struct.Struct("!III")
+
 
 @dataclass
 class BgpUpdate:
@@ -81,48 +88,47 @@ def _encode_attribute(type_code: int, flags: int, payload: bytes) -> bytes:
         raise MessageError(f"attribute {type_code} payload too long ({len(payload)} bytes)")
     if len(payload) > 0xFF:
         flags |= FLAG_EXTENDED_LENGTH
-        header = struct.pack("!BBH", flags, type_code, len(payload))
+        header = _ATTRIBUTE_HEADER_EXTENDED.pack(flags, type_code, len(payload))
     else:
         flags &= ~FLAG_EXTENDED_LENGTH
-        header = struct.pack("!BBB", flags, type_code, len(payload))
+        header = _ATTRIBUTE_HEADER.pack(flags, type_code, len(payload))
     return header + payload
 
 
 def _encode_as_path(as_path: ASPath, as4: bool = True) -> bytes:
     """Encode the AS_PATH attribute payload (4-byte ASNs by default)."""
-    fmt = "!I" if as4 else "!H"
-    payload = b""
+    code = "I" if as4 else "H"
+    parts: list[bytes] = []
     for segment in as_path.segments:
         asns = segment.asns
         # A segment can hold at most 255 ASNs; split longer sequences.
         for start in range(0, len(asns), 255):
             chunk = asns[start:start + 255]
-            payload += struct.pack("!BB", int(segment.segment_type), len(chunk))
-            for asn in chunk:
-                if not as4 and asn > 0xFFFF:
-                    raise MessageError(f"ASN {asn} does not fit in a 2-byte AS_PATH")
-                payload += struct.pack(fmt, asn)
-    return payload
+            if not as4:
+                for asn in chunk:
+                    if asn > 0xFFFF:
+                        raise MessageError(f"ASN {asn} does not fit in a 2-byte AS_PATH")
+            parts.append(
+                struct.pack(f"!BB{len(chunk)}{code}", int(segment.segment_type), len(chunk), *chunk)
+            )
+    return b"".join(parts)
 
 
 def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
     """Decode an AS_PATH attribute payload."""
-    width = 4 if as4 else 2
-    fmt = "!I" if as4 else "!H"
+    width, code = (4, "I") if as4 else (2, "H")
     segments: list[ASPathSegment] = []
     offset = 0
-    while offset < len(payload):
-        if offset + 2 > len(payload):
+    end = len(payload)
+    while offset < end:
+        if offset + 2 > end:
             raise MessageError("truncated AS_PATH segment header")
         segment_type, count = payload[offset], payload[offset + 1]
         offset += 2
         needed = count * width
-        if offset + needed > len(payload):
+        if offset + needed > end:
             raise MessageError("truncated AS_PATH segment body")
-        asns = tuple(
-            struct.unpack(fmt, payload[offset + i * width:offset + (i + 1) * width])[0]
-            for i in range(count)
-        )
+        asns = struct.unpack_from(f"!{count}{code}", payload, offset)
         offset += needed
         try:
             seg_type = SegmentType(segment_type)
@@ -136,67 +142,88 @@ def encode_update(update: BgpUpdate, family: AddressFamily = AddressFamily.IPV4)
     """Encode a :class:`BgpUpdate` into a full BGP message (header included)."""
     withdrawn_bytes = b"".join(_encode_prefix_nlri(p) for p in update.withdrawn)
     attrs = update.attributes
-    attribute_bytes = b""
+    attribute_parts: list[bytes] = []
     if update.announced:
-        attribute_bytes += _encode_attribute(
-            AttributeTypeCode.ORIGIN, FLAG_TRANSITIVE, bytes([int(attrs.origin)])
+        attribute_parts.append(
+            _encode_attribute(AttributeTypeCode.ORIGIN, FLAG_TRANSITIVE, bytes([int(attrs.origin)]))
         )
-        attribute_bytes += _encode_attribute(
-            AttributeTypeCode.AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path)
+        attribute_parts.append(
+            _encode_attribute(
+                AttributeTypeCode.AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path)
+            )
         )
-        attribute_bytes += _encode_attribute(
-            AttributeTypeCode.NEXT_HOP,
-            FLAG_TRANSITIVE,
-            struct.pack("!I", attrs.next_hop & 0xFFFFFFFF),
+        attribute_parts.append(
+            _encode_attribute(
+                AttributeTypeCode.NEXT_HOP, FLAG_TRANSITIVE, _U32.pack(attrs.next_hop & 0xFFFFFFFF)
+            )
         )
         if attrs.med is not None:
-            attribute_bytes += _encode_attribute(
-                AttributeTypeCode.MULTI_EXIT_DISC, FLAG_OPTIONAL, struct.pack("!I", attrs.med)
+            attribute_parts.append(
+                _encode_attribute(
+                    AttributeTypeCode.MULTI_EXIT_DISC, FLAG_OPTIONAL, _U32.pack(attrs.med)
+                )
             )
         if attrs.local_pref is not None:
-            attribute_bytes += _encode_attribute(
-                AttributeTypeCode.LOCAL_PREF, FLAG_TRANSITIVE, struct.pack("!I", attrs.local_pref)
+            attribute_parts.append(
+                _encode_attribute(
+                    AttributeTypeCode.LOCAL_PREF, FLAG_TRANSITIVE, _U32.pack(attrs.local_pref)
+                )
             )
         if attrs.atomic_aggregate:
-            attribute_bytes += _encode_attribute(
-                AttributeTypeCode.ATOMIC_AGGREGATE, FLAG_TRANSITIVE, b""
+            attribute_parts.append(
+                _encode_attribute(AttributeTypeCode.ATOMIC_AGGREGATE, FLAG_TRANSITIVE, b"")
             )
         if attrs.communities:
-            payload = b"".join(struct.pack("!I", c.to_int()) for c in attrs.communities)
-            attribute_bytes += _encode_attribute(
-                AttributeTypeCode.COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload
+            values = [c.to_int() for c in attrs.communities]
+            attribute_parts.append(
+                _encode_attribute(
+                    AttributeTypeCode.COMMUNITIES,
+                    FLAG_OPTIONAL | FLAG_TRANSITIVE,
+                    struct.pack(f"!{len(values)}I", *values),
+                )
             )
         if attrs.large_communities:
             payload = b"".join(
-                struct.pack("!III", lc.global_admin, lc.local_data1, lc.local_data2)
+                _LARGE_COMMUNITY.pack(lc.global_admin, lc.local_data1, lc.local_data2)
                 for lc in sorted(attrs.large_communities)
             )
-            attribute_bytes += _encode_attribute(
-                AttributeTypeCode.LARGE_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload
+            attribute_parts.append(
+                _encode_attribute(
+                    AttributeTypeCode.LARGE_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload
+                )
             )
     for type_code, flags, payload in update.unknown_attributes:
-        attribute_bytes += _encode_attribute(type_code, flags, payload)
+        attribute_parts.append(_encode_attribute(type_code, flags, payload))
+    attribute_bytes = b"".join(attribute_parts)
 
     nlri_bytes = b"".join(_encode_prefix_nlri(p) for p in update.announced)
-    body = (
-        struct.pack("!H", len(withdrawn_bytes))
-        + withdrawn_bytes
-        + struct.pack("!H", len(attribute_bytes))
-        + attribute_bytes
-        + nlri_bytes
+    body = b"".join(
+        (
+            _U16.pack(len(withdrawn_bytes)),
+            withdrawn_bytes,
+            _U16.pack(len(attribute_bytes)),
+            attribute_bytes,
+            nlri_bytes,
+        )
     )
     total_length = BGP_HEADER_LENGTH + len(body)
     if total_length > BGP_MAX_MESSAGE_LENGTH:
         raise MessageError(f"encoded UPDATE is {total_length} bytes (max {BGP_MAX_MESSAGE_LENGTH})")
-    header = BGP_MARKER + struct.pack("!HB", total_length, MESSAGE_TYPE_UPDATE)
-    return header + body
+    return _MESSAGE_HEADER.pack(BGP_MARKER, total_length, MESSAGE_TYPE_UPDATE) + body
 
 
-def decode_update(data: bytes, family: AddressFamily = AddressFamily.IPV4) -> BgpUpdate:
-    """Decode a full BGP UPDATE message (header included) into a :class:`BgpUpdate`."""
+def decode_update(
+    data: bytes, family: AddressFamily = AddressFamily.IPV4, as4: bool = True
+) -> BgpUpdate:
+    """Decode a full BGP UPDATE message (header included) into a :class:`BgpUpdate`.
+
+    ``as4`` is the AS_PATH encoding the two speakers negotiated: 4-byte
+    ASNs (what this package writes), or the 2-byte ASNs of a session
+    without the AS4 capability, as BGP4MP_MESSAGE records carry them.
+    """
     if len(data) < BGP_HEADER_LENGTH:
         raise MessageError(f"message too short ({len(data)} bytes) for a BGP header")
-    marker, length, message_type = data[:16], struct.unpack("!H", data[16:18])[0], data[18]
+    marker, length, message_type = _MESSAGE_HEADER.unpack_from(data)
     if marker != BGP_MARKER:
         raise MessageError("invalid BGP marker")
     if length != len(data):
@@ -205,11 +232,12 @@ def decode_update(data: bytes, family: AddressFamily = AddressFamily.IPV4) -> Bg
         raise MessageError(f"not an UPDATE message (type {message_type})")
 
     body = data[BGP_HEADER_LENGTH:]
-    if len(body) < 2:
+    body_end = len(body)
+    if body_end < 2:
         raise MessageError("truncated UPDATE: missing withdrawn routes length")
-    withdrawn_length = struct.unpack("!H", body[:2])[0]
+    (withdrawn_length,) = _U16.unpack_from(body)
     offset = 2
-    if offset + withdrawn_length > len(body):
+    if offset + withdrawn_length > body_end:
         raise MessageError("truncated UPDATE: withdrawn routes overflow")
     withdrawn: list[Prefix] = []
     end = offset + withdrawn_length
@@ -217,11 +245,11 @@ def decode_update(data: bytes, family: AddressFamily = AddressFamily.IPV4) -> Bg
         prefix, offset = _decode_prefix_nlri(body, offset, family)
         withdrawn.append(prefix)
 
-    if offset + 2 > len(body):
+    if offset + 2 > body_end:
         raise MessageError("truncated UPDATE: missing path attribute length")
-    attribute_length = struct.unpack("!H", body[offset:offset + 2])[0]
+    (attribute_length,) = _U16.unpack_from(body, offset)
     offset += 2
-    if offset + attribute_length > len(body):
+    if offset + attribute_length > body_end:
         raise MessageError("truncated UPDATE: path attributes overflow")
     attribute_end = offset + attribute_length
 
@@ -243,7 +271,7 @@ def decode_update(data: bytes, family: AddressFamily = AddressFamily.IPV4) -> Bg
         if flags & FLAG_EXTENDED_LENGTH:
             if offset + 2 > attribute_end:
                 raise MessageError("truncated extended attribute length")
-            attr_len = struct.unpack("!H", body[offset:offset + 2])[0]
+            (attr_len,) = _U16.unpack_from(body, offset)
             offset += 2
         else:
             if offset + 1 > attribute_end:
@@ -256,44 +284,40 @@ def decode_update(data: bytes, family: AddressFamily = AddressFamily.IPV4) -> Bg
         offset += attr_len
 
         if type_code == AttributeTypeCode.ORIGIN:
-            if len(payload) != 1:
+            if attr_len != 1:
                 raise MessageError("ORIGIN attribute must be exactly 1 byte")
             origin = Origin(payload[0])
         elif type_code == AttributeTypeCode.AS_PATH:
-            as_path = _decode_as_path(payload)
+            as_path = _decode_as_path(payload, as4)
         elif type_code == AttributeTypeCode.NEXT_HOP:
-            if len(payload) != 4:
+            if attr_len != 4:
                 raise MessageError("NEXT_HOP attribute must be exactly 4 bytes")
-            next_hop = struct.unpack("!I", payload)[0]
+            (next_hop,) = _U32.unpack(payload)
         elif type_code == AttributeTypeCode.MULTI_EXIT_DISC:
-            if len(payload) != 4:
+            if attr_len != 4:
                 raise MessageError("MED attribute must be exactly 4 bytes")
-            med = struct.unpack("!I", payload)[0]
+            (med,) = _U32.unpack(payload)
         elif type_code == AttributeTypeCode.LOCAL_PREF:
-            if len(payload) != 4:
+            if attr_len != 4:
                 raise MessageError("LOCAL_PREF attribute must be exactly 4 bytes")
-            local_pref = struct.unpack("!I", payload)[0]
+            (local_pref,) = _U32.unpack(payload)
         elif type_code == AttributeTypeCode.ATOMIC_AGGREGATE:
             atomic_aggregate = True
         elif type_code == AttributeTypeCode.COMMUNITIES:
-            if len(payload) % 4 != 0:
+            if attr_len % 4 != 0:
                 raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
-            values = [
-                Community.from_int(struct.unpack("!I", payload[i:i + 4])[0])
-                for i in range(0, len(payload), 4)
-            ]
-            communities = CommunitySet(values)
+            communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
         elif type_code == AttributeTypeCode.LARGE_COMMUNITIES:
-            if len(payload) % 12 != 0:
+            if attr_len % 12 != 0:
                 raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
-            for i in range(0, len(payload), 12):
-                a, b, c = struct.unpack("!III", payload[i:i + 12])
-                large_communities.append(LargeCommunity(a, b, c))
+            large_communities.extend(
+                LargeCommunity(*fields) for fields in _LARGE_COMMUNITY.iter_unpack(payload)
+            )
         else:
             unknown.append((type_code, flags, payload))
 
     announced: list[Prefix] = []
-    while offset < len(body):
+    while offset < body_end:
         prefix, offset = _decode_prefix_nlri(body, offset, family)
         announced.append(prefix)
 

@@ -33,6 +33,15 @@ the harvest and of :meth:`~ObservationArchive.from_mrt`):
   recomputes from the full archive; the distinct-route table survives
   (a row depends on its route alone) and nothing derived is pickled or
   copied.
+* **MRT: one encode / one decode per distinct record; the memo lives
+  for one call.**  One peer's table heard at several collectors is the
+  same BGP4MP record many times over, so
+  :meth:`~ObservationArchive.write_mrt` keys encoded records by what a
+  record carries and :meth:`~ObservationArchive.from_mrt` keys decoded
+  rows by the record body.  The file is read a record at a time, but
+  ``from_mrt`` is not constant memory: it holds the archive it builds
+  and one row template per distinct record
+  (:class:`~repro.mrt.reader.MrtReader` is the constant-memory reader).
 """
 
 from __future__ import annotations
@@ -49,10 +58,10 @@ from repro.bgp.community import Community, CommunitySet
 from repro.bgp.message import BgpUpdate
 from repro.bgp.prefix import Prefix
 from repro.exceptions import MrtError
+from repro.mrt import reader as mrt_reader
+from repro.mrt import writer as mrt_writer
 from repro.mrt.constants import AFI_IPV4, AFI_IPV6
-from repro.mrt.entries import Bgp4mpMessage
-from repro.mrt.reader import MrtReader
-from repro.mrt.writer import MrtWriter
+from repro.mrt.entries import Bgp4mpMessage, MrtRecord
 from repro.net.lpm import JournalledLpm
 
 #: MRT common headers carry a 32-bit Unix timestamp; anything outside
@@ -98,6 +107,53 @@ def _validate_timestamp(timestamp: float) -> None:
             f"observation timestamp {timestamp} does not fit the 32-bit "
             "MRT header (must be within 1970-01-01..2106-02-07 UTC)"
         )
+
+
+def _mrt_message(observation: RouteObservation, collector_asn: int) -> Bgp4mpMessage:
+    """The BGP4MP message that carries one observation."""
+    timestamp = observation.timestamp
+    _validate_timestamp(timestamp)
+    address_family = AFI_IPV4 if observation.prefix.is_ipv4 else AFI_IPV6
+    if observation.withdrawn:
+        update = BgpUpdate(withdrawn=[observation.prefix])
+    else:
+        attributes = PathAttributes(
+            as_path=ASPath.of(*observation.as_path),
+            communities=observation.communities,
+        )
+        update = BgpUpdate(announced=[observation.prefix], attributes=attributes)
+    return Bgp4mpMessage(
+        timestamp=int(timestamp),
+        peer_asn=observation.peer_asn,
+        local_asn=collector_asn,
+        peer_ip=peer_ip_for(observation.peer_asn, address_family),
+        local_ip=collector_ip_for(address_family),
+        interface_index=0,
+        address_family=address_family,
+        update=update,
+    )
+
+
+def _observed_rows(record: MrtRecord) -> tuple[tuple, ...]:
+    """What one MRT record says, as ``(peer_asn, prefix, as_path, communities, withdrawn)`` rows.
+
+    Withdrawn prefixes first, matching the wire layout; no rows for a
+    record that is not a BGP4MP message.  Everything in a row is
+    immutable, so equal records can share their rows.
+    """
+    if not record.is_bgp4mp_message:
+        return ()
+    # Through the module: the perf tracer and the tests patch the attribute.
+    message = mrt_reader.decode_bgp4mp_message(record)
+    update = message.update
+    peer_asn = message.peer_asn
+    as_path = tuple(update.attributes.as_path.asns())
+    communities = update.attributes.communities
+    nothing = CommunitySet()
+    return tuple(
+        [(peer_asn, prefix, (), nothing, True) for prefix in update.withdrawn]
+        + [(peer_asn, prefix, as_path, communities, False) for prefix in update.announced]
+    )
 
 
 @dataclass(frozen=True)
@@ -397,43 +453,43 @@ class ObservationArchive:
         :class:`MrtError` instead of wrapping silently in the header.
         """
         for observation in self._observations:
-            timestamp = observation.timestamp
-            _validate_timestamp(timestamp)
-            address_family = AFI_IPV4 if observation.prefix.is_ipv4 else AFI_IPV6
-            if observation.withdrawn:
-                update = BgpUpdate(withdrawn=[observation.prefix])
-            else:
-                attributes = PathAttributes(
-                    as_path=ASPath.of(*observation.as_path),
-                    communities=observation.communities,
-                )
-                update = BgpUpdate(announced=[observation.prefix], attributes=attributes)
-            yield Bgp4mpMessage(
-                timestamp=int(timestamp),
-                peer_asn=observation.peer_asn,
-                local_asn=collector_asn,
-                peer_ip=peer_ip_for(observation.peer_asn, address_family),
-                local_ip=collector_ip_for(address_family),
-                interface_index=0,
-                address_family=address_family,
-                update=update,
-            )
+            yield _mrt_message(observation, collector_asn)
 
     def write_mrt(self, path: str | Path, collector_asn: int = 65000) -> int:
         """Write the archive as an MRT file; return the record count.
 
-        Timestamps are validated up front so a bad observation in the
-        middle of the archive fails the whole write instead of leaving
-        a truncated file at the destination.
+        The bytes are those of :meth:`to_mrt_messages` put through
+        :func:`~repro.mrt.writer.encode_bgp4mp_message`, but a record is
+        a function of ``(timestamp, peer, prefix, path, communities,
+        withdrawn)`` alone, so observations that agree on all six (one
+        peer heard at several collectors) are encoded once.
+
+        Every record is encoded before the destination is opened: an
+        observation the format cannot carry (a timestamp outside the
+        32-bit header, an UPDATE over 4 096 bytes) fails the whole write
+        and leaves whatever was at ``path`` as it was.
         """
+        encoded: dict[tuple, bytes] = {}
+        records: list[bytes] = []
         for observation in self._observations:
-            _validate_timestamp(observation.timestamp)
-        path = Path(path)
-        with path.open("wb") as stream:
-            writer = MrtWriter(stream)
-            for message in self.to_mrt_messages(collector_asn):
-                writer.write_message(message)
-            return writer.records_written
+            key = (
+                observation.timestamp,
+                observation.peer_asn,
+                observation.prefix,
+                observation.as_path,
+                observation.communities,
+                observation.withdrawn,
+            )
+            record = encoded.get(key)
+            if record is None:
+                # Through the module: the perf tracer and the tests patch the attribute.
+                record = encoded[key] = mrt_writer.encode_bgp4mp_message(
+                    _mrt_message(observation, collector_asn)
+                )
+            records.append(record)
+        with Path(path).open("wb") as stream:
+            stream.writelines(records)
+        return len(records)
 
     @classmethod
     def from_mrt(
@@ -445,32 +501,32 @@ class ObservationArchive:
         become withdrawal-marked observations (first, matching the wire
         layout) and announced prefixes regular ones — so a write →
         read round-trip is lossless for mixed archives.
+
+        The file is read one record at a time, but the archive it fills
+        is in memory, and so is one set of decoded rows per *distinct*
+        record body: records that differ in their timestamp only are
+        decoded once and share their path and community objects.
         """
         archive = cls()
-        for message in MrtReader.from_file(path).messages():
-            timestamp = float(message.timestamp)
-            for prefix in message.update.withdrawn:
-                archive.add(
-                    RouteObservation(
-                        platform=platform,
-                        collector_id=collector_id,
-                        peer_asn=message.peer_asn,
-                        prefix=prefix,
-                        as_path=(),
-                        timestamp=timestamp,
-                        withdrawn=True,
+        decoded: dict[tuple[int, int, bytes], tuple[tuple, ...]] = {}
+        with Path(path).open("rb") as stream:
+            for record in mrt_reader.iter_stream_records(stream):
+                key = (record.mrt_type, record.subtype, record.payload)
+                rows = decoded.get(key)
+                if rows is None:
+                    rows = decoded[key] = _observed_rows(record)
+                timestamp = float(record.timestamp)
+                for peer_asn, prefix, as_path, communities, withdrawn in rows:
+                    archive.add(
+                        RouteObservation(
+                            platform,
+                            collector_id,
+                            peer_asn,
+                            prefix,
+                            as_path,
+                            communities,
+                            timestamp,
+                            withdrawn,
+                        )
                     )
-                )
-            for prefix in message.update.announced:
-                archive.add(
-                    RouteObservation(
-                        platform=platform,
-                        collector_id=collector_id,
-                        peer_asn=message.peer_asn,
-                        prefix=prefix,
-                        as_path=tuple(message.update.attributes.as_path.asns()),
-                        communities=message.update.attributes.communities,
-                        timestamp=timestamp,
-                    )
-                )
         return archive

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BgpUpdate
 from repro.bgp.prefix import Prefix
-from repro.mrt.constants import MrtType
+from repro.mrt.constants import Bgp4mpSubtype, MrtType
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,11 @@ class MrtRecord:
     def is_bgp4mp(self) -> bool:
         """True for BGP4MP / BGP4MP_ET records."""
         return self.mrt_type in (int(MrtType.BGP4MP), int(MrtType.BGP4MP_ET))
+
+    @property
+    def is_bgp4mp_message(self) -> bool:
+        """True for the BGP4MP records that carry a BGP message (2- or 4-byte AS form)."""
+        return self.is_bgp4mp and self.subtype in (Bgp4mpSubtype.MESSAGE, Bgp4mpSubtype.MESSAGE_AS4)
 
     @property
     def is_table_dump_v2(self) -> bool:

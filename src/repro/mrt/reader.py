@@ -43,6 +43,13 @@ from repro.mrt.entries import (
 )
 
 
+_COMMON_HEADER = struct.Struct("!IHHI")
+_U32 = struct.Struct("!I")
+#: BGP4MP peer header: peer AS, local AS, interface index, address family.
+_BGP4MP_HEADER = struct.Struct("!HHHH")
+_BGP4MP_HEADER_AS4 = struct.Struct("!IIHH")
+
+
 def iter_raw_records(data: bytes) -> Iterator[MrtRecord]:
     """Yield raw MRT records from a byte buffer.
 
@@ -53,14 +60,17 @@ def iter_raw_records(data: bytes) -> Iterator[MrtRecord]:
     yield from iter_stream_records(io.BytesIO(data))
 
 
-def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
-    """Read exactly ``count`` bytes or raise a truncation error."""
+def _read_exact(stream: BinaryIO, count: int, what: str, at: int, record_start: int) -> bytes:
+    """Read exactly ``count`` bytes from stream offset ``at`` or raise a truncation error."""
     chunks: list[bytes] = []
     remaining = count
     while remaining > 0:
         chunk = stream.read(remaining)
         if not chunk:
-            raise MrtTruncatedError(f"truncated {what}")
+            raise MrtTruncatedError(
+                f"truncated {what} at byte offset {at + count - remaining} "
+                f"(record starts at {record_start})"
+            )
         chunks.append(chunk)
         remaining -= len(chunk)
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
@@ -72,46 +82,59 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
     Unlike :func:`iter_raw_records` this never materialises the whole
     archive: only the current record's header and payload are held in
     memory, which is what lets multi-gigabyte update dumps replay
-    through :meth:`ObservationArchive.from_mrt` without slurping.
+    through :class:`MrtReader` without slurping.
+
+    A stream that ends inside a record raises :class:`MrtTruncatedError`
+    naming the byte offset where the data ran out and the offset of the
+    record it belongs to, both counted from where the stream stood when
+    iteration began.
     """
+    record_start = 0
     while True:
         header = stream.read(MRT_HEADER_LENGTH)
         if not header:
             return
         if len(header) < MRT_HEADER_LENGTH:
             # A short read at EOF can still be a partial header.
-            header += _read_exact(stream, MRT_HEADER_LENGTH - len(header), "MRT common header")
-        timestamp, mrt_type, subtype, length = struct.unpack("!IHHI", header)
+            header += _read_exact(
+                stream,
+                MRT_HEADER_LENGTH - len(header),
+                "MRT common header",
+                record_start + len(header),
+                record_start,
+            )
+        timestamp, mrt_type, subtype, length = _COMMON_HEADER.unpack(header)
+        offset = record_start + MRT_HEADER_LENGTH
         microseconds = 0
         payload_length = length
-        if mrt_type == int(MrtType.BGP4MP_ET):
+        if mrt_type == MrtType.BGP4MP_ET:
             if payload_length < 4:
                 raise MrtError("BGP4MP_ET record too short for the microsecond field")
-            microseconds = struct.unpack(
-                "!I", _read_exact(stream, 4, "BGP4MP_ET microsecond field")
-            )[0]
+            (microseconds,) = _U32.unpack(
+                _read_exact(stream, 4, "BGP4MP_ET microsecond field", offset, record_start)
+            )
+            offset += 4
             payload_length -= 4
-        payload = _read_exact(stream, payload_length, "MRT record payload") if payload_length else b""
+        payload = (
+            _read_exact(stream, payload_length, "MRT record payload", offset, record_start)
+            if payload_length
+            else b""
+        )
         yield MrtRecord(timestamp, mrt_type, subtype, payload, microseconds)
+        record_start = offset + payload_length
 
 
 def decode_bgp4mp_message(record: MrtRecord) -> Bgp4mpMessage:
     """Decode a BGP4MP MESSAGE / MESSAGE_AS4 record into a :class:`Bgp4mpMessage`."""
     if not record.is_bgp4mp:
         raise MrtError(f"record type {record.mrt_type} is not BGP4MP")
-    as4 = record.subtype in (int(Bgp4mpSubtype.MESSAGE_AS4), int(Bgp4mpSubtype.STATE_CHANGE_AS4))
+    as4 = record.subtype in (Bgp4mpSubtype.MESSAGE_AS4, Bgp4mpSubtype.STATE_CHANGE_AS4)
     payload = record.payload
-    asn_width = 4 if as4 else 2
-    asn_format = "!I" if as4 else "!H"
-    offset = 0
-    if len(payload) < asn_width * 2 + 4:
+    header = _BGP4MP_HEADER_AS4 if as4 else _BGP4MP_HEADER
+    if len(payload) < header.size:
         raise MrtError("BGP4MP payload too short")
-    peer_asn = struct.unpack(asn_format, payload[offset:offset + asn_width])[0]
-    offset += asn_width
-    local_asn = struct.unpack(asn_format, payload[offset:offset + asn_width])[0]
-    offset += asn_width
-    interface_index, address_family = struct.unpack("!HH", payload[offset:offset + 4])
-    offset += 4
+    peer_asn, local_asn, interface_index, address_family = header.unpack_from(payload)
+    offset = header.size
     if address_family == AFI_IPV4:
         ip_bytes, family = 4, AddressFamily.IPV4
     elif address_family == AFI_IPV6:
@@ -124,7 +147,7 @@ def decode_bgp4mp_message(record: MrtRecord) -> Bgp4mpMessage:
     offset += ip_bytes
     local_ip = int.from_bytes(payload[offset:offset + ip_bytes], "big")
     offset += ip_bytes
-    update = decode_update(payload[offset:], family)
+    update = decode_update(payload[offset:], family, as4)
     return Bgp4mpMessage(
         timestamp=record.timestamp,
         peer_asn=peer_asn,
@@ -259,10 +282,7 @@ def decode_rib_prefix_record(record: MrtRecord) -> RibPrefixRecord:
 
 def _decode_record(record: MrtRecord):
     """Dispatch one raw record to its specialised decoder (or pass it through)."""
-    if record.is_bgp4mp and record.subtype in (
-        int(Bgp4mpSubtype.MESSAGE),
-        int(Bgp4mpSubtype.MESSAGE_AS4),
-    ):
+    if record.is_bgp4mp_message:
         return decode_bgp4mp_message(record)
     if record.is_table_dump_v2 and record.subtype == int(TableDumpV2Subtype.PEER_INDEX_TABLE):
         return decode_peer_index_table(record)

@@ -40,11 +40,18 @@ from repro.bgp.message import (
 )
 
 
+_COMMON_HEADER = struct.Struct("!IHHI")
+#: BGP4MP_MESSAGE_AS4 peer header (peer AS, local AS, interface index,
+#: address family), alone and followed by the two IPv4 addresses.
+_BGP4MP_HEADER_AS4 = struct.Struct("!IIHH")
+_BGP4MP_HEADER_AS4_IPV4 = struct.Struct("!IIHHII")
+
+
 def _encode_header(timestamp: int, mrt_type: int, subtype: int, payload: bytes) -> bytes:
     """Encode the 12-byte MRT common header followed by the payload."""
     if len(payload) > 0xFFFFFFFF:
         raise MrtError("MRT payload too large")
-    return struct.pack("!IHHI", timestamp & 0xFFFFFFFF, mrt_type, subtype, len(payload)) + payload
+    return _COMMON_HEADER.pack(timestamp & 0xFFFFFFFF, mrt_type, subtype, len(payload)) + payload
 
 
 def encode_record(record: MrtRecord) -> bytes:
@@ -57,28 +64,31 @@ def encode_bgp4mp_message(message: Bgp4mpMessage) -> bytes:
     family = AddressFamily.IPV4 if message.address_family == AFI_IPV4 else AddressFamily.IPV6
     bgp_bytes = encode_update(message.update, family)
     if message.address_family == AFI_IPV4:
-        ip_format, ip_bytes = "!II", 4
+        header = _BGP4MP_HEADER_AS4_IPV4.pack(
+            message.peer_asn & 0xFFFFFFFF,
+            message.local_asn & 0xFFFFFFFF,
+            message.interface_index & 0xFFFF,
+            AFI_IPV4,
+            message.peer_ip & 0xFFFFFFFF,
+            message.local_ip & 0xFFFFFFFF,
+        )
     elif message.address_family == AFI_IPV6:
-        ip_format, ip_bytes = None, 16
+        header = b"".join(
+            (
+                _BGP4MP_HEADER_AS4.pack(
+                    message.peer_asn & 0xFFFFFFFF,
+                    message.local_asn & 0xFFFFFFFF,
+                    message.interface_index & 0xFFFF,
+                    AFI_IPV6,
+                ),
+                message.peer_ip.to_bytes(16, "big"),
+                message.local_ip.to_bytes(16, "big"),
+            )
+        )
     else:
         raise MrtError(f"unsupported address family {message.address_family}")
-
-    header = struct.pack(
-        "!IIHH",
-        message.peer_asn & 0xFFFFFFFF,
-        message.local_asn & 0xFFFFFFFF,
-        message.interface_index & 0xFFFF,
-        message.address_family & 0xFFFF,
-    )
-    if ip_format is not None:
-        addresses = struct.pack(ip_format, message.peer_ip & 0xFFFFFFFF, message.local_ip & 0xFFFFFFFF)
-    else:
-        addresses = message.peer_ip.to_bytes(ip_bytes, "big") + message.local_ip.to_bytes(
-            ip_bytes, "big"
-        )
-    payload = header + addresses + bgp_bytes
     return _encode_header(
-        message.timestamp, int(MrtType.BGP4MP), int(Bgp4mpSubtype.MESSAGE_AS4), payload
+        message.timestamp, int(MrtType.BGP4MP), int(Bgp4mpSubtype.MESSAGE_AS4), header + bgp_bytes
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,19 @@ from repro.bgp.message import BgpUpdate, decode_update, encode_update
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
 from repro.bgp.route import Announcement, RouteEntry
+from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.exceptions import AttributeError_, MessageError, MrtError, MrtTruncatedError
-from repro.mrt.entries import Bgp4mpMessage, PeerEntry, PeerIndexTable, RibEntry, RibPrefixRecord
+from repro.mrt import reader as mrt_reader
+from repro.mrt import writer as mrt_writer
+from repro.mrt.constants import Bgp4mpSubtype, MrtType
+from repro.mrt.entries import (
+    Bgp4mpMessage,
+    MrtRecord,
+    PeerEntry,
+    PeerIndexTable,
+    RibEntry,
+    RibPrefixRecord,
+)
 from repro.mrt.reader import MrtReader, iter_raw_records, read_stream
 from repro.mrt.writer import (
     MrtWriter,
@@ -333,3 +345,278 @@ class TestMrt:
         assert decoded.timestamp == timestamp
         assert decoded.peer_asn == peer_asn
         assert decoded.update.attributes.communities == update.attributes.communities
+
+
+def two_byte_as_record() -> bytes:
+    """A BGP4MP_MESSAGE (subtype 1) record as a pre-AS4 session archives it.
+
+    Built by hand, field by field: 2-byte ASNs in the peer header *and*
+    in the AS_PATH of the UPDATE it carries.
+    """
+    attributes = b"".join(
+        (
+            bytes([0x40, 1, 1, 0]),  # ORIGIN IGP
+            bytes([0x40, 2, 8, 2, 3]) + struct.pack("!3H", 3356, 1299, 13335),  # AS_PATH
+            bytes([0x40, 3, 4]) + bytes([192, 0, 2, 1]),  # NEXT_HOP
+            bytes([0xC0, 8, 4]) + struct.pack("!HH", 3356, 100),  # COMMUNITIES
+        )
+    )
+    body = struct.pack("!H", 0) + struct.pack("!H", len(attributes)) + attributes
+    body += bytes([24, 203, 0, 113])  # NLRI 203.0.113.0/24
+    update = b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
+    payload = struct.pack("!HHHH", 3356, 64512, 0, 1) + bytes([10, 0, 0, 1, 10, 0, 0, 2]) + update
+    header = struct.pack(
+        "!IHHI", 1522540800, MrtType.BGP4MP, Bgp4mpSubtype.MESSAGE, len(payload)
+    )
+    return header + payload
+
+
+class TestTwoByteAsRecords:
+    def test_reader_decodes_a_subtype_1_record(self):
+        (message,) = MrtReader(two_byte_as_record()).messages()
+        assert (message.peer_asn, message.local_asn) == (3356, 64512)
+        assert message.update.attributes.as_path == ASPath.of(3356, 1299, 13335)
+        assert message.update.attributes.communities == CommunitySet.of("3356:100")
+        assert message.update.announced == [Prefix.from_string("203.0.113.0/24")]
+
+    def test_archive_loads_a_subtype_1_file(self, tmp_path):
+        path = tmp_path / "pre-as4.mrt"
+        path.write_bytes(two_byte_as_record())
+        (observation,) = ObservationArchive.from_mrt(path)
+        assert observation.peer_asn == 3356
+        assert observation.as_path == (3356, 1299, 13335)
+
+    def test_four_byte_paths_are_not_read_as_two_byte(self):
+        update = BgpUpdate(
+            announced=[Prefix.from_string("10.0.0.0/8")],
+            attributes=PathAttributes(as_path=ASPath.of(70000, 1)),
+        )
+        assert decode_update(encode_update(update)).attributes.as_path == ASPath.of(70000, 1)
+        with pytest.raises(MessageError):
+            decode_update(encode_update(update), as4=False)
+
+
+def observation(**overrides) -> RouteObservation:
+    fields = dict(
+        platform="RIS",
+        collector_id="rrc00",
+        peer_asn=3356,
+        prefix=Prefix.from_string("203.0.113.0/24"),
+        as_path=(3356, 13335),
+        communities=CommunitySet.of("3356:100"),
+        timestamp=1522540800.0,
+    )
+    fields.update(overrides)
+    return RouteObservation(**fields)
+
+
+class TestWriteMrtIsAllOrNothing:
+    """A failure anywhere in the archive leaves the destination as it was."""
+
+    def bad_rows(self):
+        # 1 100 communities encode to an UPDATE over the 4 096-byte BGP limit.
+        oversized = CommunitySet(Community(64512, value) for value in range(1100))
+        return {
+            "oversized update": (observation(communities=oversized), MessageError),
+            "timestamp": (observation(timestamp=float(1 << 32)), MrtError),
+        }
+
+    @pytest.mark.parametrize("what", ["oversized update", "timestamp"])
+    def test_previous_archive_survives(self, tmp_path, what):
+        bad, error = self.bad_rows()[what]
+        path = tmp_path / "archive.mrt"
+        ObservationArchive([observation(), observation(peer_asn=1299)]).write_mrt(path)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            ObservationArchive([observation(), bad, observation(peer_asn=1299)]).write_mrt(path)
+        assert path.read_bytes() == before
+
+    def test_no_file_appears_where_there_was_none(self, tmp_path):
+        bad, error = self.bad_rows()["oversized update"]
+        path = tmp_path / "archive.mrt"
+        with pytest.raises(error):
+            ObservationArchive([observation(), bad]).write_mrt(path)
+        assert not path.exists()
+
+
+class TestTruncationOffsets:
+    """``MrtTruncatedError`` says where the data ran out and which record it hit."""
+
+    def archive_bytes(self, tmp_path) -> tuple[bytes, int]:
+        path = tmp_path / "archive.mrt"
+        ObservationArchive([observation(), observation(peer_asn=1299)]).write_mrt(path)
+        data = path.read_bytes()
+        first = len(data) // 2  # two records of equal size
+        return data, first
+
+    def expect(self, tmp_path, data: bytes, message: str):
+        path = tmp_path / "cut.mrt"
+        path.write_bytes(data)
+        with pytest.raises(MrtTruncatedError) as raised:
+            ObservationArchive.from_mrt(path)
+        assert str(raised.value) == message
+        with pytest.raises(MrtTruncatedError) as raised:
+            list(MrtReader(data))
+        assert str(raised.value) == message
+
+    def test_cut_inside_a_header(self, tmp_path):
+        data, first = self.archive_bytes(tmp_path)
+        cut = first + 5
+        self.expect(
+            tmp_path,
+            data[:cut],
+            f"truncated MRT common header at byte offset {cut} (record starts at {first})",
+        )
+
+    def test_cut_inside_a_payload(self, tmp_path):
+        data, first = self.archive_bytes(tmp_path)
+        cut = first + 12 + 30
+        self.expect(
+            tmp_path,
+            data[:cut],
+            f"truncated MRT record payload at byte offset {cut} (record starts at {first})",
+        )
+
+    def test_cut_inside_the_microsecond_field(self, tmp_path):
+        data, first = self.archive_bytes(tmp_path)
+        timestamp, _mrt_type, subtype, length = struct.unpack("!IHHI", data[first:first + 12])
+        extended = (
+            data[:first]
+            + struct.pack("!IHHI", timestamp, MrtType.BGP4MP_ET, subtype, length + 4)
+            + struct.pack("!I", 250_000)
+            + data[first + 12:]
+        )
+        # Whole, the BGP4MP_ET form reads back like the plain one.
+        path = tmp_path / "et.mrt"
+        path.write_bytes(extended)
+        assert [o.peer_asn for o in ObservationArchive.from_mrt(path)] == [3356, 1299]
+        cut = first + 12 + 2
+        self.expect(
+            tmp_path,
+            extended[:cut],
+            f"truncated BGP4MP_ET microsecond field at byte offset {cut} (record starts at {first})",
+        )
+
+
+_PEERS = (10, 3356, 70000, 4200000001)
+_PREFIXES = tuple(
+    Prefix.from_string(text)
+    for text in ("203.0.113.0/24", "10.0.0.0/8", "2001:db8::/32", "2001:db8:1::/48")
+)
+_PATHS = ((13335,), (1299, 13335), (1299, 1299, 70000, 13335), (4200000001, 65536, 1))
+_COMMUNITY_SETS = (
+    CommunitySet(),
+    CommunitySet.of("3356:100"),
+    CommunitySet.of("1299:666", "65535:666", "3356:100"),
+)
+_COLLECTORS = (("RIS", "rrc00"), ("RIS", "rrc01"), ("RV", "route-views2"), ("PCH", "pch-0"))
+
+
+@st.composite
+def _observations(draw) -> RouteObservation:
+    # Small pools on purpose: the same route heard at several collectors
+    # and at several times is the case under test.
+    platform, collector_id = draw(st.sampled_from(_COLLECTORS))
+    peer_asn = draw(st.sampled_from(_PEERS))
+    withdrawn = draw(st.booleans())
+    return RouteObservation(
+        platform=platform,
+        collector_id=collector_id,
+        peer_asn=peer_asn,
+        prefix=draw(st.sampled_from(_PREFIXES)),
+        as_path=() if withdrawn else (peer_asn,) + draw(st.sampled_from(_PATHS)),
+        communities=CommunitySet() if withdrawn else draw(st.sampled_from(_COMMUNITY_SETS)),
+        timestamp=float(draw(st.sampled_from((0, 1522540800, 1522540801, (1 << 32) - 1)))),
+        withdrawn=withdrawn,
+    )
+
+
+def _carried(o: RouteObservation) -> tuple:
+    """What of an observation an MRT record carries."""
+    return (o.timestamp, o.peer_asn, o.prefix, o.as_path, o.communities, o.withdrawn)
+
+
+def _rows_of(messages) -> list[tuple]:
+    """The archive rows of decoded messages, rebuilt without ``from_mrt``."""
+    rows = []
+    for message in messages:
+        timestamp = float(message.timestamp)
+        for prefix in message.update.withdrawn:
+            rows.append((timestamp, message.peer_asn, prefix, (), CommunitySet(), True))
+        for prefix in message.update.announced:
+            attributes = message.update.attributes
+            rows.append(
+                (
+                    timestamp,
+                    message.peer_asn,
+                    prefix,
+                    tuple(attributes.as_path.asns()),
+                    attributes.communities,
+                    False,
+                )
+            )
+    return rows
+
+
+class TestArchiveBridgeEquivalence:
+    """``write_mrt`` / ``from_mrt`` against the per-message codec they shortcut."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_observations(), max_size=30))
+    def test_bytes_rows_and_codec_call_counts(self, tmp_path_factory, rows):
+        archive = ObservationArchive(rows)
+        path = tmp_path_factory.mktemp("bridge") / "archive.mrt"
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, function):
+            def wrapper(argument):
+                calls[name] += 1
+                return function(argument)
+
+            return wrapper
+
+        # The bridge must find the codec through the module attribute:
+        # that is where the perf tracer hooks it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                mrt_writer, "encode_bgp4mp_message", counted("encode", encode_bgp4mp_message)
+            )
+            patch.setattr(
+                mrt_reader,
+                "decode_bgp4mp_message",
+                counted("decode", mrt_reader.decode_bgp4mp_message),
+            )
+            assert archive.write_mrt(path) == len(rows)
+            reread = ObservationArchive.from_mrt(path, platform="RIS", collector_id="rrc00")
+
+        data = path.read_bytes()
+        assert data == b"".join(encode_bgp4mp_message(m) for m in archive.to_mrt_messages())
+        assert [_carried(o) for o in reread] == [_carried(o) for o in rows]
+        assert [_carried(o) for o in reread] == _rows_of(MrtReader.from_file(path).messages())
+        assert {(o.platform, o.collector_id) for o in reread} <= {("RIS", "rrc00")}
+        assert calls["encode"] == len({_carried(o) for o in rows})
+        assert calls["decode"] == len(
+            {(r.mrt_type, r.subtype, r.payload) for r in iter_raw_records(data)}
+        )
+
+    def test_other_record_types_are_skipped(self, tmp_path):
+        path = tmp_path / "mixed.mrt"
+        table = encode_peer_index_table(PeerIndexTable(collector_bgp_id=1, view_name="v", peers=()))
+        state_change = mrt_writer.encode_record(
+            MrtRecord(1, MrtType.BGP4MP, Bgp4mpSubtype.STATE_CHANGE_AS4, b"\x00" * 24)
+        )
+        ObservationArchive([observation()]).write_mrt(path)
+        path.write_bytes(table + state_change + path.read_bytes() + table)
+        assert [_carried(o) for o in ObservationArchive.from_mrt(path)] == [_carried(observation())]
+
+    def test_reader_messages_share_nothing_mutable(self, tmp_path):
+        path = tmp_path / "twice.mrt"
+        ObservationArchive([observation(), observation(collector_id="rrc01")]).write_mrt(path)
+        first, second = MrtReader.from_file(path).messages()
+        assert first == second
+        assert first.update is not second.update
+        assert first.update.announced is not second.update.announced
+        assert first.update.withdrawn is not second.update.withdrawn
+        assert first.update.unknown_attributes is not second.update.unknown_attributes
+        first.update.announced.clear()
+        assert second.update.announced == [Prefix.from_string("203.0.113.0/24")]
