@@ -153,10 +153,19 @@ class ASPath:
         return unique.index(asn)
 
     def prepend(self, asn: int, count: int = 1) -> "ASPath":
-        """Return a new path with ``asn`` prepended ``count`` times."""
+        """Return a path with ``asn`` prepended ``count`` times.
+
+        The ASNs join the leading AS_SEQUENCE (a new one in front of a
+        leading AS_SET); every other segment is kept as it is.
+        """
         if count < 0:
             raise ASPathError(f"cannot prepend a negative count ({count})")
-        return ASPath.of(*([asn] * count + self.asns()))
+        if not count:
+            return self
+        head, rest = (asn,) * count, self._segments
+        if rest and rest[0].segment_type == SegmentType.AS_SEQUENCE:
+            head, rest = head + rest[0].asns, rest[1:]
+        return ASPath((ASPathSegment(SegmentType.AS_SEQUENCE, head), *rest))
 
     def length(self) -> int:
         """Return the AS_PATH length used in best-path selection.

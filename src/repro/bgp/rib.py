@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.route import RouteEntry
@@ -65,9 +65,8 @@ class LocRib:
         #: on lookup so LPM never scans the table (or crosses families).
         self._lpm = JournalledLpm(self._best)
 
-    def set_candidates(self, prefix: Prefix, entries: Iterable[RouteEntry]) -> None:
-        """Replace the candidate list for ``prefix``."""
-        entries = list(entries)
+    def set_candidates(self, prefix: Prefix, entries: list[RouteEntry]) -> None:
+        """Replace the candidate list for ``prefix``; the Loc-RIB keeps ``entries`` itself."""
         if entries:
             self._candidates[prefix] = entries
         else:
@@ -78,7 +77,7 @@ class LocRib:
         if entry is None:
             self._best.pop(prefix, None)
         else:
-            self._best[prefix] = entry if entry.best else entry.replace(best=True)
+            self._best[prefix] = entry if entry.best else entry.as_best()
         self._lpm.touch(prefix)
 
     def best(self, prefix: Prefix) -> RouteEntry | None:

@@ -8,23 +8,30 @@ neighbor it was learned from.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, fields, replace as dataclass_replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 
-_announcement_counter = itertools.count(1)
+
+def _replaced(record, changes: dict):
+    """``record._replace(**changes)`` with the unknown-field ``TypeError`` of a dataclass."""
+    try:
+        return record._replace(**changes)
+    except ValueError as exc:  # how Python < 3.13 reports an unknown field name
+        raise TypeError(f"{type(record).__name__}.replace(): {exc}") from None
 
 
-@dataclass(frozen=True)
-class Announcement:
+class Announcement(NamedTuple):
     """A BGP route announcement for one prefix.
 
     ``sender_asn`` is the AS the announcement is arriving from (the
     neighbor), ``origin_asn`` is the AS that originated the prefix.
     ``timestamp`` is simulation time in seconds (not wall-clock).
+    An immutable value: one announcement is shared by every session an
+    exporter treats alike, and equal announcements compare equal.
     """
 
     prefix: Prefix
@@ -32,7 +39,6 @@ class Announcement:
     sender_asn: int
     origin_asn: int
     timestamp: float = 0.0
-    announcement_id: int = field(default_factory=lambda: next(_announcement_counter))
 
     @property
     def as_path(self):
@@ -45,12 +51,12 @@ class Announcement:
         return self.attributes.communities
 
     def replace(self, **changes) -> "Announcement":
-        """Return a copy with fields replaced (a fresh announcement id is kept)."""
-        return dataclass_replace(self, **changes)
+        """Return a copy with fields replaced."""
+        return _replaced(self, changes)
 
     def with_attributes(self, attributes: PathAttributes) -> "Announcement":
         """Return a copy carrying different path attributes."""
-        return self.replace(attributes=attributes)
+        return self._replace(attributes=attributes)
 
     def is_more_specific_of(self, other: "Announcement") -> bool:
         """True if this announcement's prefix is strictly more specific than ``other``'s."""
@@ -75,14 +81,14 @@ class Withdrawal:
     timestamp: float = 0.0
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(NamedTuple):
     """A route stored in a RIB.
 
     ``learned_from`` is the neighbor ASN (or the local ASN for
     originated routes); ``blackholed`` marks routes whose next hop has
     been rewritten to a discard (null) interface as the result of a
-    blackhole community.
+    blackhole community.  An immutable value: the batch import memo,
+    the Adj-RIB-In and the Loc-RIB candidate list hold the same object.
     """
 
     prefix: Prefix
@@ -111,32 +117,19 @@ class RouteEntry:
         return self.attributes.communities
 
     def replace(self, **changes) -> "RouteEntry":
-        """Return a copy with fields replaced.
+        """Return a copy with fields replaced."""
+        return _replaced(self, changes)
 
-        Hand-rolled rather than :func:`dataclasses.replace`: route
-        copies happen once per import/export on the propagation hot
-        path, and the generic helper's field introspection dominates
-        the cost of the copy itself.
-        """
-        for name in changes:
-            if name not in _ROUTE_ENTRY_FIELDS:
-                raise TypeError(f"RouteEntry.replace() got an unexpected field {name!r}")
-        get = changes.get
-        return RouteEntry(
-            prefix=get("prefix", self.prefix),
-            attributes=get("attributes", self.attributes),
-            learned_from=get("learned_from", self.learned_from),
-            best=get("best", self.best),
-            blackholed=get("blackholed", self.blackholed),
-            rejected=get("rejected", self.rejected),
-            rejection_reason=get("rejection_reason", self.rejection_reason),
-            export_prepend=get("export_prepend", self.export_prepend),
-            suppress_to=get("suppress_to", self.suppress_to),
-            announce_only_to=get("announce_only_to", self.announce_only_to),
-        )
+    def as_best(self) -> "RouteEntry":
+        """The copy a Loc-RIB flags as the selected route."""
+        return self._make(self[:3] + (True,) + self[4:])
+
+    def for_prefix(self, prefix: Prefix) -> "RouteEntry":
+        """The same import outcome stored under another prefix (import-memo hits)."""
+        return self._make((prefix,) + self[1:])
 
     def same_route(self, other: "RouteEntry") -> bool:
-        """Field equality ignoring the ``best`` flag, without allocating copies.
+        """Field equality ignoring the ``best`` flag.
 
         This is the comparison best-path refresh runs after every import:
         export-side fields (``suppress_to``, ``announce_only_to``,
@@ -144,15 +137,9 @@ class RouteEntry:
         alters them still changes what neighbors receive.
         """
         return (
-            self.learned_from == other.learned_from
-            and self.blackholed == other.blackholed
-            and self.rejected == other.rejected
-            and self.export_prepend == other.export_prepend
-            and self.rejection_reason == other.rejection_reason
-            and self.suppress_to == other.suppress_to
-            and self.announce_only_to == other.announce_only_to
-            and self.prefix == other.prefix
-            and self.attributes == other.attributes
+            self.learned_from == other.learned_from  # the usual difference, and the cheapest
+            and self[4:] == other[4:]
+            and self[:2] == other[:2]
         )
 
     def __str__(self) -> str:
@@ -169,8 +156,3 @@ class RouteEntry:
             f"{flag_text}"
         )
 
-
-#: Field names :meth:`RouteEntry.replace` accepts, derived from the
-#: dataclass so the hand-rolled copy keeps dataclasses.replace's
-#: unknown-field TypeError contract.
-_ROUTE_ENTRY_FIELDS = frozenset(f.name for f in fields(RouteEntry))

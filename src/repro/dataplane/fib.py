@@ -9,7 +9,7 @@ state this module captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.rib import LocRib
@@ -17,8 +17,7 @@ from repro.bgp.route import RouteEntry
 from repro.net.lpm import JournalledLpm
 
 
-@dataclass(frozen=True)
-class FibEntry:
+class FibEntry(NamedTuple):
     """One FIB entry: the prefix, where to send matching traffic, and flags."""
 
     prefix: Prefix
@@ -90,14 +89,14 @@ def fib_entry_for(
     should hold no entry at all (no route).
     """
     if originated:
-        return FibEntry(prefix=prefix, next_hop_asn=None, blackholed=False)
+        return FibEntry(prefix, None)
     if best is None:
         return None
     if best.blackholed:
-        return FibEntry(prefix=prefix, next_hop_asn=None, blackholed=True)
+        return FibEntry(prefix, None, True)
     if best.learned_from == asn:
-        return FibEntry(prefix=prefix, next_hop_asn=None, blackholed=False)
-    return FibEntry(prefix=prefix, next_hop_asn=best.learned_from, blackholed=False)
+        return FibEntry(prefix, None)
+    return FibEntry(prefix, best.learned_from)
 
 
 def build_fib(asn: int, loc_rib: LocRib, originated: set[Prefix] = frozenset()) -> Fib:

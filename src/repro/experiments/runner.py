@@ -134,18 +134,22 @@ class Experiment:
     def int_param(self, key: str, default: int) -> int:
         """An integer experiment parameter, or a clear error naming it.
 
-        A non-integer override must surface as an
+        A non-integer override (``2.9`` and ``true`` included: ``int()``
+        would truncate them silently) must surface as an
         :class:`~repro.exceptions.ExperimentError` (caught by
         :meth:`run` and the CLI) rather than a raw ``ValueError``
         traceback out of ``int()``.
         """
         value = self.param(key, default)
         try:
-            return int(value)
-        except (TypeError, ValueError):
+            number = int(value)
+            if isinstance(value, bool) or number != float(value):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
             raise ExperimentError(
                 f"experiment parameter {key!r} must be an integer, got {value!r}"
             ) from None
+        return number
 
     # ------------------------------------------------------- lifecycle stages
     def reject_topology_spec(self, ctx: ExperimentContext) -> None:
@@ -240,8 +244,8 @@ class Experiment:
         if value is None or value == "auto":
             return value
         try:
-            count = int(value)
-        except (TypeError, ValueError):
+            count = self.int_param("shards", 0)
+        except ExperimentError:
             count = 0
         if count < 1:
             raise ExperimentError(

@@ -28,6 +28,10 @@ class FilterDecision:
         return self.accepted
 
 
+#: What every passing filter returns (decisions are frozen, so one is shared).
+_ACCEPT = FilterDecision(True)
+
+
 class PrefixFilter:
     """Base class for per-neighbor inbound prefix filters."""
 
@@ -87,10 +91,10 @@ class MaxPrefixLengthFilter(PrefixFilter):
                     False,
                     f"blackhole prefix {prefix} longer than /{max_blackhole}",
                 )
-            return FilterDecision(True)
+            return _ACCEPT
         if prefix.length > max_length:
             return FilterDecision(False, f"prefix {prefix} longer than /{max_length}")
-        return FilterDecision(True)
+        return _ACCEPT
 
 
 @dataclass(frozen=True)
@@ -204,4 +208,4 @@ class InboundFilterChain:
             irr_decision = self.irr.validate_origin(prefix, origin_asn)
             if not irr_decision:
                 return irr_decision
-        return FilterDecision(True)
+        return _ACCEPT

@@ -679,17 +679,13 @@ class BgpSimulator:
         # send-back to this call's work.
         holders = self._prefix_holders.setdefault(prefix, set())
         touched = self._last_touched.setdefault(prefix, set())
-        queue: deque[int] = deque()
-        queued: set[int] = set()
+        queue: deque[int] = deque(dict.fromkeys(origins))
+        queued: set[int] = set(origins)
         force: set[int] = set(origins)
-        for asn in origins:
-            if asn not in queued:
-                queued.add(asn)
-                queue.append(asn)
         holders.update(origins)
         touched.update(origins)
         needs_refresh: set[int] = set()
-        steps = 0
+        steps = processed = 0
         budget = self.max_rounds * max(1, len(routers))
         while queue:
             steps += 1
@@ -721,13 +717,14 @@ class BgpSimulator:
                     neighbor.import_announcement(announcement, import_cache)
                 elif not neighbor.remove_announcement(prefix, current_asn):
                     continue
-                report.announcements_processed += 1
+                processed += 1
                 needs_refresh.add(neighbor_asn)
-                holders.add(neighbor_asn)
-                touched.add(neighbor_asn)
                 if neighbor_asn not in queued:
                     queued.add(neighbor_asn)
                     queue.append(neighbor_asn)
+                    holders.add(neighbor_asn)
+                    touched.add(neighbor_asn)
+        report.announcements_processed += processed
         report.rounds += steps
 
     # ------------------------------------------------------------- inspection

@@ -51,6 +51,10 @@ class ImportResult:
 #: rejection the batch import memo may replay.
 _LOOP_REJECT = "as-path loop"
 
+#: ``(blackholed, export_prepend, suppress_to, announce_only_to)`` of a
+#: route no community service acted on.
+_NO_EFFECTS = (False, 0, frozenset(), None)
+
 
 @dataclass
 class ExportDecision:
@@ -163,9 +167,8 @@ class Router:
             local_pref=local_pref,
         )
         self.originated[prefix] = attributes
-        entry = RouteEntry(prefix=prefix, attributes=attributes, learned_from=self.asn)
         self._refresh_best(prefix)
-        return entry
+        return RouteEntry(prefix, attributes, self.asn)
 
     def withdraw_origination(self, prefix: Prefix) -> None:
         """Stop originating ``prefix``."""
@@ -175,7 +178,7 @@ class Router:
     # ----------------------------------------------------------------- import
     def import_announcement(
         self, announcement: Announcement, cache: dict | None = None
-    ) -> ImportResult:
+    ) -> tuple[RouteEntry, tuple]:
         """Run import policy and update the Adj-RIB-In, *without* re-selecting.
 
         This is the deferred half used by the batch propagation engine:
@@ -183,8 +186,8 @@ class Router:
         services and stores the result, but leaves best-path selection
         to a later :meth:`refresh_best` so a router receiving several
         updates for one prefix in the same wave re-selects once.
-        ``best_changed`` of the returned result is therefore always
-        False here.
+        Returns the stored entry (``rejected`` / ``rejection_reason``
+        say how it fared) and the action types its communities triggered.
 
         ``cache`` is an optional batch-scoped memo (the import-side twin
         of the export memo in :meth:`export_to`): the whole import
@@ -219,15 +222,13 @@ class Router:
             )
             memo = cache.get(key)
         if memo is not None:
-            entry, triggered = memo[0].replace(prefix=prefix), memo[1]
+            entry, triggered = memo[0].for_prefix(prefix), memo[1]
         else:
             entry, triggered = self._import_entry(announcement, sender)
             if key is not None and entry.rejection_reason in (None, _LOOP_REJECT):
                 cache[key] = (entry, triggered)
         self._rib_in(sender).update(entry)
-        if entry.rejected:
-            return ImportResult(False, entry=entry, reason=entry.rejection_reason)
-        return ImportResult(True, entry=entry, triggered_services=list(triggered))
+        return entry, triggered
 
     def _import_entry(self, announcement: Announcement, sender: int) -> tuple[RouteEntry, tuple]:
         """Run the import pipeline: the entry to store and the services it triggered."""
@@ -242,20 +243,29 @@ class Router:
             )
             if not decision:
                 reason = decision.reason
-        effects, triggered = {}, ()
-        if reason is None:
-            # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
-            # only this AS's own policies (community services) can set it.
-            if attributes.local_pref is not None:
-                attributes = attributes.replace(local_pref=None)
-            attributes, effects, triggered = self._apply_community_services(attributes, sender)
+        if reason is not None:
+            entry = RouteEntry(
+                announcement.prefix, attributes, sender, rejected=True, rejection_reason=reason
+            )
+            return entry, ()
+        # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
+        # only this AS's own policies (community services) can set it.
+        if attributes.local_pref is not None:
+            attributes = attributes.replace(local_pref=None)
+        attributes, effects, triggered = self._apply_community_services(attributes, sender)
+        blackholed, export_prepend, suppress_to, announce_only_to = effects
+        # Positional (field order): keyword construction costs half as much again.
         entry = RouteEntry(
-            prefix=announcement.prefix,
-            attributes=attributes,
-            learned_from=sender,
-            rejected=reason is not None,
-            rejection_reason=reason,
-            **effects,
+            announcement.prefix,
+            attributes,
+            sender,
+            False,  # best
+            blackholed,
+            False,  # rejected
+            None,  # rejection_reason
+            export_prepend,
+            suppress_to,
+            announce_only_to,
         )
         return entry, triggered
 
@@ -265,9 +275,14 @@ class Router:
         The eager single-update entry point: import plus immediate
         best-path refresh, with ``best_changed`` reporting the outcome.
         """
-        result = self.import_announcement(announcement)
-        result.best_changed = self._refresh_best(announcement.prefix)
-        return result
+        entry, triggered = self.import_announcement(announcement)
+        return ImportResult(
+            not entry.rejected,
+            entry,
+            entry.rejection_reason or "",
+            list(triggered),
+            self._refresh_best(announcement.prefix),
+        )
 
     def remove_announcement(self, prefix: Prefix, sender_asn: int) -> bool:
         """Drop a neighbor's route *without* re-selecting; True if one existed."""
@@ -290,13 +305,14 @@ class Router:
 
     def _apply_community_services(
         self, attributes: PathAttributes, sender: int
-    ) -> tuple[PathAttributes, dict, tuple]:
+    ) -> tuple[PathAttributes, tuple, tuple]:
         """Apply this AS's own community services to a route accepted from ``sender``.
 
-        Returns the attributes, the export-side :class:`RouteEntry`
-        fields the services set, and the triggered action types.  A
-        route that carries no communities, or none the catalogue
-        documents, passes through without allocating anything.
+        Returns the attributes, the :class:`RouteEntry` fields the
+        services set (``blackholed, export_prepend, suppress_to,
+        announce_only_to``) and the triggered action types.  A route
+        that carries no communities, or none the catalogue documents,
+        passes through without allocating anything.
         """
         matching = (
             self.services.matching(attributes.communities)
@@ -304,7 +320,7 @@ class Router:
             else ()
         )
         if not matching:
-            return attributes, {}, ()
+            return attributes, _NO_EFFECTS, ()
         from_customer = (
             self.relationship_with(sender) == Relationship.CUSTOMER
             or self.asys.act_on_communities_from_any_neighbor
@@ -332,12 +348,7 @@ class Router:
                 else:
                     announce_only_to = frozenset(announce_only_to & outcome.announce_only_to)
             triggered.append(service.action_type)
-        effects = dict(
-            blackholed=blackholed,
-            export_prepend=export_prepend,
-            suppress_to=frozenset(suppress_to),
-            announce_only_to=announce_only_to,
-        )
+        effects = (blackholed, export_prepend, frozenset(suppress_to), announce_only_to)
         return attributes, effects, tuple(triggered)
 
     # -------------------------------------------------------------- selection
@@ -346,9 +357,7 @@ class Router:
         candidates: list[RouteEntry] = []
         originated = self.originated.get(prefix)
         if originated is not None:
-            candidates.append(
-                RouteEntry(prefix=prefix, attributes=originated, learned_from=self.asn)
-            )
+            candidates.append(RouteEntry(prefix, originated, self.asn))
         for rib in self.adj_rib_in.values():
             entry = rib.get(prefix)
             if entry is not None:
@@ -419,46 +428,48 @@ class Router:
             self.export_community_additions.get(neighbor_asn),
         )
 
-    def _route_scope(self, best: RouteEntry | None) -> tuple[str, bool, bool]:
-        """The export gates that do not depend on the session, run once per best route.
+    def _route_scope(self, best: RouteEntry | None) -> tuple:
+        """Everything the export gates read from the route, gathered once per best route.
 
-        ``(why nobody receives it | "", NO_PEER is set, customers only)``.
+        ``(why nobody receives it | "", learned from, NO_PEER is set,
+        customers only, suppress_to, announce_only_to)``.
         """
         if best is None:
-            return "no best route", False, False
+            return "no best route", None, False, False, frozenset(), None
+        learned_from = best.learned_from
+        suppress_to, announce_only_to = best.suppress_to, best.announce_only_to
         communities = best.attributes.communities
         no_peer = False
         if communities:
             if NO_ADVERTISE in communities:
-                return "NO_ADVERTISE", False, False
+                return "NO_ADVERTISE", learned_from, False, False, suppress_to, announce_only_to
             if NO_EXPORT in communities:
-                return "NO_EXPORT", False, False
+                return "NO_EXPORT", learned_from, False, False, suppress_to, announce_only_to
             no_peer = NO_PEER in communities
         # A blackholed best route is still exported: most operators scope
         # blackhole routes with NO_EXPORT, and exporting the rest keeps
         # multi-hop blackhole propagation (observed in the wild) possible.
         # Gao-Rexford: peer and provider routes go to customers only.
-        customers_only = best.learned_from != self.asn and self.relationship_with(
-            best.learned_from
-        ) in (Relationship.PEER, Relationship.PROVIDER)
-        return "", no_peer, customers_only
+        customers_only = learned_from != self.asn and self.relationship_with(learned_from) in (
+            Relationship.PEER,
+            Relationship.PROVIDER,
+        )
+        return "", learned_from, no_peer, customers_only, suppress_to, announce_only_to
 
-    def _session_block(
-        self, best: RouteEntry | None, scope: tuple, neighbor_asn: int, relationship_out: Relationship
-    ) -> str:
-        """Why ``best`` is not exported on one session ("" when it is)."""
-        blocked, no_peer, customers_only = scope
+    def _session_block(self, scope: tuple, neighbor_asn: int, relationship_out: Relationship) -> str:
+        """Why a route of ``scope`` is not exported on one session ("" when it is)."""
+        blocked, learned_from, no_peer, customers_only, suppress_to, announce_only_to = scope
         # Do not send a route back to the neighbor we learned it from.
-        if best is not None and best.learned_from == neighbor_asn:
+        if learned_from == neighbor_asn:
             return "split horizon"
         if blocked:
             return blocked
         if no_peer and relationship_out == Relationship.PEER:
             return "NO_PEER"
         # Restrictions set by community actions at this AS.
-        if neighbor_asn in best.suppress_to:
+        if neighbor_asn in suppress_to:
             return "suppressed by community action"
-        if best.announce_only_to is not None and neighbor_asn not in best.announce_only_to:
+        if announce_only_to is not None and neighbor_asn not in announce_only_to:
             return "not in selective-announce set"
         if customers_only and relationship_out != Relationship.CUSTOMER:
             return "valley-free export rule"
@@ -500,9 +511,7 @@ class Router:
             )
             if key is not None:
                 cache[key] = memo
-        return Announcement(
-            prefix=best.prefix, attributes=memo[0], sender_asn=self.asn, origin_asn=memo[1]
-        )
+        return Announcement(best.prefix, memo[0], self.asn, memo[1])
 
     def export_to(
         self,
@@ -531,7 +540,7 @@ class Router:
         if relationship_out is None:
             return ExportDecision(False, reason=f"AS{neighbor_asn} is not a neighbor")
         best = self.loc_rib.best(prefix)
-        reason = self._session_block(best, self._route_scope(best), neighbor_asn, relationship_out)
+        reason = self._session_block(self._route_scope(best), neighbor_asn, relationship_out)
         if reason:
             return ExportDecision(False, reason=reason)
         return ExportDecision(
@@ -548,20 +557,28 @@ class Router:
         the route-level gates run once, and sessions with equal
         :meth:`export_memo_key` share one :class:`Announcement` — a
         transit router exporting to seven customers builds one attribute
-        bundle and one AS path.
+        bundle and one AS path.  The session plan ``(neighbor,
+        relationship, memo key)`` is constant while the batch-scoped
+        ``cache`` lives (see :meth:`export_to`) and is kept in it.
         """
+        sessions = cache.get(("sessions", self.asn)) if cache is not None else None
+        if sessions is None:
+            relationships = self.neighbor_relationships
+            sessions = [
+                (neighbor_asn, relationships[neighbor_asn], self.export_memo_key(neighbor_asn))
+                for neighbor_asn in self.neighbors()
+            ]
+            if cache is not None:
+                cache["sessions", self.asn] = sessions
         best = self.loc_rib.best(prefix)
         scope = self._route_scope(best)
-        nobody = bool(scope[0])
-        relationships = self.neighbor_relationships
+        if scope[0]:
+            return [(neighbor_asn, None) for neighbor_asn, _, _ in sessions]
         shared: dict[tuple, Announcement] = {}
         plan: list[tuple[int, Announcement | None]] = []
-        for neighbor_asn in self.neighbors():
+        for neighbor_asn, relationship, key in sessions:
             announcement = None
-            if not nobody and not self._session_block(
-                best, scope, neighbor_asn, relationships[neighbor_asn]
-            ):
-                key = self.export_memo_key(neighbor_asn)
+            if not self._session_block(scope, neighbor_asn, relationship):
                 announcement = shared.get(key)
                 if announcement is None:
                     announcement = shared[key] = self._announcement(best, neighbor_asn, cache, key)

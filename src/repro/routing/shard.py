@@ -234,9 +234,7 @@ def install_prefix_state(
         # rediscover these entries.
         candidates: list[RouteEntry] = []
         if originated is not None:
-            candidates.append(
-                RouteEntry(prefix=prefix, attributes=originated, learned_from=asn)
-            )
+            candidates.append(RouteEntry(prefix, originated, asn))
         candidates.extend(entry for _neighbor, entry in adjacent)
         router._refresh_best(prefix, candidates)
         holders_map.setdefault(prefix, set()).add(asn)

@@ -825,18 +825,6 @@ def audit_blob(blob: bytes) -> "str | None":
     return _divergence(kind, decoded, redecoded)
 
 
-_ENTRY_FIELDS = (
-    "prefix",
-    "attributes",
-    "learned_from",
-    "best",
-    "blackholed",
-    "rejected",
-    "rejection_reason",
-    "export_prepend",
-    "suppress_to",
-    "announce_only_to",
-)
 _EVENT_FIELDS = ("origin_asn", "prefix", "withdraw", "communities", "spoofed_origin_asn")
 
 
@@ -904,7 +892,7 @@ def _divergence(kind: int, left, right) -> "str | None":
                     return f"{label}.adjacent[{slot}].neighbor: {na} != {nb}"
                 if ea != eb:
                     return _field_divergence(
-                        f"{label}.adjacent[{slot}].entry", ea, eb, _ENTRY_FIELDS
+                        f"{label}.adjacent[{slot}].entry", ea, eb, RouteEntry._fields
                     )
         if kind == KIND_EVENTS:
             return _field_divergence(label, a, b, _EVENT_FIELDS)

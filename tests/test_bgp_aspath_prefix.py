@@ -46,6 +46,27 @@ class TestASPath:
         path = ASPath.of(2, 1).prepend(9, 3)
         assert path.asns() == [9, 9, 9, 2, 1]
 
+    def test_prepend_keeps_as_sets(self):
+        # Flattening the set made an exported aggregate one hop longer than it
+        # is, so it lost the decision process against a real three-hop path.
+        sequence, as_set = (SegmentType.AS_SEQUENCE, SegmentType.AS_SET)
+        path = ASPath.from_string("3356 {64500,64501}").prepend(10)
+        assert path.segments == (
+            ASPathSegment(sequence, (10, 3356)),
+            ASPathSegment(as_set, (64500, 64501)),
+        )
+        assert path.length() == 3
+        leading_set = ASPath.from_string("{64500,64501} 3356").prepend(10, 2)
+        assert [s.segment_type for s in leading_set.segments] == [sequence, as_set, sequence]
+        assert leading_set.segments[0].asns == (10, 10)
+        assert leading_set.length() == 4
+        assert ASPath.of().prepend(7) == ASPath.of(7)
+        assert path.prepend(10, 0) == path
+
+    def test_prepend_validates_the_asn(self):
+        with pytest.raises(ASPathError):
+            ASPath.of(1).prepend(1 << 32)
+
     def test_prepend_rejects_negative(self):
         with pytest.raises(ASPathError):
             ASPath.of(1).prepend(2, -1)

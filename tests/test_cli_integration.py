@@ -239,6 +239,13 @@ class TestRunParamErrors:
         assert "'probes' must be an integer" in result["error"]
         assert "'xyz'" in result["error"]
 
+    @pytest.mark.parametrize("token", ["shards=2.9", "shards=true"])
+    def test_truncating_integer_value_is_a_clean_experiment_error(self, token, capsys):
+        """``--param shards=2.9`` used to run with two shards, ``shards=true`` with one."""
+        assert main(["run", "rtbh", "--param", token]) == 1
+        captured = capsys.readouterr()
+        assert "'shards' must be a positive integer" in captured.err and not captured.out
+
 
 class TestStreamCli:
     def _origins(self, seed):

@@ -1,6 +1,6 @@
 """Generated equivalence and count gates for the in-process core's hot loop.
 
-Three contracts, none of them timed:
+Four contracts, none of them timed:
 
 * the export fan-out (`Router.export_fanout`, what the engine runs per
   best-path change) equals per-neighbor `Router.export_to` on generated
@@ -9,6 +9,11 @@ Three contracts, none of them timed:
   longest-match scan after arbitrary interleavings of writes, removes and
   lookups — the only guard of the trie *delete* path, which no benchmark
   workload reaches;
+* on generated small Internets and churn (announce, tagged re-announce,
+  withdraw, re-announce, duplicates, spoofed origins) one batched
+  ``apply()`` leaves the Loc-RIBs, Adj-RIBs-In and FIBs of a sequential
+  ``announce()`` / ``withdraw()`` loop, and the converged state keeps its
+  invariants — the stand-in for a ``churn`` ledger workload;
 * on a small fixed topology the work per best-path change stays
   proportional to what differs: rewrites are bounded by changed bests x
   distinct neighbor signatures, and convergence plus FIB patch performs
@@ -31,7 +36,12 @@ from repro.bgp.route import Announcement, RouteEntry
 from repro.dataplane.fib import Fib, FibEntry
 from repro.dataplane.forwarding import DataPlane
 from repro.net.lpm import LpmTable
-from repro.policy.actions import PrependAction, SelectiveAnnounceAction, SuppressAction
+from repro.policy.actions import (
+    BlackholeAction,
+    PrependAction,
+    SelectiveAnnounceAction,
+    SuppressAction,
+)
 from repro.policy.community_policy import (
     ForwardAllPolicy,
     SelectivePolicy,
@@ -40,10 +50,12 @@ from repro.policy.community_policy import (
 )
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.vendor import CISCO_PROFILE, JUNIPER_PROFILE
-from repro.routing.engine import BgpSimulator, origination_events
+from repro.routing.decision import best_path
+from repro.routing.engine import BgpSimulator, RoutingEvent, SimulationReport, origination_events
 from repro.routing.router import Router
 from repro.topology.asys import AutonomousSystem
 from repro.topology.relationships import Relationship
+from repro.topology.topology import Topology
 from test_lpm import linear_longest_match
 
 OWN_ASN = 10
@@ -233,6 +245,177 @@ def test_loc_rib_and_fib_lookup_equal_a_brute_force_scan(ops):
         assert loc_rib.lookup(address, prefix.family) == brute_force(routes, address, prefix.family)
         assert fib.lookup(address, prefix.family) == brute_force(entries, address, prefix.family)
     assert len(loc_rib) == len(routes) and len(fib) == len(entries)
+
+
+# ------------------------------------------------------- whole-simulator churn
+#: Overlapping on purpose (LPM), and two of them pass the inbound length
+#: filter only when blackhole-tagged.
+CHURN_PREFIXES = tuple(
+    Prefix.from_string(text)
+    for text in (
+        "203.0.113.0/24", "203.0.113.128/25", "203.0.113.200/32",
+        "198.51.100.0/24", "10.0.0.0/8", "2001:db8::/48",
+    )
+)
+MAX_ASES = 7
+as_subsets = st.sets(st.integers(1, MAX_ASES)).map(frozenset)
+
+
+@st.composite
+def small_internets(draw) -> Topology:
+    """3-7 ASes under an acyclic provider hierarchy plus peerings, with mixed policies.
+
+    No generated service touches LOCAL_PREF: with it equal everywhere the
+    decision process is strictly monotone in the AS path, so the
+    converged state is unique and cannot depend on the order of events.
+    """
+    asns = list(range(1, draw(st.integers(3, MAX_ASES)) + 1))
+    topology = Topology()
+    for asn in asns:
+        catalog = CommunityServiceCatalog(
+            asn,
+            [
+                ServiceDefinition(Community(asn, 421), PrependAction(count=draw(st.integers(1, 2))), customers_only=draw(st.booleans())),
+                ServiceDefinition(Community(asn, 600), SuppressAction(neighbor_asns=draw(as_subsets)), customers_only=draw(st.booleans())),
+                ServiceDefinition(Community(asn, 601), SuppressAction(suppress_all=True), customers_only=False),
+                ServiceDefinition(Community(asn, 700), SelectiveAnnounceAction(neighbor_asns=draw(as_subsets.filter(bool))), customers_only=False),
+                ServiceDefinition(Community(asn, 666), BlackholeAction(raise_local_pref_to=None), customers_only=draw(st.booleans())),
+            ],
+        )
+        topology.add_as(
+            AutonomousSystem(
+                asn=asn,
+                propagation_policy=draw(
+                    st.one_of(
+                        st.just(ForwardAllPolicy()),
+                        st.builds(StripAllPolicy, keep_own=st.booleans()),
+                        st.just(StripOwnPolicy()),
+                        st.builds(SelectivePolicy, forward_to_neighbors=as_subsets),
+                    )
+                ),
+                services=draw(st.sampled_from([catalog, None])),
+                vendor=draw(st.sampled_from([CISCO_PROFILE, JUNIPER_PROFILE])),
+                act_on_communities_from_any_neighbor=draw(st.booleans()),
+            )
+        )
+    for asn in asns[1:]:
+        for provider in draw(st.sets(st.sampled_from(asns[: asn - 1]), min_size=1, max_size=2)):
+            topology.add_customer_link(provider, asn)
+    for a, b in draw(st.sets(st.tuples(st.sampled_from(asns), st.sampled_from(asns)), max_size=4)):
+        if a != b and topology.relationship(a, b) is None:
+            topology.add_peer_link(a, b)
+    return topology
+
+
+@st.composite
+def churn_rounds(draw, asns: list[int]) -> list[list[RoutingEvent]]:
+    """Rounds of events; a prefix keeps coming back to its home AS, tagged or not."""
+    tags = st.sets(
+        st.sampled_from(
+            [NO_EXPORT, NO_PEER, Community(65535, 666), Community(64512, 7)]
+            + [Community(asn, value) for asn in asns for value in (421, 600, 601, 666, 700)]
+        ),
+        max_size=3,
+    ).map(CommunitySet)
+    home = {prefix: draw(st.sampled_from(asns)) for prefix in CHURN_PREFIXES}
+    events = st.sampled_from(CHURN_PREFIXES).flatmap(
+        lambda prefix: st.builds(
+            RoutingEvent,
+            origin_asn=st.one_of(st.just(home[prefix]), st.sampled_from(asns)),
+            prefix=st.just(prefix),
+            withdraw=st.sampled_from([False, False, True]),
+            communities=st.one_of(st.none(), tags),
+            spoofed_origin_asn=st.sampled_from([None, None, None, 0, 64999, *asns]),
+        )
+    )
+    return draw(st.lists(st.lists(events, min_size=1, max_size=6), min_size=1, max_size=4))
+
+
+def control_plane(simulator: BgpSimulator) -> dict:
+    """Everything the routers hold: originations, Loc-RIB bests and candidates, Adj-RIBs-In."""
+    return {
+        asn: (
+            dict(router.originated),
+            {entry.prefix: entry for entry in router.loc_rib},
+            {prefix: router.loc_rib.candidates(prefix) for prefix in CHURN_PREFIXES},
+            {n: {entry.prefix: entry for entry in rib.routes()} for n, rib in router.adj_rib_in.items()},
+        )
+        for asn, router in simulator.routers.items()
+    }
+
+
+def fib_tables(plane: DataPlane) -> dict:
+    return {asn: {entry.prefix: entry for entry in fib.entries()} for asn, fib in plane.fibs.items()}
+
+
+def check_converged_invariants(simulator: BgpSimulator, plane: DataPlane) -> None:
+    for asn, router in simulator.routers.items():
+        routes = {entry.prefix: entry for entry in router.loc_rib}
+        entries = {entry.prefix: entry for entry in plane.fibs[asn].entries()}
+        for prefix in CHURN_PREFIXES:
+            candidates = router.loc_rib.candidates(prefix)
+            assert candidates == router._candidates(prefix)
+            winner = best_path(candidates)
+            assert routes.get(prefix) == (None if winner is None else winner.as_best())
+            if winner is not None:
+                assert asn not in winner.attributes.as_path.asns(), "own ASN on a selected path"
+            # Looking up also replays the journals, so a later withdraw deletes from the tries.
+            for address in {prefix.host(0), prefix.host()}:
+                assert router.loc_rib.lookup(address, prefix.family) == brute_force(routes, address, prefix.family)
+                assert plane.fibs[asn].lookup(address, prefix.family) == brute_force(entries, address, prefix.family)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_batched_apply_equals_the_sequential_loop_under_churn(data):
+    topology = data.draw(small_internets())
+    rounds = data.draw(churn_rounds(topology.asns()))
+    sequential, batched = BgpSimulator(topology, shards=1), BgpSimulator(topology, shards=1)
+    sequential_plane, plane = DataPlane(sequential), DataPlane(batched)
+    for events in rounds:
+        merged = SimulationReport()
+        for event in events:
+            if event.withdraw:
+                report = sequential.withdraw(event.origin_asn, event.prefix)
+            else:
+                report = sequential.announce(
+                    event.origin_asn, event.prefix, event.communities, event.spoofed_origin_asn
+                )
+            sequential_plane.rebuild(report)
+            merged.merge(report)
+        report = batched.apply(events)
+        plane.rebuild(report)
+        assert control_plane(batched) == control_plane(sequential)
+        assert fib_tables(plane) == fib_tables(sequential_plane) == fib_tables(DataPlane(batched))
+        if len({event.prefix for event in events}) == len(events):
+            # One event per prefix: the batch does the loop's work, not only reaches its state.
+            assert report.dirty == merged.dirty
+            assert report.announcements_processed == merged.announcements_processed
+        check_converged_invariants(batched, plane)
+        check_converged_invariants(sequential, sequential_plane)
+
+    # Announcing again what is already originated changes nothing anywhere.
+    settled = control_plane(batched), fib_tables(plane)
+    again = [
+        RoutingEvent(asn, prefix, False, attributes.communities, attributes.as_path.origin_asn)
+        for asn, router in batched.routers.items()
+        for prefix, attributes in router.originated.items()
+    ]
+    report = batched.apply(again)
+    plane.rebuild(report)
+    assert (control_plane(batched), fib_tables(plane)) == settled
+    assert report.dirty == {
+        asn: set(router.originated) for asn, router in batched.routers.items() if router.originated
+    }
+
+    # Withdrawing all of it leaves nothing behind: no route, no candidate, no FIB entry.
+    report = batched.apply([RoutingEvent.withdrawal(event.origin_asn, event.prefix) for event in again])
+    plane.rebuild(report)
+    for asn, router in batched.routers.items():
+        assert not router.originated and len(router.loc_rib) == 0 and len(plane.fibs[asn]) == 0
+        assert not any(router.loc_rib.candidates(prefix) for prefix in CHURN_PREFIXES)
+        assert not any(len(rib) for rib in router.adj_rib_in.values())
+    check_converged_invariants(batched, plane)
 
 
 # ------------------------------------------------------------------ count gate

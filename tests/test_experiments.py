@@ -392,6 +392,29 @@ class TestWorkerBudget:
         assert result.status is ExperimentStatus.ERROR
         assert "shards" in (result.error or "")
 
+    @pytest.mark.parametrize(
+        "name, param, value",
+        [
+            ("rtbh", "shards", 2.9),
+            ("rtbh", "shards", True),
+            ("rtbh", "shards", float("inf")),
+            ("rtbh-wild", "upstream_count", 3.7),
+            ("rtbh-wild", "upstream_count", True),
+            ("rtbh-wild", "probes", float("nan")),
+        ],
+    )
+    def test_non_integral_integer_params_are_rejected_not_truncated(self, name, param, value):
+        # int() used to run these with 2 shards, 1 shard and 3 upstreams.
+        result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
+        assert result.status is ExperimentStatus.ERROR
+        assert result.error.startswith(f"ExperimentError: experiment parameter {param!r} must be")
+        assert repr(value) in result.error
+
+    def test_integral_floats_and_digit_strings_still_count_as_integers(self):
+        experiment = get("rtbh-wild")(get("rtbh-wild").default_spec(seed=3, probes=5.0, shards="2"))
+        assert experiment.int_param("probes", 200) == 5
+        assert experiment.propagation_shards() == 2
+
     @pytest.mark.parametrize("shards", [0, -3, "0", "-3"])
     def test_non_positive_shards_param_is_rejected_like_a_malformed_one(self, shards):
         # Zero and negative counts used to be coerced to 1 without a word.

@@ -1,10 +1,12 @@
-"""Golden outputs of the Section 4 report (ROADMAP item 4(a), first slice).
+"""Golden outputs of the registered experiments (ROADMAP item 4(a)).
 
 The files under ``tests/fixtures/golden/`` were generated from the tree
-*before* the report read path was refactored; they are compared byte for
-byte, so any change to an analysis, to the table renderer or to the
-synthetic builder's RNG draw order shows up here.  To accept an intended
-change::
+*before* the code they guard was refactored (the report pair before the
+report read path, the seven ``experiment_*.json`` before the route
+records became tuples); they are compared byte for byte, so any change
+to an analysis, to the table renderer, to the synthetic builder's RNG
+draw order or to what the core converges to shows up here.  To accept an
+intended change::
 
     PYTHONPATH=src python -m pytest tests/test_golden.py --update-golden
 """
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import get as get_experiment
 from repro.measurement.report import MeasurementReport
 
@@ -22,6 +26,18 @@ GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden"
 #: The ``report`` experiment pinned by the golden JSON.
 REPORT_SEED = 7
 REPORT_SCALE = "small"
+
+#: The experiments that drive the in-process core, pinned at their default spec.
+CORE_EXPERIMENTS = (
+    "blackhole-sweep",
+    "feasibility",
+    "propagation-check",
+    "route-manipulation",
+    "rtbh",
+    "rtbh-wild",
+    "steering",
+)
+CORE_SEED = 7
 
 
 def check_golden(name: str, text: str, update: bool) -> None:
@@ -51,6 +67,18 @@ def test_report_experiment_comparable_matches_golden(request):
     result = experiment(experiment.default_spec(seed=REPORT_SEED, scale=REPORT_SCALE)).run()
     check_golden(
         "report_experiment.json",
+        json.dumps(result.comparable(), indent=2, sort_keys=True) + "\n",
+        request.config.getoption("--update-golden"),
+    )
+
+
+@pytest.mark.parametrize("name", CORE_EXPERIMENTS)
+def test_core_experiment_comparable_matches_golden(name, request):
+    """``comparable()`` of every experiment that converges routes through the core."""
+    experiment = get_experiment(name)
+    result = experiment(experiment.default_spec(seed=CORE_SEED)).run()
+    check_golden(
+        f"experiment_{name}.json",
         json.dumps(result.comparable(), indent=2, sort_keys=True) + "\n",
         request.config.getoption("--update-golden"),
     )

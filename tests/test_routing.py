@@ -441,12 +441,13 @@ class TestCollectorSessions:
 
 
 class TestHandRolledCopies:
-    """Guard the hand-rolled replace()/same_route() against field drift.
+    """Guard replace()/same_route() against field drift.
 
-    Both were rewritten without dataclasses.replace for propagation
-    hot-path speed; these tests force every (current and future) field
-    through them so a newly added dataclass field that the hand-rolled
-    code misses fails loudly instead of being silently dropped.
+    ``same_route`` and ``PathAttributes.replace`` are written out field
+    by field for propagation hot-path speed; these tests force every
+    (current and future) field through them so a newly added field that
+    the hand-rolled code misses fails loudly instead of being silently
+    dropped.
     """
 
     def sample_entry(self) -> RouteEntry:
@@ -477,29 +478,25 @@ class TestHandRolledCopies:
         )
 
     @staticmethod
-    def alternative_value(field, required_samples):
+    def attribute_defaults() -> dict:
         import dataclasses
 
-        if field.name in required_samples:
-            return required_samples[field.name]
-        if field.default is not dataclasses.MISSING:
-            return field.default
-        return field.default_factory()
+        return {
+            field.name: field.default
+            if field.default is not dataclasses.MISSING
+            else field.default_factory()
+            for field in dataclasses.fields(PathAttributes)
+        }
 
     def test_every_field_is_non_default_in_sample(self):
         # The drift guards below discriminate via "sample value differs
         # from the field default"; a future field must be added to
         # sample_entry() with a non-default value to keep them sharp.
-        import dataclasses
-
         entry = self.sample_entry()
-        for owner, fields_of in ((entry, RouteEntry), (entry.attributes, PathAttributes)):
-            for field in dataclasses.fields(fields_of):
-                value = getattr(owner, field.name)
-                if field.default is not dataclasses.MISSING:
-                    assert value != field.default, field.name
-                elif field.default_factory is not dataclasses.MISSING:
-                    assert value != field.default_factory(), field.name
+        for name, default in RouteEntry._field_defaults.items():
+            assert getattr(entry, name) != default, name
+        for name, default in self.attribute_defaults().items():
+            assert getattr(entry.attributes, name) != default, name
 
     def test_replace_roundtrip_preserves_every_field(self):
         entry = self.sample_entry()
@@ -507,30 +504,114 @@ class TestHandRolledCopies:
         assert entry.attributes.replace() == entry.attributes
 
     def test_replace_and_same_route_cover_every_field(self):
-        import dataclasses
-
         entry = self.sample_entry()
-        entry_samples = {
+        alternatives = {
+            **RouteEntry._field_defaults,
             "prefix": Prefix.from_string("198.51.100.0/24"),
             "attributes": PathAttributes(as_path=ASPath.of(7)),
             "learned_from": 99,
         }
-        for field in dataclasses.fields(RouteEntry):
-            changed = entry.replace(
-                **{field.name: self.alternative_value(field, entry_samples)}
-            )
-            assert changed != entry, field.name
-            if field.name == "best":
+        assert set(alternatives) == set(RouteEntry._fields)
+        for name in RouteEntry._fields:
+            changed = entry.replace(**{name: alternatives[name]})
+            assert changed != entry, name
+            if name == "best":
                 assert entry.same_route(changed), "same_route must ignore the best flag"
             else:
-                assert not entry.same_route(changed), field.name
+                assert not entry.same_route(changed), name
 
-        attribute_samples = {"as_path": ASPath.of(7)}
-        for field in dataclasses.fields(PathAttributes):
-            changed = entry.attributes.replace(
-                **{field.name: self.alternative_value(field, attribute_samples)}
-            )
-            assert changed != entry.attributes, field.name
+        alternatives = {**self.attribute_defaults(), "as_path": ASPath.of(7)}
+        for name, value in alternatives.items():
+            assert entry.attributes.replace(**{name: value}) != entry.attributes, name
+
+    def test_replace_rejects_an_unknown_field(self):
+        entry = self.sample_entry()
+        with pytest.raises(TypeError, match="no_such_field"):
+            entry.replace(no_such_field=1)
+        with pytest.raises(TypeError, match="no_such_field"):
+            entry.attributes.replace(no_such_field=1)
+
+    def test_dedicated_copies_change_one_field_only(self):
+        entry = self.sample_entry().replace(best=False)
+        assert entry.as_best() == entry.replace(best=True)
+        other = Prefix.from_string("198.51.100.0/24")
+        assert entry.for_prefix(other) == entry.replace(prefix=other)
+
+
+class TestFlatRecords:
+    """The tuple-backed records: what one batch allocates, shares and refuses to change."""
+
+    def test_one_batch_plans_sessions_once_and_builds_no_import_results(self, monkeypatch):
+        from collections import Counter
+
+        from repro.dataplane.forwarding import DataPlane
+        from repro.routing import router as router_module
+        from repro.routing.engine import origination_events
+        from repro.topology.generator import TopologyGenerator, TopologyParameters
+
+        topology = TopologyGenerator(
+            TopologyParameters(tier1_count=2, transit_count=8, stub_count=20, ixp_count=0, seed=5)
+        ).generate()
+        events = origination_events(topology)[:16]
+        assert len(topology) == 30 and len(events) == 16
+        memo_keys: Counter = Counter()
+        import_results = []
+        original_key = Router.export_memo_key
+
+        def counting_key(router, neighbor_asn):
+            memo_keys[router.asn, neighbor_asn] += 1
+            return original_key(router, neighbor_asn)
+
+        monkeypatch.setattr(Router, "export_memo_key", counting_key)
+        monkeypatch.setattr(
+            router_module, "ImportResult", lambda *args: import_results.append(args)
+        )
+        simulator = BgpSimulator(topology, shards=1)
+        dataplane = DataPlane(simulator)
+        report = simulator.apply(events)
+        dataplane.rebuild(report)
+
+        assert report.announcements_processed > len(memo_keys) > 0
+        assert set(memo_keys.values()) == {1}, "a session's memo key is computed once per batch"
+        assert import_results == [], "apply() reads no ImportResult, so it builds none"
+        stored = 0
+        for asn, router in simulator.routers.items():
+            for best in router.loc_rib:
+                assert best.best is True
+                if best.learned_from != asn:
+                    twin = router.adj_rib_in[best.learned_from].get(best.prefix)
+                    assert twin.best is False and twin.as_best() == best
+                    stored += 1
+        assert stored > 0
+
+        router = simulator.routers[events[0].origin_asn]
+        best = router.loc_rib.best(events[0].prefix)
+        announcement = next(a for _, a in router.export_fanout(events[0].prefix) if a is not None)
+        fib_entry = dataplane.fibs[router.asn].get(events[0].prefix)
+        for record in (best, router.loc_rib.candidates(best.prefix)[0], announcement, fib_entry):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                record.note = "records take no new attributes either"
+
+    def test_equal_announcements_are_equal_and_one_is_shared_per_signature(self):
+        def build() -> Announcement:
+            attributes = PathAttributes(as_path=ASPath.of(20, 5), communities=CommunitySet.of("20:1"))
+            return Announcement(PREFIX, attributes, sender_asn=20, origin_asn=5)
+
+        assert build() == build() and len({build(), build()}) == 1
+        assert build()._fields == ("prefix", "attributes", "sender_asn", "origin_asn", "timestamp")
+        assert build().replace(sender_asn=30) != build()
+        with pytest.raises(TypeError):
+            build().replace(announcement_id=1)
+        router = Router(
+            AutonomousSystem(asn=10, propagation_policy=ForwardAllPolicy()),
+            {asn: Relationship.CUSTOMER for asn in (20, 30, 40)},
+        )
+        router.originate(PREFIX)
+        sent = [announcement for _, announcement in router.export_fanout(PREFIX)]
+        assert sent[0] is sent[1] is sent[2] is not None
 
 
 def suppress_topology() -> Topology:

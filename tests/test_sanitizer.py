@@ -251,9 +251,7 @@ class TestCodecAudit:
         def perturbing_writer(encoder, payload):
             prefix, asn, originated, adjacent = payload[0]
             neighbor, entry = adjacent[0]
-            import dataclasses
-
-            twisted = dataclasses.replace(entry, learned_from=entry.learned_from + 1)
+            twisted = entry.replace(learned_from=entry.learned_from + 1)
             original(
                 encoder,
                 [(prefix, asn, originated, ((neighbor, twisted),))] + list(payload[1:]),
