@@ -214,7 +214,7 @@ class RtbhLabExperiment(Experiment):
             ctx.require_topology(),
             roles,
             victim_prefix=Prefix.from_string(str(self.param("victim_prefix"))),
-            use_hijack=bool(self.param("hijack")),
+            use_hijack=self.bool_param("hijack"),
         )
         outcome = attack.run()
         ctx.scratch["outcome"] = outcome

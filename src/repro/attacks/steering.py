@@ -250,7 +250,7 @@ class SteeringExperiment(Experiment):
             ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3),
             victim_prefix=Prefix.from_string("198.51.100.0/24"),
             observer_asn=6,
-            use_hijack=bool(self.param("hijack")),
+            use_hijack=self.bool_param("hijack"),
         )
         return attack.run()
 

@@ -87,8 +87,8 @@ class RouteEntry(NamedTuple):
     ``learned_from`` is the neighbor ASN (or the local ASN for
     originated routes); ``blackholed`` marks routes whose next hop has
     been rewritten to a discard (null) interface as the result of a
-    blackhole community.  An immutable value: the batch import memo,
-    the Adj-RIB-In and the Loc-RIB candidate list hold the same object.
+    blackhole community.  An immutable value: the Adj-RIB-In and the
+    Loc-RIB candidate list hold the same object.
     """
 
     prefix: Prefix
@@ -123,10 +123,6 @@ class RouteEntry(NamedTuple):
     def as_best(self) -> "RouteEntry":
         """The copy a Loc-RIB flags as the selected route."""
         return self._make(self[:3] + (True,) + self[4:])
-
-    def for_prefix(self, prefix: Prefix) -> "RouteEntry":
-        """The same import outcome stored under another prefix (import-memo hits)."""
-        return self._make((prefix,) + self[1:])
 
     def same_route(self, other: "RouteEntry") -> bool:
         """Field equality ignoring the ``best`` flag.

@@ -131,25 +131,44 @@ class Experiment:
             return self.spec.params[key]
         return self.default_params.get(key, default)
 
-    def int_param(self, key: str, default: int) -> int:
+    def int_param(self, key: str, default: int, minimum: int | None = None) -> int:
         """An integer experiment parameter, or a clear error naming it.
 
         A non-integer override (``2.9`` and ``true`` included: ``int()``
         would truncate them silently) must surface as an
         :class:`~repro.exceptions.ExperimentError` (caught by
         :meth:`run` and the CLI) rather than a raw ``ValueError``
-        traceback out of ``int()``.
+        traceback out of ``int()``; so must a count below ``minimum``,
+        which would otherwise reach ``random.sample`` or be ignored.
         """
         value = self.param(key, default)
         try:
             number = int(value)
             if isinstance(value, bool) or number != float(value):
                 raise ValueError
+            if minimum is not None and number < minimum:
+                raise ValueError
         except (TypeError, ValueError, OverflowError):
+            bound = "" if minimum is None else f" >= {minimum}"
             raise ExperimentError(
-                f"experiment parameter {key!r} must be an integer, got {value!r}"
+                f"experiment parameter {key!r} must be an integer{bound}, got {value!r}"
             ) from None
         return number
+
+    def bool_param(self, key: str) -> bool:
+        """A boolean experiment parameter: JSON ``true`` / ``false`` and nothing else.
+
+        ``bool()`` reads every non-empty string as True, and a
+        ``--param`` value that is not JSON stays a string — so
+        ``hijack=False`` and ``hijack=maybe`` would both run *with* the
+        hijack instead of failing.
+        """
+        value = self.param(key)
+        if not isinstance(value, bool):
+            raise ExperimentError(
+                f"experiment parameter {key!r} must be true or false, got {value!r}"
+            )
+        return value
 
     # ------------------------------------------------------- lifecycle stages
     def reject_topology_spec(self, ctx: ExperimentContext) -> None:
@@ -194,7 +213,7 @@ class Experiment:
         topology = ctx.require_topology()
         if platform_name == "peering":
             ctx.platforms[platform_name] = attach_peering_testbed(
-                topology, upstream_count=self.int_param("upstream_count", 10)
+                topology, upstream_count=self.int_param("upstream_count", 10, minimum=0)
             )
         elif platform_name == "research":
             ctx.platforms[platform_name] = attach_research_network(topology)
@@ -208,7 +227,7 @@ class Experiment:
             }
             ctx.platforms[platform_name] = AtlasPlatform.deploy(
                 topology,
-                probe_count=self.int_param("probes", 200),
+                probe_count=self.int_param("probes", 200, minimum=0),
                 exclude_asns=exclude,
             )
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.bgp.prefix import Prefix
+from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import PolicyError
 
 
@@ -39,16 +39,6 @@ class PrefixFilter:
         """Return whether an announcement of ``prefix`` from ``origin_asn`` is accepted."""
         raise NotImplementedError
 
-    def prefix_scoped(self) -> bool:
-        """True when a decision can depend on the concrete network bits.
-
-        Conservative default: unknown filter subclasses are assumed to
-        read the network, which disables the batch import memo for
-        chains using them.  Filters that only look at the prefix's
-        shape (family, length, blackhole tag) override this to False.
-        """
-        return True
-
 
 @dataclass
 class MaxPrefixLengthFilter(PrefixFilter):
@@ -68,18 +58,15 @@ class MaxPrefixLengthFilter(PrefixFilter):
     max_blackhole_length_v6: int = 128
     min_blackhole_length_v6: int = 48
 
-    def _limits(self, prefix: Prefix) -> tuple[int, int, int]:
-        """Return (max_length, max_blackhole_length, min_blackhole_length)."""
-        if prefix.is_ipv6:
-            return (self.max_length_v6, self.max_blackhole_length_v6, self.min_blackhole_length_v6)
-        return (self.max_length, self.max_blackhole_length, self.min_blackhole_length)
-
-    def prefix_scoped(self) -> bool:
-        """Length limits read only (family, length, blackhole tag) — memo-safe."""
-        return False
-
     def evaluate(self, prefix: Prefix, origin_asn: int, is_blackhole: bool) -> FilterDecision:
-        max_length, max_blackhole, min_blackhole = self._limits(prefix)
+        if prefix.family == AddressFamily.IPV6:
+            max_length = self.max_length_v6
+            max_blackhole = self.max_blackhole_length_v6
+            min_blackhole = self.min_blackhole_length_v6
+        else:
+            max_length = self.max_length
+            max_blackhole = self.max_blackhole_length
+            min_blackhole = self.min_blackhole_length
         if is_blackhole:
             if prefix.length < min_blackhole:
                 return FilterDecision(
@@ -177,28 +164,12 @@ class InboundFilterChain:
     validate_origin: bool = False
     blackhole_before_validation: bool = False
 
-    def prefix_scoped(self) -> bool:
-        """True when a decision can depend on the concrete network bits.
-
-        The stock length filter only looks at ``(family, length,
-        blackhole tag)``, so its outcome is shared by every prefix with
-        the same shape — which is what lets the router memoise the
-        import pipeline across a batch.  IRR origin validation matches
-        the registry against the full prefix, so a chain running it is
-        never memoised by shape alone; the same question is delegated
-        to the prefix filter itself (unknown subclasses answer True,
-        disabling the memo conservatively).
-        """
-        if self.validate_origin and self.irr is not None:
-            return True
-        return self.prefix_filter.prefix_scoped()
-
     def evaluate(
         self, prefix: Prefix, origin_asn: int, is_blackhole: bool
     ) -> FilterDecision:
         """Run the chain and return the first rejection (or acceptance)."""
         length_decision = self.prefix_filter.evaluate(prefix, origin_asn, is_blackhole)
-        if not length_decision:
+        if not length_decision.accepted:
             return length_decision
         if self.blackhole_before_validation and is_blackhole:
             # The misconfigured route-map accepts the blackhole route without
@@ -206,6 +177,6 @@ class InboundFilterChain:
             return FilterDecision(True, "blackhole community matched before validation")
         if self.validate_origin and self.irr is not None:
             irr_decision = self.irr.validate_origin(prefix, origin_asn)
-            if not irr_decision:
+            if not irr_decision.accepted:
                 return irr_decision
         return _ACCEPT

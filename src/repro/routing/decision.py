@@ -36,9 +36,9 @@ def best_path(candidates: Iterable[RouteEntry]) -> RouteEntry | None:
     is None.
     """
     viable = [c for c in candidates if not c.rejected]
-    if not viable:
-        return None
-    return min(viable, key=_comparison_key)
+    if len(viable) > 1:
+        return min(viable, key=_comparison_key)
+    return viable[0] if viable else None
 
 
 def rank_routes(candidates: Sequence[RouteEntry]) -> list[RouteEntry]:

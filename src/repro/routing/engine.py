@@ -49,7 +49,7 @@ pair only ever enqueues pairs of the same prefix), so ``apply`` is
 layered as a scheduler over a pure per-shard core:
 
 * ``_apply_local`` seeds and converges a list of events entirely
-  in-process — one export memo and one import memo scoped to the call,
+  in-process — its one memo (export rewrites) is scoped to the call,
   which is what makes the core safe to run per shard;
 * with ``shards`` > 1 the batch is partitioned by a stable hash of
   ``(family, network, length)`` into the pool's pinned shard count, each
@@ -470,8 +470,9 @@ class BgpSimulator:
         """The pure per-shard core: seed and converge ``events`` in-process.
 
         Runs unchanged in the parent (sequential execution) and inside
-        shard workers; both memos — export-side and import-side — are
-        scoped to this call, i.e. per shard.
+        shard workers; the export memo is scoped to this call, i.e. per
+        shard.  Imports are not memoised: every update runs
+        :meth:`Router.import_announcement` in full.
         """
         report = SimulationReport()
         self._last_touched = {}
@@ -504,15 +505,12 @@ class BgpSimulator:
         # imports in the same per-prefix order, same report) but keeps
         # each prefix's working set hot instead of cycling through
         # every prefix's RIB entries breadth-first.
-        # Batch-scoped memos: outbound attributes depend on the best route
-        # minus its prefix and imported attributes on the inbound ones
-        # minus the prefix, so prefixes sharing attributes pay the export
-        # rewrite and the import filter/action chain once (see
-        # :meth:`Router.export_fanout` / :meth:`Router.import_announcement`).
+        # Batch-scoped memo: outbound attributes depend on the best route
+        # minus its prefix, so prefixes sharing attributes pay the export
+        # rewrite once (see :meth:`Router.export_fanout`).
         export_cache: dict = {}
-        import_cache: dict = {}
         for prefix, origins in seeds.items():
-            self._drive_prefix(report, prefix, origins, export_cache, import_cache)
+            self._drive_prefix(report, prefix, origins, export_cache)
         return report
 
     def _apply_sharded(
@@ -660,7 +658,6 @@ class BgpSimulator:
         prefix: Prefix,
         origins: list[int],
         export_cache: dict | None = None,
-        import_cache: dict | None = None,
     ) -> None:
         """Converge one prefix's worklist partition (seeded at ``origins``).
 
@@ -714,7 +711,7 @@ class BgpSimulator:
                 if neighbor is None:
                     continue
                 if announcement is not None:
-                    neighbor.import_announcement(announcement, import_cache)
+                    neighbor.import_announcement(announcement)
                 elif not neighbor.remove_announcement(prefix, current_asn):
                     continue
                 processed += 1

@@ -47,10 +47,6 @@ class ImportResult:
     best_changed: bool = False
 
 
-#: The only rejection reason that is prefix-independent, hence the only
-#: rejection the batch import memo may replay.
-_LOOP_REJECT = "as-path loop"
-
 #: ``(blackholed, export_prepend, suppress_to, announce_only_to)`` of a
 #: route no community service acted on.
 _NO_EFFECTS = (False, 0, frozenset(), None)
@@ -176,97 +172,64 @@ class Router:
         self._refresh_best(prefix)
 
     # ----------------------------------------------------------------- import
-    def import_announcement(
-        self, announcement: Announcement, cache: dict | None = None
-    ) -> tuple[RouteEntry, tuple]:
+    def import_announcement(self, announcement: Announcement) -> tuple[RouteEntry, tuple]:
         """Run import policy and update the Adj-RIB-In, *without* re-selecting.
 
         This is the deferred half used by the batch propagation engine:
-        it applies loop prevention, inbound filters and community
-        services and stores the result, but leaves best-path selection
-        to a later :meth:`refresh_best` so a router receiving several
-        updates for one prefix in the same wave re-selects once.
-        Returns the stored entry (``rejected`` / ``rejection_reason``
-        say how it fared) and the action types its communities triggered.
-
-        ``cache`` is an optional batch-scoped memo (the import-side twin
-        of the export memo in :meth:`export_to`): the whole import
-        pipeline — loop check, inbound filters, community services —
-        depends only on the sender, the inbound attributes and the
-        prefix's *shape* (family, length, claimed origin), never on the
-        network bits, unless the filter chain says otherwise
-        (:meth:`InboundFilterChain.prefix_scoped`).  A batch announcing
-        K prefixes with identical attributes therefore pays the
-        filter/action chain once per (router, sender, attributes)
-        instead of K times.  Filter rejections are never memoised: their
-        reasons quote the concrete prefix, so replaying them across
-        prefixes would store wrong rejection reasons.
+        it leaves best-path selection to a later :meth:`refresh_best`,
+        so a router receiving several updates for one prefix in the same
+        wave re-selects once.  Every import runs the same pipeline:
+        neighbour check, loop prevention, inbound filters (including
+        the blackhole-before-validation misconfiguration), LOCAL_PREF
+        reset, this AS's community services, one stored entry.  Returns
+        that entry (``rejected`` / ``rejection_reason`` say how it
+        fared) and the action types its communities triggered.
 
         A rejected update still implicitly withdraws whatever this
         sender announced for the prefix before (RFC 4271 §9.1.4): the
         rejected entry replaces the stale one, so it never lingers.
         """
-        sender = announcement.sender_asn
+        prefix, attributes, sender, origin_asn, _ = announcement
         if sender not in self.neighbor_relationships:
             raise RoutingError(f"AS{self.asn} received an announcement from non-neighbor AS{sender}")
-        prefix = announcement.prefix
-        key = memo = None
-        if cache is not None and not self.inbound_filters.prefix_scoped():
-            key = (
-                self.asn,
-                sender,
-                announcement.attributes,
-                prefix.family,
-                prefix.length,
-                announcement.origin_asn,
-            )
-            memo = cache.get(key)
-        if memo is not None:
-            entry, triggered = memo[0].for_prefix(prefix), memo[1]
-        else:
-            entry, triggered = self._import_entry(announcement, sender)
-            if key is not None and entry.rejection_reason in (None, _LOOP_REJECT):
-                cache[key] = (entry, triggered)
-        self._rib_in(sender).update(entry)
-        return entry, triggered
-
-    def _import_entry(self, announcement: Announcement, sender: int) -> tuple[RouteEntry, tuple]:
-        """Run the import pipeline: the entry to store and the services it triggered."""
-        attributes = announcement.attributes
+        # Emptiness is asked once: an untagged route is neither a
+        # blackhole request nor a trigger for any community service.
+        communities = attributes.communities
+        tagged = bool(communities)
         # Loop prevention: reject routes already containing our ASN.
-        reason = _LOOP_REJECT if attributes.as_path.contains(self.asn) else None
-        if reason is None:
+        if attributes.as_path.contains(self.asn):
+            reason = "as-path loop"
+        else:
             decision = self.inbound_filters.evaluate(
-                announcement.prefix,
-                announcement.origin_asn,
-                self._is_blackhole_tagged(attributes.communities),
+                prefix, origin_asn, tagged and self._is_blackhole_tagged(communities)
             )
-            if not decision:
-                reason = decision.reason
+            reason = None if decision.accepted else decision.reason
         if reason is not None:
+            entry = RouteEntry(prefix, attributes, sender, False, False, True, reason)
+            triggered = ()
+        else:
+            # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
+            # only this AS's own policies (community services) can set it.
+            if attributes.local_pref is not None:
+                attributes = attributes.replace(local_pref=None)
+            effects, triggered = _NO_EFFECTS, ()
+            if tagged and self.services is not None:
+                attributes, effects, triggered = self._apply_community_services(attributes, sender)
+            blackholed, export_prepend, suppress_to, announce_only_to = effects
+            # Positional (field order): keyword construction costs half as much again.
             entry = RouteEntry(
-                announcement.prefix, attributes, sender, rejected=True, rejection_reason=reason
+                prefix,
+                attributes,
+                sender,
+                False,  # best
+                blackholed,
+                False,  # rejected
+                None,  # rejection_reason
+                export_prepend,
+                suppress_to,
+                announce_only_to,
             )
-            return entry, ()
-        # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
-        # only this AS's own policies (community services) can set it.
-        if attributes.local_pref is not None:
-            attributes = attributes.replace(local_pref=None)
-        attributes, effects, triggered = self._apply_community_services(attributes, sender)
-        blackholed, export_prepend, suppress_to, announce_only_to = effects
-        # Positional (field order): keyword construction costs half as much again.
-        entry = RouteEntry(
-            announcement.prefix,
-            attributes,
-            sender,
-            False,  # best
-            blackholed,
-            False,  # rejected
-            None,  # rejection_reason
-            export_prepend,
-            suppress_to,
-            announce_only_to,
-        )
+        self._rib_in(sender).update(entry)
         return entry, triggered
 
     def process_announcement(self, announcement: Announcement) -> ImportResult:
@@ -295,9 +258,7 @@ class Router:
         return self._refresh_best(prefix)
 
     def _is_blackhole_tagged(self, communities: CommunitySet) -> bool:
-        """True if the announcement carries a blackhole community relevant here."""
-        if not communities:
-            return False
+        """True if the (non-empty) community set carries a blackhole community relevant here."""
         return bool(communities.blackhole_communities()) or (
             self.services is not None
             and any(c in communities for c in self.services.blackhole_communities())
@@ -310,15 +271,12 @@ class Router:
 
         Returns the attributes, the :class:`RouteEntry` fields the
         services set (``blackholed, export_prepend, suppress_to,
-        announce_only_to``) and the triggered action types.  A route
-        that carries no communities, or none the catalogue documents,
+        announce_only_to``) and the triggered action types.  The caller
+        has checked that there is a catalogue and that the route is
+        tagged; a route carrying no community the catalogue documents
         passes through without allocating anything.
         """
-        matching = (
-            self.services.matching(attributes.communities)
-            if self.services is not None and attributes.communities
-            else ()
-        )
+        matching = self.services.matching(attributes.communities)
         if not matching:
             return attributes, _NO_EFFECTS, ()
         from_customer = (

@@ -224,7 +224,7 @@ class BlackholeSweepExperiment(Experiment):
 
         blackhole_list = build_blackhole_list(
             ctx.require_topology(),
-            inferred_count=self.int_param("inferred_count", 0),
+            inferred_count=self.int_param("inferred_count", 0, minimum=0),
             seed=ctx.spec.seed,
         )
         sweep = BlackholeSweep(
@@ -232,9 +232,9 @@ class BlackholeSweepExperiment(Experiment):
             ctx.platform("peering"),
             ctx.platform("atlas"),
             blackhole_list,
-            include_well_known=bool(self.param("include_well_known")),
+            include_well_known=self.bool_param("include_well_known"),
         )
-        outcome = sweep.run(confirm=bool(self.param("confirm")))
+        outcome = sweep.run(confirm=self.bool_param("confirm"))
         ctx.scratch["sweep"] = outcome
         effective = outcome.effective_communities()
         return {
@@ -262,7 +262,7 @@ class BlackholeSweepExperiment(Experiment):
     def validate(self, ctx: ExperimentContext, metrics: dict) -> bool:
         # A requested confirmation pass that disagrees with the first
         # pass would mean the simulation is not deterministic.
-        return metrics["confirmed"] or not bool(self.param("confirm"))
+        return metrics["confirmed"] or not self.bool_param("confirm")
 
     def render_text(self, result: ExperimentResult) -> str:
         metrics = result.metrics

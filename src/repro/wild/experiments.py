@@ -177,7 +177,7 @@ class WildRtbhExperiment(Experiment):
         return spec
 
     def attach_platform(self, ctx: ExperimentContext, platform_name: str) -> None:
-        if platform_name == "research" and bool(self.param("hijack")):
+        if platform_name == "research" and self.bool_param("hijack"):
             # Attach with the permissioned hijack space the paper had
             # explicit permission to announce (registered in the IRR later).
             from repro.wild.peering import attach_research_network
@@ -191,13 +191,13 @@ class WildRtbhExperiment(Experiment):
             super().attach_platform(ctx, platform_name)
 
     def execute(self, ctx: ExperimentContext) -> dict:
-        use_hijack = bool(self.param("hijack"))
+        use_hijack = self.bool_param("hijack")
         platform = ctx.platform("research" if use_hijack else "peering")
         experiment = RtbhWildExperiment(
             ctx.require_topology(),
             platform,
             ctx.platform("atlas"),
-            min_hops_to_target=self.int_param("min_hops_to_target", 0),
+            min_hops_to_target=self.int_param("min_hops_to_target", 0, minimum=0),
         )
         outcome = experiment.run(
             use_hijack=use_hijack, hijack_space=ctx.scratch.get("hijack_space")

@@ -258,8 +258,8 @@ class TestPlatformBatchAnnouncements:
         assert simulator.report.prefixes == set()
 
 
-class TestImportMemo:
-    """K same-attribute prefixes pay the import filter/action chain once."""
+class TestImportContract:
+    """Every import runs the whole pipeline: no shape-keyed shortcut across a batch."""
 
     @staticmethod
     def _counting_chains(simulator, counters):
@@ -283,7 +283,26 @@ class TestImportMemo:
         for asn, router in simulator.routers.items():
             router.inbound_filters = CountingChain(router.inbound_filters, asn)
 
-    def test_batch_evaluates_filter_chain_once_per_shape(self):
+    def test_batch_evaluates_filter_chain_once_per_import(self, monkeypatch):
+        from collections import Counter
+
+        from repro.routing.router import Router
+
+        # Imports that got past loop prevention, per router object (each
+        # simulator builds its own): the ones a chain must see.
+        imports: Counter = Counter()
+        original = Router.import_announcement
+
+        def counting_import(router, announcement):
+            entry, triggered = original(router, announcement)
+            if entry.rejection_reason != "as-path loop":
+                imports[router] += 1
+            return entry, triggered
+
+        def imports_of(simulator):
+            return {r.asn: imports[r] for r in simulator.routers.values() if r in imports}
+
+        monkeypatch.setattr(Router, "import_announcement", counting_import)
         topology = generated_topology()
         ases = sorted(asys.asn for asys in topology)
         origin = ases[0]
@@ -305,25 +324,15 @@ class TestImportMemo:
 
         # Same converged state either way.
         assert_identical_state(batched, sequential)
-        # All 12 prefixes share attributes, so within the batch every
-        # router evaluates the chain at most once per sender, while the
-        # sequential loop pays it once per prefix.
+        # All 12 prefixes share attributes, and still every router runs
+        # its chain exactly once per import: the batch neither skips an
+        # evaluation the sequential loop makes nor adds one.
         assert batched_counts, "announcements must have crossed filter chains"
-        for asn, count in batched_counts.items():
-            senders = len(
-                {
-                    rib.neighbor_asn
-                    for rib in batched.routers[asn].adj_rib_in.values()
-                    if len(rib)
-                }
-            )
-            assert count <= max(1, senders), (asn, count, senders)
-        assert sum(batched_counts.values()) * len(events) <= sum(
-            sequential_counts.values()
-        ) * 2  # the batch pays ~1/K of the sequential chain evaluations
+        assert batched_counts == imports_of(batched)
+        assert sequential_counts == imports_of(sequential) == batched_counts
 
-    def test_memo_respects_prefix_scoped_chains(self):
-        """IRR-validating routers must not reuse shape-keyed import outcomes."""
+    def test_same_shape_prefixes_are_each_validated(self):
+        """An IRR-validating router judges each prefix, not its (family, length, origin) shape."""
         from repro.policy.filters import InboundFilterChain, IrrDatabase
 
         topology = build_figure7_topology()
@@ -341,8 +350,8 @@ class TestImportMemo:
         )
         assert report.prefixes
         # The registered prefix is accepted at AS3; the mis-registered,
-        # same-shape prefix is rejected — a shape-keyed memo would have
-        # wrongly accepted it.
+        # same-shape prefix is rejected — an outcome shared by shape would
+        # have wrongly accepted it.
         assert simulator.best_route(3, Prefix.from_string("203.0.113.0/24")) is not None
         best = simulator.best_route(3, Prefix.from_string("198.51.100.0/24"))
         assert best is None or best.learned_from != 1

@@ -239,6 +239,30 @@ class TestRunParamErrors:
         assert "'probes' must be an integer" in result["error"]
         assert "'xyz'" in result["error"]
 
+    @pytest.mark.parametrize(
+        "name, token",
+        [
+            ("rtbh", "hijack=False"),  # not JSON, so it stays the string "False"
+            ("rtbh", 'hijack="false"'),
+            ("rtbh", "hijack=maybe"),
+            ("steering", "hijack=maybe"),
+            ("rtbh-wild", "hijack=maybe"),
+            ("blackhole-sweep", "confirm=no"),
+            ("blackhole-sweep", "include_well_known=0"),
+            ("blackhole-sweep", "probes=-5"),
+            ("blackhole-sweep", "inferred_count=-4"),
+            ("rtbh-wild", "upstream_count=-2"),
+            ("rtbh-wild", "min_hops_to_target=-1"),
+            ("route-manipulation", "member_count=-1"),
+        ],
+    )
+    def test_bad_boolean_or_negative_count_exits_1_without_a_traceback(self, name, token, capsys):
+        """Strings used to read as True; negative counts died inside ``random.sample``."""
+        assert main(["run", name, "--param", token]) == 1
+        captured = capsys.readouterr()
+        assert f"experiment parameter {token.partition('=')[0]!r} must be" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
     @pytest.mark.parametrize("token", ["shards=2.9", "shards=true"])
     def test_truncating_integer_value_is_a_clean_experiment_error(self, token, capsys):
         """``--param shards=2.9`` used to run with two shards, ``shards=true`` with one."""

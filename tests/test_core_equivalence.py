@@ -1,7 +1,11 @@
 """Generated equivalence and count gates for the in-process core's hot loop.
 
-Four contracts, none of them timed:
+Five contracts, none of them timed:
 
+* the import pipeline (`Router.import_announcement`, what the engine
+  runs per delivered update) stores what an independent gate-by-gate
+  oracle says on generated routers, filter chains and announcements,
+  and a rejected update replaces the sender's earlier accepted route;
 * the export fan-out (`Router.export_fanout`, what the engine runs per
   best-path change) equals per-neighbor `Router.export_to` on generated
   routers, routes and policy mixes;
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.attacks.scenario import build_figure7_topology
 from repro.bgp.aspath import ASPath
@@ -36,8 +41,11 @@ from repro.bgp.route import Announcement, RouteEntry
 from repro.dataplane.fib import Fib, FibEntry
 from repro.dataplane.forwarding import DataPlane
 from repro.net.lpm import LpmTable
+from repro.exceptions import RoutingError
 from repro.policy.actions import (
+    ActionType,
     BlackholeAction,
+    LocalPrefAction,
     PrependAction,
     SelectiveAnnounceAction,
     SuppressAction,
@@ -48,6 +56,7 @@ from repro.policy.community_policy import (
     StripAllPolicy,
     StripOwnPolicy,
 )
+from repro.policy.filters import InboundFilterChain, IrrDatabase, MaxPrefixLengthFilter
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.vendor import CISCO_PROFILE, JUNIPER_PROFILE
 from repro.routing.decision import best_path
@@ -195,6 +204,210 @@ def test_fanout_equals_per_neighbor_export(router: Router, memoised: bool):
     for neighbor_asn, announcement in plan:
         if announcement is not None:
             assert by_key.setdefault(router.export_memo_key(neighbor_asn), announcement) is announcement
+
+
+# ------------------------------------------------------------ import pipeline
+LOCAL_PREF, BLACKHOLE_SERVICE = Community(OWN_ASN, 80), Community(OWN_ASN, 999)
+RFC7999_BLACKHOLE = Community(65535, 666)
+IMPORT_PREFIXES = tuple(
+    Prefix.from_string(text)
+    for text in (
+        "10.0.0.0/8", "203.0.113.0/24", "203.0.113.128/25", "203.0.113.200/32",
+        "2001:db8::/32", "2001:db8::/48", "2001:db8:0:1::/64", "2001:db8::1/128",
+    )
+)
+#: Candidate IRR objects: covering and exact, IPv4 and IPv6, origins 99 and 7.
+IRR_OBJECTS = tuple(
+    (Prefix.from_string(text), origin)
+    for text, origin in (
+        ("203.0.113.0/24", 99), ("203.0.113.0/24", 7), ("203.0.113.128/25", 7),
+        ("10.0.0.0/8", 99), ("2001:db8::/32", 7), ("2001:db8::/48", 99),
+    )
+)
+import_tag_sets = st.sets(
+    st.sampled_from((*TAG_POOL, LOCAL_PREF, BLACKHOLE_SERVICE, RFC7999_BLACKHOLE)), max_size=4
+).map(CommunitySet)
+
+
+@st.composite
+def importing_routers(draw) -> Router:
+    """A router with a generated service catalogue, relationship mix and inbound filter chain."""
+    neighbors = draw(st.lists(st.sampled_from(NEIGHBORS), min_size=1, unique=True))
+    flag = st.booleans()
+    catalog = CommunityServiceCatalog(
+        OWN_ASN,
+        [
+            ServiceDefinition(PREPEND, PrependAction(count=draw(st.integers(1, 3))), customers_only=draw(flag)),
+            ServiceDefinition(SUPPRESS, SuppressAction(neighbor_asns=draw(neighbor_subsets)), customers_only=draw(flag)),
+            ServiceDefinition(SUPPRESS_ALL, SuppressAction(suppress_all=True), customers_only=draw(flag)),
+            ServiceDefinition(
+                ONLY_TO,
+                SelectiveAnnounceAction(neighbor_asns=draw(neighbor_subsets.filter(bool))),
+                customers_only=draw(flag),
+            ),
+            ServiceDefinition(LOCAL_PREF, LocalPrefAction(local_pref=draw(st.integers(0, 300))), customers_only=draw(flag)),
+            ServiceDefinition(
+                BLACKHOLE_SERVICE,
+                BlackholeAction(raise_local_pref_to=draw(st.sampled_from([None, 200]))),
+                customers_only=draw(flag),
+            ),
+        ],
+    )
+    irr = IrrDatabase()
+    irr.registered = draw(st.sets(st.sampled_from(IRR_OBJECTS)))  # what the oracle reads
+    for prefix, origin in irr.registered:
+        irr.register(prefix, origin)
+    lengths = st.integers(0, 128)
+    chain = InboundFilterChain(
+        prefix_filter=MaxPrefixLengthFilter(
+            *draw(st.one_of(st.just((24, 32, 24, 48, 128, 48)), st.tuples(*[lengths] * 6)))
+        ),
+        irr=draw(st.sampled_from([irr, None])),
+        validate_origin=draw(flag),
+        blackhole_before_validation=draw(flag),
+    )
+    return Router(
+        AutonomousSystem(asn=OWN_ASN, act_on_communities_from_any_neighbor=draw(flag)),
+        {asn: draw(st.sampled_from(list(Relationship))) for asn in neighbors},
+        services=draw(st.sampled_from([catalog, catalog, None])),
+        inbound_filters=chain,
+    )
+
+
+@st.composite
+def inbound_announcements(draw, senders=st.sampled_from((*NEIGHBORS, 80))) -> Announcement:
+    """An update from a neighbor (or a stranger): looping or not, tagged or not."""
+    sender = draw(senders)
+    origin = draw(st.sampled_from([99, 7]))
+    middle = draw(st.lists(st.sampled_from([OWN_ASN, 300, 301, 301]), max_size=3))
+    return Announcement(
+        draw(st.sampled_from(IMPORT_PREFIXES)),
+        PathAttributes(
+            as_path=ASPath.of(sender, *middle, origin),
+            communities=draw(import_tag_sets),
+            local_pref=draw(st.sampled_from([None, None, 50, 400])),
+            med=draw(st.sampled_from([None, 10])),
+        ),
+        sender,
+        origin,
+    )
+
+
+def reference_import(router: Router, announcement: Announcement):
+    """The import rules written out gate by gate: the entry to store and what triggered.
+
+    Like :func:`reference_export` it shares no code with the router —
+    not even the filter classes or the actions' ``apply`` — so a gate
+    the pipeline drops or reorders shows up as a difference.
+    """
+    prefix, attributes, sender = announcement.prefix, announcement.attributes, announcement.sender_asn
+    relationship = router.neighbor_relationships.get(sender)
+    if relationship is None:
+        raise RoutingError("non-neighbor")
+
+    def rejected(reason: str):
+        return RouteEntry(prefix, attributes, sender, rejected=True, rejection_reason=reason), ()
+
+    if router.asn in attributes.as_path.asns():
+        return rejected("as-path loop")
+    tags = set(attributes.communities)
+    services = {} if router.services is None else {s.community: s for s in router.services}
+    blackhole = any(
+        tag.value == 666 or (tag in services and isinstance(services[tag].action, BlackholeAction))
+        for tag in tags
+    )
+    chain, limits = router.inbound_filters, router.inbound_filters.prefix_filter
+    v6 = prefix.family == AddressFamily.IPV6
+    if blackhole:
+        shortest = limits.min_blackhole_length_v6 if v6 else limits.min_blackhole_length
+        longest = limits.max_blackhole_length_v6 if v6 else limits.max_blackhole_length
+        if prefix.length < shortest:
+            return rejected(f"blackhole prefix {prefix} shorter than /{shortest}")
+        if prefix.length > longest:
+            return rejected(f"blackhole prefix {prefix} longer than /{longest}")
+    else:
+        longest = limits.max_length_v6 if v6 else limits.max_length
+        if prefix.length > longest:
+            return rejected(f"prefix {prefix} longer than /{longest}")
+    if chain.validate_origin and chain.irr is not None and not (chain.blackhole_before_validation and blackhole):
+        registered = {
+            origin for covering, origin in chain.irr.registered if covering.contains_prefix(prefix)
+        }
+        if registered and announcement.origin_asn not in registered:
+            return rejected(
+                f"origin AS{announcement.origin_asn} does not match registered origin(s) "
+                + ", ".join(f"AS{asn}" for asn in sorted(registered))
+            )
+    local_pref, blackholed, prepend, suppress, only_to, triggered = None, False, 0, set(), None, []
+    honoured = relationship == Relationship.CUSTOMER or router.asys.act_on_communities_from_any_neighbor
+    for tag in sorted(tags & set(services), key=Community.to_int):
+        service, action = services[tag], services[tag].action
+        if service.customers_only and not honoured:
+            continue
+        if isinstance(action, PrependAction):
+            prepend += action.count  # deferred to export: the stored path stays as received
+        elif isinstance(action, LocalPrefAction):
+            local_pref = action.local_pref
+        elif isinstance(action, BlackholeAction):
+            blackholed = True
+            if action.raise_local_pref_to is not None:
+                local_pref = action.raise_local_pref_to
+        elif isinstance(action, SelectiveAnnounceAction) or action.suppress_all:
+            allowed = frozenset() if isinstance(action, SuppressAction) else action.neighbor_asns
+            only_to = allowed if only_to is None else only_to & allowed
+        else:
+            suppress |= action.neighbor_asns
+        triggered.append(action.action_type)
+    stored = PathAttributes(
+        as_path=attributes.as_path,
+        origin=attributes.origin,
+        next_hop=attributes.next_hop,
+        med=attributes.med,
+        local_pref=local_pref,
+        communities=attributes.communities,
+    )
+    entry = RouteEntry(
+        prefix, stored, sender, blackholed=blackholed, export_prepend=prepend,
+        suppress_to=frozenset(suppress), announce_only_to=only_to,
+    )
+    return entry, tuple(triggered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(importing_routers(), st.lists(inbound_announcements(), min_size=1, max_size=4))
+def test_import_equals_the_gate_by_gate_oracle(router: Router, announcements):
+    for announcement in announcements:
+        if announcement.sender_asn not in router.neighbor_relationships:
+            with pytest.raises(RoutingError, match=f"non-neighbor AS{announcement.sender_asn}"):
+                router.import_announcement(announcement)
+            continue
+        entry, triggered = router.import_announcement(announcement)
+        assert (entry, triggered) == reference_import(router, announcement)
+        assert all(isinstance(action_type, ActionType) for action_type in triggered)
+        # Stored as returned, under the sender, and nothing was selected yet.
+        assert router.adj_rib_in[announcement.sender_asn].get(announcement.prefix) is entry
+        assert router.loc_rib.best(announcement.prefix) is None
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(importing_routers(), st.data())
+def test_a_rejected_update_replaces_the_senders_accepted_route(router: Router, data):
+    sender = data.draw(st.sampled_from(router.neighbors()))
+    accepted = data.draw(
+        inbound_announcements(st.just(sender)).filter(
+            lambda a: not reference_import(router, a)[0].rejected
+        )
+    )
+    assert router.process_announcement(accepted).accepted
+    assert router.loc_rib.best(accepted.prefix).learned_from == sender
+    # The same neighbor now sends the prefix on a path that loops through this AS.
+    looping = accepted.with_attributes(
+        accepted.attributes.replace(as_path=ASPath.of(sender, OWN_ASN, accepted.origin_asn))
+    )
+    result = router.process_announcement(looping)
+    assert not result.accepted and result.reason == "as-path loop" and result.best_changed
+    assert router.adj_rib_in[sender].get(accepted.prefix) is result.entry
+    assert router.loc_rib.best(accepted.prefix) is None, "the stale accepted route must not linger"
 
 
 # ------------------------------------------------------- journalled LPM indexes

@@ -410,6 +410,50 @@ class TestWorkerBudget:
         assert result.error.startswith(f"ExperimentError: experiment parameter {param!r} must be")
         assert repr(value) in result.error
 
+    @pytest.mark.parametrize(
+        "name, param, value",
+        [
+            ("blackhole-sweep", "probes", -5),
+            ("blackhole-sweep", "inferred_count", -4),
+            ("rtbh-wild", "upstream_count", -2),
+            ("rtbh-wild", "min_hops_to_target", -1),
+            ("route-manipulation", "member_count", -1),
+        ],
+    )
+    def test_negative_counts_are_rejected_by_name_not_by_random_sample(self, name, param, value):
+        # The first three used to die with a raw ValueError out of random.sample;
+        # the last two were silently accepted.
+        result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
+        assert result.status is ExperimentStatus.ERROR
+        assert result.error == (
+            f"ExperimentError: experiment parameter {param!r} must be an integer >= 0, got {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("rtbh", "hijack"),
+            ("steering", "hijack"),
+            ("rtbh-wild", "hijack"),
+            ("blackhole-sweep", "confirm"),
+            ("blackhole-sweep", "include_well_known"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["False", "false", "maybe", 0, 1, None])
+    def test_boolean_params_accept_json_booleans_only(self, name, param, value):
+        # bool("False") is True: these all used to run the true variant with status ok.
+        result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
+        assert result.status is ExperimentStatus.ERROR
+        assert result.error == (
+            f"ExperimentError: experiment parameter {param!r} must be true or false, got {value!r}"
+        )
+
+    def test_bool_param_returns_the_json_boolean(self):
+        cls = get("blackhole-sweep")
+        experiment = cls(cls.default_spec(seed=3, confirm=False))
+        assert experiment.bool_param("confirm") is False
+        assert experiment.bool_param("include_well_known") is True
+
     def test_integral_floats_and_digit_strings_still_count_as_integers(self):
         experiment = get("rtbh-wild")(get("rtbh-wild").default_spec(seed=3, probes=5.0, shards="2"))
         assert experiment.int_param("probes", 200) == 5

@@ -534,8 +534,6 @@ class TestHandRolledCopies:
     def test_dedicated_copies_change_one_field_only(self):
         entry = self.sample_entry().replace(best=False)
         assert entry.as_best() == entry.replace(best=True)
-        other = Prefix.from_string("198.51.100.0/24")
-        assert entry.for_prefix(other) == entry.replace(prefix=other)
 
 
 class TestFlatRecords:
