@@ -72,36 +72,6 @@ _SLOT_EPOCHS: "weakref.WeakKeyDictionary[ShardPool, dict[int, int]]" = (
     weakref.WeakKeyDictionary()
 )
 
-#: Shadow record of the lowest epoch at which each pool was last adopted
-#: by a new simulator (:meth:`ShardPool.adopt`).  From that epoch on, a
-#: slot the sanitizer has *never seen* still must ship config with its
-#: first header: the worker may be resident with the previous owner's
-#: policies, and the usual "enabled mid-run" leniency would let a stale
-#: configuration converge silently.
-_ADOPTION_FLOORS: "weakref.WeakKeyDictionary[ShardPool, int]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def check_adopt(pool: "ShardPool", previous_epoch: int) -> None:
-    """Validate one :meth:`ShardPool.adopt` re-home and record its floor."""
-    if pool.epoch <= previous_epoch:
-        raise ProtocolViolationError(
-            f"pool adoption left the epoch at {pool.epoch} (was "
-            f"{previous_epoch}): re-homing must advance the epoch or "
-            "resident workers keep converging the previous owner's state"
-        )
-    from repro.routing import shard as shard_module
-
-    token = pool._snapshot_token
-    if token is not None and token not in shard_module._SNAPSHOT_REGISTRY:
-        raise ProtocolViolationError(
-            f"pool adoption parked snapshot token {token} but the registry "
-            "has no such entry: lazily-started slots would crash in their "
-            "initializer"
-        )
-    _ADOPTION_FLOORS[pool] = pool.epoch  # repro: noqa[RPR011,RPR032]: parent-process-only shadow map — adopt runs before dispatch, never inside a worker (reachability is the bare-name '.withdraw' call-graph over-approximation)
-
 
 def check_sync_header(
     pool: "ShardPool", slot: int, epoch: int, config: "bytes | None"
@@ -111,9 +81,7 @@ def check_sync_header(
     A slot never seen before is accepted as-is (the sanitizer may have
     been enabled mid-run, after the slot was already synced), which is
     why the config-completeness check fires only on an epoch *advance*
-    the sanitizer witnessed — unless the pool was adopted by a new
-    simulator, after which even a never-seen slot must ship config with
-    its first header on the post-adoption epoch.
+    the sanitizer witnessed.
     """
     shadow = _SLOT_EPOCHS.get(pool)  # repro: noqa[RPR032]: parent-process-only shadow map; workers never import the sanitizer (reachability is the bare-name '.withdraw' call-graph over-approximation)
     if shadow is None:
@@ -139,17 +107,6 @@ def check_sync_header(
                 "router-config payload: the first task after a bump must "
                 "re-ship the configuration or the worker converges under "
                 "stale policies"
-            )
-    else:
-        floor = _ADOPTION_FLOORS.get(pool)  # repro: noqa[RPR032]: parent-process-only shadow map; workers never import the sanitizer (reachability is the bare-name '.withdraw' call-graph over-approximation)
-        if floor is not None and epoch >= floor and config is None:
-            raise ProtocolViolationError(
-                f"slot {slot} issued its first observed header on epoch "
-                f"{epoch} with no router-config payload, but the pool was "
-                f"adopted at epoch {floor}: an adopted pool's workers may "
-                "be resident with the previous owner's policies, so every "
-                "slot's first post-adoption task must re-ship the "
-                "configuration"
             )
     if config is not None and not isinstance(config, (bytes, bytearray)):
         raise ProtocolViolationError(

@@ -120,25 +120,14 @@ def _grade(gates: list[str]) -> Difficulty:
     return Difficulty.EASY
 
 
-def build_feasibility_matrix(
-    seed: int = 42, shards: int | str | None = None
-) -> FeasibilityMatrix:
+def build_feasibility_matrix(seed: int = 42) -> FeasibilityMatrix:
     """Run every scenario variant and assemble Table 3.
 
     The canonical Figure 2/7/8(b)/9 topologies are fully deterministic,
     so the seed does not perturb the outcome — it is threaded through and
     recorded on the matrix so feasibility runs carry the same
-    reproducibility contract as every other experiment.  ``shards`` sets
-    the propagation shard policy for every simulator the scenarios build
-    (None = the process default; the outcome is shard-count independent).
+    reproducibility contract as every other experiment.
     """
-    from repro.routing.engine import propagation_shards
-
-    with propagation_shards(shards):
-        return _build_feasibility_matrix(seed)
-
-
-def _build_feasibility_matrix(seed: int) -> FeasibilityMatrix:
     matrix = FeasibilityMatrix(seed=seed)
 
     # ----------------------------------------------------------- blackholing

@@ -138,7 +138,7 @@ class RouteManipulationExperiment(Experiment):
             ctx.require_topology(),
             ixp,
             roles,
-            victim_prefix=Prefix.from_string(str(self.param("victim_prefix"))),
+            victim_prefix=self.prefix_param("victim_prefix"),
             victim_member_asn=4,
         )
         outcome = attack.run()

@@ -213,7 +213,7 @@ class RtbhLabExperiment(Experiment):
         attack = RtbhAttack(
             ctx.require_topology(),
             roles,
-            victim_prefix=Prefix.from_string(str(self.param("victim_prefix"))),
+            victim_prefix=self.prefix_param("victim_prefix"),
             use_hijack=self.bool_param("hijack"),
         )
         outcome = attack.run()

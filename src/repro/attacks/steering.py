@@ -265,15 +265,15 @@ class SteeringExperiment(Experiment):
         return attack.run()
 
     def execute(self, ctx: ExperimentContext) -> dict:
-        variant = str(self.param("variant"))
+        variant = self.param("variant")
         if variant == "both":
             selected = list(self.VARIANTS)
         elif variant in self.VARIANTS:
             selected = [variant]
         else:
             raise ExperimentError(
-                f"unknown steering variant {variant!r}; choose from "
-                f"{', '.join(self.VARIANTS)} or 'both'"
+                f"experiment parameter 'variant' must be one of "
+                f"{', '.join(map(repr, self.VARIANTS))} or 'both', got {variant!r}"
             )
         runners = {"prepend": self._run_prepend, "local-pref": self._run_local_pref}
         variants: dict[str, dict] = {}

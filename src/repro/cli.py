@@ -15,10 +15,10 @@ Sub-commands:
 * ``sweep``     — alias for ``run blackhole-sweep`` (Section 7.6);
 * ``propagation`` — alias for ``run propagation-check`` (Section 7.2);
 * ``export-mrt`` — write an observation archive (synthetic dataset or a
-  live, optionally sharded collector harvest) to an MRT file;
+  live collector harvest) to an MRT file;
 * ``stream``    — feed a JSON-lines announce/withdraw event stream
   through the coalescing front end (:mod:`repro.routing.stream`) into a
-  (optionally sharded, resident) simulation;
+  simulation;
 * ``lint``      — run the project's static-analysis rules
   (:mod:`repro.analysis`): determinism, pickle-safety and shard-purity
   invariants, with inline suppressions and a checked-in baseline.
@@ -114,8 +114,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{args.experiment!r} (from {token!r}); known: "
                 f"{', '.join(sorted(known)) or 'none'}"
             )
-    if getattr(args, "residency", None) is not None:
-        params.setdefault("residency", args.residency)
     try:
         spec = experiment_cls.default_spec(seed=args.seed, scale=args.scale, **params)
         experiment = experiment_cls(spec)
@@ -178,22 +176,7 @@ def _cmd_propagation(args: argparse.Namespace) -> int:
     return _print_outcome(experiment, result)
 
 
-def _parse_shards(value: str) -> int | str:
-    """argparse type for ``--shards``: an integer or ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {value!r}")
-
-
 def _cmd_export_mrt(args: argparse.Namespace) -> int:
-    if args.source != "harvest" and args.shards is not None:
-        raise SystemExit(
-            "error: --shards only applies to --source harvest "
-            "(the synthetic generator has nothing to parallelize)"
-        )
     if args.source == "harvest":
         from repro.collectors.platform import CollectorDeployment
         from repro.experiments import ExperimentSpec
@@ -201,15 +184,10 @@ def _cmd_export_mrt(args: argparse.Namespace) -> int:
 
         spec = ExperimentSpec(name="report", seed=args.seed, scale=args.scale)
         topology = spec.build_topology()
-        # The shard policy drives both halves of the pipeline: the
-        # convergence of the originations and the collector harvest.
-        simulator = BgpSimulator(topology, shards=args.shards)
-        try:
-            simulator.announce_originated()
-            deployment = CollectorDeployment.default_deployment(topology, seed=args.seed)
-            archive = deployment.collect_from_simulator(simulator, shards=args.shards)
-        finally:
-            simulator.close()
+        simulator = BgpSimulator(topology)
+        simulator.announce_originated()
+        deployment = CollectorDeployment.default_deployment(topology, seed=args.seed)
+        archive = deployment.collect_from_simulator(simulator)
     else:
         archive = _build_dataset(args.seed, args.scale).archive
     count = archive.write_mrt(args.output)
@@ -225,54 +203,45 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.routing.stream import DEFAULT_WINDOW, SimulatorService, read_event_stream
 
     spec = ExperimentSpec(name="report", seed=args.seed, scale=args.scale)
-    topology = spec.build_topology()
-    simulator = BgpSimulator(topology, shards=args.shards)
+    simulator = BgpSimulator(spec.build_topology())
+    if args.preseed:
+        simulator.announce_originated()
+    window = args.window if args.window is not None else DEFAULT_WINDOW
+    service = SimulatorService(simulator, window=window)
     try:
-        if args.preseed:
-            simulator.announce_originated()
-        window = args.window if args.window is not None else DEFAULT_WINDOW
-        service = SimulatorService(simulator, window=window, residency=args.residency)
-        try:
-            # The context manager scopes the --residency provider over
-            # the whole session (and drains the buffer on clean exit,
-            # though the explicit drain below keeps the error handling
-            # in one place).
-            with service:
-                if args.events == "-":
-                    for event in read_event_stream(sys.stdin):
-                        service.feed(event)
-                else:
-                    with open(args.events, "r", encoding="utf-8") as handle:
-                        for event in read_event_stream(handle):
-                            service.feed(event)
-                service.drain()
-        except (RoutingError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        stats = service.stats
-        summary = {
-            "events_seen": stats.events_seen,
-            "events_coalesced": stats.events_coalesced,
-            "events_applied": stats.events_applied,
-            "batches": stats.batches,
-            "prefixes": len(simulator.report.prefixes),
-            "announcements_processed": simulator.report.announcements_processed,
-            "rounds": simulator.report.rounds,
-        }
-        if args.json:
-            print(json.dumps(summary, indent=2))
+        if args.events == "-":
+            for event in read_event_stream(sys.stdin):
+                service.feed(event)
         else:
-            print(
-                f"{stats.events_seen} events in, {stats.events_coalesced} coalesced away, "
-                f"{stats.events_applied} applied in {stats.batches} batch(es)"
-            )
-            print(
-                f"{summary['prefixes']} prefixes converged; "
-                f"{summary['announcements_processed']} announcements processed "
-                f"over {summary['rounds']} worklist steps"
-            )
-    finally:
-        simulator.close()
+            with open(args.events, "r", encoding="utf-8") as handle:
+                for event in read_event_stream(handle):
+                    service.feed(event)
+        service.drain()
+    except (RoutingError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    stats = service.stats
+    summary = {
+        "events_seen": stats.events_seen,
+        "events_coalesced": stats.events_coalesced,
+        "events_applied": stats.events_applied,
+        "batches": stats.batches,
+        "prefixes": len(simulator.report.prefixes),
+        "announcements_processed": simulator.report.announcements_processed,
+        "rounds": simulator.report.rounds,
+    }
+    if args.json:
+        print(json.dumps(summary, indent=2))
+    else:
+        print(
+            f"{stats.events_seen} events in, {stats.events_coalesced} coalesced away, "
+            f"{stats.events_applied} applied in {stats.batches} batch(es)"
+        )
+        print(
+            f"{summary['prefixes']} prefixes converged; "
+            f"{summary['announcements_processed']} announcements processed "
+            f"over {summary['rounds']} worklist steps"
+        )
     return 0
 
 
@@ -312,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help="experiment parameter override (repeatable; value parsed as JSON)",
-    )
-    run.add_argument(
-        "--residency",
-        choices=["auto", "pinned", "none"],
-        default=None,
-        help="shard-pool residency policy scoped over the run "
-        "(shorthand for --param residency=...)",
     )
     run.add_argument("--json", action="store_true", help="print the serializable result")
     run.add_argument(
@@ -365,14 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="synthetic",
         help="synthetic dataset generator, or a live harvest of the simulated collectors",
     )
-    export.add_argument(
-        "--shards",
-        type=_parse_shards,
-        default=None,
-        metavar="K",
-        help="fan the live convergence + harvest over K worker processes "
-        "(or 'auto'; harvest source only)",
-    )
     export.set_defaults(func=_cmd_export_mrt)
 
     stream = subparsers.add_parser(
@@ -396,19 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="buffered (origin, prefix) keys per automatic drain "
         "(default: repro.routing.stream.DEFAULT_WINDOW)",
-    )
-    stream.add_argument(
-        "--shards",
-        type=_parse_shards,
-        default=None,
-        metavar="K",
-        help="propagation shard policy for the convergence batches (or 'auto')",
-    )
-    stream.add_argument(
-        "--residency",
-        choices=["auto", "pinned", "none"],
-        default=None,
-        help="shard-pool residency policy scoped over the stream session",
     )
     stream.add_argument(
         "--preseed",

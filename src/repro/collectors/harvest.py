@@ -12,26 +12,19 @@ This module is the subsystem that replaces that loop:
   export cache keyed by :meth:`Router.export_memo_key`, so N collectors
   peering with the same AS pay the policy/prepend/rewrite chain once
   per distinct best route instead of N times;
-* :func:`harvest_archive` with ``shards=K`` exports from the
-  **resident** Loc-RIBs of the owning simulator's slot-pinned
-  :class:`~repro.routing.shard.ShardPool`: each worker already holds
-  the converged state of its prefix shards from propagation, so a
-  harvest ships only the parent's pending-sync backlog (nothing, when
-  the last batches ran sharded) plus the work-list — no per-harvest
-  best-route re-shipping.  Every worker runs the same memoised export
-  core over the full work-list restricted to its resident prefixes and
-  returns observation rows tagged with their work-list index; the
-  parent merges each item's rows back in its own per-peer Loc-RIB
-  insertion order — the resulting archive is byte-identical to the
-  serial loop for every shard count.
-
-Parallelism composes with the rest of the system: the pool is the same
-one sharded propagation uses (one topology snapshot, one set of warm,
-resident workers) and its size is capped by
-:func:`repro.routing.shard.shard_worker_budget`, which
-:class:`~repro.experiments.grid.GridRunner` pins per grid worker via
-``REPRO_SHARD_BUDGET`` — grid × shard × harvest parallelism never
-oversubscribes the machine.
+* :func:`harvest_archive` with ``shards=K`` (K > 1; capped at the
+  distinct-peer count) exports from the **resident** Loc-RIBs of the
+  owning simulator's slot-pinned :class:`~repro.routing.shard.ShardPool`
+  — the same pool, topology snapshot and workers sharded propagation
+  uses.  Each worker already holds the converged state of its prefix
+  shards from propagation, so a harvest ships only the parent's
+  pending-sync backlog (nothing, when the last batches ran sharded) plus
+  the work-list — no per-harvest best-route re-shipping.  Every worker
+  runs the same memoised export core over the full work-list restricted
+  to its resident prefixes and returns observation rows tagged with
+  their work-list index; the parent merges each item's rows back in its
+  own per-peer Loc-RIB insertion order — the resulting archive is
+  byte-identical to the serial loop for every shard count.
 """
 
 from __future__ import annotations
@@ -40,20 +33,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.collectors.observation import ObservationArchive, RouteObservation
-from repro.routing.engine import AUTO_SHARD_MAX, AUTO_SHARD_MIN_BUDGET
+from repro.routing.engine import validate_shards
 from repro.topology.relationships import Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.bgp.prefix import Prefix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.bgp.route import Announcement
     from repro.collectors.platform import CollectorDeployment
     from repro.routing.engine import BgpSimulator
-
-#: Below this many (collector, peer) work items, ``shards="auto"`` stays
-#: serial: worker start-up and Loc-RIB shipping would eat the win.
-HARVEST_AUTO_MIN_ITEMS = 64
 
 
 @dataclass(frozen=True)
@@ -132,38 +119,6 @@ def _harvest_serial(
         simulator.register_collector_peering(item.peer_asn, item.collector_asn)
         archive.extend(_export_item(simulator, item, timestamp, export_cache))
     return archive
-
-
-def resolve_harvest_shards(
-    shards: int | str | None,
-    item_count: int,
-    peer_count: int,
-    simulator: "BgpSimulator",
-) -> int:
-    """Turn the harvest shard policy into a concrete shard count.
-
-    ``None`` and ``1`` mean serial; an integer K is honoured (capped by
-    the distinct-peer count — surplus shards would only idle);
-    ``"auto"`` engages when the CPU budget and the work-list size make
-    the pool worth paying for.
-    """
-    if shards is None or shards == 1 or peer_count <= 1:
-        return 1
-    if shards == "auto":
-        from repro.routing.shard import shard_worker_budget
-
-        budget = (
-            simulator.max_workers
-            if simulator.max_workers is not None
-            else shard_worker_budget()
-        )
-        if budget < AUTO_SHARD_MIN_BUDGET or item_count < HARVEST_AUTO_MIN_ITEMS:
-            return 1
-        return min(AUTO_SHARD_MAX, budget, peer_count)
-    count = int(shards)
-    if count <= 1:
-        return 1
-    return min(count, peer_count)
 
 
 # ---------------------------------------------------------------- sharded path
@@ -327,15 +282,14 @@ def harvest_archive(
     deployment: "CollectorDeployment",
     simulator: "BgpSimulator",
     timestamp: float = 0.0,
-    shards: int | str | None = None,
+    shards: int | None = None,
 ) -> ObservationArchive:
     """Harvest a deployment's observations from a converged simulation.
 
-    ``shards`` selects the execution policy: ``1`` serial, an integer K
-    or ``"auto"`` parallel; ``None`` inherits the simulator's own
-    explicit ``shards`` policy (a ``BgpSimulator(shards=4)`` harvests
-    sharded too), falling back to serial when the simulator also left
-    it unset.  The archive is byte-identical whichever path runs.
+    ``shards`` is the shard count: ``1`` serial, an integer K > 1
+    parallel; ``None`` inherits the simulator's own (a
+    ``BgpSimulator(shards=4)`` harvests sharded too).  The archive is
+    byte-identical whichever path runs.
 
     The sharded path inherits the resident worker-pool contract of
     :mod:`repro.routing.shard`: router config changes (policies,
@@ -345,11 +299,11 @@ def harvest_archive(
     current.  A harvest flushes the parent's whole pending-sync backlog
     — after it, every resident Loc-RIB mirrors the parent exactly.
     """
-    if shards is None:
-        shards = simulator.shards
+    shard_count = simulator.shards if shards is None else validate_shards(shards)
     items = build_worklist(deployment, simulator)
-    peer_count = len({item.peer_asn for item in items})
-    shard_count = resolve_harvest_shards(shards, len(items), peer_count, simulator)
+    if shard_count > 1:
+        # Surplus shards over the distinct peers would only idle.
+        shard_count = min(shard_count, len({item.peer_asn for item in items}))
     if shard_count <= 1:
         return _harvest_serial(items, simulator, timestamp)
     return _harvest_sharded(items, simulator, timestamp, shard_count)

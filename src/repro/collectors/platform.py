@@ -137,7 +137,7 @@ class CollectorDeployment:
         self,
         simulator: BgpSimulator,
         timestamp: float = 0.0,
-        shards: int | str | None = None,
+        shards: int | None = None,
     ) -> ObservationArchive:
         """Harvest observations from a converged simulation.
 
@@ -147,10 +147,10 @@ class CollectorDeployment:
 
         The work runs through :mod:`repro.collectors.harvest`: exports
         are memoised per peer (N collectors sharing a peer pay the
-        policy chain once) and ``shards`` (an integer or ``"auto"``)
-        fans the (collector, peer) work-list over the simulator's
-        fork-once worker pool — the archive is byte-identical to the
-        serial loop for any shard count.
+        policy chain once) and ``shards`` (a positive integer; ``None``
+        inherits the simulator's) fans the (collector, peer) work-list
+        over the simulator's worker pool — the archive is byte-identical
+        to the serial loop for any shard count.
         """
         from repro.collectors.harvest import harvest_archive
 

@@ -27,7 +27,6 @@ from repro.experiments.grid import (
     GridRunner,
     expand_grid,
     load_results,
-    worker_budget,
     write_results,
 )
 from repro.experiments.registry import available, get, register, run_experiment
@@ -54,6 +53,5 @@ __all__ = [
     "load_results",
     "register",
     "run_experiment",
-    "worker_budget",
     "write_results",
 ]

@@ -5,9 +5,7 @@ pipeline end to end (topology -> collectors -> archive -> every table
 and figure of the paper's measurement study).  The archive comes from
 one of two sources: the synthetic April-2018-style generator (the
 default, byte-identical to previous releases) or a live harvest of the
-simulated Internet's collector feeds — the latter is where the
-``shards`` parameter fans both route propagation *and* the
-(collector, peer) harvesting over worker processes.
+simulated Internet's collector feeds.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ class ReportExperiment(Experiment):
     default_scale = "small"
     #: ``source="synthetic"`` replays the generator; ``source="harvest"``
     #: converges the topology's originations and harvests the collector
-    #: feeds from the live simulation (``shards`` parallelises both the
-    #: propagation and the harvest).
+    #: feeds from the live simulation.
     default_params = {"source": "synthetic"}
 
     def seed(self, ctx: ExperimentContext) -> None:
@@ -45,16 +42,11 @@ class ReportExperiment(Experiment):
             from repro.collectors.platform import CollectorDeployment
 
             simulator = self.seed_originated(ctx)
-            try:
-                deployment = CollectorDeployment.default_deployment(
-                    ctx.require_topology(), seed=ctx.spec.seed
-                )
-                ctx.scratch["deployment"] = deployment
-                ctx.scratch["archive"] = deployment.collect_from_simulator(
-                    simulator, shards=self.propagation_shards()
-                )
-            finally:
-                simulator.close()
+            deployment = CollectorDeployment.default_deployment(
+                ctx.require_topology(), seed=ctx.spec.seed
+            )
+            ctx.scratch["deployment"] = deployment
+            ctx.scratch["archive"] = deployment.collect_from_simulator(simulator)
         else:
             raise ExperimentError(
                 f"report parameter 'source' must be 'synthetic' or 'harvest', got {source!r}"

@@ -6,16 +6,14 @@ executes such a list either sequentially in-process or across a
 ``ProcessPoolExecutor``.  Specs and results cross the process boundary
 as plain dicts (the spec/result round-trip), and results always come
 back **in spec order**, so a parallel run is comparable element-wise
-with a sequential one.
+with a sequential one.  A parallel grid runs ``min(len(specs),
+max_workers or os.cpu_count())`` worker processes, one future per spec.
 
-Two orthogonal levels of parallelism compose here: the grid fans *specs*
-over workers, and each spec's experiment may fan its *propagation* over
-shard workers (``--param shards=K``, see :mod:`repro.routing.shard`).
-:func:`worker_budget` splits the machine between the two — the grid
-claims ``cpu // shards`` workers and hands each worker a
-:data:`~repro.routing.shard.SHARD_BUDGET_ENV` slice of ``cpu //
-workers``, so grid workers times propagation shards never oversubscribes
-the host.
+A grid worker that dies (SIGKILL, out-of-memory kill) breaks the whole
+process pool.  The grid contains that: every cell that finished keeps
+its result, and every cell left without one comes back as an
+``ExperimentResult(status="error")`` whose ``error`` names the worker
+death — the run itself never raises :class:`BrokenProcessPool`.
 
 Results persist as JSON lines: ``GridRunner.run(...,
 output_path=...)`` streams each :meth:`ExperimentResult.to_json` line to
@@ -28,13 +26,13 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
 from repro.experiments.registry import get, run_experiment
-from repro.experiments.result import ExperimentResult
+from repro.experiments.result import ExperimentResult, ExperimentStatus
 from repro.experiments.spec import ExperimentSpec
-from repro.routing.shard import SHARD_BUDGET_ENV
 
 
 def expand_grid(
@@ -61,59 +59,6 @@ def expand_grid(
                 params.update(zip(keys, combo))
                 specs.append(experiment_cls.default_spec(seed=seed, scale=scale, **params))
     return specs
-
-
-def worker_budget(
-    task_count: int,
-    max_workers: int | None = None,
-    shards_per_task: int = 1,
-    cpu_total: int | None = None,
-) -> tuple[int, int]:
-    """Split the machine between grid workers and per-task propagation shards.
-
-    Returns ``(workers, shard_budget)``: the grid may run ``workers``
-    processes, and each of them may in turn use ``shard_budget``
-    propagation shard workers — chosen so ``workers * shards_per_task``
-    never exceeds the CPU total.  ``max_workers`` is an additional
-    caller-imposed cap; ``cpu_total`` overrides ``os.cpu_count()``
-    (mainly for tests).
-    """
-    total = cpu_total if cpu_total is not None else (os.cpu_count() or 1)
-    total = max(1, total)
-    shards = max(1, shards_per_task)
-    ceiling = max(1, total // shards)
-    cap = max_workers if max_workers is not None else total
-    workers = max(1, min(task_count or 1, cap, ceiling))
-    shard_budget = max(1, total // workers)
-    return workers, shard_budget
-
-
-def _spec_shards(spec: ExperimentSpec) -> int:
-    """The propagation shard count a spec explicitly asks for (1 otherwise).
-
-    ``shards="auto"`` deliberately counts as 1 here: auto resolves
-    *inside* the worker against the shard budget the grid hands it, so
-    the budget split — not this hint — is what prevents oversubscription.
-    """
-    value = spec.params.get("shards")
-    if isinstance(value, int) and not isinstance(value, bool):
-        return max(1, value)
-    return 1
-
-
-def _initialize_grid_worker(shard_budget: int, residency: str | None = None) -> None:
-    """Grid worker initializer: pin the shard budget, install residency.
-
-    The residency provider is installed process-wide (bottom of the
-    scope stack) so every cell this worker runs shares one warm pool
-    set for the worker's lifetime; a cell spec carrying its own
-    ``residency`` parameter still overrides it lexically.
-    """
-    os.environ[SHARD_BUDGET_ENV] = str(shard_budget)
-    if residency is not None:
-        from repro.routing.residency import install_provider
-
-        install_provider(residency)
 
 
 def _run_spec_payload(payload: dict[str, Any]) -> dict[str, Any]:
@@ -143,6 +88,19 @@ def load_results(path: str) -> list[ExperimentResult]:
     return results
 
 
+def _worker_death(index: int, spec: ExperimentSpec, error: BrokenProcessPool) -> ExperimentResult:
+    """The error result of a cell whose grid worker died before returning it."""
+    return ExperimentResult(
+        name=spec.name,
+        spec=spec.to_dict(),
+        status=ExperimentStatus.ERROR,
+        error=(
+            f"BrokenProcessPool: a grid worker died before cell {index} "
+            f"({spec.name}, seed {spec.seed}) returned a result: {error}"
+        ),
+    )
+
+
 def _write_line(stream: TextIO, result: ExperimentResult) -> None:
     stream.write(result.to_json())
     stream.write("\n")
@@ -153,14 +111,8 @@ def _write_line(stream: TextIO, result: ExperimentResult) -> None:
 class GridRunner:
     """Run many experiment specs with deterministic result ordering."""
 
-    #: Worker processes (None = the shard-aware budget, at most the CPU count).
+    #: Worker processes (None = the CPU count; never more than specs).
     max_workers: int | None = None
-    #: Shard-pool residency policy for the cells (None = leave the
-    #: active provider alone).  Sequential runs scope one provider over
-    #: the whole grid so consecutive cells share warm workers; parallel
-    #: runs install the provider in each grid worker, where it persists
-    #: across every cell that worker serves.
-    residency: str | None = None
 
     def run(
         self,
@@ -170,15 +122,11 @@ class GridRunner:
     ) -> list[ExperimentResult]:
         """Run every spec; results are returned in spec order.
 
-        With ``parallel=True`` the specs fan out over worker processes,
-        the worker count chosen by :func:`worker_budget` so that grid
-        workers x the largest explicit ``shards`` parameter stays within
-        the machine; a single-spec grid always runs in-process (no pool
-        overhead).  With ``output_path`` every result is streamed to
-        disk as a JSON line the moment it is available (spec order).
+        With ``parallel=True`` the specs fan out over worker processes; a
+        single-spec grid always runs in-process (no pool overhead).  With
+        ``output_path`` every result is streamed to disk as a JSON line
+        the moment it is available (spec order).
         """
-        from repro.routing.residency import residency_scope
-
         specs = list(specs)
         stream: TextIO | None = None
         if output_path is not None:
@@ -186,25 +134,20 @@ class GridRunner:
         try:
             results: list[ExperimentResult] = []
             if not parallel or len(specs) <= 1:
-                with residency_scope(self.residency):
-                    for spec in specs:
-                        result = run_experiment(spec)
-                        results.append(result)
-                        if stream is not None:
-                            _write_line(stream, result)
+                for spec in specs:
+                    result = run_experiment(spec)
+                    results.append(result)
+                    if stream is not None:
+                        _write_line(stream, result)
                 return results
-            shards_per_task = max((_spec_shards(spec) for spec in specs), default=1)
-            workers, shard_budget = worker_budget(
-                len(specs), self.max_workers, shards_per_task
-            )
-            payloads = [spec.to_dict() for spec in specs]
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_initialize_grid_worker,
-                initargs=(shard_budget, self.residency),
-            ) as pool:
-                for result_payload in pool.map(_run_spec_payload, payloads):
-                    result = ExperimentResult.from_dict(result_payload)
+            workers = min(len(specs), self.max_workers or os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_run_spec_payload, spec.to_dict()) for spec in specs]
+                for index, (spec, future) in enumerate(zip(specs, futures)):
+                    try:
+                        result = ExperimentResult.from_dict(future.result())
+                    except BrokenProcessPool as error:
+                        result = _worker_death(index, spec, error)
                     results.append(result)
                     if stream is not None:
                         _write_line(stream, result)

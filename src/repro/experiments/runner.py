@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Iterable
 
-from repro.exceptions import ExperimentError, ReproError
+from repro.bgp.prefix import Prefix
+from repro.exceptions import ExperimentError, PrefixError, ReproError
 from repro.experiments.result import ExperimentResult, ExperimentStatus
 from repro.experiments.spec import ExperimentSpec
 from repro.topology.topology import Topology
@@ -76,10 +77,10 @@ class Experiment:
     default_topology: ClassVar[dict[str, Any]] = {}
     default_platforms: ClassVar[tuple[str, ...]] = ()
     default_params: ClassVar[dict[str, Any]] = {}
-    #: Parameters accepted beyond ``default_params`` (attach-time knobs,
-    #: plus the propagation shard and pool-residency policies every
-    #: experiment inherits).
-    optional_params: ClassVar[tuple[str, ...]] = ("upstream_count", "shards", "residency")
+    #: Parameters accepted beyond ``default_params``: attach-time knobs
+    #: of the platforms the experiment attaches (``upstream_count`` for
+    #: ``peering``).  A name the run never reads must not be accepted.
+    optional_params: ClassVar[tuple[str, ...]] = ()
 
     def __init__(self, spec: ExperimentSpec):
         if spec.name != self.name:
@@ -107,13 +108,7 @@ class Experiment:
         rejected — a typo must not silently run the default variant and
         bake itself into the replayable spec.
         """
-        known = set(cls.default_params) | set(cls.optional_params)
-        unknown = set(params) - known
-        if unknown:
-            raise ExperimentError(
-                f"unknown parameter(s) for {cls.name!r}: {', '.join(sorted(unknown))}"
-                f" (known: {', '.join(sorted(known)) or 'none'})"
-            )
+        cls.reject_unknown_params(params)
         merged = dict(cls.default_params)
         merged.update(params)
         return ExperimentSpec(
@@ -124,6 +119,17 @@ class Experiment:
             platforms=tuple(cls.default_platforms),
             params=merged,
         )
+
+    @classmethod
+    def reject_unknown_params(cls, params: Iterable[str]) -> None:
+        """Raise :class:`ExperimentError` naming any parameter this experiment lacks."""
+        known = set(cls.default_params) | set(cls.optional_params)
+        unknown = set(params) - known
+        if unknown:
+            raise ExperimentError(
+                f"unknown parameter(s) for {cls.name!r}: {', '.join(sorted(unknown))}"
+                f" (known: {', '.join(sorted(known)) or 'none'})"
+            )
 
     def param(self, key: str, default: Any = None) -> Any:
         """An experiment parameter: spec value, class default, then ``default``."""
@@ -154,6 +160,19 @@ class Experiment:
                 f"experiment parameter {key!r} must be an integer{bound}, got {value!r}"
             ) from None
         return number
+
+    def prefix_param(self, key: str) -> Prefix:
+        """A prefix experiment parameter (``"203.0.113.0/24"``), or an error naming it."""
+        value = self.param(key)
+        if isinstance(value, str):
+            try:
+                return Prefix.from_string(value)
+            except PrefixError:
+                pass
+        raise ExperimentError(
+            f"experiment parameter {key!r} must be a prefix such as '203.0.113.0/24', "
+            f"got {value!r}"
+        )
 
     def bool_param(self, key: str) -> bool:
         """A boolean experiment parameter: JSON ``true`` / ``false`` and nothing else.
@@ -244,11 +263,8 @@ class Experiment:
     def seed_originated(self, ctx: ExperimentContext):
         """Batch-announce every originated prefix; returns the simulator.
 
-        The simulator inherits the spec's ``shards`` parameter through
-        the process default :meth:`run` scopes for the lifecycle, so
-        pre-seeding a large topology — the heaviest single ``apply``
-        most experiments run — is the first call site to go parallel
-        when sharding is enabled.
+        One shared worklist pass on the in-process core — the heaviest
+        single ``apply`` most experiments run.
         """
         from repro.routing.engine import BgpSimulator
 
@@ -256,35 +272,6 @@ class Experiment:
         ctx.scratch["seed_report"] = simulator.announce_originated()
         ctx.scratch["simulator"] = simulator
         return simulator
-
-    def propagation_shards(self) -> int | str | None:
-        """The spec's propagation shard policy (None = process default)."""
-        value = self.param("shards")
-        if value is None or value == "auto":
-            return value
-        try:
-            count = self.int_param("shards", 0)
-        except ExperimentError:
-            count = 0
-        if count < 1:
-            raise ExperimentError(
-                f"experiment parameter 'shards' must be a positive integer or 'auto', got {value!r}"
-            )
-        return count
-
-    def residency_policy(self) -> str | None:
-        """The spec's pool-residency policy (None = whatever is active)."""
-        value = self.param("residency")
-        if value is None:
-            return None
-        from repro.routing.residency import RESIDENCY_POLICIES
-
-        if value not in RESIDENCY_POLICIES:
-            raise ExperimentError(
-                f"experiment parameter 'residency' must be one of "
-                f"{', '.join(RESIDENCY_POLICIES)}, got {value!r}"
-            )
-        return value
 
     def execute(self, ctx: ExperimentContext) -> dict[str, Any]:
         """Run the experiment; returns the JSON-safe metrics dict."""
@@ -307,54 +294,29 @@ class Experiment:
     def run(self) -> ExperimentResult:
         """Drive the five lifecycle stages, timing each one.
 
-        A ``shards`` spec parameter becomes the process-default
-        propagation policy for the duration of the run, so *every*
-        simulator the experiment builds — pre-seeding, per-scenario
-        baselines, sweep iterations — inherits it without each call
-        site threading a parameter.  A ``residency`` parameter likewise
-        scopes a shard-pool provider over the whole lifecycle, so
-        build→seed→execute→validate (and, when an enclosing scope with
-        the same policy is already active, consecutive grid cells) share
-        warm workers; the run's simulators are closed before the scope
-        resolves so their pools return to the provider deterministically.
-
         Exceptions from the repro library are captured as
         ``status="error"`` results (so one bad grid cell never kills the
-        batch); anything else propagates.
+        batch); anything else propagates.  So is a spec carrying a
+        parameter the experiment does not declare (one replayed from an
+        older results file, say): it must not run the default variant.
         """
-        from repro.routing.engine import BgpSimulator, propagation_shards
-        from repro.routing.residency import residency_scope
-
         ctx = self.context
         timings: dict[str, float] = {}
         metrics: dict[str, Any] = {}
         status = ExperimentStatus.OK
         error: str | None = None
         try:
-            with propagation_shards(self.propagation_shards()), residency_scope(
-                self.residency_policy()
-            ):
-                try:
-                    for stage in ("build", "attach", "seed"):
-                        started = time.perf_counter()
-                        getattr(self, stage)(ctx)
-                        timings[stage] = time.perf_counter() - started
-                    started = time.perf_counter()
-                    metrics = self.execute(ctx) or {}
-                    timings["execute"] = time.perf_counter() - started
-                    started = time.perf_counter()
-                    accepted = self.validate(ctx, metrics)
-                    timings["validate"] = time.perf_counter() - started
-                finally:
-                    # Release every simulator's pool lease while the
-                    # residency scope is still active: under a warm
-                    # policy the pools park for the next run/cell
-                    # instead of dying with a GC finalizer later.  A
-                    # closed simulator stays fully usable — it simply
-                    # re-acquires a pool on its next sharded batch.
-                    for value in list(ctx.scratch.values()):
-                        if isinstance(value, BgpSimulator):
-                            value.close()
+            self.reject_unknown_params(self.spec.params)
+            for stage in ("build", "attach", "seed"):
+                started = time.perf_counter()
+                getattr(self, stage)(ctx)
+                timings[stage] = time.perf_counter() - started
+            started = time.perf_counter()
+            metrics = self.execute(ctx) or {}
+            timings["execute"] = time.perf_counter() - started
+            started = time.perf_counter()
+            accepted = self.validate(ctx, metrics)
+            timings["validate"] = time.perf_counter() - started
             if not accepted:
                 status = ExperimentStatus.FAILED
         except ReproError as exc:

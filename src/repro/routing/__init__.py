@@ -6,13 +6,10 @@ from repro.routing.engine import (
     BgpSimulator,
     RoutingEvent,
     SimulationReport,
-    default_shards,
     origination_events,
-    propagation_shards,
-    set_default_shards,
 )
 from repro.routing.route_server import RouteServer, RouteServerDecision
-from repro.routing.shard import ShardPool, partition_events, shard_worker_budget, stable_shard
+from repro.routing.shard import ShardPool, partition_events, stable_shard
 from repro.routing.wire import AttributeInterner, WIRE_ENV, wire_format
 from repro.routing.stream import (
     SimulatorService,
@@ -31,12 +28,8 @@ __all__ = [
     "RoutingEvent",
     "SimulationReport",
     "ShardPool",
-    "default_shards",
     "origination_events",
     "partition_events",
-    "propagation_shards",
-    "set_default_shards",
-    "shard_worker_budget",
     "stable_shard",
     "RouteServer",
     "RouteServerDecision",

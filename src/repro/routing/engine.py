@@ -51,7 +51,8 @@ layered as a scheduler over a pure per-shard core:
 * ``_apply_local`` seeds and converges a list of events entirely
   in-process — its one memo (export rewrites) is scoped to the call,
   which is what makes the core safe to run per shard;
-* with ``shards`` > 1 the batch is partitioned by a stable hash of
+* with ``shards`` = K > 1 (capped at the batch's distinct-prefix
+  count) the batch is partitioned by a stable hash of
   ``(family, network, length)`` into the pool's pinned shard count, each
   shard driven by ``_apply_local`` in its **resident** worker process
   (see :mod:`repro.routing.shard`): workers keep their shards' RIB
@@ -62,11 +63,13 @@ layered as a scheduler over a pure per-shard core:
   byte-identical to a sequential run — incremental
   :meth:`DataPlane.rebuild` works unchanged.  Router-config changes are
   detected before every dispatch and bump the pool's state epoch, which
-  makes workers discard resident state and re-sync;
-* ``shards="auto"`` (the process default, see
-  :func:`propagation_shards`) goes parallel only for batches of at
-  least :data:`AUTO_SHARD_MIN_PREFIXES` distinct prefixes and only when
-  the CPU budget covers :data:`AUTO_SHARD_MIN_BUDGET` workers.
+  makes workers discard resident state and re-sync.  The pool is the
+  simulator's own (see :mod:`repro.routing.residency`): built on the
+  first sharded batch, shut down by :meth:`BgpSimulator.close`.
+
+``shards`` is one explicit positive integer, 1 (the in-process core)
+unless the caller asks for more; :func:`validate_shards` rejects
+anything else where the value enters.
 
 For incremental event streams (feed/drain with per-prefix coalescing)
 see :mod:`repro.routing.stream`, a thin front end over ``apply``.
@@ -74,10 +77,9 @@ see :mod:`repro.routing.stream`, a thin front end over ``apply``.
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
@@ -87,63 +89,12 @@ from repro.routing.wire import AttributeInterner
 from repro.topology.relationships import Relationship
 from repro.topology.topology import Topology
 
-#: Below this many distinct prefixes in one batch, ``shards="auto"``
-#: stays sequential: worker start-up and state shipping would eat the
-#: parallel win on small batches.
-AUTO_SHARD_MIN_PREFIXES = 256
 
-#: Upper bound "auto" places on the shard count (explicit integers are
-#: honoured as given; the worker *pool* is still capped by the CPU
-#: budget, see :func:`repro.routing.shard.shard_worker_budget`).
-AUTO_SHARD_MAX = 8
-
-#: Minimum CPU budget before "auto" goes parallel.  The merge has a
-#: serial state-shipping tail, so (as the sharded benchmark's own gate
-#: records) the win needs real cores — on 2-3 CPU hosts "auto" stays
-#: with the in-process core; explicit ``shards=K`` remains honoured.
-AUTO_SHARD_MIN_BUDGET = 4
-
-#: The process-wide default scheduling policy applied when a simulator
-#: is built without an explicit ``shards`` argument.  See
-#: :func:`propagation_shards`.
-_DEFAULT_SHARDS: int | str = "auto"
-
-
-def default_shards() -> int | str:
-    """The current process-wide default for ``BgpSimulator(shards=...)``."""
-    return _DEFAULT_SHARDS
-
-
-def set_default_shards(value: int | str) -> int | str:
-    """Set the process-wide default shard policy; returns the previous one.
-
-    ``value`` is either a shard count (1 disables sharding) or
-    ``"auto"`` (shard large batches across the available CPU budget).
-    The experiment runner uses this — via :func:`propagation_shards` —
-    to thread a spec's ``shards`` parameter into every simulator an
-    experiment builds, without each call site growing a parameter.
-    """
-    global _DEFAULT_SHARDS
-    previous = _DEFAULT_SHARDS
-    _DEFAULT_SHARDS = value
-    return previous
-
-
-@contextlib.contextmanager
-def propagation_shards(value: int | str | None) -> Iterator[None]:
-    """Scoped override of the default shard policy (restores on exit).
-
-    ``None`` is a no-op scope — callers threading an optional policy can
-    always write ``with propagation_shards(maybe_shards):``.
-    """
-    if value is None:
-        yield
-        return
-    previous = set_default_shards(value)
-    try:
-        yield
-    finally:
-        set_default_shards(previous)
+def validate_shards(value: object) -> int:
+    """``value`` if it is a shard count (a non-``bool`` ``int`` >= 1), else raise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise RoutingError(f"shards must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -238,26 +189,16 @@ class SimulationReport:
 class BgpSimulator:
     """Builds one :class:`Router` per AS and propagates announcements to convergence.
 
-    ``shards`` selects the execution policy for :meth:`apply`: ``1``
-    forces the in-process core, an integer K partitions every batch
-    into K prefix shards driven by worker processes, and ``"auto"``
-    (inherited from :func:`default_shards` when None) shards only
-    batches large enough to pay for the pool.  ``max_workers`` caps the
-    worker pool (default: the CPU budget, see
-    :func:`repro.routing.shard.shard_worker_budget`).
+    ``shards`` is the default shard count of :meth:`apply`: ``1`` runs
+    the in-process core, an integer K partitions every multi-prefix
+    batch into K prefix shards driven by ``min(K, os.cpu_count())``
+    worker processes.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        max_rounds: int = 1000,
-        shards: int | str | None = None,
-        max_workers: int | None = None,
-    ):
+    def __init__(self, topology: Topology, max_rounds: int = 1000, shards: int = 1):
         self.topology = topology
         self.max_rounds = max_rounds
-        self.shards = shards
-        self.max_workers = max_workers
+        self.shards = validate_shards(shards)
         self.routers: dict[int, Router] = {}
         self.report = SimulationReport()
         #: Every router that ever held any state (origination, Adj-RIB-In
@@ -271,23 +212,17 @@ class BgpSimulator:
         #: byte-identical in the parent, so shipping it back would be
         #: pure serialization overhead.
         self._last_touched: dict[Prefix, set[int]] = {}
-        #: The provider lease through which this simulator reaches its
-        #: shard pool (see :mod:`repro.routing.residency`).  The lease —
-        #: not the simulator — owns the router-config epoch state.
+        #: The lease through which this simulator reaches its shard pool
+        #: (see :mod:`repro.routing.residency`).  The lease — not the
+        #: simulator — owns the router-config epoch state.
         self._pool_lease = None
         #: The (prefix -> routers) pairs the parent mutated since it last
         #: shipped that prefix's state to its resident shard worker.
-        #: Seeded with the full holder map when a pool is first leased;
-        #: grown by sequential applies run while a pool exists (or while
-        #: a warm pool is resumable); drained by sharded dispatches and
-        #: harvests.  Empty for prefixes whose worker-side state already
-        #: equals the parent's.
+        #: Seeded with the full holder map when a pool is leased; grown by
+        #: sequential applies run while a pool exists; drained by sharded
+        #: dispatches and harvests.  Empty for prefixes whose worker-side
+        #: state already equals the parent's.
         self._pending_sync: dict[Prefix, set[int]] = {}
-        #: Whether a warm pool released by this simulator may still be
-        #: resumed: while ``True``, sequential applies keep extending the
-        #: pending-sync continuation so a re-acquired warm pool needs
-        #: only the delta, not the full holder map.
-        self._residency_resumable = False
         #: Wire-codec attribute interner: every delta decoded on merge
         #: replay shares one ``PathAttributes``/``ASPath``/``CommunitySet``
         #: object per distinct value, for the simulator's whole lifetime.
@@ -306,25 +241,15 @@ class BgpSimulator:
         return None if lease is None else lease.pool
 
     def close(self) -> None:
-        """Release the shard-pool lease (idempotent; also runs on GC).
+        """Shut the shard pool down (idempotent; also runs on GC).
 
-        Under the default ``"none"`` residency provider this shuts the
-        workers down, exactly as before; under a warm provider the pool
-        is parked for reuse and this simulator keeps its pending-sync
-        continuation so a later re-acquire resumes residency instead of
-        re-shipping the full holder map.
+        The simulator stays usable: its next sharded batch builds a new
+        pool and re-ships the state it holds.
         """
-        lease = self._pool_lease
-        self._pool_lease = None
-        if lease is None:
-            if not self._residency_resumable:
-                self._pending_sync = {}
-            return
-        if lease.release():
-            self._residency_resumable = True
-        else:
-            self._residency_resumable = False
-            self._pending_sync = {}
+        lease, self._pool_lease = self._pool_lease, None
+        self._pending_sync = {}
+        if lease is not None:
+            lease.release()
 
     def router(self, asn: int) -> Router:
         """Return the router of ``asn``."""
@@ -412,59 +337,42 @@ class BgpSimulator:
 
     # -------------------------------------------------------------- propagation
     def apply(
-        self, events: Iterable[RoutingEvent], shards: int | str | None = None
+        self, events: Iterable[RoutingEvent], shards: int | None = None
     ) -> SimulationReport:
         """Apply a batch of origination events and converge them in one pass.
 
-        This is the scheduler layer: it validates the batch, decides
-        between the in-process core and sharded multi-process execution
-        (``shards`` overrides the simulator-level policy for this call),
-        runs it, and folds the outcome into the cumulative report.  The
-        converged state — Loc-RIBs, FIBs after ``rebuild``, merged
-        ``dirty`` maps — is identical whichever path ran.
+        This is the scheduler layer: it validates the batch, picks the
+        in-process core or sharded multi-process execution (``shards``
+        overrides the simulator's shard count for this call), runs it,
+        and folds the outcome into the cumulative report.  The converged
+        state — Loc-RIBs, FIBs after ``rebuild``, merged ``dirty`` maps —
+        is identical whichever path ran.
 
-        The batch is validated up front — a malformed event or unknown
-        origin ASN raises before any router state changes, so a failing
-        ``apply`` leaves the simulation untouched.
+        The batch is validated up front — a malformed event, an unknown
+        origin ASN or a bad ``shards`` value raises before any router
+        state changes, so a failing ``apply`` leaves the simulation
+        untouched.
         """
         events = list(events)
         for event in events:
             self.router(event.origin_asn)
-        shard_count = self._resolve_shards(shards, len({e.prefix for e in events}))
+        shard_count = self.shards if shards is None else validate_shards(shards)
+        if shard_count > 1:
+            # Never cut more shards than there are prefixes: the surplus
+            # shards would be empty and would only spawn idle workers.
+            shard_count = min(shard_count, len({event.prefix for event in events}))
         if shard_count <= 1:
             report = self._apply_local(events)
-            if self._pool_lease is not None or self._residency_resumable:
-                # A resident pool exists (or a released warm pool may be
-                # resumed) but this batch ran in-process: every pair it
-                # touched is now newer in the parent than in the
-                # workers, so it must ship with the next dispatch.
+            if self._pool_lease is not None:
+                # A resident pool exists but this batch ran in-process:
+                # every pair it touched is now newer in the parent than
+                # in the workers, so it must ship with the next dispatch.
                 for prefix, touched in self._last_touched.items():
                     self._pending_sync.setdefault(prefix, set()).update(touched)
         else:
             report = self._apply_sharded(events, shard_count)
         self.report.merge(report)
         return report
-
-    def _resolve_shards(self, override: int | str | None, prefix_count: int) -> int:
-        """Turn the shards policy into a concrete shard count for one batch."""
-        value = override if override is not None else self.shards
-        if value is None:
-            value = default_shards()
-        if value is None or value == 1 or prefix_count <= 1:
-            return 1
-        if value == "auto":
-            from repro.routing.shard import shard_worker_budget
-
-            budget = self.max_workers if self.max_workers is not None else shard_worker_budget()
-            if prefix_count < AUTO_SHARD_MIN_PREFIXES or budget < AUTO_SHARD_MIN_BUDGET:
-                return 1
-            return min(AUTO_SHARD_MAX, budget, prefix_count)
-        count = int(value)
-        if count <= 1:
-            return 1
-        # Never cut more shards than there are prefixes: the surplus
-        # shards would be empty and would only spawn idle workers.
-        return min(count, prefix_count)
 
     def _apply_local(self, events: list[RoutingEvent]) -> SimulationReport:
         """The pure per-shard core: seed and converge ``events`` in-process.
@@ -591,41 +499,26 @@ class BgpSimulator:
         return report
 
     def _ensure_pool(self, wanted_shards: int):
-        """The leased resident worker pool: re-acquired to grow *or* shrink.
+        """The leased resident worker pool, rebuilt only to grow.
 
         The pool's shard count is pinned at construction (that is what
         keeps shard-to-slot placement — and therefore worker residency —
-        stable across batches), so a batch wanting more shards than the
-        pool has forces a re-acquire; so does a CPU budget that dropped
-        below the pool's worker count (``propagation_shards`` scope
-        exit, ``REPRO_SHARD_BUDGET`` change).  Acquisition goes through
-        the active :class:`~repro.routing.residency.PoolProvider`: under
-        a warm policy a compatible released pool is resumed (keeping the
-        pending-sync continuation) or adopted; otherwise a fresh pool is
-        built and residency restarts with the pending-sync set seeded
-        from the full holder map.
+        stable across batches), so only a batch wanting more shards than
+        the pool has replaces it.  A new pool starts with no resident
+        state: the pending-sync set is seeded from the full holder map.
         """
-        from repro.routing.residency import current_provider
-        from repro.routing.shard import shard_worker_budget
+        from repro.routing.residency import PROVIDER
 
-        limit = self.max_workers if self.max_workers is not None else shard_worker_budget()
         lease = self._pool_lease
         if lease is not None:
-            pool = lease.pool
-            if wanted_shards <= pool.shards and pool.workers <= max(
-                1, min(pool.shards, limit)
-            ):
-                return pool
-            wanted_shards = max(wanted_shards, pool.shards)
+            if wanted_shards <= lease.pool.shards:
+                return lease.pool
             self.close()
-        lease = current_provider().acquire(self, wanted_shards)
-        self._pool_lease = lease
-        self._residency_resumable = False
-        if not lease.resumed:
-            self._pending_sync = {
-                prefix: set(holders) for prefix, holders in self._prefix_holders.items()
-            }
-        return lease.pool
+        self._pool_lease = PROVIDER.acquire(self, wanted_shards)
+        self._pending_sync = {
+            prefix: set(holders) for prefix, holders in self._prefix_holders.items()
+        }
+        return self._pool_lease.pool
 
     def _refresh_pool_epoch(self, pool) -> None:
         """Bump the pool epoch when the router configuration changed.

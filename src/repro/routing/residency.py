@@ -1,75 +1,34 @@
-"""Process-wide shard-pool residency: providers, leases and warm reuse.
+"""Shard-pool leases: every sharded simulator owns one fresh pool.
 
-PR 6 made shard workers *resident* — their per-shard RIB state survives
-between batches — but every :class:`~repro.routing.engine.BgpSimulator`
-still privately owned its :class:`~repro.routing.shard.ShardPool`, so
-the win evaporated at every lifecycle boundary: each experiment run and
-every grid cell cold-started workers, re-parked a topology snapshot and
-re-shipped full shard state.  This module lifts pool ownership out of
-the simulator into a process-level :class:`PoolProvider` that builds,
-caches and *leases* pools:
+A :class:`~repro.routing.engine.BgpSimulator` reaches its
+:class:`~repro.routing.shard.ShardPool` through a :class:`PoolLease`
+handed out by :data:`PROVIDER`:
 
-* :class:`ResidencyPolicy` — ``"none"`` (today's behaviour and the
-  fallback: a released pool shuts down immediately), ``"pinned"`` (every
-  released pool is kept warm until the provider closes) and ``"auto"``
-  (released pools are kept warm, evicted least-recently-used while the
-  warm set's total worker count exceeds
-  :func:`~repro.routing.shard.shard_worker_budget`).
-* :class:`PoolLease` — what a simulator holds instead of a pool.  The
-  router-config epoch state lives *on the lease* (capture, compact
-  :func:`~repro.routing.wire.encode_config` blob cached per epoch), so
-  two simulators can adopt one pool in turn without epoch aliasing.
-* :class:`PoolProvider.acquire` — matches a warm pool by structural
-  topology fingerprint and ``max_rounds``.  A pool released by the same
-  simulator over the same topology resumes as-is (no epoch bump: the
-  workers' resident state is still exactly what the parent last
-  shipped); any other structural match is **adopted** via
-  :meth:`~repro.routing.shard.ShardPool.adopt` — re-homed onto the new
-  simulator's snapshot with an epoch bump, so the workers discard state
-  and re-sync instead of paying a fork cold-start.
-* :func:`residency_scope` / :func:`install_provider` /
-  :func:`current_provider` — lexical scoping for experiment lifecycles
-  and grid cells, plus a process-lifetime provider for grid workers.
+* :meth:`PoolProvider.acquire` builds a fresh pool of
+  ``min(shards, os.cpu_count())`` workers over the simulator's topology
+  and current router configuration, and counts it in
+  ``stats["builds"]``;
+* the lease owns the router-config epoch state — the capture the pool's
+  current epoch reflects, plus its compact
+  :func:`~repro.routing.wire.encode_config` blob cached per epoch — and
+  shuts the pool down on :meth:`PoolLease.release` (what
+  :meth:`BgpSimulator.close` calls) or when the simulator is collected.
 
-The pool-of-last-resort bookkeeping that used to live in
-:mod:`repro.routing.shard` (the live-pool weak set and its ``atexit``
-hook) lives here now: the provider layer owns pool lifecycle.
+Pools are never parked or shared: a simulator that closes and shards
+again gets a new pool and re-ships its state.  The interpreter-exit
+hook below stops any pool that neither ``close()`` nor GC reached.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
-import hashlib
+import os
 import weakref
-from typing import TYPE_CHECKING, Iterator
-
-from repro.exceptions import RoutingError
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.routing.engine import BgpSimulator
     from repro.routing.shard import ShardPool
-    from repro.topology.topology import Topology
-
-#: The accepted residency policy names, in fallback order.
-RESIDENCY_POLICIES = ("auto", "pinned", "none")
-
-
-class ResidencyPolicy(str):
-    """A validated residency policy name (``"auto"``/``"pinned"``/``"none"``).
-
-    A plain ``str`` subclass so call sites can compare against the
-    literal names; construction rejects anything outside
-    :data:`RESIDENCY_POLICIES`.
-    """
-
-    def __new__(cls, value: str = "none") -> "ResidencyPolicy":
-        if value not in RESIDENCY_POLICIES:
-            raise RoutingError(
-                f"unknown residency policy {value!r}: expected one of "
-                f"{', '.join(RESIDENCY_POLICIES)}"
-            )
-        return super().__new__(cls, value)
 
 
 # ------------------------------------------------------------- live pools
@@ -90,89 +49,23 @@ def _shutdown_live_pools() -> None:  # pragma: no cover - interpreter teardown
         pool.shutdown(wait=False)
 
 
-# ------------------------------------------------------------ fingerprint
-def topology_fingerprint(topology: "Topology") -> bytes:
-    """A deterministic digest of a topology's *structural* identity.
-
-    Covers exactly what a shard worker derives from its parked snapshot
-    and does **not** receive through the config epoch protocol: the AS
-    set, per-AS roles and scalar switches, and the relationship graph.
-    Policy objects are deliberately excluded — they ship per epoch via
-    :func:`~repro.routing.shard.capture_router_config` — as are
-    originations, which ship as events/state.  Two topologies with equal
-    fingerprints are interchangeable as worker snapshots: an adopted
-    pool's resident simulators serve the new topology after the epoch
-    bump clears their state and the config re-ships.  Computed fresh on
-    every acquire/release (lifecycle boundaries, not hot paths) — never
-    cached, so a mutated topology can never match through a stale digest.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for asys in sorted(topology, key=lambda item: item.asn):
-        digest.update(
-            (
-                f"A{asys.asn}|{asys.role}|{int(asys.validates_origin)}"
-                f"{int(asys.blackhole_before_validation)}"
-                f"{int(asys.act_on_communities_from_any_neighbor)}"
-                f"|{asys.max_prefix_length}|{asys.max_blackhole_prefix_length}"
-            ).encode()
-        )
-        for neighbor in sorted(topology.neighbors(asys.asn)):
-            relationship = topology.relationship(asys.asn, neighbor)
-            value = "" if relationship is None else str(int(relationship))
-            digest.update(f";{neighbor}:{value}".encode())
-        digest.update(b"\n")
-    return digest.digest()
-
-
 # ------------------------------------------------------------------ lease
 class PoolLease:
-    """One simulator's handle on a provider-owned :class:`ShardPool`.
+    """One simulator's handle on the :class:`ShardPool` built for it.
 
-    The lease owns the router-config epoch state that used to live on
-    the simulator (``_pool_config``): the capture the pool's current
-    epoch reflects, plus its compact wire encoding cached per epoch.
-    Keeping it here means a pool handed from one simulator to another
-    (via :meth:`PoolProvider.acquire` adoption) can never alias a stale
-    capture into the new owner's epoch decisions.
+    The lease owns the router-config epoch state: the capture the pool's
+    current epoch reflects, plus its compact wire encoding cached per
+    epoch.
     """
 
-    __slots__ = (
-        "pool",
-        "resumed",
-        "_provider",
-        "_config",
-        "_config_blob",
-        "_topology",
-        "_owner_ref",
-        "_released",
-        "_finalizer",
-        "__weakref__",
-    )
+    __slots__ = ("pool", "_config", "_config_blob", "_finalizer")
 
-    def __init__(
-        self,
-        pool: "ShardPool",
-        provider: "PoolProvider",
-        config: dict[int, tuple],
-        topology: "Topology",
-        owner: "BgpSimulator",
-        resumed: bool = False,
-    ):
+    def __init__(self, pool: "ShardPool", config: dict[int, tuple], owner: "BgpSimulator"):
         self.pool = pool
-        #: Whether this lease resumes the exact worker state the same
-        #: simulator released (same owner, same topology object, no
-        #: epoch bump) — the engine keeps its pending-sync continuation
-        #: instead of re-seeding the full holder map.
-        self.resumed = resumed
-        self._provider = provider
         self._config = config
         self._config_blob: bytes | None = None
-        self._topology = topology
-        self._owner_ref = weakref.ref(owner)
-        self._released = False
-        # GC of the owning simulator must not leak the lease (and with a
-        # "none" provider, must not leak worker processes).  The callback
-        # references the lease, never the simulator.
+        # GC of the owning simulator must not leak worker processes.  The
+        # callback references the lease, never the simulator.
         self._finalizer = weakref.finalize(owner, PoolLease.release, self)
 
     def config_blob(self) -> bytes:
@@ -204,264 +97,37 @@ class PoolLease:
         """Condemn all resident worker state (after a failed dispatch)."""
         self.pool.bump_epoch()
 
-    def release(self) -> bool:
-        """Hand the pool back to the provider (idempotent).
-
-        Returns ``True`` when the pool was parked warm — the releasing
-        simulator may keep extending its pending-sync continuation and
-        resume residency on its next acquire.
-        """
-        if self._released:
-            return False
-        self._released = True
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        return self._provider._release(self)
-
-
-class _WarmRecord:
-    """A released pool parked for reuse, with what re-acquisition needs."""
-
-    __slots__ = ("pool", "key", "topology", "config", "owner")
-
-    def __init__(
-        self,
-        pool: "ShardPool",
-        key: tuple,
-        topology: "Topology",
-        config: dict[int, tuple],
-        owner: "weakref.ref",
-    ):
-        self.pool = pool
-        self.key = key
-        #: Strong reference on purpose: the parked fork snapshot (or the
-        #: adopting re-park) aliases this topology's objects, so it must
-        #: outlive the warm pool.
-        self.topology = topology
-        self.config = config
-        self.owner = owner
+    def release(self) -> None:
+        """Shut the pool down (idempotent)."""
+        self._finalizer.detach()
+        self.pool.shutdown()
 
 
 # --------------------------------------------------------------- provider
 class PoolProvider:
-    """Builds, caches and leases :class:`ShardPool` instances.
+    """Builds one fresh :class:`ShardPool` per :meth:`acquire` call.
 
-    ``stats`` is a plain counter dict — ``builds`` (pools constructed),
-    ``leases`` (acquire calls), ``resumes`` (same-simulator warm hits),
-    ``adoptions`` (warm pools re-homed onto a new simulator),
-    ``evictions`` (warm pools stopped by the ``auto`` budget),
-    ``releases`` — so tests and benchmarks can observe warm reuse
-    without reaching into pool internals.
+    ``stats["builds"]`` counts the pools built, so tests and benchmarks
+    can observe pool construction without reaching into the engine.
     """
 
-    def __init__(self, policy: str = "none"):
-        self.policy = ResidencyPolicy(policy)
-        #: Warm pools in release order — index 0 is the LRU eviction
-        #: candidate.
-        self._warm: list[_WarmRecord] = []
-        self._closed = False
-        self.stats = {
-            "builds": 0,
-            "leases": 0,
-            "resumes": 0,
-            "adoptions": 0,
-            "evictions": 0,
-            "releases": 0,
-        }
+    def __init__(self) -> None:
+        self.stats = {"builds": 0}
 
-    # ------------------------------------------------------------- acquire
-    def acquire(self, simulator: "BgpSimulator", wanted_shards: int) -> PoolLease:
-        """Lease a pool serving ``wanted_shards`` shards to ``simulator``.
+    def acquire(self, simulator: "BgpSimulator", shards: int) -> PoolLease:
+        """Lease ``simulator`` a new pool partitioned into ``shards`` shards."""
+        from repro.routing.shard import ShardPool, capture_router_config
 
-        Preference order: resume the warm pool this simulator itself
-        released (workers still hold its state — no epoch bump), adopt
-        any warm pool with a matching structural fingerprint (epoch
-        bump, workers re-sync), else build a fresh pool.  The shard/
-        worker compatibility predicate is the same one
-        ``BgpSimulator._ensure_pool`` applies to a held pool, so a
-        leased pool never silently under-serves the caller.
-        """
-        from repro.routing.shard import (
-            ShardPool,
-            capture_router_config,
-            shard_worker_budget,
-        )
-
-        self.stats["leases"] += 1
-        limit = (
-            simulator.max_workers
-            if simulator.max_workers is not None
-            else shard_worker_budget()
-        )
-        key = (topology_fingerprint(simulator.topology), simulator.max_rounds)
-        record = self._take_warm(simulator, wanted_shards, limit, key)
-        if record is not None:
-            pool = record.pool
-            if record.owner() is simulator and record.topology is simulator.topology:
-                self.stats["resumes"] += 1
-                return PoolLease(
-                    pool, self, record.config, record.topology, simulator, resumed=True
-                )
-            config = capture_router_config(simulator)
-            pool.adopt((simulator.topology, config))
-            self.stats["adoptions"] += 1
-            return PoolLease(pool, self, config, simulator.topology, simulator)
         config = capture_router_config(simulator)
         pool = ShardPool(
             (simulator.topology, config),
             max_rounds=simulator.max_rounds,
-            workers=max(1, min(wanted_shards, limit)),
-            shards=wanted_shards,
+            workers=min(shards, os.cpu_count() or 1),
+            shards=shards,
         )
         self.stats["builds"] += 1
-        return PoolLease(pool, self, config, simulator.topology, simulator)
-
-    def _take_warm(
-        self, simulator: "BgpSimulator", wanted_shards: int, limit: int, key: tuple
-    ) -> "_WarmRecord | None":
-        """Pop the best compatible warm record, or ``None``.
-
-        Two passes: an exact same-owner/same-topology record anywhere in
-        the warm set beats a structural match (resuming is free, adopting
-        costs an epoch bump); within a pass the most recently released
-        record wins.
-        """
-
-        def compatible(record: _WarmRecord) -> bool:
-            pool = record.pool
-            return (
-                record.key == key
-                and wanted_shards <= pool.shards
-                and pool.workers <= max(1, min(pool.shards, limit))
-            )
-
-        for index in range(len(self._warm) - 1, -1, -1):
-            record = self._warm[index]
-            if (
-                compatible(record)
-                and record.owner() is simulator
-                and record.topology is simulator.topology
-            ):
-                return self._warm.pop(index)
-        for index in range(len(self._warm) - 1, -1, -1):
-            if compatible(self._warm[index]):
-                return self._warm.pop(index)
-        return None
-
-    # ------------------------------------------------------------- release
-    def _release(self, lease: PoolLease) -> bool:
-        """Take a pool back from a lease; park it warm or shut it down."""
-        self.stats["releases"] += 1
-        if self._closed or self.policy == "none":
-            lease.pool.shutdown()
-            return False
-        self._warm.append(
-            _WarmRecord(
-                pool=lease.pool,
-                key=(topology_fingerprint(lease._topology), lease.pool._max_rounds),
-                topology=lease._topology,
-                config=lease._config,
-                owner=lease._owner_ref,
-            )
-        )
-        if self.policy == "auto":
-            self._evict_over_budget()
-        return True
-
-    def _evict_over_budget(self) -> None:
-        """Stop LRU warm pools while the warm set exceeds the worker budget.
-
-        A single warm pool is always kept, even if it alone exceeds a
-        since-shrunk budget: evicting the only warm pool would defeat
-        the policy (the next acquire re-checks the limit anyway and
-        rebuilds if the pool no longer fits).
-        """
-        from repro.routing.shard import shard_worker_budget
-
-        budget = max(1, shard_worker_budget())
-        while (
-            len(self._warm) > 1
-            and sum(record.pool.workers for record in self._warm) > budget
-        ):
-            record = self._warm.pop(0)
-            record.pool.shutdown()
-            self.stats["evictions"] += 1
-
-    # --------------------------------------------------------------- close
-    def close(self) -> None:
-        """Shut down every warm pool; future releases shut down too.
-
-        Outstanding leases stay valid — simulators that outlive the
-        provider's scope keep their pool until they release it, at which
-        point the closed provider shuts it down instead of parking it.
-        """
-        self._closed = True
-        while self._warm:
-            self._warm.pop().pool.shutdown()
-
-    def __enter__(self) -> "PoolProvider":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        return PoolLease(pool, config, simulator)
 
 
-# ---------------------------------------------------------------- scoping
-#: The provider scope stack.  ``residency_scope`` pushes/pops at the
-#: top; ``install_provider`` (grid workers) inserts at the bottom so a
-#: nested scope can still override it.
-_SCOPES: list[PoolProvider] = []  # repro: noqa[RPR011,RPR032]: parent-process-only scope stack — providers are never used inside a shard worker (reachability is the bare-name '.withdraw' call-graph over-approximation)
-#: The policy-"none" provider of last resort, built on first use.
-_FALLBACK: "PoolProvider | None" = None
-
-
-def current_provider() -> PoolProvider:
-    """The innermost active provider, or the ``"none"`` fallback."""
-    if _SCOPES:
-        return _SCOPES[-1]
-    global _FALLBACK
-    if _FALLBACK is None:
-        _FALLBACK = PoolProvider("none")  # repro: noqa[RPR011,RPR032]: parent-process-only fallback provider (reachability is the bare-name '.withdraw' call-graph over-approximation)
-    return _FALLBACK  # repro: noqa[RPR032]: parent-process-only fallback provider (reachability is the bare-name '.withdraw' call-graph over-approximation)
-
-
-@contextlib.contextmanager
-def residency_scope(policy: "str | None") -> Iterator[PoolProvider]:
-    """Scoped residency provider (closed — pools stopped — on exit).
-
-    ``None`` is a no-op scope yielding whatever provider is already
-    active, so callers threading an optional policy can always write
-    ``with residency_scope(maybe_policy) as provider:``.  Re-entering a
-    scope whose active provider already runs the same policy reuses it,
-    which is what lets an `Experiment.run` inside a residency-scoped
-    grid cell share the cell's warm pools instead of fencing them off.
-    """
-    if policy is None:
-        yield current_provider()
-        return
-    policy = ResidencyPolicy(policy)
-    if _SCOPES and _SCOPES[-1].policy == policy:
-        yield _SCOPES[-1]
-        return
-    provider = PoolProvider(policy)
-    _SCOPES.append(provider)
-    try:
-        yield provider
-    finally:
-        if provider in _SCOPES:
-            _SCOPES.remove(provider)
-        provider.close()
-
-
-def install_provider(policy: str) -> PoolProvider:
-    """Install a process-lifetime provider at the bottom of the stack.
-
-    Grid workers call this from their initializer so every cell they run
-    shares one warm set for the worker's whole lifetime (its pools are
-    stopped by the ``atexit`` safety net); lexical ``residency_scope``
-    uses still override it.
-    """
-    provider = PoolProvider(policy)
-    _SCOPES.insert(0, provider)
-    return provider
+#: The provider every simulator leases its pools from.
+PROVIDER = PoolProvider()

@@ -29,7 +29,10 @@ module turns that property into a **long-lived service**:
   payload is the fallback where ``fork`` is unavailable); afterwards
   tasks carry only events plus the parent-side *deltas* for their
   shard's prefixes, all encoded with the compact
-  :mod:`repro.routing.wire` codec.
+  :mod:`repro.routing.wire` codec.  A simulator reaches its pool
+  through a :mod:`repro.routing.residency` lease: one pool per
+  simulator, built on its first sharded batch and shut down by
+  ``close()``.
 
 Residency protocol
 ------------------
@@ -79,17 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.bgp.route import RouteEntry
     from repro.routing.engine import BgpSimulator, RoutingEvent, SimulationReport
 
-#: Environment variable capping the number of shard worker processes.
-#: The grid runner sets it in its own workers so grid parallelism times
-#: propagation parallelism never oversubscribes the machine.
-SHARD_BUDGET_ENV = "REPRO_SHARD_BUDGET"
-
-#: Deprecated no-op alias (one release): ship accounting
-#: (:attr:`ShardPool.ship_bytes`) is now always on — the wire codec
-#: hands over exact encoded sizes for free, so the opt-in re-pickle
-#: double-encode this flag used to gate no longer exists.
-SHIP_STATS_ENV = "REPRO_SHIP_STATS"
-
 #: The complete state one router holds for one prefix:
 #: ``(prefix, asn, originated_attributes | None,
 #: ((neighbor_asn, adj_rib_in_entry), ...))``.
@@ -104,22 +96,6 @@ ShardTask = tuple[int, "bytes | None", bytes, bytes, bytes]
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MASK = (1 << 64) - 1
-
-
-def shard_worker_budget() -> int:
-    """How many shard worker processes this process may use.
-
-    :data:`SHARD_BUDGET_ENV` wins when set (that is how an outer grid
-    pool hands each of its workers a slice of the machine); otherwise
-    the CPU count.
-    """
-    raw = os.environ.get(SHARD_BUDGET_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _mix_to_shard(value: int, key: int, shard_count: int) -> int:
@@ -284,7 +260,7 @@ def _register_snapshot(snapshot: tuple) -> int:
 def _release_snapshot(token: "int | None") -> None:
     """Drop a parked snapshot (idempotent; ``None`` means pickled fallback)."""
     if token is not None:
-        _SNAPSHOT_REGISTRY.pop(token, None)  # repro: noqa[RPR011,RPR032]: parent-only teardown of the pre-fork registry entry above (shutdown and adoption re-parks); running workers forked long ago and never look the token up again
+        _SNAPSHOT_REGISTRY.pop(token, None)  # repro: noqa[RPR011,RPR032]: parent-only teardown of the pre-fork registry entry above (pool shutdown); running workers forked long ago and never look the token up again
 
 
 # ------------------------------------------------------------------- workers
@@ -468,21 +444,11 @@ def _shutdown_executors(
 
 
 def _teardown_pool(
-    executors: "list[ProcessPoolExecutor | None]",
-    token_holder: "list[int | None]",
-    wait: bool = True,
+    executors: "list[ProcessPoolExecutor | None]", token: "int | None", wait: bool = True
 ) -> None:
-    """Full pool teardown: stop the workers, release the parked snapshot.
-
-    ``token_holder`` is the pool's mutable one-element token cell rather
-    than a token value: :meth:`ShardPool.adopt` re-parks a new snapshot
-    mid-life, and a finalizer armed with the construction-time token
-    would release the superseded token (already freed) and leak the
-    live one.
-    """
+    """Full pool teardown: stop the workers, release the parked snapshot."""
     _shutdown_executors(executors, wait=wait)
-    _release_snapshot(token_holder[0])
-    token_holder[0] = None
+    _release_snapshot(token)
 
 
 class ShardPool:
@@ -540,11 +506,8 @@ class ShardPool:
         self._max_rounds = max_rounds
         self._executors: "list[ProcessPoolExecutor | None]" = [None] * self.workers
         self._slot_epochs = [0] * self.workers
-        #: Mutable cell holding the *current* parked token, shared with
-        #: the GC finalizer so an :meth:`adopt` re-park re-targets it.
-        self._token_holder: "list[int | None]" = [self._snapshot_token]
         self._finalizer = weakref.finalize(
-            self, _teardown_pool, self._executors, self._token_holder
+            self, _teardown_pool, self._executors, self._snapshot_token
         )
         residency.track_pool(self)
 
@@ -555,36 +518,6 @@ class ShardPool:
     def bump_epoch(self) -> int:
         """Invalidate all resident worker state (config change / failed task)."""
         self.epoch += 1
-        return self.epoch
-
-    def adopt(self, snapshot: "tuple | bytes") -> int:
-        """Re-home the pool onto a new ``(topology, router_config)`` snapshot.
-
-        The warm-reuse path for a structurally identical topology: park
-        the new snapshot (releasing the superseded registry token), keep
-        the worker processes, and bump the epoch so every resident
-        simulator discards its state and re-syncs on its next task.
-        Slots that have not started yet fork from the new snapshot; slots
-        already running keep their old (structurally equal) topology and
-        receive the new router config through the epoch protocol.
-        """
-        previous_epoch = self.epoch
-        superseded = self._snapshot_token
-        self._snapshot_token = None
-        if isinstance(snapshot, (bytes, bytearray)):
-            self._snapshot_ref = bytes(snapshot)
-        elif _FORK_CONTEXT is not None:
-            self._snapshot_token = _register_snapshot(snapshot)
-            self._snapshot_ref = self._snapshot_token
-        else:  # pragma: no cover - spawn-only platforms
-            self._snapshot_ref = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        self._token_holder[0] = self._snapshot_token
-        _release_snapshot(superseded)
-        self.bump_epoch()
-        if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from repro.analysis.sanitizer import check_adopt
-
-            check_adopt(self, previous_epoch)
         return self.epoch
 
     def sync_header(
@@ -643,5 +576,5 @@ class ShardPool:
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker processes, release the snapshot (idempotent)."""
+        _teardown_pool(self._executors, self._snapshot_token, wait=wait)
         self._snapshot_token = None
-        _teardown_pool(self._executors, self._token_holder, wait=wait)

@@ -14,8 +14,9 @@ incremental entry point over the batch engine for that shape of input:
   window size it drains automatically; :meth:`SimulatorService.drain`
   flushes the remainder.
 * A drain hands the coalesced batch to :meth:`BgpSimulator.apply`, so
-  it inherits the full scheduler — sequential core, resident sharded
-  service, ``"auto"`` policy — unchanged.
+  it inherits the scheduler unchanged: the in-process core, or the
+  resident sharded service when the service (or the simulator) asks
+  for ``shards`` > 1.
 * :func:`parse_event` / :func:`read_event_stream` decode the JSON-lines
   wire format the ``repro-bgp stream`` CLI reads (one object per line:
   ``{"origin": 65001, "prefix": "10.0.0.0/24", "withdraw": false,
@@ -41,14 +42,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.exceptions import CommunityError, PrefixError, RoutingError
-from repro.routing.engine import RoutingEvent, SimulationReport
+from repro.routing.engine import RoutingEvent, SimulationReport, validate_shards
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.routing.engine import BgpSimulator
 
 #: Default number of buffered (origin, prefix) keys that triggers an
-#: automatic drain.  Matches the engine's auto-shard threshold so a
-#: full window is exactly a batch worth sharding.
+#: automatic drain.
 DEFAULT_WINDOW = 256
 
 
@@ -90,30 +90,24 @@ class SimulatorService:
     ``(origin, prefix)`` key; a batch goes to the engine when the
     buffer holds ``window`` distinct keys (or on an explicit
     :meth:`drain`).  Used as a context manager it drains on clean exit,
-    so no buffered event is silently dropped.
+    so no buffered event is silently dropped.  ``shards`` is the shard
+    count every drain passes to :meth:`BgpSimulator.apply` (``None``:
+    the simulator's own).
     """
 
     def __init__(
         self,
         simulator: "BgpSimulator",
         window: int = DEFAULT_WINDOW,
-        shards: int | str | None = None,
-        residency: str | None = None,
+        shards: int | None = None,
     ):
         if window < 1:
             raise RoutingError(f"stream window must be >= 1, got {window}")
         self.simulator = simulator
         self.window = window
-        #: Per-drain shard policy override (None: the simulator's own).
-        self.shards = shards
-        #: Residency policy scoped over the service's context-manager
-        #: lifetime (None: whatever provider is already active).  A
-        #: long-running stream daemon under ``"auto"``/``"pinned"`` keeps
-        #: its workers warm across simulator close/re-acquire cycles.
-        self.residency = residency
+        self.shards = None if shards is None else validate_shards(shards)
         self.stats = StreamStats()
         self._pending: dict[tuple[int, Prefix], RoutingEvent] = {}
-        self._residency_scope = None
 
     def pending_events(self) -> list[RoutingEvent]:
         """The currently buffered (already coalesced) events, in order."""
@@ -156,21 +150,11 @@ class SimulatorService:
         return report
 
     def __enter__(self) -> "SimulatorService":
-        if self.residency is not None:
-            from repro.routing.residency import residency_scope
-
-            self._residency_scope = residency_scope(self.residency)
-            self._residency_scope.__enter__()
         return self
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
-        try:
-            if exc_type is None:
-                self.drain()
-        finally:
-            scope, self._residency_scope = self._residency_scope, None
-            if scope is not None:
-                scope.__exit__(exc_type, _exc, _tb)
+        if exc_type is None:
+            self.drain()
 
 
 # ------------------------------------------------------------------ wire format

@@ -105,23 +105,13 @@ class BlackholeSweep:
         atlas: AtlasPlatform,
         blackhole_list: BlackholeCommunityList,
         include_well_known: bool = True,
-        shards: int | str | None = None,
     ):
         self.topology = topology
         self.platform = platform
         self.atlas = atlas
         self.blackhole_list = blackhole_list
         self.include_well_known = include_well_known
-        #: Propagation shard policy threaded into every simulator the
-        #: sweep builds (None = the process default; the sweep's own
-        #: announcements are single-prefix, so this matters when the
-        #: sweep runs over a pre-seeded, fully originated topology).
-        self.shards = shards
         self.experiment_prefix = platform.allocated_prefixes[0].subprefix(24, 2)
-
-    def _simulator(self) -> BgpSimulator:
-        """A fresh simulator over the sweep topology with the sweep's shard policy."""
-        return BgpSimulator(self.topology, shards=self.shards)
 
     def _baseline_plane(self) -> DataPlane:
         """The clean (untagged) forwarding state, shared by every sweep step.
@@ -130,7 +120,7 @@ class BlackholeSweep:
         it is simulated once per :meth:`run` instead of once per
         community — the traceroute lower-bounds reuse it directly.
         """
-        clean = self._simulator()
+        clean = BgpSimulator(self.topology)
         self.platform.announce(clean, self.experiment_prefix)
         return DataPlane(clean)
 
@@ -138,7 +128,7 @@ class BlackholeSweep:
         self, community: Community, target_asn: int, baseline_plane: DataPlane
     ) -> CommunitySweepOutcome:
         """Run the four-step protocol for one community."""
-        simulator = self._simulator()
+        simulator = BgpSimulator(self.topology)
         # Step 1+2: plain announcement, baseline probing.
         self.platform.announce(simulator, self.experiment_prefix)
         dataplane = DataPlane(simulator)
@@ -218,6 +208,7 @@ class BlackholeSweepExperiment(Experiment):
         "include_well_known": True,
         "inferred_count": 10,
     }
+    optional_params = ("upstream_count",)
 
     def execute(self, ctx: ExperimentContext) -> dict:
         from repro.datasets.giotsas import build_blackhole_list

@@ -166,6 +166,7 @@ class WildRtbhExperiment(Experiment):
     default_topology = {"tier1_count": 3, "transit_count": 25, "stub_count": 90}
     default_platforms = ("peering", "atlas")
     default_params = {"probes": 100, "hijack": False, "min_hops_to_target": 2}
+    optional_params = ("upstream_count",)
 
     @classmethod
     def default_spec(cls, seed=None, scale=None, **params):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.collectors.platform import CollectorDeployment
+from repro.exceptions import ExperimentError
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
@@ -55,24 +56,15 @@ def run_propagation_check(
     platform: InjectionPlatform,
     deployment: CollectorDeployment,
     community_value: int = BENIGN_COMMUNITY_VALUE,
-    harvest_shards: int | str | None = None,
 ) -> PropagationCheckResult:
-    """Announce a benign-community-tagged prefix from ``platform`` and measure propagation.
-
-    ``harvest_shards`` fans the collector harvest over worker processes
-    (see :mod:`repro.collectors.harvest`); the observations are
-    byte-identical to a serial harvest.
-    """
+    """Announce a benign-community-tagged prefix from ``platform`` and measure propagation."""
     asn_part = platform.asn if platform.asn <= 0xFFFF else 0
     benign = Community(asn_part, community_value)
     test_prefix = platform.allocated_prefixes[0].subprefix(24, 0)
 
     simulator = BgpSimulator(topology)
-    try:
-        platform.announce(simulator, test_prefix, communities=CommunitySet.of(benign))
-        archive = deployment.collect_from_simulator(simulator, shards=harvest_shards)
-    finally:
-        simulator.close()
+    platform.announce(simulator, test_prefix, communities=CommunitySet.of(benign))
+    archive = deployment.collect_from_simulator(simulator)
 
     result = PropagationCheckResult(
         platform_name=platform.name, benign_community=benign, test_prefix=test_prefix
@@ -103,9 +95,16 @@ class PropagationCheckExperiment(Experiment):
     default_topology = {"tier1_count": 3, "transit_count": 30, "stub_count": 120}
     default_platforms = ("peering", "research", "collectors")
     default_params = {"community_value": BENIGN_COMMUNITY_VALUE}
+    optional_params = ("upstream_count",)
 
     def execute(self, ctx: ExperimentContext) -> dict:
         deployment = ctx.platform("collectors")
+        community_value = self.int_param("community_value", 0, minimum=0)
+        if community_value > 0xFFFF:
+            raise ExperimentError(
+                f"experiment parameter 'community_value' must be a 16-bit value "
+                f"(0-65535), got {community_value!r}"
+            )
         checks: list[dict] = []
         # The research network first, then PEERING — the order the paper
         # (and the legacy CLI subcommand) reports them in.
@@ -114,8 +113,7 @@ class PropagationCheckExperiment(Experiment):
                 ctx.require_topology(),
                 platform,
                 deployment,
-                community_value=self.int_param("community_value", 0),
-                harvest_shards=self.propagation_shards(),
+                community_value=community_value,
             )
             ctx.scratch[platform.name] = check
             checks.append(

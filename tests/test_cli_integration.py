@@ -16,6 +16,23 @@ from repro.measurement.propagation import classify_communities
 from repro.measurement.usage import overall_update_community_fraction
 from repro.routing.engine import BgpSimulator
 
+#: The ``--param`` fuzz: each bad value, and the token that spells it on the CLI.
+FUZZ_VALUES = ["x", None, -1, float("nan"), float("inf"), [], {}, ""]
+FUZZ_TOKENS = ["x", "null", "-1", "NaN", "1e309", "[]", "{}", '""']
+
+
+def _fuzz_targets() -> list[tuple[str, str]]:
+    from repro.experiments import available, get
+
+    return [
+        (name, param)
+        for name in available()
+        for param in sorted(set(get(name).default_params) | set(get(name).optional_params))
+    ]
+
+
+FUZZ_TARGETS = _fuzz_targets()
+
 
 class TestCli:
     def test_parser_subcommands(self):
@@ -190,7 +207,7 @@ class TestRunOutputFile:
                     "--param",
                     "hijack=true",
                     "--param",
-                    "shards=1",
+                    "victim_prefix=203.0.113.0/24",
                     "--json",
                     "--output",
                     str(path),
@@ -201,7 +218,7 @@ class TestRunOutputFile:
         printed = json.loads(capsys.readouterr().out)
         [replayed] = load_results(str(path))
         assert replayed.to_dict() == printed
-        assert replayed.spec["params"]["shards"] == 1
+        assert replayed.spec["params"]["victim_prefix"] == "203.0.113.0/24"
 
 
 class TestRunParamErrors:
@@ -263,12 +280,45 @@ class TestRunParamErrors:
         assert f"experiment parameter {token.partition('=')[0]!r} must be" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
-    @pytest.mark.parametrize("token", ["shards=2.9", "shards=true"])
-    def test_truncating_integer_value_is_a_clean_experiment_error(self, token, capsys):
-        """``--param shards=2.9`` used to run with two shards, ``shards=true`` with one."""
-        assert main(["run", "rtbh", "--param", token]) == 1
-        captured = capsys.readouterr()
-        assert "'shards' must be a positive integer" in captured.err and not captured.out
+    @pytest.mark.parametrize("name, param", FUZZ_TARGETS)
+    def test_param_fuzz_ends_in_an_error_naming_the_parameter(self, name, param, capsys):
+        """Every parameter of every experiment, every bad value: an error, never a raise."""
+        from repro.experiments import ExperimentStatus, get, run_experiment
+
+        for value, token in zip(FUZZ_VALUES, FUZZ_TOKENS):
+            result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
+            assert result.status is ExperimentStatus.ERROR, (param, value)
+            assert repr(param) in result.error, (param, value, result.error)
+            code = main(["run", name, "--seed", "3", "--param", f"{param}={token}"])
+            captured = capsys.readouterr()
+            assert code != 0, (param, token)
+            assert repr(param) in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("token", ["shards=2", "residency=auto"])
+    def test_removed_shard_params_are_unknown(self, token, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "rtbh", "--param", token])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown parameter {token.partition('=')[0]!r}" in err
+        assert "known: hijack, victim_prefix" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "-", "--shards", "2"],
+            ["export-mrt", "{tmp}/x.mrt", "--source", "harvest", "--shards", "2"],
+            ["run", "rtbh", "--residency", "auto"],
+        ],
+        ids=["stream", "export-mrt", "run"],
+    )
+    def test_removed_shard_flags_are_argparse_errors(self, argv, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.mrt").exists()
 
 
 class TestStreamCli:

@@ -19,12 +19,7 @@ import pytest
 
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
-from repro.collectors.harvest import (
-    HARVEST_AUTO_MIN_ITEMS,
-    build_worklist,
-    harvest_archive,
-    resolve_harvest_shards,
-)
+from repro.collectors.harvest import build_worklist, harvest_archive
 from repro.collectors.observation import (
     ObservationArchive,
     RouteObservation,
@@ -100,25 +95,14 @@ class TestShardedHarvestEquivalence:
         try:
             items = build_worklist(harvest_deployment, simulator)
             peers = len({item.peer_asn for item in items})
-            assert resolve_harvest_shards(10_000, len(items), peers, simulator) == peers
             sharded = harvest_deployment.collect_from_simulator(simulator, shards=10_000)
+            assert simulator._shard_pool.shards == peers
             serial = harvest_deployment.collect_from_simulator(
                 _converged(harvest_topology)
             )
             assert _rows(sharded) == _rows(serial)
         finally:
             simulator.close()
-
-    def test_auto_policy_gates_on_budget_and_size(self, harvest_topology, harvest_deployment):
-        simulator = BgpSimulator(harvest_topology, max_workers=1)
-        items = build_worklist(harvest_deployment, simulator)
-        peers = len({item.peer_asn for item in items})
-        # A 1-worker budget never goes parallel.
-        assert resolve_harvest_shards("auto", len(items), peers, simulator) == 1
-        big = BgpSimulator(harvest_topology, max_workers=8)
-        assert resolve_harvest_shards("auto", HARVEST_AUTO_MIN_ITEMS, peers, big) > 1
-        assert resolve_harvest_shards("auto", HARVEST_AUTO_MIN_ITEMS - 1, peers, big) == 1
-        assert resolve_harvest_shards(None, len(items), peers, simulator) == 1
 
     def test_harvest_shares_pool_with_sharded_propagation(self, harvest_topology):
         """Propagation and harvest interleave on one pool without corrupting either.
@@ -133,7 +117,7 @@ class TestShardedHarvestEquivalence:
         reference_sim = _converged(harvest_topology)
         reference = deployment.collect_from_simulator(reference_sim)
 
-        simulator = BgpSimulator(harvest_topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(harvest_topology, shards=2)
         try:
             simulator.announce_originated()
             serial = deployment.collect_from_simulator(simulator, shards=1)
@@ -361,7 +345,7 @@ class TestHarvestReportExperiment:
     def test_report_source_harvest_runs_end_to_end(self):
         from repro.experiments import ExperimentStatus, run_experiment
 
-        result = run_experiment(self._spec(shards=2))
+        result = run_experiment(self._spec())
         assert result.status is ExperimentStatus.OK
         assert result.metrics["source"] == "harvest"
         assert result.metrics["messages"] > 0
@@ -373,17 +357,6 @@ class TestHarvestReportExperiment:
         result = run_experiment(self._spec(source="bogus"))
         assert result.status is ExperimentStatus.ERROR
         assert "source" in (result.error or "")
-
-    def test_export_mrt_shards_flag_validated_for_any_source(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["export-mrt", str(tmp_path / "x.mrt"), "--shards", "nope"])
-        # --shards is meaningless for the synthetic generator: reject it
-        # instead of silently running serial.
-        with pytest.raises(SystemExit):
-            main(["export-mrt", str(tmp_path / "x.mrt"), "--shards", "2"])
-        assert not (tmp_path / "x.mrt").exists()
 
 
 class TestHarvestMemo:
@@ -426,10 +399,8 @@ class TestHarvestMemo:
         deployment = CollectorDeployment.default_deployment(topology, seed=7)
         tag = CommunitySet.of("65100:1")
 
-        def converge(shards: int | None):
-            simulator = BgpSimulator(
-                topology, shards=shards or 1, max_workers=shards or 1
-            )
+        def converge(shards: int):
+            simulator = BgpSimulator(topology, shards=shards)
             simulator.announce_originated()
             for router in simulator.routers.values():
                 for neighbor in router.neighbors():
@@ -437,7 +408,7 @@ class TestHarvestMemo:
             return simulator
 
         sharded = converge(2)
-        sequential = converge(None)
+        sequential = converge(1)
         try:
             deployment.collect_from_simulator(sharded, shards=2)
             # The parent drops every addition; the workers still hold

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,6 @@ from repro.experiments import (
     load_results,
     register,
     run_experiment,
-    worker_budget,
     write_results,
 )
 from repro.experiments import registry as registry_module
@@ -324,6 +328,64 @@ class TestGrid:
         ]
 
 
+@pytest.fixture()
+def worker_death_experiment():
+    """A grid cell that SIGKILLs its own worker once the other cells finished."""
+
+    @register("grid-worker-death")
+    class WorkerDeathExperiment(Experiment):
+        description = "kills its own grid worker in one cell (unit tests only)"
+        default_params = {"cell": 0, "die": False, "markers": ""}
+
+        def execute(self, ctx):
+            markers = Path(self.param("markers"))
+            cell = self.int_param("cell", 0)
+            if self.bool_param("die"):
+                # Wait until the two surviving cells have run, so which
+                # cells complete does not depend on scheduling.
+                deadline = time.monotonic() + 30
+                while len(list(markers.iterdir())) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # let their results reach the parent
+                os.kill(os.getpid(), signal.SIGKILL)
+            (markers / str(cell)).touch()
+            return {"cell": cell}
+
+    try:
+        yield WorkerDeathExperiment
+    finally:
+        del registry_module._REGISTRY["grid-worker-death"]
+
+
+class TestGridWorkerDeath:
+    def test_killed_worker_becomes_an_error_cell_and_the_rest_survive(
+        self, worker_death_experiment, tmp_path
+    ):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        specs = [
+            worker_death_experiment.default_spec(cell=cell, die=cell == 1, markers=str(markers))
+            for cell in range(3)
+        ]
+        path = tmp_path / "results.jsonl"
+        results = GridRunner(max_workers=2).run(specs, output_path=str(path))
+
+        assert [result.status for result in results] == [
+            ExperimentStatus.OK,
+            ExperimentStatus.ERROR,
+            ExperimentStatus.OK,
+        ]
+        assert [results[0].metrics, results[2].metrics] == [{"cell": 0}, {"cell": 2}]
+        assert results[1].spec == specs[1].to_dict()
+        assert results[1].error.startswith("BrokenProcessPool: a grid worker died before cell 1")
+        # Every cell is streamed to disk in spec order, the dead one included.
+        assert [r.comparable() for r in load_results(str(path))] == [
+            r.comparable() for r in results
+        ]
+        # The broken pool took its surviving worker down with it.
+        assert multiprocessing.active_children() == []
+
+
 class TestGridPersistence:
     def test_run_streams_results_to_disk_and_replays(self, tmp_path):
         specs = expand_grid("route-manipulation", seeds=(1, 2, 3))
@@ -357,54 +419,82 @@ class TestGridPersistence:
         assert len(load_results(str(path))) == 2
 
 
+class _InlineExecutor:
+    """A ``ProcessPoolExecutor`` stand-in that records its size and runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestWorkerBudget:
-    def test_composes_grid_workers_and_shards_without_oversubscription(self):
-        # 8 CPUs, 4-way sharding: at most 2 grid workers, 4 shards each.
-        workers, shard_budget = worker_budget(10, shards_per_task=4, cpu_total=8)
-        assert workers * 4 <= 8
-        assert (workers, shard_budget) == (2, 4)
-        # Unsharded specs: the grid takes the whole machine, shards get 1.
-        workers, shard_budget = worker_budget(10, shards_per_task=1, cpu_total=8)
-        assert (workers, shard_budget) == (8, 1)
-        # Never more workers than tasks, and never zero of anything.
-        workers, shard_budget = worker_budget(2, shards_per_task=3, cpu_total=8)
-        assert workers == 2 and workers * 3 <= 8
-        workers, shard_budget = worker_budget(5, shards_per_task=16, cpu_total=4)
-        assert workers == 1 and shard_budget == 4
+    @pytest.fixture()
+    def inline_pool(self, monkeypatch):
+        from repro.experiments import grid as grid_module
 
-    def test_max_workers_is_an_additional_cap(self):
-        workers, _budget = worker_budget(10, max_workers=3, shards_per_task=1, cpu_total=8)
-        assert workers == 3
+        monkeypatch.setattr(grid_module, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(_InlineExecutor, "sizes", [])
+        return _InlineExecutor.sizes
 
-    def test_shards_param_reaches_experiment_and_keeps_results_identical(self):
-        spec_plain = get("feasibility").default_spec(seed=3)
-        spec_sharded = get("feasibility").default_spec(seed=3, shards=2)
-        plain = run_experiment(spec_plain)
-        sharded = run_experiment(spec_sharded)
-        assert sharded.status is ExperimentStatus.OK
-        # The spec (shards recorded) differs; the outcome must not.
-        assert plain.metrics == sharded.metrics
-        assert spec_sharded.params["shards"] == 2
+    def test_max_workers_is_an_additional_cap(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        specs = expand_grid("route-manipulation", seeds=range(1, 11))
+        results = GridRunner(max_workers=3).run(specs)
+        assert inline_pool == [3]
+        assert [result.status for result in results] == [ExperimentStatus.OK] * 10
+
+    @pytest.mark.parametrize("spec_count, cpus, workers", [(2, 8, 2), (10, 4, 4), (3, None, 1)])
+    def test_grid_runs_one_worker_per_spec_up_to_the_cpu_count(
+        self, inline_pool, monkeypatch, spec_count, cpus, workers
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        GridRunner().run(expand_grid("route-manipulation", seeds=range(spec_count)))
+        assert inline_pool == [workers]
 
     def test_invalid_shards_param_is_captured(self):
-        spec = get("feasibility").default_spec(seed=3, shards="bogus")
+        """A spec still carrying the deleted ``shards`` parameter (one
+        replayed from an older results file) is an error result, not a
+        silent in-process run."""
+        spec = get("feasibility").default_spec(seed=3).with_params(shards="bogus")
         result = run_experiment(spec)
         assert result.status is ExperimentStatus.ERROR
         assert "shards" in (result.error or "")
 
+    @pytest.mark.parametrize("shards", [0, -3, "0", "-3"])
+    def test_non_positive_shards_param_is_rejected_like_a_malformed_one(self, shards):
+        # Zero and negative counts used to be coerced to 1 without a word;
+        # now every ``shards`` value is an unknown parameter.
+        spec = get("feasibility").default_spec(seed=3)
+        bad = run_experiment(spec.with_params(shards=shards))
+        malformed = run_experiment(spec.with_params(shards="banana"))
+        assert bad.status is malformed.status is ExperimentStatus.ERROR
+        assert bad.error == malformed.error
+        assert bad.error.startswith("ExperimentError: unknown parameter(s) for 'feasibility': shards")
+
     @pytest.mark.parametrize(
         "name, param, value",
         [
-            ("rtbh", "shards", 2.9),
-            ("rtbh", "shards", True),
-            ("rtbh", "shards", float("inf")),
             ("rtbh-wild", "upstream_count", 3.7),
             ("rtbh-wild", "upstream_count", True),
             ("rtbh-wild", "probes", float("nan")),
         ],
     )
     def test_non_integral_integer_params_are_rejected_not_truncated(self, name, param, value):
-        # int() used to run these with 2 shards, 1 shard and 3 upstreams.
+        # int() used to run the first two with 3 upstreams and 1 upstream.
         result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
         assert result.status is ExperimentStatus.ERROR
         assert result.error.startswith(f"ExperimentError: experiment parameter {param!r} must be")
@@ -455,15 +545,7 @@ class TestWorkerBudget:
         assert experiment.bool_param("include_well_known") is True
 
     def test_integral_floats_and_digit_strings_still_count_as_integers(self):
-        experiment = get("rtbh-wild")(get("rtbh-wild").default_spec(seed=3, probes=5.0, shards="2"))
+        cls = get("rtbh-wild")
+        experiment = cls(cls.default_spec(seed=3, probes=5.0, upstream_count="2"))
         assert experiment.int_param("probes", 200) == 5
-        assert experiment.propagation_shards() == 2
-
-    @pytest.mark.parametrize("shards", [0, -3, "0", "-3"])
-    def test_non_positive_shards_param_is_rejected_like_a_malformed_one(self, shards):
-        # Zero and negative counts used to be coerced to 1 without a word.
-        bad = run_experiment(get("feasibility").default_spec(seed=3, shards=shards))
-        malformed = run_experiment(get("feasibility").default_spec(seed=3, shards="banana"))
-        assert bad.status is malformed.status is ExperimentStatus.ERROR
-        assert bad.error == malformed.error.replace("'banana'", repr(shards))
-        assert bad.error.startswith("ExperimentError: experiment parameter 'shards'")
+        assert experiment.int_param("upstream_count", 10) == 2

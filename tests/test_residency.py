@@ -1,426 +1,136 @@
-"""Shard-pool residency: providers, leases, warm reuse across lifecycles.
+"""Pool leases (:mod:`repro.routing.residency`).
 
-The acceptance bar of the residency refactor: under ``"auto"`` (and
-``"pinned"``) policies, pools survive simulator ``close()`` boundaries,
-repeated ``Experiment.run`` calls and consecutive grid cells — strictly
-fewer pool constructions than lifecycle boundaries — while every result
-stays byte-identical to the cold-start ``"none"`` policy and to the
-sequential engine, including router-config edits made mid-lease or
-while the pool is parked warm, and shard-budget shrinks between leases.
+Every :meth:`PoolProvider.acquire` builds a fresh :class:`ShardPool` of
+``min(shards, os.cpu_count())`` workers; the :class:`PoolLease` it
+returns owns the router-config epoch state and shuts the pool down on
+``release()`` or when the owning simulator is collected.  None of these
+tests dispatches work, so no worker process starts.
 """
 
 from __future__ import annotations
 
-import hashlib
+import gc
+import os
 
-import pytest
+from test_resident_service import harden_transit, make_events, small_topology
 
-from test_resident_service import (
-    assert_identical_state,
-    harden_transit,
-    make_events,
-    small_topology,
-)
-
-from repro.exceptions import RoutingError
-from repro.experiments import registry as registry_module
-from repro.experiments.grid import GridRunner, expand_grid
-from repro.experiments.registry import register, run_experiment
+from repro.experiments import get, run_experiment
 from repro.experiments.result import ExperimentStatus
-from repro.experiments.runner import Experiment
-from repro.routing import shard as shard_module
+from repro.routing import wire
 from repro.routing.engine import BgpSimulator
-from repro.routing.residency import (
-    RESIDENCY_POLICIES,
-    ResidencyPolicy,
-    _SCOPES,
-    current_provider,
-    install_provider,
-    residency_scope,
-    topology_fingerprint,
-)
-from repro.routing.shard import SHARD_BUDGET_ENV
-from repro.topology.generator import TopologyGenerator, TopologyParameters
+from repro.routing.residency import PROVIDER
+from repro.routing.shard import capture_router_config
 
 
-def topology_with_seed(seed):
-    parameters = TopologyParameters(
-        tier1_count=3, transit_count=8, stub_count=20, ixp_count=0, seed=seed
-    )
-    return TopologyGenerator(parameters).generate()
+def first_transit(topology) -> int:
+    return next(asys.asn for asys in topology.transit_ases())
 
 
-def state_digest(simulator) -> str:
-    """A stable digest of every Loc-RIB (best + candidates), for metrics."""
-    digest = hashlib.sha256()
-    for asn in sorted(simulator.routers):
-        router = simulator.routers[asn]
-        for prefix in sorted(router.loc_rib.prefixes(), key=str):
-            best = router.loc_rib.best(prefix)
-            candidates = sorted(map(str, router.loc_rib.candidates(prefix)))
-            digest.update(f"{asn}|{prefix}|{best}|{candidates}\n".encode())
-    return digest.hexdigest()
-
-
-# ------------------------------------------------------------- policy names
-class TestResidencyPolicy:
-    def test_valid_names_accepted(self):
-        for name in RESIDENCY_POLICIES:
-            policy = ResidencyPolicy(name)
-            assert policy == name
-            assert isinstance(policy, str)
-
-    def test_default_is_none(self):
-        assert ResidencyPolicy() == "none"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(RoutingError, match="residency policy"):
-            ResidencyPolicy("warm")
-
-
-# -------------------------------------------------------------- fingerprint
-class TestTopologyFingerprint:
-    def test_equal_across_distinct_objects(self):
-        assert topology_fingerprint(topology_with_seed(7)) == topology_fingerprint(
-            topology_with_seed(7)
-        )
-
-    def test_differs_for_different_structure(self):
-        assert topology_fingerprint(topology_with_seed(7)) != topology_fingerprint(
-            topology_with_seed(11)
-        )
-
-    def test_mutation_changes_digest(self):
-        topology = topology_with_seed(7)
-        before = topology_fingerprint(topology)
-        asys = next(iter(topology))
-        asys.validates_origin = not asys.validates_origin
-        assert topology_fingerprint(topology) != before
-
-
-# ------------------------------------------------------------------ scoping
-class TestScoping:
-    def test_fallback_provider_is_none_policy(self):
-        assert current_provider().policy == "none"
-
-    def test_none_scope_is_a_noop(self):
-        outer = current_provider()
-        with residency_scope(None) as provider:
-            assert provider is outer
-
-    def test_scope_installs_and_closes_provider(self):
-        with residency_scope("auto") as provider:
-            assert current_provider() is provider
-            assert provider.policy == "auto"
-        assert current_provider() is not provider
-        assert provider._closed
-
-    def test_nested_same_policy_reuses_provider(self):
-        with residency_scope("auto") as outer:
-            with residency_scope("auto") as inner:
-                assert inner is outer
-            assert not outer._closed
-
-    def test_nested_different_policy_overrides(self):
-        with residency_scope("pinned") as outer:
-            with residency_scope("auto") as inner:
-                assert inner is not outer
-                assert current_provider() is inner
-            assert current_provider() is outer
-
-    def test_install_provider_sits_under_lexical_scopes(self):
-        installed = install_provider("pinned")
+class TestPoolProvider:
+    def test_acquire_builds_a_fresh_pool_every_call(self):
+        simulator = BgpSimulator(small_topology())
+        builds = PROVIDER.stats["builds"]
+        first = PROVIDER.acquire(simulator, 2)
+        second = PROVIDER.acquire(simulator, 2)
         try:
-            assert current_provider() is installed
-            with residency_scope("auto") as scoped:
-                assert current_provider() is scoped
-            assert current_provider() is installed
+            assert PROVIDER.stats["builds"] == builds + 2
+            assert first.pool is not second.pool
         finally:
-            _SCOPES.remove(installed)
-            installed.close()
+            first.release()
+            second.release()
 
-    def test_invalid_policy_rejected_by_scope(self):
-        with pytest.raises(RoutingError, match="residency policy"):
-            with residency_scope("hot"):
-                pass  # pragma: no cover - scope never entered
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        simulator = BgpSimulator(small_topology())
+        lease = PROVIDER.acquire(simulator, 4)
+        try:
+            # Fewer workers, same partition: shard placement does not
+            # depend on the host.
+            assert (lease.pool.workers, lease.pool.shards) == (2, 4)
+        finally:
+            lease.release()
 
-
-# -------------------------------------------------- warm reuse, one simulator
-class TestWarmReuse:
-    @pytest.mark.parametrize("shard_count", [1, 2, 4])
-    def test_lifecycle_reuse_matches_cold_and_sequential(self, shard_count):
-        """close()/re-apply cycles under every policy are byte-identical.
-
-        ``"auto"`` must serve both lifecycles from one pool build (the
-        second acquire resumes the parked pool); ``"none"`` must rebuild
-        per lifecycle — and both must match the sequential engine.
-        """
+    def test_lease_starts_from_the_current_router_config(self):
         topology = small_topology()
-        events = make_events(topology, count=40)
-        batches = [events[:20], events[20:]]
+        simulator = BgpSimulator(topology)
+        harden_transit(simulator, make_events(topology, 4), first_transit(topology))
+        lease = PROVIDER.acquire(simulator, 2)
+        try:
+            assert lease.pool.epoch == 0
+            assert lease.config_blob() == wire.encode_config(capture_router_config(simulator))
+            assert lease.refresh(simulator) is False
+        finally:
+            lease.release()
 
-        reference = BgpSimulator(topology, shards=1)
-        for batch in batches:
-            reference.apply(batch)
-            reference.close()
 
-        with residency_scope("auto") as provider:
-            warm = BgpSimulator(topology, shards=shard_count, max_workers=2)
-            for batch in batches:
-                warm.apply(batch)
-                warm.close()
-            assert_identical_state(reference, warm)
-            if shard_count > 1:
-                assert provider.stats["builds"] == 1
-                assert provider.stats["resumes"] == 1
-                assert provider.stats["leases"] == 2
+class TestPoolLease:
+    def test_release_shuts_the_pool_down_and_is_idempotent(self):
+        simulator = BgpSimulator(small_topology())
+        lease = PROVIDER.acquire(simulator, 2)
+        lease.release()
+        assert lease.pool._snapshot_token is None
+        assert all(executor is None for executor in lease.pool._executors)
+        lease.release()
+        assert lease.pool._snapshot_token is None
 
-        with residency_scope("none") as provider:
-            cold = BgpSimulator(topology, shards=shard_count, max_workers=2)
-            for batch in batches:
-                cold.apply(batch)
-                cold.close()
-            assert_identical_state(reference, cold)
-            if shard_count > 1:
-                assert provider.stats["builds"] == 2
-                assert provider.stats["resumes"] == 0
+    def test_collecting_the_owner_releases_the_pool(self):
+        simulator = BgpSimulator(small_topology())
+        lease = PROVIDER.acquire(simulator, 2)
+        assert lease._finalizer.alive
+        del simulator
+        gc.collect()
+        assert not lease._finalizer.alive
+        assert lease.pool._snapshot_token is None
 
-    def test_sequential_apply_while_parked_ships_on_resume(self):
-        """In-process applies during the warm gap must reach the workers.
-
-        A released-but-warm pool leaves the simulator's pending-sync
-        continuation armed; a batch that runs sequentially in the gap
-        (single prefix) must be shipped by the resumed lease's next
-        dispatch, not silently dropped.
-        """
+    def test_refresh_bumps_the_epoch_only_when_the_config_changed(self):
         topology = small_topology()
-        events = make_events(topology, count=31)
-        single = events[30]
+        simulator = BgpSimulator(topology)
+        lease = PROVIDER.acquire(simulator, 2)
+        try:
+            assert lease.refresh(simulator) is False
+            assert lease.pool.epoch == 0
+            harden_transit(simulator, make_events(topology, 4), first_transit(topology))
+            assert lease.refresh(simulator) is True
+            assert lease.pool.epoch == 1
+            assert lease.refresh(simulator) is False
+            assert lease.pool.epoch == 1
+        finally:
+            lease.release()
 
-        reference = BgpSimulator(topology, shards=1)
-        for batch in (events[:15], [single], events[15:30]):
-            reference.apply(batch)
-
-        with residency_scope("auto") as provider:
-            warm = BgpSimulator(topology, shards=2, max_workers=2)
-            warm.apply(events[:15])
-            warm.close()
-            warm.apply([single])
-            warm.apply(events[15:30])
-            assert provider.stats["builds"] == 1
-            assert provider.stats["resumes"] == 1
-            assert_identical_state(reference, warm)
-            warm.close()
-
-    def test_config_edit_while_parked_warm_is_honoured(self):
-        """A router-config swap during the warm gap must bump the epoch."""
+    def test_config_blob_is_encoded_once_per_epoch(self):
         topology = small_topology()
-        events = make_events(topology, count=40)
-        transit = next(a.asn for a in topology.transit_ases())
+        simulator = BgpSimulator(topology)
+        lease = PROVIDER.acquire(simulator, 2)
+        try:
+            before = lease.config_blob()
+            assert lease.config_blob() is before
+            harden_transit(simulator, make_events(topology, 4), first_transit(topology))
+            lease.refresh(simulator)
+            after = lease.config_blob()
+            assert after != before
+            assert after == wire.encode_config(capture_router_config(simulator))
+            assert lease.config_blob() is after
+        finally:
+            lease.release()
 
-        reference = BgpSimulator(topology, shards=1)
-        reference.apply(events[:20])
-        harden_transit(reference, events, transit)
-        reference.apply(events[20:])
-
-        with residency_scope("auto") as provider:
-            warm = BgpSimulator(topology, shards=2, max_workers=2)
-            warm.apply(events[:20])
-            warm.close()
-            harden_transit(warm, events, transit)
-            warm.apply(events[20:])
-            assert provider.stats["builds"] == 1
-            assert provider.stats["resumes"] == 1
-            assert_identical_state(reference, warm)
-            warm.close()
-
-    def test_config_edit_mid_lease_is_honoured(self):
-        """The held-lease epoch path still works through the provider."""
-        topology = small_topology()
-        events = make_events(topology, count=40)
-        transit = next(a.asn for a in topology.transit_ases())
-
-        reference = BgpSimulator(topology, shards=1)
-        reference.apply(events[:20])
-        harden_transit(reference, events, transit)
-        reference.apply(events[20:])
-
-        with residency_scope("auto") as provider:
-            warm = BgpSimulator(topology, shards=2, max_workers=2)
-            warm.apply(events[:20])
-            harden_transit(warm, events, transit)
-            warm.apply(events[20:])
-            assert provider.stats["builds"] == 1
-            assert provider.stats["leases"] == 1
-            assert_identical_state(reference, warm)
-            warm.close()
-
-
-# --------------------------------------------------------- adoption + budget
-class TestAdoptionAndBudget:
-    def test_adoption_rehomes_pool_and_frees_superseded_snapshot(self):
-        """A second simulator adopts the warm pool; registry stays bounded.
-
-        The superseded parked snapshot's registry token must be released
-        by the adopting re-park (the PR's leak fix) — the registry holds
-        exactly one entry per live pool, before and after adoption.
-        """
-        base = len(shard_module._SNAPSHOT_REGISTRY)
-        topo_a = small_topology()
-        topo_b = small_topology()
-        events = make_events(topo_a, count=30)
-
-        with residency_scope("auto") as provider:
-            sim_a = BgpSimulator(topo_a, shards=2, max_workers=2)
-            sim_a.apply(events[:15])
-            assert len(shard_module._SNAPSHOT_REGISTRY) == base + 1
-            sim_a.close()
-
-            sim_b = BgpSimulator(topo_b, shards=2, max_workers=2)
-            sim_b.apply(events[15:])
-            assert provider.stats["builds"] == 1
-            assert provider.stats["adoptions"] == 1
-            assert len(shard_module._SNAPSHOT_REGISTRY) == base + 1
-
-            reference = BgpSimulator(topo_b, shards=1)
-            reference.apply(events[15:])
-            assert_identical_state(reference, sim_b)
-            sim_b.close()
-        assert len(shard_module._SNAPSHOT_REGISTRY) == base
-
-    def test_budget_shrink_rebuilds_and_evicts(self, monkeypatch):
-        """A since-shrunk worker budget fails the warm pool's compatibility
-        predicate (rebuild with fewer workers) and evicts it LRU-wise."""
-        monkeypatch.setenv(SHARD_BUDGET_ENV, "4")
-        topology = small_topology()
-        events = make_events(topology, count=40)
-
-        reference = BgpSimulator(topology, shards=1)
-        reference.apply(events[:20])
-        reference.apply(events[20:])
-
-        with residency_scope("auto") as provider:
-            simulator = BgpSimulator(topology, shards=4)
-            simulator.apply(events[:20])
-            assert simulator._shard_pool.workers == 4
-            simulator.close()
-
-            monkeypatch.setenv(SHARD_BUDGET_ENV, "1")
-            simulator.apply(events[20:])
-            assert simulator._shard_pool.workers == 1
-            assert provider.stats["builds"] == 2
-            assert provider.stats["resumes"] == 0
-            assert_identical_state(reference, simulator)
-            simulator.close()
-            assert provider.stats["evictions"] == 1
-            assert len(provider._warm) == 1
-
-    def test_pinned_keeps_pools_beyond_budget(self, monkeypatch):
-        monkeypatch.setenv(SHARD_BUDGET_ENV, "1")
-        topo_a = topology_with_seed(7)
-        topo_b = topology_with_seed(11)
-        with residency_scope("pinned") as provider:
-            for topology in (topo_a, topo_b):
-                simulator = BgpSimulator(topology, shards=2)
-                simulator.apply(make_events(topology, count=10))
-                simulator.close()
-            assert provider.stats["builds"] == 2
-            assert provider.stats["evictions"] == 0
-            assert len(provider._warm) == 2
-
-
-# ----------------------------------------------------- experiments and grids
-@pytest.fixture()
-def probe_experiment():
-    @register("residency-probe")
-    class ResidencyProbeExperiment(Experiment):
-        description = "warm-pool reuse probe (unit tests only)"
-        default_topology = {
-            "tier1_count": 2,
-            "transit_count": 5,
-            "stub_count": 12,
-            "ixp_count": 0,
-        }
-        default_params = {"batch": 0}
-
-        def seed(self, ctx):
-            self.seed_originated(ctx)
-
-        def execute(self, ctx):
-            simulator = ctx.scratch["simulator"]
-            events = make_events(ctx.require_topology(), count=24)
-            offset = (self.int_param("batch", 0) * 4) % 12
-            simulator.apply(events[offset : offset + 12])
-            return {
-                "digest": state_digest(simulator),
-                "announcements": simulator.report.announcements_processed,
-            }
-
-    try:
-        yield ResidencyProbeExperiment
-    finally:
-        del registry_module._REGISTRY["residency-probe"]
+    def test_invalidate_bumps_the_epoch_and_keeps_the_config(self):
+        simulator = BgpSimulator(small_topology())
+        lease = PROVIDER.acquire(simulator, 2)
+        try:
+            blob = lease.config_blob()
+            lease.invalidate()
+            assert lease.pool.epoch == 1
+            assert lease.config_blob() is blob
+            assert lease.refresh(simulator) is False
+        finally:
+            lease.release()
 
 
 class TestExperimentResidency:
-    def test_repeated_runs_share_one_pool_build(self, probe_experiment):
-        """Back-to-back Experiment.run calls adopt the warm pool and stay
-        byte-identical to a cold-start run."""
-        spec = probe_experiment.default_spec(seed=7, shards=2)
-
-        with residency_scope("none"):
-            cold = run_experiment(spec)
-        assert cold.status is ExperimentStatus.OK
-
-        with residency_scope("auto") as provider:
-            first = run_experiment(spec)
-            second = run_experiment(spec)
-        assert provider.stats["builds"] == 1
-        assert provider.stats["adoptions"] == 1
-        assert first.metrics == cold.metrics
-        assert second.metrics == cold.metrics
-
-    def test_residency_spec_parameter_scopes_the_run(self, probe_experiment):
-        cold = run_experiment(probe_experiment.default_spec(seed=7, shards=2))
-        warm = run_experiment(
-            probe_experiment.default_spec(seed=7, shards=2, residency="auto")
-        )
-        assert cold.status is warm.status is ExperimentStatus.OK
-        assert warm.metrics == cold.metrics
-
-    def test_invalid_residency_parameter_is_an_error_result(self, probe_experiment):
-        result = run_experiment(
-            probe_experiment.default_spec(seed=7, residency="bogus")
-        )
+    def test_invalid_residency_parameter_is_an_error_result(self):
+        """The deleted ``residency`` parameter is unknown: a spec that still
+        carries it ends as an error result naming it."""
+        spec = get("rtbh").default_spec(seed=7).with_params(residency="bogus")
+        result = run_experiment(spec)
         assert result.status is ExperimentStatus.ERROR
         assert "residency" in (result.error or "")
-
-    def test_grid_warm_reuse_builds_fewer_pools_than_cells(self, probe_experiment):
-        """The headline acceptance criterion: a 2x4 grid under warm
-        residency constructs fewer pools than it has cells, with results
-        byte-identical to the cold policy."""
-        specs = expand_grid(
-            "residency-probe",
-            seeds=(7, 11),
-            param_grid={"batch": [0, 1, 2, 3]},
-            shards=2,
-        )
-        assert len(specs) == 8
-
-        with residency_scope("auto") as provider:
-            warm_results = GridRunner().run(specs, parallel=False)
-        assert provider.stats["leases"] == len(specs)
-        assert provider.stats["builds"] < len(specs)
-        assert (
-            provider.stats["builds"]
-            + provider.stats["adoptions"]
-            + provider.stats["resumes"]
-            == len(specs)
-        )
-
-        cold_results = GridRunner(residency="none").run(specs, parallel=False)
-        auto_results = GridRunner(residency="auto").run(specs, parallel=False)
-        for results in (warm_results, cold_results, auto_results):
-            assert [r.status for r in results] == [ExperimentStatus.OK] * len(specs)
-        assert [r.metrics for r in warm_results] == [r.metrics for r in cold_results]
-        assert [r.metrics for r in auto_results] == [r.metrics for r in cold_results]

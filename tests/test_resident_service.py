@@ -6,7 +6,8 @@ through the resident worker pool are **byte-identical** to the
 sequential engine at every shard count, including router-config edits
 mid-stream (epoch invalidation) and harvests interleaved on the same
 pool; and after the first dispatch only deltas cross the process
-boundary.
+boundary.  Each simulator owns one pool: ``close()`` shuts it down and
+the next sharded batch builds a fresh one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.bgp.community import BLACKHOLE, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.routing.engine import BgpSimulator, RoutingEvent
+from repro.routing.residency import PROVIDER
 from repro.routing.shard import ShardPool, capture_router_config
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
@@ -142,7 +144,7 @@ class TestResidentEquivalence:
         sequential = BgpSimulator(topology, shards=1)
         sequential_plane, sequential_mid, sequential_end = drive(sequential, 1)
 
-        sharded = BgpSimulator(topology, shards=shard_count, max_workers=2)
+        sharded = BgpSimulator(topology, shards=shard_count)
         try:
             sharded_plane, mid, end = drive(sharded, shard_count)
             assert_identical_state(sequential, sharded)
@@ -167,7 +169,7 @@ class TestResidentEquivalence:
         topology = small_topology()
         events = make_events(topology, count=40)
         transit = next(a.asn for a in topology.transit_ases())
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events)
             pool = simulator._shard_pool
@@ -186,10 +188,33 @@ class TestResidentEquivalence:
         finally:
             simulator.close()
 
+    def test_config_edit_mid_lease_is_honoured(self):
+        """A router-config swap between two batches on one pool bumps the epoch."""
+        topology = small_topology()
+        events = make_events(topology, count=40)
+        transit = next(a.asn for a in topology.transit_ases())
+
+        reference = BgpSimulator(topology, shards=1)
+        reference.apply(events[:20])
+        harden_transit(reference, events, transit)
+        reference.apply(events[20:])
+
+        builds = PROVIDER.stats["builds"]
+        simulator = BgpSimulator(topology, shards=2)
+        try:
+            simulator.apply(events[:20])
+            harden_transit(simulator, events, transit)
+            simulator.apply(events[20:])
+            assert PROVIDER.stats["builds"] == builds + 1
+            assert simulator._shard_pool.epoch == 1
+            assert_identical_state(reference, simulator)
+        finally:
+            simulator.close()
+
     def test_sequential_interleave_ships_only_touched_pairs(self):
         topology = small_topology()
         events = make_events(topology, count=40)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events)
             pool = simulator._shard_pool
@@ -213,7 +238,7 @@ class TestResidentEquivalence:
         sequential.apply(events)
         sequential.apply(events)  # twin of the post-failure recovery round
 
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events)
             pool = simulator._shard_pool
@@ -267,16 +292,15 @@ class TestPoolLifecycle:
         assert dict(shard_module._SNAPSHOT_REGISTRY) == before  # released
         pool.shutdown()  # idempotent; the token never double-frees
 
-    def test_ship_bytes_accounting_is_always_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHIP_STATS", raising=False)
+    def test_ship_bytes_accounting_is_always_on(self):
         topology = small_topology()
         events = make_events(topology, count=16)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events)
             pool = simulator._shard_pool
             assert pool.tasks_dispatched > 0
-            assert pool.ship_bytes > 0  # no env var needed any more
+            assert pool.ship_bytes > 0
         finally:
             simulator.close()
 
@@ -285,7 +309,7 @@ class TestPoolLifecycle:
 
         topology = small_topology()
         events = make_events(topology, count=8)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events)
             assert simulator._shard_pool in shard_module._LIVE_POOLS
@@ -295,7 +319,7 @@ class TestPoolLifecycle:
     def test_simulator_close_stops_workers(self):
         topology = small_topology()
         events = make_events(topology, count=8)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         simulator.apply(events)
         pool = simulator._shard_pool
         assert any(executor is not None for executor in pool._executors)
@@ -303,40 +327,64 @@ class TestPoolLifecycle:
         assert all(executor is None for executor in pool._executors)
         assert simulator._shard_pool is None and not simulator._pending_sync
 
-    def test_pool_rebuild_honours_shrunk_budget(self, monkeypatch):
-        """A dropped REPRO_SHARD_BUDGET must shrink the pool, not keep it."""
+    @pytest.mark.parametrize("shard_count", [1, 2, 4])
+    def test_close_then_next_batch_reacquires_and_matches_sequential(self, shard_count):
+        """After ``close()`` the next sharded batch builds a new pool and
+        re-ships the held state: the result equals the sequential twin."""
         topology = small_topology()
         events = make_events(topology, count=40)
-        sequential = BgpSimulator(topology, shards=1)
-        sequential.apply(events)
-        sequential.apply(events[:20])
+        batches = [events[:20], events[20:]]
 
-        monkeypatch.setenv("REPRO_SHARD_BUDGET", "4")
-        simulator = BgpSimulator(topology, shards=4)
-        try:
-            simulator.apply(events)
-            grown = simulator._shard_pool
-            assert grown.workers == 4 and grown.shards == 4
-            monkeypatch.setenv("REPRO_SHARD_BUDGET", "2")
-            simulator.apply(events[:20])
-            shrunk = simulator._shard_pool
-            assert shrunk is not grown
-            assert shrunk.workers == 2
-            # The partition granularity survives the rebuild, so shard
-            # placement (and the results) stay stable.
-            assert shrunk.shards == 4
-            assert_identical_state(sequential, simulator)
-        finally:
+        reference = BgpSimulator(topology, shards=1)
+        for batch in batches:
+            reference.apply(batch)
+
+        builds = PROVIDER.stats["builds"]
+        simulator = BgpSimulator(topology, shards=shard_count)
+        pools = []
+        for batch in batches:
+            simulator.apply(batch)
+            pools.append(simulator._shard_pool)
             simulator.close()
+        assert_identical_state(reference, simulator)
+        if shard_count > 1:
+            assert PROVIDER.stats["builds"] == builds + 2
+            assert pools[0] is not pools[1]
+            assert all(executor is None for pool in pools for executor in pool._executors)
+        else:
+            assert pools == [None, None]
 
     def test_pool_is_not_rebuilt_for_smaller_batches(self):
         topology = small_topology()
         events = make_events(topology, count=40)
-        simulator = BgpSimulator(topology, shards=4, max_workers=2)
+        simulator = BgpSimulator(topology, shards=4)
         try:
             simulator.apply(events)
             pool = simulator._shard_pool
             simulator.apply(events[:6], shards=2)
             assert simulator._shard_pool is pool
+        finally:
+            simulator.close()
+
+    def test_pool_is_rebuilt_to_grow_and_stays_equal_to_sequential(self):
+        """A batch wanting more shards than the pool has replaces it: the
+        old pool shuts down and the new one is re-shipped the held state."""
+        topology = small_topology()
+        events = make_events(topology, count=40)
+        reference = BgpSimulator(topology, shards=1)
+        reference.apply(events[:20])
+        reference.apply(events[20:])
+
+        builds = PROVIDER.stats["builds"]
+        simulator = BgpSimulator(topology, shards=2)
+        try:
+            simulator.apply(events[:20])
+            small = simulator._shard_pool
+            simulator.apply(events[20:], shards=4)
+            grown = simulator._shard_pool
+            assert grown is not small and grown.shards == 4
+            assert all(executor is None for executor in small._executors)
+            assert PROVIDER.stats["builds"] == builds + 2
+            assert_identical_state(reference, simulator)
         finally:
             simulator.close()

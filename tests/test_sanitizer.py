@@ -120,49 +120,6 @@ class TestCheckSyncHeader:
             check_sync_header(pool, 0, 0, {65001: ()})
 
 
-# ------------------------------------------------------------- unit: adoption
-class TestCheckAdopt:
-    def test_adopt_records_floor_and_requires_config_on_unseen_slots(self):
-        """After adoption even a never-seen slot must ship config first."""
-        from repro.analysis.sanitizer import check_adopt
-
-        pool = idle_pool()
-        previous = pool.epoch
-        pool.bump_epoch()  # what adopt() does (idle pool: no snapshot to park)
-        check_adopt(pool, previous)
-        with pytest.raises(ProtocolViolationError, match="adopted at epoch"):
-            check_sync_header(pool, 1, pool.epoch, None)
-        # Shipping the config blob satisfies the post-adoption gate.
-        check_sync_header(pool, 1, pool.epoch, EMPTY_CONFIG_BLOB)
-        # ... and the slot is ordinary from then on.
-        check_sync_header(pool, 1, pool.epoch, None)
-
-    def test_adopt_must_advance_epoch(self):
-        from repro.analysis.sanitizer import check_adopt
-
-        pool = idle_pool()
-        with pytest.raises(ProtocolViolationError, match="advance"):
-            check_adopt(pool, pool.epoch)
-
-    def test_adopt_hook_fires_through_the_pool(self, monkeypatch):
-        """ShardPool.adopt calls check_adopt under the env flag."""
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        from repro.analysis import sanitizer
-
-        topology = small_topology()
-        simulator = BgpSimulator(topology)
-        from repro.routing.shard import capture_router_config
-
-        pool = ShardPool(
-            (topology, capture_router_config(simulator)), workers=2, shards=4
-        )
-        try:
-            pool.adopt((topology, capture_router_config(simulator)))
-            assert sanitizer._ADOPTION_FLOORS[pool] == pool.epoch == 1
-        finally:
-            pool.shutdown()
-
-
 # ------------------------------------------------------------- unit: dispatch
 class TestCheckSubmit:
     def test_well_formed_envelopes_pass(self):
@@ -301,7 +258,7 @@ class TestHookWiring:
         events = make_events(topology)
         sequential = BgpSimulator(topology, shards=1)
         sequential.apply(events, shards=1)
-        sharded = BgpSimulator(topology, shards=2, max_workers=2)
+        sharded = BgpSimulator(topology, shards=2)
         try:
             sharded.apply(events[:12], shards=2)
             sharded.apply(events[12:], shards=2)
@@ -324,7 +281,7 @@ class TestCheckDrain:
     def test_healthy_resident_state_passes_audit(self):
         topology = small_topology()
         events = make_events(topology)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events[:12], shards=2)
             simulator.apply(events[12:], shards=2)
@@ -339,7 +296,7 @@ class TestCheckDrain:
         """Mutating holder state without a record diverges the fingerprints."""
         topology = small_topology()
         events = make_events(topology)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events[:12], shards=2)
             simulator.apply(events[12:], shards=2)
@@ -378,7 +335,7 @@ class TestCheckDrain:
         monkeypatch.setenv(SANITIZE_ENV, "1")
         topology = small_topology()
         events = make_events(topology)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             with SimulatorService(simulator, window=8, shards=2) as service:
                 service.feed(events)

@@ -10,24 +10,18 @@ simulator (state must round-trip through the workers correctly).
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
 from repro.bgp.community import BLACKHOLE, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
-from repro.routing.engine import (
-    AUTO_SHARD_MIN_PREFIXES,
-    BgpSimulator,
-    RoutingEvent,
-    propagation_shards,
-)
-from repro.routing.shard import (
-    capture_prefix_state,
-    partition_events,
-    shard_worker_budget,
-    stable_shard,
-)
+from repro.collectors.platform import CollectorDeployment
+from repro.exceptions import RoutingError
+from repro.routing.engine import BgpSimulator, RoutingEvent
+from repro.routing.shard import capture_prefix_state, partition_events, stable_shard
+from repro.routing.stream import SimulatorService
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 PREFIX_COUNT = 1_000
@@ -88,7 +82,7 @@ class TestShardedEquivalence:
         sequential_plane.rebuild(sequential.apply(events))
 
         for shard_count in (1, 2, 4):
-            sharded = BgpSimulator(topology, shards=shard_count, max_workers=2)
+            sharded = BgpSimulator(topology, shards=shard_count)
             try:
                 plane = DataPlane(sharded)
                 plane.rebuild(sharded.apply(events))
@@ -123,7 +117,7 @@ class TestShardedEquivalence:
 
         sequential = BgpSimulator(topology, shards=1)
         sequential_plane = drive(sequential)
-        sharded = BgpSimulator(topology, shards=4, max_workers=2)
+        sharded = BgpSimulator(topology, shards=4)
         try:
             sharded_plane = drive(sharded)
             assert_identical_state(sequential, sharded)
@@ -134,7 +128,7 @@ class TestShardedEquivalence:
     def test_fork_once_pool_is_reused_across_applies(self):
         topology = small_topology()
         events = make_events(topology, count=60)
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events[:30])
             pool = simulator._shard_pool
@@ -161,7 +155,7 @@ class TestShardedEquivalence:
             )
         sequential = BgpSimulator(topology, shards=1)
         sequential.apply(events)
-        sharded = BgpSimulator(topology, shards=3, max_workers=2)
+        sharded = BgpSimulator(topology, shards=3)
         try:
             sharded.apply(events)
             assert_identical_state(sequential, sharded)
@@ -190,7 +184,7 @@ class TestSchedulerEdgeCases:
         topology = small_topology()
         events = make_events(topology, count=3)
         assert len(partition_events(events, 16)) <= 3
-        simulator = BgpSimulator(topology, shards=16, max_workers=8)
+        simulator = BgpSimulator(topology, shards=16)
         try:
             simulator.apply(events)
             assert simulator._shard_pool is not None
@@ -198,24 +192,51 @@ class TestSchedulerEdgeCases:
         finally:
             simulator.close()
         # And a single-prefix batch never leaves the in-process core at all.
-        single = BgpSimulator(topology, shards=16, max_workers=8)
+        single = BgpSimulator(topology, shards=16)
         single.announce(events[0].origin_asn, events[0].prefix)
         assert single._shard_pool is None
 
-    def test_auto_stays_sequential_below_threshold(self):
+    @pytest.mark.parametrize("value", [2.9, "3", 0, -4, True, "auto", None])
+    def test_bad_shards_value_is_rejected_where_it_enters(self, value):
+        """``int()`` used to run 2.9 as 2 and "3" as 3, and 0 / -4 / True in-process."""
         topology = small_topology()
-        simulator = BgpSimulator(topology, shards="auto", max_workers=4)
-        events = make_events(topology, count=min(64, AUTO_SHARD_MIN_PREFIXES - 1))
-        simulator.apply(events)
-        assert simulator._shard_pool is None
+        events = make_events(topology, count=4)
+        message = re.escape(f"shards must be a positive integer, got {value!r}")
+        with pytest.raises(RoutingError, match=message):
+            BgpSimulator(topology, shards=value)
+        if value is None:
+            return  # None is the "inherit" value of the three entry points below
+        simulator = BgpSimulator(topology)
+        with pytest.raises(RoutingError, match=message):
+            simulator.apply(events, shards=value)
+        with pytest.raises(RoutingError, match=message):
+            SimulatorService(simulator, shards=value)
+        deployment = CollectorDeployment.default_deployment(topology, seed=7)
+        with pytest.raises(RoutingError, match=message):
+            deployment.collect_from_simulator(simulator, shards=value)
+        # Rejected up front: nothing converged, no pool was built.
+        assert simulator.report.prefixes == set() and simulator._shard_pool is None
 
-    def test_auto_default_is_scoped_by_context_manager(self):
+    def test_none_inherits_the_simulator_shard_count(self):
         topology = small_topology()
-        with propagation_shards(1):
-            simulator = BgpSimulator(topology)
-            assert simulator._resolve_shards(None, 10_000) == 1
-        simulator = BgpSimulator(topology, max_workers=4)
-        assert simulator._resolve_shards(None, 10_000) > 1
+        events = make_events(topology, count=40)
+        deployment = CollectorDeployment.default_deployment(topology, seed=7)
+        sequential = BgpSimulator(topology)
+        sequential.apply(events)
+        simulator = BgpSimulator(topology, shards=2)
+        try:
+            with SimulatorService(simulator, window=len(events), shards=None) as service:
+                service.feed(events)
+            pool = simulator._shard_pool
+            assert pool is not None and pool.shards == 2
+            assert_identical_state(sequential, simulator)
+            dispatched = pool.tasks_dispatched
+            harvested = deployment.collect_from_simulator(simulator, shards=None)
+            assert simulator._shard_pool is pool and pool.tasks_dispatched > dispatched
+            serial = deployment.collect_from_simulator(sequential)
+            assert sorted(harvested, key=repr) == sorted(serial, key=repr)
+        finally:
+            simulator.close()
 
     def test_stable_shard_is_deterministic_and_in_range(self):
         prefixes = [Prefix.ipv4((10 << 24) + (i << 8), 24) for i in range(500)]
@@ -231,14 +252,6 @@ class TestSchedulerEdgeCases:
             assert indices == again
             # The hash actually spreads: every shard gets something.
             assert len(set(indices)) == shard_count
-
-    def test_shard_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_BUDGET", "3")
-        assert shard_worker_budget() == 3
-        monkeypatch.setenv("REPRO_SHARD_BUDGET", "not-a-number")
-        assert shard_worker_budget() >= 1
-        monkeypatch.delenv("REPRO_SHARD_BUDGET")
-        assert shard_worker_budget() >= 1
 
 
 class TestPicklability:
@@ -292,11 +305,9 @@ class TestPicklability:
 class TestShardedErrors:
     def test_unknown_origin_leaves_simulation_untouched(self):
         topology = small_topology()
-        simulator = BgpSimulator(topology, shards=2, max_workers=2)
+        simulator = BgpSimulator(topology, shards=2)
         events = make_events(topology, count=8)
         bad = events + [RoutingEvent(origin_asn=999_999, prefix=events[0].prefix)]
-        from repro.exceptions import RoutingError
-
         with pytest.raises(RoutingError):
             simulator.apply(bad)
         assert simulator.report.prefixes == set()
@@ -334,7 +345,7 @@ class TestWorkerConfigMirroring:
         harden(sequential)
         sequential.apply(events)
 
-        sharded = BgpSimulator(topology, shards=3, max_workers=2)
+        sharded = BgpSimulator(topology, shards=3)
         try:
             harden(sharded)
             sharded.apply(events)

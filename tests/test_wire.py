@@ -314,7 +314,7 @@ class TestPickleModeEquivalence:
         ]
         sequential = BgpSimulator(topology)
         sequential.apply(events)
-        sharded = BgpSimulator(topology, shards=2, max_workers=2)
+        sharded = BgpSimulator(topology, shards=2)
         try:
             sharded.apply(events)
             for asn, router in sequential.routers.items():
