@@ -153,7 +153,8 @@ def build_figure9_ixp(member_count: int = 6) -> tuple[Topology, Ixp]:
 
     AS1 (attackee-2 / origin), AS2 (attacker) and AS4 (attackee-1) are
     members of an IXP whose route server honours selective-announce and
-    suppress communities, evaluating suppression first.
+    suppress communities, evaluating suppression first (the route-server
+    default the paper verified).
     """
     topology = Topology()
     rs_asn = 9000
@@ -165,7 +166,7 @@ def build_figure9_ixp(member_count: int = 6) -> tuple[Topology, Ixp]:
         name="IXP",
         route_server_asn=rs_asn,
         members=set(members),
-        route_server_config=RouteServerConfig(ixp_asn=rs_asn, suppress_before_redistribute=True),
+        route_server_config=RouteServerConfig(ixp_asn=rs_asn),
     )
     topology.add_ixp(ixp)
     topology.get_as(1).add_prefix(Prefix.from_string("203.0.113.0/24"))

@@ -7,13 +7,11 @@ spec -> lifecycle -> result pipeline.
 Sub-commands:
 
 * ``run <experiment>`` — run any registered experiment
-  (``--param k=v`` overrides, ``--json`` for the serializable result);
+  (``--param k=v`` overrides, ``--json`` for the serializable result):
+  ``run report`` is the Section 4 measurement report, ``run
+  feasibility`` the Table 3 matrix, ``run blackhole-sweep`` the
+  Section 7.6 sweep, ``run propagation-check`` the Section 7.2 check;
 * ``list``      — list the registered experiments;
-* ``report``    — alias for ``run report``: the Section 4 measurement
-  report over the synthetic dataset;
-* ``attacks``   — alias for ``run feasibility``: the Table 3 matrix;
-* ``sweep``     — alias for ``run blackhole-sweep`` (Section 7.6);
-* ``propagation`` — alias for ``run propagation-check`` (Section 7.2);
 * ``export-mrt`` — write an observation archive (synthetic dataset or a
   live collector harvest) to an MRT file;
 * ``stream``    — feed a JSON-lines announce/withdraw event stream
@@ -68,14 +66,12 @@ def _parse_params(pairs: list[str], parser: argparse.ArgumentParser | None = Non
     return params
 
 
-def _run_named(name: str, seed: int, scale: str | None = None, **params):
-    """Build the experiment's default spec with overrides and run it."""
-    from repro.experiments import get
-
-    experiment_cls = get(name)
-    spec = experiment_cls.default_spec(seed=seed, scale=scale, **params)
-    experiment = experiment_cls(spec)
-    return experiment, experiment.run()
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _print_outcome(experiment, result, as_json: bool = False) -> int:
@@ -153,29 +149,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-# ----------------------------------------------------------- legacy aliases
-def _cmd_report(args: argparse.Namespace) -> int:
-    experiment, result = _run_named("report", args.seed, args.scale)
-    return _print_outcome(experiment, result)
-
-
-def _cmd_attacks(args: argparse.Namespace) -> int:
-    experiment, result = _run_named("feasibility", args.seed)
-    return _print_outcome(experiment, result)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    experiment, result = _run_named(
-        "blackhole-sweep", args.seed, probes=args.probes, confirm=not args.no_confirm
-    )
-    return _print_outcome(experiment, result)
-
-
-def _cmd_propagation(args: argparse.Namespace) -> int:
-    experiment, result = _run_named("propagation-check", args.seed)
-    return _print_outcome(experiment, result)
-
-
 def _cmd_export_mrt(args: argparse.Namespace) -> int:
     if args.source == "harvest":
         from repro.collectors.platform import CollectorDeployment
@@ -190,7 +163,11 @@ def _cmd_export_mrt(args: argparse.Namespace) -> int:
         archive = deployment.collect_from_simulator(simulator)
     else:
         archive = _build_dataset(args.seed, args.scale).archive
-    count = archive.write_mrt(args.output)
+    try:
+        count = archive.write_mrt(args.output)
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"wrote {count} MRT records to {args.output}")
     return 0
 
@@ -295,28 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     listing.add_argument("--json", action="store_true", help="print the catalogue as JSON")
     listing.set_defaults(func=_cmd_list)
 
-    report = subparsers.add_parser(
-        "report", parents=[seeded, scaled], help="print the Section 4 measurement report"
-    )
-    report.set_defaults(func=_cmd_report)
-
-    attacks = subparsers.add_parser(
-        "attacks", parents=[seeded], help="run the attack scenarios (Table 3)"
-    )
-    attacks.set_defaults(func=_cmd_attacks)
-
-    sweep = subparsers.add_parser(
-        "sweep", parents=[seeded], help="run the Section 7.6 blackhole sweep"
-    )
-    sweep.add_argument("--probes", type=int, default=60)
-    sweep.add_argument("--no-confirm", action="store_true")
-    sweep.set_defaults(func=_cmd_sweep)
-
-    propagation = subparsers.add_parser(
-        "propagation", parents=[seeded], help="run the Section 7.2 propagation check"
-    )
-    propagation.set_defaults(func=_cmd_propagation)
-
     export = subparsers.add_parser(
         "export-mrt", parents=[seeded, scaled], help="write an observation archive as MRT"
     )
@@ -345,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("events", help="JSON-lines event file, or '-' for stdin")
     stream.add_argument(
         "--window",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="buffered (origin, prefix) keys per automatic drain "

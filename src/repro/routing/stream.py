@@ -162,9 +162,36 @@ _EVENT_KEYS = frozenset(
     {"origin", "origin_asn", "prefix", "withdraw", "communities", "spoofed_origin", "spoofed_origin_asn"}
 )
 
+_MAX_ASN = 0xFFFFFFFF
+
+
+def _field(record: dict, name: str, alias: str) -> tuple[str, object]:
+    """``(key, value)`` of ``name`` or else its ``alias`` (value None when neither is given)."""
+    key = alias if name not in record and alias in record else name
+    return key, record.get(key)
+
+
+def _asn(key: str, value: object) -> int:
+    """An AS number field: a non-``bool`` integer in 0..2**32-1, or a digit string.
+
+    ``int()`` would read ``1.9`` and ``true`` as AS1 and accept ``-5``.
+    """
+    number = int(value) if isinstance(value, str) and value.isascii() and value.isdigit() else value
+    if isinstance(number, bool) or not isinstance(number, int) or not 0 <= number <= _MAX_ASN:
+        raise RoutingError(
+            f"stream event field {key!r} must be an AS number (an integer 0..{_MAX_ASN} "
+            f"or a digit string), got {value!r}"
+        )
+    return number
+
 
 def parse_event(record: dict) -> RoutingEvent:
-    """Decode one JSON-lines record into a :class:`RoutingEvent`."""
+    """Decode one JSON-lines record into a :class:`RoutingEvent`.
+
+    Fields are validated, never coerced: ``withdraw`` is a JSON boolean,
+    ``communities`` a list, and both origins AS numbers (see
+    :func:`_asn`).  Every error names the offending field.
+    """
     if not isinstance(record, dict):
         raise RoutingError(f"stream event must be a JSON object, got {type(record).__name__}")
     unknown = set(record) - _EVENT_KEYS
@@ -173,34 +200,42 @@ def parse_event(record: dict) -> RoutingEvent:
             f"unknown stream event field(s) {sorted(unknown)}; expected a subset of "
             f"{sorted(_EVENT_KEYS)}"
         )
-    origin = record.get("origin", record.get("origin_asn"))
+    origin_key, origin = _field(record, "origin", "origin_asn")
     prefix = record.get("prefix")
-    if origin is None or prefix is None:
-        raise RoutingError("stream event needs at least 'origin' and 'prefix'")
+    for key, value in ((origin_key, origin), ("prefix", prefix)):
+        if value is None:
+            raise RoutingError(
+                f"stream event needs at least 'origin' and 'prefix'; {key!r} has no value"
+            )
+    origin = _asn(origin_key, origin)
     try:
-        origin = int(origin)
-    except (TypeError, ValueError):
-        raise RoutingError(f"stream event origin must be an AS number, got {origin!r}") from None
-    try:
-        prefix = Prefix.from_string(str(prefix))
+        if not isinstance(prefix, str):
+            raise PrefixError("expected a string such as '10.0.0.0/24'")
+        prefix = Prefix.from_string(prefix)
     except PrefixError as exc:
-        raise RoutingError(f"bad stream event prefix {prefix!r}: {exc}") from None
+        raise RoutingError(f"bad stream event prefix {prefix!r} in field 'prefix': {exc}") from None
+    withdraw = record.get("withdraw", False)
+    if not isinstance(withdraw, bool):
+        raise RoutingError(f"stream event field 'withdraw' must be true or false, got {withdraw!r}")
     communities = record.get("communities")
-    spoofed = record.get("spoofed_origin", record.get("spoofed_origin_asn"))
-    try:
-        # Expected failures: a malformed community string/value
-        # (CommunityError), a non-iterable communities field or
-        # non-numeric spoofed origin (TypeError/ValueError from the
-        # star-unpack and int() coercions).
-        return RoutingEvent(
-            origin_asn=origin,
-            prefix=prefix,
-            withdraw=bool(record.get("withdraw", False)),
-            communities=CommunitySet.of(*communities) if communities else None,
-            spoofed_origin_asn=None if spoofed is None else int(spoofed),
-        )
-    except (CommunityError, TypeError, ValueError) as exc:
-        raise RoutingError(f"bad stream event {record!r}: {exc}") from None
+    if communities is not None:
+        if not isinstance(communities, list) or any(isinstance(c, bool) for c in communities):
+            raise RoutingError(
+                "stream event field 'communities' must be a list such as "
+                f"[\"65001:666\"], got {communities!r}"
+            )
+        try:
+            communities = CommunitySet.of(*communities) if communities else None
+        except CommunityError as exc:
+            raise RoutingError(f"bad stream event field 'communities': {exc}") from None
+    spoofed_key, spoofed = _field(record, "spoofed_origin", "spoofed_origin_asn")
+    return RoutingEvent(
+        origin_asn=origin,
+        prefix=prefix,
+        withdraw=withdraw,
+        communities=communities,
+        spoofed_origin_asn=None if spoofed is None else _asn(spoofed_key, spoofed),
+    )
 
 
 def read_event_stream(lines: Iterable[str]) -> Iterator[RoutingEvent]:

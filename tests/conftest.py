@@ -1,8 +1,9 @@
-"""Shared fixtures: a small generated Internet and a synthetic dataset over it.
+"""Shared fixtures: a small generated Internet, a synthetic dataset over
+it, and the registered experiments' results.
 
-Session-scoped fixtures keep the suite fast: the topology and dataset
-are generated once and shared read-only by the measurement and attack
-tests.
+Session-scoped fixtures keep the suite fast: the topology, the dataset
+and each experiment run are produced once and shared read-only by the
+measurement, attack, golden-file and paper-claims tests.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.datasets.synthetic import (
     DatasetParameters,
     SyntheticDatasetBuilder,
 )
+from repro.experiments import get as get_experiment, run_experiment
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 
@@ -51,6 +53,21 @@ def dataset(small_topology, deployment):
 def archive(dataset):
     """The observation archive of the shared dataset."""
     return dataset.archive
+
+
+@pytest.fixture(scope="session")
+def experiment_result():
+    """``experiment_result(name, seed, **params)``: one default-spec run per key and session,
+    shared by the golden files and the paper-claims table."""
+    results = {}
+
+    def run(name: str, seed: int, **params):
+        key = (name, seed, tuple(sorted(params.items())))
+        if key not in results:
+            results[key] = run_experiment(get_experiment(name).default_spec(seed=seed, **params))
+        return results[key]
+
+    return run
 
 
 def pytest_addoption(parser):

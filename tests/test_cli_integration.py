@@ -37,18 +37,19 @@ FUZZ_TARGETS = _fuzz_targets()
 class TestCli:
     def test_parser_subcommands(self):
         parser = build_parser()
-        args = parser.parse_args(["report", "--scale", "small", "--seed", "1"])
-        assert args.command == "report"
+        args = parser.parse_args(["run", "report", "--scale", "small", "--seed", "1"])
+        assert (args.command, args.experiment) == ("run", "report")
         assert args.seed == 1
 
-    def test_attacks_command(self, capsys):
-        assert main(["attacks"]) == 0
+    @pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["default-seed", "seed-7"])
+    def test_run_feasibility_prints_table3(self, seed, capsys):
+        assert main(["run", "feasibility", *seed]) == 0
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "Blackholing" in out
 
-    def test_propagation_command(self, capsys):
-        assert main(["propagation", "--seed", "3"]) == 0
+    def test_run_propagation_check_names_both_platforms(self, capsys):
+        assert main(["run", "propagation-check", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "PEERING" in out
         assert "research-network" in out
@@ -65,13 +66,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_attacks_accepts_seed(self, capsys):
-        """Every subcommand takes --seed, including attacks (regression)."""
-        parser = build_parser()
-        args = parser.parse_args(["attacks", "--seed", "7"])
-        assert args.seed == 7
-        assert main(["attacks", "--seed", "7"]) == 0
-        assert "Table 3" in capsys.readouterr().out
+    @pytest.mark.parametrize("alias", ["report", "attacks", "sweep", "propagation"])
+    def test_removed_alias_is_an_argparse_error(self, alias, capsys):
+        """The aliases of ``run report`` / ``feasibility`` / ``blackhole-sweep`` /
+        ``propagation-check`` are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([alias])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["missing/x.mrt", "."], ids=["missing-directory", "directory"])
+    def test_export_mrt_to_an_unwritable_path_exits_2(self, output, tmp_path, capsys):
+        assert main(["export-mrt", str(tmp_path / output)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRegistryCli:
@@ -91,19 +99,6 @@ class TestRegistryCli:
     def test_run_unknown_experiment_exits_2(self, capsys):
         assert main(["run", "not-an-experiment"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
-
-    def test_run_feasibility_matches_legacy_attacks_output(self, capsys):
-        """The legacy subcommand is a thin alias: byte-identical output."""
-        assert main(["attacks"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(["run", "feasibility"]) == 0
-        assert capsys.readouterr().out == legacy
-
-    def test_run_propagation_matches_legacy_output(self, capsys):
-        assert main(["propagation", "--seed", "3"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(["run", "propagation-check", "--seed", "3"]) == 0
-        assert capsys.readouterr().out == legacy
 
     def test_run_json_result_round_trips(self, capsys):
         from repro.experiments import ExperimentResult
@@ -371,3 +366,23 @@ class TestStreamCli:
         err = capsys.readouterr().err
         assert "stream line 1" in err
         assert "nope" in err
+
+    @pytest.mark.parametrize(
+        "field, token",
+        [("origin", "1.5"), ("withdraw", '"false"'), ("communities", '"x"'), ("spoofed_origin", "true")],
+    )
+    def test_stream_fuzzed_field_exits_2_without_a_traceback(self, field, token, capsys, monkeypatch):
+        import io
+
+        record = {"origin": 65001, "prefix": "10.0.0.0/24", field: json.loads(token)}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record) + "\n"))
+        assert main(["stream", "-", "--seed", "9"]) == 2
+        err = capsys.readouterr().err
+        assert f"stream line 1: stream event field {field!r}" in err
+        assert "Traceback" not in err
+
+    def test_stream_window_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", "-", "--window", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --window: must be a positive integer, got '0'" in capsys.readouterr().err

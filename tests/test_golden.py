@@ -18,14 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import get as get_experiment
 from repro.measurement.report import MeasurementReport
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden"
 
-#: The ``report`` experiment pinned by the golden JSON.
+#: The ``report`` experiment pinned by the golden JSON (its default scale is small).
 REPORT_SEED = 7
-REPORT_SCALE = "small"
 
 #: The experiments that drive the in-process core, pinned at their default spec.
 CORE_EXPERIMENTS = (
@@ -61,10 +59,9 @@ def test_full_report_text_matches_golden(dataset, request):
     )
 
 
-def test_report_experiment_comparable_matches_golden(request):
+def test_report_experiment_comparable_matches_golden(experiment_result, request):
     """The ``report`` experiment's ``comparable()`` — everything but the timings."""
-    experiment = get_experiment("report")
-    result = experiment(experiment.default_spec(seed=REPORT_SEED, scale=REPORT_SCALE)).run()
+    result = experiment_result("report", REPORT_SEED)
     check_golden(
         "report_experiment.json",
         json.dumps(result.comparable(), indent=2, sort_keys=True) + "\n",
@@ -73,10 +70,9 @@ def test_report_experiment_comparable_matches_golden(request):
 
 
 @pytest.mark.parametrize("name", CORE_EXPERIMENTS)
-def test_core_experiment_comparable_matches_golden(name, request):
+def test_core_experiment_comparable_matches_golden(name, experiment_result, request):
     """``comparable()`` of every experiment that converges routes through the core."""
-    experiment = get_experiment(name)
-    result = experiment(experiment.default_spec(seed=CORE_SEED)).run()
+    result = experiment_result(name, CORE_SEED)
     check_golden(
         f"experiment_{name}.json",
         json.dumps(result.comparable(), indent=2, sort_keys=True) + "\n",

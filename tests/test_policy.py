@@ -40,13 +40,12 @@ from repro.policy.route_map import (
     RouteMap,
     RouteMapEntry,
     add_communities,
-    nanog_rtbh_route_map,
     prepend_as,
     set_local_pref,
     strip_all_communities,
 )
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
-from repro.policy.vendor import CISCO_PROFILE, JUNIPER_PROFILE, profile_by_name
+from repro.policy.vendor import JUNIPER_PROFILE, profile_by_name
 
 
 ATTRS = PathAttributes(
@@ -296,36 +295,10 @@ class TestRouteMap:
         assert attrs.local_pref == 50
         assert len(strip_all_communities()(attrs).communities) == 0
 
-    def test_nanog_rtbh_map_orderings(self):
-        blackholes = frozenset({Community(65535, 666)})
-        customers = (Prefix.from_string("203.0.113.0/24"),)
-        vulnerable = nanog_rtbh_route_map("rtbh", blackholes, customers)
-        fixed = nanog_rtbh_route_map(
-            "rtbh-fixed", blackholes, customers, validate_before_blackhole=True
-        )
-        hijack = Prefix.from_string("198.51.100.66/32")
-        tagged = PathAttributes(communities=CommunitySet.of("65535:666"))
-        vulnerable_result = vulnerable.evaluate(hijack, tagged)
-        assert vulnerable_result.permitted and vulnerable_result.blackholed
-        fixed_result = fixed.evaluate(hijack, tagged)
-        assert not (fixed_result.permitted and fixed_result.blackholed)
-
 
 class TestVendors:
-    def test_defaults(self):
-        assert JUNIPER_PROFILE.send_communities_by_default
-        assert not CISCO_PROFILE.send_communities_by_default
-        assert CISCO_PROFILE.effective_send_communities(True)
-        assert not CISCO_PROFILE.effective_send_communities(False)
-
-    def test_cisco_add_limit(self):
-        CISCO_PROFILE.check_added_communities(32)
-        with pytest.raises(PolicyError):
-            CISCO_PROFILE.check_added_communities(33)
+    def test_juniper_has_no_32_community_add_limit(self):
         JUNIPER_PROFILE.check_added_communities(1000)
-
-    def test_max_communities_per_update(self):
-        assert CISCO_PROFILE.max_communities_per_update == (1 << 16) // 4
 
     def test_profile_lookup(self):
         assert profile_by_name("junos") is JUNIPER_PROFILE

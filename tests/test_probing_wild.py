@@ -6,7 +6,6 @@ import pytest
 
 from repro.attacks.scenario import build_figure2_topology
 from repro.bgp.prefix import Prefix
-from repro.collectors.platform import CollectorDeployment
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import build_blackhole_list
 from repro.exceptions import AttackError, AupViolationError, ProbingError, TopologyError
@@ -21,7 +20,6 @@ from repro.wild.peering import (
     attach_peering_testbed,
     attach_research_network,
 )
-from repro.wild.propagation_check import run_propagation_check
 
 
 PREFIX = Prefix.from_string("198.51.100.0/24")
@@ -40,8 +38,7 @@ def wild_setup():
     atlas = AtlasPlatform.deploy(
         topology, probe_count=40, exclude_asns={peering.asn, research.asn}
     )
-    deployment = CollectorDeployment.default_deployment(topology, seed=3)
-    return topology, peering, research, atlas, deployment
+    return topology, peering, research, atlas
 
 
 class TestLookingGlassAndAtlas:
@@ -82,7 +79,7 @@ class TestLookingGlassAndAtlas:
         assert after.traceroutes[1].reached
 
     def test_atlas_deploy_excludes(self, wild_setup):
-        topology, peering, research, atlas, _deployment = wild_setup
+        topology, peering, research, atlas = wild_setup
         assert peering.asn not in atlas.probe_asns()
         assert research.asn not in atlas.probe_asns()
         assert len(atlas.vantage_points) == 40
@@ -103,14 +100,14 @@ class TestLookingGlassAndAtlas:
 
 class TestInjectionPlatforms:
     def test_peering_attach(self, wild_setup):
-        topology, peering, _research, _atlas, _deployment = wild_setup
+        topology, peering, _research, _atlas = wild_setup
         assert peering.asn in topology
         assert len(peering.upstream_asns) == 8
         assert peering.allocated_prefixes[0].length == 20
         assert not peering.allows_hijack
 
     def test_research_network_upstream_policies(self, wild_setup):
-        topology, _peering, research, _atlas, _deployment = wild_setup
+        topology, _peering, research, _atlas = wild_setup
         assert len(research.upstream_asns) == 2
         behaviors = {
             topology.get_as(asn).propagation_policy.behavior for asn in research.upstream_asns
@@ -147,44 +144,15 @@ class TestInjectionPlatforms:
 
 
 class TestSection7:
-    def test_propagation_check_peering_sees_more_than_research(self, wild_setup):
-        topology, peering, research, _atlas, deployment = wild_setup
-        peering_result = run_propagation_check(topology, peering, deployment)
-        research_result = run_propagation_check(topology, research, deployment)
-        assert peering_result.forwarding_count > 0
-        assert research_result.forwarding_count >= 1
-        # The multi-PoP platform sees far wider propagation (paper: 112 vs 7).
-        assert peering_result.forwarding_count > research_result.forwarding_count
-        assert peering_result.observing_peers
-
-    def test_rtbh_wild_experiment_without_hijack(self, wild_setup):
-        topology, peering, _research, atlas, _deployment = wild_setup
-        experiment = RtbhWildExperiment(topology, peering, atlas)
-        result = experiment.run(use_hijack=False)
-        assert result.target_hops_from_injection >= 2
-        assert result.accepted_at_target
-        assert result.succeeded
-        assert result.probes_reachable_before > 0
-        assert result.probes_reachable_after < result.probes_reachable_before
-
-    def test_rtbh_wild_experiment_with_hijack_updates_irr(self, wild_setup):
-        topology, _peering, research, atlas, _deployment = wild_setup
-        experiment = RtbhWildExperiment(topology, research, atlas)
-        result = experiment.run(
-            use_hijack=True, hijack_space=Prefix.from_string("100.100.0.0/22")
-        )
-        assert result.hijack
-        assert result.irr_updated
-        assert result.succeeded
-
+    # §7.2 and both §7.3 RTBH variants are rows of tests/test_paper_claims.py.
     def test_rtbh_wild_requires_hijack_space(self, wild_setup):
-        topology, _peering, research, atlas, _deployment = wild_setup
+        topology, _peering, research, atlas = wild_setup
         experiment = RtbhWildExperiment(topology, research, atlas)
         with pytest.raises(AttackError):
             experiment.run(use_hijack=True)
 
     def test_blackhole_sweep(self, wild_setup):
-        topology, peering, _research, atlas, _deployment = wild_setup
+        topology, peering, _research, atlas = wild_setup
         blackhole_list = build_blackhole_list(topology, seed=5)
         sweep = BlackholeSweep(topology, peering, atlas, blackhole_list)
         result = sweep.run(confirm=True)

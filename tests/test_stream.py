@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.bgp.prefix import Prefix
 from repro.exceptions import RoutingError
 from repro.routing.engine import BgpSimulator, RoutingEvent, SimulationReport
 from repro.routing.stream import (
+    _EVENT_KEYS,
     DEFAULT_WINDOW,
     SimulatorService,
     coalesce_events,
@@ -18,6 +20,26 @@ from repro.routing.stream import (
     read_event_stream,
 )
 from repro.topology.generator import TopologyGenerator, TopologyParameters
+
+#: Every field a stream event may carry, aliases included.
+EVENT_FIELDS = sorted(_EVENT_KEYS)
+#: The stream-event fuzz, as JSON tokens.
+EVENT_FUZZ_TOKENS = ['"x"', "null", "-1", "1.5", "true", '"false"', "[]", "{}", '""']
+#: The fuzz cases that decode: ``withdraw: true`` and an optional field left empty.
+EVENT_FUZZ_ACCEPTED = {
+    ("withdraw", "true"),
+    ("communities", "null"),
+    ("communities", "[]"),
+    ("spoofed_origin", "null"),
+    ("spoofed_origin_asn", "null"),
+}
+
+
+def fuzz_record(field: str, token: str) -> dict:
+    """A valid event whose ``field`` is replaced by the JSON ``token``."""
+    record = {"origin_asn" if field == "origin_asn" else "origin": 65001, "prefix": "10.0.0.0/24"}
+    record[field] = json.loads(token)
+    return record
 
 
 def small_topology(seed=11):
@@ -211,6 +233,41 @@ class TestWireFormat:
     def test_parse_rejections(self, record, fragment):
         with pytest.raises(RoutingError, match=fragment):
             parse_event(record)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("withdraw", "false"),  # bool("false") is True: read as a withdraw
+            ("origin", 1.9),  # int() truncated to AS1
+            ("origin", True),  # int(True) is AS1
+            ("origin", -5),
+            ("spoofed_origin", 2.5),
+            ("communities", "65001:1"),  # iterated character by character
+        ],
+    )
+    def test_values_are_validated_not_coerced(self, field, value):
+        with pytest.raises(RoutingError, match=f"field '{field}'"):
+            parse_event({"origin": 65001, "prefix": "10.0.0.0/24", field: value})
+
+    @pytest.mark.parametrize("field", EVENT_FIELDS)
+    def test_event_fuzz_ends_in_an_error_naming_field_and_line(self, field):
+        """Every field, every bad value: an error naming both, or a faithful event."""
+        accepted = set()
+        for token in EVENT_FUZZ_TOKENS:
+            lines = ["# header", json.dumps(fuzz_record(field, token))]
+            try:
+                [event] = read_event_stream(lines)
+            except RoutingError as error:
+                assert str(error).startswith("stream line 2: "), (token, error)
+                assert repr(field) in str(error), (token, error)
+            else:
+                accepted.add((field, token))
+                assert event == RoutingEvent(
+                    origin_asn=65001,
+                    prefix=Prefix.from_string("10.0.0.0/24"),
+                    withdraw=field == "withdraw",
+                )
+        assert accepted == {case for case in EVENT_FUZZ_ACCEPTED if case[0] == field}
 
     def test_read_event_stream_skips_blanks_and_comments(self):
         lines = [
