@@ -1,21 +1,16 @@
-"""Macrobenchmark — resident shard service: delta shipping and the wire codec.
+"""Macrobenchmark — resident shard service: delta shipping.
 
 The resident refactor's claim: after the first dispatch the workers keep
 their shard of the RIB, so later rounds ship **deltas only** (the events
 plus whatever the parent mutated in between) instead of re-sending the
-converged per-prefix state.  The wire-codec claim on top: the compact
-format (``repro.routing.wire``) ships those deltas in a fraction of the
-bytes the pickle baseline needs.  This benchmark drives the same
-preseed-plus-churn scenario twice — once per wire format, selected with
-``REPRO_WIRE`` — and checks both claims on the pool's own ship counters:
+converged per-prefix state.  This benchmark drives a preseed-plus-churn
+scenario and checks that claim on the pool's own ship counters:
 
 * round 1 (cold pool) ships the full pending backlog — every
   (prefix, holder) pair the preseed converged — plus the events;
-* every later round ships strictly fewer bytes (events only in steady
-  state); ship accounting is always on, no env var required;
-* the codec ships strictly fewer bytes than pickle in **every** round
-  (the CI smoke gate), and at least ``CODEC_MIN_RATIO``x fewer on the
-  resident rounds (the acceptance bar of the codec PR);
+* every later round ships strictly fewer bytes and zero state entries
+  (events only in steady state); ship accounting is always on, no env
+  var required;
 * wall-clock per round is printed, and the resident round is asserted
   faster than the cold one only outside quick mode (the cold round pays
   worker spawn, so residency wins on any core count, but CI boxes are
@@ -35,7 +30,6 @@ import time
 from repro.bgp.community import BLACKHOLE, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.routing.engine import BgpSimulator, RoutingEvent
-from repro.routing.wire import WIRE_ENV
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 #: Quick mode: any value except unset/empty/"0" activates it.
@@ -44,9 +38,6 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 PREFIX_COUNT = 96 if QUICK else 600
 CHURN_ROUNDS = 3
 WORKERS = 2
-#: Acceptance bar: resident rounds must ship >= this many times fewer
-#: bytes under the compact codec than under the pickle baseline.
-CODEC_MIN_RATIO = 3.0
 
 BENCH_PARAMETERS = TopologyParameters(
     tier1_count=3,
@@ -86,8 +77,7 @@ def _timed(run, *args, **kwargs):
 def _drive(topology, benchmark=None):
     """Preseed sequentially, then run the churn rounds through the pool.
 
-    Returns ``(seed_seconds, round_seconds, round_bytes, round_states)``
-    under whatever wire format ``REPRO_WIRE`` currently selects.
+    Returns ``(seed_seconds, round_seconds, round_bytes, round_states)``.
     """
     simulator = BgpSimulator(topology, shards=WORKERS)
     try:
@@ -120,38 +110,25 @@ def _drive(topology, benchmark=None):
     return seed_seconds, round_seconds, round_bytes, round_states
 
 
-def test_resident_rounds_ship_codec_deltas(benchmark):
+def test_resident_rounds_ship_deltas(benchmark):
     cpu_total = os.cpu_count() or 1
     topology = TopologyGenerator(BENCH_PARAMETERS).generate()
-
-    previous = os.environ.get(WIRE_ENV)
-    try:
-        os.environ[WIRE_ENV] = "pickle"
-        _, pickle_seconds, pickle_bytes, _ = _drive(topology)
-        os.environ.pop(WIRE_ENV, None)  # default = compact codec
-        seed_seconds, round_seconds, round_bytes, round_states = _drive(
-            topology, benchmark=benchmark
-        )
-    finally:
-        if previous is None:
-            os.environ.pop(WIRE_ENV, None)
-        else:
-            os.environ[WIRE_ENV] = previous
+    seed_seconds, round_seconds, round_bytes, round_states = _drive(
+        topology, benchmark=benchmark
+    )
 
     print()
     print(
         f"{PREFIX_COUNT} prefixes, {WORKERS} workers, {cpu_total} CPU(s) visible; "
         f"sequential preseed: {seed_seconds:.2f} s"
     )
-    for index, (seconds, size, states, baseline) in enumerate(
-        zip(round_seconds, round_bytes, round_states, pickle_bytes), start=1
+    for index, (seconds, size, states) in enumerate(
+        zip(round_seconds, round_bytes, round_states), start=1
     ):
         label = "cold" if index == 1 else "resident"
-        ratio = baseline / size if size else float("inf")
         print(
             f"  round {index} ({label}): {seconds:.2f} s, "
-            f"{size / 1024:.1f} KiB shipped (pickle: {baseline / 1024:.1f} KiB, "
-            f"{ratio:.1f}x), {states} state entries"
+            f"{size / 1024:.1f} KiB shipped, {states} state entries"
         )
 
     # The delta-only contract, on the pool's own counters: the cold
@@ -168,20 +145,6 @@ def test_resident_rounds_ship_codec_deltas(benchmark):
             f"resident round {index + 1} shipped {states} state entries, "
             "expected delta-only (zero) in steady state"
         )
-
-    # The codec contract: fewer bytes than the pickle baseline in every
-    # round (CI smoke gate), and CODEC_MIN_RATIO x fewer once resident.
-    for index, (size, baseline) in enumerate(zip(round_bytes, pickle_bytes), start=1):
-        assert size < baseline, (
-            f"round {index}: codec shipped {size} bytes, pickle baseline "
-            f"{baseline} — the compact format must always win"
-        )
-        if index > 1:
-            assert baseline >= CODEC_MIN_RATIO * size, (
-                f"resident round {index}: codec shipped {size} bytes vs pickle's "
-                f"{baseline} ({baseline / size:.2f}x) — the acceptance bar is "
-                f">= {CODEC_MIN_RATIO}x"
-            )
 
     if not QUICK:
         # Residency also wins wall-clock: the cold round pays worker

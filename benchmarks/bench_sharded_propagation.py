@@ -26,7 +26,6 @@ import time
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.routing.engine import BgpSimulator
-from repro.routing.wire import WIRE_ENV
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 #: Quick mode: any value except unset/empty/"0" activates it.
@@ -62,16 +61,15 @@ def _run_single_process(topology, events) -> tuple[BgpSimulator, DataPlane]:
     return simulator, dataplane
 
 
-def _run_sharded(topology, events, workers: int) -> tuple[BgpSimulator, DataPlane, int]:
+def _run_sharded(topology, events, workers: int) -> tuple[BgpSimulator, DataPlane]:
     """K prefix shards over min(K, CPU count) worker processes, merged back into the parent."""
     simulator = BgpSimulator(topology, shards=workers)
     try:
         dataplane = DataPlane(simulator)
         dataplane.rebuild(simulator.announce_many(events))
-        ship_bytes = simulator._shard_pool.ship_bytes
     finally:
         simulator.close()
-    return simulator, dataplane, ship_bytes
+    return simulator, dataplane
 
 
 def _timed(run, *args):
@@ -112,36 +110,19 @@ def test_sharded_propagation_vs_single_process(benchmark):
     )
 
     sharded_seconds: dict[int, float] = {}
-    codec_bytes = 0
     for workers in WORKER_COUNTS[:-1]:
-        (sharded_sim, sharded_plane, codec_bytes), seconds = _timed(
-            _run_sharded, topology, events, workers
-        )
+        (sharded_sim, sharded_plane), seconds = _timed(_run_sharded, topology, events, workers)
         _assert_identical(single_sim, single_plane, sharded_sim, sharded_plane)
         sharded_seconds[workers] = seconds
         del sharded_sim, sharded_plane
 
     last = WORKER_COUNTS[-1]
-    sharded_sim, sharded_plane, last_bytes = benchmark.pedantic(
+    sharded_sim, sharded_plane = benchmark.pedantic(
         _run_sharded, args=(topology, events, last), rounds=1, iterations=1
     )
     _assert_identical(single_sim, single_plane, sharded_sim, sharded_plane)
-    codec_bytes = codec_bytes or last_bytes
-    (_check_sim, _check_plane, _), seconds = _timed(_run_sharded, topology, events, last)
+    _, seconds = _timed(_run_sharded, topology, events, last)
     sharded_seconds[last] = seconds
-
-    # Wire-codec A/B on the same batch: re-run the first worker count
-    # with the pickle baseline and compare the pools' ship accounting.
-    ab_workers = WORKER_COUNTS[0]
-    previous = os.environ.get(WIRE_ENV)
-    os.environ[WIRE_ENV] = "pickle"
-    try:
-        _sim, _plane, pickle_bytes = _run_sharded(topology, events, ab_workers)
-    finally:
-        if previous is None:
-            os.environ.pop(WIRE_ENV, None)
-        else:
-            os.environ[WIRE_ENV] = previous
 
     print()
     print(
@@ -155,18 +136,6 @@ def test_sharded_propagation_vs_single_process(benchmark):
             f"  sharded, {workers} workers:        {seconds:.2f} s"
             f"  (speedup {speedup:.2f}x)"
         )
-    print(
-        f"  ship bytes, {ab_workers} workers:     {codec_bytes / 1024:.1f} KiB codec"
-        f" vs {pickle_bytes / 1024:.1f} KiB pickle"
-        f" ({pickle_bytes / codec_bytes:.1f}x)"
-    )
-
-    # The compact codec must cut the cold-batch ship volume outright —
-    # counters are deterministic, so this gate also runs in quick mode.
-    assert codec_bytes < pickle_bytes, (
-        f"codec shipped {codec_bytes} bytes but the pickle baseline shipped "
-        f"{pickle_bytes} on the identical batch"
-    )
 
     # Process parallelism has to pay for shipping the per-prefix state
     # back through the parent (the serial tail of the merge), so the win
@@ -180,8 +149,7 @@ def test_sharded_propagation_vs_single_process(benchmark):
             f"single-process batch engine ({single_seconds:.2f} s) on "
             f"{cpu_total} CPUs"
         )
-        # Scaling sanity: with the codec shrinking the serial merge
-        # tail, adding workers must not make things slower.  5%
+        # Scaling sanity: adding workers must not make things slower.  5%
         # tolerance absorbs scheduler noise on shared CI boxes.
         speedups = {
             workers: single_seconds / seconds

@@ -19,13 +19,9 @@ Checked invariants:
   (:func:`check_sync_header`);
 * **well-formed dispatch** — every task envelope submitted to a slot is
   a ``(epoch, config-or-None, ...)`` tuple on the pool's current epoch,
-  and its slot's header was issued first (:func:`check_submit`);
-* **codec round trip** — every wire blob in a shipped envelope
-  decodes, re-encodes and re-decodes to an identical payload
-  (:func:`repro.routing.wire.audit_blob`); a divergence names the
-  first differing field.  The audit builds its own throwaway decode
-  state, so the ship-accounting counters and the simulator's interner
-  are untouched;
+  its config payload is a :func:`repro.routing.wire.encode_config` blob
+  or ``None``, and its slot's header was issued first
+  (:func:`check_submit`);
 * **delta-completeness** — on stream drain, every (prefix, router) pair
   the parent considers *settled* (holder state minus the pending-sync
   backlog) is byte-equal in the resident worker that owns the prefix's
@@ -142,17 +138,6 @@ def check_submit(pool: "ShardPool", slot: int, task: object) -> None:
             f"last sync header was for epoch {shadow[slot]}: sync_header must "
             "be issued (and shipped) before every dispatch on a new epoch"
         )
-    from repro.routing import wire
-
-    for position, field in enumerate(task):
-        if not isinstance(field, (bytes, bytearray)):
-            continue
-        divergence = wire.audit_blob(bytes(field))
-        if divergence is not None:
-            raise ProtocolViolationError(
-                f"wire codec round trip diverged for task field {position} "
-                f"bound to slot {slot}: {divergence}"
-            )
 
 
 def check_drain(simulator: "BgpSimulator") -> None:

@@ -146,16 +146,12 @@ def _run_harvest_shard(task: HarvestTask) -> bytes:
 
     epoch, router_config, additions_blob, items_blob, states_blob, timestamp = task
     simulator = shard_module._resident_simulator()
-    interner = simulator._wire_intern
     shard_module._sync_worker(simulator, epoch, router_config)
-    shard_module.install_prefix_state(
-        simulator, wire.decode_states(states_blob, interner), stale=None
-    )
-    shard_module._install_additions(simulator, wire.decode_additions(additions_blob, interner))
+    shard_module.install_prefix_state(simulator, wire.decode_states(states_blob), stale=None)
+    shard_module._install_additions(simulator, wire.decode_additions(additions_blob))
     export_cache: dict = {}
     results: list[tuple[int, list[tuple]]] = []
-    for fields in wire.decode_items(items_blob, interner):
-        item = HarvestItem(*fields)
+    for item in wire.decode_items(items_blob):
         router = simulator.routers[item.peer_asn]
         router.add_neighbor(item.collector_asn, Relationship.CUSTOMER)
         shared_key = router.export_memo_key(item.collector_asn)
@@ -238,11 +234,10 @@ def _harvest_sharded(
     # serial export order is the parent peer's Loc-RIB insertion order,
     # so sort each item's rows by the parent's own position map.  The
     # wire rows carry only (prefix, as_path, communities) — the
-    # per-item constants and the timestamp are re-attached here, with
-    # the communities interned through the parent's own table.
+    # per-item constants and the timestamp are re-attached here.
     by_item: dict[int, list[RouteObservation]] = {}
     for blob in outcomes:
-        for index, rows in wire.decode_observations(blob, simulator._wire_intern):
+        for index, rows in wire.decode_observations(blob):
             if not rows:
                 continue
             item = by_index[index]

@@ -10,7 +10,6 @@ from repro.routing.engine import (
 )
 from repro.routing.route_server import RouteServer, RouteServerDecision
 from repro.routing.shard import ShardPool, partition_events, stable_shard
-from repro.routing.wire import AttributeInterner, WIRE_ENV, wire_format
 from repro.routing.stream import (
     SimulatorService,
     StreamStats,
@@ -38,7 +37,4 @@ __all__ = [
     "coalesce_events",
     "parse_event",
     "read_event_stream",
-    "AttributeInterner",
-    "WIRE_ENV",
-    "wire_format",
 ]

@@ -85,7 +85,6 @@ from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.exceptions import ConvergenceError, RoutingError
 from repro.routing.router import Router
-from repro.routing.wire import AttributeInterner
 from repro.topology.relationships import Relationship
 from repro.topology.topology import Topology
 
@@ -223,10 +222,6 @@ class BgpSimulator:
         #: dispatches and harvests.  Empty for prefixes whose worker-side
         #: state already equals the parent's.
         self._pending_sync: dict[Prefix, set[int]] = {}
-        #: Wire-codec attribute interner: every delta decoded on merge
-        #: replay shares one ``PathAttributes``/``ASPath``/``CommunitySet``
-        #: object per distinct value, for the simulator's whole lifetime.
-        self._wire_intern = AttributeInterner()
         for asys in topology:
             relationships = {
                 neighbor: topology.relationship(asys.asn, neighbor)
@@ -431,15 +426,14 @@ class BgpSimulator:
         events plus the pending-sync pairs the parent mutated since the
         last call, runs the same ``_apply_local`` core, and ships back
         the touched-pair deltas; the merge replays those onto the parent
-        routers.  All results are materialised before any merge, so a
-        failing shard leaves the parent untouched (the pool epoch is
-        bumped so the workers' partial state is discarded too).
+        routers.  All results are collected *and decoded* before any
+        merge, so a failing shard or a corrupt delta blob leaves the
+        parent untouched (the pool epoch is bumped so the workers'
+        partial state is discarded too).
 
         Everything on the wire is a :mod:`repro.routing.wire` blob: the
         additions encode once per batch (every slot ships the same
-        bytes), events and states once per shard, and the returned
-        delta blobs decode through ``self._wire_intern`` so the merge
-        replay shares one attribute bundle per distinct set.
+        bytes), events and states once per shard.
         """
         from repro.routing import shard as shard_module
         from repro.routing import wire
@@ -481,7 +475,11 @@ class BgpSimulator:
                         ),
                     )
                 )
-            outcomes = [future.result() for future in futures]
+            results = [future.result() for future in futures]
+            outcomes = [
+                (worker_report, wire.decode_states(delta_blob))
+                for worker_report, delta_blob in results
+            ]
         except BaseException:
             # Worker state is now unknowable (popped pending pairs were
             # possibly never applied, some shards may have half-run):
@@ -491,10 +489,8 @@ class BgpSimulator:
             raise
         report = SimulationReport()
         stale = frozenset(stale)
-        for worker_report, delta_blob in outcomes:
-            shard_module.install_prefix_state(
-                self, wire.decode_states(delta_blob, self._wire_intern), stale=stale
-            )
+        for worker_report, deltas in outcomes:
+            shard_module.install_prefix_state(self, deltas, stale=stale)
             report.merge(worker_report)
         return report
 

@@ -9,7 +9,7 @@ handed out by :data:`PROVIDER`:
   and current router configuration, and counts it in
   ``stats["builds"]``;
 * the lease owns the router-config epoch state — the capture the pool's
-  current epoch reflects, plus its compact
+  current epoch reflects, plus its
   :func:`~repro.routing.wire.encode_config` blob cached per epoch — and
   shuts the pool down on :meth:`PoolLease.release` (what
   :meth:`BgpSimulator.close` calls) or when the simulator is collected.
@@ -54,8 +54,7 @@ class PoolLease:
     """One simulator's handle on the :class:`ShardPool` built for it.
 
     The lease owns the router-config epoch state: the capture the pool's
-    current epoch reflects, plus its compact wire encoding cached per
-    epoch.
+    current epoch reflects, plus its wire blob cached per epoch.
     """
 
     __slots__ = ("pool", "_config", "_config_blob", "_finalizer")

@@ -28,9 +28,9 @@ module turns that property into a **long-lived service**:
   fork copy-on-write (no per-process ``pickle.loads``; a pickled
   payload is the fallback where ``fork`` is unavailable); afterwards
   tasks carry only events plus the parent-side *deltas* for their
-  shard's prefixes, all encoded with the compact
-  :mod:`repro.routing.wire` codec.  A simulator reaches its pool
-  through a :mod:`repro.routing.residency` lease: one pool per
+  shard's prefixes, each framed as a :mod:`repro.routing.wire` blob.
+  A simulator reaches its pool through a :mod:`repro.routing.residency`
+  lease: one pool per
   simulator, built on its first sharded batch and shut down by
   ``close()``.
 
@@ -393,17 +393,14 @@ def _run_shard(task: ShardTask) -> tuple["SimulationReport", bytes]:
     parent shipped every pair it mutated since the last task via
     ``states``), so the install replaces exactly the shipped pairs and
     convergence continues from where the previous batch left off.  Both
-    directions ride the :mod:`repro.routing.wire` codec; decoding
-    through the resident simulator's interner keeps one attribute
-    bundle per distinct set across the worker's whole lifetime.
+    directions ride :mod:`repro.routing.wire` blobs.
     """
     epoch, router_config, additions_blob, events_blob, states_blob = task
     simulator = _resident_simulator()
-    interner = simulator._wire_intern
     _sync_worker(simulator, epoch, router_config)
-    install_prefix_state(simulator, wire.decode_states(states_blob, interner), stale=None)
-    _install_additions(simulator, wire.decode_additions(additions_blob, interner))
-    report = simulator._apply_local(wire.decode_events(events_blob, interner))
+    install_prefix_state(simulator, wire.decode_states(states_blob), stale=None)
+    _install_additions(simulator, wire.decode_additions(additions_blob))
+    report = simulator._apply_local(wire.decode_events(events_blob))
     # Ship back only the pairs this convergence touched: everything else
     # is either untouched in the parent or resident here for next time.
     deltas = capture_prefix_state(
@@ -491,8 +488,8 @@ class ShardPool:
         #: parent -> worker (cheap, always on).
         self.shipped_state_entries = 0
         #: Cumulative encoded task payload bytes shipped parent ->
-        #: worker (wire blobs plus the pickled router config on epoch
-        #: bumps).  Always on: the sizes fall out of the codec for free.
+        #: worker (wire blobs, including the router config on epoch
+        #: bumps).  Always on: the blob sizes are free to read.
         self.ship_bytes = 0
         self.tasks_dispatched = 0
         self._snapshot_token: "int | None" = None
@@ -560,8 +557,8 @@ class ShardPool:
         size = 0
         if isinstance(task, tuple):
             # Every payload field — including the router-config blob on
-            # epoch bumps — is wire-encoded bytes now, so the exact ship
-            # size is one generic pass.
+            # epoch bumps — is a wire blob, so the exact ship size is one
+            # generic pass.
             for field in task:
                 if isinstance(field, (bytes, bytearray)):
                     size += len(field)

@@ -260,6 +260,64 @@ class TestResidentEquivalence:
         finally:
             simulator.close()
 
+    def test_corrupt_delta_blob_aborts_the_whole_merge(self, monkeypatch):
+        """A delta that fails to decode installs no shard's delta at all."""
+        from repro.exceptions import WireError
+        from repro.routing import wire
+
+        def control_plane(simulator):
+            return {
+                asn: (
+                    {prefix: router.loc_rib.best(prefix) for prefix in router.loc_rib.prefixes()},
+                    {
+                        neighbor: {prefix: rib.get(prefix) for prefix in rib.prefixes()}
+                        for neighbor, rib in router.adj_rib_in.items()
+                    },
+                )
+                for asn, router in simulator.routers.items()
+            }
+
+        def fibs(simulator):
+            return {
+                asn: {entry.prefix: entry for entry in fib.entries()}
+                for asn, fib in DataPlane(simulator).fibs.items()
+            }
+
+        topology = small_topology()
+        events = make_events(topology)
+        first, second = events[:60], events[60:]
+        sequential = BgpSimulator(topology, shards=1)
+        sequential.apply(first)
+        sequential.apply(second)  # twin of the retry
+
+        simulator = BgpSimulator(topology, shards=2)
+        try:
+            simulator.apply(first)  # workers fork before the patch below
+            pool = simulator._shard_pool
+            epoch_before = pool.epoch
+            state_before, fibs_before = control_plane(simulator), fibs(simulator)
+            decode_states = wire.decode_states
+            calls = []
+
+            def second_call_fails(*args):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise WireError("corrupt delta blob")
+                return decode_states(*args)
+
+            monkeypatch.setattr(wire, "decode_states", second_call_fails)
+            with pytest.raises(WireError):
+                simulator.apply(second)
+            monkeypatch.undo()
+            assert len(calls) == 2
+            assert pool.epoch > epoch_before
+            assert control_plane(simulator) == state_before
+            assert fibs(simulator) == fibs_before
+            simulator.apply(second)
+            assert_identical_state(sequential, simulator)
+        finally:
+            simulator.close()
+
 
 class TestPoolLifecycle:
     def test_shard_pool_is_a_context_manager(self):

@@ -126,6 +126,8 @@ class TestCheckSubmit:
         pool = idle_pool()
         check_submit(pool, 0, GOOD_TASK)
         check_submit(pool, 0, (0, EMPTY_CONFIG_BLOB, (), (), (), 123.0))  # harvest shape
+        blobs = (_wire.encode_additions({}), _wire.encode_events([]), _wire.encode_states([]))
+        check_submit(pool, 0, (0, EMPTY_CONFIG_BLOB, *blobs))  # real wire blobs
 
     @pytest.mark.parametrize("task", ["nope", (0, None), (0,) * 7, None])
     def test_malformed_envelope_rejected(self, task):
@@ -149,82 +151,10 @@ class TestCheckSubmit:
         with pytest.raises(ProtocolViolationError, match="sync_header"):
             check_submit(pool, 0, (1, EMPTY_CONFIG_BLOB, (), (), ()))
 
-
-class TestCodecAudit:
-    """check_submit round-trips every wire blob riding in the envelope."""
-
-    def make_states_blob(self):
-        from repro.bgp.aspath import ASPath
-        from repro.bgp.attributes import PathAttributes
-        from repro.bgp.route import RouteEntry
-        from repro.routing import wire
-
-        prefix = Prefix.from_string("10.0.0.0/24")
-        attributes = PathAttributes(as_path=ASPath.of(65_001))
-        states = [
-            (
-                prefix,
-                65_001,
-                attributes,
-                ((65_002, RouteEntry(prefix, attributes, 65_002, best=True)),),
-            ),
-            (Prefix.from_string("10.1.0.0/24"), 65_002, None, ()),
-        ]
-        return states, wire.encode_states(states)
-
-    def test_clean_blobs_pass(self):
-        _, blob = self.make_states_blob()
-        from repro.routing import wire
-
-        empty = wire.encode_events([])
-        check_submit(idle_pool(), 0, (0, None, wire.encode_additions({}), empty, blob))
-
-    def test_corrupt_blob_names_its_task_field(self):
-        blob = b"WS\xff\xff\xff\xff\xff"  # valid header, garbage tables
-        with pytest.raises(ProtocolViolationError, match="task field 4"):
-            check_submit(idle_pool(), 1, (0, None, (), (), blob))
-
-    def test_lossy_encoder_divergence_is_named(self, monkeypatch):
-        """A codec bug that drops a record is caught and pinpointed."""
-        from repro.routing import wire
-
-        states, blob = self.make_states_blob()
-        original = wire._write_states_body
-
-        def dropping_writer(encoder, payload):
-            original(encoder, payload[:-1])
-
-        monkeypatch.setattr(wire, "_write_states_body", dropping_writer)
-        with pytest.raises(ProtocolViolationError, match="record count 2 != 1"):
-            check_submit(idle_pool(), 0, (0, None, (), (), blob))
-
-    def test_field_perturbation_divergence_is_named(self, monkeypatch):
-        """A codec bug that corrupts one field is named down to the field."""
-        from repro.routing import wire
-
-        states, blob = self.make_states_blob()
-        original = wire._write_states_body
-
-        def perturbing_writer(encoder, payload):
-            prefix, asn, originated, adjacent = payload[0]
-            neighbor, entry = adjacent[0]
-            twisted = entry.replace(learned_from=entry.learned_from + 1)
-            original(
-                encoder,
-                [(prefix, asn, originated, ((neighbor, twisted),))] + list(payload[1:]),
-            )
-
-        monkeypatch.setattr(wire, "_write_states_body", perturbing_writer)
-        with pytest.raises(
-            ProtocolViolationError, match=r"states\[0\].adjacent\[0\].entry.learned_from"
-        ):
-            check_submit(idle_pool(), 0, (0, None, (), (), blob))
-
-    def test_audit_leaves_ship_counters_untouched(self):
-        _, blob = self.make_states_blob()
+    def test_check_leaves_ship_counters_untouched(self):
         pool = idle_pool()
         before = (pool.tasks_dispatched, pool.ship_bytes, pool.shipped_state_entries)
-        check_submit(pool, 0, (0, None, (), (), blob))
+        check_submit(pool, 0, GOOD_TASK)
         assert (
             pool.tasks_dispatched,
             pool.ship_bytes,

@@ -1,16 +1,17 @@
-"""Compact wire codec: property-style round trips and format framing.
+"""Shard-protocol wire blobs: round trips per kind and format framing.
 
-The codec's contract is *lossless canonical* encoding: ``decode(encode(x))
-== x`` (and hash-equal, since every payload object is frozen), and the
-encoding itself is byte-stable — ``encode(decode(blob)) == blob`` — which
-is the invariant the ``REPRO_SANITIZE=1`` submit audit leans on.  The
-generators below bias toward the protocol's edges: AS0 origins, 32-bit
+The contract is lossless framing: ``decode(encode(x)) == x`` (and
+hash-equal, since every payload object is frozen), and every malformed
+blob — short header, wrong kind, unknown format byte, corrupt pickle —
+is a :class:`WireError` naming the kind the caller expected.  The
+generators bias toward the protocol's edges: AS0 origins, 32-bit
 MED/LOCAL_PREF bounds, the per-update community ceiling, empty vs
 ``None`` export scopes, and large-community tuples in arbitrary order.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -20,10 +21,11 @@ from repro.bgp.attributes import MAX_COMMUNITIES_PER_UPDATE, Origin, PathAttribu
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import RouteEntry
+from repro.collectors.harvest import HarvestItem
 from repro.exceptions import WireError
 from repro.routing import wire
 from repro.routing.engine import BgpSimulator, RoutingEvent
-from repro.routing.wire import AttributeInterner
+from repro.routing.shard import capture_router_config
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 
@@ -55,8 +57,8 @@ def random_cset(rng: random.Random) -> CommunitySet:
 
 
 def random_lset(rng: random.Random) -> "tuple[LargeCommunity, ...]":
-    # Duplicates and arbitrary order are preserved: lsets are tuples,
-    # not sets, on this wire.
+    # Duplicates and arbitrary order must survive: lsets are tuples,
+    # not sets.
     pool = [
         LargeCommunity(rng.choice((0, 0xFFFFFFFF, rng.getrandbits(32))), rng.getrandbits(32), rng.getrandbits(32))
         for _ in range(rng.randint(0, 3))
@@ -86,8 +88,8 @@ def random_entry(rng: random.Random, prefix: Prefix) -> RouteEntry:
         )
     )
     return RouteEntry(
-        # Half the entries reuse the state's own prefix (the codec
-        # elides those); the rest carry a foreign one (aggregates).
+        # Half the entries reuse the state's own prefix; the rest carry
+        # a foreign one (aggregates).
         prefix=prefix if rng.random() < 0.5 else random_prefix(rng),
         attributes=random_attributes(rng),
         learned_from=rng.choice((0, rng.randint(1, 70_000))),
@@ -129,6 +131,13 @@ def random_events(rng: random.Random, count: int) -> list[RoutingEvent]:
     ]
 
 
+def small_topology():
+    parameters = TopologyParameters(
+        tier1_count=2, transit_count=4, stub_count=10, ixp_count=0, seed=11
+    )
+    return TopologyGenerator(parameters).generate()
+
+
 # ------------------------------------------------------------ round trips
 class TestRoundTrips:
     def test_states_round_trip_equal_and_hash_equal(self):
@@ -142,11 +151,6 @@ class TestRoundTrips:
             for (_, entry), (_, d_entry) in zip(adjacent, d_adj):
                 assert hash(d_entry) == hash(entry)  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
                 assert hash(d_entry.attributes) == hash(entry.attributes)  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
-
-    def test_states_encoding_is_canonical(self):
-        rng = random.Random(43)
-        blob = wire.encode_states(random_states(rng, 40))
-        assert wire.encode_states(wire.decode_states(blob)) == blob
 
     def test_events_round_trip_with_as0_and_spoofed_origins(self):
         rng = random.Random(44)
@@ -227,7 +231,7 @@ class TestRoundTrips:
         }
         assert wire.decode_additions(wire.encode_additions(additions)) == additions
         items = [
-            (index, "ris", f"rrc{index:02d}", rng.randint(1, 70_000), rng.randint(1, 70_000))
+            HarvestItem(index, "ris", f"rrc{index:02d}", rng.randint(1, 70_000), rng.randint(1, 70_000))
             for index in range(12)
         ]
         assert wire.decode_items(wire.encode_items(items)) == items
@@ -243,66 +247,79 @@ class TestRoundTrips:
         ]
         assert wire.decode_observations(wire.encode_observations(groups)) == groups
 
-    def test_decoding_interns_shared_attributes(self):
-        prefix = Prefix.from_string("10.0.0.0/24")
-        attributes = PathAttributes(as_path=ASPath.of(65_001, 65_002))
-        states = [
-            (prefix, 65_001, attributes, ((65_003, RouteEntry(prefix, attributes, 65_003)),)),
-            (Prefix.from_string("10.1.0.0/24"), 65_002, attributes, ()),
-        ]
-        interner = AttributeInterner()
-        first = wire.decode_states(wire.encode_states(states), interner)
-        second = wire.decode_states(wire.encode_states(states), interner)
-        assert first[0][2] is first[0][3][0][1].attributes  # within one blob
-        assert first[0][2] is first[1][2]
-        assert first[0][2] is second[0][2]  # across blobs, same interner
+    def test_config_round_trips_by_pickled_value(self):
+        """Policy objects compare by identity, so compare re-pickled bytes."""
+        config = capture_router_config(BgpSimulator(small_topology()))
+        decoded = wire.decode_config(wire.encode_config(config))
+        assert decoded.keys() == config.keys()
+        for asn, router_config in config.items():
+            assert pickle.dumps(decoded[asn]) == pickle.dumps(router_config)
 
 
 # ------------------------------------------------------------ format/framing
 class TestFraming:
-    def test_compact_blobs_carry_format_and_kind_bytes(self):
+    def test_blobs_carry_format_and_kind_bytes(self):
         blob = wire.encode_states([])
-        assert blob[0] == ord("W")
+        assert blob[0] == ord("P")
         assert blob[1] == ord("S")
 
-    def test_pickle_mode_frames_and_interoperates(self, monkeypatch):
-        rng = random.Random(47)
-        states = random_states(rng, 10)
-        monkeypatch.setenv(wire.WIRE_ENV, "pickle")
-        assert wire.wire_format() == "pickle"
-        blob = wire.encode_states(states)
-        assert blob[0] == ord("P")
-        # Decoders dispatch on the format byte, not the env var.
-        monkeypatch.delenv(wire.WIRE_ENV)
-        assert wire.decode_states(blob) == states
-
     def test_wrong_kind_truncation_and_bad_format_raise_wire_error(self):
-        with pytest.raises(WireError):
+        with pytest.raises(WireError, match="events"):
             wire.decode_events(wire.encode_states([]))
-        with pytest.raises(WireError):
-            wire.decode_states(b"W")
-        with pytest.raises(WireError):
-            wire.decode_states(bytes((0x7A, wire.KIND_STATES)))
-        with pytest.raises(WireError):
-            wire.decode_states(b"WS\x01")  # tables truncated mid-stream
+        with pytest.raises(WireError, match="states"):
+            wire.decode_states(b"P")
+        with pytest.raises(WireError, match="states"):
+            wire.decode_states(bytes((0x7A,)) + wire.encode_states([])[1:])
 
-    def test_audit_blob_clean_and_garbage(self):
-        rng = random.Random(48)
-        assert wire.audit_blob(wire.encode_states(random_states(rng, 20))) is None
-        assert wire.audit_blob(wire.encode_events(random_events(rng, 20))) is None
-        assert wire.audit_blob(b"") is not None
-        assert wire.audit_blob(b"WS\xff\xff\xff") is not None
+    @pytest.mark.parametrize(
+        "name, encode, decode, empty",
+        [
+            ("states", wire.encode_states, wire.decode_states, []),
+            ("events", wire.encode_events, wire.decode_events, []),
+            ("additions", wire.encode_additions, wire.decode_additions, {}),
+            ("items", wire.encode_items, wire.decode_items, []),
+            ("observations", wire.encode_observations, wire.decode_observations, []),
+            ("config", wire.encode_config, wire.decode_config, {}),
+        ],
+        ids=["states", "events", "additions", "items", "observations", "config"],
+    )
+    def test_each_decoder_takes_only_its_own_kind(self, name, encode, decode, empty):
+        assert decode(encode(empty)) == empty
+        foreign = [
+            wire.encode_states([]),
+            wire.encode_events([]),
+            wire.encode_additions({}),
+            wire.encode_items([]),
+            wire.encode_observations([]),
+            wire.encode_config({}),
+        ]
+        own = encode(empty)
+        for blob in foreign:
+            if blob[1] == own[1]:
+                continue
+            with pytest.raises(WireError, match=f"expected a {name} blob"):
+                decode(blob)
+        with pytest.raises(WireError, match=f"{name} blob shorter"):
+            decode(own[:1])
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            wire.encode_states([])[:-1],  # truncated pickle: EOFError
+            b"PS\xff\x00",  # bad load key: UnpicklingError
+        ],
+        ids=["truncated", "bad-load-key"],
+    )
+    def test_corrupt_pickle_raises_wire_error(self, blob):
+        with pytest.raises(WireError, match="states"):
+            wire.decode_states(blob)
 
 
-# ----------------------------------------------- pickle-mode shard equivalence
+# ------------------------------------------------- pickle-wire shard equivalence
 class TestPickleModeEquivalence:
-    def test_sharded_matches_sequential_under_pickle_wire(self, monkeypatch):
-        """The baseline framing drives the same byte-identical merge."""
-        monkeypatch.setenv(wire.WIRE_ENV, "pickle")
-        parameters = TopologyParameters(
-            tier1_count=2, transit_count=4, stub_count=10, ixp_count=0, seed=11
-        )
-        topology = TopologyGenerator(parameters).generate()
+    def test_sharded_matches_sequential_under_pickle_wire(self):
+        """Pickle-framed shard dispatch drives the same byte-identical merge."""
+        topology = small_topology()
         ases = sorted(asys.asn for asys in topology)
         base = Prefix.from_string("10.0.0.0/8").network
         events = [
