@@ -8,12 +8,11 @@ more-specific sub-prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from repro.exceptions import PrefixError
 from repro.utils import ip as ip_utils
-from repro.utils.frozen import set_frozen_field
 
 
 class AddressFamily(IntEnum):
@@ -28,29 +27,31 @@ class AddressFamily(IntEnum):
         return 32 if self == AddressFamily.IPV4 else 128
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
-    """An IP prefix, e.g. ``Prefix.from_string("192.0.2.0/24")``."""
-
+class _PrefixFields(NamedTuple):
     family: AddressFamily
     network: int
     length: int
 
-    def __post_init__(self) -> None:
-        bits = self.family.bits
-        if not 0 <= self.length <= bits:
-            raise PrefixError(f"prefix length {self.length} out of range for {self.family.name}")
-        if not 0 <= self.network < (1 << bits):
-            raise PrefixError(f"network {self.network} out of range for {self.family.name}")
-        normalised = ip_utils.network_address(self.network, self.length, bits)
-        if normalised != self.network:
-            set_frozen_field(self, "network", normalised)
-        # Prefixes key every RIB, FIB and propagation-worklist container,
-        # so the (immutable) hash is computed once instead of per lookup.
-        set_frozen_field(self, "_hash", hash((self.family, self.network, self.length)))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Prefix(_PrefixFields):
+    """An IP prefix, e.g. ``Prefix.from_string("192.0.2.0/24")``.
+
+    Prefixes key every RIB, FIB and worklist container, so they are
+    tuples: hashed, compared and ordered in C by ``(family, network, length)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: AddressFamily, network: int, length: int) -> "Prefix":
+        if not isinstance(family, AddressFamily):
+            raise PrefixError(f"address family must be an AddressFamily, got {family!r}")
+        bits = family.bits
+        if not 0 <= length <= bits:
+            raise PrefixError(f"prefix length {length} out of range for {family.name}")
+        if not 0 <= network < (1 << bits):
+            raise PrefixError(f"network {network} out of range for {family.name}")
+        network &= ip_utils.mask_for_length(length, bits)
+        return tuple.__new__(cls, (family, network, length))
 
     @classmethod
     def from_string(cls, text: str) -> "Prefix":
@@ -59,17 +60,16 @@ class Prefix:
         if "/" not in text:
             raise PrefixError(f"invalid prefix {text!r}: missing '/length'")
         address_text, _, length_text = text.partition("/")
-        try:
-            length = int(length_text)
-        except ValueError as exc:
-            raise PrefixError(f"invalid prefix {text!r}: bad length") from exc
+        length = ip_utils.parse_decimal(length_text, 3)
+        if length is None:
+            raise PrefixError(f"invalid prefix {text!r}: bad length")
         if ":" in address_text:
             family = AddressFamily.IPV6
             address = ip_utils.parse_ipv6(address_text)
         else:
             family = AddressFamily.IPV4
             address = ip_utils.parse_ipv4(address_text)
-        return cls(family, ip_utils.network_address(address, length, family.bits), length)
+        return cls(family, address, length)
 
     @classmethod
     def ipv4(cls, network: int, length: int) -> "Prefix":
@@ -140,10 +140,6 @@ class Prefix:
             raise PrefixError(f"sub-prefix index {index} out of range (0..{slots - 1})")
         network = self.network | (index << (bits - new_length))
         return Prefix(self.family, network, new_length)
-
-    def first_address(self) -> int:
-        """Return the first (network) address as an integer."""
-        return self.network
 
     def host(self, offset: int | None = None) -> int:
         """Return the address ``network + offset`` (a representative host).

@@ -54,8 +54,8 @@ class AdjRibIn:
 class LocRib:
     """The selected (best) routes of one AS, keyed by prefix.
 
-    Multiple candidate routes per prefix are retained so looking glasses
-    can show alternatives; exactly one is flagged best.
+    Candidate routes per prefix are retained so looking glasses can show
+    alternatives; the best is the selected candidate object itself.
     """
 
     def __init__(self):
@@ -77,7 +77,7 @@ class LocRib:
         if entry is None:
             self._best.pop(prefix, None)
         else:
-            self._best[prefix] = entry if entry.best else entry.as_best()
+            self._best[prefix] = entry
         self._lpm.touch(prefix)
 
     def best(self, prefix: Prefix) -> RouteEntry | None:

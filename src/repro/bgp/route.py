@@ -87,14 +87,14 @@ class RouteEntry(NamedTuple):
     ``learned_from`` is the neighbor ASN (or the local ASN for
     originated routes); ``blackholed`` marks routes whose next hop has
     been rewritten to a discard (null) interface as the result of a
-    blackhole community.  An immutable value: the Adj-RIB-In and the
-    Loc-RIB candidate list hold the same object.
+    blackhole community.  An immutable value: the Adj-RIB-In, the
+    Loc-RIB candidate list and, once selected, the Loc-RIB best slot
+    hold the same object.
     """
 
     prefix: Prefix
     attributes: PathAttributes
     learned_from: int
-    best: bool = False
     blackholed: bool = False
     rejected: bool = False
     rejection_reason: str | None = None
@@ -120,28 +120,23 @@ class RouteEntry(NamedTuple):
         """Return a copy with fields replaced."""
         return _replaced(self, changes)
 
-    def as_best(self) -> "RouteEntry":
-        """The copy a Loc-RIB flags as the selected route."""
-        return self._make(self[:3] + (True,) + self[4:])
-
     def same_route(self, other: "RouteEntry") -> bool:
-        """Field equality ignoring the ``best`` flag.
+        """Field equality, cheapest difference first.
 
-        This is the comparison best-path refresh runs after every import:
-        export-side fields (``suppress_to``, ``announce_only_to``,
-        ``export_prepend``) count, because a re-announcement that only
-        alters them still changes what neighbors receive.
+        This is the comparison best-path refresh runs when the newly
+        selected entry is not the stored one: export-side fields
+        (``suppress_to``, ``announce_only_to``, ``export_prepend``) count,
+        because a re-announcement that only alters them still changes
+        what neighbors receive.
         """
         return (
             self.learned_from == other.learned_from  # the usual difference, and the cheapest
-            and self[4:] == other[4:]
+            and self[3:] == other[3:]
             and self[:2] == other[:2]
         )
 
     def __str__(self) -> str:
         flags = []
-        if self.best:
-            flags.append("best")
         if self.blackholed:
             flags.append("blackholed")
         if self.rejected:

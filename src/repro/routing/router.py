@@ -205,7 +205,7 @@ class Router:
             )
             reason = None if decision.accepted else decision.reason
         if reason is not None:
-            entry = RouteEntry(prefix, attributes, sender, False, False, True, reason)
+            entry = RouteEntry(prefix, attributes, sender, False, True, reason)
             triggered = ()
         else:
             # eBGP: LOCAL_PREF is not accepted from neighbors; reset to default so
@@ -221,7 +221,6 @@ class Router:
                 prefix,
                 attributes,
                 sender,
-                False,  # best
                 blackholed,
                 False,  # rejected
                 None,  # rejection_reason
@@ -340,10 +339,12 @@ class Router:
         previous = self.loc_rib.best(prefix)
         new_best = best_path(candidates)
         self.loc_rib.set_candidates(prefix, candidates)
-        if previous is None and new_best is None:
+        # The stored best is the candidate object itself, so an unchanged
+        # selection (and "still no route") is an identity hit.
+        if previous is new_best:
             return False
-        # Compare the full entry (modulo the best flag): export-side fields
-        # like suppress_to, announce_only_to and export_prepend change what
+        # Otherwise compare the full entry: export-side fields like
+        # suppress_to, announce_only_to and export_prepend change what
         # neighbors receive, so a re-announcement that only alters them must
         # still report a change and re-trigger export processing.  The
         # Loc-RIB (and its LPM trie) is only written when something did

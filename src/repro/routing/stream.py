@@ -28,8 +28,8 @@ The engine's batch semantics make a batch a net state change, and the
 final Loc-RIBs/FIBs depend only on the final origination state — so a
 coalesced stream converges to exactly the Loc-RIBs and FIBs of the
 uncoalesced event-by-event run (the per-run reports differ, of course:
-fewer events are processed).  ``tests/test_stream.py`` holds a
-property-style test of exactly that.
+fewer events are processed).  ``tests/test_core_equivalence.py`` checks
+exactly that over generated Internets, churn and windows.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """The sanctioned write path into frozen dataclass instances.
 
-Frozen value objects (:class:`~repro.bgp.prefix.Prefix`,
-:class:`~repro.bgp.attributes.PathAttributes`, ...) occasionally need a
-real field write: normalising a field during ``__post_init__`` or
-memoising an immutable derivation (the cached ``_hash`` that keys every
-RIB container).  Scattering raw ``object.__setattr__`` calls for that
-makes the immutability discipline unreviewable — any call site could be
-mutating anything.
+Frozen dataclass value objects (:class:`~repro.bgp.attributes.PathAttributes`,
+...) occasionally need a real field write: normalising a field during
+``__post_init__`` or memoising an immutable derivation (the cached
+``_hash`` and decision key of path attributes).  Tuple-backed records
+(:class:`~repro.bgp.prefix.Prefix`, :class:`~repro.bgp.route.RouteEntry`)
+never do: they validate in ``__new__`` and hash in C.  Scattering raw
+``object.__setattr__`` calls for that makes the immutability discipline
+unreviewable — any call site could be mutating anything.
 
 :func:`set_frozen_field` is the single blessed escape hatch: lint rule
 ``RPR020`` (:mod:`repro.analysis`) flags every ``object.__setattr__``

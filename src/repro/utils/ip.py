@@ -17,6 +17,15 @@ IPV6_BITS = 128
 _IPV4_MAX = (1 << IPV4_BITS) - 1
 _IPV6_MAX = (1 << IPV6_BITS) - 1
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def parse_decimal(text: str, max_digits: int) -> int | None:
+    """``text`` as an integer if it is 1..``max_digits`` ASCII digits (no sign, ``_`` or ``²``)."""
+    if 0 < len(text) <= max_digits and text.isascii() and text.isdigit():
+        return int(text)
+    return None
+
 
 def parse_ipv4(text: str) -> int:
     """Parse dotted-quad IPv4 text into an integer.
@@ -29,9 +38,9 @@ def parse_ipv4(text: str) -> int:
         raise PrefixError(f"invalid IPv4 address {text!r}: expected 4 octets")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        octet = parse_decimal(part, 3)
+        if octet is None:
             raise PrefixError(f"invalid IPv4 address {text!r}: non-numeric octet {part!r}")
-        octet = int(part)
         if octet > 255:
             raise PrefixError(f"invalid IPv4 address {text!r}: octet {octet} out of range")
         value = (value << 8) | octet
@@ -66,13 +75,10 @@ def parse_ipv6(text: str) -> int:
     for group in groups:
         if group == "":
             raise PrefixError(f"invalid IPv6 address {text!r}: empty group")
-        try:
-            part = int(group, 16)
-        except ValueError as exc:
-            raise PrefixError(f"invalid IPv6 address {text!r}: bad group {group!r}") from exc
-        if part > 0xFFFF:
-            raise PrefixError(f"invalid IPv6 address {text!r}: group {group!r} out of range")
-        value = (value << 16) | part
+        # 1-4 hex digits: ``int(group, 16)`` would also read "-1", "+f" and "0x1".
+        if len(group) > 4 or not _HEX_DIGITS.issuperset(group):
+            raise PrefixError(f"invalid IPv6 address {text!r}: bad group {group!r}")
+        value = (value << 16) | int(group, 16)
     return value
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +117,12 @@ class TestASPath:
         assert once.origin_asn == path.origin_asn
 
 
+prefixes = st.one_of(
+    st.builds(Prefix.ipv4, st.integers(0, (1 << 32) - 1), st.integers(0, 32)),
+    st.builds(Prefix.ipv6, st.integers(0, (1 << 128) - 1), st.integers(0, 128)),
+)
+
+
 class TestPrefix:
     def test_from_string_ipv4(self):
         prefix = Prefix.from_string("192.0.2.0/24")
@@ -213,3 +222,33 @@ class TestPrefix:
             assert prefix.network % (1 << (32 - length)) == 0
         assert Prefix(AddressFamily.IPV4, prefix.network, length) == prefix
         assert prefix.contains_prefix(prefix)
+
+    @given(st.lists(prefixes, max_size=12))
+    def test_value_semantics_are_the_field_tuple(self, items):
+        fields = [(p.family, p.network, p.length) for p in items]
+        # The tuple hash is the one the old cached hash used, so every dict
+        # and set of prefixes iterates in the same order as before.
+        assert [hash(p) for p in items] == [hash(f) for f in fields]  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        assert [(p.family, p.network, p.length) for p in sorted(items)] == sorted(fields)
+        for prefix in items:
+            assert not hasattr(prefix, "__dict__")
+            with pytest.raises(AttributeError):
+                prefix.length = 0
+            with pytest.raises(AttributeError):
+                prefix.note = "prefixes take no new attributes"
+            for twin in (pickle.loads(pickle.dumps(prefix)), copy.deepcopy(prefix)):
+                assert twin == prefix and type(twin) is Prefix
+
+    @given(prefixes)
+    def test_construction_still_validates(self, prefix):
+        family, bits = prefix.family, prefix.family.bits
+        for length in (-1, bits + 1):
+            with pytest.raises(PrefixError, match="length"):
+                Prefix(family, prefix.network, length)
+        for network in (-1, 1 << bits):
+            with pytest.raises(PrefixError, match="network"):
+                Prefix(family, network, prefix.length)
+        for not_a_family in (int(family), family.name, None):
+            with pytest.raises(PrefixError, match="AddressFamily"):
+                Prefix(not_a_family, prefix.network, prefix.length)
+        assert Prefix(*prefix) == prefix

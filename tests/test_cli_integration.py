@@ -20,6 +20,22 @@ from repro.routing.engine import BgpSimulator
 FUZZ_VALUES = ["x", None, -1, float("nan"), float("inf"), [], {}, ""]
 FUZZ_TOKENS = ["x", "null", "-1", "NaN", "1e309", "[]", "{}", '""']
 
+#: Prefix text that ``int()`` parsing accepted, misread (``-1::`` became
+#: ``ffff::``) or crashed on with a raw ``ValueError`` (``²``, 5000 digits).
+HOSTILE_PREFIXES = {
+    "superscript-octet": "1.2.3.\u00b2/24",
+    "negative-group": "-1::/16",
+    "0x-group": "2a00::0x1/64",
+    "plus-group": "2a00::+f/64",
+    "underscore-group": "2a00::1_0/64",
+    "underscore-length": "10.0.0.0/2_4",
+    "plus-length": "10.0.0.0/+24",
+    "minus-length": "10.0.0.0/-0",
+    "blank-length": "10.0.0.0/ 24",
+    "arabic-indic-octet": "\u0661\u0660.0.0.0/8",
+    "5000-digit-octet": "1" * 5000 + ".0.0.0/8",
+}
+
 
 def _fuzz_targets() -> list[tuple[str, str]]:
     from repro.experiments import available, get
@@ -386,3 +402,31 @@ class TestStreamCli:
             main(["stream", "-", "--window", "0"])
         assert excinfo.value.code == 2
         assert "argument --window: must be a positive integer, got '0'" in capsys.readouterr().err
+
+
+class TestStrictPrefixText:
+    @pytest.mark.parametrize("text", list(HOSTILE_PREFIXES.values()), ids=list(HOSTILE_PREFIXES))
+    def test_hostile_prefix_text_is_an_error_naming_the_field(self, text, capsys, monkeypatch):
+        import io
+
+        from repro.exceptions import PrefixError, RoutingError
+        from repro.routing.stream import read_event_stream
+
+        with pytest.raises(PrefixError):
+            Prefix.from_string(text)
+        line = json.dumps({"origin": 65001, "prefix": text})
+        with pytest.raises(RoutingError, match="^stream line 1: bad stream event prefix .* in field 'prefix'"):
+            list(read_event_stream([line]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        assert main(["stream", "-", "--scale", "small", "--seed", "9"]) == 2
+        err = capsys.readouterr().err
+        assert "'prefix'" in err and "Traceback" not in err
+        assert main(["run", "rtbh", "--param", f"victim_prefix={text}"]) == 1
+        err = capsys.readouterr().err
+        assert "experiment parameter 'victim_prefix' must be a prefix" in err and "Traceback" not in err
+
+    def test_plain_prefix_text_still_parses(self):
+        assert Prefix.from_string("2001:DB8:0:0:0:0:0:1/128") == Prefix.from_string("2001:db8::1/128")
+        assert str(Prefix.from_string(" 010.0.0.255/8 ")) == "10.0.0.0/8"
+        assert str(Prefix.from_string("0.0.0.0/0")) == "0.0.0.0/0"
+        assert str(Prefix.from_string("::/0")) == "::/0"

@@ -1,6 +1,6 @@
 """Generated equivalence and count gates for the in-process core's hot loop.
 
-Five contracts, none of them timed:
+Six contracts, none of them timed:
 
 * the import pipeline (`Router.import_announcement`, what the engine
   runs per delivered update) stores what an independent gate-by-gate
@@ -18,6 +18,10 @@ Five contracts, none of them timed:
   ``apply()`` leaves the Loc-RIBs, Adj-RIBs-In and FIBs of a sequential
   ``announce()`` / ``withdraw()`` loop, and the converged state keeps its
   invariants — the stand-in for a ``churn`` ledger workload;
+* the same churn fed through a coalescing ``SimulatorService`` at a
+  drawn window, with drawn extra drains, converges to the Loc-RIBs,
+  Adj-RIBs-In and FIBs of event-by-event ``apply()`` (coalescing keys on
+  ``Prefix``, so this also guards its hash and equality);
 * on a small fixed topology the work per best-path change stays
   proportional to what differs: rewrites are bounded by changed bests x
   distinct neighbor signatures, and convergence plus FIB patch performs
@@ -62,6 +66,7 @@ from repro.policy.vendor import CISCO_PROFILE, JUNIPER_PROFILE
 from repro.routing.decision import best_path
 from repro.routing.engine import BgpSimulator, RoutingEvent, SimulationReport, origination_events
 from repro.routing.router import Router
+from repro.routing.stream import SimulatorService
 from repro.topology.asys import AutonomousSystem
 from repro.topology.relationships import Relationship
 from repro.topology.topology import Topology
@@ -569,7 +574,7 @@ def check_converged_invariants(simulator: BgpSimulator, plane: DataPlane) -> Non
             candidates = router.loc_rib.candidates(prefix)
             assert candidates == router._candidates(prefix)
             winner = best_path(candidates)
-            assert routes.get(prefix) == (None if winner is None else winner.as_best())
+            assert routes.get(prefix) == winner
             if winner is not None:
                 assert asn not in winner.attributes.as_path.asns(), "own ASN on a selected path"
             # Looking up also replays the journals, so a later withdraw deletes from the tries.
@@ -629,6 +634,33 @@ def test_batched_apply_equals_the_sequential_loop_under_churn(data):
         assert not any(router.loc_rib.candidates(prefix) for prefix in CHURN_PREFIXES)
         assert not any(len(rib) for rib in router.adj_rib_in.values())
     check_converged_invariants(batched, plane)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coalesced_stream_equals_event_by_event_apply(data):
+    topology = data.draw(small_internets())
+    rounds = data.draw(churn_rounds(topology.asns()))
+    one_by_one = BgpSimulator(topology, shards=1)
+    one_by_one_plane = DataPlane(one_by_one)
+    for event in (event for events in rounds for event in events):
+        one_by_one_plane.rebuild(one_by_one.apply([event]))
+
+    streamed = BgpSimulator(topology, shards=1)
+    plane = DataPlane(streamed)
+    with SimulatorService(streamed, window=data.draw(st.integers(1, 8), label="window")) as service:
+        for events in rounds:
+            reports = service.feed(events)
+            if data.draw(st.booleans(), label="drain after this round"):
+                reports.append(service.drain())
+            for report in reports:
+                plane.rebuild(report)
+        plane.rebuild(service.drain())
+    stats = service.stats
+    assert stats.events_seen == sum(len(events) for events in rounds)
+    assert stats.events_applied == stats.events_seen - stats.events_coalesced
+    assert control_plane(streamed) == control_plane(one_by_one)
+    assert fib_tables(plane) == fib_tables(one_by_one_plane) == fib_tables(DataPlane(streamed))
 
 
 # ------------------------------------------------------------------ count gate

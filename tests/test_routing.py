@@ -468,7 +468,6 @@ class TestHandRolledCopies:
             prefix=PREFIX,
             attributes=attributes,
             learned_from=4,
-            best=True,
             blackholed=True,
             rejected=True,
             rejection_reason="sample",
@@ -515,10 +514,7 @@ class TestHandRolledCopies:
         for name in RouteEntry._fields:
             changed = entry.replace(**{name: alternatives[name]})
             assert changed != entry, name
-            if name == "best":
-                assert entry.same_route(changed), "same_route must ignore the best flag"
-            else:
-                assert not entry.same_route(changed), name
+            assert not entry.same_route(changed), name
 
         alternatives = {**self.attribute_defaults(), "as_path": ASPath.of(7)}
         for name, value in alternatives.items():
@@ -532,8 +528,11 @@ class TestHandRolledCopies:
             entry.attributes.replace(no_such_field=1)
 
     def test_dedicated_copies_change_one_field_only(self):
-        entry = self.sample_entry().replace(best=False)
-        assert entry.as_best() == entry.replace(best=True)
+        entry = self.sample_entry()
+        announcement = Announcement(entry.prefix, entry.attributes, 4, 2, 1.5)
+        other = PathAttributes(as_path=ASPath.of(7))
+        assert announcement.with_attributes(other) == announcement.replace(attributes=other)
+        assert announcement.with_attributes(other)[2:] == announcement[2:]
 
 
 class TestFlatRecords:
@@ -575,10 +574,9 @@ class TestFlatRecords:
         stored = 0
         for asn, router in simulator.routers.items():
             for best in router.loc_rib:
-                assert best.best is True
                 if best.learned_from != asn:
-                    twin = router.adj_rib_in[best.learned_from].get(best.prefix)
-                    assert twin.best is False and twin.as_best() == best
+                    # The Loc-RIB keeps the Adj-RIB-In entry it selected, not a copy.
+                    assert best is router.adj_rib_in[best.learned_from].get(best.prefix)
                     stored += 1
         assert stored > 0
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 
@@ -141,60 +140,6 @@ class TestSimulatorService:
         # The buffered event is still pending, not silently converged.
         assert len(failing.pending_events()) == 1
         assert failing.stats.batches == 0
-
-    def test_coalesced_stream_converges_like_uncoalesced(self):
-        """Property: random churn, event-by-event vs coalesced windows.
-
-        The converged Loc-RIBs and FIBs depend only on the final
-        origination state, so the service's last-writer-wins windows
-        must land on exactly the state of the uncoalesced run.
-        """
-        from repro.dataplane.forwarding import DataPlane
-
-        topology = small_topology()
-        ases = sorted(a.asn for a in topology)
-        rng = random.Random(1234)
-        events = []
-        for _ in range(300):
-            origin = rng.choice(ases)
-            target = prefix(rng.randrange(12))
-            kind = rng.randrange(3)
-            if kind == 0:
-                events.append(RoutingEvent.withdrawal(origin, target))
-            elif kind == 1:
-                events.append(
-                    RoutingEvent(
-                        origin_asn=origin,
-                        prefix=target,
-                        communities=CommunitySet.of(f"{origin}:{rng.randrange(1000)}"),
-                    )
-                )
-            else:
-                events.append(RoutingEvent(origin_asn=origin, prefix=target))
-
-        uncoalesced = BgpSimulator(topology, shards=1)
-        for event in events:
-            uncoalesced.apply([event])
-
-        streamed = BgpSimulator(topology, shards=1)
-        with SimulatorService(streamed, window=17) as service:
-            service.feed(events)
-        assert service.stats.events_seen == 300
-        assert service.stats.events_coalesced > 0  # churn actually coalesced
-
-        for asn in ases:
-            ours = uncoalesced.router(asn).loc_rib
-            theirs = streamed.router(asn).loc_rib
-            assert sorted(ours.prefixes()) == sorted(theirs.prefixes())
-            for p in ours.prefixes():
-                assert ours.best(p) == theirs.best(p), (asn, p)
-        ours_plane, theirs_plane = DataPlane(uncoalesced), DataPlane(streamed)
-        ours_plane.rebuild()
-        theirs_plane.rebuild()
-        for asn in ases:
-            assert {e.prefix: e for e in ours_plane.fib(asn).entries()} == {
-                e.prefix: e for e in theirs_plane.fib(asn).entries()
-            }
 
 
 class TestWireFormat:

@@ -93,7 +93,6 @@ def random_entry(rng: random.Random, prefix: Prefix) -> RouteEntry:
         prefix=prefix if rng.random() < 0.5 else random_prefix(rng),
         attributes=random_attributes(rng),
         learned_from=rng.choice((0, rng.randint(1, 70_000))),
-        best=rng.random() < 0.5,
         blackholed=rng.random() < 0.2,
         rejected=rng.random() < 0.2,
         rejection_reason=rng.choice((None, "loop", "policy: peerlock §4.2")),
