@@ -22,26 +22,18 @@ dispatch points.
 Entry points:
 
 * ``repro-bgp lint [PATHS] [--json] [--format github]
-  [--select/--ignore CODES] [--baseline FILE]`` — the CLI subcommand;
+  [--select/--ignore CODES]`` — the CLI subcommand;
 * ``python -m repro.analysis`` — the same engine standalone;
 * :func:`lint_paths` / :func:`lint_source` — the library API.
 
 Rule codes: RPR001/002/003 (determinism), RPR010/011 (multiprocessing
 safety), RPR020/021 (immutability discipline), RPR030/031/032 (sync
 protocol dataflow), RPR000 (lint integrity).  ``repro-bgp lint
---list-rules`` describes each; see the README "Static analysis"
-section for the suppression (``# repro: noqa[RPR0xx]: reason``) and
-baseline workflow.
+--list-rules`` describes each.  The one way to accept a finding is an
+inline ``# repro: noqa[RPR0xx]: reason`` on its line (see the README
+"Static analysis" section).
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.callgraph import PROJECT_RULES, WORKER_ENTRY_POINTS, ShardPurityRule
 from repro.analysis.dataflow import (
     DATAFLOW_RULES,
@@ -69,12 +61,9 @@ from repro.analysis.sanitizer import SANITIZE_ENV, ProtocolViolationError
 
 __all__ = [
     "ALL_PROJECT_RULES",
-    "BaselineEntry",
-    "BaselineError",
     "ConfigCoherenceRule",
     "ControlFlowGraph",
     "DATAFLOW_RULES",
-    "DEFAULT_BASELINE_NAME",
     "ForkAliasRule",
     "INTEGRITY_CODE",
     "LintConfigError",
@@ -93,11 +82,8 @@ __all__ = [
     "WORKER_ENTRY_POINTS",
     "add_lint_arguments",
     "all_rules",
-    "apply_baseline",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
     "run_lint",
-    "write_baseline",
 ]

@@ -740,8 +740,8 @@ class ForkAliasRule(Rule):
             for _site, name in _module_state_reads(function):
                 worker_accesses.add(state_key(function, name))
 
-        # Anchor every finding at a parent-side access so one decision
-        # (noqa / baseline entry) covers the shared name, not each of
+        # Anchor every finding at a parent-side access so one inline
+        # noqa covers the shared name, not each of
         # the worker-side writes RPR011 already reports.
         reported: set[tuple[str, str, str]] = set()
         for function in parents:

@@ -4,31 +4,22 @@ This is the orchestration layer behind ``repro-bgp lint`` and
 ``python -m repro.analysis``: it walks the given paths, parses each
 file once into a :class:`~repro.analysis.model.ModuleInfo`, runs the
 per-module rules and the project-wide call-graph rules, then applies
-inline suppressions and the checked-in baseline before rendering.
+inline ``# repro: noqa[CODE]: reason`` suppressions before rendering.
 
-Exit codes: ``0`` clean (possibly via suppressions/baseline), ``1``
+Exit codes: ``0`` clean (possibly via inline suppressions), ``1``
 violations remain, ``2`` the lint configuration itself is broken
-(unreadable path, malformed baseline, unknown rule code).
+(unreadable path, unknown rule code, empty ``--select``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.callgraph import PROJECT_RULES
 from repro.analysis.dataflow import DATAFLOW_RULES
 from repro.analysis.model import ModuleInfo, Violation, build_module, module_from_source
@@ -67,8 +58,6 @@ class LintReport:
     violations: list[Violation] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -76,14 +65,7 @@ class LintReport:
 
     def summary(self) -> str:
         counts = f"{len(self.violations)} violation(s) in {self.files_checked} file(s)"
-        extras = []
-        if self.suppressed:
-            extras.append(f"{self.suppressed} suppressed inline")
-        if self.baselined:
-            extras.append(f"{self.baselined} baselined")
-        if self.stale_baseline:
-            extras.append(f"{len(self.stale_baseline)} stale baseline entr(y/ies)")
-        return counts + (f" ({', '.join(extras)})" if extras else "")
+        return counts + (f" ({self.suppressed} suppressed inline)" if self.suppressed else "")
 
     def to_dict(self) -> dict:
         return {
@@ -92,8 +74,6 @@ class LintReport:
                 "files_checked": self.files_checked,
                 "violations": len(self.violations),
                 "suppressed": self.suppressed,
-                "baselined": self.baselined,
-                "stale_baseline": [entry.to_dict() for entry in self.stale_baseline],
                 "ok": self.ok,
             },
         }
@@ -101,7 +81,7 @@ class LintReport:
 
 # ------------------------------------------------------------------ discovery
 def _display_path(path: Path) -> str:
-    """Path as printed and as fingerprinted: cwd-relative, POSIX separators."""
+    """Path as printed: cwd-relative, POSIX separators."""
     try:
         relative = path.resolve().relative_to(Path.cwd().resolve())
         return relative.as_posix()
@@ -143,6 +123,8 @@ def _select_codes(raw: "Sequence[str] | None") -> "set[str] | None":
     codes: set[str] = set()
     for chunk in raw:
         codes.update(code.strip().upper() for code in chunk.split(",") if code.strip())
+    if not codes:
+        raise LintConfigError(f"no rule code in {raw!r}; name at least one, e.g. RPR001")
     unknown = {
         code for code in codes if not any(known.startswith(code) for known in known_codes())
     }
@@ -164,7 +146,6 @@ def lint_paths(
     paths: Sequence[str],
     select: "Sequence[str] | None" = None,
     ignore: "Sequence[str] | None" = None,
-    baseline: "Path | None" = None,
 ) -> LintReport:
     """Run every rule over ``paths`` and return the filtered report."""
     selected = _select_codes(select)
@@ -233,13 +214,6 @@ def lint_paths(
         else:
             unsuppressed.append(violation)
 
-    # Baseline: fingerprint matches absorb grandfathered findings.
-    if baseline is not None and baseline.exists():
-        entries = load_baseline(baseline)
-        unsuppressed, baselined, stale = apply_baseline(unsuppressed, entries)
-        report.baselined = baselined
-        report.stale_baseline = stale
-
     report.violations = sorted(
         unsuppressed,
         key=lambda violation: (violation.path, violation.line, violation.column, violation.code),
@@ -262,12 +236,6 @@ def lint_source(source: str, filename: str = "<snippet>") -> list[Violation]:
 def render_text(report: LintReport, stream: TextIO) -> None:
     for violation in report.violations:
         print(violation.render(), file=stream)
-    for entry in report.stale_baseline:
-        print(
-            f"note: stale baseline entry {entry.code} {entry.path} "
-            f"({entry.context}) no longer matches anything — remove it",
-            file=stream,
-        )
     print(report.summary(), file=stream)
 
 
@@ -282,9 +250,7 @@ def _github_escape(value: str, *, property: bool = False) -> str:
 def render_github(report: LintReport, stream: TextIO) -> None:
     """GitHub Actions workflow commands: inline PR annotations.
 
-    Violations become ``::error`` annotations anchored at file/line/col;
-    stale baseline entries become ``::warning`` lines (no location — the
-    site they pointed at no longer exists).
+    Violations become ``::error`` annotations anchored at file/line/col.
     """
     for violation in report.violations:
         location = (
@@ -294,12 +260,6 @@ def render_github(report: LintReport, stream: TextIO) -> None:
         )
         message = _github_escape(f"[{violation.context}] {violation.message}")
         print(f"::error {location}::{message}", file=stream)
-    for entry in report.stale_baseline:
-        message = _github_escape(
-            f"stale baseline entry {entry.code} {entry.path} ({entry.context}) "
-            "no longer matches anything — remove it"
-        )
-        print(f"::warning title=stale-baseline::{message}", file=stream)
     print(report.summary(), file=stream)
 
 
@@ -336,23 +296,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="skip these rule codes / prefixes (comma-separated, repeatable)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE_NAME} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (show grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a pending-triage baseline and exit",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="describe every rule code and exit"
     )
 
@@ -367,31 +310,11 @@ def run_lint(args: argparse.Namespace) -> int:
             "'# repro: noqa[...]' suppression (reason text is required)"
         )
         return 0
-    baseline_path: "Path | None"
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-    else:
-        default = Path(os.environ.get("REPRO_LINT_BASELINE", DEFAULT_BASELINE_NAME))
-        baseline_path = default if default.exists() else None
     try:
-        report = lint_paths(
-            args.paths, select=args.select, ignore=args.ignore, baseline=baseline_path
-        )
-    except (LintConfigError, BaselineError) as exc:
+        report = lint_paths(args.paths, select=args.select, ignore=args.ignore)
+    except LintConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(Path(args.write_baseline), report.violations)
-        print(
-            f"wrote {count} baseline entr(y/ies) to {args.write_baseline} — "
-            "edit every 'reason' before checking it in"
-        )
-        return 0
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     elif getattr(args, "format", "text") == "github":

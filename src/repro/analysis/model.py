@@ -5,11 +5,6 @@ every rule needs — parent links, enclosing-scope qualnames, the
 module's import tables, module-level assignment targets, and the inline
 ``# repro: noqa[...]`` suppression map.  Rules never re-parse or
 re-walk for this bookkeeping; they receive the finished ``ModuleInfo``.
-
-Violation fingerprints are deliberately **line-free**: a baseline entry
-matches ``(code, path, context, message)`` so unrelated edits above a
-baselined site do not un-baseline it.  Messages therefore never embed
-line numbers (the line lives on the violation itself for display).
 """
 
 from __future__ import annotations
@@ -39,17 +34,12 @@ class Violation:
     context: str
     message: str
 
-    @property
-    def fingerprint(self) -> tuple[str, str, str, str]:
-        """The line-free identity used by baseline matching."""
-        return (self.code, self.path, self.context, self.message)
-
     def render(self) -> str:
         """The one-line ``path:line:col: CODE message`` form."""
         return f"{self.path}:{self.line}:{self.column}: {self.code} {self.message}"
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (``--json`` output and baselines)."""
+        """JSON-serializable form (``--json`` output)."""
         return {
             "code": self.code,
             "path": self.path,

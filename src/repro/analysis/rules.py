@@ -20,8 +20,8 @@ sharded results, reproducible topologies, lossless archives):
   ``_hash`` on classes declaring mutable fields.
 
 The rules are static heuristics: they over-approximate on purpose and
-rely on the inline ``# repro: noqa[CODE]: reason`` suppressions and the
-checked-in baseline for the (rare, justified) exceptions.
+rely on inline ``# repro: noqa[CODE]: reason`` suppressions for the
+(rare, justified) exceptions.
 """
 
 from __future__ import annotations

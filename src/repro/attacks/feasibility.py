@@ -103,13 +103,6 @@ class FeasibilityMatrix:
             for row in self.rows
         )
 
-    def difficulty_of(self, scenario: str, hijack: bool) -> Difficulty:
-        """Look up the difficulty of one scenario variant."""
-        for row in self.rows:
-            if row.scenario == scenario and row.hijack == hijack:
-                return row.difficulty
-        raise KeyError(f"no row for {scenario} hijack={hijack}")
-
 
 def _grade(gates: list[str]) -> Difficulty:
     """Map the gate list to a difficulty grade like the paper's Table 3."""

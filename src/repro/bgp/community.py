@@ -26,9 +26,6 @@ WELL_KNOWN_ASN = 0xFFFF
 PRIVATE_ASN_16_START = 64512
 PRIVATE_ASN_16_END = 65534
 
-#: Reserved ASN 0 and 65535.
-RESERVED_ASNS = frozenset({0, 65535})
-
 
 class WellKnownCommunity(IntEnum):
     """Well-known community values standardised by the IETF."""
@@ -112,11 +109,6 @@ class Community:
     def is_private_asn(self) -> bool:
         """True if the ASN part is in the RFC 6996 private range."""
         return is_private_asn(self.asn)
-
-    @property
-    def is_reserved_asn(self) -> bool:
-        """True if the ASN part is 0 or 65535."""
-        return self.asn in RESERVED_ASNS
 
     def __str__(self) -> str:
         return f"{self.asn}:{self.value}"

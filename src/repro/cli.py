@@ -19,7 +19,7 @@ Sub-commands:
   simulation;
 * ``lint``      — run the project's static-analysis rules
   (:mod:`repro.analysis`): determinism, pickle-safety and shard-purity
-  invariants, with inline suppressions and a checked-in baseline.
+  invariants, with inline ``# repro: noqa[CODE]: reason`` suppressions.
 """
 
 from __future__ import annotations
@@ -324,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
             "hashing (RPR001), seeded randomness (RPR002), order-stable "
             "iteration (RPR003), picklable worker callables (RPR010), shard "
             "purity (RPR011), and frozen-dataclass discipline (RPR020/021). "
-            "Suppress inline with '# repro: noqa[RPR0xx]: reason'; "
-            "grandfather with a baseline file."
+            "Accept a justified finding inline with '# repro: noqa[RPR0xx]: reason'."
         ),
     )
     add_lint_arguments(lint)

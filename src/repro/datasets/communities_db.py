@@ -131,7 +131,3 @@ class CommunityUsageModel:
     def on_path_value(self) -> int:
         """Draw a value for an on-path community."""
         return self._draw_value(POPULAR_ON_PATH_VALUES, tail_probability=0.4)
-
-    def documented_ases(self) -> list[int]:
-        """Return the ASes for which documentation has been generated."""
-        return sorted(self._documentation)

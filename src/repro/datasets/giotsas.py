@@ -48,10 +48,6 @@ class BlackholeCommunityList:
         """Return every community in the list."""
         return [r.community for r in self.records]
 
-    def verified_communities(self) -> list[Community]:
-        """Return the verified communities."""
-        return [r.community for r in self.verified()]
-
     def record_for(self, community: Community) -> BlackholeCommunityRecord | None:
         """Return the record for ``community`` (None if absent)."""
         for record in self.records:

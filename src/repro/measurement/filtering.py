@@ -35,16 +35,6 @@ class EdgeIndications:
         """True if the edge has at least one forwarding or filtering indication."""
         return self.forwarded > 0 or self.filtered > 0
 
-    @property
-    def only_filters(self) -> bool:
-        """True if every indication points at filtering."""
-        return self.filtered > 0 and self.forwarded == 0
-
-    @property
-    def only_forwards(self) -> bool:
-        """True if every indication points at forwarding."""
-        return self.forwarded > 0 and self.filtered == 0
-
 
 @dataclass
 class FilteringInference:

@@ -124,14 +124,6 @@ class PropagationDistances:
     all_communities: Ecdf
     blackhole_communities: Ecdf
 
-    def median_all(self) -> float:
-        """Median hop distance over all communities."""
-        return self.all_communities.quantile(0.5)
-
-    def median_blackhole(self) -> float:
-        """Median hop distance of blackhole communities."""
-        return self.blackhole_communities.quantile(0.5)
-
 
 def propagation_distance_ecdf(
     archive: ObservationArchive,

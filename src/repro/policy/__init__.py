@@ -21,7 +21,6 @@ from repro.policy.community_policy import (
 )
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.filters import PrefixFilter, IrrDatabase, IrrRoute, MaxPrefixLengthFilter
-from repro.policy.route_map import RouteMap, RouteMapEntry, MatchCondition, RouteMapResult
 from repro.policy.vendor import VendorProfile, CISCO_PROFILE, JUNIPER_PROFILE
 
 __all__ = [
@@ -46,10 +45,6 @@ __all__ = [
     "IrrDatabase",
     "IrrRoute",
     "MaxPrefixLengthFilter",
-    "RouteMap",
-    "RouteMapEntry",
-    "MatchCondition",
-    "RouteMapResult",
     "VendorProfile",
     "CISCO_PROFILE",
     "JUNIPER_PROFILE",

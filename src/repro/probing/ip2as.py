@@ -9,7 +9,6 @@ simulated origins.
 from __future__ import annotations
 
 from repro.bgp.prefix import AddressFamily, Prefix
-from repro.collectors.observation import ObservationArchive
 from repro.net.lpm import LpmTable
 from repro.topology.topology import Topology
 
@@ -27,16 +26,6 @@ class Ip2AsMapper:
     def from_topology(cls, topology: Topology) -> "Ip2AsMapper":
         """Build the mapping from the topology's legitimate prefix ownership."""
         return cls(topology.originated_prefixes())
-
-    @classmethod
-    def from_archive(cls, archive: ObservationArchive) -> "Ip2AsMapper":
-        """Build the mapping from observed routes (origin = last AS on the path)."""
-        table: dict[Prefix, int] = {}
-        for observation in archive:
-            origin = observation.origin_asn
-            if origin is not None:
-                table[observation.prefix] = origin
-        return cls(table)
 
     def add(self, prefix: Prefix, asn: int) -> None:
         """Add one mapping entry."""

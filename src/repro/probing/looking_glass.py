@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.community import Community
 from repro.bgp.prefix import Prefix
 from repro.exceptions import ProbingError
 from repro.routing.engine import BgpSimulator
@@ -28,10 +27,6 @@ class LookingGlassEntry:
     next_hop: str
     learned_from: int
     blackholed: bool
-
-    def has_community(self, community: Community | str) -> bool:
-        """True if the route carries the community."""
-        return str(community) in self.communities
 
 
 class LookingGlass:

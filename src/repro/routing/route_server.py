@@ -17,8 +17,6 @@ from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Announcement
 from repro.exceptions import RoutingError
-from repro.routing.decision import best_path
-from repro.bgp.route import RouteEntry
 from repro.topology.ixp import Ixp, RouteServerConfig
 
 
@@ -146,22 +144,3 @@ class RouteServer:
     def member_has_route(self, member_asn: int, prefix: Prefix) -> bool:
         """True if ``member_asn`` currently receives a route for ``prefix``."""
         return prefix in self.routes_for_member(member_asn)
-
-    def received_announcements(self) -> list[Announcement]:
-        """Return every announcement the route server has accepted (peer view)."""
-        return list(self._received.values())
-
-    def best_received(self, prefix: Prefix) -> Announcement | None:
-        """Return the route server's preferred announcement for ``prefix``.
-
-        Used by the PCH-style collectors that peer with route servers.
-        """
-        candidates = [
-            RouteEntry(prefix=prefix, attributes=a.attributes, learned_from=a.sender_asn)
-            for (member, p), a in self._received.items()
-            if p == prefix
-        ]
-        best = best_path(candidates)
-        if best is None:
-            return None
-        return self._received[(best.learned_from, prefix)]

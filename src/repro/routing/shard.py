@@ -332,9 +332,9 @@ def _initialize_worker(snapshot_ref: "int | bytes", max_rounds: int) -> None:
         topology, router_config = pickle.loads(snapshot_ref)
     simulator = BgpSimulator(topology, max_rounds=max_rounds, shards=1)
     _apply_router_config(simulator, router_config)
-    _WORKER_SIMULATOR = simulator
-    _WORKER_EPOCH = 0
-    _WORKER_ADDITION_ASNS = set()
+    _WORKER_SIMULATOR = simulator  # repro: noqa[RPR011]: by-design resident-worker protocol: each worker process caches its deserialised simulator in its own module globals so later tasks ship deltas instead of the full topology; the parent process never reads these globals
+    _WORKER_EPOCH = 0  # repro: noqa[RPR011]: by-design resident-worker protocol: per-process epoch counter used to detect stale resident state; worker-local only, never read by the parent
+    _WORKER_ADDITION_ASNS = set()  # repro: noqa[RPR011]: by-design resident-worker protocol: worker-local record of ASNs already installed via deltas; never read by the parent
 
 
 def _sync_worker(
@@ -358,7 +358,7 @@ def _sync_worker(
         if isinstance(router_config, (bytes, bytearray)):
             router_config = wire.decode_config(bytes(router_config))
         _apply_router_config(simulator, router_config)
-    _WORKER_EPOCH = epoch
+    _WORKER_EPOCH = epoch  # repro: noqa[RPR011]: by-design resident-worker protocol: epoch bump invalidates this worker's resident simulator; worker-local only
 
 
 def _install_additions(
@@ -374,7 +374,7 @@ def _install_additions(
         router = simulator.routers.get(asn)
         if router is not None:
             router.export_community_additions = dict(mapping)
-    _WORKER_ADDITION_ASNS = set(additions)
+    _WORKER_ADDITION_ASNS = set(additions)  # repro: noqa[RPR011]: by-design resident-worker protocol: records delta installations in the worker applying them; worker-local only
 
 
 def _resident_simulator() -> "BgpSimulator":

@@ -83,11 +83,6 @@ class TopologyParameters:
     policy_mix: PolicyMix = field(default_factory=PolicyMix)
     seed: int = 42
 
-    @property
-    def total_ases(self) -> int:
-        """Total number of ASes the generator will create (excluding IXP route servers)."""
-        return self.tier1_count + self.transit_count + self.stub_count
-
 
 class TopologyGenerator:
     """Generates a :class:`Topology` from :class:`TopologyParameters`."""

@@ -8,7 +8,6 @@ generator to produce realistic AS paths, and transit-degree helpers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
 
 from repro.exceptions import TopologyError
 from repro.topology.asys import AsRole
@@ -136,16 +135,3 @@ def shortest_valley_free_path(
 def reachable_ases(topology: Topology, origin_asn: int, max_length: int = 10) -> set[int]:
     """Return the set of ASes that receive a route originated at ``origin_asn``."""
     return set(valley_free_paths(topology, origin_asn, max_length))
-
-
-def iter_provider_chains(topology: Topology, asn: int, max_depth: int = 6) -> Iterator[list[int]]:
-    """Yield provider chains (asn, provider, provider-of-provider, ...) upwards."""
-    stack: list[list[int]] = [[asn]]
-    while stack:
-        chain = stack.pop()
-        yield chain
-        if len(chain) > max_depth:
-            continue
-        for provider in topology.providers(chain[-1]):
-            if provider not in chain:
-                stack.append(chain + [provider])

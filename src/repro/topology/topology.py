@@ -43,10 +43,6 @@ class Topology:
         except KeyError as exc:
             raise TopologyError(f"unknown AS{asn}") from exc
 
-    def has_as(self, asn: int) -> bool:
-        """True if the AS exists in the topology."""
-        return asn in self.ases
-
     def asns(self) -> list[int]:
         """Return all AS numbers, sorted."""
         return sorted(self.ases)
@@ -108,10 +104,6 @@ class Topology:
             )
         self.ixps[ixp.name] = ixp
         return ixp
-
-    def ixps_of(self, asn: int) -> list[Ixp]:
-        """Return the IXPs where ``asn`` is a member."""
-        return [ixp for ixp in self.ixps.values() if ixp.is_member(asn)]
 
     # --------------------------------------------------------------- prefixes
     def originated_prefixes(self) -> dict[Prefix, int]:

@@ -1,4 +1,4 @@
-"""Tests for the repro.analysis lint engine: rules, suppressions, baseline, CLI.
+"""Tests for the repro.analysis lint engine: rules, suppressions, CLI.
 
 The known-bad inputs live in ``tests/fixtures/lint/*.py_`` — the
 trailing underscore keeps directory discovery (and therefore the CI
@@ -15,14 +15,9 @@ import pytest
 from repro.analysis import (
     ALL_PROJECT_RULES,
     MODULE_RULES,
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     main,
-    write_baseline,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -332,78 +327,10 @@ class TestSuppressions:
         assert report.suppressed == 1
 
 
-# -------------------------------------------------------------------- baseline
-class TestBaseline:
-    def test_round_trip_absorbs_findings(self, tmp_path):
-        report = lint_paths([fixture("set_order_leak.py_")])
-        assert report.violations
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, report.violations)
-        entries = load_baseline(baseline_file)
-        remaining, baselined, stale = apply_baseline(report.violations, entries)
-        assert remaining == []
-        assert baselined == len(report.violations)
-        assert stale == []
-
-    def test_missing_reason_rejected(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "code": "RPR003",
-                "path": "x.py",
-                "context": "f",
-                "message": "m",
-                "reason": "   ",
-            }],
-        }))
-        with pytest.raises(BaselineError):
-            load_baseline(baseline_file)
-
-    def test_stale_entries_reported(self):
-        entry = BaselineEntry(
-            code="RPR001",
-            path="gone.py",
-            context="f",
-            message="m",
-            reason="historical",
-        )
-        remaining, baselined, stale = apply_baseline([], [entry])
-        assert remaining == [] and baselined == 0
-        assert stale == [entry]
-
-    def test_checked_in_baseline_has_no_pending_reasons(self):
-        entries = load_baseline(REPO_ROOT / ".repro-lint-baseline.json")
-        assert entries, "shipped baseline should carry the shard worker-state entries"
-        assert all("PENDING" not in e.reason for e in entries)
-        assert {e.code for e in entries} <= {"RPR011", "RPR032"}
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "resident_unrecorded_mutation.py_",
-            "config_uncaptured_attr.py_",
-            "fork_aliased_state.py_",
-        ],
-    )
-    def test_round_trip_absorbs_dataflow_findings(self, name, tmp_path):
-        """The RPR03x codes participate in the baseline workflow like any other."""
-        report = lint_paths([fixture(name)])
-        assert report.violations
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, report.violations)
-        remaining, baselined, stale = apply_baseline(
-            report.violations, load_baseline(baseline_file)
-        )
-        assert remaining == []
-        assert baselined == len(report.violations)
-        assert stale == []
-
-
 # ------------------------------------------------------------------------- CLI
 class TestCli:
     def test_exit_zero_on_clean_fixture(self, capsys):
-        assert main([fixture("clean.py_"), "--no-baseline"]) == 0
+        assert main([fixture("clean.py_")]) == 0
 
     @pytest.mark.parametrize(
         "name",
@@ -422,10 +349,10 @@ class TestCli:
         ],
     )
     def test_exit_nonzero_on_each_known_bad_fixture(self, name, capsys):
-        assert main([fixture(name), "--no-baseline"]) == 1
+        assert main([fixture(name)]) == 1
 
     def test_json_output_is_machine_readable(self, capsys):
-        assert main([fixture("set_order_leak.py_"), "--no-baseline", "--json"]) == 1
+        assert main([fixture("set_order_leak.py_"), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["files_checked"] == 1
         assert payload["summary"]["ok"] is False
@@ -433,31 +360,64 @@ class TestCli:
         assert all({"path", "line", "column", "context", "message"} <= set(v)
                    for v in payload["violations"])
 
+    def test_json_summary_counts_only_inline_suppressions(self, capsys):
+        assert main([fixture("clean.py_"), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert set(summary) == {"files_checked", "violations", "suppressed", "ok"}
+
     def test_select_narrows_run(self, capsys):
-        code = main([
-            fixture("rng_salted_hash.py_"), "--no-baseline", "--select", "RPR002",
-        ])
+        code = main([fixture("rng_salted_hash.py_"), "--select", "RPR002"])
         assert code == 1
         out = capsys.readouterr().out
         assert "RPR002" in out and "RPR001" not in out
 
     def test_ignore_drops_code(self, capsys):
-        code = main([
-            fixture("rng_salted_hash.py_"), "--no-baseline",
-            "--ignore", "RPR001,RPR002",
-        ])
+        code = main([fixture("rng_salted_hash.py_"), "--ignore", "RPR001,RPR002"])
         assert code == 0
 
     def test_unknown_code_is_config_error(self, capsys):
         assert main(["--select", "RPR999", fixture("clean.py_")]) == 2
 
+    @pytest.mark.parametrize("codes", ["", ",", " , "], ids=["empty", "comma", "blank"])
+    def test_empty_select_is_config_error(self, codes, capsys):
+        """A selection naming no rule must not drop every finding and pass."""
+        assert main([fixture("rng_salted_hash.py_"), "--select", codes]) == 2
+        captured = capsys.readouterr()
+        assert "no rule code" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--baseline", "x.json"], ["--no-baseline"], ["--write-baseline", "x.json"]],
+        ids=["--baseline X", "--no-baseline", "--write-baseline X"],
+    )
+    def test_removed_baseline_flag_is_a_usage_error(self, flags, tmp_path, monkeypatch, capsys):
+        """Inline ``# repro: noqa`` is the one suppression mechanism."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([fixture("clean.py_"), *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_baseline_file_in_environment_absorbs_nothing(self, tmp_path, monkeypatch, capsys):
+        """A fingerprint file that would have grandfathered every finding is ignored."""
+        findings = lint_paths([fixture("set_order_leak.py_")]).violations
+        assert findings
+        entries = [{**v.to_dict(), "reason": "grandfathered"} for v in findings]
+        baseline = tmp_path / "lint-baseline.json"
+        baseline.write_text(json.dumps({"version": 1, "entries": entries}))
+        monkeypatch.setenv("REPRO_LINT_BASELINE", str(baseline))
+        assert main([fixture("set_order_leak.py_")]) == 1
+        out = capsys.readouterr().out
+        assert f"{len(findings)} violation(s) in 1 file(s)" in out
+
     def test_missing_path_is_config_error(self, capsys):
-        assert main(["does/not/exist.py", "--no-baseline"]) == 2
+        assert main(["does/not/exist.py"]) == 2
 
     def test_syntax_error_reports_integrity_violation(self, tmp_path, capsys):
         bad = tmp_path / "broken.py_"
         bad.write_text("def oops(:\n")
-        assert main([str(bad), "--no-baseline"]) == 1
+        assert main([str(bad)]) == 1
         assert "RPR000" in capsys.readouterr().out
 
     def test_list_rules_mentions_every_code(self, capsys):
@@ -467,9 +427,7 @@ class TestCli:
             assert rule.code in out
 
     def test_github_format_emits_error_annotations(self, capsys):
-        code = main([
-            fixture("set_order_leak.py_"), "--no-baseline", "--format", "github",
-        ])
+        code = main([fixture("set_order_leak.py_"), "--format", "github"])
         assert code == 1
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l.startswith("::error ")]
@@ -489,18 +447,29 @@ class TestCli:
 class TestProjectTree:
     def test_shipped_src_tree_lints_clean(self, capsys):
         """The acceptance gate: repro-bgp lint src exits 0 on the shipped tree."""
-        code = main([
-            str(REPO_ROOT / "src"),
-            "--baseline", str(REPO_ROOT / ".repro-lint-baseline.json"),
-        ])
+        code = main([str(REPO_ROOT / "src")])
         assert code == 0, capsys.readouterr().out
 
+    def test_shard_worker_state_writes_are_suppressed_inline(self):
+        """The five by-design RPR011 worker-global writes carry their reason on their line."""
+        shard = REPO_ROOT / "src" / "repro" / "routing" / "shard.py"
+        report = lint_paths([str(shard)], select=["RPR011"])
+        assert report.violations == []
+        assert report.suppressed == 5
+
     def test_shipped_tests_tree_lints_clean(self, capsys):
-        code = main([
-            str(REPO_ROOT / "tests"),
-            "--baseline", str(REPO_ROOT / ".repro-lint-baseline.json"),
-        ])
+        code = main([str(REPO_ROOT / "tests")])
         assert code == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("tree", ["benchmarks", "examples"])
+    def test_shipped_tree_lints_clean_without_notes(self, tree, monkeypatch, capsys):
+        """CI lints all four trees; a clean run prints only its summary line."""
+        monkeypatch.chdir(REPO_ROOT)
+        code = main([tree])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0, lines
+        assert not [line for line in lines if line.startswith("note:")], lines
+        assert len(lines) == 1, lines
 
 
 # ------------------------------------------------------------------ lint perf
@@ -530,10 +499,7 @@ class TestLintPerformance:
         catches an accidental per-rule re-parse (an order-of-magnitude
         regression), not scheduler jitter."""
         start = time.perf_counter()
-        main([
-            str(REPO_ROOT / "src"),
-            "--baseline", str(REPO_ROOT / ".repro-lint-baseline.json"),
-        ])
+        main([str(REPO_ROOT / "src")])
         elapsed = time.perf_counter() - start
         capsys.readouterr()
         assert elapsed < 20.0, f"lint of src took {elapsed:.1f}s"

@@ -46,6 +46,7 @@ from repro.measurement.propagation import (
     transit_forwarders,
 )
 from repro.measurement.timeseries import growth_table
+from repro.routing.engine import BgpSimulator
 from repro.measurement.usage import (
     communities_per_update_ecdf,
     dataset_overview,
@@ -53,7 +54,7 @@ from repro.measurement.usage import (
     updates_with_communities_by_collector,
 )
 from repro.policy.actions import BlackholeAction
-from repro.policy.route_map import nanog_rtbh_route_map
+from repro.policy.filters import InboundFilterChain, IrrDatabase
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.vendor import CISCO_PROFILE, JUNIPER_PROFILE
 from repro.topology.generator import PolicyMix, TopologyGenerator, TopologyParameters
@@ -220,19 +221,37 @@ def _update_capacity() -> int | None:
 
 
 def _nanog_order_blackholes_hijack() -> bool:
-    """The published RTBH route-map blackholes a hijacked /32; validating first does not."""
-    hijacked = Prefix.from_string("198.51.100.66/32")
-    tagged = PathAttributes(communities=CommunitySet.of("65535:666"))
+    """On the core: Figure 7's AS3 validates origins against an IRR that registers
+    :data:`VICTIM` to AS1, and its ``InboundFilterChain`` either matches the blackhole
+    community before validation (the NANOG order) or validates first.  AS2 announces a
+    /32 inside the victim prefix tagged 3:666 + BLACKHOLE.  The NANOG order selects and
+    blackholes the hijack; validating first rejects it with the IRR reason, while the
+    owner's own tagged /32 is still blackholed."""
+    hijacked, owned = VICTIM.subprefix(32, 66), VICTIM.subprefix(32, 1)
+    tags = CommunitySet.of("3:666", "65535:666")
 
-    def blackholes(validate_first: bool) -> bool:
-        blackhole_communities = frozenset({Community(65535, 666)})
-        route_map = nanog_rtbh_route_map(
-            "rtbh", blackhole_communities, (VICTIM,), validate_before_blackhole=validate_first
+    def as3(blackhole_before_validation: bool):
+        simulator = BgpSimulator(build_figure7_topology())
+        irr = IrrDatabase()
+        irr.register(VICTIM, 1)
+        simulator.router(3).inbound_filters = InboundFilterChain(
+            irr=irr, validate_origin=True, blackhole_before_validation=blackhole_before_validation
         )
-        outcome = route_map.evaluate(hijacked, tagged)
-        return outcome.permitted and outcome.blackholed
+        simulator.announce(1, VICTIM)
+        simulator.announce(2, hijacked, tags)
+        simulator.announce(1, owned, tags)
+        return simulator.router(3)
 
-    return blackholes(False) and not blackholes(True)
+    misordered, validating = as3(True), as3(False)
+    selected = misordered.loc_rib.best(hijacked)
+    refused = validating.adj_rib_in[2].get(hijacked)
+    return (
+        selected is not None and selected.learned_from == 2 and selected.blackholed
+        and validating.loc_rib.best(hijacked) is None
+        and refused.rejected
+        and refused.rejection_reason == "origin AS2 does not match registered origin(s) AS1"
+        and validating.loc_rib.best(owned).blackholed
+    )
 
 
 def _target_drops_traffic(raise_local_pref: bool) -> bool:
@@ -389,8 +408,8 @@ CLAIMS = (
           LAB, _update_capacity, 16_384),
     Claim("sec6-cisco-32-per-statement", "§6.1", "a Cisco statement adds at most 32 communities",
           LAB, lambda: _largest_accepted(CISCO_PROFILE.check_added_communities, range(1, 65)), 32),
-    Claim("sec6-nanog-route-map-order", "§6.3", "the NANOG RTBH route-map blackholes a hijacked /32 "
-          "(blackhole match before validation); validating first rejects it",
+    Claim("sec6-nanog-route-map-order", "§6.3", "the NANOG RTBH rule order (blackhole match before "
+          "validation) blackholes a hijacked /32 on the simulated core; validating first rejects it",
           LAB, _nanog_order_blackholes_hijack, True),
     Claim("ablation-rtbh-precedence", "§6.2", "RTBH's local-pref raise makes the longer tagged path win",
           LAB, lambda: _target_drops_traffic(True) and not _target_drops_traffic(False), True),

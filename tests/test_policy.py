@@ -1,5 +1,5 @@
-"""Tests for the policy package: actions, propagation policies, services, filters,
-route maps, and vendor profiles."""
+"""Tests for the policy package: actions, propagation policies, services, filters
+and vendor profiles."""
 
 from __future__ import annotations
 
@@ -31,18 +31,6 @@ from repro.policy.filters import (
     InboundFilterChain,
     IrrDatabase,
     MaxPrefixLengthFilter,
-)
-from repro.policy.route_map import (
-    MatchCommunity,
-    MatchNeighbor,
-    MatchPrefixIn,
-    MatchPrefixLength,
-    RouteMap,
-    RouteMapEntry,
-    add_communities,
-    prepend_as,
-    set_local_pref,
-    strip_all_communities,
 )
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.vendor import JUNIPER_PROFILE, profile_by_name
@@ -241,59 +229,6 @@ class TestFilters:
         assert not correct.evaluate(hijacked_32, 64666, is_blackhole=True)
         # Both accept the legitimate origin.
         assert correct.evaluate(hijacked_32, 64500, is_blackhole=True)
-
-
-class TestRouteMap:
-    def test_first_match_wins_and_implicit_deny(self):
-        route_map = RouteMap(
-            "test",
-            [
-                RouteMapEntry(
-                    sequence=10,
-                    conditions=(MatchCommunity(frozenset({Community(1, 666)})),),
-                    set_actions=(set_local_pref(200),),
-                ),
-                RouteMapEntry(
-                    sequence=20,
-                    conditions=(MatchPrefixIn((Prefix.from_string("10.0.0.0/8"),), max_length=24),),
-                ),
-            ],
-        )
-        tagged = PathAttributes(communities=CommunitySet.of("1:666"))
-        result = route_map.evaluate(Prefix.from_string("192.0.2.0/24"), tagged)
-        assert result.permitted
-        assert result.attributes.local_pref == 200
-        untagged = PathAttributes()
-        ok = route_map.evaluate(Prefix.from_string("10.1.0.0/16"), untagged)
-        assert ok.permitted
-        denied = route_map.evaluate(Prefix.from_string("192.0.2.0/24"), untagged)
-        assert not denied.permitted
-
-    def test_sequence_must_increase(self):
-        route_map = RouteMap("x", [RouteMapEntry(sequence=10)])
-        with pytest.raises(PolicyError):
-            route_map.add_entry(RouteMapEntry(sequence=10))
-
-    def test_match_conditions(self):
-        attrs = PathAttributes(communities=CommunitySet.of("5:5"))
-        prefix = Prefix.from_string("10.0.0.0/24")
-        assert MatchCommunity(frozenset({Community(5, 5)})).matches(prefix, attrs, 1)
-        assert not MatchCommunity(
-            frozenset({Community(5, 5), Community(6, 6)}), require_all=True
-        ).matches(prefix, attrs, 1)
-        assert MatchNeighbor(frozenset({1})).matches(prefix, attrs, 1)
-        assert MatchPrefixLength(24, 32).matches(prefix, attrs, 1)
-        assert not MatchPrefixLength(25, 32).matches(prefix, attrs, 1)
-
-    def test_set_actions(self):
-        attrs = PathAttributes(as_path=ASPath.of(1), communities=CommunitySet.of("1:1"))
-        attrs = add_communities("2:2")(attrs)
-        attrs = prepend_as(7, 2)(attrs)
-        attrs = set_local_pref(50)(attrs)
-        assert Community(2, 2) in attrs.communities
-        assert attrs.as_path.asns()[:2] == [7, 7]
-        assert attrs.local_pref == 50
-        assert len(strip_all_communities()(attrs).communities) == 0
 
 
 class TestVendors:
