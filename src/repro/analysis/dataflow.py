@@ -86,9 +86,7 @@ ROUTER_STATE_MUTATORS = frozenset(
         "import_announcement",
         "process_announcement",
         "remove_announcement",
-        "process_withdrawal",
         "refresh_best",
-        "refresh_all",
     }
 )
 

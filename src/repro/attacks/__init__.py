@@ -9,12 +9,6 @@ from repro.attacks.scenario import (
     build_figure9_ixp,
 )
 from repro.routing.engine import origination_events
-from repro.attacks.conditions import (
-    ConditionReport,
-    check_necessary_condition,
-    check_sufficient_condition,
-    community_propagation_path,
-)
 from repro.attacks.rtbh import RtbhAttack, RtbhResult
 from repro.attacks.steering import (
     PrependSteeringAttack,
@@ -32,10 +26,6 @@ __all__ = [
     "build_figure8b_topology",
     "build_figure9_ixp",
     "origination_events",
-    "ConditionReport",
-    "check_necessary_condition",
-    "check_sufficient_condition",
-    "community_propagation_path",
     "RtbhAttack",
     "RtbhResult",
     "PrependSteeringAttack",

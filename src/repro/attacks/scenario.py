@@ -171,6 +171,4 @@ def build_figure9_ixp(member_count: int = 6) -> tuple[Topology, Ixp]:
     topology.add_ixp(ixp)
     topology.get_as(1).add_prefix(Prefix.from_string("203.0.113.0/24"))
     topology.get_as(2).add_prefix(Prefix.from_string("192.0.2.0/24"))
-    rs = topology.get_as(rs_asn)
-    rs.services = CommunityServiceCatalog.ixp_route_server_catalog(rs_asn, members)
     return topology, ixp

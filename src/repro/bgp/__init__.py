@@ -16,8 +16,14 @@ from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
 from repro.bgp.prefix import Prefix, AddressFamily
 from repro.bgp.attributes import Origin, PathAttributes
 from repro.bgp.route import Announcement, RouteEntry, Withdrawal
-from repro.bgp.message import BgpUpdate, encode_update, decode_update
-from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
+from repro.bgp.message import (
+    BgpUpdate,
+    decode_path_attributes,
+    decode_update,
+    encode_path_attributes,
+    encode_update,
+)
+from repro.bgp.rib import AdjRibIn, LocRib
 
 __all__ = [
     "Community",
@@ -43,7 +49,8 @@ __all__ = [
     "BgpUpdate",
     "encode_update",
     "decode_update",
+    "encode_path_attributes",
+    "decode_path_attributes",
     "AdjRibIn",
     "LocRib",
-    "RibSnapshot",
 ]

@@ -151,14 +151,6 @@ class PathAttributes:
         """Return a copy with all communities stripped."""
         return self.replace(communities=CommunitySet())
 
-    def with_prepend(self, asn: int, count: int) -> "PathAttributes":
-        """Return a copy with ``asn`` prepended ``count`` extra times."""
-        return self.replace(as_path=self.as_path.prepend(asn, count))
-
-    def path_length(self) -> int:
-        """AS_PATH length used by the decision process."""
-        return self.as_path.length()
-
 
 #: Field names :meth:`PathAttributes.replace` accepts, derived from the
 #: dataclass so the hand-rolled copy keeps dataclasses.replace's

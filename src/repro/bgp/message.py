@@ -2,19 +2,22 @@
 
 The MRT writer embeds full BGP UPDATE messages inside BGP4MP records,
 and the MRT reader decodes them back; this module implements that wire
-format.  Only the attributes the study needs are given first-class
-treatment; unrecognised attributes round-trip as opaque bytes so no
-information is silently dropped.
+format.  TABLE_DUMP_V2 RIB entries carry the same path-attribute
+section, through the same :func:`encode_path_attributes` /
+:func:`decode_path_attributes`.  Only the attributes the study needs
+are given first-class treatment; unrecognised attributes round-trip as
+opaque bytes so no information is silently dropped.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
 from repro.bgp.attributes import AttributeTypeCode, Origin, PathAttributes
-from repro.bgp.community import Community, CommunitySet, LargeCommunity
+from repro.bgp.community import CommunitySet, LargeCommunity
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import MessageError
 
@@ -138,12 +141,17 @@ def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
     return ASPath(segments)
 
 
-def encode_update(update: BgpUpdate, family: AddressFamily = AddressFamily.IPV4) -> bytes:
-    """Encode a :class:`BgpUpdate` into a full BGP message (header included)."""
-    withdrawn_bytes = b"".join(_encode_prefix_nlri(p) for p in update.withdrawn)
-    attrs = update.attributes
+def encode_path_attributes(
+    attrs: PathAttributes | None, unknown: Iterable[tuple[int, int, bytes]] = ()
+) -> bytes:
+    """Encode a path-attribute section: the well-known attributes, then ``unknown``.
+
+    The one attribute codec: UPDATE messages and TABLE_DUMP_V2 RIB
+    entries both carry this section.  ``attrs`` is None for a
+    withdrawal-only UPDATE, which carries no route attributes.
+    """
     attribute_parts: list[bytes] = []
-    if update.announced:
+    if attrs is not None:
         attribute_parts.append(
             _encode_attribute(AttributeTypeCode.ORIGIN, FLAG_TRANSITIVE, bytes([int(attrs.origin)]))
         )
@@ -192,10 +200,17 @@ def encode_update(update: BgpUpdate, family: AddressFamily = AddressFamily.IPV4)
                     AttributeTypeCode.LARGE_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload
                 )
             )
-    for type_code, flags, payload in update.unknown_attributes:
+    for type_code, flags, payload in unknown:
         attribute_parts.append(_encode_attribute(type_code, flags, payload))
-    attribute_bytes = b"".join(attribute_parts)
+    return b"".join(attribute_parts)
 
+
+def encode_update(update: BgpUpdate, family: AddressFamily = AddressFamily.IPV4) -> bytes:
+    """Encode a :class:`BgpUpdate` into a full BGP message (header included)."""
+    withdrawn_bytes = b"".join(_encode_prefix_nlri(p) for p in update.withdrawn)
+    attribute_bytes = encode_path_attributes(
+        update.attributes if update.announced else None, update.unknown_attributes
+    )
     nlri_bytes = b"".join(_encode_prefix_nlri(p) for p in update.announced)
     body = b"".join(
         (
@@ -210,6 +225,94 @@ def encode_update(update: BgpUpdate, family: AddressFamily = AddressFamily.IPV4)
     if total_length > BGP_MAX_MESSAGE_LENGTH:
         raise MessageError(f"encoded UPDATE is {total_length} bytes (max {BGP_MAX_MESSAGE_LENGTH})")
     return _MESSAGE_HEADER.pack(BGP_MARKER, total_length, MESSAGE_TYPE_UPDATE) + body
+
+
+def decode_path_attributes(
+    data: bytes, as4: bool = True
+) -> tuple[PathAttributes, list[tuple[int, int, bytes]]]:
+    """Decode a path-attribute section into attributes plus opaque unknown ones.
+
+    The inverse of :func:`encode_path_attributes`.  A malformed
+    attribute raises :class:`MessageError` whether the section came
+    from an UPDATE or a TABLE_DUMP_V2 RIB entry.  ``as4`` is the
+    AS_PATH encoding (see :func:`decode_update`).
+    """
+    origin = Origin.IGP
+    as_path = ASPath()
+    next_hop = 0
+    med: int | None = None
+    local_pref: int | None = None
+    atomic_aggregate = False
+    communities = CommunitySet()
+    large_communities: list[LargeCommunity] = []
+    unknown: list[tuple[int, int, bytes]] = []
+
+    offset = 0
+    attribute_end = len(data)
+    while offset < attribute_end:
+        if offset + 2 > attribute_end:
+            raise MessageError("truncated path attribute header")
+        flags, type_code = data[offset], data[offset + 1]
+        offset += 2
+        if flags & FLAG_EXTENDED_LENGTH:
+            if offset + 2 > attribute_end:
+                raise MessageError("truncated extended attribute length")
+            (attr_len,) = _U16.unpack_from(data, offset)
+            offset += 2
+        else:
+            if offset + 1 > attribute_end:
+                raise MessageError("truncated attribute length")
+            attr_len = data[offset]
+            offset += 1
+        if offset + attr_len > attribute_end:
+            raise MessageError(f"attribute {type_code} overflows the attribute section")
+        payload = data[offset:offset + attr_len]
+        offset += attr_len
+
+        if type_code == AttributeTypeCode.ORIGIN:
+            if attr_len != 1:
+                raise MessageError("ORIGIN attribute must be exactly 1 byte")
+            origin = Origin(payload[0])
+        elif type_code == AttributeTypeCode.AS_PATH:
+            as_path = _decode_as_path(payload, as4)
+        elif type_code == AttributeTypeCode.NEXT_HOP:
+            if attr_len != 4:
+                raise MessageError("NEXT_HOP attribute must be exactly 4 bytes")
+            (next_hop,) = _U32.unpack(payload)
+        elif type_code == AttributeTypeCode.MULTI_EXIT_DISC:
+            if attr_len != 4:
+                raise MessageError("MED attribute must be exactly 4 bytes")
+            (med,) = _U32.unpack(payload)
+        elif type_code == AttributeTypeCode.LOCAL_PREF:
+            if attr_len != 4:
+                raise MessageError("LOCAL_PREF attribute must be exactly 4 bytes")
+            (local_pref,) = _U32.unpack(payload)
+        elif type_code == AttributeTypeCode.ATOMIC_AGGREGATE:
+            atomic_aggregate = True
+        elif type_code == AttributeTypeCode.COMMUNITIES:
+            if attr_len % 4 != 0:
+                raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
+            communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
+        elif type_code == AttributeTypeCode.LARGE_COMMUNITIES:
+            if attr_len % 12 != 0:
+                raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
+            large_communities.extend(
+                LargeCommunity(*fields) for fields in _LARGE_COMMUNITY.iter_unpack(payload)
+            )
+        else:
+            unknown.append((type_code, flags, payload))
+
+    attributes = PathAttributes(
+        as_path=as_path,
+        origin=origin,
+        next_hop=next_hop,
+        med=med,
+        local_pref=local_pref,
+        communities=communities,
+        large_communities=tuple(large_communities),
+        atomic_aggregate=atomic_aggregate,
+    )
+    return attributes, unknown
 
 
 def decode_update(
@@ -252,85 +355,14 @@ def decode_update(
     if offset + attribute_length > body_end:
         raise MessageError("truncated UPDATE: path attributes overflow")
     attribute_end = offset + attribute_length
-
-    origin = Origin.IGP
-    as_path = ASPath()
-    next_hop = 0
-    med: int | None = None
-    local_pref: int | None = None
-    atomic_aggregate = False
-    communities = CommunitySet()
-    large_communities: list[LargeCommunity] = []
-    unknown: list[tuple[int, int, bytes]] = []
-
-    while offset < attribute_end:
-        if offset + 2 > attribute_end:
-            raise MessageError("truncated path attribute header")
-        flags, type_code = body[offset], body[offset + 1]
-        offset += 2
-        if flags & FLAG_EXTENDED_LENGTH:
-            if offset + 2 > attribute_end:
-                raise MessageError("truncated extended attribute length")
-            (attr_len,) = _U16.unpack_from(body, offset)
-            offset += 2
-        else:
-            if offset + 1 > attribute_end:
-                raise MessageError("truncated attribute length")
-            attr_len = body[offset]
-            offset += 1
-        if offset + attr_len > attribute_end:
-            raise MessageError(f"attribute {type_code} overflows the attribute section")
-        payload = body[offset:offset + attr_len]
-        offset += attr_len
-
-        if type_code == AttributeTypeCode.ORIGIN:
-            if attr_len != 1:
-                raise MessageError("ORIGIN attribute must be exactly 1 byte")
-            origin = Origin(payload[0])
-        elif type_code == AttributeTypeCode.AS_PATH:
-            as_path = _decode_as_path(payload, as4)
-        elif type_code == AttributeTypeCode.NEXT_HOP:
-            if attr_len != 4:
-                raise MessageError("NEXT_HOP attribute must be exactly 4 bytes")
-            (next_hop,) = _U32.unpack(payload)
-        elif type_code == AttributeTypeCode.MULTI_EXIT_DISC:
-            if attr_len != 4:
-                raise MessageError("MED attribute must be exactly 4 bytes")
-            (med,) = _U32.unpack(payload)
-        elif type_code == AttributeTypeCode.LOCAL_PREF:
-            if attr_len != 4:
-                raise MessageError("LOCAL_PREF attribute must be exactly 4 bytes")
-            (local_pref,) = _U32.unpack(payload)
-        elif type_code == AttributeTypeCode.ATOMIC_AGGREGATE:
-            atomic_aggregate = True
-        elif type_code == AttributeTypeCode.COMMUNITIES:
-            if attr_len % 4 != 0:
-                raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
-            communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
-        elif type_code == AttributeTypeCode.LARGE_COMMUNITIES:
-            if attr_len % 12 != 0:
-                raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
-            large_communities.extend(
-                LargeCommunity(*fields) for fields in _LARGE_COMMUNITY.iter_unpack(payload)
-            )
-        else:
-            unknown.append((type_code, flags, payload))
+    attributes, unknown = decode_path_attributes(body[offset:attribute_end], as4)
+    offset = attribute_end
 
     announced: list[Prefix] = []
     while offset < body_end:
         prefix, offset = _decode_prefix_nlri(body, offset, family)
         announced.append(prefix)
 
-    attributes = PathAttributes(
-        as_path=as_path,
-        origin=origin,
-        next_hop=next_hop,
-        med=med,
-        local_pref=local_pref,
-        communities=communities,
-        large_communities=tuple(large_communities),
-        atomic_aggregate=atomic_aggregate,
-    )
     return BgpUpdate(
         announced=announced,
         withdrawn=withdrawn,

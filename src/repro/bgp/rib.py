@@ -1,20 +1,18 @@
-"""Routing information bases: Adj-RIB-In, Loc-RIB, and snapshots.
+"""Routing information bases: Adj-RIB-In and Loc-RIB.
 
 The per-AS router in :mod:`repro.routing.router` keeps one
 :class:`AdjRibIn` per neighbor and one :class:`LocRib` holding the
-selected best routes; :class:`RibSnapshot` is the read-only view the
-collectors and looking glasses expose.
+selected best routes; the Loc-RIB's own trie answers longest-prefix
+lookups over those best routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Iterator
 
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.route import RouteEntry
-from repro.net.lpm import JournalledLpm, LpmTable
+from repro.net.lpm import JournalledLpm
 
 
 class AdjRibIn:
@@ -120,57 +118,3 @@ class LocRib:
 
     def __iter__(self) -> Iterator[RouteEntry]:
         return iter(self._best.values())
-
-
-@dataclass
-class RibSnapshot:
-    """A read-only copy of an AS's best routes, as a looking glass would show them."""
-
-    asn: int
-    entries: Mapping[Prefix, RouteEntry] = field(default_factory=dict)
-    #: Lazily built trie over ``entries``; built at most once, which is
-    #: safe because the entry table is frozen in ``__post_init__``.
-    _lpm: LpmTable | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # The snapshot is a read-only view (the class contract, and what
-        # the cached LPM trie relies on): detach and freeze the entry
-        # table so later mutation cannot desynchronise the trie.
-        self.entries = MappingProxyType(dict(self.entries))
-
-    @classmethod
-    def from_loc_rib(cls, asn: int, loc_rib: LocRib) -> "RibSnapshot":
-        """Capture the current best routes of ``loc_rib``."""
-        return cls(asn=asn, entries={e.prefix: e for e in loc_rib.best_routes()})
-
-    def get(self, prefix: Prefix) -> RouteEntry | None:
-        """Return the best route for exactly ``prefix``."""
-        return self.entries.get(prefix)
-
-    def _trie(self) -> LpmTable:
-        if self._lpm is None:
-            table = LpmTable()
-            for prefix, entry in self.entries.items():
-                table.insert(prefix, entry)
-            self._lpm = table
-        return self._lpm
-
-    def covering(self, prefix: Prefix) -> list[RouteEntry]:
-        """Return routes whose prefix covers ``prefix`` (least specific first)."""
-        return [entry for _, entry in self._trie().covering(prefix)]
-
-    def lookup(self, address: int, family: AddressFamily | None = None) -> RouteEntry | None:
-        """Longest-prefix-match lookup of an integer address in the snapshot."""
-        hit = self._trie().longest_match(address, family)
-        return hit[1] if hit is not None else None
-
-    def select(self, predicate: Callable[[RouteEntry], bool]) -> list[RouteEntry]:
-        """Return routes matching an arbitrary predicate."""
-        return [e for e in self.entries.values() if predicate(e)]
-
-    def prefixes(self) -> list[Prefix]:
-        """Return all prefixes in the snapshot."""
-        return list(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -30,6 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
+from repro.exceptions import ExperimentError
 from repro.experiments.registry import get, run_experiment
 from repro.experiments.result import ExperimentResult, ExperimentStatus
 from repro.experiments.spec import ExperimentSpec
@@ -78,13 +79,21 @@ def write_results(path: str, results: Iterable[ExperimentResult], append: bool =
 
 
 def load_results(path: str) -> list[ExperimentResult]:
-    """Replay a JSON-lines result file written by :meth:`GridRunner.run`."""
+    """Replay a JSON-lines result file written by :meth:`GridRunner.run`.
+
+    A line that is not a result (the cut-off last line of a crashed
+    grid, say) raises :class:`ExperimentError` naming the path and line.
+    """
     results: list[ExperimentResult] = []
     with open(path, encoding="utf-8") as stream:
-        for line in stream:
+        for number, line in enumerate(stream, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 results.append(ExperimentResult.from_json(line))
+            except (TypeError, ValueError, ExperimentError) as exc:
+                raise ExperimentError(f"{path}:{number}: not an experiment result: {exc}") from None
     return results
 
 

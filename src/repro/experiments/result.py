@@ -73,12 +73,16 @@ class ExperimentResult:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentResult":
         """Rebuild a result from :meth:`to_dict` output."""
-        if "name" not in data or "status" not in data:
+        if not isinstance(data, dict) or "name" not in data or "status" not in data:
             raise ExperimentError("an experiment result needs 'name' and 'status'")
+        try:
+            status = ExperimentStatus(data["status"])
+        except ValueError:
+            raise ExperimentError(f"unknown experiment result status {data['status']!r}") from None
         return cls(
             name=data["name"],
             spec=dict(data.get("spec", {})),
-            status=ExperimentStatus(data["status"]),
+            status=status,
             metrics=dict(data.get("metrics", {})),
             timings=dict(data.get("timings", {})),
             error=data.get("error"),

@@ -56,6 +56,9 @@ class ExperimentSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # ``int()`` would truncate 2.9 and read True as 1: take integers only.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ExperimentError(f"the spec seed must be an integer, got {self.seed!r}")
         if self.scale is not None and self.scale not in SCALE_PRESETS:
             raise ExperimentError(
                 f"unknown scale {self.scale!r}; choose from {', '.join(SCALE_PRESETS)}"
@@ -90,7 +93,7 @@ class ExperimentSpec:
             raise ExperimentError("an experiment spec needs a 'name'")
         return cls(
             name=data["name"],
-            seed=int(data.get("seed", 42)),
+            seed=data.get("seed", 42),
             scale=data.get("scale"),
             topology=dict(data.get("topology", {})),
             platforms=tuple(data.get("platforms", ())),

@@ -76,6 +76,9 @@ class RibEntry:
     peer_index: int
     originated_time: int
     attributes: PathAttributes
+    #: Attributes the codec does not model, as ``(type code, flags, payload)``
+    #: (see :attr:`BgpUpdate.unknown_attributes`).
+    unknown_attributes: tuple[tuple[int, int, bytes], ...] = ()
 
 
 @dataclass(frozen=True)

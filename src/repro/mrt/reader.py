@@ -13,16 +13,7 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from repro.bgp.aspath import ASPath
-from repro.bgp.attributes import Origin, PathAttributes
-from repro.bgp.community import Community, CommunitySet
-from repro.bgp.message import (
-    AttributeTypeCode,
-    FLAG_EXTENDED_LENGTH,
-    _decode_as_path,
-    _decode_prefix_nlri,
-    decode_update,
-)
+from repro.bgp.message import _decode_prefix_nlri, decode_path_attributes, decode_update
 from repro.bgp.prefix import AddressFamily
 from repro.exceptions import MrtError, MrtTruncatedError
 from repro.mrt.constants import (
@@ -195,59 +186,6 @@ def decode_peer_index_table(record: MrtRecord) -> PeerIndexTable:
     return PeerIndexTable(collector_bgp_id=collector_bgp_id, view_name=view_name, peers=tuple(peers))
 
 
-def _decode_rib_attributes(blob: bytes) -> PathAttributes:
-    """Decode the attribute blob of one TABLE_DUMP_V2 RIB entry."""
-    offset = 0
-    origin = Origin.IGP
-    as_path = ASPath()
-    next_hop = 0
-    med = None
-    local_pref = None
-    communities = CommunitySet()
-    while offset < len(blob):
-        if offset + 2 > len(blob):
-            raise MrtError("truncated RIB attribute header")
-        flags, type_code = blob[offset], blob[offset + 1]
-        offset += 2
-        if flags & FLAG_EXTENDED_LENGTH:
-            if offset + 2 > len(blob):
-                raise MrtError("truncated RIB extended attribute length")
-            (attr_len,) = struct.unpack("!H", blob[offset:offset + 2])
-            offset += 2
-        else:
-            if offset + 1 > len(blob):
-                raise MrtError("truncated RIB attribute length")
-            attr_len = blob[offset]
-            offset += 1
-        if offset + attr_len > len(blob):
-            raise MrtError("RIB attribute overflows the blob")
-        payload = blob[offset:offset + attr_len]
-        offset += attr_len
-        if type_code == AttributeTypeCode.ORIGIN and len(payload) == 1:
-            origin = Origin(payload[0])
-        elif type_code == AttributeTypeCode.AS_PATH:
-            as_path = _decode_as_path(payload)
-        elif type_code == AttributeTypeCode.NEXT_HOP and len(payload) == 4:
-            (next_hop,) = struct.unpack("!I", payload)
-        elif type_code == AttributeTypeCode.MULTI_EXIT_DISC and len(payload) == 4:
-            (med,) = struct.unpack("!I", payload)
-        elif type_code == AttributeTypeCode.LOCAL_PREF and len(payload) == 4:
-            (local_pref,) = struct.unpack("!I", payload)
-        elif type_code == AttributeTypeCode.COMMUNITIES and len(payload) % 4 == 0:
-            communities = CommunitySet(
-                Community.from_int(struct.unpack("!I", payload[i:i + 4])[0])
-                for i in range(0, len(payload), 4)
-            )
-    return PathAttributes(
-        as_path=as_path,
-        origin=origin,
-        next_hop=next_hop,
-        med=med,
-        local_pref=local_pref,
-        communities=communities,
-    )
-
-
 def decode_rib_prefix_record(record: MrtRecord) -> RibPrefixRecord:
     """Decode a TABLE_DUMP_V2 RIB_IPV4_UNICAST or RIB_IPV6_UNICAST record."""
     payload = record.payload
@@ -272,11 +210,9 @@ def decode_rib_prefix_record(record: MrtRecord) -> RibPrefixRecord:
         offset += 8
         if offset + attr_len > len(payload):
             raise MrtError("truncated RIB entry attributes")
-        attributes = _decode_rib_attributes(payload[offset:offset + attr_len])
+        attributes, unknown = decode_path_attributes(payload[offset:offset + attr_len])
         offset += attr_len
-        entries.append(
-            RibEntry(peer_index=peer_index, originated_time=originated_time, attributes=attributes)
-        )
+        entries.append(RibEntry(peer_index, originated_time, attributes, tuple(unknown)))
     return RibPrefixRecord(sequence=sequence, prefix=prefix, entries=tuple(entries))
 
 

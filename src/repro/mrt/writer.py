@@ -12,8 +12,8 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
-from repro.bgp.message import BgpUpdate, encode_update
-from repro.bgp.prefix import AddressFamily, Prefix
+from repro.bgp.message import _encode_prefix_nlri, encode_path_attributes, encode_update
+from repro.bgp.prefix import AddressFamily
 from repro.exceptions import MrtError
 from repro.mrt.constants import (
     AFI_IPV4,
@@ -22,22 +22,7 @@ from repro.mrt.constants import (
     MrtType,
     TableDumpV2Subtype,
 )
-from repro.mrt.entries import (
-    Bgp4mpMessage,
-    MrtRecord,
-    PeerEntry,
-    PeerIndexTable,
-    RibEntry,
-    RibPrefixRecord,
-)
-from repro.bgp.message import (
-    AttributeTypeCode,
-    FLAG_OPTIONAL,
-    FLAG_TRANSITIVE,
-    _encode_as_path,
-    _encode_attribute,
-    _encode_prefix_nlri,
-)
+from repro.mrt.entries import Bgp4mpMessage, MrtRecord, PeerIndexTable, RibPrefixRecord
 
 
 _COMMON_HEADER = struct.Struct("!IHHI")
@@ -110,31 +95,6 @@ def encode_peer_index_table(table: PeerIndexTable, timestamp: int = 0) -> bytes:
     )
 
 
-def _encode_rib_attributes(entry: RibEntry) -> bytes:
-    """Encode the path attributes of one RIB entry (TABLE_DUMP_V2 layout)."""
-    attrs = entry.attributes
-    blob = b""
-    blob += _encode_attribute(AttributeTypeCode.ORIGIN, FLAG_TRANSITIVE, bytes([int(attrs.origin)]))
-    blob += _encode_attribute(AttributeTypeCode.AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path))
-    blob += _encode_attribute(
-        AttributeTypeCode.NEXT_HOP, FLAG_TRANSITIVE, struct.pack("!I", attrs.next_hop & 0xFFFFFFFF)
-    )
-    if attrs.med is not None:
-        blob += _encode_attribute(
-            AttributeTypeCode.MULTI_EXIT_DISC, FLAG_OPTIONAL, struct.pack("!I", attrs.med)
-        )
-    if attrs.local_pref is not None:
-        blob += _encode_attribute(
-            AttributeTypeCode.LOCAL_PREF, FLAG_TRANSITIVE, struct.pack("!I", attrs.local_pref)
-        )
-    if attrs.communities:
-        payload = b"".join(struct.pack("!I", c.to_int()) for c in attrs.communities)
-        blob += _encode_attribute(
-            AttributeTypeCode.COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload
-        )
-    return blob
-
-
 def encode_rib_prefix_record(record: RibPrefixRecord, timestamp: int = 0) -> bytes:
     """Encode a TABLE_DUMP_V2 RIB_IPV4_UNICAST / RIB_IPV6_UNICAST record."""
     subtype = (
@@ -146,7 +106,7 @@ def encode_rib_prefix_record(record: RibPrefixRecord, timestamp: int = 0) -> byt
     payload += _encode_prefix_nlri(record.prefix)
     payload += struct.pack("!H", len(record.entries))
     for entry in record.entries:
-        attr_blob = _encode_rib_attributes(entry)
+        attr_blob = encode_path_attributes(entry.attributes, entry.unknown_attributes)
         payload += struct.pack(
             "!HIH", entry.peer_index & 0xFFFF, entry.originated_time & 0xFFFFFFFF, len(attr_blob)
         )

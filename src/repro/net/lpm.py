@@ -3,8 +3,8 @@
 Every data-plane validation in the paper — RTBH, traffic steering,
 route manipulation — boils down to longest-prefix-match lookups: in the
 per-AS FIBs (:mod:`repro.dataplane.fib`), in the Loc-RIBs
-(:mod:`repro.bgp.rib`), and in the IP-to-AS mapper
-(:mod:`repro.probing.ip2as`).  Those used to be O(n) scans over every
+(:mod:`repro.bgp.rib`), and in the prefix-to-origin table
+(:meth:`Topology.origin_table`).  Those used to be O(n) scans over every
 installed prefix, and they were family-blind: an IPv4 address integer
 happily matched an IPv6 prefix whose low 32 bits lined up.
 
@@ -289,11 +289,10 @@ def cached_table(
     """Reuse (or rebuild) a fingerprint-invalidated cached :class:`LpmTable`.
 
     The shared pattern behind every derived prefix-ownership trie
-    (:meth:`Topology.origin_table`, :meth:`AutonomousSystem.originates`,
-    :meth:`InjectionPlatform.owns`): the caller computes a content
-    fingerprint of its source collection, and the table is rebuilt from
-    ``items`` (an iterable of ``(prefix, value)``) only when the
-    fingerprint changed.  Returns ``(new_cache, table)``; the caller
+    (:meth:`Topology.origin_table`, :meth:`InjectionPlatform.owns`): the
+    caller computes a content fingerprint of its source collection, and
+    the table is rebuilt from ``items`` (an iterable of ``(prefix,
+    value)``) only when the fingerprint changed.  Returns ``(new_cache, table)``; the caller
     stores ``new_cache`` back into its cache slot.
     """
     if cache is not None and cache[0] == fingerprint:

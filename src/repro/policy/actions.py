@@ -40,6 +40,8 @@ class ActionOutcome:
     announce_only_to: frozenset[int] | None = None
     #: Traffic to the prefix is dropped at this AS (next hop rewritten to null).
     blackholed: bool = False
+    #: Extra copies of the owner's ASN prepended when the route is exported.
+    export_prepend: int = 0
 
 
 class CommunityAction:
@@ -64,7 +66,9 @@ class PrependAction(CommunityAction):
             raise PolicyError(f"prepend count {self.count} out of the sane range 1..16")
 
     def apply(self, attributes: PathAttributes, owner_asn: int) -> ActionOutcome:
-        return ActionOutcome(attributes=attributes.with_prepend(owner_asn, self.count))
+        # Prepending happens on export, so the stored path stays as received
+        # and the community does not distort the owner's own selection.
+        return ActionOutcome(attributes=attributes, export_prepend=self.count)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from repro.policy.actions import (
     CommunityAction,
     LocalPrefAction,
     PrependAction,
-    SelectiveAnnounceAction,
-    SuppressAction,
 )
 
 
@@ -164,40 +162,3 @@ class CommunityServiceCatalog:
                 )
             )
         return cls(owner_asn, services)
-
-    @classmethod
-    def ixp_route_server_catalog(
-        cls, ixp_asn: int, member_asns: Iterable[int]
-    ) -> "CommunityServiceCatalog":
-        """Build the redistribution-control catalogue of an IXP route server."""
-        services = []
-        for member in sorted(set(member_asns)):
-            if member > 0xFFFF:
-                # Members with 32-bit ASNs cannot be encoded in a traditional
-                # community value; real IXPs use large communities for them.
-                continue
-            services.append(
-                ServiceDefinition(
-                    community=Community(ixp_asn, member),
-                    action=SelectiveAnnounceAction(neighbor_asns=frozenset({member})),
-                    description=f"announce only to AS{member}",
-                    customers_only=False,
-                )
-            )
-            services.append(
-                ServiceDefinition(
-                    community=Community(0, member),
-                    action=SuppressAction(neighbor_asns=frozenset({member})),
-                    description=f"do not announce to AS{member}",
-                    customers_only=False,
-                )
-            )
-        services.append(
-            ServiceDefinition(
-                community=Community(0, ixp_asn) if ixp_asn <= 0xFFFF else Community(0, 0),
-                action=SuppressAction(suppress_all=True),
-                description="do not announce to any member",
-                customers_only=False,
-            )
-        )
-        return cls(ixp_asn, services)

@@ -1,8 +1,10 @@
-"""Active measurement: Atlas-like vantage points, looking glasses, IP-to-AS mapping."""
+"""Active measurement: Atlas-like vantage points and looking glasses.
+
+IP-to-AS mapping of traceroute hops is :meth:`Topology.origin_of`.
+"""
 
 from repro.probing.atlas import AtlasPlatform, ProbeMeasurement, VantagePoint
 from repro.probing.looking_glass import LookingGlass, LookingGlassEntry
-from repro.probing.ip2as import Ip2AsMapper
 
 __all__ = [
     "AtlasPlatform",
@@ -10,5 +12,4 @@ __all__ = [
     "VantagePoint",
     "LookingGlass",
     "LookingGlassEntry",
-    "Ip2AsMapper",
 ]

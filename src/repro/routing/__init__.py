@@ -1,6 +1,6 @@
 """BGP routing simulation: decision process, per-AS routers, propagation engine."""
 
-from repro.routing.decision import best_path, compare_routes
+from repro.routing.decision import best_path
 from repro.routing.router import Router, ImportResult
 from repro.routing.engine import (
     BgpSimulator,
@@ -13,14 +13,12 @@ from repro.routing.shard import ShardPool, partition_events, stable_shard
 from repro.routing.stream import (
     SimulatorService,
     StreamStats,
-    coalesce_events,
     parse_event,
     read_event_stream,
 )
 
 __all__ = [
     "best_path",
-    "compare_routes",
     "Router",
     "ImportResult",
     "BgpSimulator",
@@ -34,7 +32,6 @@ __all__ = [
     "RouteServerDecision",
     "SimulatorService",
     "StreamStats",
-    "coalesce_events",
     "parse_event",
     "read_event_stream",
 ]

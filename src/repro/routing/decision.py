@@ -9,7 +9,7 @@ deterministic neighbor-ASN tie-break so simulations are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.bgp.route import RouteEntry
 
@@ -17,16 +17,6 @@ from repro.bgp.route import RouteEntry
 def _comparison_key(entry: RouteEntry) -> tuple:
     """Return a sort key; *smaller* keys are more preferred."""
     return (entry.attributes.decision_key(), entry.learned_from)
-
-
-def compare_routes(a: RouteEntry, b: RouteEntry) -> int:
-    """Return -1 if ``a`` is preferred over ``b``, 1 if ``b`` wins, 0 if equal keys."""
-    key_a, key_b = _comparison_key(a), _comparison_key(b)
-    if key_a < key_b:
-        return -1
-    if key_a > key_b:
-        return 1
-    return 0
 
 
 def best_path(candidates: Iterable[RouteEntry]) -> RouteEntry | None:
@@ -39,9 +29,3 @@ def best_path(candidates: Iterable[RouteEntry]) -> RouteEntry | None:
     if len(viable) > 1:
         return min(viable, key=_comparison_key)
     return viable[0] if viable else None
-
-
-def rank_routes(candidates: Sequence[RouteEntry]) -> list[RouteEntry]:
-    """Return the viable candidates ordered from most to least preferred."""
-    viable = [c for c in candidates if not c.rejected]
-    return sorted(viable, key=_comparison_key)

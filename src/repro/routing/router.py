@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import NO_ADVERTISE, NO_EXPORT, NO_PEER, CommunitySet
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
+from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Announcement, RouteEntry
 from repro.exceptions import RoutingError
 from repro.policy.actions import ActionType
@@ -133,10 +133,6 @@ class Router:
         if rib is None:
             rib = self.adj_rib_in[neighbor_asn] = AdjRibIn(neighbor_asn)
         return rib
-
-    def snapshot(self) -> RibSnapshot:
-        """A looking-glass view of the current best routes."""
-        return RibSnapshot.from_loc_rib(self.asn, self.loc_rib)
 
     # ------------------------------------------------------------- origination
     def originate(
@@ -251,11 +247,6 @@ class Router:
         rib = self.adj_rib_in.get(sender_asn)
         return rib is not None and rib.withdraw(prefix) is not None
 
-    def process_withdrawal(self, prefix: Prefix, sender_asn: int) -> bool:
-        """Withdraw a neighbor's route for ``prefix``; return True if best changed."""
-        self.remove_announcement(prefix, sender_asn)
-        return self._refresh_best(prefix)
-
     def _is_blackhole_tagged(self, communities: CommunitySet) -> bool:
         """True if the (non-empty) community set carries a blackhole community relevant here."""
         return bool(communities.blackhole_communities()) or (
@@ -291,12 +282,8 @@ class Router:
             if service.customers_only and not from_customer:
                 continue
             outcome = service.action.apply(attributes, self.asn)
-            if service.action_type == ActionType.PREPEND:
-                # Prepending is applied on export, not on the locally stored path,
-                # so the community does not distort this AS's own selection.
-                export_prepend += getattr(service.action, "count", 1)
-            else:
-                attributes = outcome.attributes
+            attributes = outcome.attributes
+            export_prepend += outcome.export_prepend
             blackholed = blackholed or outcome.blackholed
             suppress_to |= set(outcome.suppress_to)
             if outcome.announce_only_to is not None:
@@ -353,18 +340,6 @@ class Router:
             return False
         self.loc_rib.set_best(prefix, new_best)
         return True
-
-    def refresh_all(self) -> list[Prefix]:
-        """Recompute every prefix's best route; return prefixes whose best changed.
-
-        Prefixes are visited (and returned) in sorted order so the
-        refresh sequence — and anything derived from the returned list —
-        is identical run-to-run regardless of set iteration order.
-        """
-        prefixes: set[Prefix] = set(self.originated)
-        for rib in self.adj_rib_in.values():
-            prefixes.update(rib.prefixes())
-        return [p for p in sorted(prefixes) if self._refresh_best(p)]
 
     # ----------------------------------------------------------------- export
     def export_memo_key(self, neighbor_asn: int) -> tuple:

@@ -70,19 +70,6 @@ class StreamStats:
         return self.events_seen - self.events_coalesced
 
 
-def coalesce_events(events: Iterable[RoutingEvent]) -> list[RoutingEvent]:
-    """Collapse a burst to its net updates: last writer wins per (origin, prefix).
-
-    Keys keep their first-seen position (the surviving event replaces
-    its predecessor in place), so the coalesced batch seeds prefixes in
-    the same relative order the uncoalesced stream would have.
-    """
-    pending: dict[tuple[int, Prefix], RoutingEvent] = {}
-    for event in events:
-        pending[(event.origin_asn, event.prefix)] = event
-    return list(pending.values())
-
-
 class SimulatorService:
     """A feed/drain streaming client over one simulator.
 
@@ -110,7 +97,12 @@ class SimulatorService:
         self._pending: dict[tuple[int, Prefix], RoutingEvent] = {}
 
     def pending_events(self) -> list[RoutingEvent]:
-        """The currently buffered (already coalesced) events, in order."""
+        """The currently buffered (already coalesced) events, in order.
+
+        Keys keep their first-seen position (a later event replaces its
+        predecessor in place), so a drained batch seeds prefixes in the
+        same relative order the uncoalesced stream would have.
+        """
         return list(self._pending.values())
 
     def feed(self, events: Iterable[RoutingEvent] | RoutingEvent) -> list[SimulationReport]:

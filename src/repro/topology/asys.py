@@ -60,16 +60,6 @@ class AutonomousSystem:
     #: Whether this AS accepts traffic-steering communities from peers and
     #: providers too, or (the common case per Section 7.4) only from customers.
     act_on_communities_from_any_neighbor: bool = False
-    #: Maximum accepted prefix length for regular announcements (Section 7.3).
-    max_prefix_length: int = 24
-    #: Maximum accepted prefix length for blackhole announcements.
-    max_blackhole_prefix_length: int = 32
-    #: Cached ownership trie over ``prefixes``, keyed by a content
-    #: fingerprint so in-place list edits invalidate it too.  Not part
-    #: of the value semantics.
-    _prefix_cache: "tuple[tuple, object] | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.asn <= 0:
@@ -86,30 +76,6 @@ class AutonomousSystem:
     def is_stub(self) -> bool:
         """True for stub (non-transit) ASes."""
         return self.role == AsRole.STUB
-
-    def originates(self, prefix: Prefix) -> bool:
-        """True if this AS legitimately originates ``prefix`` (or a covering prefix).
-
-        Trie-backed: the ownership check walks this AS's per-family LPM
-        table instead of scanning the prefix list, so hijack-overlap
-        checks stay O(prefix length) however many prefixes an AS owns.
-        """
-        return bool(self._prefix_table().covering(prefix))
-
-    def _prefix_table(self):
-        """The cached LPM trie over this AS's originated prefixes.
-
-        The fingerprint is the full prefix tuple (the lists are tiny),
-        so any mutation — append or in-place edit — rebuilds the trie.
-        """
-        from repro.net.lpm import cached_table
-
-        self._prefix_cache, table = cached_table(
-            self._prefix_cache,
-            tuple(self.prefixes),
-            ((prefix, self.asn) for prefix in self.prefixes),
-        )
-        return table
 
     def add_prefix(self, prefix: Prefix) -> None:
         """Register an originated prefix."""

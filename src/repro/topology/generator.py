@@ -247,8 +247,3 @@ class TopologyGenerator:
         for asys in topology.transit_ases():
             if rng.chance(params.service_fraction):
                 asys.services = CommunityServiceCatalog.standard_transit_catalog(asys.asn)
-        for ixp in topology.ixps.values():
-            rs = topology.get_as(ixp.route_server_asn)
-            rs.services = CommunityServiceCatalog.ixp_route_server_catalog(
-                ixp.route_server_asn, ixp.members
-            )

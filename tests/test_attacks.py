@@ -4,11 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.conditions import (
-    check_necessary_condition,
-    check_sufficient_condition,
-    community_propagation_path,
-)
 from repro.attacks.feasibility import build_feasibility_matrix
 from repro.attacks.rtbh import RtbhAttack
 from repro.attacks.scenario import (
@@ -18,7 +13,6 @@ from repro.attacks.scenario import (
     build_figure9_ixp,
 )
 from repro.attacks.steering import PrependSteeringAttack
-from repro.bgp.community import Community
 from repro.bgp.prefix import Prefix
 from repro.exceptions import AttackError
 from repro.policy.community_policy import StripAllPolicy
@@ -42,48 +36,10 @@ class TestScenarioTopologies:
         assert topology.validate() == []
 
     def test_figure9_topology(self):
-        topology, ixp = build_figure9_ixp(member_count=8)
+        _topology, ixp = build_figure9_ixp(member_count=8)
         assert ixp.member_count() == 8
-        assert topology.get_as(ixp.route_server_asn).services is not None
-
-
-class TestConditions:
-    def test_necessary_condition_holds_on_forwarding_path(self):
-        topology = build_figure7_topology()
-        report = check_necessary_condition(topology, attacker_asn=2, target_asn=3)
-        assert report.holds
-        assert report.path is not None
-
-    def test_necessary_condition_fails_without_services(self):
-        topology = build_figure7_topology()
-        topology.get_as(3).services = None
-        report = check_necessary_condition(topology, attacker_asn=2, target_asn=3)
-        assert not report.holds
-
-    def test_propagation_path_detects_stripping(self):
-        topology = build_figure2_topology()
-        community = Community(3, 33)
-        ok = community_propagation_path(topology, attacker_asn=2, target_asn=3, community=community)
-        assert ok.holds
-        # If the intermediate AS4 strips everything, the condition fails.
-        topology.get_as(4).propagation_policy = StripAllPolicy()
-        blocked = community_propagation_path(
-            topology, attacker_asn=2, target_asn=3, community=community
-        )
-        assert not blocked.holds
-        assert any("strips" in reason for reason in blocked.reasons)
-
-    def test_sufficient_condition_hijack_capability(self):
-        topology = build_figure7_topology()
-        community = Community(3, 666)
-        ok = check_sufficient_condition(
-            topology, 2, 3, community, requires_hijack=True, attacker_can_hijack=True
-        )
-        assert ok.holds
-        blocked = check_sufficient_condition(
-            topology, 2, 3, community, requires_hijack=True, attacker_can_hijack=False
-        )
-        assert not blocked.holds
+        assert ixp.route_server_config.ixp_asn == ixp.route_server_asn
+        assert ixp.route_server_config.suppress_before_redistribute
 
 
 class TestRtbh:

@@ -13,13 +13,13 @@ from repro.bgp.attributes import Origin, PathAttributes
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
 from repro.bgp.message import BgpUpdate, decode_update, encode_update
 from repro.bgp.prefix import Prefix
-from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
+from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Announcement, RouteEntry
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.exceptions import AttributeError_, MessageError, MrtError, MrtTruncatedError
 from repro.mrt import reader as mrt_reader
 from repro.mrt import writer as mrt_writer
-from repro.mrt.constants import Bgp4mpSubtype, MrtType
+from repro.mrt.constants import Bgp4mpSubtype, MrtType, TableDumpV2Subtype
 from repro.mrt.entries import (
     Bgp4mpMessage,
     MrtRecord,
@@ -67,11 +67,6 @@ class TestPathAttributes:
         assert Community(2, 2) in attrs.with_communities_added(["2:2"]).communities
         assert len(attrs.without_communities().communities) == 0
         assert len(attrs.with_communities_set(["9:9"]).communities) == 1
-
-    def test_prepend_helper(self):
-        attrs = PathAttributes(as_path=ASPath.of(2, 1)).with_prepend(9, 2)
-        assert attrs.as_path.asns() == [9, 9, 2, 1]
-        assert attrs.path_length() == 4
 
     def test_med_validation(self):
         with pytest.raises(AttributeError_):
@@ -198,15 +193,6 @@ class TestRibs:
         rib.set_best(entry.prefix, None)
         assert entry.prefix not in rib
 
-    def test_snapshot_covering(self):
-        rib = LocRib()
-        entry = self.make_entry("10.0.0.0/8")
-        rib.set_best(entry.prefix, entry)
-        snapshot = RibSnapshot.from_loc_rib(99, rib)
-        assert len(snapshot) == 1
-        assert snapshot.covering(Prefix.from_string("10.9.0.0/16"))
-        assert snapshot.get(Prefix.from_string("10.0.0.0/8")) is not None
-
     def test_announcement_helpers(self):
         announcement = Announcement(
             prefix=Prefix.from_string("10.0.0.0/8"),
@@ -295,6 +281,32 @@ class TestMrt:
         assert decoded.prefix == record.prefix
         assert len(decoded.entries) == 2
         assert decoded.entries[0].attributes.communities == record.entries[0].attributes.communities
+
+    @pytest.mark.parametrize(
+        "overrides, unknown",
+        [
+            ({}, ()),  # make_attributes() carries a large community
+            ({"atomic_aggregate": True}, ()),
+            ({}, ((99, 0xC0, b"\x01\x02"),)),
+        ],
+        ids=["large-communities", "atomic-aggregate", "unknown-attribute"],
+    )
+    def test_rib_record_roundtrip_keeps_every_attribute(self, overrides, unknown):
+        entry = RibEntry(0, 1522540800, make_attributes(**overrides), unknown)
+        record = RibPrefixRecord(7, Prefix.from_string("203.0.113.0/24"), (entry,))
+        assert list(MrtReader(encode_rib_prefix_record(record))) == [record]
+
+    def test_rib_entry_rejects_a_two_byte_origin_like_an_update(self):
+        section = bytes([0x40, 1, 2, 0, 0])  # ORIGIN, transitive, 2-byte payload
+        update = encode_update(BgpUpdate(unknown_attributes=[(1, 0x40, b"\x00\x00")]))
+        assert section in update
+        with pytest.raises(MessageError) as in_update:
+            decode_update(update)
+        payload = struct.pack("!I4sHHIH", 0, bytes([24, 203, 0, 113]), 1, 0, 0, len(section))
+        rib = MrtRecord(0, MrtType.TABLE_DUMP_V2, TableDumpV2Subtype.RIB_IPV4_UNICAST, payload + section)
+        with pytest.raises(MessageError) as in_rib:
+            list(MrtReader(mrt_writer.encode_record(rib)))
+        assert str(in_rib.value) == str(in_update.value)
 
     def test_truncated_stream_raises(self):
         data = encode_bgp4mp_message(self.make_message())

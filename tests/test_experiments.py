@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from pathlib import Path
@@ -52,6 +53,14 @@ class TestSpec:
     def test_from_dict_requires_name(self):
         with pytest.raises(ExperimentError):
             ExperimentSpec.from_dict({"seed": 1})
+
+    @pytest.mark.parametrize("seed", [2.9, 2.0, True, "abc", "7", None])
+    def test_seed_must_be_an_integer(self, seed):
+        """``int()`` read 2.9 as 2 and True as 1, and raised raw errors for "abc" and None."""
+        with pytest.raises(ExperimentError, match="seed must be an integer"):
+            ExperimentSpec(name="x", seed=seed)
+        with pytest.raises(ExperimentError, match="seed must be an integer"):
+            ExperimentSpec.from_dict({"name": "x", "seed": seed})
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ExperimentError):
@@ -417,6 +426,35 @@ class TestGridPersistence:
         assert write_results(str(path), [result]) == 1
         assert write_results(str(path), [result], append=True) == 1
         assert len(load_results(str(path))) == 2
+
+
+class TestDamagedResultFiles:
+    """A results file a crashed grid left: errors name the path and the line."""
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda line: line[: len(line) // 2],
+            lambda line: "3",
+            lambda line: line.replace("{}", "5"),  # "spec": 5 is no mapping
+        ],
+        ids=["cut-off", "not-an-object", "bad-field"],
+    )
+    def test_damaged_last_line(self, tmp_path, cut):
+        line = ExperimentResult(name="x", spec={}, metrics={"v": 1}).to_json()
+        path = tmp_path / "crashed.jsonl"
+        path.write_text(line + "\n" + cut(line))
+        with pytest.raises(ExperimentError, match=re.escape(f"{path}:2: not an experiment result")):
+            load_results(str(path))
+
+    def test_unknown_status(self, tmp_path):
+        record = {**ExperimentResult(name="x", spec={}).to_dict(), "status": "bogus"}
+        with pytest.raises(ExperimentError, match="status 'bogus'"):
+            ExperimentResult.from_dict(record)
+        path = tmp_path / "bogus.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ExperimentError, match=re.escape(f"{path}:1: ") + ".*'bogus'"):
+            load_results(str(path))
 
 
 class _InlineExecutor:

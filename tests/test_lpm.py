@@ -3,7 +3,7 @@
 Covers the trie primitives, property-style cross-checks against the old
 linear-scan semantics, and the family-separation regression: an IPv4
 address must never match an IPv6 prefix in any of the trie-backed
-consumers (Fib, LocRib, Ip2AsMapper).
+consumers (Fib, LocRib, the topology's origin table).
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import pytest
 from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefix import AddressFamily, Prefix
-from repro.bgp.rib import LocRib, RibSnapshot
+from repro.bgp.rib import LocRib
 from repro.bgp.route import RouteEntry
 from repro.dataplane.fib import Fib, FibEntry
 from repro.exceptions import PrefixError
 from repro.net.lpm import LpmTable, RadixTrie, infer_family
-from repro.probing.ip2as import Ip2AsMapper
 
 
 def p(text: str) -> Prefix:
@@ -233,34 +232,17 @@ class TestCrossFamilyRegressions:
         assert hit6 is not None and hit6.learned_from == 9
 
     def test_ip2as_lookup_is_family_safe(self):
-        mapper = Ip2AsMapper({self.V6_COLLIDER: 9})
-        assert mapper.lookup(self.ADDRESS) is None
-        mapper.add(self.V4, 2)
-        assert mapper.lookup(self.ADDRESS) == 2
-        assert mapper.lookup(self.ADDRESS, AddressFamily.IPV6) == 9
-        assert mapper.lookup_prefix(p("10.1.0.0/16")) == 2
-        assert mapper.lookup_prefix(p("2001:db8::/32")) is None
+        from repro.topology.asys import AutonomousSystem
+        from repro.topology.topology import Topology
 
-    def test_rib_snapshot_covering_is_family_safe(self):
-        snapshot = RibSnapshot(
-            asn=1,
-            entries={
-                self.V4: route_entry(self.V4, learned_from=2),
-                self.V6_COLLIDER: route_entry(self.V6_COLLIDER, learned_from=9),
-            },
-        )
-        covering = snapshot.covering(p("10.0.0.0/24"))
-        assert [e.learned_from for e in covering] == [2]
-        assert snapshot.lookup(self.ADDRESS).learned_from == 2
-        assert snapshot.lookup(self.ADDRESS, AddressFamily.IPV6).learned_from == 9
-
-    def test_rib_snapshot_entries_are_frozen(self):
-        # The snapshot caches its LPM trie, which is only sound because the
-        # entry table cannot be mutated after construction.
-        snapshot = RibSnapshot(asn=1, entries={self.V4: route_entry(self.V4)})
-        with pytest.raises(TypeError):
-            snapshot.entries[self.V6_COLLIDER] = route_entry(self.V6_COLLIDER)
-        assert snapshot.get(self.V4) is not None
+        topology = Topology()
+        topology.add_as(AutonomousSystem(asn=9, prefixes=[self.V6_COLLIDER]))
+        assert topology.origin_table().longest_match(self.ADDRESS) is None
+        topology.add_as(AutonomousSystem(asn=2, prefixes=[self.V4]))
+        assert topology.origin_table().longest_match(self.ADDRESS)[1] == 2
+        assert topology.origin_table().longest_match(self.ADDRESS, AddressFamily.IPV6)[1] == 9
+        assert topology.origin_of(p("10.1.0.0/16")) == 2
+        assert topology.origin_of(p("2001:db8::/32")) is None
 
     def test_atlas_measure_reaches_low_ipv6_targets(self):
         # A low IPv6 target (inside ::/96) has an integer address that looks

@@ -26,11 +26,12 @@ from repro.attacks.manipulation import RouteManipulationAttack
 from repro.attacks.rtbh import RtbhAttack
 from repro.attacks.scenario import (
     ScenarioRoles,
+    build_figure2_topology,
     build_figure7_topology,
     build_figure8b_topology,
     build_figure9_ixp,
 )
-from repro.attacks.steering import LocalPrefSteeringAttack
+from repro.attacks.steering import LocalPrefSteeringAttack, PrependSteeringAttack
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
@@ -54,6 +55,11 @@ from repro.measurement.usage import (
     updates_with_communities_by_collector,
 )
 from repro.policy.actions import BlackholeAction
+from repro.policy.community_policy import (
+    CommunityPropagationPolicy,
+    ForwardAllPolicy,
+    StripAllPolicy,
+)
 from repro.policy.filters import InboundFilterChain, IrrDatabase
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.vendor import CISCO_PROFILE, JUNIPER_PROFILE
@@ -254,6 +260,16 @@ def _nanog_order_blackholes_hijack() -> bool:
     )
 
 
+def _prepend_steering_through(as4_policy: CommunityPropagationPolicy) -> bool:
+    """Figure 2 prepend steering by AS2 via AS3's 3:33, on the core, with ``as4_policy``
+    at AS4: the one AS between the attacker and the community target."""
+    topology = build_figure2_topology()
+    topology.get_as(4).propagation_policy = as4_policy
+    roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
+    attack = PrependSteeringAttack(topology, roles, Prefix.from_string("198.51.100.0/24"), observer_asn=6)
+    return attack.run().succeeded
+
+
 def _target_drops_traffic(raise_local_pref: bool) -> bool:
     """Figure 7 RTBH by AS2 via AS3's 3:666, with or without the service's local-pref raise."""
     topology = build_figure7_topology()
@@ -398,6 +414,11 @@ CLAIMS = (
           experiment("feasibility"), _difficulty("Route manipulation", True), "medium"),
     Claim("table3-all-succeed", "Table 3", "all 8 scenario variants succeed",
           experiment("feasibility"), lambda m: m["succeeded_count"], 8),
+    # ------------------------------------------------------- §5 conditions
+    Claim("sec54-every-hop-forwards", "§5.4", "an attack works only if every AS between the attacker "
+          "and the community target forwards the community",
+          LAB, lambda: (_prepend_steering_through(ForwardAllPolicy()),
+                        _prepend_steering_through(StripAllPolicy())), (True, False)),
     # --------------------------------------------------------------- §6 lab
     Claim("sec6-juniper-sends-by-default", "§6.1", "Junos propagates communities by default",
           LAB, lambda: JUNIPER_PROFILE.effective_send_communities(False), True),

@@ -45,7 +45,9 @@ ATTRS = PathAttributes(
 class TestActions:
     def test_prepend(self):
         outcome = PrependAction(3).apply(ATTRS, owner_asn=9)
-        assert outcome.attributes.as_path.asns() == [9, 9, 9, 2, 1]
+        # The owner prepends on export: the stored path stays as received.
+        assert outcome.attributes is ATTRS
+        assert outcome.export_prepend == 3
         assert not outcome.blackholed
 
     def test_prepend_rejects_silly_counts(self):
@@ -149,19 +151,6 @@ class TestServiceCatalog:
         catalog.add(ServiceDefinition(Community(1, 1), PrependAction(1)))
         with pytest.raises(PolicyError):
             catalog.add(ServiceDefinition(Community(1, 1), PrependAction(2)))
-
-    def test_ixp_catalog(self):
-        catalog = CommunityServiceCatalog.ixp_route_server_catalog(9000, [10, 20])
-        assert Community(9000, 10) in catalog
-        assert Community(0, 20) in catalog
-        suppress = catalog.get(Community(0, 10))
-        assert suppress is not None
-        assert suppress.action_type == ActionType.SUPPRESS
-
-    def test_ixp_catalog_skips_32bit_members(self):
-        catalog = CommunityServiceCatalog.ixp_route_server_catalog(9000, [70000])
-        assert Community(9000, 9000) not in catalog or True  # no member-specific entries
-        assert all(s.community.value != 70000 for s in catalog)
 
 
 class TestFilters:

@@ -10,7 +10,6 @@ from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import build_blackhole_list
 from repro.exceptions import AttackError, AupViolationError, ProbingError, TopologyError
 from repro.probing.atlas import AtlasPlatform, VantagePoint
-from repro.probing.ip2as import Ip2AsMapper
 from repro.probing.looking_glass import LookingGlass
 from repro.routing.engine import BgpSimulator
 from repro.wild.blackhole_sweep import BlackholeSweep
@@ -90,12 +89,11 @@ class TestLookingGlassAndAtlas:
 
     def test_ip2as_mapping(self, wild_setup):
         topology, *_rest = wild_setup
-        mapper = Ip2AsMapper.from_topology(topology)
         some_as = topology.stub_ases()[0]
         prefix = some_as.prefixes[0]
-        assert mapper.lookup(prefix.host(1)) == some_as.asn
-        assert mapper.lookup_prefix(prefix) == some_as.asn
-        assert mapper.lookup(0) is None
+        assert topology.origin_table().longest_match(prefix.host(1))[1] == some_as.asn
+        assert topology.origin_of(prefix) == some_as.asn
+        assert topology.origin_table().longest_match(0) is None
 
 
 class TestInjectionPlatforms:

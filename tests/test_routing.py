@@ -13,7 +13,7 @@ from repro.exceptions import RoutingError
 from repro.policy.community_policy import ForwardAllPolicy, StripAllPolicy
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
 from repro.policy.actions import SuppressAction
-from repro.routing.decision import best_path, compare_routes, rank_routes
+from repro.routing.decision import best_path
 from repro.routing.engine import BgpSimulator
 from repro.routing.route_server import RouteServer
 from repro.routing.router import Router
@@ -71,13 +71,6 @@ class TestDecisionProcess:
         assert best_path([a, b]) is b
         assert best_path([a]) is None
         assert best_path([]) is None
-
-    def test_compare_and_rank(self):
-        a = entry(1, [1, 9], local_pref=200)
-        b = entry(2, [2, 9])
-        assert compare_routes(a, b) == -1
-        assert compare_routes(b, a) == 1
-        assert rank_routes([b, a]) == [a, b]
 
 
 def two_as_router() -> Router:

@@ -14,7 +14,6 @@ from repro.routing.stream import (
     _EVENT_KEYS,
     DEFAULT_WINDOW,
     SimulatorService,
-    coalesce_events,
     parse_event,
     read_event_stream,
 )
@@ -52,6 +51,13 @@ def prefix(index: int) -> Prefix:
     return Prefix.ipv4(Prefix.from_string("10.0.0.0/8").network + (index << 8), 24)
 
 
+def buffered(events) -> list[RoutingEvent]:
+    """What a service that never drains holds after ``events``."""
+    service = SimulatorService(BgpSimulator(small_topology(), shards=1), window=100)
+    service.feed(events)
+    return service.pending_events()
+
+
 class TestCoalesce:
     def test_last_writer_wins_per_origin_prefix(self):
         first = RoutingEvent(origin_asn=65001, prefix=prefix(0))
@@ -60,7 +66,7 @@ class TestCoalesce:
         )
         other_origin = RoutingEvent(origin_asn=65002, prefix=prefix(0))
         withdraw = RoutingEvent.withdrawal(65001, prefix(0))
-        out = coalesce_events([first, other_origin, superseded, withdraw])
+        out = buffered([first, other_origin, superseded, withdraw])
         # 65001's three events collapse to the final withdraw; a different
         # origin for the same prefix is a distinct key and survives.
         assert out == [withdraw, other_origin]
@@ -71,12 +77,12 @@ class TestCoalesce:
             RoutingEvent(origin_asn=65001, prefix=prefix(1)),
             RoutingEvent(origin_asn=65001, prefix=prefix(0), withdraw=True),
         ]
-        out = coalesce_events(events)
+        out = buffered(events)
         assert [e.prefix for e in out] == [prefix(0), prefix(1)]
         assert out[0].withdraw
 
     def test_empty(self):
-        assert coalesce_events([]) == []
+        assert buffered([]) == []
 
 
 class TestSimulatorService:

@@ -102,9 +102,11 @@ class TestAutonomousSystem:
         asys.add_prefix(prefix)
         asys.add_prefix(prefix)  # idempotent
         assert len(asys.prefixes) == 1
-        assert asys.originates(prefix)
-        assert asys.originates(prefix.subprefix(32, 5))
-        assert not asys.originates(Prefix.from_string("192.0.2.0/24"))
+        topology = Topology()
+        topology.add_as(asys)
+        assert topology.origin_of(prefix) == 65001
+        assert topology.origin_of(prefix.subprefix(32, 5)) == 65001
+        assert topology.origin_of(Prefix.from_string("192.0.2.0/24")) is None
 
 
 class _EdgeScanOracle:
@@ -348,11 +350,13 @@ class TestGenerator:
         offering = [a for a in small_topology.transit_ases() if a.services is not None]
         assert offering, "no transit AS offers community services"
 
-    def test_ixp_route_servers_have_catalogs(self, small_topology):
+    def test_ixp_route_servers_are_configured_and_sessionless(self, small_topology):
+        assert small_topology.ixps
         for ixp in small_topology.ixps.values():
-            rs = small_topology.get_as(ixp.route_server_asn)
-            assert rs.services is not None
-            assert len(rs.services) > 0
+            assert ixp.route_server_config.ixp_asn == ixp.route_server_asn
+            # No generated AS has a session with the route server, so its
+            # redistribution communities run only through RouteServer.
+            assert small_topology.neighbors(ixp.route_server_asn) == []
 
     def test_determinism(self):
         params = TopologyParameters(tier1_count=2, transit_count=8, stub_count=20, seed=7)
