@@ -280,3 +280,8 @@ class CommunitySet:
 
     def __repr__(self) -> str:
         return f"CommunitySet({str(self)})"
+
+
+#: The empty community set.  Sets are immutable, so every route without
+#: communities that a codec decodes or a collector records can share it.
+NO_COMMUNITIES = CommunitySet()

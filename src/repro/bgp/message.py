@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
 from repro.bgp.attributes import AttributeTypeCode, Origin, PathAttributes
-from repro.bgp.community import CommunitySet, LargeCommunity
+from repro.bgp.community import NO_COMMUNITIES, CommunitySet, LargeCommunity
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import MessageError
 
@@ -45,6 +45,21 @@ _ATTRIBUTE_HEADER = struct.Struct("!BBB")
 _ATTRIBUTE_HEADER_EXTENDED = struct.Struct("!BBH")
 _LARGE_COMMUNITY = struct.Struct("!III")
 
+#: Plain-int attribute type codes and dict tables for the enum values the
+#: codec meets: each record read or written runs these compares and
+#: lookups, and an enum member costs several times what an int does.
+_ORIGIN = int(AttributeTypeCode.ORIGIN)
+_AS_PATH = int(AttributeTypeCode.AS_PATH)
+_NEXT_HOP = int(AttributeTypeCode.NEXT_HOP)
+_MULTI_EXIT_DISC = int(AttributeTypeCode.MULTI_EXIT_DISC)
+_LOCAL_PREF = int(AttributeTypeCode.LOCAL_PREF)
+_ATOMIC_AGGREGATE = int(AttributeTypeCode.ATOMIC_AGGREGATE)
+_COMMUNITIES = int(AttributeTypeCode.COMMUNITIES)
+_LARGE_COMMUNITIES = int(AttributeTypeCode.LARGE_COMMUNITIES)
+_ORIGINS = {int(origin): origin for origin in Origin}
+_SEGMENT_TYPES = {int(segment_type): segment_type for segment_type in SegmentType}
+_ADDRESS_BYTES = {family: family.bits // 8 for family in AddressFamily}
+
 
 @dataclass
 class BgpUpdate:
@@ -62,10 +77,10 @@ class BgpUpdate:
 
 def _encode_prefix_nlri(prefix: Prefix) -> bytes:
     """Encode one prefix in NLRI form: length byte + minimal network bytes."""
-    byte_count = (prefix.length + 7) // 8
-    bits = prefix.family.bits
-    network_bytes = prefix.network.to_bytes(bits // 8, "big")[:byte_count]
-    return bytes([prefix.length]) + network_bytes
+    family, network, length = prefix
+    byte_count = (length + 7) // 8
+    network_bytes = network.to_bytes(_ADDRESS_BYTES[family], "big")[:byte_count]
+    return bytes((length,)) + network_bytes
 
 
 def _decode_prefix_nlri(data: bytes, offset: int, family: AddressFamily) -> tuple[Prefix, int]:
@@ -79,8 +94,7 @@ def _decode_prefix_nlri(data: bytes, offset: int, family: AddressFamily) -> tupl
         raise MessageError("truncated NLRI: missing prefix bytes")
     raw = data[offset:offset + byte_count]
     offset += byte_count
-    total_bytes = family.bits // 8
-    padded = raw + b"\x00" * (total_bytes - byte_count)
+    padded = raw + b"\x00" * (_ADDRESS_BYTES[family] - byte_count)
     network = int.from_bytes(padded, "big")
     return Prefix(family, network, length), offset
 
@@ -133,10 +147,9 @@ def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
             raise MessageError("truncated AS_PATH segment body")
         asns = struct.unpack_from(f"!{count}{code}", payload, offset)
         offset += needed
-        try:
-            seg_type = SegmentType(segment_type)
-        except ValueError as exc:
-            raise MessageError(f"unknown AS_PATH segment type {segment_type}") from exc
+        seg_type = _SEGMENT_TYPES.get(segment_type)
+        if seg_type is None:
+            raise MessageError(f"unknown AS_PATH segment type {segment_type}")
         segments.append(ASPathSegment(seg_type, asns))
     return ASPath(segments)
 
@@ -153,39 +166,33 @@ def encode_path_attributes(
     attribute_parts: list[bytes] = []
     if attrs is not None:
         attribute_parts.append(
-            _encode_attribute(AttributeTypeCode.ORIGIN, FLAG_TRANSITIVE, bytes([int(attrs.origin)]))
+            _encode_attribute(_ORIGIN, FLAG_TRANSITIVE, bytes((attrs.origin,)))
+        )
+        attribute_parts.append(
+            _encode_attribute(_AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path))
         )
         attribute_parts.append(
             _encode_attribute(
-                AttributeTypeCode.AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path)
-            )
-        )
-        attribute_parts.append(
-            _encode_attribute(
-                AttributeTypeCode.NEXT_HOP, FLAG_TRANSITIVE, _U32.pack(attrs.next_hop & 0xFFFFFFFF)
+                _NEXT_HOP, FLAG_TRANSITIVE, _U32.pack(attrs.next_hop & 0xFFFFFFFF)
             )
         )
         if attrs.med is not None:
             attribute_parts.append(
-                _encode_attribute(
-                    AttributeTypeCode.MULTI_EXIT_DISC, FLAG_OPTIONAL, _U32.pack(attrs.med)
-                )
+                _encode_attribute(_MULTI_EXIT_DISC, FLAG_OPTIONAL, _U32.pack(attrs.med))
             )
         if attrs.local_pref is not None:
             attribute_parts.append(
-                _encode_attribute(
-                    AttributeTypeCode.LOCAL_PREF, FLAG_TRANSITIVE, _U32.pack(attrs.local_pref)
-                )
+                _encode_attribute(_LOCAL_PREF, FLAG_TRANSITIVE, _U32.pack(attrs.local_pref))
             )
         if attrs.atomic_aggregate:
             attribute_parts.append(
-                _encode_attribute(AttributeTypeCode.ATOMIC_AGGREGATE, FLAG_TRANSITIVE, b"")
+                _encode_attribute(_ATOMIC_AGGREGATE, FLAG_TRANSITIVE, b"")
             )
         if attrs.communities:
             values = [c.to_int() for c in attrs.communities]
             attribute_parts.append(
                 _encode_attribute(
-                    AttributeTypeCode.COMMUNITIES,
+                    _COMMUNITIES,
                     FLAG_OPTIONAL | FLAG_TRANSITIVE,
                     struct.pack(f"!{len(values)}I", *values),
                 )
@@ -196,9 +203,7 @@ def encode_path_attributes(
                 for lc in sorted(attrs.large_communities)
             )
             attribute_parts.append(
-                _encode_attribute(
-                    AttributeTypeCode.LARGE_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload
-                )
+                _encode_attribute(_LARGE_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload)
             )
     for type_code, flags, payload in unknown:
         attribute_parts.append(_encode_attribute(type_code, flags, payload))
@@ -243,7 +248,7 @@ def decode_path_attributes(
     med: int | None = None
     local_pref: int | None = None
     atomic_aggregate = False
-    communities = CommunitySet()
+    communities = NO_COMMUNITIES
     large_communities: list[LargeCommunity] = []
     unknown: list[tuple[int, int, bytes]] = []
 
@@ -269,31 +274,33 @@ def decode_path_attributes(
         payload = data[offset:offset + attr_len]
         offset += attr_len
 
-        if type_code == AttributeTypeCode.ORIGIN:
+        if type_code == _ORIGIN:
             if attr_len != 1:
                 raise MessageError("ORIGIN attribute must be exactly 1 byte")
-            origin = Origin(payload[0])
-        elif type_code == AttributeTypeCode.AS_PATH:
+            origin = _ORIGINS.get(payload[0])
+            if origin is None:
+                raise MessageError(f"unknown ORIGIN value {payload[0]}")
+        elif type_code == _AS_PATH:
             as_path = _decode_as_path(payload, as4)
-        elif type_code == AttributeTypeCode.NEXT_HOP:
+        elif type_code == _NEXT_HOP:
             if attr_len != 4:
                 raise MessageError("NEXT_HOP attribute must be exactly 4 bytes")
             (next_hop,) = _U32.unpack(payload)
-        elif type_code == AttributeTypeCode.MULTI_EXIT_DISC:
+        elif type_code == _MULTI_EXIT_DISC:
             if attr_len != 4:
                 raise MessageError("MED attribute must be exactly 4 bytes")
             (med,) = _U32.unpack(payload)
-        elif type_code == AttributeTypeCode.LOCAL_PREF:
+        elif type_code == _LOCAL_PREF:
             if attr_len != 4:
                 raise MessageError("LOCAL_PREF attribute must be exactly 4 bytes")
             (local_pref,) = _U32.unpack(payload)
-        elif type_code == AttributeTypeCode.ATOMIC_AGGREGATE:
+        elif type_code == _ATOMIC_AGGREGATE:
             atomic_aggregate = True
-        elif type_code == AttributeTypeCode.COMMUNITIES:
+        elif type_code == _COMMUNITIES:
             if attr_len % 4 != 0:
                 raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
             communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
-        elif type_code == AttributeTypeCode.LARGE_COMMUNITIES:
+        elif type_code == _LARGE_COMMUNITIES:
             if attr_len % 12 != 0:
                 raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
             large_communities.extend(

@@ -86,14 +86,17 @@ def _observation_from(
     item: HarvestItem, announcement: "Announcement", timestamp: float
 ) -> RouteObservation:
     """Turn one exported announcement into the observation the archive stores."""
+    attributes = announcement.attributes
+    # Positional: one observation per exported route, and keywords
+    # double what building the tuple costs.
     return RouteObservation(
-        platform=item.platform,
-        collector_id=item.collector_id,
-        peer_asn=item.peer_asn,
-        prefix=announcement.prefix,
-        as_path=tuple(announcement.attributes.as_path.asns()),
-        communities=announcement.attributes.communities,
-        timestamp=timestamp,
+        item.platform,
+        item.collector_id,
+        item.peer_asn,
+        announcement.prefix,
+        tuple(attributes.as_path.asns()),
+        attributes.communities,
+        timestamp,
     )
 
 
@@ -243,13 +246,13 @@ def _harvest_sharded(
             item = by_index[index]
             by_item.setdefault(index, []).extend(
                 RouteObservation(
-                    platform=item.platform,
-                    collector_id=item.collector_id,
-                    peer_asn=item.peer_asn,
-                    prefix=prefix,
-                    as_path=as_path,
-                    communities=communities,
-                    timestamp=timestamp,
+                    item.platform,
+                    item.collector_id,
+                    item.peer_asn,
+                    prefix,
+                    as_path,
+                    communities,
+                    timestamp,
                 )
                 for prefix, as_path, communities in rows
             )

@@ -6,7 +6,13 @@ to the announcement (or a withdrawal marker — collectors see those
 too).  Both the synthetic dataset generator and the live simulation
 produce these; the Section 4 analyses consume them; and the MRT bridge
 serialises them to and from standard BGP archives losslessly — IPv4 and
-IPv6 announcements and withdrawals all round-trip.
+IPv6 announcements and withdrawals all round-trip.  An observation is
+an immutable tuple of its eight fields (the
+:class:`~repro.bgp.prefix.Prefix` idiom): the harvest builds one per
+exported route and :meth:`~ObservationArchive.from_mrt` one per row
+read, and it hashes as the tuple of its fields, as the frozen dataclass
+it replaced did.  It keeps an instance dict for its two cached path
+views.
 
 :class:`ObservationArchive` answers its queries from state built on
 first use, never on :meth:`~ObservationArchive.add` (the inner loop of
@@ -46,15 +52,14 @@ the harvest and of :meth:`~ObservationArchive.from_mrt`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.community import Community, CommunitySet
+from repro.bgp.community import NO_COMMUNITIES, Community, CommunitySet
 from repro.bgp.message import BgpUpdate
 from repro.bgp.prefix import Prefix
 from repro.exceptions import MrtError
@@ -149,17 +154,13 @@ def _observed_rows(record: MrtRecord) -> tuple[tuple, ...]:
     peer_asn = message.peer_asn
     as_path = tuple(update.attributes.as_path.asns())
     communities = update.attributes.communities
-    nothing = CommunitySet()
     return tuple(
-        [(peer_asn, prefix, (), nothing, True) for prefix in update.withdrawn]
+        [(peer_asn, prefix, (), NO_COMMUNITIES, True) for prefix in update.withdrawn]
         + [(peer_asn, prefix, as_path, communities, False) for prefix in update.announced]
     )
 
 
-@dataclass(frozen=True)
-class RouteObservation:
-    """One route as observed at a collector."""
-
+class _ObservationFields(NamedTuple):
     platform: str
     collector_id: str
     peer_asn: int
@@ -167,12 +168,19 @@ class RouteObservation:
     #: AS path with the collector peer first and the origin AS last
     #: (prepending preserved; analyses normalise it themselves).
     as_path: tuple[int, ...]
-    communities: CommunitySet = field(default_factory=CommunitySet)
+    communities: CommunitySet = NO_COMMUNITIES
     timestamp: float = 0.0
     #: True for a withdrawal: the peer revoked the prefix.  Withdrawals
     #: carry no path or communities; they exist so MRT archives with
     #: mixed announce/withdraw streams replay losslessly.
     withdrawn: bool = False
+
+
+class RouteObservation(_ObservationFields):
+    """One route as observed at a collector (a tuple; see the module docstring).
+
+    No ``__slots__``: the instance dict holds the two cached path views.
+    """
 
     @property
     def origin_asn(self) -> int | None:
@@ -472,14 +480,8 @@ class ObservationArchive:
         encoded: dict[tuple, bytes] = {}
         records: list[bytes] = []
         for observation in self._observations:
-            key = (
-                observation.timestamp,
-                observation.peer_asn,
-                observation.prefix,
-                observation.as_path,
-                observation.communities,
-                observation.withdrawn,
-            )
+            # Every field but the platform and the collector.
+            key = observation[2:]
             record = encoded.get(key)
             if record is None:
                 # Through the module: the perf tracer and the tests patch the attribute.
@@ -508,16 +510,18 @@ class ObservationArchive:
         decoded once and share their path and community objects.
         """
         archive = cls()
+        add = archive.add
         decoded: dict[tuple[int, int, bytes], tuple[tuple, ...]] = {}
         with Path(path).open("rb") as stream:
             for record in mrt_reader.iter_stream_records(stream):
-                key = (record.mrt_type, record.subtype, record.payload)
+                # ``(mrt_type, subtype, payload)``: the record less its timestamps.
+                key = record[1:4]
                 rows = decoded.get(key)
                 if rows is None:
                     rows = decoded[key] = _observed_rows(record)
                 timestamp = float(record.timestamp)
                 for peer_asn, prefix, as_path, communities, withdrawn in rows:
-                    archive.add(
+                    add(
                         RouteObservation(
                             platform,
                             collector_id,

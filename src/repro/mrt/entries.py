@@ -1,17 +1,32 @@
-"""Dataclasses describing decoded MRT records."""
+"""Decoded MRT records.
+
+The two records every update archive is made of, :class:`MrtRecord`
+(the raw framing) and :class:`Bgp4mpMessage` (a decoded BGP4MP
+message), are tuples in the :class:`~repro.bgp.prefix.Prefix` /
+:class:`~repro.bgp.route.RouteEntry` idiom: one of each is built per
+record read or written, so they are constructed, hashed and compared
+in C.  They are immutable values with the hash of the tuple of their
+fields, as the frozen dataclasses they replace had.  The TABLE_DUMP_V2
+records, built once per RIB snapshot entry, stay frozen dataclasses.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BgpUpdate
 from repro.bgp.prefix import Prefix
 from repro.mrt.constants import Bgp4mpSubtype, MrtType
 
+#: Plain-int record codes: the type tests below run once per record read.
+_BGP4MP_TYPES = frozenset((int(MrtType.BGP4MP), int(MrtType.BGP4MP_ET)))
+_MESSAGE_SUBTYPES = frozenset((int(Bgp4mpSubtype.MESSAGE), int(Bgp4mpSubtype.MESSAGE_AS4)))
+_TABLE_DUMP_V2 = int(MrtType.TABLE_DUMP_V2)
 
-@dataclass(frozen=True)
-class MrtRecord:
+
+class MrtRecord(NamedTuple):
     """A raw MRT record: common header plus undecoded payload bytes."""
 
     timestamp: int
@@ -23,21 +38,20 @@ class MrtRecord:
     @property
     def is_bgp4mp(self) -> bool:
         """True for BGP4MP / BGP4MP_ET records."""
-        return self.mrt_type in (int(MrtType.BGP4MP), int(MrtType.BGP4MP_ET))
+        return self.mrt_type in _BGP4MP_TYPES
 
     @property
     def is_bgp4mp_message(self) -> bool:
         """True for the BGP4MP records that carry a BGP message (2- or 4-byte AS form)."""
-        return self.is_bgp4mp and self.subtype in (Bgp4mpSubtype.MESSAGE, Bgp4mpSubtype.MESSAGE_AS4)
+        return self.mrt_type in _BGP4MP_TYPES and self.subtype in _MESSAGE_SUBTYPES
 
     @property
     def is_table_dump_v2(self) -> bool:
         """True for TABLE_DUMP_V2 records."""
-        return self.mrt_type == int(MrtType.TABLE_DUMP_V2)
+        return self.mrt_type == _TABLE_DUMP_V2
 
 
-@dataclass(frozen=True)
-class Bgp4mpMessage:
+class Bgp4mpMessage(NamedTuple):
     """A decoded BGP4MP_MESSAGE_AS4 record: who sent what to whom, and the update."""
 
     timestamp: int

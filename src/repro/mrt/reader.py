@@ -40,6 +40,16 @@ _U32 = struct.Struct("!I")
 _BGP4MP_HEADER = struct.Struct("!HHHH")
 _BGP4MP_HEADER_AS4 = struct.Struct("!IIHH")
 
+#: Plain-int record codes and address-family tables: these run once per
+#: record read, and an enum member costs several times what an int does.
+_BGP4MP_ET = int(MrtType.BGP4MP_ET)
+_AS4_SUBTYPES = frozenset((int(Bgp4mpSubtype.MESSAGE_AS4), int(Bgp4mpSubtype.STATE_CHANGE_AS4)))
+_PEER_INDEX_TABLE = int(TableDumpV2Subtype.PEER_INDEX_TABLE)
+_RIB_IPV4_UNICAST = int(TableDumpV2Subtype.RIB_IPV4_UNICAST)
+_RIB_UNICAST = frozenset((_RIB_IPV4_UNICAST, int(TableDumpV2Subtype.RIB_IPV6_UNICAST)))
+#: BGP4MP address family -> (address bytes, prefix family).
+_BGP4MP_FAMILIES = {AFI_IPV4: (4, AddressFamily.IPV4), AFI_IPV6: (16, AddressFamily.IPV6)}
+
 
 def iter_raw_records(data: bytes) -> Iterator[MrtRecord]:
     """Yield raw MRT records from a byte buffer.
@@ -80,12 +90,14 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
     record it belongs to, both counted from where the stream stood when
     iteration began.
     """
+    read = stream.read
+    unpack_header = _COMMON_HEADER.unpack
     record_start = 0
     while True:
-        header = stream.read(MRT_HEADER_LENGTH)
-        if not header:
-            return
-        if len(header) < MRT_HEADER_LENGTH:
+        header = read(MRT_HEADER_LENGTH)
+        if len(header) != MRT_HEADER_LENGTH:
+            if not header:
+                return
             # A short read at EOF can still be a partial header.
             header += _read_exact(
                 stream,
@@ -94,11 +106,11 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
                 record_start + len(header),
                 record_start,
             )
-        timestamp, mrt_type, subtype, length = _COMMON_HEADER.unpack(header)
+        timestamp, mrt_type, subtype, length = unpack_header(header)
         offset = record_start + MRT_HEADER_LENGTH
         microseconds = 0
         payload_length = length
-        if mrt_type == MrtType.BGP4MP_ET:
+        if mrt_type == _BGP4MP_ET:
             if payload_length < 4:
                 raise MrtError("BGP4MP_ET record too short for the microsecond field")
             (microseconds,) = _U32.unpack(
@@ -106,11 +118,15 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
             )
             offset += 4
             payload_length -= 4
-        payload = (
-            _read_exact(stream, payload_length, "MRT record payload", offset, record_start)
-            if payload_length
-            else b""
-        )
+        payload = read(payload_length)
+        if len(payload) != payload_length:
+            payload += _read_exact(
+                stream,
+                payload_length - len(payload),
+                "MRT record payload",
+                offset + len(payload),
+                record_start,
+            )
         yield MrtRecord(timestamp, mrt_type, subtype, payload, microseconds)
         record_start = offset + payload_length
 
@@ -119,19 +135,17 @@ def decode_bgp4mp_message(record: MrtRecord) -> Bgp4mpMessage:
     """Decode a BGP4MP MESSAGE / MESSAGE_AS4 record into a :class:`Bgp4mpMessage`."""
     if not record.is_bgp4mp:
         raise MrtError(f"record type {record.mrt_type} is not BGP4MP")
-    as4 = record.subtype in (Bgp4mpSubtype.MESSAGE_AS4, Bgp4mpSubtype.STATE_CHANGE_AS4)
+    as4 = record.subtype in _AS4_SUBTYPES
     payload = record.payload
     header = _BGP4MP_HEADER_AS4 if as4 else _BGP4MP_HEADER
     if len(payload) < header.size:
         raise MrtError("BGP4MP payload too short")
     peer_asn, local_asn, interface_index, address_family = header.unpack_from(payload)
     offset = header.size
-    if address_family == AFI_IPV4:
-        ip_bytes, family = 4, AddressFamily.IPV4
-    elif address_family == AFI_IPV6:
-        ip_bytes, family = 16, AddressFamily.IPV6
-    else:
+    address = _BGP4MP_FAMILIES.get(address_family)
+    if address is None:
         raise MrtError(f"unsupported BGP4MP address family {address_family}")
+    ip_bytes, family = address
     if offset + ip_bytes * 2 > len(payload):
         raise MrtError("truncated BGP4MP addresses")
     peer_ip = int.from_bytes(payload[offset:offset + ip_bytes], "big")
@@ -140,14 +154,14 @@ def decode_bgp4mp_message(record: MrtRecord) -> Bgp4mpMessage:
     offset += ip_bytes
     update = decode_update(payload[offset:], family, as4)
     return Bgp4mpMessage(
-        timestamp=record.timestamp,
-        peer_asn=peer_asn,
-        local_asn=local_asn,
-        peer_ip=peer_ip,
-        local_ip=local_ip,
-        interface_index=interface_index,
-        address_family=address_family,
-        update=update,
+        record.timestamp,
+        peer_asn,
+        local_asn,
+        peer_ip,
+        local_ip,
+        interface_index,
+        address_family,
+        update,
     )
 
 
@@ -191,7 +205,7 @@ def decode_rib_prefix_record(record: MrtRecord) -> RibPrefixRecord:
     payload = record.payload
     family = (
         AddressFamily.IPV4
-        if record.subtype == int(TableDumpV2Subtype.RIB_IPV4_UNICAST)
+        if record.subtype == _RIB_IPV4_UNICAST
         else AddressFamily.IPV6
     )
     if len(payload) < 4:
@@ -220,13 +234,11 @@ def _decode_record(record: MrtRecord):
     """Dispatch one raw record to its specialised decoder (or pass it through)."""
     if record.is_bgp4mp_message:
         return decode_bgp4mp_message(record)
-    if record.is_table_dump_v2 and record.subtype == int(TableDumpV2Subtype.PEER_INDEX_TABLE):
-        return decode_peer_index_table(record)
-    if record.is_table_dump_v2 and record.subtype in (
-        int(TableDumpV2Subtype.RIB_IPV4_UNICAST),
-        int(TableDumpV2Subtype.RIB_IPV6_UNICAST),
-    ):
-        return decode_rib_prefix_record(record)
+    if record.is_table_dump_v2:
+        if record.subtype == _PEER_INDEX_TABLE:
+            return decode_peer_index_table(record)
+        if record.subtype in _RIB_UNICAST:
+            return decode_rib_prefix_record(record)
     return record
 
 

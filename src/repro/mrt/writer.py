@@ -31,6 +31,11 @@ _COMMON_HEADER = struct.Struct("!IHHI")
 _BGP4MP_HEADER_AS4 = struct.Struct("!IIHH")
 _BGP4MP_HEADER_AS4_IPV4 = struct.Struct("!IIHHII")
 
+#: Plain-int record codes: one BGP4MP record is encoded per distinct
+#: observation, and an enum member costs several times what an int does.
+_BGP4MP = int(MrtType.BGP4MP)
+_MESSAGE_AS4 = int(Bgp4mpSubtype.MESSAGE_AS4)
+
 
 def _encode_header(timestamp: int, mrt_type: int, subtype: int, payload: bytes) -> bytes:
     """Encode the 12-byte MRT common header followed by the payload."""
@@ -45,36 +50,39 @@ def encode_record(record: MrtRecord) -> bytes:
 
 
 def encode_bgp4mp_message(message: Bgp4mpMessage) -> bytes:
-    """Encode a BGP4MP_MESSAGE_AS4 record carrying one BGP UPDATE."""
-    family = AddressFamily.IPV4 if message.address_family == AFI_IPV4 else AddressFamily.IPV6
-    bgp_bytes = encode_update(message.update, family)
-    if message.address_family == AFI_IPV4:
+    """Encode a BGP4MP_MESSAGE_AS4 record carrying one BGP UPDATE.
+
+    An ASN outside the 4-byte AS field raises :class:`MrtError`; it is
+    never wrapped into another AS's number.
+    """
+    timestamp, peer_asn, local_asn, peer_ip, local_ip, interface_index, address_family, update = (
+        message
+    )
+    for role, asn in (("peer", peer_asn), ("local", local_asn)):
+        if not 0 <= asn <= 0xFFFFFFFF:
+            raise MrtError(f"{role} ASN {asn} does not fit the 4-byte AS field of a BGP4MP record")
+    family = AddressFamily.IPV4 if address_family == AFI_IPV4 else AddressFamily.IPV6
+    bgp_bytes = encode_update(update, family)
+    if address_family == AFI_IPV4:
         header = _BGP4MP_HEADER_AS4_IPV4.pack(
-            message.peer_asn & 0xFFFFFFFF,
-            message.local_asn & 0xFFFFFFFF,
-            message.interface_index & 0xFFFF,
+            peer_asn,
+            local_asn,
+            interface_index & 0xFFFF,
             AFI_IPV4,
-            message.peer_ip & 0xFFFFFFFF,
-            message.local_ip & 0xFFFFFFFF,
+            peer_ip & 0xFFFFFFFF,
+            local_ip & 0xFFFFFFFF,
         )
-    elif message.address_family == AFI_IPV6:
+    elif address_family == AFI_IPV6:
         header = b"".join(
             (
-                _BGP4MP_HEADER_AS4.pack(
-                    message.peer_asn & 0xFFFFFFFF,
-                    message.local_asn & 0xFFFFFFFF,
-                    message.interface_index & 0xFFFF,
-                    AFI_IPV6,
-                ),
-                message.peer_ip.to_bytes(16, "big"),
-                message.local_ip.to_bytes(16, "big"),
+                _BGP4MP_HEADER_AS4.pack(peer_asn, local_asn, interface_index & 0xFFFF, AFI_IPV6),
+                peer_ip.to_bytes(16, "big"),
+                local_ip.to_bytes(16, "big"),
             )
         )
     else:
-        raise MrtError(f"unsupported address family {message.address_family}")
-    return _encode_header(
-        message.timestamp, int(MrtType.BGP4MP), int(Bgp4mpSubtype.MESSAGE_AS4), header + bgp_bytes
-    )
+        raise MrtError(f"unsupported address family {address_family}")
+    return _encode_header(timestamp, _BGP4MP, _MESSAGE_AS4, header + bgp_bytes)
 
 
 def encode_peer_index_table(table: PeerIndexTable, timestamp: int = 0) -> bytes:

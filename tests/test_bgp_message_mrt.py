@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import pickle
 import struct
 
 import pytest
@@ -16,7 +17,13 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Announcement, RouteEntry
 from repro.collectors.observation import ObservationArchive, RouteObservation
-from repro.exceptions import AttributeError_, MessageError, MrtError, MrtTruncatedError
+from repro.exceptions import (
+    AttributeError_,
+    MessageError,
+    MrtError,
+    MrtTruncatedError,
+    ReproError,
+)
 from repro.mrt import reader as mrt_reader
 from repro.mrt import writer as mrt_writer
 from repro.mrt.constants import Bgp4mpSubtype, MrtType, TableDumpV2Subtype
@@ -207,11 +214,11 @@ class TestRibs:
 
 
 class TestMrt:
-    def make_message(self, timestamp: int = 1522540800) -> Bgp4mpMessage:
+    def make_message(self, timestamp: int = 1522540800, **overrides) -> Bgp4mpMessage:
         update = BgpUpdate(
             announced=[Prefix.from_string("192.0.2.0/24")], attributes=make_attributes()
         )
-        return Bgp4mpMessage(
+        fields = dict(
             timestamp=timestamp,
             peer_asn=3356,
             local_asn=65000,
@@ -221,6 +228,8 @@ class TestMrt:
             address_family=1,
             update=update,
         )
+        fields.update(overrides)
+        return Bgp4mpMessage(**fields)
 
     def test_bgp4mp_roundtrip(self):
         message = self.make_message()
@@ -307,6 +316,24 @@ class TestMrt:
         with pytest.raises(MessageError) as in_rib:
             list(MrtReader(mrt_writer.encode_record(rib)))
         assert str(in_rib.value) == str(in_update.value)
+
+    def test_an_unknown_origin_value_is_a_message_error(self):
+        section = bytes([0x40, 1, 1, 7])  # ORIGIN, transitive, 1 byte: 7 is no Origin
+        update = encode_update(BgpUpdate(unknown_attributes=[(1, 0x40, b"\x07")]))
+        assert section in update
+        with pytest.raises(MessageError, match="unknown ORIGIN value 7"):
+            decode_update(update)
+        payload = struct.pack("!I4sHHIH", 0, bytes([24, 203, 0, 113]), 1, 0, 0, len(section))
+        rib = MrtRecord(0, MrtType.TABLE_DUMP_V2, TableDumpV2Subtype.RIB_IPV4_UNICAST, payload + section)
+        with pytest.raises(MessageError, match="unknown ORIGIN value 7"):
+            list(MrtReader(mrt_writer.encode_record(rib)))
+
+    @pytest.mark.parametrize("field", ["peer_asn", "local_asn"])
+    @pytest.mark.parametrize("asn", [1 << 32, (1 << 32) + 10, -1])
+    def test_an_asn_outside_four_bytes_is_refused_not_wrapped(self, field, asn):
+        message = self.make_message(**{field: asn})
+        with pytest.raises(MrtError, match=f"ASN {asn} does not fit"):
+            encode_bgp4mp_message(message)
 
     def test_truncated_stream_raises(self):
         data = encode_bgp4mp_message(self.make_message())
@@ -428,12 +455,17 @@ class TestWriteMrtIsAllOrNothing:
     def bad_rows(self):
         # 1 100 communities encode to an UPDATE over the 4 096-byte BGP limit.
         oversized = CommunitySet(Community(64512, value) for value in range(1100))
+        # A withdrawal carries no AS path that could reject the ASN first.
+        wide_peer = observation(
+            peer_asn=(1 << 32) + 10, as_path=(), communities=CommunitySet(), withdrawn=True
+        )
         return {
             "oversized update": (observation(communities=oversized), MessageError),
             "timestamp": (observation(timestamp=float(1 << 32)), MrtError),
+            "peer ASN": (wide_peer, MrtError),
         }
 
-    @pytest.mark.parametrize("what", ["oversized update", "timestamp"])
+    @pytest.mark.parametrize("what", ["oversized update", "timestamp", "peer ASN"])
     def test_previous_archive_survives(self, tmp_path, what):
         bad, error = self.bad_rows()[what]
         path = tmp_path / "archive.mrt"
@@ -442,6 +474,12 @@ class TestWriteMrtIsAllOrNothing:
         with pytest.raises(error):
             ObservationArchive([observation(), bad, observation(peer_asn=1299)]).write_mrt(path)
         assert path.read_bytes() == before
+
+    def test_a_collector_asn_outside_four_bytes_is_refused(self, tmp_path):
+        path = tmp_path / "archive.mrt"
+        with pytest.raises(MrtError, match=f"local ASN {(1 << 32) + 1} does not fit"):
+            ObservationArchive([observation()]).write_mrt(path, collector_asn=(1 << 32) + 1)
+        assert not path.exists()
 
     def test_no_file_appears_where_there_was_none(self, tmp_path):
         bad, error = self.bad_rows()["oversized update"]
@@ -632,3 +670,118 @@ class TestArchiveBridgeEquivalence:
         assert first.update.unknown_attributes is not second.update.unknown_attributes
         first.update.announced.clear()
         assert second.update.announced == [Prefix.from_string("203.0.113.0/24")]
+
+
+class TestCorruptArchives:
+    """A damaged archive is read, or refused with a library error; nothing else escapes."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(_observations(), min_size=1, max_size=3), st.integers(1, 255))
+    def test_every_cut_and_every_overwritten_byte(self, tmp_path_factory, rows, flip):
+        path = tmp_path_factory.mktemp("corrupt") / "archive.mrt"
+        ObservationArchive(rows).write_mrt(path)
+        archive = path.read_bytes()
+        readers = (ObservationArchive.from_mrt, lambda p: list(MrtReader(p.read_bytes())))
+        for offset in range(len(archive)):
+            overwritten = archive[:offset] + bytes((archive[offset] ^ flip,)) + archive[offset + 1:]
+            for damaged in (archive[:offset], overwritten):
+                path.write_bytes(damaged)
+                for read in readers:
+                    try:
+                        read(path)
+                    except ReproError:
+                        pass
+
+
+def _record_cases():
+    prefix = Prefix.from_string("203.0.113.0/24")
+    update = BgpUpdate(announced=[prefix], attributes=make_attributes())
+    return [
+        (
+            MrtRecord,
+            dict(timestamp=1522540800, mrt_type=16, subtype=4, payload=b"\x01\x02", microseconds=5),
+            {"microseconds": 0},
+        ),
+        (
+            Bgp4mpMessage,
+            dict(
+                timestamp=1522540800,
+                peer_asn=3356,
+                local_asn=65000,
+                peer_ip=3356,
+                local_ip=0xC0000201,
+                interface_index=0,
+                address_family=1,
+                update=update,
+            ),
+            {},
+        ),
+        (
+            RouteObservation,
+            dict(
+                platform="RIS",
+                collector_id="rrc00",
+                peer_asn=3356,
+                prefix=prefix,
+                as_path=(3356, 3356, 13335),
+                communities=CommunitySet.of("3356:100"),
+                timestamp=1522540800.0,
+                withdrawn=True,
+            ),
+            {"communities": CommunitySet(), "timestamp": 0.0, "withdrawn": False},
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record_type, fields, defaults",
+    [pytest.param(*case, id=case[0].__name__) for case in _record_cases()],
+)
+class TestRecordValueSemantics:
+    """The tuple-backed records behave as the frozen dataclasses they replaced."""
+
+    def test_hash_is_the_hash_of_the_field_tuple(self, record_type, fields, defaults):
+        record = record_type(**fields)
+        values = tuple(fields.values())
+        try:
+            expected = hash(values)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        except TypeError:  # a Bgp4mpMessage holds a mutable BgpUpdate
+            with pytest.raises(TypeError):
+                hash(record)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        else:
+            # The frozen dataclass hash: set and dict orders, and digests, cannot move.
+            assert hash(record) == expected  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+
+    def test_fields_cannot_be_assigned(self, record_type, fields, defaults):
+        record = record_type(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            assert getattr(record, name) == value
+
+    def test_construction_by_position_and_keyword_with_defaults(
+        self, record_type, fields, defaults
+    ):
+        values = tuple(fields.values())
+        assert record_type(*values) == record_type(**fields)
+        assert [getattr(record_type(*values), name) for name in fields] == list(values)
+        required = {name: value for name, value in fields.items() if name not in defaults}
+        shortened = record_type(**required)
+        for name in fields:
+            assert getattr(shortened, name) == defaults.get(name, fields[name])
+        assert shortened == record_type(*required.values())
+
+    def test_pickle_round_trip(self, record_type, fields, defaults):
+        record = record_type(**fields)
+        copy = pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(copy) is record_type
+        assert copy == record
+
+
+def test_observation_views_survive_a_pickle_round_trip():
+    original = observation(as_path=(3356, 3356, 13335))
+    assert original.path_without_prepending == (3356, 13335)  # fills the cache
+    copy = pickle.loads(pickle.dumps(original))
+    assert copy == original
+    assert copy.path_without_prepending == (3356, 13335)
+    assert copy.path_asns == frozenset({3356, 13335})
