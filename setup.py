@@ -18,7 +18,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={"console_scripts": ["repro-bgp=repro.cli:main"]},
-    # The lint engine (repro.analysis) is deliberately stdlib-only so the
-    # CI gate needs no installs; the dev extra carries the test harness.
+    # The package itself is stdlib-only; the dev extra carries the test
+    # harness and the benchmark plugin.
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -1,8 +1,6 @@
 """Opt-in runtime checks of the resident-shard sync protocol.
 
-The dataflow rules (:mod:`repro.analysis.dataflow`) verify the
-residency protocol *statically*; this module verifies it *dynamically*:
-with ``REPRO_SANITIZE=1`` the protocol hot points —
+With ``REPRO_SANITIZE=1`` the protocol hot points —
 :meth:`repro.routing.shard.ShardPool.sync_header`,
 :meth:`repro.routing.shard.ShardPool.submit` and
 :meth:`repro.routing.stream.SimulatorService.drain` — call into the
@@ -79,10 +77,10 @@ def check_sync_header(
     why the config-completeness check fires only on an epoch *advance*
     the sanitizer witnessed.
     """
-    shadow = _SLOT_EPOCHS.get(pool)  # repro: noqa[RPR032]: parent-process-only shadow map; workers never import the sanitizer (reachability is the bare-name '.withdraw' call-graph over-approximation)
+    shadow = _SLOT_EPOCHS.get(pool)
     if shadow is None:
         shadow = {}
-        _SLOT_EPOCHS[pool] = shadow  # repro: noqa[RPR011]: parent-process-only shadow map — the hook sites run before dispatch, never inside a worker (reachability is the bare-name '.withdraw' call-graph over-approximation)
+        _SLOT_EPOCHS[pool] = shadow
     previous = shadow.get(slot)
     if epoch != pool.epoch:
         raise ProtocolViolationError(

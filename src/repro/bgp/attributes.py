@@ -16,7 +16,6 @@ from typing import Iterable
 from repro.bgp.aspath import ASPath
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
 from repro.exceptions import AttributeError_
-from repro.utils.frozen import set_frozen_field
 
 #: Default LOCAL_PREF applied when a neighbor does not set one (common vendor default).
 DEFAULT_LOCAL_PREF = 100
@@ -79,6 +78,8 @@ class PathAttributes:
     def __hash__(self) -> int:
         # Attribute bundles key the batch engine's export memoisation;
         # the hash spans every field and is computed once per bundle.
+        # Both caches are written into ``__dict__``, which the frozen
+        # dataclass's ``__setattr__`` guard does not see.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(
@@ -93,7 +94,7 @@ class PathAttributes:
                     self.atomic_aggregate,
                 )
             )
-            set_frozen_field(self, "_hash", cached)
+            self.__dict__["_hash"] = cached
         return cached
 
     def decision_key(self) -> tuple:
@@ -106,7 +107,7 @@ class PathAttributes:
                 int(self.origin),
                 self.med if self.med is not None else 0,
             )
-            set_frozen_field(self, "_decision_key", cached)
+            self.__dict__["_decision_key"] = cached
         return cached
 
     def replace(self, **changes) -> "PathAttributes":

@@ -16,10 +16,7 @@ Sub-commands:
   live collector harvest) to an MRT file;
 * ``stream``    — feed a JSON-lines announce/withdraw event stream
   through the coalescing front end (:mod:`repro.routing.stream`) into a
-  simulation;
-* ``lint``      — run the project's static-analysis rules
-  (:mod:`repro.analysis`): determinism, pickle-safety and shard-purity
-  invariants, with inline ``# repro: noqa[CODE]: reason`` suppressions.
+  simulation.
 """
 
 from __future__ import annotations
@@ -222,12 +219,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import run_lint
-
-    return run_lint(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -313,22 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--json", action="store_true", help="print the summary as JSON")
     stream.set_defaults(func=_cmd_stream)
-
-    from repro.analysis import add_lint_arguments
-
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the project's determinism / pickle-safety / shard-purity lints",
-        description=(
-            "AST-based static analysis of the repo's own invariants: stable "
-            "hashing (RPR001), seeded randomness (RPR002), order-stable "
-            "iteration (RPR003), picklable worker callables (RPR010), shard "
-            "purity (RPR011), and frozen-dataclass discipline (RPR020/021). "
-            "Accept a justified finding inline with '# repro: noqa[RPR0xx]: reason'."
-        ),
-    )
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
     return parser
 
 

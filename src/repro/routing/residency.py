@@ -40,7 +40,7 @@ _LIVE_POOLS: "weakref.WeakSet[ShardPool]" = weakref.WeakSet()
 
 def track_pool(pool: "ShardPool") -> None:
     """Register ``pool`` with the interpreter-exit safety net."""
-    _LIVE_POOLS.add(pool)  # repro: noqa[RPR011,RPR032]: parent-process-only pool registry — pools are only ever constructed in the parent (reachability is the bare-name '.withdraw' call-graph over-approximation)
+    _LIVE_POOLS.add(pool)
 
 
 @atexit.register

@@ -75,7 +75,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.bgp.prefix import Prefix
 from repro.routing import residency, wire
-from repro.routing.residency import _LIVE_POOLS  # noqa: F401  (compat re-export)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.bgp.attributes import PathAttributes
@@ -253,14 +252,14 @@ _SNAPSHOT_REGISTRY: dict[int, tuple] = {}
 def _register_snapshot(snapshot: tuple) -> int:
     """Park ``(topology, router_config)`` for fork inheritance; return its token."""
     token = next(_SNAPSHOT_TOKENS)
-    _SNAPSHOT_REGISTRY[token] = snapshot  # repro: noqa[RPR011,RPR032]: pre-fork write-once registry — the parent writes before any slot executor forks and the entry is immutable until pool teardown, so every worker's copy-on-write view is exactly the parent's (same sanctioned pattern as the sanitizer's shadow map)
+    _SNAPSHOT_REGISTRY[token] = snapshot
     return token
 
 
 def _release_snapshot(token: "int | None") -> None:
     """Drop a parked snapshot (idempotent; ``None`` means pickled fallback)."""
     if token is not None:
-        _SNAPSHOT_REGISTRY.pop(token, None)  # repro: noqa[RPR011,RPR032]: parent-only teardown of the pre-fork registry entry above (pool shutdown); running workers forked long ago and never look the token up again
+        _SNAPSHOT_REGISTRY.pop(token, None)
 
 
 # ------------------------------------------------------------------- workers
@@ -332,9 +331,9 @@ def _initialize_worker(snapshot_ref: "int | bytes", max_rounds: int) -> None:
         topology, router_config = pickle.loads(snapshot_ref)
     simulator = BgpSimulator(topology, max_rounds=max_rounds, shards=1)
     _apply_router_config(simulator, router_config)
-    _WORKER_SIMULATOR = simulator  # repro: noqa[RPR011]: by-design resident-worker protocol: each worker process caches its deserialised simulator in its own module globals so later tasks ship deltas instead of the full topology; the parent process never reads these globals
-    _WORKER_EPOCH = 0  # repro: noqa[RPR011]: by-design resident-worker protocol: per-process epoch counter used to detect stale resident state; worker-local only, never read by the parent
-    _WORKER_ADDITION_ASNS = set()  # repro: noqa[RPR011]: by-design resident-worker protocol: worker-local record of ASNs already installed via deltas; never read by the parent
+    _WORKER_SIMULATOR = simulator
+    _WORKER_EPOCH = 0
+    _WORKER_ADDITION_ASNS = set()
 
 
 def _sync_worker(
@@ -358,7 +357,7 @@ def _sync_worker(
         if isinstance(router_config, (bytes, bytearray)):
             router_config = wire.decode_config(bytes(router_config))
         _apply_router_config(simulator, router_config)
-    _WORKER_EPOCH = epoch  # repro: noqa[RPR011]: by-design resident-worker protocol: epoch bump invalidates this worker's resident simulator; worker-local only
+    _WORKER_EPOCH = epoch
 
 
 def _install_additions(
@@ -374,7 +373,7 @@ def _install_additions(
         router = simulator.routers.get(asn)
         if router is not None:
             router.export_community_additions = dict(mapping)
-    _WORKER_ADDITION_ASNS = set(additions)  # repro: noqa[RPR011]: by-design resident-worker protocol: records delta installations in the worker applying them; worker-local only
+    _WORKER_ADDITION_ASNS = set(additions)
 
 
 def _resident_simulator() -> "BgpSimulator":

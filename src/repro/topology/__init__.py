@@ -13,7 +13,6 @@ from repro.topology.generator import TopologyGenerator, TopologyParameters
 from repro.topology.graph import (
     classify_roles,
     valley_free_paths,
-    shortest_valley_free_path,
     transit_degree,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "TopologyParameters",
     "classify_roles",
     "valley_free_paths",
-    "shortest_valley_free_path",
     "transit_degree",
 ]

@@ -121,17 +121,6 @@ def valley_free_paths(
     return {asn: path for asn, (_rank, _length, path) in best.items()}
 
 
-def shortest_valley_free_path(
-    topology: Topology, from_asn: int, to_origin_asn: int, max_length: int = 10
-) -> list[int] | None:
-    """Return the valley-free path from ``from_asn`` towards ``to_origin_asn``.
-
-    Returns None if no valley-free path exists within ``max_length`` hops.
-    """
-    paths = valley_free_paths(topology, to_origin_asn, max_length)
-    return paths.get(from_asn)
-
-
 def reachable_ases(topology: Topology, origin_asn: int, max_length: int = 10) -> set[int]:
     """Return the set of ASes that receive a route originated at ``origin_asn``."""
     return set(valley_free_paths(topology, origin_asn, max_length))

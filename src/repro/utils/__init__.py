@@ -11,7 +11,6 @@ from repro.utils.ip import (
     prefixes_overlap,
 )
 from repro.utils.stats import Ecdf, Histogram, fraction, percentile, summarize
-from repro.utils.frozen import set_frozen_field
 from repro.utils.rand import DeterministicRng
 from repro.utils.tables import Table, format_count
 
@@ -30,7 +29,6 @@ __all__ = [
     "percentile",
     "summarize",
     "DeterministicRng",
-    "set_frozen_field",
     "Table",
     "format_count",
 ]

@@ -2,13 +2,12 @@
 
 The experiment follows the paper's protocol step by step:
 
-1. use the propagation check to find a community-propagating path to a
-   provider that offers RTBH and sits at least two AS hops from the
-   injection point;
-2. announce a /24 sub-prefix of the platform's allocation tagged with
-   the target's blackhole community (the non-hijack variant), or a /24
-   from address space we have permission to hijack (after registering it
-   in the IRR, for the hijack variant);
+1. announce a /24 sub-prefix of the platform's allocation (the
+   non-hijack variant), or a /24 from address space we have permission
+   to hijack (after registering it in the IRR, for the hijack variant),
+   and pick from the converged routes a provider that offers RTBH and
+   sits at least two AS hops from the injection point;
+2. re-announce the /24 tagged with the target's blackhole community;
 3. validate on the control plane (target's looking glass shows the
    null next hop) and on the data plane (Atlas probes that could reach
    the prefix before can no longer).
@@ -27,7 +26,6 @@ from repro.policy.filters import IrrDatabase
 from repro.probing.atlas import AtlasPlatform
 from repro.probing.looking_glass import LookingGlass
 from repro.routing.engine import BgpSimulator
-from repro.topology.graph import shortest_valley_free_path
 from repro.topology.topology import Topology
 from repro.wild.peering import InjectionPlatform
 
@@ -72,21 +70,23 @@ class RtbhWildExperiment:
         self.min_hops_to_target = min_hops_to_target
 
     # ------------------------------------------------------------ target choice
-    def find_target(self) -> tuple[int, int]:
+    def find_target(self, simulator: BgpSimulator, prefix: Prefix) -> tuple[int, int]:
         """Find an RTBH-offering provider at least ``min_hops_to_target`` hops away.
 
-        Returns (target ASN, hop distance).  Raises :class:`AttackError`
-        when no such provider exists (e.g. every candidate strips
-        communities on the way).
+        The distance is measured on the converged control plane: the
+        length of the provider's best route for the platform's
+        ``prefix`` in ``simulator``.  Returns (target ASN, hop
+        distance).  Raises :class:`AttackError` when no such provider
+        exists (e.g. none holds a route to the prefix).
         """
         candidates: list[tuple[int, int]] = []
         for asys in self.topology.transit_ases():
             if asys.services is None or not asys.services.blackhole_communities():
                 continue
-            path = shortest_valley_free_path(self.topology, asys.asn, self.platform.asn)
-            if path is None:
+            best = simulator.best_route(asys.asn, prefix)
+            if best is None:
                 continue
-            hops = len(path) - 1
+            hops = len(best.attributes.as_path.without_prepending())
             if hops >= self.min_hops_to_target:
                 candidates.append((asys.asn, hops))
         if not candidates:
@@ -98,11 +98,6 @@ class RtbhWildExperiment:
     # ---------------------------------------------------------------- protocol
     def run(self, use_hijack: bool = False, hijack_space: Prefix | None = None) -> RtbhWildResult:
         """Run the experiment; ``use_hijack`` selects the Figure 7(b)-style variant."""
-        target_asn, hops = self.find_target()
-        target_services = self.topology.get_as(target_asn).services
-        assert target_services is not None  # guaranteed by find_target
-        community = target_services.blackhole_communities()[0]
-
         if use_hijack:
             if hijack_space is None:
                 raise AttackError("the hijack variant needs the permissioned hijack space")
@@ -117,9 +112,14 @@ class RtbhWildExperiment:
             self.irr.register(attack_prefix, self.platform.asn)
             irr_updated = True
 
-        # Step 1: announce without the blackhole community, measure the baseline.
+        # Step 1: announce without the blackhole community, choose the
+        # target from the converged routes, and measure the baseline.
         simulator = BgpSimulator(self.topology)
         self.platform.announce(simulator, attack_prefix, hijack=use_hijack)
+        target_asn, hops = self.find_target(simulator, attack_prefix)
+        target_services = self.topology.get_as(target_asn).services
+        assert target_services is not None  # guaranteed by find_target
+        community = target_services.blackhole_communities()[0]
         dataplane = DataPlane(simulator)
         before = self.atlas.measure(dataplane, attack_prefix)
 

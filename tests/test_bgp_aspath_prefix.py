@@ -102,7 +102,7 @@ class TestASPath:
 
     def test_equality_and_hash(self):
         assert ASPath.of(1, 2) == ASPath.of(1, 2)
-        assert hash(ASPath.of(1, 2)) == hash(ASPath.of(1, 2))  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        assert hash(ASPath.of(1, 2)) == hash(ASPath.of(1, 2))
         assert ASPath.of(1, 2) != ASPath.of(2, 1)
 
     def test_edges_of_path(self):
@@ -228,7 +228,7 @@ class TestPrefix:
         fields = [(p.family, p.network, p.length) for p in items]
         # The tuple hash is the one the old cached hash used, so every dict
         # and set of prefixes iterates in the same order as before.
-        assert [hash(p) for p in items] == [hash(f) for f in fields]  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        assert [hash(p) for p in items] == [hash(f) for f in fields]
         assert [(p.family, p.network, p.length) for p in sorted(items)] == sorted(fields)
         for prefix in items:
             assert not hasattr(prefix, "__dict__")

@@ -170,7 +170,7 @@ class TestCommunitySet:
 
     def test_equality_and_hash(self):
         assert CommunitySet.of("1:1", "2:2") == CommunitySet.of("2:2", "1:1")
-        assert hash(CommunitySet.of("1:1")) == hash(CommunitySet.of("1:1"))  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        assert hash(CommunitySet.of("1:1")) == hash(CommunitySet.of("1:1"))
 
     def test_rejects_uninterpretable(self):
         with pytest.raises(CommunityError):
@@ -238,7 +238,7 @@ class TestCommunitySetAlgebra:
             assert list(communities) == sorted(oracle)  # second pass reads the cache
             assert len(communities) == len(oracle)
             assert communities == CommunitySet(oracle)
-            assert hash(communities) == hash(CommunitySet(oracle))  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+            assert hash(communities) == hash(CommunitySet(oracle))
             assert list(before) == sorted(before._communities)  # operand untouched
 
     def test_coercion_errors_unchanged(self):
@@ -260,12 +260,12 @@ class TestCommunitySetAlgebra:
         for clone in (pickle.loads(cold), copy.copy(communities), copy.deepcopy(communities)):
             assert clone._sorted is None
             assert clone == communities
-            assert hash(clone) == hash(communities)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+            assert hash(clone) == hash(communities)
             assert list(clone) == list(communities)
 
     def test_equality_and_hash_ignore_the_cache(self):
         warm, cold = CommunitySet.of("2:2", "1:1"), CommunitySet.of("1:1", "2:2")
         list(warm)
         assert warm == cold
-        assert hash(warm) == hash(cold)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+        assert hash(warm) == hash(cold)
         assert len({warm, cold}) == 1

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.aspath import ASPath
+import repro
+from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
 from repro.bgp.attributes import Origin, PathAttributes
 from repro.bgp.community import Community, CommunitySet, LargeCommunity
 from repro.bgp.message import BgpUpdate, decode_update, encode_update
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.route import Announcement, RouteEntry
+from repro.bgp.route import Announcement, RouteEntry, Withdrawal
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.exceptions import (
     AttributeError_,
@@ -82,6 +85,86 @@ class TestPathAttributes:
     def test_local_pref_validation(self):
         with pytest.raises(AttributeError_):
             PathAttributes(local_pref=1 << 33)
+
+    def test_no_source_file_writes_through_object_setattr(self):
+        """A frozen value object changes only by copy.
+
+        ``object.__setattr__`` is the one write a frozen dataclass cannot
+        refuse, so a policy action could mutate a bundle that is already
+        hashed and stored.  ``PathAttributes`` keeps its two caches in
+        ``__dict__`` instead, and no module under ``src/`` calls it.
+        """
+        package = Path(repro.__file__).parent
+        writers = [
+            str(path.relative_to(package))
+            for path in sorted(package.rglob("*.py"))
+            if "object.__setattr__" in path.read_text(encoding="utf-8")
+        ]
+        assert writers == []
+
+
+def _value_cases():
+    """Each routing value type: a factory building one value afresh, and its public fields."""
+    prefix = "198.51.100.0/24"
+    return [
+        (lambda: Prefix.from_string(prefix), ("family", "network", "length")),
+        (lambda: Community.from_string("65535:666"), ("asn", "value")),
+        (lambda: LargeCommunity(3356, 1, 2), ("global_admin", "local_data1", "local_data2")),
+        (lambda: CommunitySet.of("3356:100", "65535:666"), ()),
+        (lambda: ASPathSegment(SegmentType.AS_SET, (64500, 64501)), ("segment_type", "asns")),
+        (lambda: ASPath.from_string("3356 3356 {64500,64501} 13335"), ("segments",)),
+        (make_attributes, tuple(field.name for field in dataclasses.fields(PathAttributes))),
+        (
+            lambda: Announcement(Prefix.from_string(prefix), make_attributes(), 3356, 13335, 1.5),
+            Announcement._fields,
+        ),
+        (
+            lambda: Withdrawal(Prefix.from_string(prefix), 3356, 1.5),
+            ("prefix", "sender_asn", "timestamp"),
+        ),
+        (
+            lambda: RouteEntry(
+                Prefix.from_string(prefix),
+                make_attributes(),
+                3356,
+                suppress_to=frozenset({174}),
+                announce_only_to=frozenset({1299}),
+            ),
+            RouteEntry._fields,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [pytest.param(*case, id=type(case[0]()).__name__) for case in _value_cases()],
+)
+class TestValueTypeSemantics:
+    """Routing values key RIBs, FIBs and memo tables, and ship to shard
+    workers: they change only by copy, and equal values hash equal in
+    every copy."""
+
+    def test_fields_cannot_be_assigned(self, make, fields):
+        value = make()
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert value == make()
+
+    def test_equal_values_built_apart_hash_equal(self, make, fields):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert {first: "stored"}[second] == "stored"
+
+    @pytest.mark.parametrize("hashed_first", [False, True], ids=["fresh", "hashed"])
+    def test_pickle_round_trip_keeps_value_and_hash(self, make, fields, hashed_first):
+        value = make()
+        if hashed_first:
+            hash(value)
+        copy = pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(copy) is type(value)
+        assert copy == value and hash(copy) == hash(make())
 
 
 class TestUpdateCodec:
@@ -744,13 +827,13 @@ class TestRecordValueSemantics:
         record = record_type(**fields)
         values = tuple(fields.values())
         try:
-            expected = hash(values)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+            expected = hash(values)
         except TypeError:  # a Bgp4mpMessage holds a mutable BgpUpdate
             with pytest.raises(TypeError):
-                hash(record)  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+                hash(record)
         else:
             # The frozen dataclass hash: set and dict orders, and digests, cannot move.
-            assert hash(record) == expected  # repro: noqa[RPR001]: asserts the __hash__ contract itself
+            assert hash(record) == expected
 
     def test_fields_cannot_be_assigned(self, record_type, fields, defaults):
         record = record_type(**fields)

@@ -91,12 +91,12 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_lint_has_no_baseline_flag(self, capsys):
-        """``repro-bgp lint`` accepts findings only through inline ``# repro: noqa``."""
+    def test_lint_is_an_unknown_subcommand(self, capsys):
+        """Determinism is checked by running the outputs, not by a source lint."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["lint", "--no-baseline"])
+            main(["lint"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --no-baseline" in capsys.readouterr().err
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("output", ["missing/x.mrt", "."], ids=["missing-directory", "directory"])
     def test_export_mrt_to_an_unwritable_path_exits_2(self, output, tmp_path, capsys):

@@ -19,9 +19,11 @@ Six contracts, none of them timed:
   ``announce()`` / ``withdraw()`` loop, and the converged state keeps its
   invariants — the stand-in for a ``churn`` ledger workload;
 * the same churn fed through a coalescing ``SimulatorService`` at a
-  drawn window, with drawn extra drains, converges to the Loc-RIBs,
-  Adj-RIBs-In and FIBs of event-by-event ``apply()`` (coalescing keys on
-  ``Prefix``, so this also guards its hash and equality);
+  drawn window, with drawn extra drains, collector harvests and
+  router-config edits between rounds, converges to the Loc-RIBs,
+  Adj-RIBs-In, FIBs and harvested rows of event-by-event ``apply()``
+  (coalescing keys on ``Prefix``, so this also guards its hash and
+  equality);
 * on a small fixed topology the work per best-path change stays
   proportional to what differs: rewrites are bounded by changed bests x
   distinct neighbor signatures, and convergence plus FIB patch performs
@@ -42,6 +44,7 @@ from repro.bgp.community import NO_ADVERTISE, NO_EXPORT, NO_PEER, Community, Com
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.rib import LocRib
 from repro.bgp.route import Announcement, RouteEntry
+from repro.collectors.platform import Collector, CollectorDeployment, CollectorPlatform
 from repro.dataplane.fib import Fib, FibEntry
 from repro.dataplane.forwarding import DataPlane
 from repro.net.lpm import LpmTable
@@ -477,6 +480,12 @@ CHURN_PREFIXES = tuple(
 )
 MAX_ASES = 7
 as_subsets = st.sets(st.integers(1, MAX_ASES)).map(frozenset)
+propagation_policies = st.one_of(
+    st.just(ForwardAllPolicy()),
+    st.builds(StripAllPolicy, keep_own=st.booleans()),
+    st.just(StripOwnPolicy()),
+    st.builds(SelectivePolicy, forward_to_neighbors=as_subsets),
+)
 
 
 @st.composite
@@ -503,14 +512,7 @@ def small_internets(draw) -> Topology:
         topology.add_as(
             AutonomousSystem(
                 asn=asn,
-                propagation_policy=draw(
-                    st.one_of(
-                        st.just(ForwardAllPolicy()),
-                        st.builds(StripAllPolicy, keep_own=st.booleans()),
-                        st.just(StripOwnPolicy()),
-                        st.builds(SelectivePolicy, forward_to_neighbors=as_subsets),
-                    )
-                ),
+                propagation_policy=draw(propagation_policies),
                 services=draw(st.sampled_from([catalog, None])),
                 vendor=draw(st.sampled_from([CISCO_PROFILE, JUNIPER_PROFILE])),
                 act_on_communities_from_any_neighbor=draw(st.booleans()),
@@ -636,25 +638,70 @@ def test_batched_apply_equals_the_sequential_loop_under_churn(data):
     check_converged_invariants(batched, plane)
 
 
+@st.composite
+def config_edits(draw, asns: list[int]) -> tuple[int, dict]:
+    """One router's configuration swapped: community policy, vendor, sending, filters."""
+    return draw(st.sampled_from(asns)), {
+        "propagation_policy": draw(propagation_policies),
+        "vendor": draw(st.sampled_from([CISCO_PROFILE, JUNIPER_PROFILE])),
+        "send_community_configured": draw(st.booleans()),
+        "inbound_filters": InboundFilterChain(
+            prefix_filter=MaxPrefixLengthFilter(max_length=draw(st.sampled_from([8, 24, 32])))
+        ),
+    }
+
+
+def refresh_routes(simulator: BgpSimulator, plane: DataPlane) -> None:
+    """Re-converge every origination under the current configuration.
+
+    A config edit changes future imports and exports only, so the routes
+    already converged are re-driven: every origination is withdrawn and
+    announced again.
+    """
+    live = [
+        RoutingEvent(asn, prefix, False, attributes.communities, attributes.as_path.origin_asn)
+        for asn, router in simulator.routers.items()
+        for prefix, attributes in router.originated.items()
+    ]
+    plane.rebuild(simulator.apply([RoutingEvent.withdrawal(event.origin_asn, event.prefix) for event in live]))
+    plane.rebuild(simulator.apply(live))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_coalesced_stream_equals_event_by_event_apply(data):
     topology = data.draw(small_internets())
-    rounds = data.draw(churn_rounds(topology.asns()))
+    asns = topology.asns()
+    rounds = data.draw(churn_rounds(asns))
+    deployment = CollectorDeployment([CollectorPlatform("RIS", [Collector("rrc00", "RIS", asns)])])
     one_by_one = BgpSimulator(topology, shards=1)
     one_by_one_plane = DataPlane(one_by_one)
-    for event in (event for events in rounds for event in events):
-        one_by_one_plane.rebuild(one_by_one.apply([event]))
-
     streamed = BgpSimulator(topology, shards=1)
     plane = DataPlane(streamed)
     with SimulatorService(streamed, window=data.draw(st.integers(1, 8), label="window")) as service:
         for events in rounds:
+            for event in events:
+                one_by_one_plane.rebuild(one_by_one.apply([event]))
             reports = service.feed(events)
-            if data.draw(st.booleans(), label="drain after this round"):
+            step = data.draw(st.sampled_from(["feed", "drain", "harvest", "edit"]), label="after this round")
+            if step != "feed":
                 reports.append(service.drain())
             for report in reports:
                 plane.rebuild(report)
+            if step == "harvest":
+                # Coalescing may install routes in another order; what a
+                # collector sees cannot differ.
+                streamed_rows, reference_rows = (
+                    sorted(map(repr, deployment.collect_from_simulator(simulator)))
+                    for simulator in (streamed, one_by_one)
+                )
+                assert streamed_rows == reference_rows
+            elif step == "edit":
+                asn, config = data.draw(config_edits(asns), label="config edit")
+                for simulator, simulator_plane in ((streamed, plane), (one_by_one, one_by_one_plane)):
+                    for name, value in config.items():
+                        setattr(simulator.router(asn), name, value)
+                    refresh_routes(simulator, simulator_plane)
         plane.rebuild(service.drain())
     stats = service.stats
     assert stats.events_seen == sum(len(events) for events in rounds)

@@ -175,4 +175,4 @@ class TestAttackFailureInjection:
         atlas = AtlasPlatform([VantagePoint(1, topology.stub_ases()[0].asn)])
         experiment = RtbhWildExperiment(topology, platform, atlas)
         with pytest.raises(AttackError):
-            experiment.find_target()
+            experiment.run()

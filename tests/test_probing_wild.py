@@ -149,6 +149,60 @@ class TestSection7:
         with pytest.raises(AttackError):
             experiment.run(use_hijack=True)
 
+    def test_rtbh_wild_target_distance_is_the_converged_path(self):
+        """The "at least N AS hops" rule holds on the routes the core converged to.
+
+        At seed 19 the static valley-free walk puts AS1104 three hops from
+        the injection point, but its converged route is two hops long.
+        """
+        from repro.experiments import get
+
+        cls = get("rtbh-wild")
+        experiment = cls(cls.default_spec(seed=19, min_hops_to_target=3))
+        assert experiment.run().succeeded
+        ctx = experiment.context
+        outcome = ctx.scratch["outcome"]
+        simulator = BgpSimulator(ctx.require_topology())
+        ctx.platform("peering").announce(simulator, outcome.attack_prefix)
+        path = simulator.observed_path(outcome.target_asn, outcome.attack_prefix)
+        assert outcome.target_hops_from_injection == len(path) - 1 >= 3
+
+    @pytest.mark.parametrize("min_hops", [2, 3])
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_rtbh_wild_picks_the_closest_qualifying_converged_target(self, seed, min_hops):
+        """Over generated Internets: the target is the closest RTBH provider
+        whose converged route spans ``min_hops`` distinct ASes or more, and
+        the run fails only when no provider's route is that long."""
+        from repro.experiments import get
+
+        cls = get("rtbh-wild")
+        experiment = cls(cls.default_spec(seed=seed, min_hops_to_target=min_hops))
+        result = experiment.run()
+        ctx = experiment.context
+        topology = ctx.require_topology()
+        peering = ctx.platform("peering")
+        attack_prefix = peering.allocated_prefixes[0].subprefix(24, 1)
+        simulator = BgpSimulator(topology)
+        peering.announce(simulator, attack_prefix)
+        qualifying = []
+        for asys in topology.transit_ases():
+            if asys.services is None or not asys.services.blackhole_communities():
+                continue
+            path = simulator.observed_path(asys.asn, attack_prefix)
+            if path is None:
+                continue
+            hops = len([asn for i, asn in enumerate(path) if i == 0 or path[i - 1] != asn]) - 1
+            if hops >= min_hops:
+                qualifying.append((hops, asys.asn))
+        if not qualifying:
+            assert result.status == "error"
+            assert "no RTBH-offering provider reachable" in result.error
+            return
+        assert result.succeeded
+        outcome = ctx.scratch["outcome"]
+        assert outcome.attack_prefix == attack_prefix
+        assert (outcome.target_hops_from_injection, outcome.target_asn) == min(qualifying)
+
     def test_blackhole_sweep(self, wild_setup):
         topology, peering, _research, atlas = wild_setup
         blackhole_list = build_blackhole_list(topology, seed=5)

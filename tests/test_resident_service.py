@@ -21,7 +21,7 @@ from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.routing.engine import BgpSimulator, RoutingEvent
 from repro.routing.residency import PROVIDER
-from repro.routing.shard import ShardPool, capture_router_config
+from repro.routing.shard import ShardPool, _apply_router_config, capture_router_config
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 
@@ -319,6 +319,41 @@ class TestResidentEquivalence:
             simulator.close()
 
 
+#: Router attributes that are routing state or identity, not configuration:
+#: workers rebuild them from the topology or receive them as prefix state.
+ROUTER_STATE_ATTRIBUTES = {
+    "asn",
+    "asys",
+    "adj_rib_in",
+    "loc_rib",
+    "originated",
+    "_neighbor_order",
+    "neighbor_relationships",
+    "export_community_additions",
+}
+
+
+def test_every_router_config_attribute_reaches_the_workers():
+    """Any other router attribute is configuration, and the pool must ship it.
+
+    Workers learn a router's configuration only through
+    ``capture_router_config`` -> ``_apply_router_config``; an attribute
+    missing from that pair leaves them converging on stale config.
+    """
+    topology = small_topology()
+    source = BgpSimulator(topology, shards=1)
+    asn = topology.transit_ases()[0].asn
+    router = source.router(asn)
+    config_names = sorted(set(vars(router)) - ROUTER_STATE_ATTRIBUTES)
+    assert config_names
+    markers = {name: object() for name in config_names}
+    for name, marker in markers.items():
+        setattr(router, name, marker)
+    worker = BgpSimulator(topology, shards=1)
+    _apply_router_config(worker, capture_router_config(source))
+    assert {name: getattr(worker.router(asn), name) for name in config_names} == markers
+
+
 class TestPoolLifecycle:
     def test_shard_pool_is_a_context_manager(self):
         topology = small_topology()
@@ -363,14 +398,14 @@ class TestPoolLifecycle:
             simulator.close()
 
     def test_pool_registered_for_atexit_teardown(self):
-        from repro.routing import shard as shard_module
+        from repro.routing import residency
 
         topology = small_topology()
         events = make_events(topology, count=8)
         simulator = BgpSimulator(topology, shards=2)
         try:
             simulator.apply(events)
-            assert simulator._shard_pool in shard_module._LIVE_POOLS
+            assert simulator._shard_pool in residency._LIVE_POOLS
         finally:
             simulator.close()
 

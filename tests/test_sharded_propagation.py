@@ -20,7 +20,12 @@ from repro.dataplane.forwarding import DataPlane
 from repro.collectors.platform import CollectorDeployment
 from repro.exceptions import RoutingError
 from repro.routing.engine import BgpSimulator, RoutingEvent
-from repro.routing.shard import capture_prefix_state, partition_events, stable_shard
+from repro.routing.shard import (
+    capture_prefix_state,
+    partition_events,
+    stable_asn_shard,
+    stable_shard,
+)
 from repro.routing.stream import SimulatorService
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
@@ -254,6 +259,35 @@ class TestSchedulerEdgeCases:
             assert len(set(indices)) == shard_count
 
 
+    @pytest.mark.parametrize(
+        "text, placements",
+        [
+            ("10.0.0.0/8", [0, 0, 2, 1]),
+            ("192.0.2.0/24", [0, 0, 0, 2]),
+            ("198.51.100.0/24", [1, 2, 1, 3]),
+            ("203.0.113.128/25", [0, 1, 0, 2]),
+            ("2001:db8::/32", [0, 2, 0, 2]),
+            ("2001:db8:1::/48", [0, 0, 0, 5]),
+        ],
+    )
+    def test_prefix_placement_is_pinned(self, text, placements):
+        """Placement is a function of the prefix value alone, in every process."""
+        prefix = Prefix.from_string(text)
+        assert [stable_shard(prefix, count) for count in (2, 3, 4, 7)] == placements
+
+    @pytest.mark.parametrize(
+        "asn, placements",
+        [
+            (1, [0, 2, 2, 3]),
+            (3356, [1, 1, 1, 3]),
+            (13335, [1, 2, 3, 4]),
+            (4200000000, [1, 1, 3, 2]),
+        ],
+    )
+    def test_asn_placement_is_pinned(self, asn, placements):
+        assert [stable_asn_shard(asn, count) for count in (2, 3, 4, 7)] == placements
+
+
 class TestPicklability:
     """Everything that crosses the worker boundary must pickle, forever."""
 
@@ -275,7 +309,7 @@ class TestPicklability:
         )
         clone = pickle.loads(pickle.dumps(event, protocol=pickle.HIGHEST_PROTOCOL))
         assert clone == event
-        assert hash(clone.prefix) == hash(event.prefix)  # repro: noqa[RPR001]: asserts cached _hash survives pickling
+        assert hash(clone.prefix) == hash(event.prefix)
 
     def test_simulation_report_round_trips(self):
         topology = small_topology()

@@ -13,7 +13,6 @@ from repro.topology.generator import PolicyMix, TopologyGenerator, TopologyParam
 from repro.topology.graph import (
     classify_roles,
     reachable_ases,
-    shortest_valley_free_path,
     transit_degree,
     valley_free_paths,
 )
@@ -300,11 +299,6 @@ class TestGraphQueries:
         paths = valley_free_paths(topology, 1)
         assert 2 in paths
         assert 3 not in paths  # would require a valley
-
-    def test_shortest_valley_free_path(self):
-        topology = self.build_chain()
-        assert shortest_valley_free_path(topology, 6, 1) == [6, 5, 3, 2, 1]
-        assert shortest_valley_free_path(topology, 1, 1) == [1]
 
     def test_unknown_origin_raises(self):
         with pytest.raises(TopologyError):

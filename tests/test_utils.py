@@ -215,6 +215,31 @@ class TestDeterministicRng:
         assert seq_a1 == seq_a2
         assert seq_a1 != seq_b
 
+    @pytest.mark.parametrize(
+        "label, seed, first_draw",
+        [
+            ("transit-links", 104510823235844, 199244),
+            ("usage", 304773126990, 85215),
+            ("peering", 137853575718905, 70755),
+            ("stub-links", 25188895267117, 27854),
+            ("updates", 22809694941279, 454475),
+            ("ixps", 2299623109, 97992),
+            ("prefixes", 110117246742635, 965539),
+            ("research-network", 116842339831051, 872934),
+            ("policies", 95226433491151, 775324),
+            ("services", 60785649598641, 358475),
+            ("atlas", 298885564660, 741984),
+            ("blackhole-list", 64838062962383, 621757),
+            ("collector-deployment", 124063488216724, 972804),
+        ],
+    )
+    def test_child_stream_is_pinned_for_every_generator_label(self, label, seed, first_draw):
+        """The labels the generators draw from keep their streams in every
+        process: a child seeded from the salted ``hash(label)`` misses these."""
+        child = DeterministicRng(7).child(label)
+        assert child.seed == seed
+        assert child.randint(0, 10**6) == first_draw
+
     def test_sample_bounded(self):
         rng = DeterministicRng(1)
         assert len(rng.sample([1, 2, 3], 10)) == 3

@@ -146,10 +146,10 @@ class TestRoundTrips:
         assert decoded == states
         for (_, _, originated, adjacent), (_, _, d_orig, d_adj) in zip(states, decoded):
             if originated is not None:
-                assert hash(d_orig) == hash(originated)  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
+                assert hash(d_orig) == hash(originated)
             for (_, entry), (_, d_entry) in zip(adjacent, d_adj):
-                assert hash(d_entry) == hash(entry)  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
-                assert hash(d_entry.attributes) == hash(entry.attributes)  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
+                assert hash(d_entry) == hash(entry)
+                assert hash(d_entry.attributes) == hash(entry.attributes)
 
     def test_events_round_trip_with_as0_and_spoofed_origins(self):
         rng = random.Random(44)
@@ -164,7 +164,7 @@ class TestRoundTrips:
         )
         decoded = wire.decode_events(wire.encode_events(events))
         assert decoded == events
-        assert [hash(event) for event in decoded] == [hash(event) for event in events]  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
+        assert [hash(event) for event in decoded] == [hash(event) for event in events]
 
     def test_med_and_local_pref_32bit_bounds(self):
         for bound in (0, 0xFFFFFFFF):
@@ -193,7 +193,7 @@ class TestRoundTrips:
         additions = {65_001: {65_002: full}}
         decoded = wire.decode_additions(wire.encode_additions(additions))
         assert decoded == additions
-        assert hash(decoded[65_001][65_002]) == hash(full)  # repro: noqa[RPR001]: same-process hash-equality assertion — interned decode must be usable as a dict/set key in this very process, no cross-process placement involved
+        assert hash(decoded[65_001][65_002]) == hash(full)
 
     def test_empty_vs_none_announce_only_to_survive(self):
         prefix = Prefix.from_string("10.0.0.0/24")
