@@ -236,8 +236,6 @@ class FeasibilityExperiment(Experiment):
         self.reject_topology_spec(ctx)
 
     def execute(self, ctx: ExperimentContext) -> dict:
-        # The lifecycle driver already scoped the spec's shard policy as
-        # the process default, so the matrix builder inherits it.
         matrix = build_feasibility_matrix(seed=ctx.spec.seed)
         ctx.scratch["matrix"] = matrix
         rows = [

@@ -2,11 +2,9 @@
 
 The MRT writer embeds full BGP UPDATE messages inside BGP4MP records,
 and the MRT reader decodes them back; this module implements that wire
-format.  TABLE_DUMP_V2 RIB entries carry the same path-attribute
-section, through the same :func:`encode_path_attributes` /
-:func:`decode_path_attributes`.  Only the attributes the study needs
-are given first-class treatment; unrecognised attributes round-trip as
-opaque bytes so no information is silently dropped.
+format.  Only the attributes the study needs are given first-class
+treatment; unrecognised attributes round-trip as opaque bytes so no
+information is silently dropped.
 """
 
 from __future__ import annotations
@@ -69,10 +67,6 @@ class BgpUpdate:
     withdrawn: list[Prefix] = field(default_factory=list)
     attributes: PathAttributes = field(default_factory=PathAttributes)
     unknown_attributes: list[tuple[int, int, bytes]] = field(default_factory=list)
-
-    def is_withdrawal_only(self) -> bool:
-        """True if the update withdraws prefixes and announces none."""
-        return bool(self.withdrawn) and not self.announced
 
 
 def _encode_prefix_nlri(prefix: Prefix) -> bytes:
@@ -159,9 +153,8 @@ def encode_path_attributes(
 ) -> bytes:
     """Encode a path-attribute section: the well-known attributes, then ``unknown``.
 
-    The one attribute codec: UPDATE messages and TABLE_DUMP_V2 RIB
-    entries both carry this section.  ``attrs`` is None for a
-    withdrawal-only UPDATE, which carries no route attributes.
+    ``attrs`` is None for a withdrawal-only UPDATE, which carries no
+    route attributes.
     """
     attribute_parts: list[bytes] = []
     if attrs is not None:
@@ -238,9 +231,8 @@ def decode_path_attributes(
     """Decode a path-attribute section into attributes plus opaque unknown ones.
 
     The inverse of :func:`encode_path_attributes`.  A malformed
-    attribute raises :class:`MessageError` whether the section came
-    from an UPDATE or a TABLE_DUMP_V2 RIB entry.  ``as4`` is the
-    AS_PATH encoding (see :func:`decode_update`).
+    attribute raises :class:`MessageError`.  ``as4`` is the AS_PATH
+    encoding (see :func:`decode_update`).
     """
     origin = Origin.IGP
     as_path = ASPath()

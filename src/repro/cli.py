@@ -22,6 +22,7 @@ Sub-commands:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -117,7 +118,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.output:
         from repro.experiments import write_results
 
-        write_results(args.output, [result])
+        try:
+            write_results(args.output, [result])
+        except OSError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     return _print_outcome(experiment, result, as_json=args.json)
 
 
@@ -184,6 +189,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     service = SimulatorService(simulator, window=window)
     try:
         if args.events == "-":
+            if isinstance(sys.stdin, io.TextIOWrapper):
+                # Strict UTF-8, as for a file: Python's UTF-8 mode (the C
+                # locale) would escape undecodable bytes instead.
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
             for event in read_event_stream(sys.stdin):
                 service.feed(event)
         else:
@@ -193,6 +202,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         service.drain()
     except (RoutingError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as error:
+        source = "standard input" if args.events == "-" else repr(args.events)
+        print(f"error: events from {source} are not UTF-8 text: {error}", file=sys.stderr)
         return 2
     stats = service.stats
     summary = {

@@ -11,8 +11,7 @@ an immutable tuple of its eight fields (the
 :class:`~repro.bgp.prefix.Prefix` idiom): the harvest builds one per
 exported route and :meth:`~ObservationArchive.from_mrt` one per row
 read, and it hashes as the tuple of its fields, as the frozen dataclass
-it replaced did.  It keeps an instance dict for its two cached path
-views.
+it replaced did.  It keeps an instance dict for its cached path view.
 
 :class:`ObservationArchive` answers its queries from state built on
 first use, never on :meth:`~ObservationArchive.add` (the inner loop of
@@ -22,11 +21,6 @@ the harvest and of :meth:`~ObservationArchive.from_mrt`):
   are plain dicts of observation lists in archive order.  Each builds
   independently the first time a query needs it; from then on appends
   keep it in sync.
-* **Journalled trie.**  Only ``covered_by`` / ``covering`` need prefix
-  containment, so the radix trie sits behind a
-  :class:`~repro.net.lpm.JournalledLpm` over the exact-prefix buckets:
-  no trie node exists until the first such query, and later new
-  prefixes are replayed into it, not rebuilt.
 * **Derived-fact memo.**  Every Section 4 analysis starts from the same
   per-route facts: the collapsed path, the last-occurrence position of
   each ASN and the conservative (first-occurrence) tagger of each
@@ -46,8 +40,7 @@ the harvest and of :meth:`~ObservationArchive.from_mrt`):
   record carries and :meth:`~ObservationArchive.from_mrt` keys decoded
   rows by the record body.  The file is read a record at a time, but
   ``from_mrt`` is not constant memory: it holds the archive it builds
-  and one row template per distinct record
-  (:class:`~repro.mrt.reader.MrtReader` is the constant-memory reader).
+  and one row template per distinct record.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ from repro.mrt import reader as mrt_reader
 from repro.mrt import writer as mrt_writer
 from repro.mrt.constants import AFI_IPV4, AFI_IPV6
 from repro.mrt.entries import Bgp4mpMessage, MrtRecord
-from repro.net.lpm import JournalledLpm
 
 #: MRT common headers carry a 32-bit Unix timestamp; anything outside
 #: this window used to wrap silently through the ``& 0xFFFFFFFF`` mask.
@@ -179,7 +171,7 @@ class _ObservationFields(NamedTuple):
 class RouteObservation(_ObservationFields):
     """One route as observed at a collector (a tuple; see the module docstring).
 
-    No ``__slots__``: the instance dict holds the two cached path views.
+    No ``__slots__``: the instance dict holds the cached path view.
     """
 
     @property
@@ -196,16 +188,6 @@ class RouteObservation(_ObservationFields):
                 collapsed.append(asn)
         return tuple(collapsed)
 
-    @cached_property
-    def path_asns(self) -> frozenset[int]:
-        """The distinct ASNs on the AS path (cached).
-
-        The propagation analyses test path membership per observed
-        community; building ``set(self.as_path)`` on every call made
-        that quadratic in the community count.
-        """
-        return frozenset(self.as_path)
-
     @property
     def has_communities(self) -> bool:
         """True if at least one community is attached."""
@@ -214,10 +196,6 @@ class RouteObservation(_ObservationFields):
     def community_asns(self) -> set[int]:
         """The distinct ASN parts of the attached communities."""
         return self.communities.asns()
-
-    def is_on_path(self, community: Community) -> bool:
-        """True if the community's ASN part appears on the AS path."""
-        return community.asn in self.path_asns
 
 
 class RouteFacts:
@@ -282,12 +260,10 @@ class _ArchiveIndex:
     A kind is grouped on first use; from then on appends keep it in sync.
     """
 
-    __slots__ = ("buckets", "trie")
+    __slots__ = ("buckets",)
 
     def __init__(self) -> None:
         self.buckets: dict[str, dict[Any, list[RouteObservation]]] = {}
-        #: Containment index over the ``prefix`` buckets (same lists).
-        self.trie: JournalledLpm | None = None
 
     def grouped_by(
         self, kind: str, observations: list[RouteObservation]
@@ -308,8 +284,6 @@ class _ArchiveIndex:
                 bucket.append(observation)
             else:
                 buckets[key] = [observation]
-                if kind == "prefix" and self.trie is not None:
-                    self.trie.touch(key)
 
 
 class ObservationArchive:
@@ -358,12 +332,6 @@ class ObservationArchive:
             self._index = _ArchiveIndex()
         return self._index.grouped_by(kind, self._observations)
 
-    def _prefix_trie(self) -> JournalledLpm:
-        prefix_buckets = self._buckets("prefix")
-        if self._index.trie is None:
-            self._index.trie = JournalledLpm(prefix_buckets)
-        return self._index.trie
-
     # ---------------------------------------------------------- derived facts
     def derived(self, compute: Callable[["ObservationArchive"], _T]) -> _T:
         """Return ``compute(self)``, memoised (per function) until the next :meth:`add`.
@@ -396,10 +364,6 @@ class ObservationArchive:
         """Return only the observations of one platform (bucket lookup)."""
         return self._subset(self._buckets("platform").get(platform, ()))
 
-    def by_collector(self, platform: str, collector_id: str) -> "ObservationArchive":
-        """Return only one collector's observations (bucket lookup)."""
-        return self._subset(self._buckets("collector").get((platform, collector_id), ()))
-
     def platforms(self) -> list[str]:
         """Return the distinct platform names, sorted."""
         return sorted(self._buckets("platform"))
@@ -415,32 +379,6 @@ class ObservationArchive:
     def prefixes(self) -> set[Prefix]:
         """Return the distinct observed prefixes."""
         return set(self._buckets("prefix"))
-
-    def observations_for(self, prefix: Prefix) -> list[RouteObservation]:
-        """Return the observations of exactly ``prefix``, in archive order."""
-        return list(self._buckets("prefix").get(prefix, ()))
-
-    def covered_by(self, prefix: Prefix) -> "ObservationArchive":
-        """Observations whose prefix lies inside ``prefix`` (more specifics)."""
-        matches = sorted(self._prefix_trie().covered(prefix))
-        return self._subset(o for _prefix, bucket in matches for o in bucket)
-
-    def covering(self, prefix: Prefix) -> "ObservationArchive":
-        """Observations whose prefix covers ``prefix`` (less specifics)."""
-        matches = sorted(self._prefix_trie().covering(prefix))
-        return self._subset(o for _prefix, bucket in matches for o in bucket)
-
-    def announcements(self) -> "ObservationArchive":
-        """Return only the announcement observations."""
-        return self.filter(lambda o: not o.withdrawn)
-
-    def withdrawals(self) -> "ObservationArchive":
-        """Return only the withdrawal observations."""
-        return self.filter(lambda o: o.withdrawn)
-
-    def with_communities(self) -> "ObservationArchive":
-        """Return only the observations carrying at least one community."""
-        return self.filter(lambda o: o.has_communities)
 
     def observed_community_asns(self) -> set[int]:
         """Return every ASN encoded in any observed community."""

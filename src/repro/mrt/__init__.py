@@ -1,37 +1,22 @@
-"""MRT routing-information export format (RFC 6396) reader and writer.
+"""MRT routing-information export format (RFC 6396): BGP4MP update records.
 
 The public BGP archives the paper uses (RIPE RIS, Route Views, Isolario,
-PCH) distribute data as MRT files: BGP4MP message records for update
-streams and TABLE_DUMP_V2 records for RIB snapshots.  This package
-implements both directions so the synthetic collector platforms can
-write byte-exact archives and the measurement pipeline can read either
-our own archives or real ones.
+PCH) distribute their update streams as MRT files of BGP4MP message
+records.  This package frames and codes those records: the synthetic
+collector platforms write their archives through
+:func:`~repro.mrt.writer.encode_bgp4mp_message`, and
+:meth:`~repro.collectors.observation.ObservationArchive.from_mrt` reads
+them back through :func:`~repro.mrt.reader.iter_stream_records` and
+:func:`~repro.mrt.reader.decode_bgp4mp_message`.  Records of any other
+type are framed and skipped.
 """
 
-from repro.mrt.entries import (
-    MrtRecord,
-    Bgp4mpMessage,
-    PeerIndexTable,
-    PeerEntry,
-    RibEntry,
-    RibPrefixRecord,
-)
-from repro.mrt.constants import MrtType, Bgp4mpSubtype, TableDumpV2Subtype
-from repro.mrt.writer import MrtWriter, write_records
-from repro.mrt.reader import MrtReader, read_records
+from repro.mrt.entries import MrtRecord, Bgp4mpMessage
+from repro.mrt.constants import MrtType, Bgp4mpSubtype
 
 __all__ = [
     "MrtRecord",
     "Bgp4mpMessage",
-    "PeerIndexTable",
-    "PeerEntry",
-    "RibEntry",
-    "RibPrefixRecord",
     "MrtType",
     "Bgp4mpSubtype",
-    "TableDumpV2Subtype",
-    "MrtWriter",
-    "write_records",
-    "MrtReader",
-    "read_records",
 ]

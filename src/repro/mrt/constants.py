@@ -23,17 +23,6 @@ class Bgp4mpSubtype(IntEnum):
     STATE_CHANGE_AS4 = 5
 
 
-class TableDumpV2Subtype(IntEnum):
-    """TABLE_DUMP_V2 subtypes."""
-
-    PEER_INDEX_TABLE = 1
-    RIB_IPV4_UNICAST = 2
-    RIB_IPV4_MULTICAST = 3
-    RIB_IPV6_UNICAST = 4
-    RIB_IPV6_MULTICAST = 5
-    RIB_GENERIC = 6
-
-
 #: MRT common header is 12 bytes: timestamp, type, subtype, length.
 MRT_HEADER_LENGTH = 12
 

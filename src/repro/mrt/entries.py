@@ -1,29 +1,24 @@
 """Decoded MRT records.
 
-The two records every update archive is made of, :class:`MrtRecord`
-(the raw framing) and :class:`Bgp4mpMessage` (a decoded BGP4MP
-message), are tuples in the :class:`~repro.bgp.prefix.Prefix` /
-:class:`~repro.bgp.route.RouteEntry` idiom: one of each is built per
-record read or written, so they are constructed, hashed and compared
-in C.  They are immutable values with the hash of the tuple of their
-fields, as the frozen dataclasses they replace had.  The TABLE_DUMP_V2
-records, built once per RIB snapshot entry, stay frozen dataclasses.
+An update archive is made of :class:`MrtRecord` (the raw framing) and
+:class:`Bgp4mpMessage` (a decoded BGP4MP message).  Both are tuples in
+the :class:`~repro.bgp.prefix.Prefix` / :class:`~repro.bgp.route.RouteEntry`
+idiom: one of each is built per record read or written, so they are
+constructed, hashed and compared in C.  They are immutable values with
+the hash of the tuple of their fields, as the frozen dataclasses they
+replace had.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.bgp.attributes import PathAttributes
 from repro.bgp.message import BgpUpdate
-from repro.bgp.prefix import Prefix
 from repro.mrt.constants import Bgp4mpSubtype, MrtType
 
 #: Plain-int record codes: the type tests below run once per record read.
 _BGP4MP_TYPES = frozenset((int(MrtType.BGP4MP), int(MrtType.BGP4MP_ET)))
 _MESSAGE_SUBTYPES = frozenset((int(Bgp4mpSubtype.MESSAGE), int(Bgp4mpSubtype.MESSAGE_AS4)))
-_TABLE_DUMP_V2 = int(MrtType.TABLE_DUMP_V2)
 
 
 class MrtRecord(NamedTuple):
@@ -45,11 +40,6 @@ class MrtRecord(NamedTuple):
         """True for the BGP4MP records that carry a BGP message (2- or 4-byte AS form)."""
         return self.mrt_type in _BGP4MP_TYPES and self.subtype in _MESSAGE_SUBTYPES
 
-    @property
-    def is_table_dump_v2(self) -> bool:
-        """True for TABLE_DUMP_V2 records."""
-        return self.mrt_type == _TABLE_DUMP_V2
-
 
 class Bgp4mpMessage(NamedTuple):
     """A decoded BGP4MP_MESSAGE_AS4 record: who sent what to whom, and the update."""
@@ -62,43 +52,3 @@ class Bgp4mpMessage(NamedTuple):
     interface_index: int
     address_family: int
     update: BgpUpdate
-
-
-@dataclass(frozen=True)
-class PeerEntry:
-    """One peer in a TABLE_DUMP_V2 PEER_INDEX_TABLE."""
-
-    bgp_id: int
-    peer_ip: int
-    peer_asn: int
-    ipv6: bool = False
-
-
-@dataclass(frozen=True)
-class PeerIndexTable:
-    """The PEER_INDEX_TABLE record that prefixes a TABLE_DUMP_V2 dump."""
-
-    collector_bgp_id: int
-    view_name: str
-    peers: tuple[PeerEntry, ...] = ()
-
-
-@dataclass(frozen=True)
-class RibEntry:
-    """One (peer, attributes) pair inside a TABLE_DUMP_V2 RIB record."""
-
-    peer_index: int
-    originated_time: int
-    attributes: PathAttributes
-    #: Attributes the codec does not model, as ``(type code, flags, payload)``
-    #: (see :attr:`BgpUpdate.unknown_attributes`).
-    unknown_attributes: tuple[tuple[int, int, bytes], ...] = ()
-
-
-@dataclass(frozen=True)
-class RibPrefixRecord:
-    """A TABLE_DUMP_V2 RIB record: all peers' routes for one prefix."""
-
-    sequence: int
-    prefix: Prefix
-    entries: tuple[RibEntry, ...] = field(default_factory=tuple)

@@ -382,11 +382,10 @@ class LpmTable:
 class JournalledLpm:
     """A lazily patched LPM index over an authoritative ``{prefix: value}`` dict.
 
-    The owner (a Loc-RIB, a FIB, an observation archive's prefix buckets)
-    writes its dict and only records the prefix with :meth:`touch`; the
-    first lookup (:meth:`longest_match`, :meth:`covering`,
-    :meth:`covered`) after a run of writes replays the journal in write
-    order as trie inserts and deletes — a patch, never a rebuild.
+    The owner (a Loc-RIB, a FIB) writes its dict and only records the
+    prefix with :meth:`touch`; the first :meth:`longest_match` after a
+    run of writes replays the journal in write order as trie inserts
+    and deletes — a patch, never a rebuild.
     Convergence writes thousands of best routes and looks none up, so it
     pays no trie work; a reader interleaving lookups with writes pays
     the inserts an eager index would, later.
@@ -421,15 +420,3 @@ class JournalledLpm:
         if self._journal:
             self._replay()
         return self._table.longest_match(address, family)
-
-    def covering(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
-        """Entries whose prefix covers ``prefix``, least specific first."""
-        if self._journal:
-            self._replay()
-        return self._table.covering(prefix)
-
-    def covered(self, prefix: Prefix) -> list[tuple[Prefix, Any]]:
-        """Entries covered by ``prefix`` (equal or more specific)."""
-        if self._journal:
-            self._replay()
-        return self._table.covered(prefix)

@@ -269,10 +269,7 @@ class Router:
         matching = self.services.matching(attributes.communities)
         if not matching:
             return attributes, _NO_EFFECTS, ()
-        from_customer = (
-            self.relationship_with(sender) == Relationship.CUSTOMER
-            or self.asys.act_on_communities_from_any_neighbor
-        )
+        from_customer = self.relationship_with(sender) == Relationship.CUSTOMER
         triggered: list[ActionType] = []
         blackholed = False
         export_prepend = 0

@@ -1,11 +1,6 @@
 """AS-level Internet topology: relationships, AS nodes, IXPs, generation, queries."""
 
-from repro.topology.relationships import (
-    Relationship,
-    RelationshipDataset,
-    parse_caida_line,
-    format_caida_line,
-)
+from repro.topology.relationships import Relationship, RelationshipDataset
 from repro.topology.asys import AutonomousSystem, AsRole
 from repro.topology.ixp import Ixp, RouteServerConfig
 from repro.topology.topology import Topology
@@ -19,8 +14,6 @@ from repro.topology.graph import (
 __all__ = [
     "Relationship",
     "RelationshipDataset",
-    "parse_caida_line",
-    "format_caida_line",
     "AutonomousSystem",
     "AsRole",
     "Ixp",

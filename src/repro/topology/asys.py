@@ -57,9 +57,6 @@ class AutonomousSystem:
     #: Whether the RTBH route-map is evaluated before origin validation
     #: (the misconfiguration highlighted in Section 6.3 of the paper).
     blackhole_before_validation: bool = False
-    #: Whether this AS accepts traffic-steering communities from peers and
-    #: providers too, or (the common case per Section 7.4) only from customers.
-    act_on_communities_from_any_neighbor: bool = False
 
     def __post_init__(self) -> None:
         if self.asn <= 0:

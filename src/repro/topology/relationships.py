@@ -1,18 +1,16 @@
-"""AS business relationships and the CAIDA serialisation format.
+"""AS business relationships.
 
 The paper uses the CAIDA AS-relationship dataset to classify AS edges
 into customer-provider and peer-peer links (Section 4.4).  This module
-models the relationship types, a dataset container, and the standard
-``<provider>|<customer>|-1`` / ``<peer>|<peer>|0`` text format so real
-CAIDA files can be loaded alongside generated topologies.
+models the relationship types and a dataset container that the topology
+generator fills; no as-rel file is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.exceptions import TopologyError
 
@@ -43,40 +41,6 @@ class RelationshipEdge:
     asn_a: int
     asn_b: int
     relationship: Relationship
-
-
-def parse_caida_line(line: str) -> RelationshipEdge | None:
-    """Parse one line of a CAIDA as-rel file; return None for comments/blank lines.
-
-    Format: ``provider|customer|-1`` or ``peer|peer|0`` (optionally with a
-    trailing source field).
-    """
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
-    parts = line.split("|")
-    if len(parts) < 3:
-        raise TopologyError(f"malformed CAIDA relationship line {line!r}")
-    try:
-        asn_a, asn_b, code = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise TopologyError(f"malformed CAIDA relationship line {line!r}") from exc
-    if code == -1:
-        # asn_a is the provider of asn_b: from asn_a's view, asn_b is a customer.
-        return RelationshipEdge(asn_a, asn_b, Relationship.CUSTOMER)
-    if code == 0:
-        return RelationshipEdge(asn_a, asn_b, Relationship.PEER)
-    raise TopologyError(f"unknown relationship code {code} in line {line!r}")
-
-
-def format_caida_line(edge: RelationshipEdge) -> str:
-    """Serialise one relationship edge into CAIDA as-rel format."""
-    if edge.relationship == Relationship.CUSTOMER:
-        return f"{edge.asn_a}|{edge.asn_b}|-1"
-    if edge.relationship == Relationship.PEER:
-        return f"{edge.asn_a}|{edge.asn_b}|0"
-    # A PROVIDER edge is written from the provider's side.
-    return f"{edge.asn_b}|{edge.asn_a}|-1"
 
 
 class RelationshipDataset:
@@ -156,26 +120,3 @@ class RelationshipDataset:
     def asns(self) -> set[int]:
         """Return every AS that appears in at least one edge."""
         return set(self._adjacency)
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "RelationshipDataset":
-        """Build a dataset from CAIDA as-rel text lines."""
-        dataset = cls()
-        for line in lines:
-            edge = parse_caida_line(line)
-            if edge is not None:
-                dataset.add(edge.asn_a, edge.asn_b, edge.relationship)
-        return dataset
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RelationshipDataset":
-        """Load a CAIDA as-rel file."""
-        return cls.from_lines(Path(path).read_text().splitlines())
-
-    def to_lines(self) -> list[str]:
-        """Serialise the dataset into CAIDA as-rel lines."""
-        return [format_caida_line(edge) for edge in self.edges()]
-
-    def to_file(self, path: str | Path) -> None:
-        """Write the dataset to a CAIDA as-rel file."""
-        Path(path).write_text("\n".join(self.to_lines()) + "\n")

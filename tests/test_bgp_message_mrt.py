@@ -1,4 +1,4 @@
-"""Tests for the BGP UPDATE wire codec, RIBs, and the MRT reader/writer."""
+"""Tests for the BGP UPDATE wire codec, RIBs, and the BGP4MP MRT reader/writer."""
 
 from __future__ import annotations
 
@@ -29,22 +29,25 @@ from repro.exceptions import (
 )
 from repro.mrt import reader as mrt_reader
 from repro.mrt import writer as mrt_writer
-from repro.mrt.constants import Bgp4mpSubtype, MrtType, TableDumpV2Subtype
-from repro.mrt.entries import (
-    Bgp4mpMessage,
-    MrtRecord,
-    PeerEntry,
-    PeerIndexTable,
-    RibEntry,
-    RibPrefixRecord,
-)
-from repro.mrt.reader import MrtReader, iter_raw_records, read_stream
-from repro.mrt.writer import (
-    MrtWriter,
-    encode_bgp4mp_message,
-    encode_peer_index_table,
-    encode_rib_prefix_record,
-)
+from repro.mrt.constants import Bgp4mpSubtype, MrtType
+from repro.mrt.entries import Bgp4mpMessage, MrtRecord
+from repro.mrt.reader import decode_bgp4mp_message, iter_stream_records
+from repro.mrt.writer import encode_bgp4mp_message
+
+
+def records_of(data: bytes) -> list[MrtRecord]:
+    """The raw records framed in ``data``."""
+    return list(iter_stream_records(io.BytesIO(data)))
+
+
+def framed(mrt_type: int, subtype: int, payload: bytes, timestamp: int = 0) -> bytes:
+    """One MRT record, common header and payload, built by hand."""
+    return struct.pack("!IHHI", timestamp, mrt_type, subtype, len(payload)) + payload
+
+
+def messages_of(data: bytes) -> list[Bgp4mpMessage]:
+    """Every BGP4MP message record in ``data``, each decoded on its own (no memo)."""
+    return [decode_bgp4mp_message(r) for r in records_of(data) if r.is_bgp4mp_message]
 
 
 def make_attributes(**overrides) -> PathAttributes:
@@ -187,7 +190,7 @@ class TestUpdateCodec:
     def test_withdrawal_only(self):
         update = BgpUpdate(withdrawn=[Prefix.from_string("192.0.2.0/24")])
         decoded = decode_update(encode_update(update))
-        assert decoded.is_withdrawal_only()
+        assert decoded.withdrawn == update.withdrawn
         assert not decoded.announced
 
     def test_decode_rejects_bad_marker(self):
@@ -222,6 +225,23 @@ class TestUpdateCodec:
         )
         decoded = decode_update(encode_update(update))
         assert decoded.unknown_attributes == [(99, 0xC0, b"\x01\x02")]
+
+    @pytest.mark.parametrize(
+        "overrides, unknown",
+        [
+            ({}, ()),  # make_attributes() carries a large community
+            ({"atomic_aggregate": True}, ()),
+            ({}, ((99, 0xC0, b"\x01\x02"),)),
+        ],
+        ids=["large-communities", "atomic-aggregate", "unknown-attribute"],
+    )
+    def test_roundtrip_keeps_every_attribute(self, overrides, unknown):
+        update = BgpUpdate(
+            announced=[Prefix.from_string("203.0.113.0/24")],
+            attributes=make_attributes(**overrides),
+            unknown_attributes=list(unknown),
+        )
+        assert decode_update(encode_update(update)) == update
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -316,9 +336,9 @@ class TestMrt:
 
     def test_bgp4mp_roundtrip(self):
         message = self.make_message()
-        records = list(MrtReader(encode_bgp4mp_message(message)))
-        assert len(records) == 1
-        decoded = records[0]
+        (record,) = records_of(encode_bgp4mp_message(message))
+        assert record.is_bgp4mp_message
+        decoded = decode_bgp4mp_message(record)
         assert isinstance(decoded, Bgp4mpMessage)
         assert decoded.peer_asn == 3356
         assert decoded.local_asn == 65000
@@ -327,78 +347,20 @@ class TestMrt:
 
     def test_writer_and_stream_reader(self):
         stream = io.BytesIO()
-        writer = MrtWriter(stream)
         for i in range(5):
-            writer.write_message(self.make_message(timestamp=1522540800 + i))
-        assert writer.records_written == 5
+            stream.write(encode_bgp4mp_message(self.make_message(timestamp=1522540800 + i)))
         stream.seek(0)
-        decoded = read_stream(stream)
+        decoded = [decode_bgp4mp_message(record) for record in iter_stream_records(stream)]
         assert len(decoded) == 5
         assert all(isinstance(m, Bgp4mpMessage) for m in decoded)
         assert [m.timestamp for m in decoded] == [1522540800 + i for i in range(5)]
 
-    def test_peer_index_table_roundtrip(self):
-        table = PeerIndexTable(
-            collector_bgp_id=0x0A0A0A0A,
-            view_name="rrc00",
-            peers=(
-                PeerEntry(bgp_id=1, peer_ip=0x0A000001, peer_asn=3356),
-                PeerEntry(bgp_id=2, peer_ip=0x20010DB8 << 96, peer_asn=1299, ipv6=True),
-            ),
-        )
-        records = list(MrtReader(encode_peer_index_table(table)))
-        decoded = records[0]
-        assert isinstance(decoded, PeerIndexTable)
-        assert decoded.view_name == "rrc00"
-        assert decoded.peers[0].peer_asn == 3356
-        assert decoded.peers[1].ipv6
-        assert decoded.peers[1].peer_asn == 1299
-
-    def test_rib_record_roundtrip(self):
-        record = RibPrefixRecord(
-            sequence=7,
-            prefix=Prefix.from_string("203.0.113.0/24"),
-            entries=(
-                RibEntry(peer_index=0, originated_time=1522540800, attributes=make_attributes()),
-                RibEntry(
-                    peer_index=1,
-                    originated_time=1522540900,
-                    attributes=make_attributes(local_pref=None, med=None),
-                ),
-            ),
-        )
-        decoded = list(MrtReader(encode_rib_prefix_record(record)))[0]
-        assert isinstance(decoded, RibPrefixRecord)
-        assert decoded.sequence == 7
-        assert decoded.prefix == record.prefix
-        assert len(decoded.entries) == 2
-        assert decoded.entries[0].attributes.communities == record.entries[0].attributes.communities
-
-    @pytest.mark.parametrize(
-        "overrides, unknown",
-        [
-            ({}, ()),  # make_attributes() carries a large community
-            ({"atomic_aggregate": True}, ()),
-            ({}, ((99, 0xC0, b"\x01\x02"),)),
-        ],
-        ids=["large-communities", "atomic-aggregate", "unknown-attribute"],
-    )
-    def test_rib_record_roundtrip_keeps_every_attribute(self, overrides, unknown):
-        entry = RibEntry(0, 1522540800, make_attributes(**overrides), unknown)
-        record = RibPrefixRecord(7, Prefix.from_string("203.0.113.0/24"), (entry,))
-        assert list(MrtReader(encode_rib_prefix_record(record))) == [record]
-
-    def test_rib_entry_rejects_a_two_byte_origin_like_an_update(self):
+    def test_a_two_byte_origin_is_a_message_error(self):
         section = bytes([0x40, 1, 2, 0, 0])  # ORIGIN, transitive, 2-byte payload
         update = encode_update(BgpUpdate(unknown_attributes=[(1, 0x40, b"\x00\x00")]))
         assert section in update
-        with pytest.raises(MessageError) as in_update:
+        with pytest.raises(MessageError, match="ORIGIN attribute must be exactly 1 byte"):
             decode_update(update)
-        payload = struct.pack("!I4sHHIH", 0, bytes([24, 203, 0, 113]), 1, 0, 0, len(section))
-        rib = MrtRecord(0, MrtType.TABLE_DUMP_V2, TableDumpV2Subtype.RIB_IPV4_UNICAST, payload + section)
-        with pytest.raises(MessageError) as in_rib:
-            list(MrtReader(mrt_writer.encode_record(rib)))
-        assert str(in_rib.value) == str(in_update.value)
 
     def test_an_unknown_origin_value_is_a_message_error(self):
         section = bytes([0x40, 1, 1, 7])  # ORIGIN, transitive, 1 byte: 7 is no Origin
@@ -406,10 +368,6 @@ class TestMrt:
         assert section in update
         with pytest.raises(MessageError, match="unknown ORIGIN value 7"):
             decode_update(update)
-        payload = struct.pack("!I4sHHIH", 0, bytes([24, 203, 0, 113]), 1, 0, 0, len(section))
-        rib = MrtRecord(0, MrtType.TABLE_DUMP_V2, TableDumpV2Subtype.RIB_IPV4_UNICAST, payload + section)
-        with pytest.raises(MessageError, match="unknown ORIGIN value 7"):
-            list(MrtReader(mrt_writer.encode_record(rib)))
 
     @pytest.mark.parametrize("field", ["peer_asn", "local_asn"])
     @pytest.mark.parametrize("asn", [1 << 32, (1 << 32) + 10, -1])
@@ -421,23 +379,55 @@ class TestMrt:
     def test_truncated_stream_raises(self):
         data = encode_bgp4mp_message(self.make_message())
         with pytest.raises(MrtTruncatedError):
-            list(iter_raw_records(data[:-5]))
+            records_of(data[:-5])
 
-    def test_reader_messages_filter(self):
-        blob = encode_peer_index_table(
-            PeerIndexTable(collector_bgp_id=1, view_name="v", peers=())
-        ) + encode_bgp4mp_message(self.make_message())
-        messages = list(MrtReader(blob).messages())
-        assert len(messages) == 1
+    @pytest.mark.parametrize(
+        "mrt_type, subtype, payload, message",
+        [
+            (MrtType.BGP4MP, Bgp4mpSubtype.MESSAGE_AS4, b"\x00" * 11, "BGP4MP payload too short"),
+            (MrtType.BGP4MP, Bgp4mpSubtype.MESSAGE, b"\x00" * 7, "BGP4MP payload too short"),
+            (
+                MrtType.BGP4MP,
+                Bgp4mpSubtype.MESSAGE_AS4,
+                struct.pack("!IIHH", 3356, 65000, 0, 3) + b"\x00" * 8,
+                "unsupported BGP4MP address family 3",
+            ),
+            (
+                MrtType.BGP4MP_ET,
+                Bgp4mpSubtype.MESSAGE_AS4,
+                struct.pack("!I", 0) + struct.pack("!IIHH", 3356, 65000, 0, 1) + b"\x00" * 7,
+                "truncated BGP4MP addresses",
+            ),
+            (
+                MrtType.BGP4MP,
+                Bgp4mpSubtype.MESSAGE,
+                struct.pack("!HHHH", 3356, 65000, 0, 2) + b"\x00" * 31,
+                "truncated BGP4MP addresses",
+            ),
+            (MrtType.BGP4MP_ET, Bgp4mpSubtype.MESSAGE_AS4, b"\x00" * 3, "BGP4MP_ET record too short"),
+        ],
+        ids=["as4-header", "as2-header", "address-family", "ipv4-addresses", "ipv6-addresses", "et-field"],
+    )
+    def test_a_malformed_message_record_is_an_mrt_error(
+        self, tmp_path, mrt_type, subtype, payload, message
+    ):
+        data = framed(mrt_type, subtype, payload)
+        with pytest.raises(MrtError, match=message):
+            messages_of(data)
+        path = tmp_path / "bad.mrt"
+        path.write_bytes(encode_bgp4mp_message(self.make_message()) + data)
+        with pytest.raises(MrtError, match=message):
+            ObservationArchive.from_mrt(path)
 
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "updates.mrt"
-        from repro.mrt.writer import write_records
+    def test_a_record_that_is_not_bgp4mp_is_not_decoded(self):
+        (record,) = records_of(framed(MrtType.TABLE_DUMP_V2, 1, b"\x00" * 8))
+        with pytest.raises(MrtError, match="record type 13 is not BGP4MP"):
+            decode_bgp4mp_message(record)
 
-        count = write_records(path, [self.make_message(), self.make_message(1522541000)])
-        assert count == 2
-        decoded = list(MrtReader.from_file(path).messages())
-        assert len(decoded) == 2
+    def test_the_package_exports_the_bgp4mp_records_only(self):
+        import repro.mrt
+
+        assert sorted(repro.mrt.__all__) == ["Bgp4mpMessage", "Bgp4mpSubtype", "MrtRecord", "MrtType"]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -463,7 +453,7 @@ class TestMrt:
             address_family=1,
             update=update,
         )
-        decoded = list(MrtReader(encode_bgp4mp_message(message)).messages())[0]
+        (decoded,) = messages_of(encode_bgp4mp_message(message))
         assert decoded.timestamp == timestamp
         assert decoded.peer_asn == peer_asn
         assert decoded.update.attributes.communities == update.attributes.communities
@@ -495,7 +485,9 @@ def two_byte_as_record() -> bytes:
 
 class TestTwoByteAsRecords:
     def test_reader_decodes_a_subtype_1_record(self):
-        (message,) = MrtReader(two_byte_as_record()).messages()
+        (record,) = records_of(two_byte_as_record())
+        assert (record.mrt_type, record.subtype) == (MrtType.BGP4MP, Bgp4mpSubtype.MESSAGE)
+        message = decode_bgp4mp_message(record)
         assert (message.peer_asn, message.local_asn) == (3356, 64512)
         assert message.update.attributes.as_path == ASPath.of(3356, 1299, 13335)
         assert message.update.attributes.communities == CommunitySet.of("3356:100")
@@ -587,9 +579,6 @@ class TestTruncationOffsets:
         path.write_bytes(data)
         with pytest.raises(MrtTruncatedError) as raised:
             ObservationArchive.from_mrt(path)
-        assert str(raised.value) == message
-        with pytest.raises(MrtTruncatedError) as raised:
-            list(MrtReader(data))
         assert str(raised.value) == message
 
     def test_cut_inside_a_header(self, tmp_path):
@@ -725,27 +714,51 @@ class TestArchiveBridgeEquivalence:
         data = path.read_bytes()
         assert data == b"".join(encode_bgp4mp_message(m) for m in archive.to_mrt_messages())
         assert [_carried(o) for o in reread] == [_carried(o) for o in rows]
-        assert [_carried(o) for o in reread] == _rows_of(MrtReader.from_file(path).messages())
+        assert [_carried(o) for o in reread] == _rows_of(messages_of(data))
         assert {(o.platform, o.collector_id) for o in reread} <= {("RIS", "rrc00")}
         assert calls["encode"] == len({_carried(o) for o in rows})
         assert calls["decode"] == len(
-            {(r.mrt_type, r.subtype, r.payload) for r in iter_raw_records(data)}
+            {(r.mrt_type, r.subtype, r.payload) for r in records_of(data)}
         )
 
-    def test_other_record_types_are_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "record",
+        [
+            # TABLE_DUMP_V2 PEER_INDEX_TABLE: collector id, view "v", no peers.
+            framed(MrtType.TABLE_DUMP_V2, 1, struct.pack("!IH", 1, 1) + b"v" + struct.pack("!H", 0)),
+            framed(
+                MrtType.TABLE_DUMP_V2,
+                2,  # RIB_IPV4_UNICAST: sequence, 203.0.113.0/24, one entry with an ORIGIN
+                struct.pack("!I4sHHIH", 7, bytes([24, 203, 0, 113]), 1, 0, 0, 4) + bytes([0x40, 1, 1, 0]),
+            ),
+            framed(MrtType.TABLE_DUMP, 1, b"\x00" * 20),
+            framed(MrtType.BGP4MP, Bgp4mpSubtype.STATE_CHANGE, b"\x00" * 20),
+            framed(MrtType.BGP4MP, Bgp4mpSubtype.STATE_CHANGE_AS4, b"\x00" * 24, timestamp=1),
+            framed(MrtType.BGP4MP_ET, Bgp4mpSubtype.STATE_CHANGE_AS4, struct.pack("!I", 5) + b"\x00" * 24),
+            framed(99, 0, b"\xff" * 3),
+        ],
+        ids=[
+            "peer-index-table",
+            "rib-ipv4-unicast",
+            "table-dump",
+            "state-change",
+            "state-change-as4",
+            "et-state-change-as4",
+            "unknown-type",
+        ],
+    )
+    def test_other_record_types_are_skipped(self, tmp_path, record):
         path = tmp_path / "mixed.mrt"
-        table = encode_peer_index_table(PeerIndexTable(collector_bgp_id=1, view_name="v", peers=()))
-        state_change = mrt_writer.encode_record(
-            MrtRecord(1, MrtType.BGP4MP, Bgp4mpSubtype.STATE_CHANGE_AS4, b"\x00" * 24)
-        )
         ObservationArchive([observation()]).write_mrt(path)
-        path.write_bytes(table + state_change + path.read_bytes() + table)
+        path.write_bytes(record + path.read_bytes() + record)
         assert [_carried(o) for o in ObservationArchive.from_mrt(path)] == [_carried(observation())]
 
     def test_reader_messages_share_nothing_mutable(self, tmp_path):
         path = tmp_path / "twice.mrt"
         ObservationArchive([observation(), observation(collector_id="rrc01")]).write_mrt(path)
-        first, second = MrtReader.from_file(path).messages()
+        one, other = records_of(path.read_bytes())
+        assert one == other
+        first, second = decode_bgp4mp_message(one), decode_bgp4mp_message(other)
         assert first == second
         assert first.update is not second.update
         assert first.update.announced is not second.update.announced
@@ -764,16 +777,14 @@ class TestCorruptArchives:
         path = tmp_path_factory.mktemp("corrupt") / "archive.mrt"
         ObservationArchive(rows).write_mrt(path)
         archive = path.read_bytes()
-        readers = (ObservationArchive.from_mrt, lambda p: list(MrtReader(p.read_bytes())))
         for offset in range(len(archive)):
             overwritten = archive[:offset] + bytes((archive[offset] ^ flip,)) + archive[offset + 1:]
             for damaged in (archive[:offset], overwritten):
                 path.write_bytes(damaged)
-                for read in readers:
-                    try:
-                        read(path)
-                    except ReproError:
-                        pass
+                try:
+                    ObservationArchive.from_mrt(path)
+                except ReproError:
+                    pass
 
 
 def _record_cases():
@@ -867,4 +878,3 @@ def test_observation_views_survive_a_pickle_round_trip():
     copy = pickle.loads(pickle.dumps(original))
     assert copy == original
     assert copy.path_without_prepending == (3356, 13335)
-    assert copy.path_asns == frozenset({3356, 13335})

@@ -104,6 +104,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: [Errno ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("output", ["missing/x.jsonl", "."], ids=["missing-directory", "directory"])
+    def test_run_output_to_an_unwritable_path_exits_2(self, output, tmp_path, capsys):
+        assert main(["run", "rtbh", "--output", str(tmp_path / output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRegistryCli:
     def test_list_names_every_experiment(self, capsys):
@@ -402,6 +410,24 @@ class TestStreamCli:
         assert main(["stream", "-", "--seed", "9"]) == 2
         err = capsys.readouterr().err
         assert f"stream line 1: stream event field {field!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_stream_input_that_is_not_utf8_exits_2_naming_the_source(
+        self, source, tmp_path, capsys, monkeypatch
+    ):
+        import io
+
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b"\xff\n")
+        if source == "stdin":
+            # As Python's UTF-8 mode opens stdin: undecodable bytes escaped, not refused.
+            stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8", errors="surrogateescape")
+            monkeypatch.setattr("sys.stdin", stdin)
+        events, named = (str(path), repr(str(path))) if source == "file" else ("-", "standard input")
+        assert main(["stream", events, "--scale", "small", "--seed", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: events from {named} are not UTF-8 text: ")
         assert "Traceback" not in err
 
     def test_stream_window_must_be_positive(self, capsys):

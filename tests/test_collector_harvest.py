@@ -184,8 +184,7 @@ class TestMrtRoundTrip:
         assert archive.write_mrt(path) == 4
         loaded = ObservationArchive.from_mrt(path, platform="RIS", collector_id="ris-00")
         assert _rows(loaded) == _rows(archive)
-        assert len(loaded.withdrawals()) == 2
-        assert len(loaded.announcements()) == 2
+        assert [o.withdrawn for o in loaded] == [False, False, True, True]
         # Round-tripping the loaded archive reproduces the bytes exactly.
         second = tmp_path / "again.mrt"
         loaded.write_mrt(second)
@@ -279,31 +278,8 @@ class TestIndexedArchive:
         assert archive.peer_asns() == {o.peer_asn for o in archive}
         assert archive.prefixes() == {o.prefix for o in archive}
 
-    def test_by_collector_bucket(self):
-        archive = self._archive()
-        bucket = list(archive.by_collector("RIS", "ris-00"))
-        scanned = [
-            o for o in archive if o.platform == "RIS" and o.collector_id == "ris-00"
-        ]
-        assert bucket == scanned
-        assert list(archive.by_collector("RIS", "missing")) == []
-
-    def test_prefix_index_lookups(self):
-        archive = self._archive()
-        target = Prefix.ipv4((10 << 24) + (3 << 8), 24)
-        assert archive.observations_for(target) == [
-            o for o in archive if o.prefix == target
-        ]
-        inside = archive.covered_by(Prefix.from_string("10.0.0.0/8"))
-        assert {o.prefix for o in inside} == {
-            o.prefix for o in archive if o.prefix.is_ipv4
-        }
-        covering = archive.covering(Prefix.from_string("10.0.3.128/25"))
-        assert {str(o.prefix) for o in covering} == {"10.0.3.0/24"}
-
     def test_index_stays_in_sync_after_append(self):
         archive = self._archive()
-        assert "IS" not in archive.platforms()  # force the index to build
         late = RouteObservation(
             platform="IS",
             collector_id="is-00",
@@ -311,10 +287,17 @@ class TestIndexedArchive:
             prefix=Prefix.from_string("192.0.2.0/24"),
             as_path=(900, 1),
         )
+        # Force every bucket kind to build before the append.
+        assert "IS" not in archive.platforms()
+        assert ("IS", "is-00") not in archive.collectors()
+        assert 900 not in archive.peer_asns()
+        assert late.prefix not in archive.prefixes()
         archive.add(late)
         assert "IS" in archive.platforms()
+        assert ("IS", "is-00") in archive.collectors()
         assert 900 in archive.peer_asns()
-        assert archive.observations_for(Prefix.from_string("192.0.2.0/24")) == [late]
+        assert late.prefix in archive.prefixes()
+        assert list(archive.by_platform("IS")) == [late]
 
     def test_cached_path_properties(self):
         observation = RouteObservation(
@@ -324,11 +307,8 @@ class TestIndexedArchive:
             prefix=Prefix.from_string("203.0.113.0/24"),
             as_path=(10, 5, 5, 1),
         )
-        assert observation.path_asns == frozenset({10, 5, 1})
-        assert observation.path_asns is observation.path_asns  # cached
         assert observation.path_without_prepending == (10, 5, 1)
-        assert observation.is_on_path(Community(5, 1))
-        assert not observation.is_on_path(Community(9, 1))
+        assert observation.path_without_prepending is observation.path_without_prepending  # cached
 
 
 class TestHarvestReportExperiment:

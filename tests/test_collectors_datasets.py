@@ -47,8 +47,6 @@ class TestObservations:
         assert observation.path_without_prepending == (10, 5, 1)
         assert observation.has_communities
         assert observation.community_asns() == {1}
-        assert observation.is_on_path(Community(5, 1))
-        assert not observation.is_on_path(Community(9, 1))
 
     def test_archive_queries(self):
         archive = ObservationArchive(
@@ -60,7 +58,7 @@ class TestObservations:
         assert len(archive) == 2
         assert archive.platforms() == ["RIS", "RV"]
         assert archive.peer_asns() == {10, 20}
-        assert len(archive.with_communities()) == 1
+        assert len(archive.filter(lambda o: o.has_communities)) == 1
         assert archive.unique_communities() == {Community(1, 100)}
         assert len(archive.by_platform("RIS")) == 1
         assert archive.observed_community_asns() == {1}
@@ -104,7 +102,7 @@ _POOL_PREFIXES = [
     )
 ]
 _POOL_COLLECTORS = [("RIS", "ris-00"), ("RIS", "ris-01"), ("RV", "rv-00"), ("PCH", "pch-00")]
-_QUERY_KINDS = ("exact", "covered", "covering", "prefixes", "platform", "collector", "peers", "memo")
+_QUERY_KINDS = ("prefixes", "platform", "collector", "peers", "memo")
 
 _OBSERVATIONS = st.builds(
     lambda where, peer, prefix, path, communities: RouteObservation(
@@ -127,25 +125,8 @@ _STEPS = st.lists(
 )
 
 
-def _in_prefix_order(rows: list[RouteObservation], keep) -> list[RouteObservation]:
-    """Brute force for ``covered_by`` / ``covering``: matching prefixes sorted, rows in archive order."""
-    matching = sorted({o.prefix for o in rows if keep(o.prefix)})
-    return [o for prefix in matching for o in rows if o.prefix == prefix]
-
-
 def _check_against_scan(archive: ObservationArchive, rows: list[RouteObservation], kinds) -> None:
     assert list(archive) == rows
-    for prefix in _POOL_PREFIXES:
-        if "exact" in kinds:
-            assert archive.observations_for(prefix) == [o for o in rows if o.prefix == prefix]
-        if "covered" in kinds:
-            assert list(archive.covered_by(prefix)) == _in_prefix_order(
-                rows, prefix.contains_prefix
-            )
-        if "covering" in kinds:
-            assert list(archive.covering(prefix)) == _in_prefix_order(
-                rows, lambda other: other.contains_prefix(prefix)
-            )
     if "prefixes" in kinds:
         assert archive.prefixes() == {o.prefix for o in rows}
     if "platform" in kinds:
@@ -154,10 +135,6 @@ def _check_against_scan(archive: ObservationArchive, rows: list[RouteObservation
             assert list(archive.by_platform(platform)) == [o for o in rows if o.platform == platform]
     if "collector" in kinds:
         assert archive.collectors() == sorted({(o.platform, o.collector_id) for o in rows})
-        for platform, collector in _POOL_COLLECTORS:
-            assert list(archive.by_collector(platform, collector)) == [
-                o for o in rows if (o.platform, o.collector_id) == (platform, collector)
-            ]
     if "peers" in kinds:
         assert archive.peer_asns() == {o.peer_asn for o in rows}
     if "memo" in kinds:
@@ -189,7 +166,7 @@ class TestArchiveIndexes:
         archive.unique_communities().clear()
         archive.peer_asns().clear()
         archive.prefixes().clear()
-        archive.observations_for(Prefix.from_string("203.0.113.0/24")).clear()
+        archive.collectors().clear()
         archive.by_platform("RIS").add(make_observation(peer=99))
         _check_against_scan(archive, [make_observation()], _QUERY_KINDS)
 
@@ -199,8 +176,8 @@ class TestArchiveIndexes:
         )
         cold = pickle.dumps(archive)
         archive.route_facts(), archive.unique_communities(), archive.platforms()
-        assert len(archive.covering(Prefix.from_string("203.0.113.128/25"))) == 1
-        assert archive._index.trie is not None and archive._derived and archive._routes
+        assert len(archive.prefixes()) == 2
+        assert archive._index.buckets["prefix"] and archive._derived and archive._routes
         assert pickle.dumps(archive) == cold  # warm indexes and memo add no byte
         for clone in (pickle.loads(cold), copy.copy(archive), copy.deepcopy(archive)):
             assert clone._index is None and clone._derived is None and not clone._routes

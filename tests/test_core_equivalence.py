@@ -275,7 +275,7 @@ def importing_routers(draw) -> Router:
         blackhole_before_validation=draw(flag),
     )
     return Router(
-        AutonomousSystem(asn=OWN_ASN, act_on_communities_from_any_neighbor=draw(flag)),
+        AutonomousSystem(asn=OWN_ASN),
         {asn: draw(st.sampled_from(list(Relationship))) for asn in neighbors},
         services=draw(st.sampled_from([catalog, catalog, None])),
         inbound_filters=chain,
@@ -347,7 +347,7 @@ def reference_import(router: Router, announcement: Announcement):
                 + ", ".join(f"AS{asn}" for asn in sorted(registered))
             )
     local_pref, blackholed, prepend, suppress, only_to, triggered = None, False, 0, set(), None, []
-    honoured = relationship == Relationship.CUSTOMER or router.asys.act_on_communities_from_any_neighbor
+    honoured = relationship == Relationship.CUSTOMER
     for tag in sorted(tags & set(services), key=Community.to_int):
         service, action = services[tag], services[tag].action
         if service.customers_only and not honoured:
@@ -515,7 +515,6 @@ def small_internets(draw) -> Topology:
                 propagation_policy=draw(propagation_policies),
                 services=draw(st.sampled_from([catalog, None])),
                 vendor=draw(st.sampled_from([CISCO_PROFILE, JUNIPER_PROFILE])),
-                act_on_communities_from_any_neighbor=draw(st.booleans()),
             )
         )
     for asn in asns[1:]:

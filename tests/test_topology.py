@@ -17,37 +17,11 @@ from repro.topology.graph import (
     valley_free_paths,
 )
 from repro.topology.ixp import Ixp, RouteServerConfig
-from repro.topology.relationships import (
-    Relationship,
-    RelationshipDataset,
-    format_caida_line,
-    parse_caida_line,
-)
+from repro.topology.relationships import Relationship, RelationshipDataset
 from repro.topology.topology import Topology
 
 
 class TestRelationships:
-    def test_parse_customer_line(self):
-        edge = parse_caida_line("3356|13335|-1")
-        assert edge is not None
-        assert edge.relationship == Relationship.CUSTOMER
-        assert (edge.asn_a, edge.asn_b) == (3356, 13335)
-
-    def test_parse_peer_line(self):
-        edge = parse_caida_line("3356|1299|0|bgp")
-        assert edge is not None
-        assert edge.relationship == Relationship.PEER
-
-    def test_parse_skips_comments_and_blank(self):
-        assert parse_caida_line("# comment") is None
-        assert parse_caida_line("   ") is None
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(TopologyError):
-            parse_caida_line("3356|13335")
-        with pytest.raises(TopologyError):
-            parse_caida_line("3356|13335|7")
-
     def test_dataset_symmetry(self):
         dataset = RelationshipDataset()
         dataset.add(1, 2, Relationship.CUSTOMER)
@@ -67,21 +41,6 @@ class TestRelationships:
     def test_self_relationship_rejected(self):
         with pytest.raises(TopologyError):
             RelationshipDataset().add(1, 1, Relationship.PEER)
-
-    def test_file_roundtrip(self, tmp_path):
-        dataset = RelationshipDataset()
-        dataset.add(10, 20, Relationship.CUSTOMER)
-        dataset.add(10, 30, Relationship.PEER)
-        path = tmp_path / "asrel.txt"
-        dataset.to_file(path)
-        loaded = RelationshipDataset.from_file(path)
-        assert loaded.get(10, 20) == Relationship.CUSTOMER
-        assert loaded.get(30, 10) == Relationship.PEER
-        assert loaded.edge_count() == 2
-
-    def test_format_line_provider_orientation(self):
-        edge = parse_caida_line("5|6|-1")
-        assert format_caida_line(edge) == "5|6|-1"
 
 
 class TestAutonomousSystem:
@@ -167,7 +126,6 @@ class TestRelationshipAdjacency:
         for edge in edges:
             assert edge.relationship != Relationship.PROVIDER
             assert oracle.relationships[(edge.asn_a, edge.asn_b)] == edge.relationship
-        assert RelationshipDataset.from_lines(dataset.to_lines()).to_lines() == dataset.to_lines()
 
 
 class TestIxp:
