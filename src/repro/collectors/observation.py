@@ -13,26 +13,29 @@ exported route and :meth:`~ObservationArchive.from_mrt` one per row
 read, and it hashes as the tuple of its fields, as the frozen dataclass
 it replaced did.  It keeps an instance dict for its cached path view.
 
-:class:`ObservationArchive` answers its queries from state built on
-first use, never on :meth:`~ObservationArchive.add` (the inner loop of
-the harvest and of :meth:`~ObservationArchive.from_mrt`):
+Every :class:`ObservationArchive` query reads state built on first use,
+never on :meth:`~ObservationArchive.add` (the inner loop of the harvest
+and of :meth:`~ObservationArchive.from_mrt`):
 
-* **Buckets.**  Platform, collector, peer and exact-prefix groupings
-  are plain dicts of observation lists in archive order.  Each builds
-  independently the first time a query needs it; from then on appends
-  keep it in sync.
-* **Derived-fact memo.**  Every Section 4 analysis starts from the same
+* **One scan.**  Every Section 4 analysis starts from the same
   per-route facts: the collapsed path, the last-occurrence position of
   each ASN and the conservative (first-occurrence) tagger of each
   community.  :class:`RouteFacts` holds them, one row per *distinct*
-  ``(as_path, communities)`` route, shared by equal observations.
-  Several analyses also want the same whole-archive scan (distinct
-  communities, the §4.3 forwarder summary).
-  :meth:`~ObservationArchive.derived` memoises all of those.  The
-  rule: ``add`` drops the whole memo, so a query after an append
-  recomputes from the full archive; the distinct-route table survives
-  (a row depends on its route alone) and nothing derived is pickled or
-  copied.
+  ``(as_path, communities)`` route, shared by equal observations.  One
+  pass over the archive gives each observation its row and fills one
+  :class:`ArchiveTally` per platform plus one for the whole archive:
+  messages, prefixes, peers, per-collector announcement counts, and
+  each distinct announced route with its observation count, in order
+  of first appearance.  The analyses and the archive's own queries
+  read those tallies instead of walking the observations again or
+  cutting platform subsets; a multiset result (Figure 3's absolute
+  count, 4(b), 5(b), 5(c), 6) weights each route by its count.
+* **Derived-fact memo.**  :meth:`~ObservationArchive.derived` memoises
+  that scan and the whole-archive results built on it (distinct
+  communities, the §4.3 forwarder summary).  The rule: ``add`` drops
+  the whole memo, so a query after an append recomputes from the full
+  archive; the distinct-route table survives (a row depends on its
+  route alone) and nothing derived is pickled or copied.
 * **MRT: one encode / one decode per distinct record; the memo lives
   for one call.**  One peer's table heard at several collectors is the
   same BGP4MP record many times over, so
@@ -46,7 +49,6 @@ the harvest and of :meth:`~ObservationArchive.from_mrt`):
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -226,73 +228,70 @@ class RouteFacts:
         )
 
 
-def _route_facts(archive: "ObservationArchive") -> tuple[RouteFacts, ...]:
+class ArchiveTally:
+    """What the Section 4 analyses read of one platform's observations, or of all of them."""
+
+    __slots__ = ("messages", "prefixes", "peers", "collectors", "routes")
+
+    def __init__(self) -> None:
+        #: Observations, withdrawals included.
+        self.messages = 0
+        self.prefixes: set[Prefix] = set()
+        self.peers: set[int] = set()
+        #: ``(platform, collector) -> [announcements, announcements with communities]``.
+        self.collectors: dict[tuple[str, str], list[int]] = {}
+        #: Each distinct announced route and how many observations carry it,
+        #: in the order the routes first appear in the archive.
+        self.routes: dict[RouteFacts, int] = {}
+
+
+def _scan(
+    archive: "ObservationArchive",
+) -> tuple[tuple[RouteFacts, ...], dict[str | None, ArchiveTally]]:
+    """The per-observation facts and the tallies, from one pass over the archive."""
     rows = archive._routes
     facts: list[RouteFacts] = []
+    platforms: dict[str, ArchiveTally] = {}
+    total = ArchiveTally()
     for observation in archive:
         route = (observation.as_path, observation.communities)
         row = rows.get(route)
         if row is None:
             row = rows[route] = RouteFacts(*route)
         facts.append(row)
-    return tuple(facts)
+        tally = platforms.get(observation.platform)
+        if tally is None:
+            tally = platforms[observation.platform] = ArchiveTally()
+        tally.messages += 1
+        tally.prefixes.add(observation.prefix)
+        tally.peers.add(observation.peer_asn)
+        counts = tally.collectors.setdefault(observation[:2], [0, 0])
+        if not observation.withdrawn:
+            counts[0] += 1
+            counts[1] += bool(row.taggers)
+            tally.routes[row] = tally.routes.get(row, 0) + 1
+            total.routes[row] = total.routes.get(row, 0) + 1
+    # The whole archive's sets are the platforms' unions; its routes keep archive order.
+    total.messages = len(facts)
+    tallies: dict[str | None, ArchiveTally] = {}
+    for platform in sorted(platforms):
+        tally = tallies[platform] = platforms[platform]
+        total.prefixes |= tally.prefixes
+        total.peers |= tally.peers
+        total.collectors.update(tally.collectors)
+    tallies[None] = total
+    return tuple(facts), tallies
 
 
 def _unique_communities(archive: "ObservationArchive") -> frozenset[Community]:
-    communities: set[Community] = set()
-    for observation in archive:
-        communities.update(observation.communities)
-    return frozenset(communities)
-
-
-#: The bucket kinds of an archive index and the key each groups by.
-_BUCKET_KEYS: dict[str, Callable[[RouteObservation], Any]] = {
-    "platform": attrgetter("platform"),
-    "collector": attrgetter("platform", "collector_id"),
-    "peer": attrgetter("peer_asn"),
-    "prefix": attrgetter("prefix"),
-}
-
-
-class _ArchiveIndex:
-    """The buckets of one archive: ``kind -> key -> observations`` in archive order.
-
-    A kind is grouped on first use; from then on appends keep it in sync.
-    """
-
-    __slots__ = ("buckets",)
-
-    def __init__(self) -> None:
-        self.buckets: dict[str, dict[Any, list[RouteObservation]]] = {}
-
-    def grouped_by(
-        self, kind: str, observations: list[RouteObservation]
-    ) -> dict[Any, list[RouteObservation]]:
-        buckets = self.buckets.get(kind)
-        if buckets is None:
-            buckets = self.buckets[kind] = {}
-            key = _BUCKET_KEYS[kind]
-            for observation in observations:
-                buckets.setdefault(key(observation), []).append(observation)
-        return buckets
-
-    def add(self, observation: RouteObservation) -> None:
-        for kind, buckets in self.buckets.items():
-            key = _BUCKET_KEYS[kind](observation)
-            bucket = buckets.get(key)
-            if bucket is not None:
-                bucket.append(observation)
-            else:
-                buckets[key] = [observation]
+    return frozenset(c for route in archive.route_counts() for c, _ in route.taggers)
 
 
 class ObservationArchive:
-    """A collection of route observations with indexed queries and MRT round-tripping."""
+    """A collection of route observations with memoised queries and MRT round-tripping."""
 
     def __init__(self, observations: Iterable[RouteObservation] = ()):
         self._observations: list[RouteObservation] = list(observations)
-        #: Buckets, built per kind by the first query that needs them.
-        self._index: _ArchiveIndex | None = None
         #: Results of :meth:`derived`, dropped by :meth:`add`.
         self._derived: dict[Callable, Any] | None = None
         #: One :class:`RouteFacts` row per distinct route.  A row is a pure
@@ -301,7 +300,7 @@ class ObservationArchive:
         self._routes: dict[tuple[tuple[int, ...], CommunitySet], RouteFacts] = {}
 
     def __getstate__(self) -> list[RouteObservation]:
-        # Buckets and derived facts stay home; a copy starts without them.
+        # Derived facts stay home; a copy starts without them.
         return list(self._observations)
 
     def __setstate__(self, observations: list[RouteObservation]) -> None:
@@ -317,20 +316,12 @@ class ObservationArchive:
     def add(self, observation: RouteObservation) -> None:
         """Append one observation."""
         self._observations.append(observation)
-        if self._index is not None:
-            self._index.add(observation)
         self._derived = None
 
     def extend(self, observations: Iterable[RouteObservation]) -> None:
         """Append many observations."""
         for observation in observations:
             self.add(observation)
-
-    # ---------------------------------------------------------------- indexes
-    def _buckets(self, kind: str) -> dict[Any, list[RouteObservation]]:
-        if self._index is None:
-            self._index = _ArchiveIndex()
-        return self._index.grouped_by(kind, self._observations)
 
     # ---------------------------------------------------------- derived facts
     def derived(self, compute: Callable[["ObservationArchive"], _T]) -> _T:
@@ -347,7 +338,16 @@ class ObservationArchive:
 
     def route_facts(self) -> tuple[RouteFacts, ...]:
         """The :class:`RouteFacts` of every observation, in archive order (memoised)."""
-        return self.derived(_route_facts)
+        return self.derived(_scan)[0]
+
+    def tallies(self) -> dict[str | None, ArchiveTally]:
+        """One :class:`ArchiveTally` per platform, sorted by name, then the whole
+        archive's under ``None`` (memoised with :meth:`route_facts`)."""
+        return self.derived(_scan)[1]
+
+    def route_counts(self) -> dict[RouteFacts, int]:
+        """Each distinct announced route and its observation count, in archive order (memoised)."""
+        return self.tallies()[None].routes
 
     # ---------------------------------------------------------------- queries
     def __len__(self) -> int:
@@ -361,24 +361,24 @@ class ObservationArchive:
         return self._subset(o for o in self._observations if predicate(o))
 
     def by_platform(self, platform: str) -> "ObservationArchive":
-        """Return only the observations of one platform (bucket lookup)."""
-        return self._subset(self._buckets("platform").get(platform, ()))
+        """Return only the observations of one platform."""
+        return self.filter(lambda observation: observation.platform == platform)
 
     def platforms(self) -> list[str]:
         """Return the distinct platform names, sorted."""
-        return sorted(self._buckets("platform"))
+        return [platform for platform in self.tallies() if platform is not None]
 
     def collectors(self) -> list[tuple[str, str]]:
         """Return the distinct (platform, collector) pairs, sorted."""
-        return sorted(self._buckets("collector"))
+        return sorted(self.tallies()[None].collectors)
 
     def peer_asns(self) -> set[int]:
         """Return the distinct collector-peer ASNs."""
-        return set(self._buckets("peer"))
+        return set(self.tallies()[None].peers)
 
     def prefixes(self) -> set[Prefix]:
         """Return the distinct observed prefixes."""
-        return set(self._buckets("prefix"))
+        return set(self.tallies()[None].prefixes)
 
     def observed_community_asns(self) -> set[int]:
         """Return every ASN encoded in any observed community."""

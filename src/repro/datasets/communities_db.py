@@ -49,6 +49,10 @@ POPULAR_OFF_PATH_VALUES: dict[int, float] = {
     80: 0.3,
 }
 
+#: Each table split once into the ``(values, weights)`` a weighted draw takes.
+_ON_PATH_HEAD = (list(POPULAR_ON_PATH_VALUES), list(POPULAR_ON_PATH_VALUES.values()))
+_OFF_PATH_HEAD = (list(POPULAR_OFF_PATH_VALUES), list(POPULAR_OFF_PATH_VALUES.values()))
+
 
 @dataclass
 class CommunityDocumentation:
@@ -90,20 +94,20 @@ class CommunityUsageModel:
         self._rng = rng
         self._documentation: dict[int, CommunityDocumentation] = {}
 
-    def _draw_value(self, popular: dict[int, float], tail_probability: float = 0.35) -> int:
+    def _draw_value(
+        self, head: tuple[list[int], list[float]], tail_probability: float = 0.35
+    ) -> int:
         """Draw a community value: popular head with probability 1-tail, else long tail."""
         if self._rng.chance(tail_probability):
             return self._rng.randint(1, 65535)
-        values = list(popular)
-        weights = [popular[v] for v in values]
-        return self._rng.weighted_choice(values, weights)
+        return self._rng.weighted_choice(*head)
 
     def documentation_for(self, asn: int, offers_blackhole: bool = False) -> CommunityDocumentation:
         """Return (building lazily) the documented communities of ``asn``."""
         if asn in self._documentation:
             return self._documentation[asn]
         informational = sorted(
-            {self._draw_value(POPULAR_ON_PATH_VALUES) for _ in range(self._rng.randint(1, 4))}
+            {self._draw_value(_ON_PATH_HEAD) for _ in range(self._rng.randint(1, 4))}
         )
         # Location values are operator-chosen codes; there is no global
         # convention, so each AS picks its own small set of arbitrary values.
@@ -111,7 +115,7 @@ class CommunityUsageModel:
             {self._rng.randint(1, 65535) for _ in range(self._rng.randint(0, 3))}
         )
         actions = sorted(
-            {self._draw_value(POPULAR_ON_PATH_VALUES) for _ in range(self._rng.randint(0, 3))}
+            {self._draw_value(_ON_PATH_HEAD) for _ in range(self._rng.randint(0, 3))}
         )
         blackholes = [666] if offers_blackhole else []
         documentation = CommunityDocumentation(
@@ -126,8 +130,8 @@ class CommunityUsageModel:
 
     def off_path_value(self) -> int:
         """Draw a value for an off-path community (IXP/bundled/private tagging)."""
-        return self._draw_value(POPULAR_OFF_PATH_VALUES, tail_probability=0.3)
+        return self._draw_value(_OFF_PATH_HEAD, tail_probability=0.3)
 
     def on_path_value(self) -> int:
         """Draw a value for an on-path community."""
-        return self._draw_value(POPULAR_ON_PATH_VALUES, tail_probability=0.4)
+        return self._draw_value(_ON_PATH_HEAD, tail_probability=0.4)

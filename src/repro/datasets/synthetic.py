@@ -19,6 +19,13 @@ create the community patterns the paper measures:
 The builder records ground truth (who tagged what, which AS runs which
 propagation behaviour) so the test-suite can check the measurement
 pipeline against it.
+
+Every draw is a function of the seed.  The builder builds each AS's
+documented tag lists once, on its first tagging draw, and the pool of
+16-bit ASNs an off-path community can name once per builder; the value
+model splits its popularity tables once.  The caches only skip
+rebuilding equal lists: every RNG call keeps its arguments and its
+place in the sequence.
 """
 
 from __future__ import annotations
@@ -143,6 +150,10 @@ class SyntheticDatasetBuilder:
         self._rng = DeterministicRng(self.parameters.seed)
         self._usage = CommunityUsageModel(self._rng.child("usage"))
         self._ixp_rs_asns = [ixp.route_server_asn for ixp in topology.ixps.values()]
+        #: The 16-bit ASNs an off-path community can name.
+        self._asns16 = [asn for asn in topology.asns() if asn <= 0xFFFF]
+        #: asn -> (its origin tags, its transit tags), built on first draw.
+        self._tags: dict[int, tuple[list[Community], list[Community]]] = {}
 
     # ------------------------------------------------------------------ build
     def build(self) -> SyntheticDataset:
@@ -198,6 +209,18 @@ class SyntheticDatasetBuilder:
         )
         return self._usage.documentation_for(asn, offers_blackhole)
 
+    def _tag_choices(self, asn: int) -> tuple[list[Community], list[Community]]:
+        """The documented communities ``asn`` tags with as origin and as transit."""
+        tags = self._tags.get(asn)
+        if tags is None:
+            documentation = self._documentation(asn)
+            informational = documentation.informational_communities()
+            tags = self._tags[asn] = (
+                informational,
+                documentation.location_communities() + informational,
+            )
+        return tags
+
     def _off_path_community(self, path: list[int], rng: DeterministicRng) -> Community:
         """Draw an off-path community: IXP route server, private ASN, or bundled AS."""
         roll = rng.random()
@@ -206,7 +229,7 @@ class SyntheticDatasetBuilder:
         elif roll < 0.65:
             asn = rng.choice(_PRIVATE_ASN_POOL)
         else:
-            candidates = [a for a in self.topology.asns() if a not in path and a <= 0xFFFF]
+            candidates = [a for a in self._asns16 if a not in path]
             asn = rng.choice(candidates) if candidates else rng.choice(_PRIVATE_ASN_POOL)
         return Community(asn, self._usage.off_path_value())
 
@@ -254,17 +277,12 @@ class SyntheticDatasetBuilder:
                     added.append(blackhole_community)
                     added.append(BLACKHOLE)
                 if rng.chance(params.origin_tag_probability):
-                    documentation = self._documentation(asn)
-                    choices = documentation.informational_communities()
+                    choices = self._tag_choices(asn)[0]
                     if choices:
                         added.extend(rng.sample(choices, rng.randint(1, len(choices))))
             else:
                 if rng.chance(params.transit_tag_probability):
-                    documentation = self._documentation(asn)
-                    choices = (
-                        documentation.location_communities()
-                        + documentation.informational_communities()
-                    )
+                    choices = self._tag_choices(asn)[1]
                     if choices:
                         added.extend(rng.sample(choices, rng.randint(1, min(2, len(choices)))))
                 if rng.chance(params.action_tag_probability):

@@ -6,6 +6,13 @@ same prefix reaches another neighbor without that community, we count a
 *filtering indication* for the second edge and a *forwarding indication*
 for the first.  The heuristic, its conservative tagger attribution and
 its acknowledged biases all follow the paper.
+
+Equal routes yield equal indications, so the inference works on
+distinct routes weighted by their observation counts: the per-edge path
+counts read the archive's memoised
+:meth:`~repro.collectors.observation.ObservationArchive.route_counts`,
+and the per-prefix comparison counts each prefix's routes once from the
+memoised per-observation facts.
 """
 
 from __future__ import annotations
@@ -80,17 +87,15 @@ class FilteringInference:
 def infer_filtering(archive: ObservationArchive) -> FilteringInference:
     """Run the Figure 6 filtering-inference heuristic over the archive.
 
-    Equal routes yield equal indications, so the archive is first
-    reduced to its distinct routes (:class:`RouteFacts` rows, in order
-    of first appearance) with their observation counts, and every
-    indication is added ``count`` at a time.
+    Every indication of a distinct route (a :class:`RouteFacts` row, in
+    order of first appearance) is added ``count`` at a time.
     """
     inference = FilteringInference()
     edges = inference.edges
     facts = archive.route_facts()
 
     # Count, per directed edge, on how many observed paths it appeared.
-    for route, count in Counter(facts).items():
+    for route, count in archive.route_counts().items():
         path = route.path
         for downstream, upstream in zip(path, path[1:]):
             # The announcement travelled upstream -> downstream (origin towards peer).

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.bgp.community import Community, is_private_asn
-from repro.collectors.observation import ObservationArchive, RouteFacts, RouteObservation
+from repro.collectors.observation import (
+    ArchiveTally,
+    ObservationArchive,
+    RouteFacts,
+    RouteObservation,
+)
 from repro.utils.stats import Ecdf, Histogram, fraction
 
 
@@ -87,11 +92,10 @@ class ObservedAsSummary:
     off_path_without_private: int
 
 
-def _summary_for(name: str, archive: ObservationArchive) -> ObservedAsSummary:
-    peer_asns = archive.peer_asns()
+def _summary_for(name: str, tally: ArchiveTally) -> ObservedAsSummary:
     on_path_asns: set[int] = set()
     off_path_asns: set[int] = set()
-    for route in archive.route_facts():
+    for route in tally.routes:
         for community, index in route.taggers:
             (off_path_asns if index is None else on_path_asns).add(community.asn)
     all_asns = on_path_asns | off_path_asns
@@ -99,7 +103,7 @@ def _summary_for(name: str, archive: ObservationArchive) -> ObservedAsSummary:
     return ObservedAsSummary(
         platform=name,
         total=len(all_asns),
-        without_collector_peer=len(all_asns - peer_asns),
+        without_collector_peer=len(all_asns - tally.peers),
         on_path=len(on_path_asns),
         off_path=len(off_path_only),
         off_path_without_private=len({a for a in off_path_only if not is_private_asn(a)}),
@@ -108,12 +112,10 @@ def _summary_for(name: str, archive: ObservationArchive) -> ObservedAsSummary:
 
 def observed_as_summary(archive: ObservationArchive) -> list[ObservedAsSummary]:
     """Compute Table 2: one row per platform plus a Total row."""
-    rows = [
-        _summary_for(platform, archive.by_platform(platform))
-        for platform in archive.platforms()
+    return [
+        _summary_for("Total" if platform is None else platform, tally)
+        for platform, tally in archive.tallies().items()
     ]
-    rows.append(_summary_for("Total", archive))
-    return rows
 
 
 # ------------------------------------------------------------------ Figure 5(a)
@@ -139,7 +141,7 @@ def propagation_distance_ecdf(
     """
     blackhole_communities = blackhole_communities or set()
     per_community: dict[Community, int] = {}
-    for route in archive.route_facts():
+    for route in archive.route_counts():
         for community, index in _taggers(route, conservative):
             if index is not None and index >= per_community.get(community, 0):
                 per_community[community] = index + 1
@@ -168,7 +170,7 @@ def relative_distance_by_path_length(
     the distance — both choices taken from the paper.
     """
     per_length: dict[int, list[float]] = defaultdict(list)
-    for route in archive.route_facts():
+    for route, count in archive.route_counts().items():
         path_length = len(route.path)
         if not min_path_length <= path_length <= max_path_length:
             continue
@@ -176,7 +178,7 @@ def relative_distance_by_path_length(
             # Off-path (None) has no distance; position 0 is the community
             # of the monitor's direct peer: excluded.
             if index:
-                per_length[path_length].append(min(1.0, (index + 1) / path_length))
+                per_length[path_length] += [min(1.0, (index + 1) / path_length)] * count
     return {length: Ecdf(values) for length, values in sorted(per_length.items())}
 
 
@@ -201,10 +203,10 @@ def top_values(archive: ObservationArchive, n: int = 10) -> TopValues:
     """Compute the top-``n`` community values for on-path and off-path communities."""
     on_path_histogram = Histogram()
     off_path_histogram = Histogram()
-    for route in archive.route_facts():
+    for route, count in archive.route_counts().items():
         for community, index in route.taggers:
             target = off_path_histogram if index is None else on_path_histogram
-            target.add(community.value)
+            target.add(community.value, count)
 
     def ranked(histogram: Histogram) -> list[tuple[int, float]]:
         total = histogram.total()
@@ -258,7 +260,7 @@ def transit_forwarders(archive: ObservationArchive) -> TransitForwarderSummary:
 def _scan_transit_forwarders(archive: ObservationArchive) -> TransitForwarderSummary:
     transit_ases: set[int] = set()
     forwarders: set[int] = set()
-    for route in archive.route_facts():
+    for route in archive.route_counts():
         path = route.path
         if len(path) < 2:
             continue

@@ -9,7 +9,7 @@ from repro.measurement.usage import community_service_as_count, unique_community
 
 def snapshot_from_archive(archive: ObservationArchive, year: int = 2018) -> YearlySnapshot:
     """Summarise an archive into the four Figure 3 quantities for one year."""
-    absolute = sum(len(o.communities) for o in archive)
+    absolute = sum(len(route.taggers) * count for route, count in archive.route_counts().items())
     return YearlySnapshot(
         year=year,
         unique_ases_in_communities=community_service_as_count(archive),

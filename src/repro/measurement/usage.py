@@ -7,10 +7,10 @@ plain data structures the report builder and the benchmarks render.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.collectors.observation import ObservationArchive
+from repro.bgp.community import Community
+from repro.collectors.observation import ArchiveTally, ObservationArchive
 from repro.topology.asys import AsRole
 from repro.topology.graph import classify_roles
 from repro.topology.topology import Topology
@@ -40,23 +40,21 @@ def _roles_for(topology: Topology | None) -> dict[int, AsRole]:
     return classify_roles(topology)
 
 
-def _overview_for(
-    name: str, archive: ObservationArchive, roles: dict[int, AsRole]
-) -> PlatformOverview:
-    prefixes = archive.prefixes()
-    ipv4 = sum(1 for p in prefixes if p.is_ipv4)
-    ipv6 = len(prefixes) - ipv4
+def _overview_for(name: str, tally: ArchiveTally, roles: dict[int, AsRole]) -> PlatformOverview:
+    ipv4 = sum(1 for p in tally.prefixes if p.is_ipv4)
     path_asns: set[int] = set()
     origin_asns: set[int] = set()
     # Without a topology, transit ASes are inferred structurally: an AS
     # that appears on a path as neither origin nor collector peer.
     interior_asns: set[int] = set()
-    for route in archive.route_facts():
+    communities: set[Community] = set()
+    for route in tally.routes:
         path = route.path
         path_asns.update(path)
         if path:
             origin_asns.add(path[-1])
             interior_asns.update(path[1:-1])
+        communities.update(community for community, _ in route.taggers)
     if roles:
         transit_asns = {
             asn for asn in path_asns if roles.get(asn) in (AsRole.TRANSIT, AsRole.TIER1)
@@ -66,12 +64,12 @@ def _overview_for(
     stub_asns = path_asns - transit_asns
     return PlatformOverview(
         platform=name,
-        messages=len(archive),
+        messages=tally.messages,
         ipv4_prefixes=ipv4,
-        ipv6_prefixes=ipv6,
-        collectors=len(archive.collectors()),
-        peer_ases=len(archive.peer_asns()),
-        communities=len(archive.unique_communities()),
+        ipv6_prefixes=len(tally.prefixes) - ipv4,
+        collectors=len(tally.collectors),
+        peer_ases=len(tally.peers),
+        communities=len(communities),
         ases_observed=len(path_asns),
         origin_ases=len(origin_asns),
         transit_ases=len(transit_asns),
@@ -84,12 +82,10 @@ def dataset_overview(
 ) -> list[PlatformOverview]:
     """Compute Table 1: one row per platform plus a Total row."""
     roles = _roles_for(topology)
-    rows = [
-        _overview_for(platform, archive.by_platform(platform), roles)
-        for platform in archive.platforms()
+    return [
+        _overview_for("Total" if platform is None else platform, tally, roles)
+        for platform, tally in archive.tallies().items()
     ]
-    rows.append(_overview_for("Total", archive, roles))
-    return rows
 
 
 def updates_with_communities_by_collector(
@@ -98,27 +94,19 @@ def updates_with_communities_by_collector(
     """Compute Figure 4(a): per platform, per collector, the fraction of
     announcements carrying at least one community (withdrawals carry none
     by construction and are not counted)."""
-    totals: dict[tuple[str, str], int] = defaultdict(int)
-    tagged: dict[tuple[str, str], int] = defaultdict(int)
-    for observation in archive:
-        if observation.withdrawn:
-            continue
-        key = (observation.platform, observation.collector_id)
-        totals[key] += 1
-        if observation.has_communities:
-            tagged[key] += 1
-    result: dict[str, dict[str, float]] = defaultdict(dict)
-    for (platform, collector), total in totals.items():
-        result[platform][collector] = fraction(tagged[(platform, collector)], total)
-    return dict(result)
+    result: dict[str, dict[str, float]] = {}
+    for (platform, collector), (announced, tagged) in archive.tallies()[None].collectors.items():
+        if announced:
+            result.setdefault(platform, {})[collector] = fraction(tagged, announced)
+    return result
 
 
 def overall_update_community_fraction(archive: ObservationArchive) -> float:
     """Return the overall fraction of announcements with at least one community
     (>75 % in the paper); withdrawals are not announcements and do not count."""
-    announcements = [o for o in archive if not o.withdrawn]
-    tagged = sum(1 for o in announcements if o.has_communities)
-    return fraction(tagged, len(announcements))
+    routes = archive.route_counts()
+    tagged = sum(count for route, count in routes.items() if route.taggers)
+    return fraction(tagged, sum(routes.values()))
 
 
 @dataclass(frozen=True)
@@ -139,13 +127,11 @@ class PerUpdateDistributions:
 
 def communities_per_update_ecdf(archive: ObservationArchive) -> PerUpdateDistributions:
     """Compute Figure 4(b) over every announcement in the archive."""
-    community_counts = []
-    asn_counts = []
-    for observation in archive:
-        if observation.withdrawn:
-            continue
-        community_counts.append(len(observation.communities))
-        asn_counts.append(len(observation.community_asns()))
+    community_counts: list[int] = []
+    asn_counts: list[int] = []
+    for route, count in archive.route_counts().items():
+        community_counts += [len(route.taggers)] * count
+        asn_counts += [len({community.asn for community, _ in route.taggers})] * count
     return PerUpdateDistributions(
         communities_per_update=Ecdf(community_counts),
         asns_per_update=Ecdf(asn_counts),

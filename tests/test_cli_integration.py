@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cli import build_parser, main
 from repro.collectors.observation import ObservationArchive
@@ -435,6 +440,54 @@ class TestStreamCli:
             main(["stream", "-", "--window", "0"])
         assert excinfo.value.code == 2
         assert "argument --window: must be a positive integer, got '0'" in capsys.readouterr().err
+
+
+#: ``export-mrt`` arguments, each drawn valid or hostile; a ``None`` leaves the flag out.
+_EXPORT_SEEDS = st.one_of(
+    st.none(),
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(["x", "", "1.5", "0x10", "NaN", "--", "1e3", "\u0667"]),
+)
+#: The one valid scale drawn is the small default, so a real export stays fast.
+_EXPORT_SCALES = st.sampled_from([None, "small", "huge", "", "SMALL", "smal", "--seed"])
+_EXPORT_SOURCES = st.sampled_from([None, "synthetic", "harvest", "mrt", "", "Harvest"])
+_EXPORT_OUTPUTS = st.sampled_from(
+    ["out.mrt", "missing/out.mrt", ".", "", "-", "\u00fcnicode.mrt", "out.mrt/x"]
+)
+
+
+class TestExportMrtFuzz:
+    @settings(deadline=None, max_examples=12, suppress_health_check=[HealthCheck.too_slow])
+    @given(_EXPORT_SEEDS, _EXPORT_SCALES, _EXPORT_SOURCES, _EXPORT_OUTPUTS)
+    @example("7", "small", "synthetic", "out.mrt")
+    @example("-5", None, "harvest", "out.mrt")
+    @example(None, "small", None, "missing/out.mrt")
+    @example("x", "small", "harvest", "out.mrt")
+    def test_every_draw_writes_the_records_or_exits_2_without_a_traceback(
+        self, seed, scale, source, output
+    ):
+        """Exit 0 with the records written, or exit 2 with ``error:`` or a usage line."""
+        argv = ["export-mrt"]
+        for flag, value in (("--seed", seed), ("--scale", scale), ("--source", source)):
+            if value is not None:
+                argv += [flag, value]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / output
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([*argv, str(path)])
+                except SystemExit as exit_:
+                    code = exit_.code
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                count = int(out.getvalue().split()[1])
+                assert out.getvalue() == f"wrote {count} MRT records to {path}\n"
+                assert len(ObservationArchive.from_mrt(path)) == count > 0
+            else:
+                assert code == 2, (argv, output, code, err.getvalue())
+                assert err.getvalue().startswith("error:") or "usage:" in err.getvalue()
+                assert not out.getvalue() and not list(Path(directory).iterdir())
 
 
 class TestStrictPrefixText:

@@ -2,7 +2,8 @@
 
 The files under ``tests/fixtures/golden/`` were generated from the tree
 *before* the code they guard was refactored (the report pair before the
-report read path, the seven ``experiment_*.json`` before the route
+report read path, the harvest-source report before the analyses read
+one scan's tallies, the seven ``experiment_*.json`` before the route
 records became tuples); they are compared byte for byte, so any change
 to an analysis, to the table renderer, to the synthetic builder's RNG
 draw order or to what the core converges to shows up here.  To accept an
@@ -64,6 +65,17 @@ def test_report_experiment_comparable_matches_golden(experiment_result, request)
     result = experiment_result("report", REPORT_SEED)
     check_golden(
         "report_experiment.json",
+        json.dumps(result.comparable(), indent=2, sort_keys=True) + "\n",
+        request.config.getoption("--update-golden"),
+    )
+
+
+def test_report_experiment_harvest_source_matches_golden(experiment_result, request):
+    """The ``report`` experiment over a live harvest, where one peer heard at
+    several collectors repeats its routes across the archive."""
+    result = experiment_result("report", REPORT_SEED, source="harvest")
+    check_golden(
+        "report_harvest_experiment.json",
         json.dumps(result.comparable(), indent=2, sort_keys=True) + "\n",
         request.config.getoption("--update-golden"),
     )

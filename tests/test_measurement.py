@@ -7,10 +7,12 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.community import BLACKHOLE, Community, CommunitySet
+from repro.attacks.scenario import build_figure2_topology
+from repro.bgp.community import BLACKHOLE, Community, CommunitySet, is_private_asn
 from repro.bgp.prefix import Prefix
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.datasets.giotsas import build_blackhole_list
+from repro.datasets.timeseries import YearlySnapshot
 from repro.measurement.blackhole import (
     blackhole_observations,
     blackhole_prefix_stats,
@@ -19,16 +21,20 @@ from repro.measurement.blackhole import (
 from repro.measurement.filtering import EdgeIndications, FilteringInference, infer_filtering
 from repro.measurement.propagation import (
     CommunityClassification,
+    ObservedAsSummary,
+    TopValues,
     TransitForwarderSummary,
     classify_communities,
     observed_as_summary,
     propagation_distance_ecdf,
     relative_distance_by_path_length,
+    top_values,
     transit_forwarders,
 )
 from repro.measurement.report import MeasurementReport
 from repro.measurement.timeseries import growth_table, snapshot_from_archive
 from repro.measurement.usage import (
+    PlatformOverview,
     communities_per_update_ecdf,
     community_service_as_count,
     dataset_overview,
@@ -36,6 +42,8 @@ from repro.measurement.usage import (
     unique_community_count,
     updates_with_communities_by_collector,
 )
+from repro.topology.asys import AsRole
+from repro.topology.graph import classify_roles
 
 
 def observation(
@@ -293,21 +301,223 @@ def infer_filtering_oracle(archive: ObservationArchive) -> FilteringInference:
     return inference
 
 
+def dataset_overview_oracle(archive: ObservationArchive, topology=None) -> list[PlatformOverview]:
+    roles = classify_roles(topology) if topology is not None else {}
+
+    def row(name: str, items: list[RouteObservation]) -> PlatformOverview:
+        prefixes = {item.prefix for item in items}
+        path_asns: set[int] = set()
+        origin_asns: set[int] = set()
+        interior_asns: set[int] = set()
+        for item in items:
+            path = item.path_without_prepending
+            path_asns.update(path)
+            if path:
+                origin_asns.add(path[-1])
+                interior_asns.update(path[1:-1])
+        if roles:
+            transit = {a for a in path_asns if roles.get(a) in (AsRole.TRANSIT, AsRole.TIER1)}
+        else:
+            transit = interior_asns
+        return PlatformOverview(
+            platform=name,
+            messages=len(items),
+            ipv4_prefixes=sum(1 for p in prefixes if p.is_ipv4),
+            ipv6_prefixes=sum(1 for p in prefixes if not p.is_ipv4),
+            collectors=len({(item.platform, item.collector_id) for item in items}),
+            peer_ases=len({item.peer_asn for item in items}),
+            communities=len({c for item in items for c in item.communities}),
+            ases_observed=len(path_asns),
+            origin_ases=len(origin_asns),
+            transit_ases=len(transit),
+            stub_ases=len(path_asns - transit),
+        )
+
+    platforms = sorted({item.platform for item in archive})
+    return [row(p, [o for o in archive if o.platform == p]) for p in platforms] + [
+        row("Total", list(archive))
+    ]
+
+
+def observed_as_summary_oracle(archive: ObservationArchive) -> list[ObservedAsSummary]:
+    def row(name: str, items: list[RouteObservation]) -> ObservedAsSummary:
+        on_path: set[int] = set()
+        off_path: set[int] = set()
+        for classified in classify_oracle(ObservationArchive(items), conservative=True):
+            (on_path if classified.on_path else off_path).add(classified.community.asn)
+        every = on_path | off_path
+        off_only = off_path - on_path
+        return ObservedAsSummary(
+            platform=name,
+            total=len(every),
+            without_collector_peer=len(every - {item.peer_asn for item in items}),
+            on_path=len(on_path),
+            off_path=len(off_only),
+            off_path_without_private=len({a for a in off_only if not is_private_asn(a)}),
+        )
+
+    platforms = sorted({item.platform for item in archive})
+    return [row(p, [o for o in archive if o.platform == p]) for p in platforms] + [
+        row("Total", list(archive))
+    ]
+
+
+def snapshot_oracle(archive: ObservationArchive) -> YearlySnapshot:
+    return YearlySnapshot(
+        year=2018,
+        unique_ases_in_communities=len({c.asn for item in archive for c in item.communities}),
+        unique_communities=len({c for item in archive for c in item.communities}),
+        absolute_communities=sum(len(item.communities) for item in archive),
+        bgp_table_entries=len({item.prefix for item in archive}),
+    )
+
+
+def updates_by_collector_oracle(archive: ObservationArchive) -> dict[str, dict[str, float]]:
+    totals: dict[tuple[str, str], int] = defaultdict(int)
+    tagged: dict[tuple[str, str], int] = defaultdict(int)
+    for item in archive:
+        if not item.withdrawn:
+            totals[item.platform, item.collector_id] += 1
+            tagged[item.platform, item.collector_id] += bool(item.communities)
+    result: dict[str, dict[str, float]] = defaultdict(dict)
+    for (platform, collector), total in totals.items():
+        result[platform][collector] = tagged[platform, collector] / total
+    return dict(result)
+
+
+def overall_fraction_oracle(archive: ObservationArchive) -> float:
+    announcements = [item for item in archive if not item.withdrawn]
+    tagged = sum(1 for item in announcements if item.communities)
+    return tagged / len(announcements) if announcements else 0.0
+
+
+def per_update_oracle(archive: ObservationArchive) -> tuple[list[float], list[float]]:
+    announcements = [item for item in archive if not item.withdrawn]
+    return (
+        sorted(float(len(item.communities)) for item in announcements),
+        sorted(float(len({c.asn for c in item.communities})) for item in announcements),
+    )
+
+
+def propagation_distance_oracle(
+    archive: ObservationArchive, blackholes: set[Community], conservative: bool
+) -> tuple[list[float], list[float]]:
+    farthest: dict[Community, int] = {}
+    for classified in classify_oracle(archive, conservative):
+        if classified.on_path:
+            community = classified.community
+            farthest[community] = max(farthest.get(community, 0), classified.hops_travelled)
+    blackhole = [
+        d for c, d in farthest.items() if c.has_blackhole_value or c in blackholes
+    ]
+    return sorted(map(float, farthest.values())), sorted(map(float, blackhole))
+
+
+def relative_distance_oracle(
+    archive: ObservationArchive, min_length: int, max_length: int
+) -> dict[int, list[float]]:
+    per_length: dict[int, list[float]] = defaultdict(list)
+    for item in archive:
+        length = len(item.path_without_prepending)
+        if not min_length <= length <= max_length:
+            continue
+        for classified in classify_oracle(ObservationArchive([item]), conservative=True):
+            if classified.tagger_index:
+                per_length[length].append(min(1.0, classified.hops_travelled / length))
+    return {length: sorted(values) for length, values in sorted(per_length.items())}
+
+
+def top_values_oracle(archive: ObservationArchive, n: int) -> TopValues:
+    on_path: dict[int, int] = {}
+    off_path: dict[int, int] = {}
+    for classified in classify_oracle(archive, conservative=True):
+        counts = on_path if classified.on_path else off_path
+        counts[classified.community.value] = counts.get(classified.community.value, 0) + 1
+
+    def ranked(counts: dict[int, int]) -> list[tuple[int, float]]:
+        total = sum(counts.values())
+        # A stable sort keeps ties in order of first insertion.
+        order = sorted(counts.items(), key=lambda item: item[1], reverse=True)[:n]
+        return [(value, count / total) for value, count in order]
+
+    return TopValues(on_path=ranked(on_path), off_path=ranked(off_path))
+
+
+def withdrawal(platform: str, collector: str, peer: int, prefix: str) -> RouteObservation:
+    return RouteObservation(
+        platform=platform,
+        collector_id=collector,
+        peer_asn=peer,
+        prefix=Prefix.from_string(prefix),
+        as_path=(),
+        withdrawn=True,
+    )
+
+
+_PLATFORM_COLLECTORS = st.sampled_from(
+    [("RIS", "ris-00"), ("RIS", "ris-01"), ("RV", "rv-00"), ("PCH", "pch-00")]
+)
+_PREFIXES = st.sampled_from(["203.0.113.0/24", "198.51.100.0/24", "2001:db8::/32"])
+
 #: Short paths over six ASNs: prepending, repeats (first != last occurrence)
-#: and duplicate routes are all common; so are shared prefixes.
+#: and duplicate routes are all common; so are shared prefixes, several
+#: platforms and collectors, and withdrawals.
 _ARCHIVES = st.lists(
-    st.builds(
-        observation,
-        path=st.lists(st.integers(1, 6), min_size=1, max_size=6).map(tuple),
-        communities=st.lists(
-            st.sampled_from(["1:10", "2:20", "3:666", "4:40", "6:60", "64512:7", "9:9"]),
-            max_size=4,
-        ).map(tuple),
-        platform=st.sampled_from(["RIS", "RV"]),
-        prefix=st.sampled_from(["203.0.113.0/24", "198.51.100.0/24", "2001:db8::/32"]),
+    st.one_of(
+        st.builds(
+            lambda where, path, **fields: observation(
+                path, peer=path[0] if path else 6, platform=where[0], collector=where[1], **fields
+            ),
+            _PLATFORM_COLLECTORS,
+            # An empty path is an announcement that shares its route with a withdrawal.
+            path=st.lists(st.integers(1, 6), max_size=6).map(tuple),
+            communities=st.lists(
+                st.sampled_from(["1:10", "2:20", "3:666", "4:40", "6:60", "64512:7", "9:9"]),
+                max_size=4,
+            ).map(tuple),
+            prefix=_PREFIXES,
+        ),
+        st.builds(
+            lambda where, peer, prefix: withdrawal(where[0], where[1], peer, prefix),
+            _PLATFORM_COLLECTORS,
+            st.integers(1, 6),
+            _PREFIXES,
+        ),
     ),
     max_size=12,
 )
+
+#: Blackhole communities a verified list could name, for Figure 5(a).
+_VERIFIED = {Community(4, 40)}
+
+
+def check_every_analysis(archive: ObservationArchive, oracle: ObservationArchive) -> None:
+    """Every Section 4 analysis over ``archive`` equals its per-observation loop over ``oracle``."""
+    for topology in (None, build_figure2_topology()):
+        assert dataset_overview(archive, topology) == dataset_overview_oracle(oracle, topology)
+    assert observed_as_summary(archive) == observed_as_summary_oracle(oracle)
+    assert snapshot_from_archive(archive) == snapshot_oracle(oracle)
+    assert updates_with_communities_by_collector(archive) == updates_by_collector_oracle(oracle)
+    assert overall_update_community_fraction(archive) == overall_fraction_oracle(oracle)
+    distributions = communities_per_update_ecdf(archive)
+    assert (
+        distributions.communities_per_update.values,
+        distributions.asns_per_update.values,
+    ) == per_update_oracle(oracle)
+    for conservative in (True, False):
+        distances = propagation_distance_ecdf(archive, _VERIFIED, conservative)
+        assert (
+            distances.all_communities.values,
+            distances.blackhole_communities.values,
+        ) == propagation_distance_oracle(oracle, _VERIFIED, conservative)
+    for bounds in ((3, 10), (1, 4)):
+        per_length = relative_distance_by_path_length(archive, *bounds)
+        assert {length: ecdf.values for length, ecdf in per_length.items()} == (
+            relative_distance_oracle(oracle, *bounds)
+        )
+        assert list(per_length) == list(relative_distance_oracle(oracle, *bounds))
+    for n in (2, 10):
+        assert top_values(archive, n) == top_values_oracle(oracle, n)
 
 
 def edge_rows(inference: FilteringInference) -> list[tuple]:
@@ -336,13 +546,22 @@ class TestDerivedFactsMatchThePerObservationLoops:
         assert edge_rows(inference) == edge_rows(expected)  # same counts, same dict order
         assert inference.total_edges_observed == expected.total_edges_observed
 
-    def test_whole_dataset(self, archive):
+    @settings(deadline=None)
+    @given(_ARCHIVES)
+    def test_every_section4_analysis(self, rows):
+        check_every_analysis(ObservationArchive(rows), ObservationArchive(rows))
+
+    def test_whole_dataset(self, archive, dataset):
         for conservative in (True, False):
             assert classify_communities(archive, conservative) == classify_oracle(
                 archive, conservative
             )
         assert transit_forwarders(archive) == transit_forwarders_oracle(archive)
         assert edge_rows(infer_filtering(archive)) == edge_rows(infer_filtering_oracle(archive))
+        assert dataset_overview(archive, dataset.topology) == dataset_overview_oracle(
+            archive, dataset.topology
+        )
+        assert top_values(archive) == top_values_oracle(archive, 10)
 
     @settings(deadline=None)
     @given(_ARCHIVES, _ARCHIVES)
@@ -358,6 +577,8 @@ class TestDerivedFactsMatchThePerObservationLoops:
             assert transit_forwarders(archive) == transit_forwarders_oracle(fresh)
             assert archive.unique_communities() == {c for o in rows for c in o.communities}
             assert observed_as_summary(archive) == observed_as_summary(fresh)
+            assert edge_rows(infer_filtering(archive)) == edge_rows(infer_filtering_oracle(fresh))
+            check_every_analysis(archive, fresh)
 
     def test_memoised_summaries_are_the_callers_own(self):
         archive = ObservationArchive([observation((5, 4, 3, 2, 1), ("1:100",))])
