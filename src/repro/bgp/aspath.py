@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.exceptions import ASPathError
 
@@ -119,38 +119,12 @@ class ASPath:
         flat = self.asns()
         return flat[-1] if flat else None
 
-    @property
-    def first_asn(self) -> int | None:
-        """The most recent AS (left-most ASN), or None for an empty path."""
-        flat = self.asns()
-        return flat[0] if flat else None
-
     def contains(self, asn: int) -> bool:
         """Return True if ``asn`` appears anywhere on the path."""
         for segment in self._segments:
             if asn in segment.asns:
                 return True
         return False
-
-    def hops_from_origin(self, asn: int) -> int | None:
-        """Return the number of AS-level hops between ``asn`` and the origin.
-
-        Prepending is collapsed first.  Returns 0 for the origin itself
-        and None if ``asn`` is not on the path.  This is the "hop count"
-        used for Figure 5(a).
-        """
-        unique = self.unique_asns()
-        if asn not in unique:
-            return None
-        index = unique.index(asn)
-        return len(unique) - 1 - index
-
-    def hops_to_observer(self, asn: int) -> int | None:
-        """Return the number of AS-level hops from ``asn`` to the observation point."""
-        unique = self.unique_asns()
-        if asn not in unique:
-            return None
-        return unique.index(asn)
 
     def prepend(self, asn: int, count: int = 1) -> "ASPath":
         """Return a path with ``asn`` prepended ``count`` times.
@@ -179,10 +153,6 @@ class ASPath:
             else:
                 total += 1
         return total
-
-    def has_loop(self, asn: int) -> bool:
-        """Return True if ``asn`` already appears on the path (loop prevention)."""
-        return self.contains(asn)
 
     def __len__(self) -> int:
         return self.length()
@@ -213,16 +183,3 @@ class ASPath:
 
     def __repr__(self) -> str:
         return f"ASPath({str(self)!r})"
-
-
-def edges_of_path(asns: Sequence[int]) -> list[tuple[int, int]]:
-    """Return the directed AS edges of a (prepend-free) path, most recent first.
-
-    For the path ``[AS5, AS4, AS3]`` the edges are ``[(AS4, AS5), (AS3, AS4)]``,
-    i.e. in the direction the announcement travelled (from origin outward).
-    """
-    edges = []
-    for left, right in zip(asns, asns[1:]):
-        if left != right:
-            edges.append((right, left))
-    return edges

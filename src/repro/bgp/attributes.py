@@ -140,18 +140,6 @@ class PathAttributes:
         """Return a copy with communities added (additive semantics)."""
         return self.replace(communities=self.communities.add(*communities))
 
-    def with_communities_removed(self, communities: Iterable[Community | str | int]) -> "PathAttributes":
-        """Return a copy with the given communities removed."""
-        return self.replace(communities=self.communities.remove(*communities))
-
-    def with_communities_set(self, communities: Iterable[Community | str | int]) -> "PathAttributes":
-        """Return a copy with the community set replaced entirely."""
-        return self.replace(communities=CommunitySet.of(*communities))
-
-    def without_communities(self) -> "PathAttributes":
-        """Return a copy with all communities stripped."""
-        return self.replace(communities=CommunitySet())
-
 
 #: Field names :meth:`PathAttributes.replace` accepts, derived from the
 #: dataclass so the hand-rolled copy keeps dataclasses.replace's

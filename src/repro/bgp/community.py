@@ -244,10 +244,6 @@ class CommunitySet:
         """Return the distinct ASN parts present in the set."""
         return {c.asn for c in self._communities}
 
-    def with_asn(self, asn: int) -> list[Community]:
-        """Return the communities whose ASN part is ``asn``, sorted."""
-        return sorted(c for c in self._communities if c.asn == asn)
-
     def blackhole_communities(self) -> list[Community]:
         """Return communities that look like blackhole requests (value 666 or RFC 7999)."""
         return sorted(c for c in self._communities if c.is_blackhole or c.has_blackhole_value)

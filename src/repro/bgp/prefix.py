@@ -87,11 +87,6 @@ class Prefix(_PrefixFields):
         return self.family == AddressFamily.IPV4
 
     @property
-    def is_ipv6(self) -> bool:
-        """True for IPv6 prefixes."""
-        return self.family == AddressFamily.IPV6
-
-    @property
     def address_text(self) -> str:
         """The network address in presentation format (without the length)."""
         if self.is_ipv4:
@@ -156,13 +151,6 @@ class Prefix(_PrefixFields):
         if not 0 <= offset < size:
             raise PrefixError(f"host offset {offset} out of range for /{self.length}")
         return self.network + offset
-
-    def host_text(self, offset: int | None = None) -> str:
-        """Return a representative host address in presentation format."""
-        address = self.host(offset)
-        if self.is_ipv4:
-            return ip_utils.format_ipv4(address)
-        return ip_utils.format_ipv6(address)
 
     def __str__(self) -> str:
         return f"{self.address_text}/{self.length}"

@@ -2,17 +2,16 @@
 
 The per-AS router in :mod:`repro.routing.router` keeps one
 :class:`AdjRibIn` per neighbor and one :class:`LocRib` holding the
-selected best routes; the Loc-RIB's own trie answers longest-prefix
-lookups over those best routes.
+selected best routes.  Both are exact-match tables; longest-prefix
+lookups happen in the data plane's FIBs (:mod:`repro.dataplane.fib`).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.bgp.prefix import AddressFamily, Prefix
+from repro.bgp.prefix import Prefix
 from repro.bgp.route import RouteEntry
-from repro.net.lpm import JournalledLpm
 
 
 class AdjRibIn:
@@ -59,9 +58,6 @@ class LocRib:
     def __init__(self):
         self._candidates: dict[Prefix, list[RouteEntry]] = {}
         self._best: dict[Prefix, RouteEntry] = {}
-        #: Per-family radix trie over the best routes, patched from ``_best``
-        #: on lookup so LPM never scans the table (or crosses families).
-        self._lpm = JournalledLpm(self._best)
 
     def set_candidates(self, prefix: Prefix, entries: list[RouteEntry]) -> None:
         """Replace the candidate list for ``prefix``; the Loc-RIB keeps ``entries`` itself."""
@@ -76,7 +72,6 @@ class LocRib:
             self._best.pop(prefix, None)
         else:
             self._best[prefix] = entry
-        self._lpm.touch(prefix)
 
     def best(self, prefix: Prefix) -> RouteEntry | None:
         """Return the best route for exactly ``prefix`` (no longest-prefix match)."""
@@ -94,21 +89,10 @@ class LocRib:
         """Return every prefix that has a best route."""
         return list(self._best)
 
-    def lookup(self, address: int, family: AddressFamily | None = None) -> RouteEntry | None:
-        """Longest-prefix-match lookup of an integer address among best routes.
-
-        The match is confined to ``family``'s trie (inferred from the
-        address magnitude when not given), so an IPv4 address can never
-        match an IPv6 best route.
-        """
-        hit = self._lpm.longest_match(address, family)
-        return hit[1] if hit is not None else None
-
     def remove(self, prefix: Prefix) -> None:
         """Drop the prefix from both candidates and best."""
         self._candidates.pop(prefix, None)
         self._best.pop(prefix, None)
-        self._lpm.touch(prefix)
 
     def __len__(self) -> int:
         return len(self._best)

@@ -54,17 +54,6 @@ class Announcement(NamedTuple):
         """Return a copy with fields replaced."""
         return _replaced(self, changes)
 
-    def with_attributes(self, attributes: PathAttributes) -> "Announcement":
-        """Return a copy carrying different path attributes."""
-        return self._replace(attributes=attributes)
-
-    def is_more_specific_of(self, other: "Announcement") -> bool:
-        """True if this announcement's prefix is strictly more specific than ``other``'s."""
-        return (
-            other.prefix.contains_prefix(self.prefix)
-            and self.prefix.length > other.prefix.length
-        )
-
     def __str__(self) -> str:
         return (
             f"{self.prefix} via AS{self.sender_asn} path [{self.attributes.as_path}] "

@@ -190,15 +190,6 @@ class RouteObservation(_ObservationFields):
                 collapsed.append(asn)
         return tuple(collapsed)
 
-    @property
-    def has_communities(self) -> bool:
-        """True if at least one community is attached."""
-        return bool(self.communities)
-
-    def community_asns(self) -> set[int]:
-        """The distinct ASN parts of the attached communities."""
-        return self.communities.asns()
-
 
 class RouteFacts:
     """What the Section 4 analyses derive from one ``(as_path, communities)`` route."""
@@ -295,8 +286,7 @@ class ObservationArchive:
         #: Results of :meth:`derived`, dropped by :meth:`add`.
         self._derived: dict[Callable, Any] | None = None
         #: One :class:`RouteFacts` row per distinct route.  A row is a pure
-        #: function of its key, so appends never stale it and the archives
-        #: cut from this one (:meth:`_subset`) share the table.
+        #: function of its key, so appends never stale it.
         self._routes: dict[tuple[tuple[int, ...], CommunitySet], RouteFacts] = {}
 
     def __getstate__(self) -> list[RouteObservation]:
@@ -305,12 +295,6 @@ class ObservationArchive:
 
     def __setstate__(self, observations: list[RouteObservation]) -> None:
         self.__init__(observations)
-
-    def _subset(self, observations: Iterable[RouteObservation]) -> "ObservationArchive":
-        """A new archive over some of this one's observations."""
-        subset = ObservationArchive(observations)
-        subset._routes = self._routes
-        return subset
 
     # --------------------------------------------------------------- mutation
     def add(self, observation: RouteObservation) -> None:
@@ -355,14 +339,6 @@ class ObservationArchive:
 
     def __iter__(self) -> Iterator[RouteObservation]:
         return iter(self._observations)
-
-    def filter(self, predicate: Callable[[RouteObservation], bool]) -> "ObservationArchive":
-        """Return a new archive with only the matching observations."""
-        return self._subset(o for o in self._observations if predicate(o))
-
-    def by_platform(self, platform: str) -> "ObservationArchive":
-        """Return only the observations of one platform."""
-        return self.filter(lambda observation: observation.platform == platform)
 
     def platforms(self) -> list[str]:
         """Return the distinct platform names, sorted."""

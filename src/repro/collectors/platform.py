@@ -121,13 +121,6 @@ class CollectorDeployment:
         """Return every collector across all platforms."""
         return [c for p in self.platforms.values() for c in p.collectors]
 
-    def all_peer_asns(self) -> set[int]:
-        """Return every collector-peer AS across all platforms."""
-        peers: set[int] = set()
-        for platform in self.platforms.values():
-            peers.update(platform.peer_asns())
-        return peers
-
     def collector_count(self) -> int:
         """Total number of collectors."""
         return sum(p.collector_count() for p in self.platforms.values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.bgp.prefix import AddressFamily, Prefix
+from repro.bgp.prefix import AddressFamily
 from repro.dataplane.fib import Fib, build_fib, patch_fib
 from repro.exceptions import DataPlaneError
 from repro.net.lpm import infer_family
@@ -151,22 +151,3 @@ class DataPlane:
             outcome=trace.outcome,
             hops=max(0, len(trace.path) - 1),
         )
-
-    def ping_prefix(
-        self, source_asn: int, prefix: Prefix, host_offset: int | None = None
-    ) -> PingResult:
-        """Ping a representative host inside ``prefix``.
-
-        The default host offset follows :meth:`Prefix.host`: 1, clamped to
-        0 for /32 and /128 host routes (the paper's RTBH scenarios announce
-        exactly such /32 blackhole prefixes).
-        """
-        return self.ping(source_asn, prefix.host(host_offset), prefix.family)
-
-    def reachability_matrix(
-        self, sources: list[int], destination: int, family: AddressFamily | None = None
-    ) -> dict[int, bool]:
-        """Return per-source reachability of one destination address."""
-        if family is None:
-            family = infer_family(destination)
-        return {source: self.ping(source, destination, family).reachable for source in sources}

@@ -48,13 +48,6 @@ class BlackholeCommunityList:
         """Return every community in the list."""
         return [r.community for r in self.records]
 
-    def record_for(self, community: Community) -> BlackholeCommunityRecord | None:
-        """Return the record for ``community`` (None if absent)."""
-        for record in self.records:
-            if record.community == community:
-                return record
-        return None
-
     def __len__(self) -> int:
         return len(self.records)
 

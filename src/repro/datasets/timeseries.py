@@ -74,15 +74,6 @@ class GrowthModel:
             )
         return snapshots
 
-    def last_year_increase(self, series: list[YearlySnapshot]) -> float:
-        """Return the relative growth of unique communities over the final year."""
-        if len(series) < 2:
-            raise DatasetError("need at least two years to compute an increase")
-        previous, final = series[-2], series[-1]
-        if previous.unique_communities == 0:
-            raise DatasetError("previous year has zero communities")
-        return final.unique_communities / previous.unique_communities - 1.0
-
 
 #: The paper's own April-2018 headline numbers (Table 1 total row + Figure 3).
 PAPER_2018_SNAPSHOT = YearlySnapshot(

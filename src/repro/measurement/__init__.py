@@ -21,10 +21,7 @@ from repro.measurement.filtering import (
     FilteringInference,
     infer_filtering,
 )
-from repro.measurement.blackhole import (
-    identify_blackhole_communities,
-    blackhole_observations,
-)
+from repro.measurement.blackhole import identify_blackhole_communities
 from repro.measurement.timeseries import growth_table
 from repro.measurement.report import MeasurementReport
 
@@ -45,7 +42,6 @@ __all__ = [
     "FilteringInference",
     "infer_filtering",
     "identify_blackhole_communities",
-    "blackhole_observations",
     "growth_table",
     "MeasurementReport",
 ]

@@ -1,20 +1,16 @@
-"""Blackhole-community identification and analysis.
+"""Blackhole-community identification.
 
 The paper identifies blackholing communities either by the standardized
 value 666 (RFC 7999) or from the verified list of Giotsas et al.; this
-module applies the same two rules to an observation archive and exposes
-the subset of observations that carry blackhole communities (used by
-Figure 5(a) and by the Section 7.6 sweep).
+module applies the same two rules to an observation archive.  The
+report's blackhole inventory table counts what it finds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.bgp.community import BLACKHOLE, Community
-from repro.collectors.observation import ObservationArchive, RouteObservation
+from repro.collectors.observation import ObservationArchive
 from repro.datasets.giotsas import BlackholeCommunityList
-from repro.utils.stats import fraction
 
 
 def identify_blackhole_communities(
@@ -28,43 +24,3 @@ def identify_blackhole_communities(
         if community == BLACKHOLE or community.has_blackhole_value or community in verified:
             result.add(community)
     return result
-
-
-def blackhole_observations(
-    archive: ObservationArchive,
-    verified_list: BlackholeCommunityList | None = None,
-) -> ObservationArchive:
-    """Return only the observations carrying at least one blackhole community."""
-    blackholes = identify_blackhole_communities(archive, verified_list)
-
-    def carries_blackhole(observation: RouteObservation) -> bool:
-        return any(c in blackholes for c in observation.communities)
-
-    return archive.filter(carries_blackhole)
-
-
-@dataclass(frozen=True)
-class BlackholePrefixStats:
-    """Headline statistics about blackhole announcements in an archive."""
-
-    observation_count: int
-    prefix_count: int
-    host_route_fraction: float
-    distinct_communities: int
-
-
-def blackhole_prefix_stats(
-    archive: ObservationArchive,
-    verified_list: BlackholeCommunityList | None = None,
-) -> BlackholePrefixStats:
-    """Summarise blackhole announcements: how many, how specific, how many communities."""
-    tagged = blackhole_observations(archive, verified_list)
-    prefixes = tagged.prefixes()
-    host_routes = sum(1 for p in prefixes if p.is_ipv4 and p.length == 32)
-    communities = identify_blackhole_communities(tagged, verified_list)
-    return BlackholePrefixStats(
-        observation_count=len(tagged),
-        prefix_count=len(prefixes),
-        host_route_fraction=fraction(host_routes, len(prefixes)),
-        distinct_communities=len(communities),
-    )

@@ -2,11 +2,11 @@
 
 Every data-plane validation in the paper — RTBH, traffic steering,
 route manipulation — boils down to longest-prefix-match lookups: in the
-per-AS FIBs (:mod:`repro.dataplane.fib`), in the Loc-RIBs
-(:mod:`repro.bgp.rib`), and in the prefix-to-origin table
-(:meth:`Topology.origin_table`).  Those used to be O(n) scans over every
-installed prefix, and they were family-blind: an IPv4 address integer
-happily matched an IPv6 prefix whose low 32 bits lined up.
+per-AS FIBs (:mod:`repro.dataplane.fib`) and in the prefix-to-origin
+table (:meth:`Topology.origin_table`).  Those used to be O(n) scans
+over every installed prefix, and they were family-blind: an IPv4
+address integer happily matched an IPv6 prefix whose low 32 bits lined
+up.
 
 This module provides the shared fix: a path-compressed binary radix
 (Patricia) trie per :class:`~repro.bgp.prefix.AddressFamily`.
@@ -23,8 +23,8 @@ This module provides the shared fix: a path-compressed binary radix
 Design notes: nodes are path-compressed, so a table of *n* prefixes
 holds at most ``2n - 1`` nodes; internal glue nodes carry no entry and
 are pruned on delete, so long insert/delete churn cannot leak memory.
-Values are opaque to the trie — the RIBs store :class:`RouteEntry`,
-the FIBs :class:`FibEntry`, the mapper plain ASNs.
+Values are opaque to the trie — the FIBs store :class:`FibEntry`, the
+mapper plain ASNs.
 """
 
 from __future__ import annotations
@@ -382,13 +382,13 @@ class LpmTable:
 class JournalledLpm:
     """A lazily patched LPM index over an authoritative ``{prefix: value}`` dict.
 
-    The owner (a Loc-RIB, a FIB) writes its dict and only records the
-    prefix with :meth:`touch`; the first :meth:`longest_match` after a
-    run of writes replays the journal in write order as trie inserts
-    and deletes — a patch, never a rebuild.
-    Convergence writes thousands of best routes and looks none up, so it
-    pays no trie work; a reader interleaving lookups with writes pays
-    the inserts an eager index would, later.
+    The owner (a :class:`~repro.dataplane.fib.Fib`) writes its dict and
+    only records the prefix with :meth:`touch`; the first
+    :meth:`longest_match` after a run of writes replays the journal in
+    write order as trie inserts and deletes — a patch, never a rebuild.
+    A FIB patched for thousands of prefixes and never looked up pays no
+    trie work; a reader interleaving lookups with writes pays the
+    inserts an eager index would, later.
     """
 
     __slots__ = ("_source", "_table", "_journal")

@@ -51,10 +51,6 @@ class CommunityPropagationPolicy:
         """
         return neighbor_asn
 
-    def describe(self) -> str:
-        """Human-readable one-line description."""
-        return self.behavior.value
-
 
 @dataclass
 class ForwardAllPolicy(CommunityPropagationPolicy):

@@ -12,8 +12,7 @@ behavioural differences between the two dominant vendors:
 * a BGP update can carry at most 2^16 / 4 = 16K communities.
 
 A :class:`VendorProfile` bundles these switches so the routing
-simulator can be populated with a realistic vendor mix and the lab
-benchmark can ablate each behaviour.
+simulator can be populated with a realistic vendor mix.
 """
 
 from __future__ import annotations
@@ -71,19 +70,3 @@ JUNIPER_PROFILE = VendorProfile(
     send_communities_by_default=True,
     max_added_communities=MAX_COMMUNITIES_PER_UPDATE,
 )
-
-#: All built-in profiles by name.
-BUILTIN_PROFILES = {
-    CISCO_PROFILE.name: CISCO_PROFILE,
-    JUNIPER_PROFILE.name: JUNIPER_PROFILE,
-}
-
-
-def profile_by_name(name: str) -> VendorProfile:
-    """Look up a built-in vendor profile."""
-    try:
-        return BUILTIN_PROFILES[name]
-    except KeyError as exc:
-        raise PolicyError(
-            f"unknown vendor profile {name!r}; available: {sorted(BUILTIN_PROFILES)}"
-        ) from exc

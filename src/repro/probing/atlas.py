@@ -43,12 +43,6 @@ class ProbeMeasurement:
         """Probe ids whose ping did not reach the target."""
         return set(self.pings) - self.responsive_probes()
 
-    def reachability_fraction(self) -> float:
-        """Fraction of probes that reached the target."""
-        if not self.pings:
-            return 0.0
-        return len(self.responsive_probes()) / len(self.pings)
-
 
 class AtlasPlatform:
     """A fixed set of vantage points probing targets over the simulated data plane."""
@@ -82,10 +76,6 @@ class AtlasPlatform:
         chosen = rng.sample(pool, min(probe_count, len(pool)))
         points = [VantagePoint(probe_id=i + 1, asn=asn) for i, asn in enumerate(chosen)]
         return cls(points)
-
-    def probe_asns(self) -> list[int]:
-        """The ASes hosting probes."""
-        return [vp.asn for vp in self.vantage_points]
 
     def measure(
         self, dataplane: DataPlane, target: Prefix, with_traceroute: bool = False

@@ -52,25 +52,3 @@ class LookingGlass:
             learned_from=best.learned_from,
             blackholed=best.blackholed,
         )
-
-    def show_candidates(self, prefix: Prefix) -> list[LookingGlassEntry]:
-        """Return every candidate route the AS holds for ``prefix``."""
-        router = self.simulator.router(self.asn)
-        entries = []
-        for candidate in router.loc_rib.candidates(prefix):
-            entries.append(
-                LookingGlassEntry(
-                    prefix=prefix,
-                    as_path=tuple(candidate.attributes.as_path.asns()),
-                    communities=tuple(str(c) for c in candidate.attributes.communities),
-                    local_pref=candidate.attributes.effective_local_pref(),
-                    next_hop="null0" if candidate.blackholed else f"AS{candidate.learned_from}",
-                    learned_from=candidate.learned_from,
-                    blackholed=candidate.blackholed,
-                )
-            )
-        return entries
-
-    def route_exists(self, prefix: Prefix) -> bool:
-        """True if the AS has any best route for ``prefix``."""
-        return self.show_route(prefix) is not None

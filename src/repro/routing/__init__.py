@@ -1,7 +1,7 @@
 """BGP routing simulation: decision process, per-AS routers, propagation engine."""
 
 from repro.routing.decision import best_path
-from repro.routing.router import Router, ImportResult
+from repro.routing.router import Router
 from repro.routing.engine import (
     BgpSimulator,
     RoutingEvent,
@@ -20,7 +20,6 @@ from repro.routing.stream import (
 __all__ = [
     "best_path",
     "Router",
-    "ImportResult",
     "BgpSimulator",
     "RoutingEvent",
     "SimulationReport",

@@ -618,10 +618,6 @@ class BgpSimulator:
         """Return the best route of ``asn`` for exactly ``prefix``."""
         return self.router(asn).loc_rib.best(prefix)
 
-    def best_route_for_address(self, asn: int, address: int, family=None):
-        """Longest-prefix-match lookup at ``asn`` for an integer address."""
-        return self.router(asn).loc_rib.lookup(address, family)
-
     def ases_with_route(self, prefix: Prefix) -> list[int]:
         """Return every AS holding a best route for exactly ``prefix``."""
         return sorted(
@@ -642,7 +638,3 @@ class BgpSimulator:
         if best is None:
             return None
         return [asn] + best.attributes.as_path.asns()
-
-    def converged_prefixes(self) -> set[Prefix]:
-        """Return every prefix that has been announced so far."""
-        return set(self.report.prefixes)

@@ -17,7 +17,7 @@ paper's scenarios need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import NO_ADVERTISE, NO_EXPORT, NO_PEER, CommunitySet
@@ -27,24 +27,12 @@ from repro.bgp.route import Announcement, RouteEntry
 from repro.exceptions import RoutingError
 from repro.policy.actions import ActionType
 from repro.policy.community_policy import CommunityPropagationPolicy, ForwardAllPolicy
-from repro.policy.filters import FilterDecision, InboundFilterChain
+from repro.policy.filters import InboundFilterChain
 from repro.policy.services import CommunityServiceCatalog
 from repro.policy.vendor import JUNIPER_PROFILE, VendorProfile
 from repro.routing.decision import best_path
 from repro.topology.asys import AutonomousSystem
 from repro.topology.relationships import Relationship
-
-
-@dataclass
-class ImportResult:
-    """Outcome of importing one announcement."""
-
-    accepted: bool
-    entry: RouteEntry | None = None
-    reason: str = ""
-    triggered_services: list[ActionType] = field(default_factory=list)
-    #: True if this import changed the best route for the prefix.
-    best_changed: bool = False
 
 
 #: ``(blackholed, export_prepend, suppress_to, announce_only_to)`` of a
@@ -227,21 +215,6 @@ class Router:
         self._rib_in(sender).update(entry)
         return entry, triggered
 
-    def process_announcement(self, announcement: Announcement) -> ImportResult:
-        """Import one announcement from a neighbor; returns what happened.
-
-        The eager single-update entry point: import plus immediate
-        best-path refresh, with ``best_changed`` reporting the outcome.
-        """
-        entry, triggered = self.import_announcement(announcement)
-        return ImportResult(
-            not entry.rejected,
-            entry,
-            entry.rejection_reason or "",
-            list(triggered),
-            self._refresh_best(announcement.prefix),
-        )
-
     def remove_announcement(self, prefix: Prefix, sender_asn: int) -> bool:
         """Drop a neighbor's route *without* re-selecting; True if one existed."""
         rib = self.adj_rib_in.get(sender_asn)
@@ -331,8 +304,8 @@ class Router:
         # suppress_to, announce_only_to and export_prepend change what
         # neighbors receive, so a re-announcement that only alters them must
         # still report a change and re-trigger export processing.  The
-        # Loc-RIB (and its LPM trie) is only written when something did
-        # change — on the propagation hot path most refreshes are no-ops.
+        # Loc-RIB is only written when something did change — on the
+        # propagation hot path most refreshes are no-ops.
         if previous is not None and new_best is not None and previous.same_route(new_best):
             return False
         self.loc_rib.set_best(prefix, new_best)

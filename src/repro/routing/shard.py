@@ -18,8 +18,8 @@ module turns that property into a **long-lived service**:
   plane state (origination attributes, every Adj-RIB-In entry, and the
   derived best route) of the routers that hold any, between a parent
   simulator and a shard worker.  Install replays a snapshot, re-running
-  best-path selection so the Loc-RIB (and its LPM trie) is rebuilt
-  through the exact same code path a sequential run uses.
+  best-path selection so the Loc-RIB is rebuilt through the exact same
+  code path a sequential run uses.
 * :class:`ShardPool` — K slot-pinned single-worker executors.  Shard
   ``i`` always runs on slot ``i % workers`` (:meth:`ShardPool.slot_for`),
   so a worker's **resident** RIB state for its shards stays valid across
@@ -178,8 +178,8 @@ def install_prefix_state(
     """Replay captured per-prefix state onto ``simulator``'s routers.
 
     Each ``(router, prefix)`` slot is cleared and rebuilt, then best-path
-    selection re-runs so the Loc-RIB and its LPM trie are derived through
-    the same ``_refresh_best`` path a sequential run uses — the receiving
+    selection re-runs so the Loc-RIB is derived through the same
+    ``_refresh_best`` path a sequential run uses — the receiving
     simulator is indistinguishable from one that converged in-process.
 
     ``stale`` lists the prefixes the receiver may already hold *other*

@@ -5,11 +5,7 @@ from repro.topology.asys import AutonomousSystem, AsRole
 from repro.topology.ixp import Ixp, RouteServerConfig
 from repro.topology.topology import Topology
 from repro.topology.generator import TopologyGenerator, TopologyParameters
-from repro.topology.graph import (
-    classify_roles,
-    valley_free_paths,
-    transit_degree,
-)
+from repro.topology.graph import classify_roles, valley_free_paths
 
 __all__ = [
     "Relationship",
@@ -23,5 +19,4 @@ __all__ = [
     "TopologyParameters",
     "classify_roles",
     "valley_free_paths",
-    "transit_degree",
 ]

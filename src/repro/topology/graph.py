@@ -42,11 +42,6 @@ def classify_roles(topology: Topology) -> dict[int, AsRole]:
     return roles
 
 
-def transit_degree(topology: Topology, asn: int) -> int:
-    """Return the number of customers of ``asn`` (its transit degree)."""
-    return len(topology.customers(asn))
-
-
 def _export_allowed(relationship_in: Relationship | None, relationship_out: Relationship) -> bool:
     """Gao-Rexford export rule.
 
@@ -119,8 +114,3 @@ def valley_free_paths(
                 learned_via[neighbor] = rel_in_at_neighbor
                 queue.append(neighbor)
     return {asn: path for asn, (_rank, _length, path) in best.items()}
-
-
-def reachable_ases(topology: Topology, origin_asn: int, max_length: int = 10) -> set[int]:
-    """Return the set of ASes that receive a route originated at ``origin_asn``."""
-    return set(valley_free_paths(topology, origin_asn, max_length))

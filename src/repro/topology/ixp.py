@@ -76,12 +76,6 @@ class Ixp:
                 f"IXP route server ASN {self.route_server_asn}"
             )
 
-    def add_member(self, asn: int) -> None:
-        """Connect an AS to the exchange."""
-        if asn == self.route_server_asn:
-            raise TopologyError("the route server AS cannot be its own member")
-        self.members.add(asn)
-
     def is_member(self, asn: int) -> bool:
         """True if the AS peers at this exchange."""
         return asn in self.members

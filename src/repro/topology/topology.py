@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.bgp.prefix import Prefix
 from repro.exceptions import TopologyError
 from repro.net.lpm import LpmTable, cached_table
-from repro.topology.asys import AsRole, AutonomousSystem
+from repro.topology.asys import AutonomousSystem
 from repro.topology.ixp import Ixp
 from repro.topology.relationships import Relationship, RelationshipDataset
 
@@ -161,10 +161,6 @@ class Topology:
         return covering[-1][1] if covering else None
 
     # ------------------------------------------------------------------ roles
-    def by_role(self, role: AsRole) -> list[AutonomousSystem]:
-        """Return all ASes with the given role."""
-        return [asys for asys in self.ases.values() if asys.role == role]
-
     def transit_ases(self) -> list[AutonomousSystem]:
         """Return transit ASes (including tier-1s)."""
         return [asys for asys in self.ases.values() if asys.is_transit]
@@ -204,15 +200,3 @@ class Topology:
                     )
                 seen_prefixes[prefix] = asys.asn
         return problems
-
-    def subgraph_asns(self, asns: Iterable[int]) -> "Topology":
-        """Return a copy restricted to the given ASes (links between them kept)."""
-        wanted = set(asns)
-        sub = Topology()
-        for asn in wanted:
-            if asn in self.ases:
-                sub.add_as(self.ases[asn])
-        for edge in self.relationships.edges():
-            if edge.asn_a in wanted and edge.asn_b in wanted:
-                sub.relationships.add(edge.asn_a, edge.asn_b, edge.relationship)
-        return sub

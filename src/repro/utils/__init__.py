@@ -10,7 +10,7 @@ from repro.utils.ip import (
     prefix_contains,
     prefixes_overlap,
 )
-from repro.utils.stats import Ecdf, Histogram, fraction, percentile, summarize
+from repro.utils.stats import Ecdf, Histogram, fraction, percentile
 from repro.utils.rand import DeterministicRng
 from repro.utils.tables import Table, format_count
 
@@ -27,7 +27,6 @@ __all__ = [
     "Histogram",
     "fraction",
     "percentile",
-    "summarize",
     "DeterministicRng",
     "Table",
     "format_count",

@@ -121,13 +121,6 @@ def network_address(address: int, length: int, bits: int = IPV4_BITS) -> int:
     return address & mask_for_length(length, bits)
 
 
-def host_count(length: int, bits: int = IPV4_BITS) -> int:
-    """Return the number of addresses covered by a prefix of this length."""
-    if not 0 <= length <= bits:
-        raise PrefixError(f"prefix length {length} out of range for {bits}-bit addresses")
-    return 1 << (bits - length)
-
-
 def prefix_contains(
     outer_network: int,
     outer_length: int,

@@ -58,12 +58,6 @@ class DeterministicRng:
         count = min(count, len(items))
         return self._rng.sample(list(items), count)
 
-    def shuffle(self, items: list[T]) -> list[T]:
-        """Return a new list with the items shuffled."""
-        shuffled = list(items)
-        self._rng.shuffle(shuffled)
-        return shuffled
-
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Return one item chosen proportionally to ``weights``."""
         return self._rng.choices(list(items), weights=list(weights), k=1)[0]
@@ -74,7 +68,3 @@ class DeterministicRng:
         if maximum is not None:
             value = min(value, maximum)
         return max(minimum, value)
-
-    def expovariate(self, rate: float) -> float:
-        """Return an exponentially distributed float with the given rate."""
-        return self._rng.expovariate(rate)

@@ -153,18 +153,3 @@ class Histogram:
 
     def __contains__(self, key) -> bool:
         return key in self._counts
-
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """Return min/median/mean/p90/max summary statistics for a sample."""
-    if not values:
-        raise MeasurementError("cannot summarize an empty sequence")
-    ordered = sorted(float(v) for v in values)
-    return {
-        "min": ordered[0],
-        "median": percentile(ordered, 50.0),
-        "mean": sum(ordered) / len(ordered),
-        "p90": percentile(ordered, 90.0),
-        "max": ordered[-1],
-        "count": float(len(ordered)),
-    }

@@ -206,7 +206,6 @@ class TestBatchApi:
             [(1, Prefix.from_string("203.0.113.0/24")), (2, Prefix.from_string("192.0.2.0/24"))]
         )
         assert simulator.report.prefixes == report.prefixes
-        assert simulator.converged_prefixes() == report.prefixes
 
     def test_incremental_fib_patch_from_batch_report(self):
         topology = generated_topology()

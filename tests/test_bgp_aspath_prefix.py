@@ -8,7 +8,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType, edges_of_path
+from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import ASPathError, PrefixError
 
@@ -18,13 +18,13 @@ class TestASPath:
         path = ASPath.of(5, 4, 3, 2, 1)
         assert str(path) == "5 4 3 2 1"
         assert path.origin_asn == 1
-        assert path.first_asn == 5
+        assert path.asns()[0] == 5
         assert len(path) == 5
 
     def test_empty_path(self):
         path = ASPath.of()
         assert path.origin_asn is None
-        assert path.first_asn is None
+        assert path.asns() == []
         assert len(path) == 0
 
     def test_from_string(self):
@@ -74,26 +74,10 @@ class TestASPath:
         with pytest.raises(ASPathError):
             ASPath.of(1).prepend(2, -1)
 
-    def test_hops_from_origin(self):
-        path = ASPath.of(5, 4, 3, 2, 1)
-        assert path.hops_from_origin(1) == 0
-        assert path.hops_from_origin(3) == 2
-        assert path.hops_from_origin(5) == 4
-        assert path.hops_from_origin(99) is None
-
-    def test_hops_from_origin_ignores_prepending(self):
-        path = ASPath.of(5, 4, 4, 4, 1)
-        assert path.hops_from_origin(5) == 2
-
-    def test_hops_to_observer(self):
-        path = ASPath.of(5, 4, 3)
-        assert path.hops_to_observer(5) == 0
-        assert path.hops_to_observer(3) == 2
-
     def test_contains_and_loop(self):
         path = ASPath.of(3, 2, 1)
         assert path.contains(2)
-        assert path.has_loop(3)
+        assert path.contains(3)
         assert not path.contains(7)
 
     def test_segment_validation(self):
@@ -104,10 +88,6 @@ class TestASPath:
         assert ASPath.of(1, 2) == ASPath.of(1, 2)
         assert hash(ASPath.of(1, 2)) == hash(ASPath.of(1, 2))
         assert ASPath.of(1, 2) != ASPath.of(2, 1)
-
-    def test_edges_of_path(self):
-        assert edges_of_path([5, 4, 3]) == [(4, 5), (3, 4)]
-        assert edges_of_path([5, 5, 4]) == [(4, 5)]
 
     @given(st.lists(st.integers(1, 100000), min_size=1, max_size=12))
     def test_without_prepending_is_idempotent(self, asns):
@@ -132,7 +112,7 @@ class TestPrefix:
 
     def test_from_string_ipv6(self):
         prefix = Prefix.from_string("2001:db8::/32")
-        assert prefix.is_ipv6
+        assert prefix.family == AddressFamily.IPV6 and not prefix.is_ipv4
         assert str(prefix) == "2001:db8::/32"
 
     def test_host_bits_are_cleared(self):
@@ -186,9 +166,9 @@ class TestPrefix:
         with pytest.raises(PrefixError):
             Prefix.from_string("10.0.0.0/24").subprefix(25, 2)
 
-    def test_host_and_host_text(self):
+    def test_host(self):
         prefix = Prefix.from_string("198.51.100.0/24")
-        assert prefix.host_text(1) == "198.51.100.1"
+        assert prefix.host(1) == Prefix.from_string("198.51.100.1/32").network
         with pytest.raises(PrefixError):
             prefix.host(256)
 
@@ -197,7 +177,6 @@ class TestPrefix:
         # offset falls back to 0 instead of raising (RTBH announces /32s).
         v4_host = Prefix.from_string("198.51.100.9/32")
         assert v4_host.host() == v4_host.network
-        assert v4_host.host_text() == "198.51.100.9"
         v6_host = Prefix.from_string("2001:db8::1/128")
         assert v6_host.host() == v6_host.network
         # An explicit out-of-range offset still raises.

@@ -151,7 +151,7 @@ class TestCommunitySet:
         assert communities.asns() == {10, 20}
         assert len(communities.keep_asn(10)) == 2
         assert len(communities.remove_asn(10)) == 1
-        assert communities.with_asn(10) == [Community(10, 1), Community(10, 2)]
+        assert list(communities.keep_asn(10)) == [Community(10, 1), Community(10, 2)]
 
     def test_blackhole_selection(self):
         communities = CommunitySet.of("65535:666", "3356:666", "3356:100")

@@ -182,8 +182,8 @@ class TestEndToEnd:
     def test_archive_mrt_roundtrip_preserves_measurement(self, archive, tmp_path):
         """Writing the synthetic archive to MRT and reading it back must not
         change the headline community statistics (for IPv4 observations)."""
-        ipv4_archive = archive.filter(lambda o: o.prefix.is_ipv4)
-        sample = ObservationArchive(list(ipv4_archive)[:500])
+        ipv4 = [o for o in archive if o.prefix.is_ipv4]
+        sample = ObservationArchive(ipv4[:500])
         path = tmp_path / "sample.mrt"
         sample.write_mrt(path)
         loaded = ObservationArchive.from_mrt(path)

@@ -267,10 +267,14 @@ class TestIndexedArchive:
 
     def test_index_queries_match_scans(self):
         archive = self._archive()
+        tallies = archive.tallies()
         for platform in ("RIS", "RV", "PCH", "absent"):
-            indexed = list(archive.by_platform(platform))
             scanned = [o for o in archive if o.platform == platform]
-            assert indexed == scanned
+            if not scanned:
+                assert platform not in tallies
+                continue
+            assert tallies[platform].messages == len(scanned)
+            assert tallies[platform].peers == {o.peer_asn for o in scanned}
         assert archive.platforms() == sorted({o.platform for o in archive})
         assert archive.collectors() == sorted(
             {(o.platform, o.collector_id) for o in archive}
@@ -297,7 +301,7 @@ class TestIndexedArchive:
         assert ("IS", "is-00") in archive.collectors()
         assert 900 in archive.peer_asns()
         assert late.prefix in archive.prefixes()
-        assert list(archive.by_platform("IS")) == [late]
+        assert archive.tallies()["IS"].messages == 1
 
     def test_cached_path_properties(self):
         observation = RouteObservation(

@@ -9,10 +9,10 @@ Six contracts, none of them timed:
 * the export fan-out (`Router.export_fanout`, what the engine runs per
   best-path change) equals per-neighbor `Router.export_to` on generated
   routers, routes and policy mixes;
-* the journalled LPM indexes of `LocRib` and `Fib` equal a brute-force
-  longest-match scan after arbitrary interleavings of writes, removes and
-  lookups — the only guard of the trie *delete* path, which no benchmark
-  workload reaches;
+* the journalled LPM index of `Fib` equals a brute-force longest-match
+  scan after arbitrary interleavings of writes, removes and lookups — the
+  only guard of the trie *delete* path, which no benchmark workload
+  reaches;
 * on generated small Internets and churn (announce, tagged re-announce,
   withdraw, re-announce, duplicates, spoofed origins) one batched
   ``apply()`` leaves the Loc-RIBs, Adj-RIBs-In and FIBs of a sequential
@@ -42,7 +42,6 @@ from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import NO_ADVERTISE, NO_EXPORT, NO_PEER, Community, CommunitySet
 from repro.bgp.prefix import AddressFamily, Prefix
-from repro.bgp.rib import LocRib
 from repro.bgp.route import Announcement, RouteEntry
 from repro.collectors.platform import Collector, CollectorDeployment, CollectorPlatform
 from repro.dataplane.fib import Fib, FibEntry
@@ -139,7 +138,7 @@ def routers_with_a_best_route(draw) -> Router:
         if sender == OWN_ASN:
             router.originate(prefix, communities=communities)
         else:
-            router.process_announcement(
+            router.import_announcement(
                 Announcement(
                     prefix=prefix,
                     attributes=PathAttributes(as_path=ASPath.of(sender, 99), communities=communities),
@@ -147,6 +146,7 @@ def routers_with_a_best_route(draw) -> Router:
                     origin_asn=99,
                 )
             )
+            router.refresh_best(prefix)
     return router
 
 
@@ -406,15 +406,18 @@ def test_a_rejected_update_replaces_the_senders_accepted_route(router: Router, d
             lambda a: not reference_import(router, a)[0].rejected
         )
     )
-    assert router.process_announcement(accepted).accepted
+    entry, _ = router.import_announcement(accepted)
+    assert not entry.rejected
+    router.refresh_best(accepted.prefix)
     assert router.loc_rib.best(accepted.prefix).learned_from == sender
     # The same neighbor now sends the prefix on a path that loops through this AS.
-    looping = accepted.with_attributes(
-        accepted.attributes.replace(as_path=ASPath.of(sender, OWN_ASN, accepted.origin_asn))
+    looping = accepted.replace(
+        attributes=accepted.attributes.replace(as_path=ASPath.of(sender, OWN_ASN, accepted.origin_asn))
     )
-    result = router.process_announcement(looping)
-    assert not result.accepted and result.reason == "as-path loop" and result.best_changed
-    assert router.adj_rib_in[sender].get(accepted.prefix) is result.entry
+    entry, _ = router.import_announcement(looping)
+    assert entry.rejected and entry.rejection_reason == "as-path loop"
+    assert router.refresh_best(accepted.prefix)
+    assert router.adj_rib_in[sender].get(accepted.prefix) is entry
     assert router.loc_rib.best(accepted.prefix) is None, "the stale accepted route must not linger"
 
 
@@ -440,32 +443,24 @@ def brute_force(table: dict[Prefix, object], address: int, family: AddressFamily
 
 @settings(max_examples=300, deadline=None)
 @given(operations)
-def test_loc_rib_and_fib_lookup_equal_a_brute_force_scan(ops):
-    loc_rib, fib = LocRib(), Fib(OWN_ASN)
-    routes: dict[Prefix, RouteEntry] = {}
+def test_fib_lookup_equals_a_brute_force_scan(ops):
+    fib = Fib(OWN_ASN)
     entries: dict[Prefix, FibEntry] = {}
     for action, prefix, salt in ops:
         if action == "set":
-            route = RouteEntry(prefix=prefix, attributes=PathAttributes(as_path=ASPath.of(salt + 1)), learned_from=salt)
-            loc_rib.set_best(prefix, route)
-            routes[prefix] = loc_rib.best(prefix)
             entries[prefix] = FibEntry(prefix=prefix, next_hop_asn=salt)
             fib.install(entries[prefix])
         elif action in ("unset", "remove"):
-            loc_rib.set_best(prefix, None) if action == "unset" else loc_rib.remove(prefix)
             fib.remove(prefix)
-            routes.pop(prefix, None)
             entries.pop(prefix, None)
         else:
             address = prefix.host(None if salt % 2 else 0)
-            assert loc_rib.lookup(address, prefix.family) == brute_force(routes, address, prefix.family)
             assert fib.lookup(address, prefix.family) == brute_force(entries, address, prefix.family)
     # Whatever the interleaving, a final sweep agrees on every prefix's hosts.
     for prefix in LPM_PREFIXES:
         address = prefix.host(0)
-        assert loc_rib.lookup(address, prefix.family) == brute_force(routes, address, prefix.family)
         assert fib.lookup(address, prefix.family) == brute_force(entries, address, prefix.family)
-    assert len(loc_rib) == len(routes) and len(fib) == len(entries)
+    assert len(fib) == len(entries)
 
 
 # ------------------------------------------------------- whole-simulator churn
@@ -578,9 +573,8 @@ def check_converged_invariants(simulator: BgpSimulator, plane: DataPlane) -> Non
             assert routes.get(prefix) == winner
             if winner is not None:
                 assert asn not in winner.attributes.as_path.asns(), "own ASN on a selected path"
-            # Looking up also replays the journals, so a later withdraw deletes from the tries.
+            # Looking up also replays the journal, so a later withdraw deletes from the trie.
             for address in {prefix.host(0), prefix.host()}:
-                assert router.loc_rib.lookup(address, prefix.family) == brute_force(routes, address, prefix.family)
                 assert plane.fibs[asn].lookup(address, prefix.family) == brute_force(entries, address, prefix.family)
 
 
@@ -752,8 +746,8 @@ def test_work_per_best_change_is_bounded_and_convergence_inserts_nothing(monkeyp
     # The first lookup pays for exactly the journalled prefixes, once.
     source = min(simulator.routers)
     prefix = events[0].prefix
-    assert dataplane.ping_prefix(source, prefix).reachable
+    assert dataplane.ping(source, prefix.host(), prefix.family).reachable
     paid = len(inserts) - baseline
     assert 0 < paid <= sum(len(fib) for fib in dataplane.fibs.values())
-    dataplane.ping_prefix(source, prefix)
+    dataplane.ping(source, prefix.host(), prefix.family)
     assert len(inserts) - baseline == paid

@@ -100,7 +100,7 @@ class TestDataPlane:
         simulator = BgpSimulator(topology)
         simulator.announce(1, PREFIX)
         plane = DataPlane(simulator)
-        matrix = plane.reachability_matrix([2, 6], PREFIX.host(1))
+        matrix = {source: plane.ping(source, PREFIX.host(1)).reachable for source in (2, 6)}
         assert matrix == {2: True, 6: True}
 
     def test_rebuild_reflects_new_state(self):
@@ -152,7 +152,7 @@ class TestIncrementalRebuild:
         plane.rebuild(report)
         assert self._fib_state(plane) == self._fib_state(DataPlane(simulator))
 
-    def test_ping_prefix_works_on_host_routes(self):
+    def test_ping_works_on_host_routes(self):
         topology = build_figure7_topology()
         simulator = BgpSimulator(topology)
         blackhole_prefix = Prefix.from_string("203.0.113.66/32")
@@ -161,6 +161,6 @@ class TestIncrementalRebuild:
         )
         plane = DataPlane(simulator)
         # A /32 target must not crash the representative-host derivation.
-        result = plane.ping_prefix(4, blackhole_prefix)
+        result = plane.ping(4, blackhole_prefix.host(), blackhole_prefix.family)
         assert result.outcome in (ForwardingOutcome.BLACKHOLED, ForwardingOutcome.NO_ROUTE)
         assert not result.reachable

@@ -3,7 +3,7 @@
 Covers the trie primitives, property-style cross-checks against the old
 linear-scan semantics, and the family-separation regression: an IPv4
 address must never match an IPv6 prefix in any of the trie-backed
-consumers (Fib, LocRib, the topology's origin table).
+consumers (Fib, the topology's origin table).
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ import random
 
 import pytest
 
-from repro.bgp.aspath import ASPath
-from repro.bgp.attributes import PathAttributes
 from repro.bgp.prefix import AddressFamily, Prefix
-from repro.bgp.rib import LocRib
-from repro.bgp.route import RouteEntry
 from repro.dataplane.fib import Fib, FibEntry
 from repro.exceptions import PrefixError
 from repro.net.lpm import LpmTable, RadixTrie, infer_family
@@ -197,14 +193,6 @@ class TestLpmTable:
         assert table.longest_match(0) is None
 
 
-def route_entry(prefix: Prefix, learned_from: int = 7) -> RouteEntry:
-    return RouteEntry(
-        prefix=prefix,
-        attributes=PathAttributes(as_path=ASPath.of(learned_from)),
-        learned_from=learned_from,
-    )
-
-
 class TestCrossFamilyRegressions:
     """An IPv4 address must never match an IPv6 prefix (and vice versa)."""
 
@@ -221,16 +209,6 @@ class TestCrossFamilyRegressions:
         assert hit is not None and hit.next_hop_asn == 2
         hit6 = fib.lookup(self.ADDRESS, AddressFamily.IPV6)
         assert hit6 is not None and hit6.next_hop_asn == 9
-
-    def test_loc_rib_lookup_is_family_safe(self):
-        rib = LocRib()
-        rib.set_best(self.V6_COLLIDER, route_entry(self.V6_COLLIDER, learned_from=9))
-        assert rib.lookup(self.ADDRESS) is None
-        rib.set_best(self.V4, route_entry(self.V4, learned_from=2))
-        hit = rib.lookup(self.ADDRESS)
-        assert hit is not None and hit.learned_from == 2
-        hit6 = rib.lookup(self.ADDRESS, AddressFamily.IPV6)
-        assert hit6 is not None and hit6.learned_from == 9
 
     def test_ip2as_lookup_is_family_safe(self):
         from repro.topology.asys import AutonomousSystem
@@ -269,23 +247,26 @@ class TestCrossFamilyRegressions:
         assert measurement.responsive_probes() == {1}
 
 
-class TestLocRibTrieConsistency:
-    def test_set_best_clear_and_remove_keep_trie_in_sync(self):
-        rib = LocRib()
+class TestFibTrieConsistency:
+    """The FIB is the one owner of a journalled trie: its replays must delete, too."""
+
+    def test_install_remove_and_reinstall_keep_trie_in_sync(self):
+        fib = Fib(1)
         prefix = p("10.0.0.0/8")
-        rib.set_best(prefix, route_entry(prefix))
-        assert rib.lookup(prefix.host()) is not None
-        rib.set_best(prefix, None)
-        assert rib.lookup(prefix.host()) is None
-        rib.set_best(prefix, route_entry(prefix))
-        rib.remove(prefix)
-        assert rib.lookup(prefix.host()) is None
-        assert len(rib) == 0
+        fib.install(FibEntry(prefix, next_hop_asn=7))
+        assert fib.lookup(prefix.host()) is not None
+        fib.remove(prefix)
+        assert fib.lookup(prefix.host()) is None
+        fib.install(FibEntry(prefix, next_hop_asn=8))
+        assert fib.lookup(prefix.host()).next_hop_asn == 8
+        fib.remove(prefix)
+        assert fib.lookup(prefix.host()) is None
+        assert len(fib) == 0
 
     def test_lookup_prefers_most_specific(self):
-        rib = LocRib()
+        fib = Fib(1)
         outer, inner = p("10.0.0.0/8"), p("10.1.0.0/16")
-        rib.set_best(outer, route_entry(outer, learned_from=2))
-        rib.set_best(inner, route_entry(inner, learned_from=3))
-        assert rib.lookup(p("10.1.2.3/32").network).learned_from == 3
-        assert rib.lookup(p("10.2.2.3/32").network).learned_from == 2
+        fib.install(FibEntry(outer, next_hop_asn=2))
+        fib.install(FibEntry(inner, next_hop_asn=3))
+        assert fib.lookup(p("10.1.2.3/32").network).next_hop_asn == 3
+        assert fib.lookup(p("10.2.2.3/32").network).next_hop_asn == 2

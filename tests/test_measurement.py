@@ -13,11 +13,7 @@ from repro.bgp.prefix import Prefix
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.datasets.giotsas import build_blackhole_list
 from repro.datasets.timeseries import YearlySnapshot
-from repro.measurement.blackhole import (
-    blackhole_observations,
-    blackhole_prefix_stats,
-    identify_blackhole_communities,
-)
+from repro.measurement.blackhole import identify_blackhole_communities
 from repro.measurement.filtering import EdgeIndications, FilteringInference, infer_filtering
 from repro.measurement.propagation import (
     CommunityClassification,
@@ -179,18 +175,18 @@ class TestBlackholeAnalysis:
         without_list = identify_blackhole_communities(archive)
         assert without_list <= with_list
 
-    def test_blackhole_observations_and_stats(self, archive, dataset):
-        tagged = blackhole_observations(archive, dataset.blackhole_list)
+    def test_blackhole_tagged_observations(self, archive, dataset):
+        blackholes = identify_blackhole_communities(archive, dataset.blackhole_list)
+        tagged = ObservationArchive(
+            o for o in archive if any(c in blackholes for c in o.communities)
+        )
         assert 0 < len(tagged) < len(archive)
-        stats = blackhole_prefix_stats(archive, dataset.blackhole_list)
-        assert stats.observation_count == len(tagged)
-        # Genuine RTBH announcements (the ground-truth /32 host routes) are all
+        # Genuine RTBH announcements (the ground-truth /32 host routes) are
         # part of the blackhole-tagged slice of the archive.
-        assert stats.host_route_fraction > 0.0
-        observed_host_routes = {p for p in tagged.prefixes() if p.is_ipv4 and p.length == 32}
-        assert observed_host_routes <= dataset.ground_truth.blackhole_prefixes | observed_host_routes
-        assert any(p in tagged.prefixes() for p in dataset.ground_truth.blackhole_prefixes)
-        assert stats.distinct_communities > 0
+        prefixes = tagged.prefixes()
+        assert any(p.is_ipv4 and p.length == 32 for p in prefixes)
+        assert any(p in prefixes for p in dataset.ground_truth.blackhole_prefixes)
+        assert identify_blackhole_communities(tagged, dataset.blackhole_list) == blackholes
 
 
 class TestTimeseriesAndReport:

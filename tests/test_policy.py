@@ -33,7 +33,7 @@ from repro.policy.filters import (
     MaxPrefixLengthFilter,
 )
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
-from repro.policy.vendor import JUNIPER_PROFILE, profile_by_name
+from repro.policy.vendor import JUNIPER_PROFILE
 
 
 ATTRS = PathAttributes(
@@ -223,8 +223,3 @@ class TestFilters:
 class TestVendors:
     def test_juniper_has_no_32_community_add_limit(self):
         JUNIPER_PROFILE.check_added_communities(1000)
-
-    def test_profile_lookup(self):
-        assert profile_by_name("junos") is JUNIPER_PROFILE
-        with pytest.raises(PolicyError):
-            profile_by_name("unknown-vendor")

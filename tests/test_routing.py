@@ -9,6 +9,7 @@ from repro.bgp.attributes import Origin, PathAttributes
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Announcement, RouteEntry
+from repro.dataplane.forwarding import DataPlane
 from repro.exceptions import RoutingError
 from repro.policy.community_policy import ForwardAllPolicy, StripAllPolicy
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
@@ -29,6 +30,12 @@ from repro.topology.topology import Topology
 
 
 PREFIX = Prefix.from_string("203.0.113.0/24")
+
+
+def deliver(router: Router, announcement: Announcement) -> tuple[RouteEntry, bool]:
+    """Import one update, then re-select: the two calls the engine makes per delivery."""
+    stored, _ = router.import_announcement(announcement)
+    return stored, router.refresh_best(announcement.prefix)
 
 
 def entry(learned_from: int, path: list[int], local_pref: int | None = None, **kwargs) -> RouteEntry:
@@ -95,9 +102,9 @@ class TestRouter:
             sender_asn=20,
             origin_asn=5,
         )
-        result = router.process_announcement(announcement)
-        assert not result.accepted
-        assert result.reason == "as-path loop"
+        stored, _ = deliver(router, announcement)
+        assert stored.rejected
+        assert stored.rejection_reason == "as-path loop"
 
     def test_announcement_from_non_neighbor_rejected(self):
         router = two_as_router()
@@ -108,7 +115,7 @@ class TestRouter:
             origin_asn=99,
         )
         with pytest.raises(RoutingError):
-            router.process_announcement(announcement)
+            router.import_announcement(announcement)
 
     def test_local_pref_from_neighbor_is_ignored(self):
         router = two_as_router()
@@ -118,9 +125,9 @@ class TestRouter:
             sender_asn=20,
             origin_asn=5,
         )
-        result = router.process_announcement(announcement)
-        assert result.accepted
-        assert result.entry.attributes.effective_local_pref() == 100
+        stored, _ = deliver(router, announcement)
+        assert not stored.rejected
+        assert stored.attributes.effective_local_pref() == 100
 
     def test_valley_free_export(self):
         router = two_as_router()
@@ -131,12 +138,13 @@ class TestRouter:
             sender_asn=20,
             origin_asn=5,
         )
-        router.process_announcement(announcement)
+        deliver(router, announcement)
         assert router.export_to(30, PREFIX).export
         assert not router.export_to(20, PREFIX).export  # split horizon anyway
         # Learned from the customer: export everywhere.
         router2 = two_as_router()
-        router2.process_announcement(
+        deliver(
+            router2,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(as_path=ASPath.of(30, 5)),
@@ -148,7 +156,8 @@ class TestRouter:
 
     def test_no_export_community_blocks_export(self):
         router = two_as_router()
-        router.process_announcement(
+        deliver(
+            router,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(
@@ -169,7 +178,8 @@ class TestRouter:
             asys, {30: Relationship.CUSTOMER, 20: Relationship.CUSTOMER},
             send_community_configured=False,
         )
-        router.process_announcement(
+        deliver(
+            router,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(
@@ -195,29 +205,31 @@ class TestRouter:
         # rejected (as-path loop), so the stale route cannot survive as
         # a best-path candidate.
         router = two_as_router()
-        accepted = router.process_announcement(
+        accepted, _ = deliver(
+            router,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(as_path=ASPath.of(20, 5)),
                 sender_asn=20,
                 origin_asn=5,
-            )
+            ),
         )
-        assert accepted.accepted
+        assert not accepted.rejected
         assert router.loc_rib.best(PREFIX) is not None
 
-        looped = router.process_announcement(
+        looped, changed = deliver(
+            router,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(as_path=ASPath.of(20, 10, 5)),
                 sender_asn=20,
                 origin_asn=5,
-            )
+            ),
         )
-        assert not looped.accepted
-        assert looped.reason == "as-path loop"
+        assert looped.rejected
+        assert looped.rejection_reason == "as-path loop"
         # The best route fell away with no other candidate...
-        assert looped.best_changed
+        assert changed
         assert router.loc_rib.best(PREFIX) is None
         # ...and the stored entry is the rejected replacement, not the old route.
         stored = router.adj_rib_in[20].get(PREFIX)
@@ -227,24 +239,26 @@ class TestRouter:
     def test_looped_reannouncement_falls_back_to_other_neighbor(self):
         router = two_as_router()
         for sender, path in ((20, [20, 5]), (30, [30, 7, 5])):
-            router.process_announcement(
+            deliver(
+                router,
                 Announcement(
                     prefix=PREFIX,
                     attributes=PathAttributes(as_path=ASPath.of(*path)),
                     sender_asn=sender,
                     origin_asn=5,
-                )
+                ),
             )
         assert router.loc_rib.best(PREFIX).learned_from == 20  # shorter path
-        looped = router.process_announcement(
+        _, changed = deliver(
+            router,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(as_path=ASPath.of(20, 10, 5)),
                 sender_asn=20,
                 origin_asn=5,
-            )
+            ),
         )
-        assert looped.best_changed
+        assert changed
         assert router.loc_rib.best(PREFIX).learned_from == 30  # fell back
 
     def test_no_peer_community_blocks_export_to_peers_only(self):
@@ -279,7 +293,8 @@ class TestRouter:
             services=CommunityServiceCatalog.standard_transit_catalog(10),
         )
         router = Router(asys, {30: Relationship.CUSTOMER, 20: Relationship.CUSTOMER})
-        router.process_announcement(
+        deliver(
+            router,
             Announcement(
                 prefix=PREFIX,
                 attributes=PathAttributes(
@@ -343,7 +358,7 @@ class TestSimulator:
         hijack = victim.subprefix(32, 1)
         simulator.announce(1, victim)
         simulator.announce(2, hijack, communities=CommunitySet.of("3:666"))
-        best = simulator.best_route_for_address(4, hijack.host(0))
+        best = DataPlane(simulator).fib(4).lookup(hijack.host(0), hijack.family)
         assert best is not None
         assert best.prefix == hijack
 
@@ -384,8 +399,8 @@ class TestCollectorSessions:
             sender_asn=65100,
             origin_asn=65100,
         )
-        result = router.process_announcement(announcement)
-        assert result.accepted
+        stored, _ = deliver(router, announcement)
+        assert not stored.rejected
         assert 65100 in router.adj_rib_in
 
     def test_adj_rib_in_is_created_lazily_for_late_neighbors(self):
@@ -399,8 +414,8 @@ class TestCollectorSessions:
             sender_asn=99,
             origin_asn=99,
         )
-        result = router.process_announcement(announcement)
-        assert result.accepted
+        stored, _ = deliver(router, announcement)
+        assert not stored.rejected
         assert 99 in router.adj_rib_in
 
 
@@ -423,11 +438,11 @@ class TestCollectorSessions:
             origin_asn=30,
         )
         assert catalog.blackhole_communities() == []
-        assert not router.process_announcement(announcement).accepted  # a plain /32: too long
+        assert deliver(router, announcement)[0].rejected  # a plain /32: too long
         catalog.add(ServiceDefinition(trigger, BlackholeAction(), customers_only=False))
         assert catalog.blackhole_communities() == [trigger]
-        result = router.process_announcement(announcement)
-        assert result.accepted and result.entry.blackholed
+        stored, _ = deliver(router, announcement)
+        assert not stored.rejected and stored.blackholed
         # The returned list is the caller's to mutate.
         catalog.blackhole_communities().clear()
         assert catalog.blackhole_communities() == [trigger]
@@ -520,22 +535,13 @@ class TestHandRolledCopies:
         with pytest.raises(TypeError, match="no_such_field"):
             entry.attributes.replace(no_such_field=1)
 
-    def test_dedicated_copies_change_one_field_only(self):
-        entry = self.sample_entry()
-        announcement = Announcement(entry.prefix, entry.attributes, 4, 2, 1.5)
-        other = PathAttributes(as_path=ASPath.of(7))
-        assert announcement.with_attributes(other) == announcement.replace(attributes=other)
-        assert announcement.with_attributes(other)[2:] == announcement[2:]
-
 
 class TestFlatRecords:
     """The tuple-backed records: what one batch allocates, shares and refuses to change."""
 
-    def test_one_batch_plans_sessions_once_and_builds_no_import_results(self, monkeypatch):
+    def test_one_batch_plans_each_session_once(self, monkeypatch):
         from collections import Counter
 
-        from repro.dataplane.forwarding import DataPlane
-        from repro.routing import router as router_module
         from repro.routing.engine import origination_events
         from repro.topology.generator import TopologyGenerator, TopologyParameters
 
@@ -545,7 +551,6 @@ class TestFlatRecords:
         events = origination_events(topology)[:16]
         assert len(topology) == 30 and len(events) == 16
         memo_keys: Counter = Counter()
-        import_results = []
         original_key = Router.export_memo_key
 
         def counting_key(router, neighbor_asn):
@@ -553,9 +558,6 @@ class TestFlatRecords:
             return original_key(router, neighbor_asn)
 
         monkeypatch.setattr(Router, "export_memo_key", counting_key)
-        monkeypatch.setattr(
-            router_module, "ImportResult", lambda *args: import_results.append(args)
-        )
         simulator = BgpSimulator(topology, shards=1)
         dataplane = DataPlane(simulator)
         report = simulator.apply(events)
@@ -563,7 +565,6 @@ class TestFlatRecords:
 
         assert report.announcements_processed > len(memo_keys) > 0
         assert set(memo_keys.values()) == {1}, "a session's memo key is computed once per batch"
-        assert import_results == [], "apply() reads no ImportResult, so it builds none"
         stored = 0
         for asn, router in simulator.routers.items():
             for best in router.loc_rib:

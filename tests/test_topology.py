@@ -10,12 +10,7 @@ from repro.bgp.prefix import Prefix
 from repro.exceptions import TopologyError
 from repro.topology.asys import AsRole, AutonomousSystem
 from repro.topology.generator import PolicyMix, TopologyGenerator, TopologyParameters
-from repro.topology.graph import (
-    classify_roles,
-    reachable_ases,
-    transit_degree,
-    valley_free_paths,
-)
+from repro.topology.graph import classify_roles, valley_free_paths
 from repro.topology.ixp import Ixp, RouteServerConfig
 from repro.topology.relationships import Relationship, RelationshipDataset
 from repro.topology.topology import Topology
@@ -137,12 +132,9 @@ class TestIxp:
         assert not config.is_control_community(Community(3356, 666))
 
     def test_membership(self):
-        ixp = Ixp(name="X", route_server_asn=9000)
-        ixp.add_member(1)
-        assert ixp.is_member(1)
+        ixp = Ixp(name="X", route_server_asn=9000, members={1})
+        assert ixp.is_member(1) and not ixp.is_member(9000)
         assert ixp.member_count() == 1
-        with pytest.raises(TopologyError):
-            ixp.add_member(9000)
 
     def test_config_mismatch_rejected(self):
         with pytest.raises(TopologyError):
@@ -196,13 +188,6 @@ class TestTopologyContainer:
         with pytest.raises(TopologyError):
             topology.add_ixp(Ixp(name="X", route_server_asn=999))
 
-    def test_subgraph(self):
-        topology = self.build()
-        sub = topology.subgraph_asns([1, 2])
-        assert set(sub.asns()) == {1, 2}
-        assert sub.relationship(2, 1) == Relationship.CUSTOMER
-        assert sub.relationship(2, 3) is None
-
     def test_summary_counts(self):
         topology = self.build()
         summary = topology.summary()
@@ -230,11 +215,6 @@ class TestGraphQueries:
         assert roles[3] == AsRole.TRANSIT
         assert roles[1] == AsRole.STUB
         assert roles[6] == AsRole.STUB
-
-    def test_transit_degree(self):
-        topology = self.build_chain()
-        assert transit_degree(topology, 3) == 1
-        assert transit_degree(topology, 1) == 0
 
     def test_valley_free_paths_from_origin(self):
         topology = self.build_chain()
@@ -264,7 +244,7 @@ class TestGraphQueries:
 
     def test_reachable_ases(self):
         topology = self.build_chain()
-        assert reachable_ases(topology, 1) == {1, 2, 3, 4, 5, 6}
+        assert set(valley_free_paths(topology, 1)) == {1, 2, 3, 4, 5, 6}
 
 
 class TestGenerator:
@@ -276,7 +256,7 @@ class TestGenerator:
         assert len(small_topology.ixps) == 2
 
     def test_roles_match_parameters(self, small_topology):
-        tier1 = small_topology.by_role(AsRole.TIER1)
+        tier1 = [asys for asys in small_topology if asys.role == AsRole.TIER1]
         stubs = small_topology.stub_ases()
         assert len(tier1) == 3
         assert len(stubs) == 70
