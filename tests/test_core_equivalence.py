@@ -431,7 +431,7 @@ LPM_PREFIXES = tuple(
     )
 )
 operations = st.lists(
-    st.tuples(st.sampled_from(["set", "unset", "remove", "lookup"]), st.sampled_from(LPM_PREFIXES), st.integers(0, 255)),
+    st.tuples(st.sampled_from(["set", "remove", "lookup"]), st.sampled_from(LPM_PREFIXES), st.integers(0, 255)),
     max_size=60,
 )
 
@@ -450,7 +450,7 @@ def test_fib_lookup_equals_a_brute_force_scan(ops):
         if action == "set":
             entries[prefix] = FibEntry(prefix=prefix, next_hop_asn=salt)
             fib.install(entries[prefix])
-        elif action in ("unset", "remove"):
+        elif action == "remove":
             fib.remove(prefix)
             entries.pop(prefix, None)
         else:
