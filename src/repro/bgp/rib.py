@@ -33,6 +33,13 @@ class AdjRibIn:
         """Return the route for ``prefix`` (None if absent)."""
         return self._routes.get(prefix)
 
+    def copy(self) -> "AdjRibIn":
+        """An independent copy (routes are immutable, so the entries are shared)."""
+        twin = object.__new__(AdjRibIn)
+        twin.neighbor_asn = self.neighbor_asn
+        twin._routes = dict(self._routes)
+        return twin
+
     def prefixes(self) -> list[Prefix]:
         """Return all prefixes present."""
         return list(self._routes)
@@ -72,6 +79,13 @@ class LocRib:
             self._best.pop(prefix, None)
         else:
             self._best[prefix] = entry
+
+    def copy(self) -> "LocRib":
+        """An independent copy; candidate lists are replaced, never mutated, so they are shared."""
+        twin = LocRib()
+        twin._candidates = dict(self._candidates)
+        twin._best = dict(self._best)
+        return twin
 
     def best(self, prefix: Prefix) -> RouteEntry | None:
         """Return the best route for exactly ``prefix`` (no longest-prefix match)."""

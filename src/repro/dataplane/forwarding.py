@@ -56,6 +56,12 @@ class PingResult:
     outcome: ForwardingOutcome
     hops: int = 0
 
+    @classmethod
+    def from_trace(cls, trace: TracerouteResult) -> "PingResult":
+        """The ping a traceroute answers: a ping is a traceroute that reports only its end."""
+        hops = max(0, len(trace.path) - 1)
+        return cls(trace.source_asn, trace.destination, trace.reached, trace.outcome, hops)
+
 
 class DataPlane:
     """Per-AS FIBs plus hop-by-hop forwarding over a converged simulation."""
@@ -143,11 +149,4 @@ class DataPlane:
         self, source_asn: int, destination: int, family: AddressFamily | None = None
     ) -> PingResult:
         """Return reachability of ``destination`` from ``source_asn``."""
-        trace = self.traceroute(source_asn, destination, family)
-        return PingResult(
-            source_asn=source_asn,
-            destination=destination,
-            reachable=trace.reached,
-            outcome=trace.outcome,
-            hops=max(0, len(trace.path) - 1),
-        )
+        return PingResult.from_trace(self.traceroute(source_asn, destination, family))

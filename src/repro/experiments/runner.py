@@ -246,7 +246,7 @@ class Experiment:
             }
             ctx.platforms[platform_name] = AtlasPlatform.deploy(
                 topology,
-                probe_count=self.int_param("probes", 200, minimum=0),
+                probe_count=self.int_param("probes", 200, minimum=1),
                 exclude_asns=exclude,
             )
         else:

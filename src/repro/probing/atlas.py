@@ -89,13 +89,14 @@ class AtlasPlatform:
         for vantage_point in self.vantage_points:
             if vantage_point.asn not in dataplane.fibs:
                 continue
-            measurement.pings[vantage_point.probe_id] = dataplane.ping(
-                vantage_point.asn, address, family
-            )
             if with_traceroute:
-                measurement.traceroutes[vantage_point.probe_id] = dataplane.traceroute(
-                    vantage_point.asn, address, family
-                )
+                # One forwarding walk answers both: the ping is the trace's end.
+                trace = dataplane.traceroute(vantage_point.asn, address, family)
+                measurement.traceroutes[vantage_point.probe_id] = trace
+                ping = PingResult.from_trace(trace)
+            else:
+                ping = dataplane.ping(vantage_point.asn, address, family)
+            measurement.pings[vantage_point.probe_id] = ping
         return measurement
 
     def compare(

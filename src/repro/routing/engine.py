@@ -77,6 +77,7 @@ see :mod:`repro.routing.stream`, a thin front end over ``apply``.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -245,6 +246,22 @@ class BgpSimulator:
         self._pending_sync = {}
         if lease is not None:
             lease.release()
+
+    def fork(self) -> "BgpSimulator":
+        """An independent twin in this simulator's exact state.
+
+        Shares the topology; forks every router (:meth:`Router.fork`) and
+        copies the report and holder map.  The twin has no shard pool yet.
+        """
+        twin = copy.copy(self)
+        twin.routers = {asn: router.fork() for asn, router in self.routers.items()}
+        twin.report = SimulationReport()
+        twin.report.merge(self.report)
+        twin._prefix_holders = {prefix: set(asns) for prefix, asns in self._prefix_holders.items()}
+        twin._last_touched = {}
+        twin._pool_lease = None
+        twin._pending_sync = {}
+        return twin
 
     def router(self, asn: int) -> Router:
         """Return the router of ``asn``."""

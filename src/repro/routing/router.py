@@ -115,6 +115,24 @@ class Router:
         self.adj_rib_in.setdefault(neighbor_asn, AdjRibIn(neighbor_asn))
         self._neighbor_order = None
 
+    def fork(self) -> "Router":
+        """An independent twin of this router in its exact current state.
+
+        Shares the AS and the configuration objects (policy, catalogue,
+        vendor, filters); copies sessions, Adj-RIBs-In, Loc-RIB,
+        originations and export additions.  Routes are immutable and shared.
+        """
+        # What copy.copy returns, without its __reduce_ex__ round trip.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.neighbor_relationships = dict(self.neighbor_relationships)
+        twin.adj_rib_in = {asn: rib.copy() for asn, rib in self.adj_rib_in.items()}
+        twin._neighbor_order = None
+        twin.loc_rib = self.loc_rib.copy()
+        twin.originated = dict(self.originated)
+        twin.export_community_additions = dict(self.export_community_additions)
+        return twin
+
     def _rib_in(self, neighbor_asn: int) -> AdjRibIn:
         """The Adj-RIB-In for ``neighbor_asn``, created lazily if missing."""
         rib = self.adj_rib_in.get(neighbor_asn)

@@ -8,11 +8,15 @@ For every community in the verified blackhole list the sweep:
 4. re-probes from the same vantage points;
 
 and records which communities caused at least one previously responsive
-vantage point to become unresponsive.  A confirmation pass repeats the
-sweep; because the simulation is deterministic the confirmation matches
-exactly, just as the paper's two rounds did.  Finally, traceroutes
-lower-bound how many AS hops the acted-upon community traversed by
-locating the community's target AS on the forwarding path.
+vantage point to become unresponsive.  Steps 1–2 run once per sweep,
+steps 3–4 once per community on a fork of the converged clean state.
+A fork, not a clean re-announcement: local-pref and prepend services can
+make a converged state depend on its history (BGP wedgies, RFC 4264).
+A confirmation pass repeats the sweep and must agree record for record;
+because the simulation is deterministic it does, just as the paper's two
+rounds did.  Finally, traceroutes lower-bound how many AS hops the
+acted-upon community traversed by locating the community's target AS on
+the forwarding path.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import BlackholeCommunityList
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
-from repro.probing.atlas import AtlasPlatform
+from repro.probing.atlas import AtlasPlatform, ProbeMeasurement
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
 from repro.wild.peering import InjectionPlatform
@@ -113,27 +117,24 @@ class BlackholeSweep:
         self.include_well_known = include_well_known
         self.experiment_prefix = platform.allocated_prefixes[0].subprefix(24, 2)
 
-    def _baseline_plane(self) -> DataPlane:
-        """The clean (untagged) forwarding state, shared by every sweep step.
+    def _baseline(self) -> tuple[BgpSimulator, DataPlane, ProbeMeasurement]:
+        """Steps 1–2, shared by every community: the clean announcement.
 
-        The pre-attack state is identical for every swept community, so
-        it is simulated once per :meth:`run` instead of once per
-        community — the traceroute lower-bounds reuse it directly.
+        The converged clean simulator, its data plane (the traceroute
+        lower-bounds read it) and the one ``before`` probe round.
         """
         clean = BgpSimulator(self.topology)
         self.platform.announce(clean, self.experiment_prefix)
-        return DataPlane(clean)
+        plane = DataPlane(clean)
+        return clean, plane, self.atlas.measure(plane, self.experiment_prefix)
 
     def _sweep_one(
-        self, community: Community, target_asn: int, baseline_plane: DataPlane
+        self, community: Community, target_asn: int, baseline: tuple
     ) -> CommunitySweepOutcome:
-        """Run the four-step protocol for one community."""
-        simulator = BgpSimulator(self.topology)
-        # Step 1+2: plain announcement, baseline probing.
-        self.platform.announce(simulator, self.experiment_prefix)
+        """Steps 3–4 for one community, on a fork of the converged clean state."""
+        clean, baseline_plane, before = baseline
+        simulator = clean.fork()
         dataplane = DataPlane(simulator)
-        before = self.atlas.measure(dataplane, self.experiment_prefix)
-        # Step 3+4: tagged announcement, re-probe the same vantage points.
         # The report's dirty set confines the FIB refresh to changed routers.
         report = self.platform.announce(
             simulator, self.experiment_prefix, communities=CommunitySet.of(community)
@@ -172,25 +173,19 @@ class BlackholeSweep:
         """Sweep every verified community (optionally confirming with a second pass)."""
         records = list(self.blackhole_list.verified())
         result = SweepResult(probe_count=len(self.atlas.vantage_points))
-        baseline_plane = self._baseline_plane()
+        baseline = self._baseline()
         for record in records:
-            result.outcomes.append(
-                self._sweep_one(record.community, record.target_asn, baseline_plane)
-            )
+            result.outcomes.append(self._sweep_one(record.community, record.target_asn, baseline))
         if self.include_well_known:
-            result.outcomes.append(self._sweep_one(BLACKHOLE, 0, baseline_plane))
+            result.outcomes.append(self._sweep_one(BLACKHOLE, 0, baseline))
         if confirm:
             second = [
-                self._sweep_one(record.community, record.target_asn, baseline_plane)
+                self._sweep_one(record.community, record.target_asn, baseline)
                 for record in records
             ]
-            first_effective = {
-                o.community
-                for o in result.outcomes
-                if o.induced_blackholing and o.community != BLACKHOLE
-            }
-            second_effective = {o.community for o in second if o.induced_blackholing}
-            result.confirmed = first_effective == second_effective
+            # Every field of every record must agree (the well-known
+            # BLACKHOLE run, last in the first pass, is not repeated).
+            result.confirmed = result.outcomes[: len(records)] == second
         return result
 
 

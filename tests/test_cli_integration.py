@@ -298,6 +298,8 @@ class TestRunParamErrors:
             ("blackhole-sweep", "confirm=no"),
             ("blackhole-sweep", "include_well_known=0"),
             ("blackhole-sweep", "probes=-5"),
+            ("blackhole-sweep", "probes=0"),  # an Atlas platform needs one vantage point
+            ("rtbh-wild", "probes=0"),
             ("blackhole-sweep", "inferred_count=-4"),
             ("rtbh-wild", "upstream_count=-2"),
             ("rtbh-wild", "min_hops_to_target=-1"),

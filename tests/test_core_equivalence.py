@@ -1,6 +1,6 @@
 """Generated equivalence and count gates for the in-process core's hot loop.
 
-Six contracts, none of them timed:
+Seven contracts, none of them timed:
 
 * the import pipeline (`Router.import_announcement`, what the engine
   runs per delivered update) stores what an independent gate-by-gate
@@ -24,6 +24,10 @@ Six contracts, none of them timed:
   Adj-RIBs-In, FIBs and harvested rows of event-by-event ``apply()``
   (coalescing keys on ``Prefix``, so this also guards its hash and
   equality);
+* a ``BgpSimulator.fork()`` taken after any prefix of that churn, then
+  reconfigured (a swapped router config plus export communities or a
+  collector session) and churned on, converges to what a fresh simulator
+  given the same history converges to, and the original does not move;
 * on a small fixed topology the work per best-path change stays
   proportional to what differs: rewrites are bounded by changed bests x
   distinct neighbor signatures, and convergence plus FIB patch performs
@@ -32,10 +36,11 @@ Six contracts, none of them timed:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.attacks.scenario import build_figure7_topology
 from repro.bgp.aspath import ASPath
@@ -701,6 +706,110 @@ def test_coalesced_stream_equals_event_by_event_apply(data):
     assert stats.events_applied == stats.events_seen - stats.events_coalesced
     assert control_plane(streamed) == control_plane(one_by_one)
     assert fib_tables(plane) == fib_tables(one_by_one_plane) == fib_tables(DataPlane(streamed))
+
+
+# ----------------------------------------------------------------------- fork
+#: A collector session's peer-side ASN (no router: it only receives).
+COLLECTOR_ASN = 65100
+
+
+@st.composite
+def forked_runs(draw):
+    """Churn, the round after which to fork, a config edit and a session edit."""
+    topology = draw(small_internets())
+    asns = topology.asns()
+    rounds = draw(churn_rounds(asns))
+    fork_after = draw(st.integers(0, len(rounds)))
+    asn = draw(st.sampled_from(asns))
+    session_edit = draw(
+        st.one_of(
+            st.tuples(st.just("additions"), st.just(asn), st.sampled_from(sorted(topology.neighbors(asn)) or [asn]), tag_sets.filter(bool)),
+            st.tuples(st.just("collector"), st.just(asn)),
+        )
+    )
+    return topology, rounds, fork_after, draw(config_edits(asns)), session_edit
+
+
+def edit_routers(simulator: BgpSimulator, config_edit: tuple[int, dict], session_edit: tuple) -> None:
+    """Swap one router's configuration, then add export communities or a collector session."""
+    asn, config = config_edit
+    for name, value in config.items():
+        setattr(simulator.router(asn), name, value)
+    if session_edit[0] == "additions":
+        _, asn, neighbor_asn, tags = session_edit
+        simulator.router(asn).export_community_additions[neighbor_asn] = tags
+    else:
+        simulator.register_collector_peering(session_edit[1], COLLECTOR_ASN)
+
+
+def router_configs(simulator: BgpSimulator) -> dict:
+    """What a reconfiguration writes: sessions, export additions, policy objects."""
+    return {
+        asn: (
+            dict(router.neighbor_relationships),
+            list(router.neighbors()),
+            dict(router.export_community_additions),
+            (router.propagation_policy, router.vendor, router.inbound_filters, router.send_community_configured),
+        )
+        for asn, router in simulator.routers.items()
+    }
+
+
+def snapshot(simulator: BgpSimulator, plane: DataPlane) -> tuple:
+    """Everything a fork copies, as values: routes, FIBs, configs, report, holder map."""
+    return (
+        control_plane(simulator),
+        fib_tables(plane),
+        router_configs(simulator),
+        copy.deepcopy(simulator.report),
+        copy.deepcopy(simulator._prefix_holders),
+    )
+
+
+def _withdrawal_fork() -> tuple:
+    """Fork right after a tagged route was withdrawn, then re-announce it elsewhere."""
+    prefix, other = CHURN_PREFIXES[0], CHURN_PREFIXES[3]
+    rounds = [
+        [RoutingEvent.announcement(1, prefix, CommunitySet([Community(3, 666)]))],
+        [RoutingEvent.withdrawal(1, prefix), RoutingEvent.announcement(2, other)],
+        [RoutingEvent.announcement(1, prefix), RoutingEvent.announcement(4, prefix)],
+    ]
+    edit = (3, {"send_community_configured": False})
+    return build_figure7_topology(), rounds, 2, edit, ("additions", 3, 4, CommunitySet([NO_EXPORT]))
+
+
+@settings(max_examples=100, deadline=None)
+@example(_withdrawal_fork())
+@given(forked_runs())
+def test_a_fork_continues_like_a_fresh_run_and_leaves_its_original_alone(run):
+    """A fork is the original's exact state: fork A after rounds ``[:k]`` into B,
+    edit and churn B on; B ends where a fresh C given the same history ends,
+    and nothing B did shows in A."""
+    topology, rounds, fork_after, config_edit, session_edit = run
+    original = BgpSimulator(topology)
+    original_plane = DataPlane(original)
+    for events in rounds[:fork_after]:
+        original_plane.rebuild(original.apply(events))
+    digest = snapshot(original, original_plane)
+
+    forked = original.fork()
+    forked_plane = DataPlane(forked)
+    assert fib_tables(forked_plane) == fib_tables(original_plane)
+    edit_routers(forked, config_edit, session_edit)
+    for events in rounds[fork_after:]:
+        forked_plane.rebuild(forked.apply(events))
+
+    fresh = BgpSimulator(topology)
+    fresh_plane = DataPlane(fresh)
+    for events in rounds[:fork_after]:
+        fresh_plane.rebuild(fresh.apply(events))
+    edit_routers(fresh, config_edit, session_edit)
+    for events in rounds[fork_after:]:
+        fresh_plane.rebuild(fresh.apply(events))
+
+    assert fib_tables(forked_plane) == fib_tables(DataPlane(forked))
+    assert snapshot(forked, forked_plane) == snapshot(fresh, fresh_plane)
+    assert snapshot(original, original_plane) == digest
 
 
 # ------------------------------------------------------------------ count gate

@@ -542,6 +542,7 @@ class TestWorkerBudget:
         "name, param, value",
         [
             ("blackhole-sweep", "probes", -5),
+            ("blackhole-sweep", "probes", 0),
             ("blackhole-sweep", "inferred_count", -4),
             ("rtbh-wild", "upstream_count", -2),
             ("rtbh-wild", "min_hops_to_target", -1),
@@ -549,12 +550,15 @@ class TestWorkerBudget:
         ],
     )
     def test_negative_counts_are_rejected_by_name_not_by_random_sample(self, name, param, value):
-        # The first three used to die with a raw ValueError out of random.sample;
-        # the last two were silently accepted.
+        # Negative probes, inferred_count and upstream_count used to die with a raw
+        # ValueError out of random.sample; zero probes with a ProbingError that did
+        # not name the parameter (an Atlas platform needs one probe); the last two
+        # were silently accepted.
+        minimum = 1 if param == "probes" else 0
         result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
         assert result.status is ExperimentStatus.ERROR
         assert result.error == (
-            f"ExperimentError: experiment parameter {param!r} must be an integer >= 0, got {value!r}"
+            f"ExperimentError: experiment parameter {param!r} must be an integer >= {minimum}, got {value!r}"
         )
 
     @pytest.mark.parametrize(

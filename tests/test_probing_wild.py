@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.scenario import build_figure2_topology
+from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import build_blackhole_list
@@ -12,7 +13,7 @@ from repro.exceptions import AttackError, AupViolationError, ProbingError, Topol
 from repro.probing.atlas import AtlasPlatform, VantagePoint
 from repro.probing.looking_glass import LookingGlass
 from repro.routing.engine import BgpSimulator
-from repro.wild.blackhole_sweep import BlackholeSweep
+from repro.wild.blackhole_sweep import BlackholeSweep, CommunitySweepOutcome
 from repro.wild.experiments import RtbhWildExperiment
 from repro.wild.peering import (
     InjectionPlatform,
@@ -74,6 +75,14 @@ class TestLookingGlassAndAtlas:
         assert gained == {1, 2}
         assert after.unresponsive_probes() == set()
         assert after.traceroutes[1].reached
+        # A traced round reads each ping off its probe's one walk: for every
+        # vantage point it is the ping an untraced round sends, reached or not.
+        assert after.pings == atlas.measure(plane, PREFIX).pings
+        simulator.withdraw(1, PREFIX)
+        plane.rebuild()
+        traced = atlas.measure(plane, PREFIX, with_traceroute=True)
+        assert traced.pings == atlas.measure(plane, PREFIX).pings == before.pings
+        assert not traced.traceroutes[2].reached
 
     def test_atlas_deploy_excludes(self, wild_setup):
         topology, peering, research, atlas = wild_setup
@@ -217,3 +226,89 @@ class TestSection7:
         # Affected pairs include community targets that are not direct peers of
         # the injection platform (the paper's multi-hop finding).
         assert result.multi_hop_pairs() + result.offpath_pairs() > 0
+
+    def test_confirmation_pass_compares_every_record(self, wild_setup, monkeypatch):
+        """A second pass that loses one more probe on a community that is
+        effective anyway finds the same effective communities, yet disagrees."""
+        topology, peering, _research, atlas = wild_setup
+        blackhole_list = build_blackhole_list(topology, seed=5)
+        first_pass = len(blackhole_list.verified()) + 1
+        sweep_one = BlackholeSweep._sweep_one
+        outcomes: list[CommunitySweepOutcome] = []
+        tampered: list[CommunitySweepOutcome] = []
+
+        def second_pass_loses_one_more(self, *args):
+            outcome = sweep_one(self, *args)
+            outcomes.append(outcome)
+            if len(outcomes) > first_pass and outcome.induced_blackholing and not tampered:
+                spare = {vp.probe_id for vp in atlas.vantage_points} - outcome.probes_lost
+                outcome.probes_lost = outcome.probes_lost | {min(spare)}
+                outcome.probes_after -= 1
+                tampered.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(BlackholeSweep, "_sweep_one", second_pass_loses_one_more)
+        result = BlackholeSweep(topology, peering, atlas, blackhole_list).run(confirm=True)
+        assert tampered
+        first = {o.community for o in outcomes[: first_pass - 1] if o.induced_blackholing}
+        assert first == {o.community for o in outcomes[first_pass:] if o.induced_blackholing}
+        assert result.confirmed is False
+
+    @pytest.mark.parametrize(
+        "params", [{}, {"confirm": False}, {"include_well_known": False}], ids=["defaults", "no-confirm", "no-well-known"]
+    )
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_blackhole_sweep_equals_the_fresh_simulator_protocol(self, seed, params):
+        """Each community on a fork of the one converged baseline gets what a
+        fresh simulator announcing clean, probing, tagging and re-probing gets."""
+        from repro.experiments import get
+
+        cls = get("blackhole-sweep")
+        experiment = cls(cls.default_spec(seed=seed, **params))
+        assert experiment.run().succeeded
+        ctx = experiment.context
+        topology = ctx.require_topology()
+        reference = FreshSimulatorSweep(
+            topology,
+            ctx.platform("peering"),
+            ctx.platform("atlas"),
+            build_blackhole_list(topology, inferred_count=experiment.int_param("inferred_count", 0), seed=seed),
+            include_well_known=experiment.bool_param("include_well_known"),
+        ).run(confirm=experiment.bool_param("confirm"))
+        swept = ctx.scratch["sweep"]
+        assert swept.outcomes == reference.outcomes
+        assert swept.probe_count == reference.probe_count
+        assert swept.confirmed == reference.confirmed
+
+
+class FreshSimulatorSweep(BlackholeSweep):
+    """The reference sweep: every community pays for its own clean baseline.
+
+    A fresh simulator announces the prefix clean and is probed, then the
+    tagged announcement is converged on top of it and probed again; the
+    target-hop lower bound reads a data plane of the clean state.
+    """
+
+    def _sweep_one(self, community, target_asn, _baseline) -> CommunitySweepOutcome:
+        prefix = self.experiment_prefix
+        simulator = BgpSimulator(self.topology)
+        self.platform.announce(simulator, prefix)
+        clean_plane, dataplane = DataPlane(simulator), DataPlane(simulator)
+        before = self.atlas.measure(dataplane, prefix)
+        dataplane.rebuild(self.platform.announce(simulator, prefix, communities=CommunitySet.of(community)))
+        after = self.atlas.measure(dataplane, prefix, with_traceroute=True)
+        lost, _gained = self.atlas.compare(before, after)
+        target_hops = None
+        if lost:
+            probe_asn = {vp.probe_id: vp.asn for vp in self.atlas.vantage_points}[min(lost)]
+            path = clean_plane.traceroute(probe_asn, prefix.host(), prefix.family).path
+            if target_asn in path:
+                target_hops = len(path) - 1 - path.index(target_asn)
+        return CommunitySweepOutcome(
+            community,
+            target_asn,
+            len(before.responsive_probes()),
+            len(after.responsive_probes()),
+            lost,
+            target_hops,
+        )
