@@ -4,10 +4,13 @@
 (collector, peer) session's full-table export.  This benchmark compares
 three executions over the same converged simulator:
 
-* the **legacy loop**: one unmemoised ``export_all_to`` per session
-  (what the code did before the harvest subsystem);
-* the **memoised serial** path: one harvest-scoped export memo, so N
-  collectors sharing a peer pay the policy/prepend/rewrite chain once;
+* the **legacy loop**: one unmemoised ``export_to`` per Loc-RIB prefix
+  and session (what the code did before the harvest subsystem), an
+  export path the harvest's own does not run;
+* the **memoised serial** path: one harvest-scoped export cache, so N
+  collectors sharing a (peer, memo key) read one export table — the
+  Loc-RIB walk and the policy/prepend/rewrite chain are paid once, and
+  each session runs only its own gates;
 * the **sharded** path: the (collector, peer) work-list partitioned by
   peer over the simulator's fork-once worker pool.
 
@@ -64,7 +67,7 @@ def _build_converged() -> tuple[BgpSimulator, CollectorDeployment]:
 def _harvest_legacy(
     deployment: CollectorDeployment, simulator: BgpSimulator
 ) -> ObservationArchive:
-    """The pre-subsystem serial loop: no memo, one export chain per session."""
+    """The pre-subsystem serial loop: no memo, one ``export_to`` per session and prefix."""
     from repro.collectors.observation import RouteObservation
 
     archive = ObservationArchive()
@@ -74,7 +77,11 @@ def _harvest_legacy(
                 continue
             simulator.register_collector_peering(peer_asn, collector.collector_asn)
             router = simulator.router(peer_asn)
-            for announcement in router.export_all_to(collector.collector_asn):
+            for prefix in router.loc_rib.prefixes():
+                decision = router.export_to(collector.collector_asn, prefix)
+                if not decision.export:
+                    continue
+                announcement = decision.announcement
                 archive.add(
                     RouteObservation(
                         platform=collector.platform,

@@ -8,10 +8,11 @@ This module is the subsystem that replaces that loop:
 * :func:`build_worklist` flattens a deployment into the exact
   (collector, peer) sequence the serial loop walked — the item index is
   the merge key that keeps any parallel execution byte-identical;
-* the **per-peer export memo**: every session shares one harvest-scoped
-  export cache keyed by :meth:`Router.export_memo_key`, so N collectors
-  peering with the same AS pay the policy/prepend/rewrite chain once
-  per distinct best route instead of N times;
+* the **per-peer export table**: one harvest-scoped export cache holds
+  one table per (peer, :meth:`Router.export_memo_key`), and each session
+  runs only its own gates over it (see :meth:`Router.export_all_to`), so
+  N collectors peering with the same AS read its Loc-RIB once; rows
+  share one AS-path tuple per distinct path;
 * :func:`harvest_archive` with ``shards=K`` (K > 1; capped at the
   distinct-peer count) exports from the **resident** Loc-RIBs of the
   owning simulator's slot-pinned :class:`~repro.routing.shard.ShardPool`
@@ -37,8 +38,8 @@ from repro.routing.engine import validate_shards
 from repro.topology.relationships import Relationship
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
+    from repro.bgp.aspath import ASPath
     from repro.bgp.prefix import Prefix
-    from repro.bgp.route import Announcement
     from repro.collectors.platform import CollectorDeployment
     from repro.routing.engine import BgpSimulator
 
@@ -82,33 +83,30 @@ def build_worklist(
     return items
 
 
-def _observation_from(
-    item: HarvestItem, announcement: "Announcement", timestamp: float
-) -> RouteObservation:
-    """Turn one exported announcement into the observation the archive stores."""
-    attributes = announcement.attributes
-    # Positional: one observation per exported route, and keywords
-    # double what building the tuple costs.
-    return RouteObservation(
-        item.platform,
-        item.collector_id,
-        item.peer_asn,
-        announcement.prefix,
-        tuple(attributes.as_path.asns()),
-        attributes.communities,
-        timestamp,
-    )
+class _Paths(dict):
+    """``ASPath -> tuple of its ASNs``, built on first use: one tuple per distinct path."""
+
+    def __missing__(self, as_path: "ASPath") -> tuple[int, ...]:
+        asns = self[as_path] = tuple(as_path.asns())
+        return asns
 
 
 def _export_item(
-    simulator: "BgpSimulator", item: HarvestItem, timestamp: float, export_cache: dict
+    simulator: "BgpSimulator", item: HarvestItem, timestamp: float, export_cache: dict, paths: dict
 ) -> list[RouteObservation]:
     """Export one session's full table through the shared memo."""
     router = simulator.router(item.peer_asn)
-    shared_key = router.export_memo_key(item.collector_asn)
+    platform, collector_id, peer_asn = item.platform, item.collector_id, item.peer_asn
+    # Positional: one observation per exported route, and keywords
+    # double what building the tuple costs.
     return [
-        _observation_from(item, announcement, timestamp)
-        for announcement in router.export_all_to(item.collector_asn, export_cache, shared_key)
+        RouteObservation(
+            platform, collector_id, peer_asn, announcement.prefix,
+            paths[announcement.attributes.as_path], announcement.attributes.communities, timestamp,
+        )
+        for announcement in router.export_all_to(
+            item.collector_asn, export_cache, router.export_memo_key(item.collector_asn)
+        )
     ]
 
 
@@ -118,9 +116,10 @@ def _harvest_serial(
     """The in-process reference path: serial order, memoised exports."""
     archive = ObservationArchive()
     export_cache: dict = {}
+    paths = _Paths()
     for item in items:
         simulator.register_collector_peering(item.peer_asn, item.collector_asn)
-        archive.extend(_export_item(simulator, item, timestamp, export_cache))
+        archive.extend(_export_item(simulator, item, timestamp, export_cache, paths))
     return archive
 
 
@@ -153,6 +152,7 @@ def _run_harvest_shard(task: HarvestTask) -> bytes:
     shard_module.install_prefix_state(simulator, wire.decode_states(states_blob), stale=None)
     shard_module._install_additions(simulator, wire.decode_additions(additions_blob))
     export_cache: dict = {}
+    paths = _Paths()
     results: list[tuple[int, list[tuple]]] = []
     for item in wire.decode_items(items_blob):
         router = simulator.routers[item.peer_asn]
@@ -161,7 +161,7 @@ def _run_harvest_shard(task: HarvestTask) -> bytes:
         rows = [
             (
                 announcement.prefix,
-                tuple(announcement.attributes.as_path.asns()),
+                paths[announcement.attributes.as_path],
                 announcement.attributes.communities,
             )
             for announcement in router.export_all_to(

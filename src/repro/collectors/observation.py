@@ -416,7 +416,8 @@ class ObservationArchive:
         Both sides of every UPDATE are surfaced: withdrawn prefixes
         become withdrawal-marked observations (first, matching the wire
         layout) and announced prefixes regular ones — so a write →
-        read round-trip is lossless for mixed archives.
+        read round-trip is lossless for mixed archives.  A BGP4MP_ET
+        record's microsecond field is part of its rows' timestamp.
 
         The file is read one record at a time, but the archive it fills
         is in memory, and so is one set of decoded rows per *distinct*
@@ -433,7 +434,7 @@ class ObservationArchive:
                 rows = decoded.get(key)
                 if rows is None:
                     rows = decoded[key] = _observed_rows(record)
-                timestamp = float(record.timestamp)
+                timestamp = record.timestamp + record.microseconds / 1e6
                 for peer_asn, prefix, as_path, communities, withdrawn in rows:
                     add(
                         RouteObservation(

@@ -47,6 +47,9 @@ class ExportDecision:
     export: bool
     announcement: Announcement | None = None
     reason: str = ""
+    #: What the gates read of the route (see :meth:`Router._route_scope`);
+    #: None when the neighbor is unknown.
+    scope: tuple | None = None
 
 
 class Router:
@@ -462,11 +465,12 @@ class Router:
         if relationship_out is None:
             return ExportDecision(False, reason=f"AS{neighbor_asn} is not a neighbor")
         best = self.loc_rib.best(prefix)
-        reason = self._session_block(self._route_scope(best), neighbor_asn, relationship_out)
+        scope = self._route_scope(best)
+        reason = self._session_block(scope, neighbor_asn, relationship_out)
         if reason:
-            return ExportDecision(False, reason=reason)
+            return ExportDecision(False, reason=reason, scope=scope)
         return ExportDecision(
-            True, announcement=self._announcement(best, neighbor_asn, cache, shared_key)
+            True, self._announcement(best, neighbor_asn, cache, shared_key), scope=scope
         )
 
     def export_fanout(
@@ -513,15 +517,37 @@ class Router:
         cache: dict | None = None,
         shared_key: tuple | None = None,
     ) -> list[Announcement]:
-        """Export every best route to one neighbor (used for collector feeds).
+        """Export every best route to one neighbor, in Loc-RIB order (used for collector feeds).
 
-        ``cache``/``shared_key`` are the :meth:`export_to` memo hooks:
-        the collector harvest passes a cache scoped to the whole harvest
-        plus this router's :meth:`export_memo_key` so every collector
-        session of one peer shares the rewrite work.
+        ``cache``/``shared_key`` are the :meth:`export_to` memo hooks.  The
+        first session of a (router, ``shared_key``) pair builds a table in
+        ``cache`` with one :meth:`export_to` per Loc-RIB prefix: ``(route
+        scope, Announcement or None)``, rewritten even where only this
+        session's gates refuse it.  Each session then filters the table
+        through its own gates (split horizon, NO_PEER, suppress /
+        selective-announce sets, valley-free rule).  The table is the
+        Loc-RIB as it stood when it was built, so the cache must not
+        outlive one harvest — the rule :meth:`export_to` states for its memo.
         """
-        decisions = (
-            self.export_to(neighbor_asn, prefix, cache, shared_key)
-            for prefix in self.loc_rib.prefixes()
-        )
-        return [decision.announcement for decision in decisions if decision.export]
+        relationship_out = self.relationship_with(neighbor_asn)
+        if relationship_out is None:
+            return []
+        shared_key = shared_key or self.export_memo_key(neighbor_asn)
+        table = cache.get(("table", shared_key)) if cache is not None else None
+        if table is None:
+            table = []
+            for best in self.loc_rib.best_routes():
+                decision = self.export_to(neighbor_asn, best.prefix, cache, shared_key)
+                scope, announcement = decision.scope, decision.announcement
+                if announcement is None and not scope[0]:
+                    # Only this session's gates refused it: the others may not.
+                    announcement = self._announcement(best, neighbor_asn, cache, shared_key)
+                table.append((scope, announcement))
+            if cache is not None:
+                cache["table", shared_key] = table
+        block = self._session_block
+        return [
+            announcement
+            for scope, announcement in table
+            if not block(scope, neighbor_asn, relationship_out)
+        ]

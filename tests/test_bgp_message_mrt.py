@@ -606,10 +606,14 @@ class TestTruncationOffsets:
             + struct.pack("!I", 250_000)
             + data[first + 12:]
         )
-        # Whole, the BGP4MP_ET form reads back like the plain one.
+        # Whole, the BGP4MP_ET form reads back like the plain one, its
+        # microseconds added to the header's seconds.
         path = tmp_path / "et.mrt"
         path.write_bytes(extended)
-        assert [o.peer_asn for o in ObservationArchive.from_mrt(path)] == [3356, 1299]
+        assert [(o.peer_asn, o.timestamp) for o in ObservationArchive.from_mrt(path)] == [
+            (3356, timestamp),
+            (1299, timestamp + 0.25),
+        ]
         cut = first + 12 + 2
         self.expect(
             tmp_path,

@@ -5,7 +5,8 @@ Covers the PR 5 guarantees:
 * sharded ``collect_from_simulator`` produces an archive byte-identical
   to the serial loop for any shard count (including more shards than
   peers, and with a pool shared with sharded propagation);
-* the per-peer export memo does not change what collectors see;
+* the per-peer export memo does not change what collectors see, and
+  sessions sharing a (peer, memo key) scope its Loc-RIB once;
 * MRT write -> read round-trips preserve IPv4 and IPv6 observations and
   withdrawals, with distinct per-peer addresses and a clear error for
   timestamps outside the 32-bit MRT window;
@@ -30,6 +31,7 @@ from repro.collectors.platform import Collector, CollectorDeployment, CollectorP
 from repro.exceptions import MrtError
 from repro.mrt.constants import AFI_IPV4, AFI_IPV6
 from repro.routing.engine import BgpSimulator
+from repro.routing.router import Router
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 
 HARVEST_PARAMETERS = TopologyParameters(
@@ -417,6 +419,28 @@ class TestHarvestMemo:
         finally:
             sharded.close()
             sequential.close()
+
+    def test_each_peer_table_is_scoped_once_per_memo_key(
+        self, small_topology, deployment, monkeypatch
+    ):
+        """Sessions that share a (peer, memo key) share its export table."""
+        simulator = _converged(small_topology)
+        scoped: list[int] = []
+        route_scope = Router._route_scope
+
+        def counting_route_scope(router, best):
+            scoped.append(router.asn)
+            return route_scope(router, best)
+
+        monkeypatch.setattr(Router, "_route_scope", counting_route_scope)
+        harvest_archive(deployment, simulator)
+        items = build_worklist(deployment, simulator)
+        tables = {
+            (item.peer_asn, simulator.router(item.peer_asn).export_memo_key(item.collector_asn))
+            for item in items
+        }
+        assert len(tables) < len(items)
+        assert len(scoped) == sum(len(simulator.router(peer).loc_rib) for peer, _ in tables)
 
     def test_export_additions_stay_per_collector(self, harvest_topology):
         """A per-session community addition must not bleed into other sessions."""

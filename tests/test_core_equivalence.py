@@ -1,6 +1,6 @@
 """Generated equivalence and count gates for the in-process core's hot loop.
 
-Seven contracts, none of them timed:
+Eight contracts, none of them timed:
 
 * the import pipeline (`Router.import_announcement`, what the engine
   runs per delivered update) stores what an independent gate-by-gate
@@ -9,6 +9,9 @@ Seven contracts, none of them timed:
 * the export fan-out (`Router.export_fanout`, what the engine runs per
   best-path change) equals per-neighbor `Router.export_to` on generated
   routers, routes and policy mixes;
+* the full-table export (`Router.export_all_to`, what a collector
+  harvest runs per session) equals the gate-by-gate oracle when every
+  session shares one cache, and with it the tables built for other sessions;
 * the journalled LPM index of `Fib` equals a brute-force longest-match
   scan after arbitrary interleavings of writes, removes and lookups — the
   only guard of the trie *delete* path, which no benchmark workload
@@ -217,6 +220,22 @@ def test_fanout_equals_per_neighbor_export(router: Router, memoised: bool):
     for neighbor_asn, announcement in plan:
         if announcement is not None:
             assert by_key.setdefault(router.export_memo_key(neighbor_asn), announcement) is announcement
+
+
+@settings(max_examples=300, deadline=None)
+@given(routers_with_a_best_route(), st.data())
+def test_shared_full_table_export_equals_per_neighbor_export(router: Router, data):
+    # Every neighbour twice, in a drawn order, through one cache: a table
+    # built for one session must serve each other session with its own gates.
+    cache: dict = {}
+    for neighbor_asn in data.draw(st.permutations(router.neighbors() * 2)):
+        exported = router.export_all_to(neighbor_asn, cache, router.export_memo_key(neighbor_asn))
+        expected = [
+            sent
+            for sent in (reference_export(router, neighbor_asn, p) for p in router.loc_rib.prefixes())
+            if not isinstance(sent, str)
+        ]
+        assert [_sent(announcement) for announcement in exported] == expected, neighbor_asn
 
 
 # ------------------------------------------------------------ import pipeline

@@ -15,7 +15,11 @@ the digests to agree:
   seed 7), written from the archives the two ``report`` runs built;
 * a fixed JSON-lines ``stream`` input, as the converged Loc-RIBs;
 * the MRT bytes of a harvest after ``BgpSimulator(shards=2)`` converges
-  a tiny topology, the one output where prefix placement shows.
+  a tiny topology, the one output where prefix placement shows;
+* on the same tiny topology: converge, build the FIBs, harvest, withdraw
+  two prefixes, patch the FIBs, then the FIBs, a traceroute from every AS
+  to each withdrawn host and the second harvest's MRT bytes (what a
+  harvest remembers of the previous one would show here).
 
 The three processes run once per module; each output is its own test
 case, so a failure names the output that moved.  Run
@@ -90,8 +94,9 @@ def _stream_lines(topology) -> list[str]:
 def collect_outputs(directory: str) -> dict[str, str]:
     """Digest every output of the surface above (timings removed)."""
     from repro.collectors.platform import CollectorDeployment
+    from repro.dataplane.forwarding import DataPlane
     from repro.experiments import available, get
-    from repro.routing.engine import BgpSimulator
+    from repro.routing.engine import BgpSimulator, origination_events
     from repro.routing.stream import SimulatorService, read_event_stream
     from repro.topology.generator import TopologyGenerator, TopologyParameters
 
@@ -132,6 +137,28 @@ def collect_outputs(directory: str) -> dict[str, str]:
     finally:
         sharded.close()
     outputs["shards=2 harvest"] = _mrt_digest(archive, directory, "sharded.mrt")
+
+    simulator = BgpSimulator(tiny)
+    deployment = CollectorDeployment.default_deployment(tiny, seed=SEED)
+    events = origination_events(tiny)
+    simulator.apply(events)
+    plane = DataPlane(simulator)
+    deployment.collect_from_simulator(simulator)
+    withdrawn = [(event.origin_asn, event.prefix) for event in (events[0], events[-1])]
+    plane.rebuild(simulator.withdraw_many(withdrawn))
+    fibs = [[asn, [repr(entry) for entry in fib.entries()]] for asn, fib in plane.fibs.items()]
+    traces = [
+        [trace.source_asn, trace.destination, trace.outcome.name, trace.path, trace.dropped_at]
+        for trace in (
+            plane.traceroute(asn, prefix.host(), prefix.family)
+            for _, prefix in withdrawn
+            for asn in simulator.routers
+        )
+    ]
+    archive = deployment.collect_from_simulator(simulator)
+    outputs["withdraw, harvest again"] = _digest(
+        json.dumps([fibs, traces, _mrt_digest(archive, directory, "reharvest.mrt")])
+    )
     return outputs
 
 
@@ -144,6 +171,7 @@ def _output_keys() -> list[str]:
         + ["export-mrt synthetic"]
         + [f"run {name} hijack=True" for name in HIJACK_VARIANTS]
         + ["run report source=harvest", "export-mrt harvest", "stream", "shards=2 harvest"]
+        + ["withdraw, harvest again"]
     )
 
 
