@@ -1,10 +1,10 @@
-"""Microbenchmark — radix-trie LPM vs the old linear-scan lookup.
+"""Microbenchmark — the LPM table vs the old linear-scan lookup.
 
 Every data-plane validation (ping/traceroute over the per-AS FIBs, the
 IP-to-AS mapping of Section 7.6) funnels through longest-prefix-match
 lookups.  This benchmark builds a 10k-prefix table and compares the
-per-family radix trie of :mod:`repro.net.lpm` against the O(n) scan it
-replaced, asserting the ≥10x speedup the subsystem was built for.
+per-length dict probes of :mod:`repro.net.lpm` against the O(n) scan
+they replaced, asserting the ≥10x speedup the subsystem was built for.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _build_table(rng: random.Random) -> dict[Prefix, int]:
 
 
 def _linear_lookup(table: dict[Prefix, int], address: int) -> int | None:
-    """The pre-trie semantics: scan every prefix, keep the longest match."""
+    """The reference semantics: scan every prefix, keep the longest match."""
     best_value: int | None = None
     best_length = -1
     for prefix, value in table.items():
@@ -37,25 +37,25 @@ def _linear_lookup(table: dict[Prefix, int], address: int) -> int | None:
     return best_value
 
 
-def test_lpm_trie_speedup_over_linear_scan(benchmark):
+def test_lpm_table_speedup_over_linear_scan(benchmark):
     rng = random.Random(20180701)
     table = _build_table(rng)
-    trie = LpmTable()
+    lpm = LpmTable()
     for prefix, value in table.items():
-        trie.insert(prefix, value)
+        lpm.insert(prefix, value)
     # Half the probes land inside stored prefixes, half are random misses.
     stored = list(table)
     addresses = [rng.choice(stored).host() for _ in range(LOOKUPS // 2)]
     addresses += [rng.getrandbits(32) for _ in range(LOOKUPS // 2)]
 
-    def trie_batch() -> int:
+    def lpm_batch() -> int:
         hits = 0
         for address in addresses:
-            if trie.longest_match(address, AddressFamily.IPV4) is not None:
+            if lpm.longest_match(address, AddressFamily.IPV4) is not None:
                 hits += 1
         return hits
 
-    trie_hits = benchmark.pedantic(trie_batch, rounds=3, iterations=1)
+    lpm_hits = benchmark.pedantic(lpm_batch, rounds=3, iterations=1)
 
     # Time the reference scan over a subset (full batches would take minutes)
     # and compare per-lookup costs.
@@ -65,34 +65,31 @@ def test_lpm_trie_speedup_over_linear_scan(benchmark):
     linear_per_lookup = (time.perf_counter() - start) / len(linear_sample)
 
     start = time.perf_counter()
-    trie_results = [
-        hit[1] if (hit := trie.longest_match(address, AddressFamily.IPV4)) else None
-        for address in linear_sample
-    ]
-    trie_per_lookup = (time.perf_counter() - start) / len(linear_sample)
+    lpm_results = [lpm.longest_match(address, AddressFamily.IPV4) for address in linear_sample]
+    lpm_per_lookup = (time.perf_counter() - start) / len(linear_sample)
 
     # Same answers, much faster.
-    assert trie_results == linear_results
-    assert trie_hits >= LOOKUPS // 2
-    speedup = linear_per_lookup / trie_per_lookup
+    assert lpm_results == linear_results
+    assert lpm_hits >= LOOKUPS // 2
+    speedup = linear_per_lookup / lpm_per_lookup
     print()
     print(
         f"table={TABLE_SIZE} prefixes: linear {linear_per_lookup * 1e6:.1f} us/lookup, "
-        f"trie {trie_per_lookup * 1e6:.1f} us/lookup, speedup {speedup:.0f}x"
+        f"table {lpm_per_lookup * 1e6:.1f} us/lookup, speedup {speedup:.0f}x"
     )
     assert speedup >= 10.0
 
 
-def test_lpm_trie_build_cost(benchmark):
-    """Building the trie (the insert path) stays cheap enough to do per FIB."""
+def test_lpm_table_build_cost(benchmark):
+    """Building the table (the insert path) stays cheap enough to do per FIB."""
     rng = random.Random(7)
     table = _build_table(rng)
 
     def build() -> LpmTable:
-        trie = LpmTable()
+        lpm = LpmTable()
         for prefix, value in table.items():
-            trie.insert(prefix, value)
-        return trie
+            lpm.insert(prefix, value)
+        return lpm
 
-    trie = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert len(trie) == TABLE_SIZE
+    lpm = benchmark.pedantic(build, rounds=3, iterations=1)
+    assert len(lpm) == TABLE_SIZE

@@ -73,20 +73,17 @@ class RtbhAttack:
         return self.victim_prefix
 
     def _hijack_overlap(self, attack_prefix: Prefix) -> dict:
-        """Who the hijack actually collides with, via the topology's origin trie.
+        """Who the hijack actually collides with, via the topology's origin table.
 
-        ``covering`` yields the registered allocations the attack prefix
-        sits inside (the most specific one is the legitimate origin the
-        IRR would name); ``covered`` yields any more-specific
-        registrations the announcement would mask.  Both walk the
-        cached :meth:`Topology.origin_table` instead of scanning every
-        AS's prefix list.
+        ``covering`` yields the origins of the registered allocations the
+        attack prefix sits inside (the most specific one is the
+        legitimate origin the IRR would name); ``covered`` yields those
+        of any more-specific registrations the announcement would mask.
         """
         table = self.topology.origin_table()
         covering = table.covering(attack_prefix)
-        covered = table.covered(attack_prefix)
-        overlapping = sorted({asn for _, asn in covering} | {asn for _, asn in covered})
-        legitimate = covering[-1][1] if covering else None
+        overlapping = sorted(set(covering) | set(table.covered(attack_prefix)))
+        legitimate = covering[-1] if covering else None
         return {
             "legitimate_origin": legitimate,
             "overlapping_origins": overlapping,

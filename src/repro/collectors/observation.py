@@ -112,6 +112,9 @@ def _mrt_message(observation: RouteObservation, collector_asn: int) -> Bgp4mpMes
     """The BGP4MP message that carries one observation."""
     timestamp = observation.timestamp
     _validate_timestamp(timestamp)
+    # A fraction of a second goes to the BGP4MP_ET microsecond field;
+    # rounding to whole microseconds may carry into the seconds.
+    seconds, microseconds = divmod(round(timestamp * 1_000_000), 1_000_000)
     address_family = AFI_IPV4 if observation.prefix.is_ipv4 else AFI_IPV6
     if observation.withdrawn:
         update = BgpUpdate(withdrawn=[observation.prefix])
@@ -122,7 +125,7 @@ def _mrt_message(observation: RouteObservation, collector_asn: int) -> Bgp4mpMes
         )
         update = BgpUpdate(announced=[observation.prefix], attributes=attributes)
     return Bgp4mpMessage(
-        timestamp=int(timestamp),
+        timestamp=seconds,
         peer_asn=observation.peer_asn,
         local_asn=collector_asn,
         peer_ip=peer_ip_for(observation.peer_asn, address_family),
@@ -130,6 +133,7 @@ def _mrt_message(observation: RouteObservation, collector_asn: int) -> Bgp4mpMes
         interface_index=0,
         address_family=address_family,
         update=update,
+        microseconds=microseconds,
     )
 
 

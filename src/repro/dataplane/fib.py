@@ -14,7 +14,7 @@ from typing import NamedTuple
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.rib import LocRib
 from repro.bgp.route import RouteEntry
-from repro.net.lpm import JournalledLpm
+from repro.net.lpm import LpmTable
 
 
 class FibEntry(NamedTuple):
@@ -38,20 +38,16 @@ class Fib:
 
     def __init__(self, asn: int):
         self.asn = asn
-        self._entries: dict[Prefix, FibEntry] = {}
-        #: Per-family radix trie for O(bits) lookups, patched from
-        #: ``_entries`` on lookup.
-        self._lpm = JournalledLpm(self._entries)
+        #: Prefix → entry; a lookup probes it once per stored prefix length.
+        self._table = LpmTable()
 
     def install(self, entry: FibEntry) -> None:
         """Install (or replace) the entry for the entry's prefix."""
-        self._entries[entry.prefix] = entry
-        self._lpm.touch(entry.prefix)
+        self._table.insert(entry.prefix, entry)
 
     def remove(self, prefix: Prefix) -> None:
         """Remove the entry for ``prefix`` if present."""
-        if self._entries.pop(prefix, None) is not None:
-            self._lpm.touch(prefix)
+        self._table.delete(prefix)
 
     def lookup(self, address: int, family: AddressFamily | None = None) -> FibEntry | None:
         """Longest-prefix-match lookup for an integer IPv4/IPv6 address.
@@ -60,22 +56,21 @@ class Fib:
         family was passed explicitly) is only matched against prefixes
         of the same family.
         """
-        hit = self._lpm.longest_match(address, family)
-        return hit[1] if hit is not None else None
+        return self._table.longest_match(address, family)
 
     def get(self, prefix: Prefix) -> FibEntry | None:
         """Return the entry installed for exactly ``prefix``."""
-        return self._entries.get(prefix)
+        return self._table.get(prefix)
 
     def entries(self) -> list[FibEntry]:
         """Return all installed entries."""
-        return list(self._entries.values())
+        return list(self._table.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._table)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._entries
+        return prefix in self._table
 
 
 def fib_entry_for(

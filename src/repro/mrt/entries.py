@@ -42,7 +42,11 @@ class MrtRecord(NamedTuple):
 
 
 class Bgp4mpMessage(NamedTuple):
-    """A decoded BGP4MP_MESSAGE_AS4 record: who sent what to whom, and the update."""
+    """A decoded BGP4MP_MESSAGE_AS4 record: who sent what to whom, and the update.
+
+    ``microseconds`` is the BGP4MP_ET microsecond field: a record with
+    microseconds is written as BGP4MP_ET, one without as plain BGP4MP.
+    """
 
     timestamp: int
     peer_asn: int
@@ -52,3 +56,4 @@ class Bgp4mpMessage(NamedTuple):
     interface_index: int
     address_family: int
     update: BgpUpdate
+    microseconds: int = 0

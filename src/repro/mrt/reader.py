@@ -132,4 +132,5 @@ def decode_bgp4mp_message(record: MrtRecord) -> Bgp4mpMessage:
         interface_index,
         address_family,
         update,
+        record.microseconds,
     )

@@ -1,6 +1,7 @@
 """MRT binary writer (RFC 6396).
 
-:func:`encode_bgp4mp_message` encodes one BGP4MP_MESSAGE_AS4 record;
+:func:`encode_bgp4mp_message` encodes one BGP4MP (or, with a microsecond
+field, BGP4MP_ET) MESSAGE_AS4 record;
 :meth:`~repro.collectors.observation.ObservationArchive.write_mrt`
 writes the synthetic collector platforms' update streams through it,
 as files that :mod:`repro.mrt.reader` — or any standard MRT tool — can
@@ -19,6 +20,7 @@ from repro.mrt.entries import Bgp4mpMessage
 
 
 _COMMON_HEADER = struct.Struct("!IHHI")
+_U32 = struct.Struct("!I")
 #: BGP4MP_MESSAGE_AS4 peer header (peer AS, local AS, interface index,
 #: address family), alone and followed by the two IPv4 addresses.
 _BGP4MP_HEADER_AS4 = struct.Struct("!IIHH")
@@ -27,6 +29,7 @@ _BGP4MP_HEADER_AS4_IPV4 = struct.Struct("!IIHHII")
 #: Plain-int record codes: one BGP4MP record is encoded per distinct
 #: observation, and an enum member costs several times what an int does.
 _BGP4MP = int(MrtType.BGP4MP)
+_BGP4MP_ET = int(MrtType.BGP4MP_ET)
 _MESSAGE_AS4 = int(Bgp4mpSubtype.MESSAGE_AS4)
 
 
@@ -40,12 +43,21 @@ def _encode_header(timestamp: int, mrt_type: int, subtype: int, payload: bytes) 
 def encode_bgp4mp_message(message: Bgp4mpMessage) -> bytes:
     """Encode a BGP4MP_MESSAGE_AS4 record carrying one BGP UPDATE.
 
-    An ASN outside the 4-byte AS field raises :class:`MrtError`; it is
-    never wrapped into another AS's number.
+    A message with microseconds becomes a BGP4MP_ET record.  An ASN
+    outside the 4-byte AS field raises :class:`MrtError`; it is never
+    wrapped into another AS's number.
     """
-    timestamp, peer_asn, local_asn, peer_ip, local_ip, interface_index, address_family, update = (
-        message
-    )
+    (
+        timestamp,
+        peer_asn,
+        local_asn,
+        peer_ip,
+        local_ip,
+        interface_index,
+        address_family,
+        update,
+        microseconds,
+    ) = message
     for role, asn in (("peer", peer_asn), ("local", local_asn)):
         if not 0 <= asn <= 0xFFFFFFFF:
             raise MrtError(f"{role} ASN {asn} does not fit the 4-byte AS field of a BGP4MP record")
@@ -70,4 +82,12 @@ def encode_bgp4mp_message(message: Bgp4mpMessage) -> bytes:
         )
     else:
         raise MrtError(f"unsupported address family {address_family}")
+    if microseconds:
+        if not 0 < microseconds < 1_000_000:
+            raise MrtError(f"microsecond field {microseconds} is outside 0..999999")
+        # The microsecond field follows the common header and counts in
+        # its length (RFC 6396 section 3).
+        return _encode_header(
+            timestamp, _BGP4MP_ET, _MESSAGE_AS4, _U32.pack(microseconds) + header + bgp_bytes
+        )
     return _encode_header(timestamp, _BGP4MP, _MESSAGE_AS4, header + bgp_bytes)

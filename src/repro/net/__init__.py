@@ -1,1 +1,1 @@
-"""Shared network data structures (longest-prefix-match tries)."""
+"""Shared network data structures (longest-prefix-match tables)."""

@@ -1,7 +1,4 @@
-"""Active measurement: Atlas-like vantage points and looking glasses.
-
-IP-to-AS mapping of traceroute hops is :meth:`Topology.origin_of`.
-"""
+"""Active measurement: Atlas-like vantage points and looking glasses."""
 
 from repro.probing.atlas import AtlasPlatform, ProbeMeasurement, VantagePoint
 from repro.probing.looking_glass import LookingGlass, LookingGlassEntry

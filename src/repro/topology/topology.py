@@ -7,7 +7,7 @@ from typing import Iterator
 
 from repro.bgp.prefix import Prefix
 from repro.exceptions import TopologyError
-from repro.net.lpm import LpmTable, cached_table
+from repro.net.lpm import LpmTable
 from repro.topology.asys import AutonomousSystem
 from repro.topology.ixp import Ixp
 from repro.topology.relationships import Relationship, RelationshipDataset
@@ -20,15 +20,6 @@ class Topology:
     ases: dict[int, AutonomousSystem] = field(default_factory=dict)
     relationships: RelationshipDataset = field(default_factory=RelationshipDataset)
     ixps: dict[str, Ixp] = field(default_factory=dict)
-    #: Cached origin trie over every originated prefix, keyed by a content
-    #: fingerprint (AS count, prefix count, order-independent hash mix of
-    #: every (asn, prefix) pair) so both the append-only mutation API and
-    #: in-place prefix-list edits invalidate it (see
-    #: :func:`repro.net.lpm.cached_table`).  Not part of the value
-    #: semantics.
-    _origin_cache: tuple[tuple[int, int, int], LpmTable] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------ nodes
     def add_as(self, asys: AutonomousSystem) -> AutonomousSystem:
@@ -115,50 +106,12 @@ class Topology:
         return mapping
 
     def origin_table(self) -> LpmTable:
-        """The per-family LPM trie of every originated prefix → origin ASN.
-
-        Built once and cached; repeated ownership/overlap queries
-        (:meth:`origin_of`, the hijack-overlap checks in
-        :mod:`repro.attacks`) walk the trie instead of scanning every
-        AS's prefix list.  The fingerprint mixes every (asn, prefix)
-        pair through an explicit 64-bit integer mix — O(total prefixes)
-        per call, but re-validating is far cheaper than rebuilding the
-        trie — so even an in-place prefix swap invalidates the cache.
-        The mix deliberately avoids builtin ``hash()`` so the
-        fingerprint is identical across interpreter runs.
-        """
-        count = 0
-        mix = 0
+        """An LPM table of every originated prefix → origin ASN, built on each call."""
+        table = LpmTable()
         for asys in self.ases.values():
-            count += len(asys.prefixes)
-            asn = asys.asn
             for prefix in asys.prefixes:
-                # Order-independent accumulation: additions, removals and
-                # re-homed prefixes all perturb the sum.
-                word = (
-                    asn * 0x9E3779B97F4A7C15
-                    + prefix.network * 0xBF58476D1CE4E5B9
-                    + prefix.length * 0x94D049BB133111EB
-                    + int(prefix.family)
-                ) & 0xFFFFFFFFFFFFFFFF
-                word ^= word >> 29
-                mix = (mix + word) & 0xFFFFFFFFFFFFFFFF
-        self._origin_cache, table = cached_table(
-            self._origin_cache,
-            (len(self.ases), count, mix),
-            (
-                (prefix, asys.asn)
-                for asys in self.ases.values()
-                for prefix in asys.prefixes
-            ),
-        )
+                table.insert(prefix, asys.asn)
         return table
-
-    def origin_of(self, prefix: Prefix) -> int | None:
-        """Return the legitimate origin of ``prefix`` (longest covering match)."""
-        covering = self.origin_table().covering(prefix)
-        # ``covering`` is ordered least specific first.
-        return covering[-1][1] if covering else None
 
     # ------------------------------------------------------------------ roles
     def transit_ases(self) -> list[AutonomousSystem]:

@@ -39,27 +39,10 @@ class InjectionPlatform:
     #: (PEERING: no; the research network: yes, with coordination).
     allows_hijack: bool = False
     upstream_asns: list[int] = field(default_factory=list)
-    #: Cached allocation trie, fingerprinted by the full allocation tuple
-    #: (the list is tiny) so any mutation rebuilds it.
-    _allocation_cache: "tuple[tuple, object] | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def owns(self, prefix: Prefix) -> bool:
-        """True if the prefix is inside the platform's allocation.
-
-        Trie-backed (``LpmTable.covering``): the AUP check runs once per
-        announced prefix, which for batched multi-prefix announcements
-        used to mean a full scan of the allocation list per prefix.
-        """
-        from repro.net.lpm import cached_table
-
-        self._allocation_cache, table = cached_table(
-            self._allocation_cache,
-            tuple(self.allocated_prefixes),
-            ((own, self.asn) for own in self.allocated_prefixes),
-        )
-        return bool(table.covering(prefix))
+        """True if the prefix is inside the platform's allocation."""
+        return any(own.contains_prefix(prefix) for own in self.allocated_prefixes)
 
     def _check_aup(self, prefix: Prefix, hijack: bool) -> None:
         """Raise :class:`AupViolationError` if announcing ``prefix`` violates the AUP."""

@@ -26,7 +26,7 @@ class TestScenarioTopologies:
     def test_figure2_topology(self):
         topology = build_figure2_topology()
         assert topology.get_as(3).services is not None
-        assert topology.origin_of(VICTIM_FIG2) == 1
+        assert topology.origin_table().covering(VICTIM_FIG2)[-1] == 1
         assert topology.validate() == []
 
     def test_figure7_topology(self):

@@ -622,6 +622,41 @@ class TestTruncationOffsets:
         )
 
 
+class TestSubSecondTimestamps:
+    """A fraction of a second survives ``write_mrt`` -> ``from_mrt`` as a BGP4MP_ET record."""
+
+    T = 1522540800
+
+    def write(self, tmp_path, *timestamps: float) -> tuple[Path, list[MrtRecord]]:
+        path = tmp_path / "archive.mrt"
+        rows = [observation(peer_asn=peer, timestamp=ts) for peer, ts in zip(_PEERS, timestamps)]
+        ObservationArchive(rows).write_mrt(path)
+        with path.open("rb") as stream:
+            return path, list(iter_stream_records(stream))
+
+    def test_a_fraction_is_written_as_bgp4mp_et_and_read_back(self, tmp_path):
+        path, records = self.write(tmp_path, float(self.T), self.T + 0.25)
+        assert [(r.mrt_type, r.timestamp, r.microseconds) for r in records] == [
+            (MrtType.BGP4MP, self.T, 0),
+            (MrtType.BGP4MP_ET, self.T, 250_000),
+        ]
+        # The microsecond field counts in the header's length.
+        assert path.stat().st_size == 2 * (12 + len(records[0].payload)) + 4
+        assert decode_bgp4mp_message(records[1]).microseconds == 250_000
+        assert [o.timestamp for o in ObservationArchive.from_mrt(path)] == [self.T, self.T + 0.25]
+
+    def test_rounding_to_microseconds_carries_into_the_seconds(self, tmp_path):
+        _path, records = self.write(tmp_path, self.T + 0.9999997)
+        assert [(r.mrt_type, r.timestamp, r.microseconds) for r in records] == [
+            (MrtType.BGP4MP, self.T + 1, 0)
+        ]
+
+    def test_a_microsecond_field_out_of_range_is_refused(self):
+        message = next(ObservationArchive([observation()]).to_mrt_messages())
+        with pytest.raises(MrtError, match="microsecond field"):
+            encode_bgp4mp_message(message._replace(microseconds=1_000_000))
+
+
 _PEERS = (10, 3356, 70000, 4200000001)
 _PREFIXES = tuple(
     Prefix.from_string(text)
@@ -809,8 +844,9 @@ def _record_cases():
                 interface_index=0,
                 address_family=1,
                 update=update,
+                microseconds=250_000,
             ),
-            {},
+            {"microseconds": 0},
         ),
         (
             RouteObservation,

@@ -12,10 +12,9 @@ Eight contracts, none of them timed:
 * the full-table export (`Router.export_all_to`, what a collector
   harvest runs per session) equals the gate-by-gate oracle when every
   session shares one cache, and with it the tables built for other sessions;
-* the journalled LPM index of `Fib` equals a brute-force longest-match
-  scan after arbitrary interleavings of writes, removes and lookups — the
-  only guard of the trie *delete* path, which no benchmark workload
-  reaches;
+* the LPM table of `Fib` equals a brute-force longest-match scan after
+  arbitrary interleavings of writes, removes and lookups — the only guard
+  of the table's *delete* path, which no benchmark workload reaches;
 * on generated small Internets and churn (announce, tagged re-announce,
   withdraw, re-announce, duplicates, spoofed origins) one batched
   ``apply()`` leaves the Loc-RIBs, Adj-RIBs-In and FIBs of a sequential
@@ -33,8 +32,8 @@ Eight contracts, none of them timed:
   given the same history converges to, and the original does not move;
 * on a small fixed topology the work per best-path change stays
   proportional to what differs: rewrites are bounded by changed bests x
-  distinct neighbor signatures, and convergence plus FIB patch performs
-  zero trie inserts until somebody looks an address up.
+  distinct neighbor signatures; convergence writes no LPM table, the FIB
+  patch at most one entry per dirty (router, prefix) pair, and a lookup none.
 """
 
 from __future__ import annotations
@@ -445,7 +444,7 @@ def test_a_rejected_update_replaces_the_senders_accepted_route(router: Router, d
     assert router.loc_rib.best(accepted.prefix) is None, "the stale accepted route must not linger"
 
 
-# ------------------------------------------------------- journalled LPM indexes
+# ------------------------------------------------------------- FIB LPM tables
 LPM_PREFIXES = tuple(
     Prefix.from_string(text)
     for text in (
@@ -597,7 +596,6 @@ def check_converged_invariants(simulator: BgpSimulator, plane: DataPlane) -> Non
             assert routes.get(prefix) == winner
             if winner is not None:
                 assert asn not in winner.attributes.as_path.asns(), "own ASN on a selected path"
-            # Looking up also replays the journal, so a later withdraw deletes from the trie.
             for address in {prefix.host(0), prefix.host()}:
                 assert plane.fibs[asn].lookup(address, prefix.family) == brute_force(entries, address, prefix.family)
 
@@ -846,7 +844,7 @@ class CountingPolicy(ForwardAllPolicy):
         return neighbor_asn % 2
 
 
-def test_work_per_best_change_is_bounded_and_convergence_inserts_nothing(monkeypatch):
+def test_work_per_best_change_is_bounded_and_fib_inserts_follow_dirty_prefixes(monkeypatch):
     inserts = []
     original_insert = LpmTable.insert
 
@@ -864,18 +862,19 @@ def test_work_per_best_change_is_bounded_and_convergence_inserts_nothing(monkeyp
     baseline = len(inserts)  # whatever building the topology's own tables cost
     events = origination_events(topology)
     report = simulator.apply(events)
+    assert len(inserts) == baseline, "convergence must not write an LPM table"
     dataplane.rebuild(report)
     assert report.announcements_processed > 0 and events
-    assert len(inserts) == baseline, "convergence + FIB patch must not touch a trie"
+    # The FIB patch writes at most one entry per dirty (router, prefix) pair.
+    dirty = sum(len(prefixes) for prefixes in report.dirty.values())
+    paid = len(inserts) - baseline
+    assert 0 < paid <= dirty
     for asn, policy in policies_by_asn.items():
         changed = len(report.dirty.get(asn, ()))
         signatures = {policy.neighbor_signature(n) for n in simulator.routers[asn].neighbors()}
         assert policy.calls <= changed * len(signatures), asn
-    # The first lookup pays for exactly the journalled prefixes, once.
+    # A lookup reads the tables and writes none.
     source = min(simulator.routers)
     prefix = events[0].prefix
     assert dataplane.ping(source, prefix.host(), prefix.family).reachable
-    paid = len(inserts) - baseline
-    assert 0 < paid <= sum(len(fib) for fib in dataplane.fibs.values())
-    dataplane.ping(source, prefix.host(), prefix.family)
     assert len(inserts) - baseline == paid

@@ -1,9 +1,10 @@
-"""Tests for the per-family radix-trie LPM subsystem (repro.net.lpm).
+"""Tests for the per-family LPM tables (repro.net.lpm).
 
-Covers the trie primitives, property-style cross-checks against the old
-linear-scan semantics, and the family-separation regression: an IPv4
-address must never match an IPv6 prefix in any of the trie-backed
-consumers (Fib, the topology's origin table).
+Covers the table's exact-match and LPM primitives, property-style
+cross-checks of ``longest_match``, ``covering`` and ``covered`` against
+a linear scan in both families, and the family-separation regression:
+an IPv4 address must never match an IPv6 prefix in any of the
+table-backed consumers (Fib, the topology's origin table).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import pytest
 
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.dataplane.fib import Fib, FibEntry
-from repro.exceptions import PrefixError
-from repro.net.lpm import LpmTable, RadixTrie, infer_family
+from repro.net.lpm import LpmTable, infer_family
 
 
 def p(text: str) -> Prefix:
@@ -34,122 +34,144 @@ def linear_longest_match(table: dict[Prefix, object], address: int, family: Addr
     return best
 
 
-class TestRadixTrie:
-    def test_insert_get_delete(self):
-        trie = RadixTrie(AddressFamily.IPV4)
-        trie.insert(p("10.0.0.0/8"), "a")
-        trie.insert(p("10.1.0.0/16"), "b")
-        assert len(trie) == 2
-        assert trie.get(p("10.0.0.0/8")) == "a"
-        assert trie.get(p("10.1.0.0/16")) == "b"
-        assert trie.get(p("10.2.0.0/16")) is None
-        assert p("10.0.0.0/8") in trie
-        assert trie.delete(p("10.0.0.0/8"))
-        assert not trie.delete(p("10.0.0.0/8"))
-        assert len(trie) == 1
-        assert trie.get(p("10.0.0.0/8")) is None
-        assert trie.get(p("10.1.0.0/16")) == "b"
+def random_prefixes(rng: random.Random, family: AddressFamily, count: int) -> list[Prefix]:
+    """Random prefixes of every length, half of them nested around a few base addresses."""
+    bits = family.bits
+    bases = [rng.getrandbits(bits) for _ in range(4)]
+    prefixes = []
+    for _ in range(count):
+        network = rng.choice(bases) if rng.random() < 0.5 else rng.getrandbits(bits)
+        prefixes.append(Prefix(family, network, rng.randint(0, bits)))
+    return prefixes
 
-    def test_reinsert_replaces_value(self):
-        trie = RadixTrie(AddressFamily.IPV4)
-        trie.insert(p("10.0.0.0/8"), "a")
-        trie.insert(p("10.0.0.0/8"), "b")
-        assert len(trie) == 1
-        assert trie.get(p("10.0.0.0/8")) == "b"
 
-    def test_longest_match(self):
-        trie = RadixTrie(AddressFamily.IPV4)
-        trie.insert(p("0.0.0.0/0"), "default")
-        trie.insert(p("10.0.0.0/8"), "eight")
-        trie.insert(p("10.1.0.0/16"), "sixteen")
-        trie.insert(p("10.1.2.0/24"), "twentyfour")
-        assert trie.longest_match(p("10.1.2.0/24").network)[1] == "twentyfour"
-        assert trie.longest_match(p("10.1.9.0/24").network)[1] == "sixteen"
-        assert trie.longest_match(p("10.9.0.0/16").network)[1] == "eight"
-        assert trie.longest_match(p("192.0.2.0/24").network)[1] == "default"
-        assert trie.longest_match(-1) is None
-        assert trie.longest_match(1 << 32) is None
-
-    def test_host_route_match(self):
-        trie = RadixTrie(AddressFamily.IPV4)
-        host = p("192.0.2.1/32")
-        trie.insert(host, "host")
-        assert trie.longest_match(host.network)[1] == "host"
-        assert trie.longest_match(host.network + 1) is None
-
-    def test_covering_and_covered(self):
-        trie = RadixTrie(AddressFamily.IPV4)
-        trie.insert(p("10.0.0.0/8"), "eight")
-        trie.insert(p("10.1.0.0/16"), "sixteen")
-        trie.insert(p("10.1.2.0/24"), "twentyfour")
-        trie.insert(p("192.0.2.0/24"), "other")
-        covering = trie.covering(p("10.1.2.0/25"))
-        assert [v for _, v in covering] == ["eight", "sixteen", "twentyfour"]
-        covered = {v for _, v in trie.covered(p("10.0.0.0/8"))}
-        assert covered == {"eight", "sixteen", "twentyfour"}
-        assert trie.covered(p("11.0.0.0/8")) == []
-        assert [v for _, v in trie.covered(p("192.0.2.0/24"))] == ["other"]
-
-    def test_family_mismatch_raises(self):
-        trie = RadixTrie(AddressFamily.IPV4)
-        with pytest.raises(PrefixError):
-            trie.insert(p("2001:db8::/32"), "nope")
-
-    def test_items_and_len(self):
-        trie = RadixTrie(AddressFamily.IPV6)
-        prefixes = [p("2001:db8::/32"), p("2001:db8:1::/48"), p("::/0")]
-        for i, prefix in enumerate(prefixes):
-            trie.insert(prefix, i)
-        assert len(trie) == 3
-        assert {prefix for prefix, _ in trie.items()} == set(prefixes)
-
-    def test_property_random_churn_matches_linear_scan(self):
-        """Random insert/delete sequences cross-checked against the linear scan."""
-        rng = random.Random(20260729)
-        trie = RadixTrie(AddressFamily.IPV4)
-        reference: dict[Prefix, int] = {}
-        for step in range(2000):
-            length = rng.randint(0, 32)
-            network = rng.getrandbits(32)
-            prefix = Prefix.ipv4(network, length)
-            if rng.random() < 0.3 and reference:
-                victim = rng.choice(list(reference))
-                assert trie.delete(victim)
-                del reference[victim]
-            else:
-                trie.insert(prefix, step)
-                reference[prefix] = step
-            assert len(trie) == len(reference)
-        # Exact lookups agree for every stored prefix.
-        for prefix, value in reference.items():
-            assert trie.get(prefix) == value
-        # LPM agrees with the linear scan for random addresses and for
-        # addresses inside stored prefixes (hits are likelier there).
-        probes = [rng.getrandbits(32) for _ in range(300)]
-        probes += [prefix.network for prefix in list(reference)[:300]]
-        for address in probes:
-            expected = linear_longest_match(reference, address, AddressFamily.IPV4)
-            got = trie.longest_match(address)
-            assert got == expected
-
-    def test_property_delete_everything_leaves_empty_trie(self):
-        rng = random.Random(7)
-        trie = RadixTrie(AddressFamily.IPV4)
-        prefixes = {Prefix.ipv4(rng.getrandbits(32), rng.randint(1, 32)) for _ in range(500)}
-        # Sorted, so neither order depends on PYTHONHASHSEED.
-        for i, prefix in enumerate(sorted(prefixes)):
-            trie.insert(prefix, i)
-        order = sorted(prefixes)
-        rng.shuffle(order)
-        for prefix in order:
-            assert trie.delete(prefix)
-        assert len(trie) == 0
-        assert trie.longest_match(rng.getrandbits(32)) is None
-        # The root must have been pruned back to a bare skeleton.
-        assert trie._root.left is None and trie._root.right is None
+FAMILIES = pytest.mark.parametrize("family", [AddressFamily.IPV4, AddressFamily.IPV6])
 
 
 class TestLpmTable:
+    def test_insert_get_delete(self):
+        table = LpmTable()
+        table.insert(p("10.0.0.0/8"), "a")
+        table.insert(p("10.1.0.0/16"), "b")
+        assert len(table) == 2
+        assert table.get(p("10.0.0.0/8")) == "a"
+        assert table.get(p("10.1.0.0/16")) == "b"
+        assert table.get(p("10.2.0.0/16")) is None
+        assert p("10.0.0.0/8") in table
+        assert table.delete(p("10.0.0.0/8"))
+        assert not table.delete(p("10.0.0.0/8"))
+        assert len(table) == 1
+        assert table.get(p("10.0.0.0/8")) is None
+        assert table.get(p("10.1.0.0/16")) == "b"
+
+    def test_reinsert_replaces_value(self):
+        table = LpmTable()
+        table.insert(p("10.0.0.0/8"), "a")
+        table.insert(p("10.0.0.0/8"), "b")
+        assert len(table) == 1
+        assert table.get(p("10.0.0.0/8")) == "b"
+
+    def test_longest_match(self):
+        table = LpmTable()
+        table.insert(p("0.0.0.0/0"), "default")
+        table.insert(p("10.0.0.0/8"), "eight")
+        table.insert(p("10.1.0.0/16"), "sixteen")
+        table.insert(p("10.1.2.0/24"), "twentyfour")
+        assert table.longest_match(p("10.1.2.0/24").network) == "twentyfour"
+        assert table.longest_match(p("10.1.9.0/24").network) == "sixteen"
+        assert table.longest_match(p("10.9.0.0/16").network) == "eight"
+        assert table.longest_match(p("192.0.2.0/24").network) == "default"
+        # Out of the family's range: not even the default route matches.
+        assert table.longest_match(-1, AddressFamily.IPV4) is None
+        assert table.longest_match(1 << 32, AddressFamily.IPV4) is None
+
+    def test_host_route_match(self):
+        table = LpmTable()
+        host = p("192.0.2.1/32")
+        table.insert(host, "host")
+        assert table.longest_match(host.network) == "host"
+        assert table.longest_match(host.network + 1) is None
+
+    def test_covering_and_covered(self):
+        table = LpmTable()
+        table.insert(p("10.0.0.0/8"), "eight")
+        table.insert(p("10.1.0.0/16"), "sixteen")
+        table.insert(p("10.1.2.0/24"), "twentyfour")
+        table.insert(p("192.0.2.0/24"), "other")
+        assert table.covering(p("10.1.2.0/25")) == ["eight", "sixteen", "twentyfour"]
+        assert set(table.covered(p("10.0.0.0/8"))) == {"eight", "sixteen", "twentyfour"}
+        assert table.covered(p("11.0.0.0/8")) == []
+        assert table.covered(p("192.0.2.0/24")) == ["other"]
+
+    def test_values_and_len(self):
+        table = LpmTable()
+        prefixes = [p("2001:db8::/32"), p("2001:db8:1::/48"), p("::/0")]
+        for i, prefix in enumerate(prefixes):
+            table.insert(prefix, i)
+        assert len(table) == 3
+        assert list(table.values()) == [0, 1, 2]
+
+    @FAMILIES
+    def test_property_random_churn_matches_linear_scan(self, family):
+        """Random insert/delete sequences cross-checked against the linear scan."""
+        rng = random.Random(20260729 + family)
+        bits = family.bits
+        table = LpmTable()
+        reference: dict[Prefix, int] = {}
+        for step, prefix in enumerate(random_prefixes(rng, family, 2000)):
+            if rng.random() < 0.3 and reference:
+                victim = rng.choice(list(reference))
+                assert table.delete(victim)
+                del reference[victim]
+            else:
+                table.insert(prefix, step)
+                reference[prefix] = step
+            assert len(table) == len(reference)
+        # Exact lookups agree for every stored prefix.
+        for prefix, value in reference.items():
+            assert table.get(prefix) == value
+        # LPM agrees with the linear scan for random addresses and for
+        # addresses inside stored prefixes (hits are likelier there).
+        probes = [rng.getrandbits(bits) for _ in range(300)]
+        probes += [prefix.network for prefix in list(reference)[:300]]
+        for address in probes:
+            expected = linear_longest_match(reference, address, family)
+            got = table.longest_match(address, family)
+            assert got == (None if expected is None else expected[1])
+
+    @FAMILIES
+    def test_property_covering_and_covered_match_a_filtered_scan(self, family):
+        rng = random.Random(99 + family)
+        table = LpmTable()
+        reference: dict[Prefix, int] = {}
+        for step, prefix in enumerate(random_prefixes(rng, family, 600)):
+            table.insert(prefix, step)
+            reference[prefix] = step
+        other = AddressFamily.IPV6 if family == AddressFamily.IPV4 else AddressFamily.IPV4
+        table.insert(Prefix(other, 0, 0), "other family")
+        by_length = sorted(reference.items(), key=lambda item: item[0].length)
+        for query in random_prefixes(rng, family, 300) + list(reference)[:100]:
+            covering = [value for prefix, value in by_length if prefix.contains_prefix(query)]
+            covered = [value for prefix, value in reference.items() if query.contains_prefix(prefix)]
+            assert table.covering(query) == covering
+            assert sorted(table.covered(query)) == sorted(covered)
+
+    def test_property_delete_everything_leaves_empty_table(self):
+        rng = random.Random(7)
+        table = LpmTable()
+        prefixes = {Prefix.ipv4(rng.getrandbits(32), rng.randint(1, 32)) for _ in range(500)}
+        # Sorted, so neither order depends on PYTHONHASHSEED.
+        for i, prefix in enumerate(sorted(prefixes)):
+            table.insert(prefix, i)
+        order = sorted(prefixes)
+        rng.shuffle(order)
+        for prefix in order:
+            assert table.delete(prefix)
+        assert len(table) == 0
+        assert table.longest_match(rng.getrandbits(32)) is None
+        # No emptied prefix length is left to probe.
+        assert not table._counts and table._lengths == {AddressFamily.IPV4: []}
+
     def test_infer_family(self):
         assert infer_family(0) == AddressFamily.IPV4
         assert infer_family((1 << 32) - 1) == AddressFamily.IPV4
@@ -166,12 +188,10 @@ class TestLpmTable:
         table.insert(v6, "v6")
         address = p("10.0.0.1/32").network
         assert v6.contains_address(address)  # the bit pattern really does collide
-        hit = table.longest_match(address)
-        assert hit is not None and hit[1] == "v4"
-        hit6 = table.longest_match(address, AddressFamily.IPV6)
-        assert hit6 is not None and hit6[1] == "v6"
+        assert table.longest_match(address) == "v4"
+        assert table.longest_match(address, AddressFamily.IPV6) == "v6"
 
-    def test_delete_and_get(self):
+    def test_delete_and_get_across_families(self):
         table = LpmTable()
         table.insert(p("10.0.0.0/8"), 1)
         table.insert(p("2001:db8::/32"), 2)
@@ -182,9 +202,7 @@ class TestLpmTable:
         assert not table.delete(p("192.0.2.0/24"))
         assert len(table) == 1
         assert p("2001:db8::/32") in table
-        assert {prefix for prefix, _ in table.items()} == {p("2001:db8::/32")}
-        table.clear()
-        assert len(table) == 0
+        assert list(table.values()) == [2]
 
     def test_covering_empty_family(self):
         table = LpmTable()
@@ -218,15 +236,16 @@ class TestCrossFamilyRegressions:
         topology.add_as(AutonomousSystem(asn=9, prefixes=[self.V6_COLLIDER]))
         assert topology.origin_table().longest_match(self.ADDRESS) is None
         topology.add_as(AutonomousSystem(asn=2, prefixes=[self.V4]))
-        assert topology.origin_table().longest_match(self.ADDRESS)[1] == 2
-        assert topology.origin_table().longest_match(self.ADDRESS, AddressFamily.IPV6)[1] == 9
-        assert topology.origin_of(p("10.1.0.0/16")) == 2
-        assert topology.origin_of(p("2001:db8::/32")) is None
+        origins = topology.origin_table()
+        assert origins.longest_match(self.ADDRESS) == 2
+        assert origins.longest_match(self.ADDRESS, AddressFamily.IPV6) == 9
+        assert origins.covering(p("10.1.0.0/16")) == [2]
+        assert origins.covering(p("2001:db8::/32")) == []
 
     def test_atlas_measure_reaches_low_ipv6_targets(self):
         # A low IPv6 target (inside ::/96) has an integer address that looks
         # like IPv4; measure() must pass the target family through so the
-        # lookup hits the IPv6 trie.
+        # lookup hits the IPv6 prefixes.
         from repro.dataplane.forwarding import DataPlane
         from repro.policy.community_policy import ForwardAllPolicy
         from repro.probing.atlas import AtlasPlatform, VantagePoint
@@ -247,10 +266,10 @@ class TestCrossFamilyRegressions:
         assert measurement.responsive_probes() == {1}
 
 
-class TestFibTrieConsistency:
-    """The FIB is the one owner of a journalled trie: its replays must delete, too."""
+class TestFibTableConsistency:
+    """A FIB's removes must reach its table's length index, too."""
 
-    def test_install_remove_and_reinstall_keep_trie_in_sync(self):
+    def test_install_remove_and_reinstall_keep_table_in_sync(self):
         fib = Fib(1)
         prefix = p("10.0.0.0/8")
         fib.install(FibEntry(prefix, next_hop_asn=7))

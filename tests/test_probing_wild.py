@@ -99,9 +99,10 @@ class TestLookingGlassAndAtlas:
         topology, *_rest = wild_setup
         some_as = topology.stub_ases()[0]
         prefix = some_as.prefixes[0]
-        assert topology.origin_table().longest_match(prefix.host(1))[1] == some_as.asn
-        assert topology.origin_of(prefix) == some_as.asn
-        assert topology.origin_table().longest_match(0) is None
+        origins = topology.origin_table()
+        assert origins.longest_match(prefix.host(1)) == some_as.asn
+        assert origins.covering(prefix)[-1] == some_as.asn
+        assert origins.longest_match(0) is None
 
 
 class TestInjectionPlatforms:

@@ -57,9 +57,10 @@ class TestAutonomousSystem:
         assert len(asys.prefixes) == 1
         topology = Topology()
         topology.add_as(asys)
-        assert topology.origin_of(prefix) == 65001
-        assert topology.origin_of(prefix.subprefix(32, 5)) == 65001
-        assert topology.origin_of(Prefix.from_string("192.0.2.0/24")) is None
+        origins = topology.origin_table()
+        assert origins.covering(prefix) == [65001]
+        assert origins.covering(prefix.subprefix(32, 5)) == [65001]
+        assert origins.covering(Prefix.from_string("192.0.2.0/24")) == []
 
 
 class _EdgeScanOracle:
@@ -167,13 +168,14 @@ class TestTopologyContainer:
         with pytest.raises(TopologyError):
             topology.add_customer_link(1, 99)
 
-    def test_origin_of_longest_match(self):
+    def test_origin_table_covering_is_least_specific_first(self):
         topology = self.build()
         topology.get_as(1).add_prefix(Prefix.from_string("10.0.0.0/8"))
         topology.get_as(2).add_prefix(Prefix.from_string("10.1.0.0/16"))
-        assert topology.origin_of(Prefix.from_string("10.1.2.0/24")) == 2
-        assert topology.origin_of(Prefix.from_string("10.9.0.0/16")) == 1
-        assert topology.origin_of(Prefix.from_string("172.16.0.0/12")) is None
+        origins = topology.origin_table()
+        assert origins.covering(Prefix.from_string("10.1.2.0/24")) == [1, 2]
+        assert origins.covering(Prefix.from_string("10.9.0.0/16")) == [1]
+        assert origins.covering(Prefix.from_string("172.16.0.0/12")) == []
 
     def test_validate_detects_duplicate_origination(self):
         topology = self.build()
