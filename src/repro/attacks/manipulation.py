@@ -123,7 +123,8 @@ class RouteManipulationExperiment(Experiment):
         from repro.attacks.scenario import build_figure9_ixp
 
         self.reject_topology_spec(ctx)
-        topology, ixp = build_figure9_ixp(member_count=self.int_param("member_count", 0, minimum=0))
+        # The scenario's IXP has three fixed members (AS1, AS2 and AS4).
+        topology, ixp = build_figure9_ixp(member_count=self.int_param("member_count", 6, minimum=3))
         ctx.topology = topology
         ctx.scratch["ixp"] = ixp
 

@@ -48,14 +48,12 @@ class RtbhAttack:
         roles: ScenarioRoles,
         victim_prefix: Prefix,
         use_hijack: bool = False,
-        use_more_specific: bool = True,
         blackhole_community: Community | None = None,
     ):
         self.topology = topology
         self.roles = roles
         self.victim_prefix = victim_prefix
         self.use_hijack = use_hijack
-        self.use_more_specific = use_more_specific
         target = topology.get_as(roles.community_target_asn)
         if blackhole_community is not None:
             self.blackhole_community = blackhole_community
@@ -68,7 +66,7 @@ class RtbhAttack:
 
     def _attack_prefix(self) -> Prefix:
         """The prefix announced in the hijack variant: a /32 inside the victim prefix."""
-        if self.use_more_specific and self.victim_prefix.is_ipv4 and self.victim_prefix.length < 32:
+        if self.victim_prefix.is_ipv4 and self.victim_prefix.length < 32:
             return self.victim_prefix.subprefix(32, 1)
         return self.victim_prefix
 

@@ -91,7 +91,7 @@ def build_figure2_topology() -> Topology:
     return topology
 
 
-def build_figure7_topology(with_as4_blackhole: bool = True) -> Topology:
+def build_figure7_topology() -> Topology:
     """The remotely-triggered-blackholing scenario of Figure 7.
 
     AS1 (attackee) announces p to AS2 (attacker) and AS3 (community
@@ -99,14 +99,10 @@ def build_figure7_topology(with_as4_blackhole: bool = True) -> Topology:
     AS3:666 on its announcement of p so traffic to p is dropped at AS3.
     """
     topology = Topology()
-    rtbh_services_as3 = CommunityServiceCatalog.standard_transit_catalog(3)
-    services_as4 = (
-        CommunityServiceCatalog.standard_transit_catalog(4) if with_as4_blackhole else None
-    )
     topology.add_as(_stub_as(1))
     topology.add_as(_transit_as(2))
-    topology.add_as(_transit_as(3, rtbh_services_as3))
-    topology.add_as(_transit_as(4, services_as4))
+    topology.add_as(_transit_as(3, CommunityServiceCatalog.standard_transit_catalog(3)))
+    topology.add_as(_transit_as(4, CommunityServiceCatalog.standard_transit_catalog(4)))
     topology.add_customer_link(2, 1)
     topology.add_customer_link(3, 1)
     topology.add_customer_link(3, 2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks.scenario import AttackOutcome, ScenarioRoles
-from repro.bgp.community import Community, CommunitySet
+from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.exceptions import AttackError, ExperimentError
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
@@ -50,7 +50,6 @@ class PrependSteeringAttack:
         roles: ScenarioRoles,
         victim_prefix: Prefix,
         observer_asn: int,
-        prepend_community: Community | None = None,
         use_hijack: bool = False,
     ):
         self.topology = topology
@@ -59,15 +58,12 @@ class PrependSteeringAttack:
         self.observer_asn = observer_asn
         self.use_hijack = use_hijack
         target = topology.get_as(roles.community_target_asn)
-        if prepend_community is not None:
-            self.prepend_community = prepend_community
-        else:
-            if target.services is None:
-                raise AttackError(f"AS{roles.community_target_asn} offers no community services")
-            prepends = target.services.services_of_type(ActionType.PREPEND)
-            if not prepends:
-                raise AttackError(f"AS{roles.community_target_asn} offers no prepend community")
-            self.prepend_community = prepends[-1].community  # largest prepend count
+        if target.services is None:
+            raise AttackError(f"AS{roles.community_target_asn} offers no community services")
+        prepends = target.services.services_of_type(ActionType.PREPEND)
+        if not prepends:
+            raise AttackError(f"AS{roles.community_target_asn} offers no prepend community")
+        self.prepend_community = prepends[-1].community  # largest prepend count
 
     def run(self) -> SteeringResult:
         """Execute the attack and compare the observer's best path before and after."""
@@ -128,25 +124,17 @@ class LocalPrefSteeringAttack:
         topology: Topology,
         roles: ScenarioRoles,
         victim_prefix: Prefix,
-        backup_community: Community | None = None,
-        tag_toward_asn: int | None = None,
     ):
         self.topology = topology
         self.roles = roles
         self.victim_prefix = victim_prefix
-        #: The neighbor session on which the attacker attaches the community
-        #: (the direct link to the community target by default).
-        self.tag_toward_asn = tag_toward_asn or roles.community_target_asn
         target = topology.get_as(roles.community_target_asn)
-        if backup_community is not None:
-            self.backup_community = backup_community
-        else:
-            if target.services is None:
-                raise AttackError(f"AS{roles.community_target_asn} offers no community services")
-            local_prefs = target.services.services_of_type(ActionType.LOCAL_PREF)
-            if not local_prefs:
-                raise AttackError(f"AS{roles.community_target_asn} offers no local-pref community")
-            self.backup_community = local_prefs[0].community
+        if target.services is None:
+            raise AttackError(f"AS{roles.community_target_asn} offers no community services")
+        local_prefs = target.services.services_of_type(ActionType.LOCAL_PREF)
+        if not local_prefs:
+            raise AttackError(f"AS{roles.community_target_asn} offers no local-pref community")
+        self.backup_community = local_prefs[0].community
 
     def run(self) -> SteeringResult:
         """Execute the attack; success means the target's preferred ingress moved."""
@@ -160,8 +148,10 @@ class LocalPrefSteeringAttack:
         )
 
         attacked = BgpSimulator(self.topology)
+        # The attacker attaches the community only on its direct session
+        # to the community target.
         attacker_router = attacked.router(roles.attacker_asn)
-        attacker_router.export_community_additions[self.tag_toward_asn] = CommunitySet.of(
+        attacker_router.export_community_additions[roles.community_target_asn] = CommunitySet.of(
             self.backup_community
         )
         attacked.announce(roles.attackee_asn, self.victim_prefix)

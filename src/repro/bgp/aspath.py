@@ -18,6 +18,15 @@ AS_TRANS = 23456
 MAX_ASN = 0xFFFFFFFF
 
 
+def collapse_prepending(asns: Iterable[int]) -> list[int]:
+    """Return ``asns`` with consecutive duplicates (prepending) collapsed."""
+    collapsed: list[int] = []
+    for asn in asns:
+        if not collapsed or collapsed[-1] != asn:
+            collapsed.append(asn)
+    return collapsed
+
+
 class SegmentType(IntEnum):
     """AS_PATH segment types (RFC 4271)."""
 
@@ -103,15 +112,7 @@ class ASPath:
 
     def unique_asns(self) -> list[int]:
         """Return the ASNs with consecutive duplicates (prepending) collapsed."""
-        result: list[int] = []
-        for asn in self.asns():
-            if not result or result[-1] != asn:
-                result.append(asn)
-        return result
-
-    def without_prepending(self) -> "ASPath":
-        """Return a copy with AS-path prepending removed (the paper's normalisation)."""
-        return ASPath.of(*self.unique_asns())
+        return collapse_prepending(self.asns())
 
     @property
     def origin_asn(self) -> int | None:

@@ -106,21 +106,16 @@ def _encode_attribute(type_code: int, flags: int, payload: bytes) -> bytes:
     return header + payload
 
 
-def _encode_as_path(as_path: ASPath, as4: bool = True) -> bytes:
-    """Encode the AS_PATH attribute payload (4-byte ASNs by default)."""
-    code = "I" if as4 else "H"
+def _encode_as_path(as_path: ASPath) -> bytes:
+    """Encode the AS_PATH attribute payload with 4-byte ASNs (the decoder reads both widths)."""
     parts: list[bytes] = []
     for segment in as_path.segments:
         asns = segment.asns
         # A segment can hold at most 255 ASNs; split longer sequences.
         for start in range(0, len(asns), 255):
             chunk = asns[start:start + 255]
-            if not as4:
-                for asn in chunk:
-                    if asn > 0xFFFF:
-                        raise MessageError(f"ASN {asn} does not fit in a 2-byte AS_PATH")
             parts.append(
-                struct.pack(f"!BB{len(chunk)}{code}", int(segment.segment_type), len(chunk), *chunk)
+                struct.pack(f"!BB{len(chunk)}I", int(segment.segment_type), len(chunk), *chunk)
             )
     return b"".join(parts)
 

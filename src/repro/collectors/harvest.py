@@ -92,7 +92,7 @@ class _Paths(dict):
 
 
 def _export_item(
-    simulator: "BgpSimulator", item: HarvestItem, timestamp: float, export_cache: dict, paths: dict
+    simulator: "BgpSimulator", item: HarvestItem, export_cache: dict, paths: dict
 ) -> list[RouteObservation]:
     """Export one session's full table through the shared memo."""
     router = simulator.router(item.peer_asn)
@@ -102,7 +102,7 @@ def _export_item(
     return [
         RouteObservation(
             platform, collector_id, peer_asn, announcement.prefix,
-            paths[announcement.attributes.as_path], announcement.attributes.communities, timestamp,
+            paths[announcement.attributes.as_path], announcement.attributes.communities,
         )
         for announcement in router.export_all_to(
             item.collector_asn, export_cache, router.export_memo_key(item.collector_asn)
@@ -111,7 +111,7 @@ def _export_item(
 
 
 def _harvest_serial(
-    items: Sequence[HarvestItem], simulator: "BgpSimulator", timestamp: float
+    items: Sequence[HarvestItem], simulator: "BgpSimulator"
 ) -> ObservationArchive:
     """The in-process reference path: serial order, memoised exports."""
     archive = ObservationArchive()
@@ -119,13 +119,13 @@ def _harvest_serial(
     paths = _Paths()
     for item in items:
         simulator.register_collector_peering(item.peer_asn, item.collector_asn)
-        archive.extend(_export_item(simulator, item, timestamp, export_cache, paths))
+        archive.extend(_export_item(simulator, item, export_cache, paths))
     return archive
 
 
 # ---------------------------------------------------------------- sharded path
 #: One slot's task payload: ``(epoch, router_config | None,
-#: additions_blob, items_blob, states_blob, timestamp)`` — the same
+#: additions_blob, items_blob, states_blob)`` — the same
 #: sync header the propagation tasks carry, the full work-list, and the
 #: slot's pending state deltas, all as :mod:`repro.routing.wire` blobs.
 HarvestTask = tuple
@@ -146,7 +146,7 @@ def _run_harvest_shard(task: HarvestTask) -> bytes:
     from repro.routing import shard as shard_module
     from repro.routing import wire
 
-    epoch, router_config, additions_blob, items_blob, states_blob, timestamp = task
+    epoch, router_config, additions_blob, items_blob, states_blob = task
     simulator = shard_module._resident_simulator()
     shard_module._sync_worker(simulator, epoch, router_config)
     shard_module.install_prefix_state(simulator, wire.decode_states(states_blob), stale=None)
@@ -175,7 +175,6 @@ def _run_harvest_shard(task: HarvestTask) -> bytes:
 def _harvest_sharded(
     items: Sequence[HarvestItem],
     simulator: "BgpSimulator",
-    timestamp: float,
     shard_count: int,
 ) -> ObservationArchive:
     """Export from the resident workers, merge in work-list + Loc-RIB order."""
@@ -225,8 +224,7 @@ def _harvest_sharded(
                 pool.submit(
                     slot,
                     _run_harvest_shard,
-                    (epoch, config, additions_blob, items_blob,
-                     wire.encode_states(states), timestamp),
+                    (epoch, config, additions_blob, items_blob, wire.encode_states(states)),
                 )
             )
         outcomes = [future.result() for future in futures]
@@ -237,7 +235,7 @@ def _harvest_sharded(
     # serial export order is the parent peer's Loc-RIB insertion order,
     # so sort each item's rows by the parent's own position map.  The
     # wire rows carry only (prefix, as_path, communities) — the
-    # per-item constants and the timestamp are re-attached here.
+    # per-item constants are re-attached here.
     by_item: dict[int, list[RouteObservation]] = {}
     for blob in outcomes:
         for index, rows in wire.decode_observations(blob):
@@ -252,7 +250,6 @@ def _harvest_sharded(
                     prefix,
                     as_path,
                     communities,
-                    timestamp,
                 )
                 for prefix, as_path, communities in rows
             )
@@ -279,7 +276,6 @@ def _harvest_sharded(
 def harvest_archive(
     deployment: "CollectorDeployment",
     simulator: "BgpSimulator",
-    timestamp: float = 0.0,
     shards: int | None = None,
 ) -> ObservationArchive:
     """Harvest a deployment's observations from a converged simulation.
@@ -303,5 +299,5 @@ def harvest_archive(
         # Surplus shards over the distinct peers would only idle.
         shard_count = min(shard_count, len({item.peer_asn for item in items}))
     if shard_count <= 1:
-        return _harvest_serial(items, simulator, timestamp)
-    return _harvest_sharded(items, simulator, timestamp, shard_count)
+        return _harvest_serial(items, simulator)
+    return _harvest_sharded(items, simulator, shard_count)

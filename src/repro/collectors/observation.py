@@ -52,7 +52,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from repro.bgp.aspath import ASPath
+from repro.bgp.aspath import ASPath, collapse_prepending
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import NO_COMMUNITIES, Community, CommunitySet
 from repro.bgp.message import BgpUpdate
@@ -77,6 +77,8 @@ _MRT_TIMESTAMP_LIMIT = 1 << 32
 _PEER_IPV6_BASE = 0x20010DB8 << 96
 _COLLECTOR_IPV4 = 0xC0000201  # 192.0.2.1
 _COLLECTOR_IPV6 = _PEER_IPV6_BASE | (0xFFFF << 64) | 1
+#: The collector side's ASN in every exported record.
+_COLLECTOR_ASN = 65000
 
 _T = TypeVar("_T")
 
@@ -108,7 +110,7 @@ def _validate_timestamp(timestamp: float) -> None:
         )
 
 
-def _mrt_message(observation: RouteObservation, collector_asn: int) -> Bgp4mpMessage:
+def _mrt_message(observation: RouteObservation) -> Bgp4mpMessage:
     """The BGP4MP message that carries one observation."""
     timestamp = observation.timestamp
     _validate_timestamp(timestamp)
@@ -127,7 +129,7 @@ def _mrt_message(observation: RouteObservation, collector_asn: int) -> Bgp4mpMes
     return Bgp4mpMessage(
         timestamp=seconds,
         peer_asn=observation.peer_asn,
-        local_asn=collector_asn,
+        local_asn=_COLLECTOR_ASN,
         peer_ip=peer_ip_for(observation.peer_asn, address_family),
         local_ip=collector_ip_for(address_family),
         interface_index=0,
@@ -188,11 +190,7 @@ class RouteObservation(_ObservationFields):
     @cached_property
     def path_without_prepending(self) -> tuple[int, ...]:
         """The AS path with consecutive duplicates collapsed (cached)."""
-        collapsed: list[int] = []
-        for asn in self.as_path:
-            if not collapsed or collapsed[-1] != asn:
-                collapsed.append(asn)
-        return tuple(collapsed)
+        return tuple(collapse_prepending(self.as_path))
 
 
 class RouteFacts:
@@ -201,10 +199,7 @@ class RouteFacts:
     __slots__ = ("path", "last", "taggers")
 
     def __init__(self, as_path: tuple[int, ...], communities: CommunitySet):
-        collapsed: list[int] = []
-        for asn in as_path:
-            if not collapsed or collapsed[-1] != asn:
-                collapsed.append(asn)
+        collapsed = collapse_prepending(as_path)
         #: The AS path with prepending collapsed (collector peer first).
         self.path: tuple[int, ...] = tuple(collapsed)
         #: ASN -> its position closest to the origin (optimistic attribution).
@@ -369,7 +364,7 @@ class ObservationArchive:
         return set(self.derived(_unique_communities))
 
     # ------------------------------------------------------------------- MRT
-    def to_mrt_messages(self, collector_asn: int = 65000) -> Iterator[Bgp4mpMessage]:
+    def to_mrt_messages(self) -> Iterator[Bgp4mpMessage]:
         """Convert every observation — IPv4 and IPv6, announce and withdraw —
         to BGP4MP messages.
 
@@ -379,9 +374,9 @@ class ObservationArchive:
         :class:`MrtError` instead of wrapping silently in the header.
         """
         for observation in self._observations:
-            yield _mrt_message(observation, collector_asn)
+            yield _mrt_message(observation)
 
-    def write_mrt(self, path: str | Path, collector_asn: int = 65000) -> int:
+    def write_mrt(self, path: str | Path) -> int:
         """Write the archive as an MRT file; return the record count.
 
         The bytes are those of :meth:`to_mrt_messages` put through
@@ -404,7 +399,7 @@ class ObservationArchive:
             if record is None:
                 # Through the module: the perf tracer and the tests patch the attribute.
                 record = encoded[key] = mrt_writer.encode_bgp4mp_message(
-                    _mrt_message(observation, collector_asn)
+                    _mrt_message(observation)
                 )
             records.append(record)
         with Path(path).open("wb") as stream:

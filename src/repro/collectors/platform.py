@@ -75,7 +75,6 @@ class CollectorDeployment:
         cls,
         topology: Topology,
         seed: int = 7,
-        shapes: dict[str, dict[str, int]] | None = None,
     ) -> "CollectorDeployment":
         """Place the four standard platforms over a topology.
 
@@ -84,7 +83,6 @@ class CollectorDeployment:
         real deployments.
         """
         rng = DeterministicRng(seed).child("collector-deployment")
-        shapes = shapes or DEFAULT_PLATFORM_SHAPES
         transit_asns = [a.asn for a in topology.transit_ases()]
         stub_asns = [a.asn for a in topology.stub_ases()]
         ixp_member_asns = sorted(
@@ -92,7 +90,7 @@ class CollectorDeployment:
         )
         platforms = []
         next_collector_asn = 65100
-        for name, shape in shapes.items():
+        for name, shape in DEFAULT_PLATFORM_SHAPES.items():
             collectors = []
             for index in range(shape["collectors"]):
                 if name == "PCH" and ixp_member_asns:
@@ -129,7 +127,6 @@ class CollectorDeployment:
     def collect_from_simulator(
         self,
         simulator: BgpSimulator,
-        timestamp: float = 0.0,
         shards: int | None = None,
     ) -> ObservationArchive:
         """Harvest observations from a converged simulation.
@@ -147,4 +144,4 @@ class CollectorDeployment:
         """
         from repro.collectors.harvest import harvest_archive
 
-        return harvest_archive(self, simulator, timestamp=timestamp, shards=shards)
+        return harvest_archive(self, simulator, shards=shards)

@@ -18,6 +18,9 @@ from repro.exceptions import DataPlaneError
 from repro.net.lpm import infer_family
 from repro.routing.engine import BgpSimulator, SimulationReport
 
+#: Hops a traced packet may take before it expires.
+MAX_TTL = 64
+
 
 class ForwardingOutcome(str, Enum):
     """What happened to a forwarded packet."""
@@ -66,9 +69,8 @@ class PingResult:
 class DataPlane:
     """Per-AS FIBs plus hop-by-hop forwarding over a converged simulation."""
 
-    def __init__(self, simulator: BgpSimulator, max_ttl: int = 64):
+    def __init__(self, simulator: BgpSimulator):
         self.simulator = simulator
-        self.max_ttl = max_ttl
         self.fibs: dict[int, Fib] = {}
         self.rebuild()
 
@@ -116,7 +118,7 @@ class DataPlane:
             family = infer_family(destination)
         path = [source_asn]
         current = source_asn
-        for _ in range(self.max_ttl):
+        for _ in range(MAX_TTL):
             fib = self.fibs[current]
             entry = fib.lookup(destination, family)
             if entry is None:

@@ -55,7 +55,6 @@ class BlackholeCommunityList:
 def build_blackhole_list(
     topology: Topology,
     inferred_count: int = 10,
-    inferred_error_rate: float = 0.4,
     seed: int = 99,
 ) -> BlackholeCommunityList:
     """Build the blackhole community list for a topology.
@@ -63,8 +62,8 @@ def build_blackhole_list(
     Verified entries are the RTBH communities of every AS whose service
     catalogue includes a blackhole action (ground truth, so "verified"
     is literally true).  Inferred entries are plausible-looking ``asn:666``
-    communities of ASes that may or may not actually honour them;
-    ``inferred_error_rate`` controls how many are wrong.
+    communities of ASes that may or may not actually honour them: each
+    is wrong with probability 0.4.
     """
     rng = DeterministicRng(seed).child("blackhole-list")
     records: list[BlackholeCommunityRecord] = []
@@ -95,7 +94,7 @@ def build_blackhole_list(
                 community=Community(asn, 666),
                 target_asn=asn,
                 verified=False,
-                actually_blackholes=not rng.chance(inferred_error_rate),
+                actually_blackholes=not rng.chance(0.4),
             )
         )
     return BlackholeCommunityList(records=records)

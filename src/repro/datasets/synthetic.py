@@ -432,13 +432,12 @@ class SyntheticDatasetBuilder:
 def build_default_dataset(
     topology: Topology | None = None,
     parameters: DatasetParameters | None = None,
-    collector_seed: int = 7,
 ) -> SyntheticDataset:
     """Convenience helper: generate a topology, deploy collectors, build the dataset."""
     from repro.topology.generator import TopologyGenerator
 
     if topology is None:
         topology = TopologyGenerator().generate()
-    deployment = CollectorDeployment.default_deployment(topology, seed=collector_seed)
+    deployment = CollectorDeployment.default_deployment(topology)
     builder = SyntheticDatasetBuilder(topology, deployment, parameters)
     return builder.build()

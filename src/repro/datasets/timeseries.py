@@ -85,9 +85,6 @@ PAPER_2018_SNAPSHOT = YearlySnapshot(
 )
 
 
-def historical_series(
-    final_snapshot: YearlySnapshot | None = None, model: GrowthModel | None = None
-) -> list[YearlySnapshot]:
-    """Return the 2010–2018 series, anchored at the paper's numbers by default."""
-    model = model or GrowthModel()
-    return model.series(final_snapshot or PAPER_2018_SNAPSHOT)
+def historical_series() -> list[YearlySnapshot]:
+    """Return the 2010–2018 series anchored at the paper's numbers."""
+    return GrowthModel().series(PAPER_2018_SNAPSHOT)

@@ -210,7 +210,18 @@ class Experiment:
             ctx.topology = ctx.spec.build_topology()
 
     def attach(self, ctx: ExperimentContext) -> None:
-        """Attach every platform the spec lists, in order."""
+        """Attach every platform the spec lists, in order.
+
+        ``upstream_count`` sizes the ``peering`` platform alone: a spec
+        that carries it without that platform (``rtbh-wild`` with
+        ``hijack=true`` runs from the research network) is refused, not
+        recorded as a knob that changed nothing.
+        """
+        if "upstream_count" in ctx.spec.params and "peering" not in ctx.spec.platforms:
+            raise ExperimentError(
+                "experiment parameter 'upstream_count' sizes the 'peering' platform, which "
+                f"this run does not attach (platforms: {', '.join(ctx.spec.platforms) or 'none'})"
+            )
         for platform_name in ctx.spec.platforms:
             self.attach_platform(ctx, platform_name)
 

@@ -76,12 +76,10 @@ class FilteringInference:
         filtering = [e for e in universe if e.filtered > 0]
         return fraction(len(filtering), len(universe))
 
-    def scatter_points(self, min_paths: int = 100) -> list[tuple[int, int]]:
-        """Figure 6(b): (forwarding, filtering) indication counts per qualifying edge."""
-        return [
-            (e.forwarded, e.filtered)
-            for e in self.edges_with_evidence(min_paths=min_paths)
-        ]
+    def scatter_points(self) -> list[tuple[int, int]]:
+        """Figure 6(b): (forwarding, filtering) indication counts per edge with
+        evidence and at least 100 observed paths."""
+        return [(e.forwarded, e.filtered) for e in self.edges_with_evidence(min_paths=100)]
 
 
 def infer_filtering(archive: ObservationArchive) -> FilteringInference:

@@ -158,12 +158,8 @@ def propagation_distance_ecdf(
 
 
 # ------------------------------------------------------------------ Figure 5(b)
-def relative_distance_by_path_length(
-    archive: ObservationArchive,
-    min_path_length: int = 3,
-    max_path_length: int = 10,
-) -> dict[int, Ecdf]:
-    """Compute Figure 5(b): relative propagation distance grouped by AS-path length.
+def relative_distance_by_path_length(archive: ObservationArchive) -> dict[int, Ecdf]:
+    """Compute Figure 5(b): relative propagation distance grouped by AS-path length (3 to 10).
 
     Communities whose ASN equals the collector peer (the monitor's
     neighbor) are excluded, but the edge to the monitor is included in
@@ -172,7 +168,7 @@ def relative_distance_by_path_length(
     per_length: dict[int, list[float]] = defaultdict(list)
     for route, count in archive.route_counts().items():
         path_length = len(route.path)
-        if not min_path_length <= path_length <= max_path_length:
+        if not 3 <= path_length <= 10:
             continue
         for _community, index in route.taggers:
             # Off-path (None) has no distance; position 0 is the community

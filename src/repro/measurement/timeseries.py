@@ -7,11 +7,11 @@ from repro.datasets.timeseries import GrowthModel, YearlySnapshot, historical_se
 from repro.measurement.usage import community_service_as_count, unique_community_count
 
 
-def snapshot_from_archive(archive: ObservationArchive, year: int = 2018) -> YearlySnapshot:
-    """Summarise an archive into the four Figure 3 quantities for one year."""
+def snapshot_from_archive(archive: ObservationArchive) -> YearlySnapshot:
+    """Summarise an archive into the four Figure 3 quantities of 2018."""
     absolute = sum(len(route.taggers) * count for route, count in archive.route_counts().items())
     return YearlySnapshot(
-        year=year,
+        year=2018,
         unique_ases_in_communities=community_service_as_count(archive),
         unique_communities=unique_community_count(archive),
         absolute_communities=absolute,
@@ -19,18 +19,13 @@ def snapshot_from_archive(archive: ObservationArchive, year: int = 2018) -> Year
     )
 
 
-def growth_table(
-    archive: ObservationArchive | None = None,
-    model: GrowthModel | None = None,
-    final_year: int = 2018,
-) -> list[YearlySnapshot]:
+def growth_table(archive: ObservationArchive | None = None) -> list[YearlySnapshot]:
     """Compute the Figure 3 series.
 
     When an archive is given, its 2018 snapshot anchors the curve (so
     the figure is reproduced over the synthetic Internet); otherwise the
     paper's own 2018 numbers are used.
     """
-    model = model or GrowthModel(final_year=final_year)
     if archive is None:
-        return historical_series(model=model)
-    return model.series(snapshot_from_archive(archive, year=final_year))
+        return historical_series()
+    return GrowthModel().series(snapshot_from_archive(archive))

@@ -11,10 +11,8 @@ property of the community services (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.bgp.prefix import AddressFamily, Prefix
-from repro.exceptions import PolicyError
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ class IrrRoute:
 
     prefix: Prefix
     origin_asn: int
-    source: str = "RADB"
 
 
 class IrrDatabase:
@@ -100,25 +97,15 @@ class IrrDatabase:
     a real hurdle for hijack-based attacks (the research network had to
     update the IRR first), and the registry is weakly authenticated so
     an attacker can often register the object themselves
-    (:meth:`register` has no authorisation check by default).
+    (:meth:`register` has no authorisation check).
     """
 
-    def __init__(self, routes: Iterable[IrrRoute] = (), strict: bool = False):
-        self._routes: list[IrrRoute] = list(routes)
-        #: When strict, :meth:`register` refuses objects for address space
-        #: already registered to a different origin.
-        self.strict = strict
+    def __init__(self) -> None:
+        self._routes: list[IrrRoute] = []
 
-    def register(self, prefix: Prefix, origin_asn: int, source: str = "RADB") -> IrrRoute:
-        """Register a route object (weakly authenticated unless ``strict``)."""
-        if self.strict:
-            for route in self._routes:
-                if route.prefix.overlaps(prefix) and route.origin_asn != origin_asn:
-                    raise PolicyError(
-                        f"IRR is strict: {prefix} overlaps {route.prefix} registered to "
-                        f"AS{route.origin_asn}"
-                    )
-        route = IrrRoute(prefix=prefix, origin_asn=origin_asn, source=source)
+    def register(self, prefix: Prefix, origin_asn: int) -> IrrRoute:
+        """Register a route object (weakly authenticated: anyone may)."""
+        route = IrrRoute(prefix=prefix, origin_asn=origin_asn)
         self._routes.append(route)
         return route
 

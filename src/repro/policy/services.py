@@ -111,54 +111,44 @@ class CommunityServiceCatalog:
 
     # ------------------------------------------------------------ constructors
     @classmethod
-    def standard_transit_catalog(
-        cls,
-        owner_asn: int,
-        prepend_values: tuple[int, ...] = (421, 422, 423),
-        local_pref_backup_value: int = 70,
-        include_blackhole: bool = True,
-        customers_only: bool = True,
-    ) -> "CommunityServiceCatalog":
+    def standard_transit_catalog(cls, owner_asn: int) -> "CommunityServiceCatalog":
         """Build a catalogue resembling a large transit provider's documentation.
 
         Mirrors the NTT-style scheme cited in the paper: ``asn:421`` for
         prepend once, ``asn:422`` twice, ``asn:423`` three times, a
-        "customer backup" local-pref community, and an RTBH community,
-        plus acceptance of the well-known BLACKHOLE community.
+        "customer backup" local-pref community (``asn:70``), all four for
+        customers only, and an RTBH community (``asn:666``), plus
+        acceptance of the well-known BLACKHOLE community.
         """
-        services = []
-        for i, value in enumerate(prepend_values, start=1):
-            services.append(
-                ServiceDefinition(
-                    community=Community(owner_asn, value),
-                    action=PrependAction(count=i),
-                    description=f"prepend AS{owner_asn} {i}x to all peers",
-                    customers_only=customers_only,
-                )
+        services = [
+            ServiceDefinition(
+                community=Community(owner_asn, value),
+                action=PrependAction(count=count),
+                description=f"prepend AS{owner_asn} {count}x to all peers",
             )
+            for count, value in enumerate((421, 422, 423), start=1)
+        ]
         services.append(
             ServiceDefinition(
                 community=Community(owner_asn, 70),
-                action=LocalPrefAction(local_pref=local_pref_backup_value),
+                action=LocalPrefAction(local_pref=70),
                 description="set local-pref to customer backup",
-                customers_only=customers_only,
             )
         )
-        if include_blackhole:
-            services.append(
-                ServiceDefinition(
-                    community=Community(owner_asn, 666),
-                    action=BlackholeAction(),
-                    description="remotely triggered blackhole",
-                    customers_only=False,
-                )
+        services.append(
+            ServiceDefinition(
+                community=Community(owner_asn, 666),
+                action=BlackholeAction(),
+                description="remotely triggered blackhole",
+                customers_only=False,
             )
-            services.append(
-                ServiceDefinition(
-                    community=BLACKHOLE,
-                    action=BlackholeAction(),
-                    description="RFC 7999 BLACKHOLE",
-                    customers_only=False,
-                )
+        )
+        services.append(
+            ServiceDefinition(
+                community=BLACKHOLE,
+                action=BlackholeAction(),
+                description="RFC 7999 BLACKHOLE",
+                customers_only=False,
             )
+        )
         return cls(owner_asn, services)

@@ -11,8 +11,9 @@ behavioural differences between the two dominant vendors:
   communities to a prefix;
 * a BGP update can carry at most 2^16 / 4 = 16K communities.
 
-A :class:`VendorProfile` bundles these switches so the routing
-simulator can be populated with a realistic vendor mix.
+A :class:`VendorProfile` bundles the two that differ (sending by
+default, the add limit) so the routing simulator can be populated with
+a realistic vendor mix; the rest hold for both vendors and need no switch.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ class VendorProfile:
     send_communities_by_default: bool
     #: Maximum communities a single policy statement may add to a prefix.
     max_added_communities: int
-    #: Maximum communities an update can carry at all.
-    max_communities_per_update: int = MAX_COMMUNITIES_PER_UPDATE
-    #: Are communities numerically sorted on display/send? (both vendors do)
-    normalizes_community_order: bool = True
-    #: Does the platform accept updates that carry communities? (both do)
-    accepts_communities: bool = True
 
     def effective_send_communities(self, explicitly_configured: bool) -> bool:
         """Return whether communities are sent to a neighbor.

@@ -57,7 +57,6 @@ class AtlasPlatform:
         cls,
         topology: Topology,
         probe_count: int = 200,
-        seed: int = 11,
         exclude_asns: set[int] | None = None,
     ) -> "AtlasPlatform":
         """Place up to ``probe_count`` probes in distinct, randomly chosen ASes.
@@ -67,7 +66,7 @@ class AtlasPlatform:
         injection platform).
         """
         exclude_asns = exclude_asns or set()
-        rng = DeterministicRng(seed).child("atlas")
+        rng = DeterministicRng(11).child("atlas")
         stub_pool = [a.asn for a in topology.stub_ases() if a.asn not in exclude_asns]
         transit_pool = [a.asn for a in topology.transit_ases() if a.asn not in exclude_asns]
         pool = stub_pool + transit_pool

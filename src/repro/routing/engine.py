@@ -115,22 +115,6 @@ class RoutingEvent:
     spoofed_origin_asn: int | None = None
 
     @classmethod
-    def announcement(
-        cls,
-        origin_asn: int,
-        prefix: Prefix,
-        communities: CommunitySet | None = None,
-        spoofed_origin_asn: int | None = None,
-    ) -> "RoutingEvent":
-        """Build an announce event."""
-        return cls(
-            origin_asn=origin_asn,
-            prefix=prefix,
-            communities=communities,
-            spoofed_origin_asn=spoofed_origin_asn,
-        )
-
-    @classmethod
     def withdrawal(cls, origin_asn: int, prefix: Prefix) -> "RoutingEvent":
         """Build a withdraw event."""
         return cls(origin_asn=origin_asn, prefix=prefix, withdraw=True)

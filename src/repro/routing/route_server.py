@@ -110,11 +110,11 @@ class RouteServer:
         allowed, suppressed, reasons = self._evaluate_targets(
             announcement.attributes.communities, announcement.sender_asn
         )
-        outbound_communities = announcement.attributes.communities
-        if self.config.strip_control_communities:
-            outbound_communities = outbound_communities.filter(
-                lambda c: not self.config.is_control_community(c)
-            )
+        # The route server strips its own control communities before
+        # redistributing routes to members (common practice).
+        outbound_communities = announcement.attributes.communities.filter(
+            lambda c: not self.config.is_control_community(c)
+        )
         outbound = announcement.replace(
             attributes=announcement.attributes.replace(communities=outbound_communities)
         )

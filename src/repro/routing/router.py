@@ -26,10 +26,9 @@ from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Announcement, RouteEntry
 from repro.exceptions import RoutingError
 from repro.policy.actions import ActionType
-from repro.policy.community_policy import CommunityPropagationPolicy, ForwardAllPolicy
+from repro.policy.community_policy import ForwardAllPolicy
 from repro.policy.filters import InboundFilterChain
-from repro.policy.services import CommunityServiceCatalog
-from repro.policy.vendor import JUNIPER_PROFILE, VendorProfile
+from repro.policy.vendor import JUNIPER_PROFILE
 from repro.routing.decision import best_path
 from repro.topology.asys import AutonomousSystem
 from repro.topology.relationships import Relationship
@@ -59,25 +58,20 @@ class Router:
         self,
         asys: AutonomousSystem,
         neighbor_relationships: dict[int, Relationship],
-        propagation_policy: CommunityPropagationPolicy | None = None,
-        services: CommunityServiceCatalog | None = None,
-        vendor: VendorProfile | None = None,
-        inbound_filters: InboundFilterChain | None = None,
-        send_community_configured: bool = True,
     ):
         self.asys = asys
         self.asn = asys.asn
         self.neighbor_relationships = dict(neighbor_relationships)
-        self.propagation_policy = propagation_policy or asys.propagation_policy or ForwardAllPolicy()
-        self.services = services or asys.services
-        self.vendor = vendor or asys.vendor or JUNIPER_PROFILE
-        self.inbound_filters = inbound_filters or InboundFilterChain(
+        self.propagation_policy = asys.propagation_policy or ForwardAllPolicy()
+        self.services = asys.services
+        self.vendor = asys.vendor or JUNIPER_PROFILE
+        self.inbound_filters = InboundFilterChain(
             validate_origin=asys.validates_origin,
             blackhole_before_validation=asys.blackhole_before_validation,
         )
         #: Whether the operator explicitly configured community sending
         #: (matters only for vendors that do not send by default).
-        self.send_community_configured = send_community_configured
+        self.send_community_configured = True
         self.adj_rib_in: dict[int, AdjRibIn] = {
             asn: AdjRibIn(asn) for asn in self.neighbor_relationships
         }
@@ -148,7 +142,6 @@ class Router:
         self,
         prefix: Prefix,
         communities: CommunitySet | None = None,
-        local_pref: int | None = None,
         origin_asn: int | None = None,
     ) -> RouteEntry:
         """Originate ``prefix`` locally (optionally spoofing ``origin_asn`` for hijacks).
@@ -165,7 +158,6 @@ class Router:
         attributes = PathAttributes(
             as_path=as_path,
             communities=communities or CommunitySet(),
-            local_pref=local_pref,
         )
         self.originated[prefix] = attributes
         self._refresh_best(prefix)

@@ -279,7 +279,7 @@ def capture_router_config(simulator: "BgpSimulator") -> dict[int, tuple]:
 
     Routers derive their policy objects from the topology at
     construction, but call sites may swap them afterwards (a custom
-    inbound filter chain, a strict IRR, a vendor override).  The pool
+    inbound filter chain, an IRR validator, a vendor override).  The pool
     payload carries the capture taken at pool construction; before every
     sharded dispatch the parent re-captures and compares (``!=`` falls
     back to identity for policy objects, which is exactly the hand-swap

@@ -56,10 +56,8 @@ def _export_allowed(relationship_in: Relationship | None, relationship_out: Rela
     return relationship_out == Relationship.CUSTOMER
 
 
-def valley_free_paths(
-    topology: Topology, origin_asn: int, max_length: int = 10
-) -> dict[int, list[int]]:
-    """Return one valley-free path from every reachable AS back to ``origin_asn``.
+def valley_free_paths(topology: Topology, origin_asn: int) -> dict[int, list[int]]:
+    """Return one valley-free path of at most 10 hops from every reachable AS back to ``origin_asn``.
 
     The result maps each AS to the AS path *as observed at that AS*
     (most recent AS first, origin last), matching the convention of
@@ -104,7 +102,7 @@ def valley_free_paths(
                 continue
             candidate_rank = preference_rank[rel_in_at_neighbor]
             candidate_length = current_length + 1
-            if candidate_length > max_length:
+            if candidate_length > 10:
                 continue
             candidate_path = [neighbor] + current_path
             candidate = (candidate_rank, candidate_length, candidate_path)

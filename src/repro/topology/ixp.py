@@ -33,9 +33,6 @@ class RouteServerConfig:
 
     ixp_asn: int
     suppress_before_redistribute: bool = True
-    #: If True the route server strips its own control communities before
-    #: redistributing routes to members (common practice).
-    strip_control_communities: bool = True
 
     def announce_to(self, peer_asn: int) -> Community:
         """Community requesting redistribution to ``peer_asn``."""

@@ -60,13 +60,12 @@ class RtbhWildExperiment:
         topology: Topology,
         platform: InjectionPlatform,
         atlas: AtlasPlatform,
-        irr: IrrDatabase | None = None,
         min_hops_to_target: int = 2,
     ):
         self.topology = topology
         self.platform = platform
         self.atlas = atlas
-        self.irr = irr or IrrDatabase()
+        self.irr = IrrDatabase()
         self.min_hops_to_target = min_hops_to_target
 
     # ------------------------------------------------------------ target choice
@@ -86,7 +85,7 @@ class RtbhWildExperiment:
             best = simulator.best_route(asys.asn, prefix)
             if best is None:
                 continue
-            hops = len(best.attributes.as_path.without_prepending())
+            hops = len(best.attributes.as_path.unique_asns())
             if hops >= self.min_hops_to_target:
                 candidates.append((asys.asn, hops))
         if not candidates:

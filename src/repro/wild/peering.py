@@ -82,16 +82,15 @@ class InjectionPlatform:
         self,
         simulator: BgpSimulator,
         announcements: list[tuple[Prefix, CommunitySet | None]],
-        hijack: bool = False,
     ) -> SimulationReport:
-        """Announce many ``(prefix, communities)`` pairs in one batched pass.
+        """Announce many ``(prefix, communities)`` pairs of the allocation in one batched pass.
 
         The AUP is enforced per prefix *before* anything is originated,
         so a violating batch leaves the simulation untouched.
         """
         announcements = list(announcements)
         for prefix, _communities in announcements:
-            self._check_aup(prefix, hijack)
+            self._check_aup(prefix, hijack=False)
         return simulator.announce_many(
             (self.asn, prefix, communities) for prefix, communities in announcements
         )
@@ -119,8 +118,6 @@ def _next_free_slash20(topology: Topology) -> int:
 def attach_peering_testbed(
     topology: Topology,
     upstream_count: int = 10,
-    seed: int = 13,
-    asn: int = PEERING_ASN,
 ) -> InjectionPlatform:
     """Attach a PEERING-like multi-PoP stub AS to the topology.
 
@@ -129,9 +126,10 @@ def attach_peering_testbed(
     communities on every session (the platform explicitly supports
     setting arbitrary communities).
     """
+    asn = PEERING_ASN
     if asn in topology:
         raise TopologyError(f"AS{asn} already exists in the topology")
-    rng = DeterministicRng(seed).child("peering")
+    rng = DeterministicRng(13).child("peering")
     transit_pool = [a.asn for a in topology.transit_ases()]
     if not transit_pool:
         raise TopologyError("topology has no transit ASes to attach the testbed to")
@@ -158,8 +156,6 @@ def attach_peering_testbed(
 
 def attach_research_network(
     topology: Topology,
-    seed: int = 17,
-    asn: int = RESEARCH_NETWORK_ASN,
     permissioned_hijack_space: Prefix | None = None,
 ) -> InjectionPlatform:
     """Attach the research-network injection point: two upstreams, one strips communities.
@@ -168,9 +164,10 @@ def attach_research_network(
     explicit permission to hijack; announcing it still requires
     ``hijack=True`` but does not violate the platform AUP.
     """
+    asn = RESEARCH_NETWORK_ASN
     if asn in topology:
         raise TopologyError(f"AS{asn} already exists in the topology")
-    rng = DeterministicRng(seed).child("research-network")
+    rng = DeterministicRng(17).child("research-network")
     transit_pool = [a.asn for a in topology.transit_ases()]
     if len(transit_pool) < 2:
         raise TopologyError("topology needs at least two transit ASes")

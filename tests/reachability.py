@@ -1,7 +1,14 @@
 """Print each ``src/repro`` function that no output, ``repro-bgp`` command, example or
 quick ``benchmarks/perf`` workload enters under ``sys.setprofile`` (code run only by
 forked shard workers counts as unreached).  A measurement, not a gate: it exits 0
-unless a run fails.  Usage: ``PYTHONPATH=src python tests/reachability.py``"""
+unless a run fails.  Usage: ``PYTHONPATH=src python tests/reachability.py``
+
+``--knobs`` runs nothing: it parses the source and prints each defaulted parameter of a
+``src/repro`` function, method or class constructor that no call in ``src/``,
+``examples/`` or ``benchmarks/`` supplies, by position or by keyword, with the number
+of test files whose calls do.  Calls match by name (``x.f(...)`` and ``f(...)`` both
+call every ``f``; ``C(...)`` calls ``C.__init__``), and a call with ``*`` or ``**``
+supplies every parameter.  Usage: ``python tests/reachability.py --knobs``"""
 
 from __future__ import annotations
 
@@ -54,6 +61,79 @@ def definitions(body: list, prefix: str = ""):
             yield prefix + node.name, first, node.end_lineno - first + 1
 
 
+def defaulted(body: list, prefix: str = "", cls: ast.ClassDef | None = None):
+    """``(qualified name, called name, (parameter, keyword or None), position or None)``
+    of each defaulted parameter of each function, method and constructor."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from defaulted(node.body, f"{prefix}{node.name}.", node)
+            continue
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        shift = 1 if bound and positional else 0
+        called = cls.name if cls is not None and node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            keyword = None if arg in args.posonlyargs else arg.arg
+            yield prefix + node.name, called, (arg.arg, keyword), index - shift
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield prefix + node.name, called, (arg.arg, arg.arg), None
+
+
+def call_sites(paths) -> dict[str, list[tuple[int, set[str] | None]]]:
+    """Each called name -> ``(positional count, keywords)`` per call, keywords ``None``
+    (and count infinite) for a call with ``*`` or ``**``."""
+    sites: dict[str, list] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            keywords = {k.arg for k in node.keywords}
+            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                sites.setdefault(name, []).append((float("inf"), None))
+            else:
+                sites.setdefault(name, []).append((len(node.args), keywords))
+    return sites
+
+
+def supplied(sites, called, keyword, position) -> bool:
+    """True if some call of ``called`` passes the parameter."""
+    return any(
+        keywords is None or keyword in keywords or (position is not None and count > position)
+        for count, keywords in sites.get(called, ())
+    )
+
+
+def knobs() -> None:
+    """Print every defaulted ``src/repro`` parameter no program call supplies."""
+    program = [p for top in ("src", "examples", "benchmarks") for p in sorted((ROOT / top).rglob("*.py"))]
+    sites = call_sites(program)
+    tests = [call_sites([path]) for path in sorted((ROOT / "tests").rglob("*.py"))]
+    count = untested = 0
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        rows = []
+        for name, called, (param, keyword), position in defaulted(ast.parse(path.read_text()).body):
+            if supplied(sites, called, keyword, position):
+                continue
+            tested = sum(supplied(s, called, keyword, position) for s in tests)
+            rows.append(f"  {tested:5d}  {name}({param})")
+            count, untested = count + 1, untested + (tested == 0)
+        if rows:
+            print(path.relative_to(ROOT))
+            print("\n".join(rows))
+    print(f"{count} parameters no program call supplies ({untested} supplied by no test file either)")
+
+
 def reached() -> set[tuple[str, int]]:
     """``(file, first line)`` of every code object :func:`exercise` enters."""
     entered = set()
@@ -65,6 +145,9 @@ def reached() -> set[tuple[str, int]]:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--knobs"]:
+        knobs()
+        raise SystemExit(0)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks" / "perf")]
     entered = reached()
     count = lines = 0  # of unreached functions

@@ -144,7 +144,7 @@ class TestBatchedEquivalence:
         report = simulator.apply(
             [
                 RoutingEvent.withdrawal(1, victim),
-                RoutingEvent.announcement(2, own),
+                RoutingEvent(2, own),
             ]
         )
         assert simulator.ases_with_route(victim) == []
@@ -156,7 +156,7 @@ class TestBatchedEquivalence:
         prefix = Prefix.from_string("203.0.113.0/24")
         simulator = BgpSimulator(topology)
         simulator.apply(
-            [RoutingEvent.announcement(1, prefix), RoutingEvent.withdrawal(1, prefix)]
+            [RoutingEvent(1, prefix), RoutingEvent.withdrawal(1, prefix)]
         )
         assert simulator.ases_with_route(prefix) == []
 
@@ -230,7 +230,7 @@ class TestBatchApi:
 class TestPlatformBatchAnnouncements:
     def test_platform_announce_many(self):
         topology = generated_topology()
-        platform = attach_peering_testbed(topology, upstream_count=4, seed=13)
+        platform = attach_peering_testbed(topology, upstream_count=4)
         simulator = BgpSimulator(topology)
         allocation = platform.allocated_prefixes[0]
         announcements = [
@@ -244,7 +244,7 @@ class TestPlatformBatchAnnouncements:
 
     def test_platform_announce_many_enforces_aup_before_any_origination(self):
         topology = generated_topology()
-        platform = attach_peering_testbed(topology, upstream_count=4, seed=13)
+        platform = attach_peering_testbed(topology, upstream_count=4)
         simulator = BgpSimulator(topology)
         allocation = platform.allocated_prefixes[0]
         foreign = Prefix.from_string("198.51.100.0/24")

@@ -8,7 +8,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
+from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType, collapse_prepending
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import ASPathError, PrefixError
 
@@ -42,7 +42,6 @@ class TestASPath:
 
     def test_prepending_removal(self):
         path = ASPath.of(3, 3, 3, 2, 1)
-        assert path.without_prepending().asns() == [3, 2, 1]
         assert path.unique_asns() == [3, 2, 1]
 
     def test_prepend(self):
@@ -90,11 +89,11 @@ class TestASPath:
         assert ASPath.of(1, 2) != ASPath.of(2, 1)
 
     @given(st.lists(st.integers(1, 100000), min_size=1, max_size=12))
-    def test_without_prepending_is_idempotent(self, asns):
-        path = ASPath.of(*asns)
-        once = path.without_prepending()
-        assert once.without_prepending() == once
-        assert once.origin_asn == path.origin_asn
+    def test_collapse_prepending_is_idempotent(self, asns):
+        once = collapse_prepending(asns)
+        assert collapse_prepending(once) == once
+        assert once[-1] == asns[-1]
+        assert ASPath.of(*asns).unique_asns() == once
 
 
 prefixes = st.one_of(

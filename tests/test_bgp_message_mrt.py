@@ -548,12 +548,6 @@ class TestWriteMrtIsAllOrNothing:
             ObservationArchive([observation(), bad, observation(peer_asn=1299)]).write_mrt(path)
         assert path.read_bytes() == before
 
-    def test_a_collector_asn_outside_four_bytes_is_refused(self, tmp_path):
-        path = tmp_path / "archive.mrt"
-        with pytest.raises(MrtError, match=f"local ASN {(1 << 32) + 1} does not fit"):
-            ObservationArchive([observation()]).write_mrt(path, collector_asn=(1 << 32) + 1)
-        assert not path.exists()
-
     def test_no_file_appears_where_there_was_none(self, tmp_path):
         bad, error = self.bad_rows()["oversized update"]
         path = tmp_path / "archive.mrt"

@@ -198,7 +198,8 @@ class TestEndToEnd:
         from repro.dataplane.forwarding import DataPlane, ForwardingOutcome
         from repro.probing.looking_glass import LookingGlass
 
-        topology = build_figure7_topology(with_as4_blackhole=False)
+        topology = build_figure7_topology()
+        topology.get_as(4).services = None  # the drop happens at AS3 alone
         simulator = BgpSimulator(topology)
         victim = Prefix.from_string("203.0.113.0/24")
         attacker = simulator.router(2)
@@ -304,6 +305,7 @@ class TestRunParamErrors:
             ("rtbh-wild", "upstream_count=-2"),
             ("rtbh-wild", "min_hops_to_target=-1"),
             ("route-manipulation", "member_count=-1"),
+            ("route-manipulation", "member_count=2"),  # the IXP has three fixed members
         ],
     )
     def test_bad_boolean_or_negative_count_exits_1_without_a_traceback(self, name, token, capsys):
@@ -311,6 +313,14 @@ class TestRunParamErrors:
         assert main(["run", name, "--param", token]) == 1
         captured = capsys.readouterr()
         assert f"experiment parameter {token.partition('=')[0]!r} must be" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    def test_upstream_count_with_the_hijack_variant_exits_1_naming_it(self, capsys):
+        """The hijack variant attaches no PEERING platform, so nothing reads the count."""
+        argv = ["run", "rtbh-wild", "--param", "hijack=true", "--param", "upstream_count=0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "experiment parameter 'upstream_count'" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
     @pytest.mark.parametrize("name, param", FUZZ_TARGETS)

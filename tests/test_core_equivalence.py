@@ -129,13 +129,15 @@ def routers_with_a_best_route(draw) -> Router:
         ],
     )
     router = Router(
-        AutonomousSystem(asn=OWN_ASN),
+        AutonomousSystem(
+            asn=OWN_ASN,
+            propagation_policy=draw(policies),
+            services=draw(st.sampled_from([catalog, None])),
+            vendor=draw(st.sampled_from([CISCO_PROFILE, JUNIPER_PROFILE])),
+        ),
         relationships,
-        propagation_policy=draw(policies),
-        services=draw(st.sampled_from([catalog, None])),
-        vendor=draw(st.sampled_from([CISCO_PROFILE, JUNIPER_PROFILE])),
-        send_community_configured=draw(st.booleans()),
     )
+    router.send_community_configured = draw(st.booleans())
     for asn in draw(st.sets(st.sampled_from(neighbors))):
         router.export_community_additions[asn] = draw(tag_sets.filter(bool))
     # The same route under both prefixes, so the batch memo is hit across them.
@@ -297,12 +299,12 @@ def importing_routers(draw) -> Router:
         validate_origin=draw(flag),
         blackhole_before_validation=draw(flag),
     )
-    return Router(
-        AutonomousSystem(asn=OWN_ASN),
+    router = Router(
+        AutonomousSystem(asn=OWN_ASN, services=draw(st.sampled_from([catalog, catalog, None]))),
         {asn: draw(st.sampled_from(list(Relationship))) for asn in neighbors},
-        services=draw(st.sampled_from([catalog, catalog, None])),
-        inbound_filters=chain,
     )
+    router.inbound_filters = chain
+    return router
 
 
 @st.composite
@@ -787,9 +789,9 @@ def _withdrawal_fork() -> tuple:
     """Fork right after a tagged route was withdrawn, then re-announce it elsewhere."""
     prefix, other = CHURN_PREFIXES[0], CHURN_PREFIXES[3]
     rounds = [
-        [RoutingEvent.announcement(1, prefix, CommunitySet([Community(3, 666)]))],
-        [RoutingEvent.withdrawal(1, prefix), RoutingEvent.announcement(2, other)],
-        [RoutingEvent.announcement(1, prefix), RoutingEvent.announcement(4, prefix)],
+        [RoutingEvent(1, prefix, communities=CommunitySet([Community(3, 666)]))],
+        [RoutingEvent.withdrawal(1, prefix), RoutingEvent(2, other)],
+        [RoutingEvent(1, prefix), RoutingEvent(4, prefix)],
     ]
     edit = (3, {"send_community_configured": False})
     return build_figure7_topology(), rounds, 2, edit, ("additions", 3, 4, CommunitySet([NO_EXPORT]))

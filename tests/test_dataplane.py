@@ -70,7 +70,8 @@ class TestDataPlane:
 
     def test_blackholed_traffic_is_dropped_at_target(self):
         # AS4 without its own RTBH service, so the drop happens exactly at AS3.
-        topology = build_figure7_topology(with_as4_blackhole=False)
+        topology = build_figure7_topology()
+        topology.get_as(4).services = None
         simulator = BgpSimulator(topology)
         victim = Prefix.from_string("203.0.113.0/24")
         attacker = simulator.router(2)

@@ -547,19 +547,34 @@ class TestWorkerBudget:
             ("rtbh-wild", "upstream_count", -2),
             ("rtbh-wild", "min_hops_to_target", -1),
             ("route-manipulation", "member_count", -1),
+            ("route-manipulation", "member_count", 0),
+            ("route-manipulation", "member_count", 2),
         ],
     )
     def test_negative_counts_are_rejected_by_name_not_by_random_sample(self, name, param, value):
         # Negative probes, inferred_count and upstream_count used to die with a raw
         # ValueError out of random.sample; zero probes with a ProbingError that did
-        # not name the parameter (an Atlas platform needs one probe); the last two
-        # were silently accepted.
-        minimum = 1 if param == "probes" else 0
+        # not name the parameter (an Atlas platform needs one probe); the last four
+        # were silently accepted (a member_count below 3 ran the IXP's three fixed
+        # members while the spec recorded the smaller count).
+        minimum = {"probes": 1, "member_count": 3}.get(param, 0)
         result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
         assert result.status is ExperimentStatus.ERROR
         assert result.error == (
             f"ExperimentError: experiment parameter {param!r} must be an integer >= {minimum}, got {value!r}"
         )
+
+    def test_upstream_count_is_refused_where_no_peering_platform_reads_it(self):
+        # The hijack variant runs from the research network, so the count
+        # used to be recorded in the spec while every metric ignored it.
+        cls = get("rtbh-wild")
+        spec = cls.default_spec(seed=3, hijack=True, upstream_count=0)
+        replayed = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        for candidate in (spec, replayed):
+            result = run_experiment(candidate)
+            assert result.status is ExperimentStatus.ERROR
+            assert result.error.startswith("ExperimentError: experiment parameter 'upstream_count'")
+        assert run_experiment(cls.default_spec(seed=3, upstream_count=3)).status is ExperimentStatus.OK
 
     @pytest.mark.parametrize(
         "name, param",

@@ -157,7 +157,10 @@ class TestFigure6Filtering:
         assert inference.total_edges_observed > 50
         # Requiring >=100 observed paths keeps the fractions well defined.
         assert 0.0 <= inference.forwarding_fraction(100) <= 1.0
-        assert inference.scatter_points(min_paths=1)
+        assert inference.edges_with_evidence(min_paths=1)
+        assert inference.scatter_points() == [
+            (e.forwarded, e.filtered) for e in inference.edges_with_evidence(min_paths=100)
+        ]
 
 
 class TestBlackholeAnalysis:
@@ -409,13 +412,11 @@ def propagation_distance_oracle(
     return sorted(map(float, farthest.values())), sorted(map(float, blackhole))
 
 
-def relative_distance_oracle(
-    archive: ObservationArchive, min_length: int, max_length: int
-) -> dict[int, list[float]]:
+def relative_distance_oracle(archive: ObservationArchive) -> dict[int, list[float]]:
     per_length: dict[int, list[float]] = defaultdict(list)
     for item in archive:
         length = len(item.path_without_prepending)
-        if not min_length <= length <= max_length:
+        if not 3 <= length <= 10:
             continue
         for classified in classify_oracle(ObservationArchive([item]), conservative=True):
             if classified.tagger_index:
@@ -506,12 +507,10 @@ def check_every_analysis(archive: ObservationArchive, oracle: ObservationArchive
             distances.all_communities.values,
             distances.blackhole_communities.values,
         ) == propagation_distance_oracle(oracle, _VERIFIED, conservative)
-    for bounds in ((3, 10), (1, 4)):
-        per_length = relative_distance_by_path_length(archive, *bounds)
-        assert {length: ecdf.values for length, ecdf in per_length.items()} == (
-            relative_distance_oracle(oracle, *bounds)
-        )
-        assert list(per_length) == list(relative_distance_oracle(oracle, *bounds))
+    per_length = relative_distance_by_path_length(archive)
+    expected = relative_distance_oracle(oracle)
+    assert {length: ecdf.values for length, ecdf in per_length.items()} == expected
+    assert list(per_length) == list(expected)
     for n in (2, 10):
         assert top_values(archive, n) == top_values_oracle(oracle, n)
 

@@ -194,13 +194,6 @@ class TestFilters:
         irr.register(prefix, 64666)
         assert irr.validate_origin(prefix, 64666)
 
-    def test_irr_strict_mode_blocks_conflicts(self):
-        irr = IrrDatabase(strict=True)
-        prefix = Prefix.from_string("203.0.113.0/24")
-        irr.register(prefix, 64500)
-        with pytest.raises(PolicyError):
-            irr.register(prefix.subprefix(25, 0), 64666)
-
     def test_chain_blackhole_before_validation_misconfiguration(self):
         irr = IrrDatabase()
         victim = Prefix.from_string("203.0.113.0/24")

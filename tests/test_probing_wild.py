@@ -124,7 +124,7 @@ class TestInjectionPlatforms:
     def test_cannot_attach_twice(self, wild_setup):
         topology, peering, *_ = wild_setup
         with pytest.raises(TopologyError):
-            attach_peering_testbed(topology, asn=peering.asn)
+            attach_peering_testbed(topology)
 
     def test_aup_blocks_hijack_from_peering(self, wild_setup):
         topology, peering, *_ = wild_setup

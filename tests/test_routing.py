@@ -174,10 +174,8 @@ class TestRouter:
 
     def test_cisco_without_send_community_strips_everything(self):
         asys = AutonomousSystem(asn=10, propagation_policy=ForwardAllPolicy(), vendor=CISCO_PROFILE)
-        router = Router(
-            asys, {30: Relationship.CUSTOMER, 20: Relationship.CUSTOMER},
-            send_community_configured=False,
-        )
+        router = Router(asys, {30: Relationship.CUSTOMER, 20: Relationship.CUSTOMER})
+        router.send_community_configured = False
         deliver(
             router,
             Announcement(
@@ -428,9 +426,7 @@ class TestCollectorSessions:
         catalog = CommunityServiceCatalog(
             10, [ServiceDefinition(Community(10, 421), PrependAction(count=1))]
         )
-        router = Router(
-            AutonomousSystem(asn=10), {30: Relationship.CUSTOMER}, services=catalog
-        )
+        router = Router(AutonomousSystem(asn=10, services=catalog), {30: Relationship.CUSTOMER})
         announcement = Announcement(
             prefix=Prefix.from_string("203.0.113.7/32"),
             attributes=PathAttributes(as_path=ASPath.of(30), communities=CommunitySet.of(trigger)),
