@@ -88,7 +88,7 @@ def _harvest_legacy(
                         collector_id=collector.collector_id,
                         peer_asn=peer_asn,
                         prefix=announcement.prefix,
-                        as_path=tuple(announcement.attributes.as_path.asns()),
+                        as_path=tuple(announcement.attributes.as_path),
                         communities=announcement.attributes.communities,
                         timestamp=0.0,
                     )

@@ -2,7 +2,6 @@
 
 from repro.bgp.community import (
     Community,
-    LargeCommunity,
     CommunitySet,
     WellKnownCommunity,
     BLACKHOLE,
@@ -12,10 +11,10 @@ from repro.bgp.community import (
     NO_PEER,
     is_private_asn,
 )
-from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
+from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix, AddressFamily
 from repro.bgp.attributes import Origin, PathAttributes
-from repro.bgp.route import Announcement, RouteEntry, Withdrawal
+from repro.bgp.route import Announcement, RouteEntry
 from repro.bgp.message import (
     BgpUpdate,
     decode_path_attributes,
@@ -27,7 +26,6 @@ from repro.bgp.rib import AdjRibIn, LocRib
 
 __all__ = [
     "Community",
-    "LargeCommunity",
     "CommunitySet",
     "WellKnownCommunity",
     "BLACKHOLE",
@@ -37,15 +35,12 @@ __all__ = [
     "NO_PEER",
     "is_private_asn",
     "ASPath",
-    "ASPathSegment",
-    "SegmentType",
     "Prefix",
     "AddressFamily",
     "Origin",
     "PathAttributes",
     "Announcement",
     "RouteEntry",
-    "Withdrawal",
     "BgpUpdate",
     "encode_update",
     "decode_update",

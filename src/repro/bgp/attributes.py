@@ -2,7 +2,7 @@
 
 :class:`PathAttributes` bundles the attributes the simulator and the
 measurement pipeline care about: ORIGIN, AS_PATH, NEXT_HOP, MED,
-LOCAL_PREF, COMMUNITIES and LARGE_COMMUNITIES.  Instances are
+LOCAL_PREF, ATOMIC_AGGREGATE and COMMUNITIES.  Instances are
 immutable; the policy engine produces modified copies via
 :meth:`PathAttributes.replace`.
 """
@@ -14,7 +14,7 @@ from enum import IntEnum
 from typing import Iterable
 
 from repro.bgp.aspath import ASPath
-from repro.bgp.community import Community, CommunitySet, LargeCommunity
+from repro.bgp.community import Community, CommunitySet
 from repro.exceptions import AttributeError_
 
 #: Default LOCAL_PREF applied when a neighbor does not set one (common vendor default).
@@ -61,7 +61,6 @@ class PathAttributes:
     med: int | None = None
     local_pref: int | None = None
     communities: CommunitySet = field(default_factory=CommunitySet)
-    large_communities: tuple[LargeCommunity, ...] = ()
     atomic_aggregate: bool = False
 
     def __post_init__(self) -> None:
@@ -90,7 +89,6 @@ class PathAttributes:
                     self.med,
                     self.local_pref,
                     self.communities,
-                    self.large_communities,
                     self.atomic_aggregate,
                 )
             )
@@ -103,7 +101,7 @@ class PathAttributes:
         if cached is None:
             cached = (
                 -self.effective_local_pref(),
-                self.as_path.length(),
+                len(self.as_path),
                 int(self.origin),
                 self.med if self.med is not None else 0,
             )
@@ -128,7 +126,6 @@ class PathAttributes:
             med=get("med", self.med),
             local_pref=get("local_pref", self.local_pref),
             communities=get("communities", self.communities),
-            large_communities=get("large_communities", self.large_communities),
             atomic_aggregate=get("atomic_aggregate", self.atomic_aggregate),
         )
 

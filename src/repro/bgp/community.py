@@ -1,4 +1,4 @@
-"""BGP community attribute values (RFC 1997) and large communities (RFC 8092).
+"""BGP community attribute values (RFC 1997).
 
 A traditional community is a 32-bit value.  By convention (and as the
 paper assumes throughout Section 4) the high-order 16 bits hold the AS
@@ -123,45 +123,6 @@ NO_EXPORT = Community.from_int(int(WellKnownCommunity.NO_EXPORT))
 NO_ADVERTISE = Community.from_int(int(WellKnownCommunity.NO_ADVERTISE))
 NO_EXPORT_SUBCONFED = Community.from_int(int(WellKnownCommunity.NO_EXPORT_SUBCONFED))
 NO_PEER = Community.from_int(int(WellKnownCommunity.NO_PEER))
-
-
-@dataclass(frozen=True, order=True)
-class LargeCommunity:
-    """A 96-bit large community (RFC 8092): ``global:local1:local2``.
-
-    The paper focuses on traditional communities; large communities are
-    modelled so the wire codec and dataset generator can carry them, but
-    the measurement pipeline analyses traditional communities only (as
-    the paper does).
-    """
-
-    global_admin: int
-    local_data1: int
-    local_data2: int
-
-    def __post_init__(self) -> None:
-        for name, part in (
-            ("global administrator", self.global_admin),
-            ("local data 1", self.local_data1),
-            ("local data 2", self.local_data2),
-        ):
-            if not 0 <= part <= 0xFFFFFFFF:
-                raise CommunityError(f"large community {name} {part} out of 32-bit range")
-
-    @classmethod
-    def from_string(cls, text: str) -> "LargeCommunity":
-        """Parse the ``global:local1:local2`` presentation format."""
-        parts = text.strip().split(":")
-        if len(parts) != 3:
-            raise CommunityError(f"invalid large community {text!r}")
-        try:
-            a, b, c = (int(p) for p in parts)
-        except ValueError as exc:
-            raise CommunityError(f"invalid large community {text!r}") from exc
-        return cls(a, b, c)
-
-    def __str__(self) -> str:
-        return f"{self.global_admin}:{self.local_data1}:{self.local_data2}"
 
 
 class CommunitySet:

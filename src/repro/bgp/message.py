@@ -1,10 +1,14 @@
-"""BGP UPDATE message wire encoding and decoding (RFC 4271 + RFC 1997 + RFC 8092).
+"""BGP UPDATE message wire encoding and decoding (RFC 4271 + RFC 1997).
 
 The MRT writer embeds full BGP UPDATE messages inside BGP4MP records,
 and the MRT reader decodes them back; this module implements that wire
 format.  Only the attributes the study needs are given first-class
-treatment; unrecognised attributes round-trip as opaque bytes so no
-information is silently dropped.
+treatment; every other attribute round-trips as opaque bytes so no
+information is silently dropped.  That includes RFC 8092
+LARGE_COMMUNITIES, which is length-checked and then kept opaque: the
+paper analyses traditional communities only.  An AS_PATH is written as
+AS_SEQUENCE segments; an AS_SET read from the wire joins the flat path
+with its members in wire order.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
+from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import AttributeTypeCode, Origin, PathAttributes
-from repro.bgp.community import NO_COMMUNITIES, CommunitySet, LargeCommunity
+from repro.bgp.community import NO_COMMUNITIES, CommunitySet
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import MessageError
 
@@ -41,7 +45,6 @@ _U32 = struct.Struct("!I")
 _MESSAGE_HEADER = struct.Struct("!16sHB")
 _ATTRIBUTE_HEADER = struct.Struct("!BBB")
 _ATTRIBUTE_HEADER_EXTENDED = struct.Struct("!BBH")
-_LARGE_COMMUNITY = struct.Struct("!III")
 
 #: Plain-int attribute type codes and dict tables for the enum values the
 #: codec meets: each record read or written runs these compares and
@@ -55,7 +58,9 @@ _ATOMIC_AGGREGATE = int(AttributeTypeCode.ATOMIC_AGGREGATE)
 _COMMUNITIES = int(AttributeTypeCode.COMMUNITIES)
 _LARGE_COMMUNITIES = int(AttributeTypeCode.LARGE_COMMUNITIES)
 _ORIGINS = {int(origin): origin for origin in Origin}
-_SEGMENT_TYPES = {int(segment_type): segment_type for segment_type in SegmentType}
+#: AS_PATH segment types (RFC 4271): AS_SET, AS_SEQUENCE.
+_AS_SET, _AS_SEQUENCE = 1, 2
+_SEGMENT_TYPES = (_AS_SET, _AS_SEQUENCE)
 _ADDRESS_BYTES = {family: family.bits // 8 for family in AddressFamily}
 
 
@@ -108,22 +113,18 @@ def _encode_attribute(type_code: int, flags: int, payload: bytes) -> bytes:
 
 def _encode_as_path(as_path: ASPath) -> bytes:
     """Encode the AS_PATH attribute payload with 4-byte ASNs (the decoder reads both widths)."""
+    # A segment can hold at most 255 ASNs; longer paths take several.
     parts: list[bytes] = []
-    for segment in as_path.segments:
-        asns = segment.asns
-        # A segment can hold at most 255 ASNs; split longer sequences.
-        for start in range(0, len(asns), 255):
-            chunk = asns[start:start + 255]
-            parts.append(
-                struct.pack(f"!BB{len(chunk)}I", int(segment.segment_type), len(chunk), *chunk)
-            )
+    for start in range(0, len(as_path), 255):
+        chunk = as_path[start:start + 255]
+        parts.append(struct.pack(f"!BB{len(chunk)}I", _AS_SEQUENCE, len(chunk), *chunk))
     return b"".join(parts)
 
 
 def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
-    """Decode an AS_PATH attribute payload."""
+    """Decode an AS_PATH attribute payload; AS_SET members join the path in wire order."""
     width, code = (4, "I") if as4 else (2, "H")
-    segments: list[ASPathSegment] = []
+    asns: list[int] = []
     offset = 0
     end = len(payload)
     while offset < end:
@@ -134,13 +135,11 @@ def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
         needed = count * width
         if offset + needed > end:
             raise MessageError("truncated AS_PATH segment body")
-        asns = struct.unpack_from(f"!{count}{code}", payload, offset)
-        offset += needed
-        seg_type = _SEGMENT_TYPES.get(segment_type)
-        if seg_type is None:
+        if segment_type not in _SEGMENT_TYPES:
             raise MessageError(f"unknown AS_PATH segment type {segment_type}")
-        segments.append(ASPathSegment(seg_type, asns))
-    return ASPath(segments)
+        asns.extend(struct.unpack_from(f"!{count}{code}", payload, offset))
+        offset += needed
+    return ASPath(asns)
 
 
 def encode_path_attributes(
@@ -185,14 +184,6 @@ def encode_path_attributes(
                     struct.pack(f"!{len(values)}I", *values),
                 )
             )
-        if attrs.large_communities:
-            payload = b"".join(
-                _LARGE_COMMUNITY.pack(lc.global_admin, lc.local_data1, lc.local_data2)
-                for lc in sorted(attrs.large_communities)
-            )
-            attribute_parts.append(
-                _encode_attribute(_LARGE_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, payload)
-            )
     for type_code, flags, payload in unknown:
         attribute_parts.append(_encode_attribute(type_code, flags, payload))
     return b"".join(attribute_parts)
@@ -236,7 +227,6 @@ def decode_path_attributes(
     local_pref: int | None = None
     atomic_aggregate = False
     communities = NO_COMMUNITIES
-    large_communities: list[LargeCommunity] = []
     unknown: list[tuple[int, int, bytes]] = []
 
     offset = 0
@@ -287,12 +277,9 @@ def decode_path_attributes(
             if attr_len % 4 != 0:
                 raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
             communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
-        elif type_code == _LARGE_COMMUNITIES:
-            if attr_len % 12 != 0:
-                raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
-            large_communities.extend(
-                LargeCommunity(*fields) for fields in _LARGE_COMMUNITY.iter_unpack(payload)
-            )
+        elif type_code == _LARGE_COMMUNITIES and attr_len % 12 != 0:
+            # Kept opaque like any unread attribute, but still well-formed.
+            raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
         else:
             unknown.append((type_code, flags, payload))
 
@@ -303,7 +290,6 @@ def decode_path_attributes(
         med=med,
         local_pref=local_pref,
         communities=communities,
-        large_communities=tuple(large_communities),
         atomic_aggregate=atomic_aggregate,
     )
     return attributes, unknown

@@ -2,7 +2,7 @@
 
 Prefixes are value objects: hashable, comparable, and normalised (host
 bits are cleared on construction).  The data-plane FIB and the hijack
-machinery rely on containment/overlap tests and on enumerating
+machinery rely on containment tests and on enumerating
 more-specific sub-prefixes.
 """
 
@@ -107,14 +107,6 @@ class Prefix(_PrefixFields):
         if not 0 <= address < (1 << bits):
             return False
         return ip_utils.network_address(address, self.length, bits) == self.network
-
-    def overlaps(self, other: "Prefix") -> bool:
-        """Return True if this prefix shares any address with ``other``."""
-        if self.family != other.family:
-            return False
-        return ip_utils.prefixes_overlap(
-            self.network, self.length, other.network, other.length, self.family.bits
-        )
 
     def subprefix(self, new_length: int, index: int = 0) -> "Prefix":
         """Return the ``index``-th more-specific prefix of ``new_length`` bits.

@@ -1,4 +1,4 @@
-"""Announcements, withdrawals, and RIB entries.
+"""Announcements and RIB entries.
 
 An :class:`Announcement` is the unit the routing simulator propagates
 and the unit the collectors record; a :class:`RouteEntry` is an
@@ -8,7 +8,6 @@ neighbor it was learned from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.bgp.attributes import PathAttributes
@@ -59,15 +58,6 @@ class Announcement(NamedTuple):
             f"{self.prefix} via AS{self.sender_asn} path [{self.attributes.as_path}] "
             f"communities {self.attributes.communities}"
         )
-
-
-@dataclass(frozen=True)
-class Withdrawal:
-    """A BGP route withdrawal for one prefix."""
-
-    prefix: Prefix
-    sender_asn: int
-    timestamp: float = 0.0
 
 
 class RouteEntry(NamedTuple):

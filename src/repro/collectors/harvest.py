@@ -84,10 +84,10 @@ def build_worklist(
 
 
 class _Paths(dict):
-    """``ASPath -> tuple of its ASNs``, built on first use: one tuple per distinct path."""
+    """``ASPath -> the plain tuple of its ASNs``, built on first use: one tuple per distinct path."""
 
     def __missing__(self, as_path: "ASPath") -> tuple[int, ...]:
-        asns = self[as_path] = tuple(as_path.asns())
+        asns = self[as_path] = tuple(as_path)
         return asns
 
 

@@ -122,7 +122,7 @@ def _mrt_message(observation: RouteObservation) -> Bgp4mpMessage:
         update = BgpUpdate(withdrawn=[observation.prefix])
     else:
         attributes = PathAttributes(
-            as_path=ASPath.of(*observation.as_path),
+            as_path=ASPath(observation.as_path),
             communities=observation.communities,
         )
         update = BgpUpdate(announced=[observation.prefix], attributes=attributes)
@@ -152,7 +152,7 @@ def _observed_rows(record: MrtRecord) -> tuple[tuple, ...]:
     message = mrt_reader.decode_bgp4mp_message(record)
     update = message.update
     peer_asn = message.peer_asn
-    as_path = tuple(update.attributes.as_path.asns())
+    as_path = tuple(update.attributes.as_path)
     communities = update.attributes.communities
     return tuple(
         [(peer_asn, prefix, (), NO_COMMUNITIES, True) for prefix in update.withdrawn]

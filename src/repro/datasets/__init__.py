@@ -7,7 +7,7 @@ from repro.datasets.synthetic import (
     SyntheticDataset,
     SyntheticDatasetBuilder,
 )
-from repro.datasets.timeseries import GrowthModel, YearlySnapshot, historical_series
+from repro.datasets.timeseries import GrowthModel, YearlySnapshot
 
 __all__ = [
     "CommunityUsageModel",
@@ -19,5 +19,4 @@ __all__ = [
     "SyntheticDatasetBuilder",
     "GrowthModel",
     "YearlySnapshot",
-    "historical_series",
 ]

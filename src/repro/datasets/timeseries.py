@@ -5,7 +5,7 @@ ASes appearing in communities, unique communities, absolute community
 attachments, and BGP table entries, and the text notes an 18–20 %
 increase in observable communities over the final year.  We model the
 series as smooth exponential growth curves anchored to the 2018 values
-observed in a synthetic dataset (or to the paper's own 2018 numbers),
+observed in an archive (see :func:`repro.measurement.timeseries.growth_table`),
 which reproduces the *shape* of the figure — monotone growth with the
 community curves growing faster than the table itself.
 """
@@ -74,17 +74,3 @@ class GrowthModel:
             )
         return snapshots
 
-
-#: The paper's own April-2018 headline numbers (Table 1 total row + Figure 3).
-PAPER_2018_SNAPSHOT = YearlySnapshot(
-    year=2018,
-    unique_ases_in_communities=5659,
-    unique_communities=63797,
-    absolute_communities=7_000_000_000,
-    bgp_table_entries=967_499,
-)
-
-
-def historical_series() -> list[YearlySnapshot]:
-    """Return the 2010–2018 series anchored at the paper's numbers."""
-    return GrowthModel().series(PAPER_2018_SNAPSHOT)

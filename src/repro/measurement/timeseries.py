@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.collectors.observation import ObservationArchive
-from repro.datasets.timeseries import GrowthModel, YearlySnapshot, historical_series
+from repro.datasets.timeseries import GrowthModel, YearlySnapshot
 from repro.measurement.usage import community_service_as_count, unique_community_count
 
 
@@ -19,13 +19,10 @@ def snapshot_from_archive(archive: ObservationArchive) -> YearlySnapshot:
     )
 
 
-def growth_table(archive: ObservationArchive | None = None) -> list[YearlySnapshot]:
-    """Compute the Figure 3 series.
+def growth_table(archive: ObservationArchive) -> list[YearlySnapshot]:
+    """Compute the Figure 3 series, anchored at the archive's 2018 snapshot.
 
-    When an archive is given, its 2018 snapshot anchors the curve (so
-    the figure is reproduced over the synthetic Internet); otherwise the
-    paper's own 2018 numbers are used.
+    The archive's counts fix the final year, so the figure is reproduced
+    over the measured (synthetic or harvested) Internet.
     """
-    if archive is None:
-        return historical_series()
     return GrowthModel().series(snapshot_from_archive(archive))

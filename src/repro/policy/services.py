@@ -10,7 +10,7 @@ to attach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet

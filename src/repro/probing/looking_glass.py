@@ -45,7 +45,7 @@ class LookingGlass:
             return None
         return LookingGlassEntry(
             prefix=prefix,
-            as_path=tuple(best.attributes.as_path.asns()),
+            as_path=tuple(best.attributes.as_path),
             communities=tuple(str(c) for c in best.attributes.communities),
             local_pref=best.attributes.effective_local_pref(),
             next_hop="null0" if best.blackholed else f"AS{best.learned_from}",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bgp.community import Community, CommunitySet
+from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Announcement
 from repro.exceptions import RoutingError

@@ -8,7 +8,6 @@ from repro.utils.ip import (
     mask_for_length,
     network_address,
     prefix_contains,
-    prefixes_overlap,
 )
 from repro.utils.stats import Ecdf, Histogram, fraction, percentile
 from repro.utils.rand import DeterministicRng
@@ -22,7 +21,6 @@ __all__ = [
     "mask_for_length",
     "network_address",
     "prefix_contains",
-    "prefixes_overlap",
     "Ecdf",
     "Histogram",
     "fraction",

@@ -2,7 +2,7 @@
 
 The BGP data model (:mod:`repro.bgp.prefix`) and the MRT codec
 (:mod:`repro.mrt`) need fast integer-based address manipulation:
-parsing, formatting, masking, containment and overlap checks.  We keep
+parsing, formatting, masking and containment checks.  We keep
 these as plain functions over integers so hot loops (longest-prefix
 match, dataset generation) avoid object allocation.
 """
@@ -133,16 +133,3 @@ def prefix_contains(
         return False
     mask = mask_for_length(outer_length, bits)
     return (inner_network & mask) == (outer_network & mask)
-
-
-def prefixes_overlap(
-    network_a: int,
-    length_a: int,
-    network_b: int,
-    length_b: int,
-    bits: int = IPV4_BITS,
-) -> bool:
-    """Return True if the two prefixes share at least one address."""
-    return prefix_contains(network_a, length_a, network_b, length_b, bits) or prefix_contains(
-        network_b, length_b, network_a, length_a, bits
-    )

@@ -78,23 +78,6 @@ class InjectionPlatform:
             self.asn, prefix, communities=communities, spoofed_origin_asn=spoofed_origin_asn
         )
 
-    def announce_many(
-        self,
-        simulator: BgpSimulator,
-        announcements: list[tuple[Prefix, CommunitySet | None]],
-    ) -> SimulationReport:
-        """Announce many ``(prefix, communities)`` pairs of the allocation in one batched pass.
-
-        The AUP is enforced per prefix *before* anything is originated,
-        so a violating batch leaves the simulation untouched.
-        """
-        announcements = list(announcements)
-        for prefix, _communities in announcements:
-            self._check_aup(prefix, hijack=False)
-        return simulator.announce_many(
-            (self.asn, prefix, communities) for prefix, communities in announcements
-        )
-
     def withdraw(self, simulator: BgpSimulator, prefix: Prefix) -> SimulationReport:
         """Withdraw a previously announced prefix."""
         return simulator.withdraw(self.asn, prefix)

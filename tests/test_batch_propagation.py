@@ -14,10 +14,9 @@ from repro.attacks.scenario import build_figure2_topology, build_figure7_topolog
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
-from repro.exceptions import AupViolationError, RoutingError
+from repro.exceptions import RoutingError
 from repro.routing.engine import BgpSimulator, RoutingEvent, origination_events
 from repro.topology.generator import TopologyGenerator, TopologyParameters
-from repro.wild.peering import attach_peering_testbed
 
 
 def generated_topology():
@@ -225,36 +224,6 @@ class TestBatchApi:
             patched = {entry.prefix: entry for entry in dataplane.fib(asn).entries()}
             fresh = {entry.prefix: entry for entry in rebuilt.fib(asn).entries()}
             assert patched == fresh
-
-
-class TestPlatformBatchAnnouncements:
-    def test_platform_announce_many(self):
-        topology = generated_topology()
-        platform = attach_peering_testbed(topology, upstream_count=4)
-        simulator = BgpSimulator(topology)
-        allocation = platform.allocated_prefixes[0]
-        announcements = [
-            (allocation.subprefix(24, index), None if index % 2 else CommunitySet.of("47065:1"))
-            for index in range(4)
-        ]
-        report = platform.announce_many(simulator, announcements)
-        for prefix, _communities in announcements:
-            assert platform.asn in simulator.ases_with_route(prefix)
-        assert {prefix for prefix, _ in announcements} <= report.prefixes
-
-    def test_platform_announce_many_enforces_aup_before_any_origination(self):
-        topology = generated_topology()
-        platform = attach_peering_testbed(topology, upstream_count=4)
-        simulator = BgpSimulator(topology)
-        allocation = platform.allocated_prefixes[0]
-        foreign = Prefix.from_string("198.51.100.0/24")
-        with pytest.raises(AupViolationError):
-            platform.announce_many(
-                simulator, [(allocation.subprefix(24, 0), None), (foreign, None)]
-            )
-        # The violating batch must leave the simulation untouched.
-        assert simulator.ases_with_route(allocation.subprefix(24, 0)) == []
-        assert simulator.report.prefixes == set()
 
 
 class TestImportContract:

@@ -15,7 +15,6 @@ from repro.bgp.community import (
     NO_PEER,
     Community,
     CommunitySet,
-    LargeCommunity,
     WellKnownCommunity,
     is_private_asn,
 )
@@ -101,23 +100,6 @@ class TestCommunity:
     def test_string_roundtrip_property(self, asn, value):
         community = Community(asn, value)
         assert Community.from_string(str(community)) == community
-
-
-class TestLargeCommunity:
-    def test_from_string(self):
-        large = LargeCommunity.from_string("3356:100:200")
-        assert (large.global_admin, large.local_data1, large.local_data2) == (3356, 100, 200)
-
-    def test_str(self):
-        assert str(LargeCommunity(1, 2, 3)) == "1:2:3"
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(CommunityError):
-            LargeCommunity(1 << 32, 0, 0)
-
-    def test_rejects_malformed(self):
-        with pytest.raises(CommunityError):
-            LargeCommunity.from_string("1:2")
 
 
 class TestCommunitySet:

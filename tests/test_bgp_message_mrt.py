@@ -12,13 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.bgp.aspath import ASPath, ASPathSegment, SegmentType
+from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import Origin, PathAttributes
-from repro.bgp.community import Community, CommunitySet, LargeCommunity
-from repro.bgp.message import BgpUpdate, decode_update, encode_update
+from repro.bgp.community import Community, CommunitySet
+from repro.bgp.message import (
+    BgpUpdate,
+    decode_path_attributes,
+    decode_update,
+    encode_path_attributes,
+    encode_update,
+)
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
-from repro.bgp.route import Announcement, RouteEntry, Withdrawal
+from repro.bgp.route import Announcement, RouteEntry
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.exceptions import (
     AttributeError_,
@@ -58,7 +64,6 @@ def make_attributes(**overrides) -> PathAttributes:
         med=10,
         local_pref=150,
         communities=CommunitySet.of("3356:100", "1299:666", "65535:666"),
-        large_communities=(LargeCommunity(3356, 1, 2),),
     )
     base.update(overrides)
     return PathAttributes(**base)
@@ -106,23 +111,21 @@ class TestPathAttributes:
 
 
 def _value_cases():
-    """Each routing value type: a factory building one value afresh, and its public fields."""
+    """Each routing value type: a factory building one value afresh, its public
+    fields and, where a type has several cases, the case's test id."""
     prefix = "198.51.100.0/24"
     return [
         (lambda: Prefix.from_string(prefix), ("family", "network", "length")),
         (lambda: Community.from_string("65535:666"), ("asn", "value")),
-        (lambda: LargeCommunity(3356, 1, 2), ("global_admin", "local_data1", "local_data2")),
         (lambda: CommunitySet.of("3356:100", "65535:666"), ()),
-        (lambda: ASPathSegment(SegmentType.AS_SET, (64500, 64501)), ("segment_type", "asns")),
-        (lambda: ASPath.from_string("3356 3356 {64500,64501} 13335"), ("segments",)),
+        (lambda: ASPath.of(3356, 3356, 64500, 13335), ()),
+        (lambda: ASPath.of(), (), "ASPath-empty"),
+        # Longer than one wire segment holds.
+        (lambda: ASPath.of(*range(1, 301)), (), "ASPath-300-asns"),
         (make_attributes, tuple(field.name for field in dataclasses.fields(PathAttributes))),
         (
             lambda: Announcement(Prefix.from_string(prefix), make_attributes(), 3356, 13335, 1.5),
             Announcement._fields,
-        ),
-        (
-            lambda: Withdrawal(Prefix.from_string(prefix), 3356, 1.5),
-            ("prefix", "sender_asn", "timestamp"),
         ),
         (
             lambda: RouteEntry(
@@ -139,7 +142,10 @@ def _value_cases():
 
 @pytest.mark.parametrize(
     "make, fields",
-    [pytest.param(*case, id=type(case[0]()).__name__) for case in _value_cases()],
+    [
+        pytest.param(make, fields, id=name[0] if name else type(make()).__name__)
+        for make, fields, *name in _value_cases()
+    ],
 )
 class TestValueTypeSemantics:
     """Routing values key RIBs, FIBs and memo tables, and ship to shard
@@ -181,7 +187,6 @@ class TestUpdateCodec:
         assert decoded.withdrawn == update.withdrawn
         assert decoded.attributes.as_path == update.attributes.as_path
         assert decoded.attributes.communities == update.attributes.communities
-        assert decoded.attributes.large_communities == update.attributes.large_communities
         assert decoded.attributes.med == 10
         assert decoded.attributes.local_pref == 150
         assert decoded.attributes.origin == Origin.IGP
@@ -228,11 +233,22 @@ class TestUpdateCodec:
     @pytest.mark.parametrize(
         "overrides, unknown",
         [
-            ({}, ()),  # make_attributes() carries a large community
+            # RFC 8092 large communities ride along as an opaque attribute.
+            ({}, ((32, 0xC0, struct.pack("!6I", 3356, 1, 2, 1299, 0, 0xFFFFFFFF)),)),
+            # Opaque means unsorted and duplicated entries stay as sent.
+            ({}, ((32, 0xC0, struct.pack("!9I", 1299, 0, 0, 3356, 1, 2, 1299, 0, 0)),)),
             ({"atomic_aggregate": True}, ()),
             ({}, ((99, 0xC0, b"\x01\x02"),)),
+            # More ASNs than one AS_PATH segment holds: written as two.
+            ({"as_path": ASPath.of(*range(1, 301))}, ()),
         ],
-        ids=["large-communities", "atomic-aggregate", "unknown-attribute"],
+        ids=[
+            "large-communities",
+            "large-communities-unsorted-duplicates",
+            "atomic-aggregate",
+            "unknown-attribute",
+            "300-asn-path",
+        ],
     )
     def test_roundtrip_keeps_every_attribute(self, overrides, unknown):
         update = BgpUpdate(
@@ -240,7 +256,11 @@ class TestUpdateCodec:
             attributes=make_attributes(**overrides),
             unknown_attributes=list(unknown),
         )
-        assert decode_update(encode_update(update)) == update
+        data = encode_update(update)
+        decoded = decode_update(data)
+        assert decoded == update
+        assert hash(decoded.attributes) == hash(update.attributes)
+        assert encode_update(decoded) == data
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -367,6 +387,13 @@ class TestMrt:
         with pytest.raises(MessageError, match="unknown ORIGIN value 7"):
             decode_update(update)
 
+    def test_a_large_communities_length_off_by_one_is_a_message_error(self):
+        section = bytes([0xC0, 32, 13])  # LARGE_COMMUNITIES, 13 bytes: not a multiple of 12
+        update = encode_update(BgpUpdate(unknown_attributes=[(32, 0xC0, b"\x00" * 13)]))
+        assert section in update
+        with pytest.raises(MessageError, match="multiple of 12"):
+            decode_update(update)
+
     @pytest.mark.parametrize("field", ["peer_asn", "local_asn"])
     @pytest.mark.parametrize("asn", [1 << 32, (1 << 32) + 10, -1])
     def test_an_asn_outside_four_bytes_is_refused_not_wrapped(self, field, asn):
@@ -457,16 +484,18 @@ class TestMrt:
         assert decoded.update.attributes.communities == update.attributes.communities
 
 
-def two_byte_as_record() -> bytes:
+def two_byte_as_record(segments=((2, (3356, 1299, 13335)),)) -> bytes:
     """A BGP4MP_MESSAGE (subtype 1) record as a pre-AS4 session archives it.
 
     Built by hand, field by field: 2-byte ASNs in the peer header *and*
-    in the AS_PATH of the UPDATE it carries.
+    in the AS_PATH of the UPDATE it carries, whose ``(segment type,
+    ASNs)`` segments default to one AS_SEQUENCE.
     """
+    as_path = b"".join(struct.pack(f"!BB{len(a)}H", kind, len(a), *a) for kind, a in segments)
     attributes = b"".join(
         (
             bytes([0x40, 1, 1, 0]),  # ORIGIN IGP
-            bytes([0x40, 2, 8, 2, 3]) + struct.pack("!3H", 3356, 1299, 13335),  # AS_PATH
+            bytes([0x40, 2, len(as_path)]) + as_path,  # AS_PATH
             bytes([0x40, 3, 4]) + bytes([192, 0, 2, 1]),  # NEXT_HOP
             bytes([0xC0, 8, 4]) + struct.pack("!HH", 3356, 100),  # COMMUNITIES
         )
@@ -491,12 +520,21 @@ class TestTwoByteAsRecords:
         assert message.update.attributes.communities == CommunitySet.of("3356:100")
         assert message.update.announced == [Prefix.from_string("203.0.113.0/24")]
 
-    def test_archive_loads_a_subtype_1_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "segments, row_path",
+        [
+            (((2, (3356, 1299, 13335)),), (3356, 1299, 13335)),
+            # An AS_SET's members join the row's path in wire order.
+            (((2, (3356, 1299)), (1, (64501, 64500))), (3356, 1299, 64501, 64500)),
+        ],
+        ids=["as-sequence", "as-set"],
+    )
+    def test_archive_loads_a_subtype_1_file(self, tmp_path, segments, row_path):
         path = tmp_path / "pre-as4.mrt"
-        path.write_bytes(two_byte_as_record())
+        path.write_bytes(two_byte_as_record(segments))
         (observation,) = ObservationArchive.from_mrt(path)
         assert observation.peer_asn == 3356
-        assert observation.as_path == (3356, 1299, 13335)
+        assert type(observation.as_path) is tuple and observation.as_path == row_path
 
     def test_four_byte_paths_are_not_read_as_two_byte(self):
         update = BgpUpdate(
@@ -506,6 +544,90 @@ class TestTwoByteAsRecords:
         assert decode_update(encode_update(update)).attributes.as_path == ASPath.of(70000, 1)
         with pytest.raises(MessageError):
             decode_update(encode_update(update), as4=False)
+
+
+def as_path_segments(section: bytes) -> list[tuple[int, int]]:
+    """The ``(segment type, ASN count)`` of each segment of the 4-byte-ASN
+    AS_PATH in an attribute section, walked by hand from the RFC 4271 layout."""
+    offset = 0
+    while True:
+        flags, type_code = section[offset], section[offset + 1]
+        if flags & 0x10:  # extended length: a 2-byte length field
+            (length,) = struct.unpack_from("!H", section, offset + 2)
+            offset += 4
+        else:
+            length = section[offset + 2]
+            offset += 3
+        if type_code == 2:
+            break
+        offset += length
+    segments = []
+    end = offset + length
+    while offset < end:
+        kind, count = section[offset], section[offset + 1]
+        segments.append((kind, count))
+        offset += 2 + 4 * count
+    assert offset == end
+    return segments
+
+
+def as_path_section(segments, as4: bool) -> bytes:
+    """An attribute section holding one AS_PATH built from ``segments``,
+    each a ``(segment type, declared count, ASNs)``; a ``None`` count is
+    the length of the ASNs."""
+    code = "I" if as4 else "H"
+    payload = b"".join(
+        struct.pack(f"!BB{len(asns)}{code}", kind, len(asns) if count is None else count, *asns)
+        for kind, count, asns in segments
+    )
+    return bytes([0x40, 2, len(payload)]) + payload
+
+
+class TestAsPathSegments:
+    """The AS_PATH wire form: RFC 4271 segments around the flat path."""
+
+    @pytest.mark.parametrize(
+        "length, counts",
+        [(0, []), (1, [1]), (255, [255]), (256, [255, 1]), (511, [255, 255, 1])],
+    )
+    def test_a_path_is_written_as_sequences_of_at_most_255(self, length, counts):
+        path = ASPath.of(*range(1, length + 1))
+        section = encode_path_attributes(PathAttributes(as_path=path))
+        assert as_path_segments(section) == [(2, count) for count in counts]
+        decoded, unknown = decode_path_attributes(section)
+        assert decoded.as_path == path and hash(decoded.as_path) == hash(path)
+        assert unknown == []
+
+    @pytest.mark.parametrize("as4", [True, False], ids=["4-byte", "2-byte"])
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            pytest.param(
+                [(2, None, (3356,)), (2, 1, ())], "truncated AS_PATH segment body", id="short-body"
+            ),
+            pytest.param(
+                [(2, 3, (3356, 1299))], "truncated AS_PATH segment body", id="count-overstated"
+            ),
+            pytest.param([(0, None, (3356,))], "unknown AS_PATH segment type 0", id="type-0"),
+            # RFC 5065 confederation segments are not read.
+            pytest.param(
+                [(2, None, (3356,)), (3, None, (65001,))],
+                "unknown AS_PATH segment type 3",
+                id="confed-sequence",
+            ),
+            pytest.param([(4, None, (65001,))], "unknown AS_PATH segment type 4", id="confed-set"),
+        ],
+    )
+    def test_a_malformed_segment_is_a_message_error(self, segments, message, as4):
+        with pytest.raises(MessageError, match=message):
+            decode_path_attributes(as_path_section(segments, as4), as4)
+
+    @pytest.mark.parametrize("as4", [True, False], ids=["4-byte", "2-byte"])
+    def test_a_stray_byte_after_the_last_segment_is_a_message_error(self, as4):
+        section = as_path_section([(2, None, (3356, 1299))], as4)
+        section = bytes([section[0], section[1], section[2] + 1]) + section[3:] + b"\x02"
+        with pytest.raises(MessageError, match="truncated AS_PATH segment header"):
+            decode_path_attributes(section, as4)
 
 
 def observation(**overrides) -> RouteObservation:
@@ -703,7 +825,7 @@ def _rows_of(messages) -> list[tuple]:
                     timestamp,
                     message.peer_asn,
                     prefix,
-                    tuple(attributes.as_path.asns()),
+                    tuple(attributes.as_path),
                     attributes.communities,
                     False,
                 )

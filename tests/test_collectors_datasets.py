@@ -16,7 +16,7 @@ from repro.collectors.platform import Collector, CollectorDeployment, CollectorP
 from repro.datasets.communities_db import CommunityUsageModel
 from repro.datasets.giotsas import build_blackhole_list
 from repro.datasets.synthetic import DatasetParameters, SyntheticDatasetBuilder
-from repro.datasets.timeseries import GrowthModel, YearlySnapshot, historical_series
+from repro.datasets.timeseries import GrowthModel, YearlySnapshot
 from repro.exceptions import CollectorError, DatasetError
 from repro.routing.engine import BgpSimulator
 from repro.attacks.scenario import build_figure2_topology
@@ -344,7 +344,7 @@ class TestSyntheticDataset:
 
 class TestTimeseries:
     def test_series_is_monotone(self):
-        series = historical_series()
+        series = GrowthModel().series(YearlySnapshot(2018, 5659, 63797, 7_000_000_000, 967_499))
         assert [s.year for s in series] == list(range(2010, 2019))
         for earlier, later in zip(series, series[1:]):
             assert later.unique_communities > earlier.unique_communities

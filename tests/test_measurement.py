@@ -11,7 +11,6 @@ from repro.attacks.scenario import build_figure2_topology
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet, is_private_asn
 from repro.bgp.prefix import Prefix
 from repro.collectors.observation import ObservationArchive, RouteObservation
-from repro.datasets.giotsas import build_blackhole_list
 from repro.datasets.timeseries import YearlySnapshot
 from repro.measurement.blackhole import identify_blackhole_communities
 from repro.measurement.filtering import EdgeIndications, FilteringInference, infer_filtering

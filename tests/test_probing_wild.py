@@ -16,7 +16,6 @@ from repro.routing.engine import BgpSimulator
 from repro.wild.blackhole_sweep import BlackholeSweep, CommunitySweepOutcome
 from repro.wild.experiments import RtbhWildExperiment
 from repro.wild.peering import (
-    InjectionPlatform,
     attach_peering_testbed,
     attach_research_network,
 )

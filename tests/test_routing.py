@@ -456,7 +456,6 @@ class TestHandRolledCopies:
 
     def sample_entry(self) -> RouteEntry:
         from repro.bgp.attributes import Origin
-        from repro.bgp.community import LargeCommunity
 
         attributes = PathAttributes(
             as_path=ASPath.of(4, 2),
@@ -465,7 +464,6 @@ class TestHandRolledCopies:
             med=30,
             local_pref=140,
             communities=CommunitySet.of("2:50"),
-            large_communities=(LargeCommunity(1, 2, 3),),
             atomic_aggregate=True,
         )
         return RouteEntry(

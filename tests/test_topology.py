@@ -311,5 +311,6 @@ class TestGenerator:
                 if not prefix.is_ipv4:
                     continue
                 for other in seen:
-                    assert not prefix.overlaps(other)
+                    assert not prefix.contains_prefix(other)
+                    assert not other.contains_prefix(prefix)
                 seen.append(prefix)

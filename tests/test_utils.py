@@ -14,7 +14,6 @@ from repro.utils.ip import (
     parse_ipv4,
     parse_ipv6,
     prefix_contains,
-    prefixes_overlap,
 )
 from repro.utils.rand import DeterministicRng
 from repro.utils.stats import Ecdf, Histogram, fraction, percentile
@@ -104,13 +103,6 @@ class TestMasks:
         inner = parse_ipv4("10.1.2.0")
         assert prefix_contains(outer, 8, inner, 24)
         assert not prefix_contains(inner, 24, outer, 8)
-
-    def test_overlap_symmetric(self):
-        a = parse_ipv4("10.0.0.0")
-        b = parse_ipv4("10.0.1.0")
-        assert prefixes_overlap(a, 16, b, 24)
-        assert prefixes_overlap(b, 24, a, 16)
-        assert not prefixes_overlap(a, 24, b, 24)
 
 
 # -------------------------------------------------------------------- stats
