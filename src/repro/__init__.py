@@ -16,10 +16,12 @@ The package is organised in layers:
 
 Quickstart::
 
-    from repro.datasets.synthetic import build_default_dataset
+    from repro.datasets.synthetic import DatasetParameters, build_default_dataset
     from repro.measurement.report import MeasurementReport
+    from repro.topology.generator import TopologyGenerator, TopologyParameters
 
-    dataset = build_default_dataset()
+    topology = TopologyGenerator(TopologyParameters(seed=42)).generate()
+    dataset = build_default_dataset(topology, DatasetParameters(seed=2018))
     report = MeasurementReport(dataset.archive, dataset.topology, dataset.blackhole_list)
     print(report.full_report())
 """

@@ -13,9 +13,9 @@ to separate "off-path w/o private" in Table 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.exceptions import CommunityError
 
@@ -54,18 +54,33 @@ def is_private_asn(asn: int) -> bool:
     return PRIVATE_ASN_16_START <= asn <= PRIVATE_ASN_16_END
 
 
-@dataclass(frozen=True, order=True)
-class Community:
-    """A traditional 32-bit BGP community, interpreted as ``asn:value``."""
-
+class _CommunityFields(NamedTuple):
     asn: int
     value: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.asn <= 0xFFFF:
-            raise CommunityError(f"community ASN part {self.asn} out of 16-bit range")
-        if not 0 <= self.value <= 0xFFFF:
-            raise CommunityError(f"community value part {self.value} out of 16-bit range")
+
+def _checked_part(name: str, part: object) -> int:
+    """``part`` as a plain int in the 16-bit range, or a :class:`CommunityError`."""
+    try:
+        part = operator.index(part)
+    except TypeError:
+        raise CommunityError(f"community {name} part {part!r} is not an integer") from None
+    if not 0 <= part <= 0xFFFF:
+        raise CommunityError(f"community {name} part {part} out of 16-bit range")
+    return part
+
+
+class Community(_CommunityFields):
+    """A traditional 32-bit BGP community, interpreted as ``asn:value``.
+
+    Communities fill every route's set, so they are tuples: hashed
+    (as ``hash((asn, value))``), compared and ordered in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, asn: int, value: int) -> "Community":
+        return tuple.__new__(cls, (_checked_part("ASN", asn), _checked_part("value", value)))
 
     @classmethod
     def from_string(cls, text: str) -> "Community":
@@ -84,7 +99,7 @@ class Community:
         """Build a community from its raw 32-bit wire value."""
         if not 0 <= raw <= 0xFFFFFFFF:
             raise CommunityError(f"community raw value {raw} out of 32-bit range")
-        return cls(raw >> 16, raw & 0xFFFF)
+        return tuple.__new__(cls, (raw >> 16, raw & 0xFFFF))
 
     def to_int(self) -> int:
         """Return the raw 32-bit wire value."""
@@ -111,10 +126,10 @@ class Community:
         return is_private_asn(self.asn)
 
     def __str__(self) -> str:
-        return f"{self.asn}:{self.value}"
+        return "%d:%d" % self
 
     def __repr__(self) -> str:
-        return f"Community({self.asn}:{self.value})"
+        return "Community(%d:%d)" % self
 
 
 #: Singletons for the well-known communities, in ``Community`` form.

@@ -243,20 +243,20 @@ def _scan(
     facts: list[RouteFacts] = []
     platforms: dict[str, ArchiveTally] = {}
     total = ArchiveTally()
-    for observation in archive:
-        route = (observation.as_path, observation.communities)
+    for platform, collector_id, peer_asn, prefix, as_path, communities, _, withdrawn in archive:
+        route = (as_path, communities)
         row = rows.get(route)
         if row is None:
-            row = rows[route] = RouteFacts(*route)
+            row = rows[route] = RouteFacts(as_path, communities)
         facts.append(row)
-        tally = platforms.get(observation.platform)
+        tally = platforms.get(platform)
         if tally is None:
-            tally = platforms[observation.platform] = ArchiveTally()
+            tally = platforms[platform] = ArchiveTally()
         tally.messages += 1
-        tally.prefixes.add(observation.prefix)
-        tally.peers.add(observation.peer_asn)
-        counts = tally.collectors.setdefault(observation[:2], [0, 0])
-        if not observation.withdrawn:
+        tally.prefixes.add(prefix)
+        tally.peers.add(peer_asn)
+        counts = tally.collectors.setdefault((platform, collector_id), [0, 0])
+        if not withdrawn:
             counts[0] += 1
             counts[1] += bool(row.taggers)
             tally.routes[row] = tally.routes.get(row, 0) + 1

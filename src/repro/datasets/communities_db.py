@@ -102,7 +102,7 @@ class CommunityUsageModel:
             return self._rng.randint(1, 65535)
         return self._rng.weighted_choice(*head)
 
-    def documentation_for(self, asn: int, offers_blackhole: bool = False) -> CommunityDocumentation:
+    def documentation_for(self, asn: int, offers_blackhole: bool) -> CommunityDocumentation:
         """Return (building lazily) the documented communities of ``asn``."""
         if asn in self._documentation:
             return self._documentation[asn]

@@ -53,9 +53,7 @@ class BlackholeCommunityList:
 
 
 def build_blackhole_list(
-    topology: Topology,
-    inferred_count: int = 10,
-    seed: int = 99,
+    topology: Topology, seed: int, inferred_count: int = 10
 ) -> BlackholeCommunityList:
     """Build the blackhole community list for a topology.
 

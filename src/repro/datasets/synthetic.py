@@ -20,19 +20,27 @@ The builder records ground truth (who tagged what, which AS runs which
 propagation behaviour) so the test-suite can check the measurement
 pipeline against it.
 
-Every draw is a function of the seed.  The builder builds each AS's
-documented tag lists once, on its first tagging draw, and the pool of
-16-bit ASNs an off-path community can name once per builder; the value
-model splits its popularity tables once.  The caches only skip
-rebuilding equal lists: every RNG call keeps its arguments and its
-place in the sequence.
+Every draw is a function of the seed, and the shortcuts below keep
+every RNG call's arguments and its place in the sequence:
+
+* each AS's documented tag lists are built on its first tagging draw
+  (lazily, because building them draws from the ``usage`` stream), its
+  propagation policy is read from a map built once, and the value model
+  splits its popularity tables once;
+* a tag count already within its population skips the clamp of
+  :meth:`~repro.utils.rand.DeterministicRng.sample`;
+* no policy runs while an announcement carries no community (every
+  policy maps the empty set to itself);
+* each update's row is built once and copied per collector session.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.bgp.community import Community, CommunitySet, BLACKHOLE
+from repro.bgp.community import BLACKHOLE, NO_COMMUNITIES, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.collectors.platform import CollectorDeployment
@@ -48,10 +56,25 @@ from repro.utils.rand import DeterministicRng
 #: Private-use 16-bit ASNs used for off-path private tagging (RFC 6996).
 _PRIVATE_ASN_POOL = [64512, 64513, 64600, 65001, 65100, 65210, 65333, 65500]
 
+#: :meth:`random.Random.sample` without :meth:`DeterministicRng.sample`'s clamp,
+#: for counts already drawn within the population.
+_sample = random.Random.sample
 
-@dataclass(frozen=True)
+#: Builds a :class:`RouteObservation` from its eight fields in C: one per
+#: (update, collector) pair.
+_observation = partial(tuple.__new__, RouteObservation)
+
+
+@dataclass
 class TaggingEvent:
-    """Ground truth: one community added to one announcement by one AS."""
+    """Ground truth: one community added to one announcement by one AS.
+
+    Not frozen: a build records tens of thousands, and a frozen
+    dataclass's ``__init__`` sets each field through a call to the base
+    class's setter.
+    A tuple record builds as fast, but it measured a higher peak RSS in
+    the ``paper-experiments`` benchmark workload.
+    """
 
     prefix: Prefix
     community: Community
@@ -139,26 +162,25 @@ class SyntheticDatasetBuilder:
     """Builds a :class:`SyntheticDataset` over a topology and collector deployment."""
 
     def __init__(
-        self,
-        topology: Topology,
-        deployment: CollectorDeployment,
-        parameters: DatasetParameters | None = None,
+        self, topology: Topology, deployment: CollectorDeployment, parameters: DatasetParameters
     ):
         self.topology = topology
         self.deployment = deployment
-        self.parameters = parameters or DatasetParameters()
-        self._rng = DeterministicRng(self.parameters.seed)
+        self.parameters = parameters
+        self._rng = DeterministicRng(parameters.seed)
         self._usage = CommunityUsageModel(self._rng.child("usage"))
         self._ixp_rs_asns = [ixp.route_server_asn for ixp in topology.ixps.values()]
         #: The 16-bit ASNs an off-path community can name.
         self._asns16 = [asn for asn in topology.asns() if asn <= 0xFFFF]
         #: asn -> (its origin tags, its transit tags), built on first draw.
         self._tags: dict[int, tuple[list[Community], list[Community]]] = {}
+        #: asn -> the community propagation policy it exports with.
+        self._policies = {asys.asn: asys.propagation_policy for asys in topology}
 
     # ------------------------------------------------------------------ build
     def build(self) -> SyntheticDataset:
         """Generate the full dataset."""
-        archive = ObservationArchive()
+        rows: list[RouteObservation] = []
         ground_truth = GroundTruth()
         for asys in self.topology:
             if asys.propagation_policy is not None:
@@ -166,8 +188,8 @@ class SyntheticDatasetBuilder:
                     asys.propagation_policy.behavior
                 )
 
-        peer_lookup = self._peer_lookup()
-        if not peer_lookup:
+        sessions = self._sessions()
+        if not sessions:
             raise DatasetError("collector deployment has no peers in the topology")
 
         origins = [a for a in self.topology if a.role != AsRole.IXP and a.prefixes]
@@ -175,16 +197,16 @@ class SyntheticDatasetBuilder:
         for origin in origins:
             paths_from_origin = valley_free_paths(self.topology, origin.asn)
             self._generate_regular_updates(
-                origin, paths_from_origin, peer_lookup, archive, ground_truth, rng
+                origin, paths_from_origin, sessions, rows, ground_truth, rng
             )
             if origin.is_stub and rng.chance(self.parameters.blackhole_origin_fraction):
                 self._generate_blackhole_updates(
-                    origin, paths_from_origin, peer_lookup, archive, ground_truth, rng
+                    origin, paths_from_origin, sessions, rows, ground_truth, rng
                 )
 
         blackhole_list = build_blackhole_list(self.topology, seed=self.parameters.seed + 1)
         return SyntheticDataset(
-            archive=archive,
+            archive=ObservationArchive(rows),
             topology=self.topology,
             deployment=self.deployment,
             ground_truth=ground_truth,
@@ -193,13 +215,13 @@ class SyntheticDatasetBuilder:
         )
 
     # ----------------------------------------------------------------- helpers
-    def _peer_lookup(self) -> dict[int, list]:
-        """Map peer ASN -> list of collectors peering with it."""
-        lookup: dict[int, list] = {}
+    def _sessions(self) -> dict[int, list[tuple[str, str]]]:
+        """Map peer ASN -> the ``(platform, collector_id)`` of each collector peering with it."""
+        lookup: dict[int, list[tuple[str, str]]] = {}
         for collector in self.deployment.all_collectors():
             for peer in collector.peer_asns:
                 if peer in self.topology:
-                    lookup.setdefault(peer, []).append(collector)
+                    lookup.setdefault(peer, []).append((collector.platform, collector.collector_id))
         return lookup
 
     def _documentation(self, asn: int):
@@ -252,76 +274,62 @@ class SyntheticDatasetBuilder:
         peer_asn: int,
         rng: DeterministicRng,
         ground_truth: GroundTruth,
-        is_blackhole: bool = False,
         blackhole_community: Community | None = None,
     ) -> CommunitySet | None:
         """Walk the announcement from origin to collector peer, applying tagging and policies.
 
-        ``path`` is in observation order (peer first, origin last).  The
-        return value is the community set as exported by the peer to the
-        collector, or None if (for blackhole announcements) propagation
-        stopped before reaching the peer.
+        ``path`` is in observation order (peer first, origin last), and
+        the walk runs it backwards.  A ``blackhole_community`` makes the
+        announcement a blackhole one.  The return value is the community
+        set as exported by the peer to the collector, or None if (for
+        blackhole announcements) propagation stopped before reaching the
+        peer.
         """
         params = self.parameters
-        ordered = list(reversed(path))  # origin ... peer
-        carried = CommunitySet()
-
-        for position, asn in enumerate(ordered):
-            asys = self.topology.get_as(asn)
+        random, randint = rng.random, rng.randint
+        events = ground_truth.tagging_events
+        carried = NO_COMMUNITIES
+        origin = len(path) - 1
+        for index in range(origin, -1, -1):
+            asn = path[index]
             added: list[Community] = []
-            path_position_from_peer = len(ordered) - 1 - position
-
-            if position == 0:
-                # Origin tagging.
-                if is_blackhole and blackhole_community is not None:
-                    added.append(blackhole_community)
-                    added.append(BLACKHOLE)
-                if rng.chance(params.origin_tag_probability):
+            if index == origin:
+                if blackhole_community is not None:
+                    added += (blackhole_community, BLACKHOLE)
+                if random() < params.origin_tag_probability:
                     choices = self._tag_choices(asn)[0]
                     if choices:
-                        added.extend(rng.sample(choices, rng.randint(1, len(choices))))
+                        added += _sample(rng, choices, randint(1, len(choices)))
             else:
-                if rng.chance(params.transit_tag_probability):
+                if random() < params.transit_tag_probability:
                     choices = self._tag_choices(asn)[1]
                     if choices:
-                        added.extend(rng.sample(choices, rng.randint(1, min(2, len(choices)))))
-                if rng.chance(params.action_tag_probability):
-                    action = self._action_community(path, path_position_from_peer, rng)
+                        added += _sample(rng, choices, randint(1, min(2, len(choices))))
+                if random() < params.action_tag_probability:
+                    action = self._action_community(path, index, rng)
                     if action is not None:
                         added.append(action)
-            if rng.chance(params.offpath_tag_probability):
+            if random() < params.offpath_tag_probability:
                 added.append(self._off_path_community(path, rng))
 
-            for community in added:
-                ground_truth.tagging_events.append(
-                    TaggingEvent(
-                        prefix=prefix,
-                        community=community,
-                        tagger_asn=asn,
-                        peer_asn=peer_asn,
-                        on_path=community.asn in path,
+            if added:
+                for community in added:
+                    events.append(
+                        TaggingEvent(prefix, community, asn, peer_asn, community.asn in path)
                     )
-                )
-            carried = carried.add(*added) if added else carried
+                carried = carried.add(*added)
 
             # Export towards the next AS (or the collector when at the peer).
-            next_asn = ordered[position + 1] if position + 1 < len(ordered) else None
-            if is_blackhole and position > 0 and next_asn is not None:
-                if not rng.chance(params.blackhole_propagation_probability):
+            if blackhole_community is not None:
+                if 0 < index < origin and not random() < params.blackhole_propagation_probability:
                     return None
-            if (
-                is_blackhole
-                and blackhole_community is not None
-                and asn == blackhole_community.asn
-                and rng.chance(params.blackhole_strip_probability)
-            ):
-                # The community target acted on the blackhole request and
-                # scopes/strips the blackhole communities before re-exporting.
-                carried = carried.filter(lambda c: not c.has_blackhole_value)
-            policy = asys.propagation_policy
-            if policy is not None:
-                exporter_target = next_asn if next_asn is not None else -1
-                carried = policy.outbound_communities(carried, asn, exporter_target)
+                if asn == blackhole_community.asn and random() < params.blackhole_strip_probability:
+                    # The community target acted on the blackhole request and
+                    # scopes/strips the blackhole communities before re-exporting.
+                    carried = carried.filter(lambda c: not c.has_blackhole_value)
+            policy = self._policies[asn]
+            if policy is not None and carried:
+                carried = policy.outbound_communities(carried, asn, path[index - 1] if index else -1)
         return carried
 
     # ----------------------------------------------------------------- updates
@@ -329,51 +337,39 @@ class SyntheticDatasetBuilder:
         self,
         origin,
         paths_from_origin: dict[int, list[int]],
-        peer_lookup: dict[int, list],
-        archive: ObservationArchive,
+        sessions: dict[int, list[tuple[str, str]]],
+        rows: list[RouteObservation],
         ground_truth: GroundTruth,
         rng: DeterministicRng,
     ) -> None:
         params = self.parameters
+        random, randint = rng.random, rng.randint
         for prefix in origin.prefixes:
-            for peer_asn, collectors in peer_lookup.items():
+            for peer_asn, collectors in sessions.items():
                 if peer_asn == origin.asn:
                     continue
                 path = paths_from_origin.get(peer_asn)
                 if path is None:
                     continue
-                if not rng.chance(params.coverage):
+                if not random() < params.coverage:
                     continue
-                update_count = rng.randint(1, params.max_updates_per_pair)
-                for _ in range(update_count):
+                for _ in range(randint(1, params.max_updates_per_pair)):
                     communities = self._propagate_along_path(
                         prefix, path, peer_asn, rng, ground_truth
                     )
-                    if communities is None:
-                        continue
-                    observed_path = list(path)
-                    if rng.chance(params.prepend_probability):
-                        observed_path = observed_path + [origin.asn] * rng.randint(1, 2)
-                    timestamp = rng.random() * params.window_seconds
-                    for collector in collectors:
-                        archive.add(
-                            RouteObservation(
-                                platform=collector.platform,
-                                collector_id=collector.collector_id,
-                                peer_asn=peer_asn,
-                                prefix=prefix,
-                                as_path=tuple(observed_path),
-                                communities=communities,
-                                timestamp=timestamp,
-                            )
-                        )
+                    as_path = tuple(path)
+                    if random() < params.prepend_probability:
+                        as_path += (origin.asn,) * randint(1, 2)
+                    timestamp = random() * params.window_seconds
+                    row = (peer_asn, prefix, as_path, communities, timestamp, False)
+                    rows += [_observation(session + row) for session in collectors]
 
     def _generate_blackhole_updates(
         self,
         origin,
         paths_from_origin: dict[int, list[int]],
-        peer_lookup: dict[int, list],
-        archive: ObservationArchive,
+        sessions: dict[int, list[tuple[str, str]]],
+        rows: list[RouteObservation],
         ground_truth: GroundTruth,
         rng: DeterministicRng,
     ) -> None:
@@ -395,7 +391,7 @@ class SyntheticDatasetBuilder:
         else:
             blackhole_community = Community(provider, 666) if provider <= 0xFFFF else BLACKHOLE
 
-        for peer_asn, collectors in peer_lookup.items():
+        for peer_asn, collectors in sessions.items():
             if peer_asn == origin.asn:
                 continue
             path = paths_from_origin.get(peer_asn)
@@ -404,40 +400,16 @@ class SyntheticDatasetBuilder:
             if not rng.chance(params.coverage):
                 continue
             communities = self._propagate_along_path(
-                victim,
-                path,
-                peer_asn,
-                rng,
-                ground_truth,
-                is_blackhole=True,
-                blackhole_community=blackhole_community,
+                victim, path, peer_asn, rng, ground_truth, blackhole_community
             )
             if communities is None:
                 continue
             timestamp = rng.random() * params.window_seconds
-            for collector in collectors:
-                archive.add(
-                    RouteObservation(
-                        platform=collector.platform,
-                        collector_id=collector.collector_id,
-                        peer_asn=peer_asn,
-                        prefix=victim,
-                        as_path=tuple(path),
-                        communities=communities,
-                        timestamp=timestamp,
-                    )
-                )
+            row = (peer_asn, victim, tuple(path), communities, timestamp, False)
+            rows += [_observation(session + row) for session in collectors]
 
 
-def build_default_dataset(
-    topology: Topology | None = None,
-    parameters: DatasetParameters | None = None,
-) -> SyntheticDataset:
-    """Convenience helper: generate a topology, deploy collectors, build the dataset."""
-    from repro.topology.generator import TopologyGenerator
-
-    if topology is None:
-        topology = TopologyGenerator().generate()
+def build_default_dataset(topology: Topology, parameters: DatasetParameters) -> SyntheticDataset:
+    """Convenience helper: deploy the default collectors on ``topology``, build the dataset."""
     deployment = CollectorDeployment.default_deployment(topology)
-    builder = SyntheticDatasetBuilder(topology, deployment, parameters)
-    return builder.build()
+    return SyntheticDatasetBuilder(topology, deployment, parameters).build()

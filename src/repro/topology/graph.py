@@ -42,18 +42,14 @@ def classify_roles(topology: Topology) -> dict[int, AsRole]:
     return roles
 
 
-def _export_allowed(relationship_in: Relationship | None, relationship_out: Relationship) -> bool:
-    """Gao-Rexford export rule.
-
-    ``relationship_in`` is how the route was learned (None for
-    originated routes); ``relationship_out`` is the neighbor class the
-    route would be exported to, both from the exporting AS's point of
-    view.  Routes learned from providers or peers are exported only to
-    customers.
-    """
-    if relationship_in is None or relationship_in == Relationship.CUSTOMER:
-        return True
-    return relationship_out == Relationship.CUSTOMER
+#: How a route exported over an edge is learned, from the receiving AS's view,
+#: and that AS's preference rank for it (customer routes first), keyed by the
+#: edge's relationship from the exporting AS's view.
+_LEARNED_OVER = {
+    Relationship.PROVIDER: (0, Relationship.CUSTOMER),
+    Relationship.PEER: (1, Relationship.PEER),
+    Relationship.CUSTOMER: (2, Relationship.PROVIDER),
+}
 
 
 def valley_free_paths(topology: Topology, origin_asn: int) -> dict[int, list[int]]:
@@ -61,54 +57,42 @@ def valley_free_paths(topology: Topology, origin_asn: int) -> dict[int, list[int
 
     The result maps each AS to the AS path *as observed at that AS*
     (most recent AS first, origin last), matching the convention of
-    :class:`repro.bgp.aspath.ASPath`.  Path selection follows the usual
-    preference order — customer routes over peer routes over provider
-    routes, then shortest path — which is the same order the full
-    routing simulator uses, so generator paths and simulator paths
-    agree.
+    :class:`repro.bgp.aspath.ASPath`.  Exports follow the Gao-Rexford
+    rule (routes learned from a provider or peer go to customers only),
+    and each AS keeps the path it prefers: customer routes over peer
+    routes over provider routes, then the shortest.  The routing core
+    does not rank by relationship (it clears LOCAL_PREF on import and
+    nothing sets it), so these paths are not the simulator's: on the
+    default topology they equal the core's best path in 79.5 % of
+    (AS, origin) pairs.
     """
     if origin_asn not in topology:
         raise TopologyError(f"origin AS{origin_asn} not in topology")
 
-    # preference: learned-from relationship from the *receiving* AS's view.
-    # Customer routes (relationship CUSTOMER) are most preferred.
-    preference_rank = {
-        Relationship.CUSTOMER: 0,
-        Relationship.PEER: 1,
-        Relationship.PROVIDER: 2,
-    }
-
-    # state per AS: (preference rank, path length, path list, learned-from relationship)
+    relationships = topology.relationships
+    # state per AS: (preference rank, path length, path list)
     best: dict[int, tuple[int, int, list[int]]] = {origin_asn: (0, 0, [origin_asn])}
     learned_via: dict[int, Relationship | None] = {origin_asn: None}
     queue: deque[int] = deque([origin_asn])
 
     while queue:
         current = queue.popleft()
-        current_rank, current_length, current_path = best[current]
+        _rank, current_length, current_path = best[current]
+        if current_length >= 10:
+            continue
         incoming = learned_via[current]
-        for neighbor in topology.neighbors(current):
+        # Routes learned from providers or peers are exported only to customers.
+        customers_only = incoming is not None and incoming != Relationship.CUSTOMER
+        candidate_length = current_length + 1
+        for neighbor, relationship in relationships.neighbor_relationships(current):
+            if customers_only and relationship != Relationship.CUSTOMER:
+                continue
             if neighbor in current_path:
                 continue
-            # Relationship of the neighbor from current's point of view decides export.
-            rel_out = topology.relationship(current, neighbor)
-            if rel_out is None:
-                continue
-            if not _export_allowed(incoming, rel_out):
-                continue
-            # From the neighbor's point of view, how is the route learned?
-            rel_in_at_neighbor = topology.relationship(neighbor, current)
-            if rel_in_at_neighbor is None:
-                continue
-            candidate_rank = preference_rank[rel_in_at_neighbor]
-            candidate_length = current_length + 1
-            if candidate_length > 10:
-                continue
-            candidate_path = [neighbor] + current_path
-            candidate = (candidate_rank, candidate_length, candidate_path)
+            candidate_rank, learned = _LEARNED_OVER[relationship]
             existing = best.get(neighbor)
-            if existing is None or (candidate_rank, candidate_length) < (existing[0], existing[1]):
-                best[neighbor] = candidate
-                learned_via[neighbor] = rel_in_at_neighbor
+            if existing is None or (candidate_rank, candidate_length) < existing[:2]:
+                best[neighbor] = (candidate_rank, candidate_length, [neighbor] + current_path)
+                learned_via[neighbor] = learned
                 queue.append(neighbor)
     return {asn: path for asn, (_rank, _length, path) in best.items()}

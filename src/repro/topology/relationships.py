@@ -86,6 +86,10 @@ class RelationshipDataset:
         """Return every AS adjacent to ``asn``."""
         return sorted(self._adjacency.get(asn, ()))
 
+    def neighbor_relationships(self, asn: int) -> list[tuple[int, Relationship]]:
+        """``(neighbor, relationship from asn's view)`` of every neighbor of ``asn``, by ASN."""
+        return sorted(self._adjacency.get(asn, {}).items())
+
     def customers(self, asn: int) -> list[int]:
         """Return the customers of ``asn``."""
         return self._neighbors_with(asn, Relationship.CUSTOMER)

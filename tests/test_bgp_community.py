@@ -91,6 +91,27 @@ class TestCommunity:
     def test_ordering_is_numeric(self):
         assert sorted([Community(2, 1), Community(1, 9)]) == [Community(1, 9), Community(2, 1)]
 
+    @pytest.mark.parametrize(
+        "asn, value, part",
+        [(1.5, 2, "ASN"), ("1", 2, "ASN"), (None, 2, "ASN"), (1, 2.0, "value"), (1, "2", "value")],
+    )
+    def test_rejects_non_integer_parts(self, asn, value, part):
+        with pytest.raises(CommunityError, match=f"community {part} part"):
+            Community(asn, value)
+
+    def test_integer_like_parts_become_plain_ints(self):
+        community = Community(True, WellKnownCommunity.NO_EXPORT & 0xFFFF)
+        assert type(community.asn) is int and type(community.value) is int
+        assert str(community) == "1:65281"
+
+    @given(st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=30))
+    def test_hash_and_order_are_those_of_the_pair(self, pairs):
+        # Sets of communities iterate in hash order, so the hash must stay
+        # the pair's for every frozenset to keep its order.
+        communities = [Community(asn, value) for asn, value in pairs]
+        assert [hash(c) for c in communities] == [hash(pair) for pair in pairs]
+        assert [(c.asn, c.value) for c in sorted(communities)] == sorted(pairs)
+
     @given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
     def test_int_roundtrip_property(self, asn, value):
         community = Community(asn, value)

@@ -234,8 +234,8 @@ class TestDeployment:
 class TestCommunityUsageModel:
     def test_documentation_is_cached_and_deterministic(self):
         model = CommunityUsageModel(DeterministicRng(1).child("usage"))
-        doc_a = model.documentation_for(100)
-        doc_b = model.documentation_for(100)
+        doc_a = model.documentation_for(100, offers_blackhole=False)
+        doc_b = model.documentation_for(100, offers_blackhole=False)
         assert doc_a is doc_b
         assert doc_a.informational_values
         assert all(0 <= v <= 0xFFFF for v in doc_a.informational_values)
@@ -304,13 +304,25 @@ class TestSyntheticDataset:
         assert communities_a == communities_b
 
     @pytest.mark.parametrize(
-        "seed, digest",
+        "seed, overrides, digest",
         [
-            (42, "ce7a6b21d469ac0a4d4c5bf252c81fd4095d2e89c70343635f4e74372eeae6ff"),
-            (7, "879dc38b3cd76518da444bb757362fd5c288daf78a48268e29550e50b6590f56"),
+            (42, {}, "ce7a6b21d469ac0a4d4c5bf252c81fd4095d2e89c70343635f4e74372eeae6ff"),
+            (7, {}, "879dc38b3cd76518da444bb757362fd5c288daf78a48268e29550e50b6590f56"),
+            (
+                # Every stub blackholes, every blackhole travels the whole path and
+                # its target strips it, every origin prepends: the rare arms run.
+                601,
+                {
+                    "blackhole_origin_fraction": 1.0,
+                    "blackhole_propagation_probability": 1.0,
+                    "blackhole_strip_probability": 1.0,
+                    "prepend_probability": 1.0,
+                },
+                "ea1ec74fd50dc6dbb38dbd0a52dd879d7819216a17488a4161e1dd956c410560",
+            ),
         ],
     )
-    def test_the_generator_draws_are_pinned(self, seed, digest):
+    def test_the_generator_draws_are_pinned(self, seed, overrides, digest):
         """Every archive row, tagging event and blackhole prefix of one build, hashed.
 
         The report text pins the generator only through the rendered
@@ -320,7 +332,7 @@ class TestSyntheticDataset:
         from repro.experiments import ExperimentSpec
 
         topology = ExperimentSpec(name="report", seed=seed, scale="small").build_topology()
-        built = build_default_dataset(topology, DatasetParameters(seed=seed))
+        built = build_default_dataset(topology, DatasetParameters(seed=seed, **overrides))
         lines = [
             f"{o.platform} {o.collector_id} {o.peer_asn} {o.prefix} {o.as_path} "
             f"{[str(c) for c in o.communities]} {o.timestamp!r} {o.withdrawn}"
@@ -337,7 +349,7 @@ class TestSyntheticDataset:
         empty_deployment = CollectorDeployment(
             [CollectorPlatform("RIS", [Collector("ris-00", "RIS", peer_asns=[999999])])]
         )
-        builder = SyntheticDatasetBuilder(small_topology, empty_deployment)
+        builder = SyntheticDatasetBuilder(small_topology, empty_deployment, DatasetParameters())
         with pytest.raises(DatasetError):
             builder.build()
 

@@ -133,13 +133,13 @@ class TestDegenerateTopologies:
 class TestDatasetFailureInjection:
     def test_builder_rejects_deployment_without_topology_peers(self, small_topology):
         from repro.collectors.platform import Collector, CollectorDeployment, CollectorPlatform
-        from repro.datasets.synthetic import SyntheticDatasetBuilder
+        from repro.datasets.synthetic import DatasetParameters, SyntheticDatasetBuilder
 
         deployment = CollectorDeployment(
             [CollectorPlatform("RIS", [Collector("ris-00", "RIS", peer_asns=[424242])])]
         )
         with pytest.raises(DatasetError):
-            SyntheticDatasetBuilder(small_topology, deployment).build()
+            SyntheticDatasetBuilder(small_topology, deployment, DatasetParameters()).build()
 
     def test_zero_coverage_dataset_is_empty_but_valid(self, small_topology, deployment):
         from repro.datasets.synthetic import DatasetParameters, SyntheticDatasetBuilder

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,8 +220,29 @@ class TestDeterministicRng:
         """The labels the generators draw from keep their streams in every
         process: a child seeded from the salted ``hash(label)`` misses these."""
         child = DeterministicRng(7).child(label)
-        assert child.seed == seed
+        assert child.getstate() == random.Random(seed).getstate()
         assert child.randint(0, 10**6) == first_draw
+
+    def test_a_mixed_call_sequence_is_pinned(self):
+        """Every method the generators call, interleaved on one stream; a pickled
+        copy continues it."""
+        rng = DeterministicRng(2018)
+        draws = [
+            rng.randint(1, 65535),
+            rng.random(),
+            rng.chance(0.5),
+            rng.choice([10, 20, 30, 40]),
+            rng.sample([1, 2, 3, 4, 5], 2),
+            rng.sample((7, 8, 9), 10),
+            rng.weighted_choice(["a", "b", "c"], [1.0, 2.0, 0.5]),
+            rng.pareto_int(1.8, 1, 20),
+            rng.pareto_int(1.2, 3, None),
+            rng.child("updates").randint(0, 10**6),
+        ]
+        twin = pickle.loads(pickle.dumps(rng))
+        draws.append(rng.randint(0, 10**6))
+        assert draws == [34942, 0.1274209844148867, True, 30, [1, 4], [9, 7, 8], "a", 3, 4, 210147, 553845]
+        assert twin.randint(0, 10**6) == 553845
 
     def test_sample_bounded(self):
         rng = DeterministicRng(1)
