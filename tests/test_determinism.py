@@ -22,8 +22,14 @@ the digests to agree:
   harvest remembers of the previous one would show here).
 
 The three processes run once per module; each output is its own test
-case, so a failure names the output that moved.  Run
-``python tests/test_determinism.py`` to print one process's digests.
+case, so a failure names the output that moved.  Hash seed 0's digests
+must also equal the ones pinned in ``tests/fixtures/determinism_digests.json``,
+which makes "every output is byte-identical" a check rather than a hand
+diff.  After an *intended* change to an output, regenerate the file with::
+
+    PYTHONPATH=src python tests/test_determinism.py > tests/fixtures/determinism_digests.json
+
+and show its diff with the change.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import pytest
 HASH_SEEDS = ("0", "1", "2")
 SEED = 7
 HIJACK_VARIANTS = ("rtbh", "rtbh-wild", "steering")
+PINNED_DIGESTS = Path(__file__).parent / "fixtures" / "determinism_digests.json"
 
 
 def _digest(data: bytes | str) -> str:
@@ -212,6 +219,18 @@ def test_output_does_not_depend_on_the_hash_seed(digests_by_hash_seed, key):
     by_seed = {seed: digests_by_hash_seed[seed].get(key) for seed in HASH_SEEDS}
     assert by_seed[HASH_SEEDS[0]] is not None, f"{key} was not digested"
     assert len(set(by_seed.values())) == 1, f"{key} changes with PYTHONHASHSEED: {by_seed}"
+
+
+def test_pinned_digests_name_every_output():
+    assert sorted(json.loads(PINNED_DIGESTS.read_text())) == sorted(OUTPUT_KEYS)
+
+
+@pytest.mark.parametrize("key", OUTPUT_KEYS)
+def test_output_matches_its_pinned_digest(digests_by_hash_seed, key):
+    pinned = json.loads(PINNED_DIGESTS.read_text())
+    assert digests_by_hash_seed[HASH_SEEDS[0]].get(key) == pinned.get(key), (
+        f"{key} differs from {PINNED_DIGESTS.name}; regenerate it only for an intended change"
+    )
 
 
 if __name__ == "__main__":
