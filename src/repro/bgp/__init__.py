@@ -13,7 +13,7 @@ from repro.bgp.community import (
 )
 from repro.bgp.aspath import ASPath
 from repro.bgp.prefix import Prefix, AddressFamily
-from repro.bgp.attributes import Origin, PathAttributes
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.route import Announcement, RouteEntry
 from repro.bgp.message import (
     BgpUpdate,
@@ -37,7 +37,6 @@ __all__ = [
     "ASPath",
     "Prefix",
     "AddressFamily",
-    "Origin",
     "PathAttributes",
     "Announcement",
     "RouteEntry",

@@ -1,16 +1,19 @@
 """BGP path attributes carried alongside an announcement.
 
-:class:`PathAttributes` bundles the attributes the simulator and the
-measurement pipeline care about: ORIGIN, AS_PATH, NEXT_HOP, MED,
-LOCAL_PREF, ATOMIC_AGGREGATE and COMMUNITIES.  Instances are
-immutable; the policy engine produces modified copies via
+:class:`PathAttributes` holds the three attributes the model reads:
+AS_PATH (on-path or off-path, hop distance, prepending), LOCAL_PREF
+(which blackhole and "customer backup" communities set) and COMMUNITIES.
+These are the only typed attributes.  Nothing in the model sets ORIGIN,
+NEXT_HOP, MED or ATOMIC_AGGREGATE, so a bundle does not carry them; the
+wire codec (:mod:`repro.bgp.message`) writes ORIGIN and NEXT_HOP as
+constants and keeps any other attribute it reads as opaque bytes.
+Instances are immutable; the policy engine produces modified copies via
 :meth:`PathAttributes.replace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
 from typing import Iterable
 
 from repro.bgp.aspath import ASPath
@@ -29,43 +32,15 @@ CISCO_MAX_ADDED_COMMUNITIES = 32
 MAX_COMMUNITIES_PER_UPDATE = (1 << 16) // 4
 
 
-class Origin(IntEnum):
-    """ORIGIN attribute values (RFC 4271)."""
-
-    IGP = 0
-    EGP = 1
-    INCOMPLETE = 2
-
-
-class AttributeTypeCode(IntEnum):
-    """Path-attribute type codes used by the wire codec."""
-
-    ORIGIN = 1
-    AS_PATH = 2
-    NEXT_HOP = 3
-    MULTI_EXIT_DISC = 4
-    LOCAL_PREF = 5
-    ATOMIC_AGGREGATE = 6
-    AGGREGATOR = 7
-    COMMUNITIES = 8
-    LARGE_COMMUNITIES = 32
-
-
 @dataclass(frozen=True)
 class PathAttributes:
     """The mutable-by-copy attribute bundle attached to an announcement."""
 
     as_path: ASPath = field(default_factory=ASPath)
-    origin: Origin = Origin.IGP
-    next_hop: int = 0
-    med: int | None = None
     local_pref: int | None = None
     communities: CommunitySet = field(default_factory=CommunitySet)
-    atomic_aggregate: bool = False
 
     def __post_init__(self) -> None:
-        if self.med is not None and not 0 <= self.med <= 0xFFFFFFFF:
-            raise AttributeError_(f"MED {self.med} out of 32-bit range")
         if self.local_pref is not None and not 0 <= self.local_pref <= 0xFFFFFFFF:
             raise AttributeError_(f"LOCAL_PREF {self.local_pref} out of 32-bit range")
         if len(self.communities) > MAX_COMMUNITIES_PER_UPDATE:
@@ -81,30 +56,18 @@ class PathAttributes:
         # dataclass's ``__setattr__`` guard does not see.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash(
-                (
-                    self.as_path,
-                    self.origin,
-                    self.next_hop,
-                    self.med,
-                    self.local_pref,
-                    self.communities,
-                    self.atomic_aggregate,
-                )
-            )
+            cached = hash((self.as_path, self.local_pref, self.communities))
             self.__dict__["_hash"] = cached
         return cached
 
     def decision_key(self) -> tuple:
-        """The attribute part of the best-path sort key, cached like the hash."""
+        """The attribute part of the best-path sort key, cached like the hash.
+
+        Higher LOCAL_PREF first, then the shorter AS path.
+        """
         cached = self.__dict__.get("_decision_key")
         if cached is None:
-            cached = (
-                -self.effective_local_pref(),
-                len(self.as_path),
-                int(self.origin),
-                self.med if self.med is not None else 0,
-            )
+            cached = (-self.effective_local_pref(), len(self.as_path))
             self.__dict__["_decision_key"] = cached
         return cached
 
@@ -121,12 +84,8 @@ class PathAttributes:
         get = changes.get
         return PathAttributes(
             as_path=get("as_path", self.as_path),
-            origin=get("origin", self.origin),
-            next_hop=get("next_hop", self.next_hop),
-            med=get("med", self.med),
             local_pref=get("local_pref", self.local_pref),
             communities=get("communities", self.communities),
-            atomic_aggregate=get("atomic_aggregate", self.atomic_aggregate),
         )
 
     def effective_local_pref(self) -> int:

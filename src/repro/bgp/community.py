@@ -97,6 +97,10 @@ class Community(_CommunityFields):
     @classmethod
     def from_int(cls, raw: int) -> "Community":
         """Build a community from its raw 32-bit wire value."""
+        try:
+            raw = operator.index(raw)
+        except TypeError:
+            raise CommunityError(f"community raw value {raw!r} is not an integer") from None
         if not 0 <= raw <= 0xFFFFFFFF:
             raise CommunityError(f"community raw value {raw} out of 32-bit range")
         return tuple.__new__(cls, (raw >> 16, raw & 0xFFFF))

@@ -2,13 +2,16 @@
 
 The MRT writer embeds full BGP UPDATE messages inside BGP4MP records,
 and the MRT reader decodes them back; this module implements that wire
-format.  Only the attributes the study needs are given first-class
-treatment; every other attribute round-trips as opaque bytes so no
-information is silently dropped.  That includes RFC 8092
-LARGE_COMMUNITIES, which is length-checked and then kept opaque: the
-paper analyses traditional communities only.  An AS_PATH is written as
-AS_SEQUENCE segments; an AS_SET read from the wire joins the flat path
-with its members in wire order.
+format.  Three attributes are typed, the ones :class:`PathAttributes`
+carries: AS_PATH, LOCAL_PREF and COMMUNITIES.  The writer adds the two
+other mandatory ones as constants, ORIGIN as IGP and NEXT_HOP as
+0.0.0.0; the reader checks their form and drops them.  Every other
+attribute round-trips as opaque bytes in the ``unknown`` list, so no
+information is silently dropped: MED and RFC 8092 LARGE_COMMUNITIES are
+length-checked first (the paper analyses traditional communities only),
+ATOMIC_AGGREGATE and anything unrecognised are kept as read.  An
+AS_PATH is written as AS_SEQUENCE segments; an AS_SET read from the
+wire joins the flat path with its members in wire order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.bgp.aspath import ASPath
-from repro.bgp.attributes import AttributeTypeCode, Origin, PathAttributes
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import NO_COMMUNITIES, CommunitySet
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.exceptions import MessageError
@@ -46,18 +49,15 @@ _MESSAGE_HEADER = struct.Struct("!16sHB")
 _ATTRIBUTE_HEADER = struct.Struct("!BBB")
 _ATTRIBUTE_HEADER_EXTENDED = struct.Struct("!BBH")
 
-#: Plain-int attribute type codes and dict tables for the enum values the
-#: codec meets: each record read or written runs these compares and
-#: lookups, and an enum member costs several times what an int does.
-_ORIGIN = int(AttributeTypeCode.ORIGIN)
-_AS_PATH = int(AttributeTypeCode.AS_PATH)
-_NEXT_HOP = int(AttributeTypeCode.NEXT_HOP)
-_MULTI_EXIT_DISC = int(AttributeTypeCode.MULTI_EXIT_DISC)
-_LOCAL_PREF = int(AttributeTypeCode.LOCAL_PREF)
-_ATOMIC_AGGREGATE = int(AttributeTypeCode.ATOMIC_AGGREGATE)
-_COMMUNITIES = int(AttributeTypeCode.COMMUNITIES)
-_LARGE_COMMUNITIES = int(AttributeTypeCode.LARGE_COMMUNITIES)
-_ORIGINS = {int(origin): origin for origin in Origin}
+#: Path-attribute type codes the codec reads (RFC 4271, RFC 1997, RFC 8092).
+_ORIGIN, _AS_PATH, _NEXT_HOP, _MULTI_EXIT_DISC, _LOCAL_PREF = 1, 2, 3, 4, 5
+_COMMUNITIES, _LARGE_COMMUNITIES = 8, 32
+#: ORIGIN values (RFC 4271): IGP, EGP, INCOMPLETE.
+_ORIGIN_CODES = (0, 1, 2)
+#: The two mandatory attributes no route carries, as the writer sends
+#: them: ORIGIN IGP and NEXT_HOP 0.0.0.0.
+_ORIGIN_IGP = _ATTRIBUTE_HEADER.pack(FLAG_TRANSITIVE, _ORIGIN, 1) + bytes(1)
+_NEXT_HOP_ZERO = _ATTRIBUTE_HEADER.pack(FLAG_TRANSITIVE, _NEXT_HOP, 4) + bytes(4)
 #: AS_PATH segment types (RFC 4271): AS_SET, AS_SEQUENCE.
 _AS_SET, _AS_SEQUENCE = 1, 2
 _SEGMENT_TYPES = (_AS_SET, _AS_SEQUENCE)
@@ -145,35 +145,18 @@ def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
 def encode_path_attributes(
     attrs: PathAttributes | None, unknown: Iterable[tuple[int, int, bytes]] = ()
 ) -> bytes:
-    """Encode a path-attribute section: the well-known attributes, then ``unknown``.
+    """Encode a path-attribute section: the mandatory and typed attributes, then ``unknown``.
 
     ``attrs`` is None for a withdrawal-only UPDATE, which carries no
     route attributes.
     """
     attribute_parts: list[bytes] = []
     if attrs is not None:
-        attribute_parts.append(
-            _encode_attribute(_ORIGIN, FLAG_TRANSITIVE, bytes((attrs.origin,)))
-        )
-        attribute_parts.append(
-            _encode_attribute(_AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path))
-        )
-        attribute_parts.append(
-            _encode_attribute(
-                _NEXT_HOP, FLAG_TRANSITIVE, _U32.pack(attrs.next_hop & 0xFFFFFFFF)
-            )
-        )
-        if attrs.med is not None:
-            attribute_parts.append(
-                _encode_attribute(_MULTI_EXIT_DISC, FLAG_OPTIONAL, _U32.pack(attrs.med))
-            )
+        as_path = _encode_attribute(_AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path))
+        attribute_parts += (_ORIGIN_IGP, as_path, _NEXT_HOP_ZERO)
         if attrs.local_pref is not None:
             attribute_parts.append(
                 _encode_attribute(_LOCAL_PREF, FLAG_TRANSITIVE, _U32.pack(attrs.local_pref))
-            )
-        if attrs.atomic_aggregate:
-            attribute_parts.append(
-                _encode_attribute(_ATOMIC_AGGREGATE, FLAG_TRANSITIVE, b"")
             )
         if attrs.communities:
             values = [c.to_int() for c in attrs.communities]
@@ -217,15 +200,12 @@ def decode_path_attributes(
     """Decode a path-attribute section into attributes plus opaque unknown ones.
 
     The inverse of :func:`encode_path_attributes`.  A malformed
-    attribute raises :class:`MessageError`.  ``as4`` is the AS_PATH
-    encoding (see :func:`decode_update`).
+    attribute raises :class:`MessageError`; ORIGIN and NEXT_HOP are
+    checked and dropped.  ``as4`` is the AS_PATH encoding (see
+    :func:`decode_update`).
     """
-    origin = Origin.IGP
     as_path = ASPath()
-    next_hop = 0
-    med: int | None = None
     local_pref: int | None = None
-    atomic_aggregate = False
     communities = NO_COMMUNITIES
     unknown: list[tuple[int, int, bytes]] = []
 
@@ -254,44 +234,30 @@ def decode_path_attributes(
         if type_code == _ORIGIN:
             if attr_len != 1:
                 raise MessageError("ORIGIN attribute must be exactly 1 byte")
-            origin = _ORIGINS.get(payload[0])
-            if origin is None:
+            if payload[0] not in _ORIGIN_CODES:
                 raise MessageError(f"unknown ORIGIN value {payload[0]}")
         elif type_code == _AS_PATH:
             as_path = _decode_as_path(payload, as4)
         elif type_code == _NEXT_HOP:
             if attr_len != 4:
                 raise MessageError("NEXT_HOP attribute must be exactly 4 bytes")
-            (next_hop,) = _U32.unpack(payload)
-        elif type_code == _MULTI_EXIT_DISC:
-            if attr_len != 4:
-                raise MessageError("MED attribute must be exactly 4 bytes")
-            (med,) = _U32.unpack(payload)
         elif type_code == _LOCAL_PREF:
             if attr_len != 4:
                 raise MessageError("LOCAL_PREF attribute must be exactly 4 bytes")
             (local_pref,) = _U32.unpack(payload)
-        elif type_code == _ATOMIC_AGGREGATE:
-            atomic_aggregate = True
         elif type_code == _COMMUNITIES:
             if attr_len % 4 != 0:
                 raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
             communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
-        elif type_code == _LARGE_COMMUNITIES and attr_len % 12 != 0:
-            # Kept opaque like any unread attribute, but still well-formed.
-            raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
         else:
+            # Kept opaque like any unread attribute, but still well-formed.
+            if type_code == _MULTI_EXIT_DISC and attr_len != 4:
+                raise MessageError("MED attribute must be exactly 4 bytes")
+            if type_code == _LARGE_COMMUNITIES and attr_len % 12 != 0:
+                raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
             unknown.append((type_code, flags, payload))
 
-    attributes = PathAttributes(
-        as_path=as_path,
-        origin=origin,
-        next_hop=next_hop,
-        med=med,
-        local_pref=local_pref,
-        communities=communities,
-        atomic_aggregate=atomic_aggregate,
-    )
+    attributes = PathAttributes(as_path=as_path, local_pref=local_pref, communities=communities)
     return attributes, unknown
 
 

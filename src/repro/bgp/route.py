@@ -3,7 +3,8 @@
 An :class:`Announcement` is the unit the routing simulator propagates
 and the unit the collectors record; a :class:`RouteEntry` is an
 announcement as stored in a RIB together with book-keeping about the
-neighbor it was learned from.
+neighbor it was learned from.  Both read the AS path, LOCAL_PREF and
+communities through their ``attributes`` (:class:`PathAttributes`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 
 
@@ -28,7 +28,6 @@ class Announcement(NamedTuple):
 
     ``sender_asn`` is the AS the announcement is arriving from (the
     neighbor), ``origin_asn`` is the AS that originated the prefix.
-    ``timestamp`` is simulation time in seconds (not wall-clock).
     An immutable value: one announcement is shared by every session an
     exporter treats alike, and equal announcements compare equal.
     """
@@ -37,17 +36,6 @@ class Announcement(NamedTuple):
     attributes: PathAttributes
     sender_asn: int
     origin_asn: int
-    timestamp: float = 0.0
-
-    @property
-    def as_path(self):
-        """Shortcut to the AS_PATH attribute."""
-        return self.attributes.as_path
-
-    @property
-    def communities(self) -> CommunitySet:
-        """Shortcut to the communities attribute."""
-        return self.attributes.communities
 
     def replace(self, **changes) -> "Announcement":
         """Return a copy with fields replaced."""
@@ -84,16 +72,6 @@ class RouteEntry(NamedTuple):
     suppress_to: frozenset[int] = frozenset()
     #: If not None, the route may ONLY be exported to these neighbors.
     announce_only_to: frozenset[int] | None = None
-
-    @property
-    def as_path(self):
-        """Shortcut to the AS_PATH attribute."""
-        return self.attributes.as_path
-
-    @property
-    def communities(self) -> CommunitySet:
-        """Shortcut to the communities attribute."""
-        return self.attributes.communities
 
     def replace(self, **changes) -> "RouteEntry":
         """Return a copy with fields replaced."""

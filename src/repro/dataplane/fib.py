@@ -49,12 +49,11 @@ class Fib:
         """Remove the entry for ``prefix`` if present."""
         self._table.delete(prefix)
 
-    def lookup(self, address: int, family: AddressFamily | None = None) -> FibEntry | None:
-        """Longest-prefix-match lookup for an integer IPv4/IPv6 address.
+    def lookup(self, address: int, family: AddressFamily) -> FibEntry | None:
+        """Longest-prefix-match lookup for an integer address of ``family``.
 
-        Matching is per family: an IPv4 address (or any address whose
-        family was passed explicitly) is only matched against prefixes
-        of the same family.
+        Matching is per family: the address is only matched against
+        prefixes of the family given.
         """
         return self._table.longest_match(address, family)
 

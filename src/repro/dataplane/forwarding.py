@@ -15,7 +15,6 @@ from enum import Enum
 from repro.bgp.prefix import AddressFamily
 from repro.dataplane.fib import Fib, build_fib, patch_fib
 from repro.exceptions import DataPlaneError
-from repro.net.lpm import infer_family
 from repro.routing.engine import BgpSimulator, SimulationReport
 
 #: Hops a traced packet may take before it expires.
@@ -109,13 +108,11 @@ class DataPlane:
 
     # -------------------------------------------------------------- forwarding
     def traceroute(
-        self, source_asn: int, destination: int, family: AddressFamily | None = None
+        self, source_asn: int, destination: int, family: AddressFamily
     ) -> TracerouteResult:
-        """Forward a packet from ``source_asn`` toward integer address ``destination``."""
+        """Forward a packet from ``source_asn`` toward ``destination``, an address of ``family``."""
         if source_asn not in self.fibs:
             raise DataPlaneError(f"source AS{source_asn} is not part of the simulation")
-        if family is None:
-            family = infer_family(destination)
         path = [source_asn]
         current = source_asn
         for _ in range(MAX_TTL):
@@ -147,8 +144,6 @@ class DataPlane:
             source_asn, destination, ForwardingOutcome.TTL_EXPIRED, path, dropped_at=current
         )
 
-    def ping(
-        self, source_asn: int, destination: int, family: AddressFamily | None = None
-    ) -> PingResult:
+    def ping(self, source_asn: int, destination: int, family: AddressFamily) -> PingResult:
         """Return reachability of ``destination`` from ``source_asn``."""
         return PingResult.from_trace(self.traceroute(source_asn, destination, family))

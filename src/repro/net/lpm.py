@@ -10,8 +10,8 @@ table (:meth:`Topology.origin_table`).
 stored prefixes per ``(family, length)``.  A lookup masks the address
 to each stored length of its family, longest first, and probes the
 dict: at most one probe per distinct stored length, whatever the table
-size.  A lookup never crosses families: an address is matched only
-against prefixes of its own (given or inferred) family.  Values are
+size.  A lookup never crosses families: the caller names the address's
+family, and the address is matched only against prefixes of it.  Values are
 opaque — the FIBs store :class:`FibEntry`, the origin table plain ASNs.
 """
 
@@ -21,18 +21,7 @@ from typing import Any, Iterable
 
 from repro.bgp.prefix import AddressFamily, Prefix
 
-_IPV4_SPAN = 1 << 32
 _MISSING = object()
-
-
-def infer_family(address: int) -> AddressFamily:
-    """Guess the family of a bare integer address.
-
-    Integers below 2**32 are treated as IPv4; anything else as IPv6.
-    Callers that know the family (e.g. because the address was derived
-    from a :class:`Prefix`) should pass it explicitly instead.
-    """
-    return AddressFamily.IPV4 if 0 <= address < _IPV4_SPAN else AddressFamily.IPV6
 
 
 class LpmTable:
@@ -83,15 +72,12 @@ class LpmTable:
         """Exact-match lookup: the value stored under ``prefix``, or None."""
         return self._entries.get(prefix)
 
-    def longest_match(self, address: int, family: AddressFamily | None = None) -> Any:
+    def longest_match(self, address: int, family: AddressFamily) -> Any:
         """The value of the most specific prefix of ``family`` covering ``address``, or None.
 
-        When ``family`` is None it is inferred with :func:`infer_family`.
         An address outside the family's range masks to a network no
         stored prefix has, so it matches nothing.
         """
-        if family is None:
-            family = infer_family(address)
         entries = self._entries
         for length, host_bits in self._lengths.get(family, ()):
             value = entries.get((family, address >> host_bits << host_bits, length), _MISSING)

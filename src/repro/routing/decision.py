@@ -1,10 +1,12 @@
 """The BGP best-path decision process.
 
-Implements the standard preference order the paper's scenarios depend
-on: LOCAL_PREF first (which is how blackhole and "customer backup"
-communities override everything else), then AS-path length (which is
-what path prepending manipulates), then origin code, MED, and finally a
+Implements the part of the standard preference order the paper's
+scenarios depend on: LOCAL_PREF first (which is how blackhole and
+"customer backup" communities override everything else), then AS-path
+length (which is what path prepending manipulates), and finally a
 deterministic neighbor-ASN tie-break so simulations are reproducible.
+Routes carry no ORIGIN or MED (see :mod:`repro.bgp.attributes`), so
+those steps of RFC 4271 have nothing to compare.
 """
 
 from __future__ import annotations

@@ -186,7 +186,7 @@ class Router:
         sender announced for the prefix before (RFC 4271 §9.1.4): the
         rejected entry replaces the stale one, so it never lingers.
         """
-        prefix, attributes, sender, origin_asn, _ = announcement
+        prefix, attributes, sender, origin_asn = announcement
         if sender not in self.neighbor_relationships:
             raise RoutingError(f"AS{self.asn} received an announcement from non-neighbor AS{sender}")
         # Emptiness is asked once: an untagged route is neither a
@@ -422,7 +422,6 @@ class Router:
                     as_path=attributes.as_path.prepend(self.asn, 1 + best.export_prepend),
                     communities=outbound_communities,
                     local_pref=None,
-                    med=None,
                 ),
                 self.asn if origin_asn is None else origin_asn,
             )

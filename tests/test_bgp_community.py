@@ -99,6 +99,11 @@ class TestCommunity:
         with pytest.raises(CommunityError, match=f"community {part} part"):
             Community(asn, value)
 
+    @pytest.mark.parametrize("raw", [3.5, 2.0, "5", None])
+    def test_from_int_rejects_a_non_integer_raw_value(self, raw):
+        with pytest.raises(CommunityError, match=f"community raw value {raw!r} is not an integer"):
+            Community.from_int(raw)
+
     def test_integer_like_parts_become_plain_ints(self):
         community = Community(True, WellKnownCommunity.NO_EXPORT & 0xFFFF)
         assert type(community.asn) is int and type(community.value) is int

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import io
 import pickle
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.bgp.aspath import ASPath
-from repro.bgp.attributes import Origin, PathAttributes
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.message import (
     BgpUpdate,
@@ -59,9 +60,6 @@ def messages_of(data: bytes) -> list[Bgp4mpMessage]:
 def make_attributes(**overrides) -> PathAttributes:
     base = dict(
         as_path=ASPath.of(3356, 1299, 13335),
-        origin=Origin.IGP,
-        next_hop=0xC0000201,
-        med=10,
         local_pref=150,
         communities=CommunitySet.of("3356:100", "1299:666", "65535:666"),
     )
@@ -85,10 +83,6 @@ class TestPathAttributes:
         assert Community(2, 2) in attrs.with_communities_added(["2:2"]).communities
         assert Community(1, 1) in attrs.with_communities_added(["2:2"]).communities
 
-    def test_med_validation(self):
-        with pytest.raises(AttributeError_):
-            PathAttributes(med=-1)
-
     def test_local_pref_validation(self):
         with pytest.raises(AttributeError_):
             PathAttributes(local_pref=1 << 33)
@@ -99,13 +93,19 @@ class TestPathAttributes:
         ``object.__setattr__`` is the one write a frozen dataclass cannot
         refuse, so a policy action could mutate a bundle that is already
         hashed and stored.  ``PathAttributes`` keeps its two caches in
-        ``__dict__`` instead, and no module under ``src/`` calls it.
+        ``__dict__`` instead, and no module under ``src/`` names the
+        setter in code: the syntax tree is searched, so a docstring may
+        mention it and an alias (``setter = object.__setattr__``) is found.
         """
         package = Path(repro.__file__).parent
         writers = [
             str(path.relative_to(package))
             for path in sorted(package.rglob("*.py"))
-            if "object.__setattr__" in path.read_text(encoding="utf-8")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
         ]
         assert writers == []
 
@@ -124,7 +124,7 @@ def _value_cases():
         (lambda: ASPath.of(*range(1, 301)), (), "ASPath-300-asns"),
         (make_attributes, tuple(field.name for field in dataclasses.fields(PathAttributes))),
         (
-            lambda: Announcement(Prefix.from_string(prefix), make_attributes(), 3356, 13335, 1.5),
+            lambda: Announcement(Prefix.from_string(prefix), make_attributes(), 3356, 13335),
             Announcement._fields,
         ),
         (
@@ -185,11 +185,7 @@ class TestUpdateCodec:
         decoded = decode_update(encode_update(update))
         assert decoded.announced == update.announced
         assert decoded.withdrawn == update.withdrawn
-        assert decoded.attributes.as_path == update.attributes.as_path
-        assert decoded.attributes.communities == update.attributes.communities
-        assert decoded.attributes.med == 10
-        assert decoded.attributes.local_pref == 150
-        assert decoded.attributes.origin == Origin.IGP
+        assert decoded.attributes == update.attributes
 
     def test_withdrawal_only(self):
         update = BgpUpdate(withdrawn=[Prefix.from_string("192.0.2.0/24")])
@@ -237,7 +233,8 @@ class TestUpdateCodec:
             ({}, ((32, 0xC0, struct.pack("!6I", 3356, 1, 2, 1299, 0, 0xFFFFFFFF)),)),
             # Opaque means unsorted and duplicated entries stay as sent.
             ({}, ((32, 0xC0, struct.pack("!9I", 1299, 0, 0, 3356, 1, 2, 1299, 0, 0)),)),
-            ({"atomic_aggregate": True}, ()),
+            # ATOMIC_AGGREGATE is opaque too: no route carries it.
+            ({}, ((6, 0x40, b""),)),
             ({}, ((99, 0xC0, b"\x01\x02"),)),
             # More ASNs than one AS_PATH segment holds: written as two.
             ({"as_path": ASPath.of(*range(1, 301))}, ()),
@@ -276,7 +273,6 @@ class TestUpdateCodec:
             attributes=PathAttributes(
                 as_path=ASPath.of(*path),
                 communities=CommunitySet(Community(a, v) for a, v in communities),
-                next_hop=0x0A000001,
             ),
         )
         decoded = decode_update(encode_update(update))
@@ -331,7 +327,6 @@ class TestRibs:
         more_specific = announcement.replace(prefix=Prefix.from_string("10.1.0.0/16"))
         assert more_specific.prefix == Prefix.from_string("10.1.0.0/16")
         assert more_specific.attributes is announcement.attributes
-        assert announcement.communities == announcement.attributes.communities
 
 
 class TestMrt:
@@ -373,25 +368,32 @@ class TestMrt:
         assert all(isinstance(m, Bgp4mpMessage) for m in decoded)
         assert [m.timestamp for m in decoded] == [1522540800 + i for i in range(5)]
 
-    def test_a_two_byte_origin_is_a_message_error(self):
-        section = bytes([0x40, 1, 2, 0, 0])  # ORIGIN, transitive, 2-byte payload
-        update = encode_update(BgpUpdate(unknown_attributes=[(1, 0x40, b"\x00\x00")]))
-        assert section in update
-        with pytest.raises(MessageError, match="ORIGIN attribute must be exactly 1 byte"):
-            decode_update(update)
-
-    def test_an_unknown_origin_value_is_a_message_error(self):
-        section = bytes([0x40, 1, 1, 7])  # ORIGIN, transitive, 1 byte: 7 is no Origin
-        update = encode_update(BgpUpdate(unknown_attributes=[(1, 0x40, b"\x07")]))
-        assert section in update
-        with pytest.raises(MessageError, match="unknown ORIGIN value 7"):
-            decode_update(update)
-
-    def test_a_large_communities_length_off_by_one_is_a_message_error(self):
-        section = bytes([0xC0, 32, 13])  # LARGE_COMMUNITIES, 13 bytes: not a multiple of 12
-        update = encode_update(BgpUpdate(unknown_attributes=[(32, 0xC0, b"\x00" * 13)]))
-        assert section in update
-        with pytest.raises(MessageError, match="multiple of 12"):
+    @pytest.mark.parametrize(
+        "attribute, message",
+        [
+            ((1, 0x40, b"\x00\x00"), "ORIGIN attribute must be exactly 1 byte"),
+            ((1, 0x40, b"\x07"), "unknown ORIGIN value 7"),  # IGP, EGP, INCOMPLETE are 0-2
+            ((3, 0x40, b"\x00" * 3), "NEXT_HOP attribute must be exactly 4 bytes"),
+            ((4, 0x80, b"\x00" * 5), "MED attribute must be exactly 4 bytes"),
+            ((5, 0x40, b"\x00" * 2), "LOCAL_PREF attribute must be exactly 4 bytes"),
+            ((8, 0xC0, b"\x00" * 6), "COMMUNITIES attribute length must be a multiple of 4"),
+            ((32, 0xC0, b"\x00" * 13), "LARGE_COMMUNITIES .* multiple of 12"),
+        ],
+        ids=[
+            "origin-length",
+            "origin-value",
+            "next-hop-length",
+            "med-length",
+            "local-pref-length",
+            "communities-length",
+            "large-communities-length",
+        ],
+    )
+    def test_a_malformed_attribute_is_a_message_error(self, attribute, message):
+        type_code, flags, payload = attribute
+        update = encode_update(BgpUpdate(unknown_attributes=[attribute]))
+        assert bytes([flags, type_code, len(payload)]) + payload in update
+        with pytest.raises(MessageError, match=message):
             decode_update(update)
 
     @pytest.mark.parametrize("field", ["peer_asn", "local_asn"])
@@ -484,12 +486,13 @@ class TestMrt:
         assert decoded.update.attributes.communities == update.attributes.communities
 
 
-def two_byte_as_record(segments=((2, (3356, 1299, 13335)),)) -> bytes:
+def two_byte_as_record(segments=((2, (3356, 1299, 13335)),), extra: bytes = b"") -> bytes:
     """A BGP4MP_MESSAGE (subtype 1) record as a pre-AS4 session archives it.
 
     Built by hand, field by field: 2-byte ASNs in the peer header *and*
     in the AS_PATH of the UPDATE it carries, whose ``(segment type,
-    ASNs)`` segments default to one AS_SEQUENCE.
+    ASNs)`` segments default to one AS_SEQUENCE.  ``extra`` is appended
+    to the path-attribute section as given.
     """
     as_path = b"".join(struct.pack(f"!BB{len(a)}H", kind, len(a), *a) for kind, a in segments)
     attributes = b"".join(
@@ -498,6 +501,7 @@ def two_byte_as_record(segments=((2, (3356, 1299, 13335)),)) -> bytes:
             bytes([0x40, 2, len(as_path)]) + as_path,  # AS_PATH
             bytes([0x40, 3, 4]) + bytes([192, 0, 2, 1]),  # NEXT_HOP
             bytes([0xC0, 8, 4]) + struct.pack("!HH", 3356, 100),  # COMMUNITIES
+            extra,
         )
     )
     body = struct.pack("!H", 0) + struct.pack("!H", len(attributes)) + attributes
@@ -519,6 +523,21 @@ class TestTwoByteAsRecords:
         assert message.update.attributes.as_path == ASPath.of(3356, 1299, 13335)
         assert message.update.attributes.communities == CommunitySet.of("3356:100")
         assert message.update.announced == [Prefix.from_string("203.0.113.0/24")]
+
+    def test_opaque_attributes_survive_decode_and_encode(self):
+        """What the model does not read is carried, in wire order, as sent."""
+        opaque = [
+            (4, 0x80, struct.pack("!I", 10)),  # MULTI_EXIT_DISC
+            (6, 0x40, b""),  # ATOMIC_AGGREGATE
+            (32, 0xC0, struct.pack("!3I", 3356, 1, 2)),  # LARGE_COMMUNITIES
+            (99, 0xC0, b"\x01\x02"),  # unassigned
+        ]
+        extra = b"".join(bytes([flags, code, len(data)]) + data for code, flags, data in opaque)
+        (message,) = messages_of(two_byte_as_record(extra=extra))
+        assert message.update.unknown_attributes == opaque
+        again = decode_update(encode_update(message.update))
+        assert again.unknown_attributes == opaque
+        assert again == message.update
 
     @pytest.mark.parametrize(
         "segments, row_path",

@@ -212,7 +212,8 @@ class TestEndToEnd:
         entry = glass.show_route(victim)
         assert entry is not None and entry.blackholed and entry.next_hop == "null0"
         plane = DataPlane(simulator)
-        assert plane.traceroute(4, victim.host(1)).outcome == ForwardingOutcome.BLACKHOLED
+        trace = plane.traceroute(4, victim.host(1), victim.family)
+        assert trace.outcome == ForwardingOutcome.BLACKHOLED
 
 
 class TestRunOutputFile:

@@ -198,7 +198,7 @@ def reference_export(router: Router, neighbor_asn: int, prefix: Prefix):
     sent = sent.union(router.export_community_additions.get(neighbor_asn, CommunitySet()))
     path = [router.asn] * (1 + best.export_prepend) + best.attributes.as_path.asns()
     attributes = best.attributes.replace(
-        as_path=ASPath.of(*path), communities=sent, local_pref=None, med=None
+        as_path=ASPath.of(*path), communities=sent, local_pref=None
     )
     return (prefix, attributes, router.asn, path[-1])
 
@@ -319,7 +319,6 @@ def inbound_announcements(draw, senders=st.sampled_from((*NEIGHBORS, 80))) -> An
             as_path=ASPath.of(sender, *middle, origin),
             communities=draw(import_tag_sets),
             local_pref=draw(st.sampled_from([None, None, 50, 400])),
-            med=draw(st.sampled_from([None, 10])),
         ),
         sender,
         origin,
@@ -393,9 +392,6 @@ def reference_import(router: Router, announcement: Announcement):
         triggered.append(action.action_type)
     stored = PathAttributes(
         as_path=attributes.as_path,
-        origin=attributes.origin,
-        next_hop=attributes.next_hop,
-        med=attributes.med,
         local_pref=local_pref,
         communities=attributes.communities,
     )

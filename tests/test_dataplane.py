@@ -6,7 +6,7 @@ import pytest
 
 from repro.attacks.scenario import build_figure2_topology, build_figure7_topology
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
-from repro.bgp.prefix import Prefix
+from repro.bgp.prefix import AddressFamily, Prefix
 from repro.dataplane.fib import Fib, FibEntry, build_fib
 from repro.dataplane.forwarding import DataPlane, ForwardingOutcome
 from repro.exceptions import DataPlaneError
@@ -21,10 +21,12 @@ class TestFib:
         fib = Fib(1)
         fib.install(FibEntry(Prefix.from_string("10.0.0.0/8"), next_hop_asn=2))
         fib.install(FibEntry(Prefix.from_string("10.1.0.0/16"), next_hop_asn=3))
-        hit = fib.lookup(Prefix.from_string("10.1.2.0/24").network)
-        assert hit.next_hop_asn == 3
-        assert fib.lookup(Prefix.from_string("10.2.0.0/16").network).next_hop_asn == 2
-        assert fib.lookup(Prefix.from_string("192.0.2.0/24").network) is None
+        def lookup(text: str):
+            return fib.lookup(Prefix.from_string(text).network, AddressFamily.IPV4)
+
+        assert lookup("10.1.2.0/24").next_hop_asn == 3
+        assert lookup("10.2.0.0/16").next_hop_asn == 2
+        assert lookup("192.0.2.0/24") is None
 
     def test_remove(self):
         fib = Fib(1)
@@ -40,9 +42,9 @@ class TestFib:
         simulator = BgpSimulator(topology)
         simulator.announce(1, PREFIX)
         origin_fib = build_fib(1, simulator.router(1).loc_rib, {PREFIX})
-        assert origin_fib.lookup(PREFIX.host(1)).is_local
+        assert origin_fib.lookup(PREFIX.host(1), PREFIX.family).is_local
         downstream_fib = build_fib(6, simulator.router(6).loc_rib, set())
-        entry = downstream_fib.lookup(PREFIX.host(1))
+        entry = downstream_fib.lookup(PREFIX.host(1), PREFIX.family)
         assert entry is not None and not entry.is_local and entry.next_hop_asn in (3, 5)
 
 
@@ -52,11 +54,11 @@ class TestDataPlane:
         simulator = BgpSimulator(topology)
         simulator.announce(1, PREFIX)
         plane = DataPlane(simulator)
-        trace = plane.traceroute(6, PREFIX.host(1))
+        trace = plane.traceroute(6, PREFIX.host(1), PREFIX.family)
         assert trace.outcome == ForwardingOutcome.DELIVERED
         assert trace.path[0] == 6
         assert trace.path[-1] == 1
-        ping = plane.ping(6, PREFIX.host(1))
+        ping = plane.ping(6, PREFIX.host(1), PREFIX.family)
         assert ping.reachable
         assert ping.hops == len(trace.path) - 1
 
@@ -64,7 +66,7 @@ class TestDataPlane:
         topology = build_figure2_topology()
         simulator = BgpSimulator(topology)
         plane = DataPlane(simulator)
-        result = plane.ping(6, PREFIX.host(1))
+        result = plane.ping(6, PREFIX.host(1), PREFIX.family)
         assert not result.reachable
         assert result.outcome == ForwardingOutcome.NO_ROUTE
 
@@ -82,17 +84,17 @@ class TestDataPlane:
         simulator.announce(1, victim)
         plane = DataPlane(simulator)
         # AS4 sits behind AS3 (the blackholing AS): its traffic is dropped there.
-        trace = plane.traceroute(4, victim.host(1))
+        trace = plane.traceroute(4, victim.host(1), victim.family)
         assert trace.outcome == ForwardingOutcome.BLACKHOLED
         assert trace.dropped_at == 3
         # AS2 still reaches the victim directly.
-        assert plane.ping(2, victim.host(1)).reachable
+        assert plane.ping(2, victim.host(1), victim.family).reachable
 
     def test_unknown_source_raises(self):
         simulator = BgpSimulator(build_figure2_topology())
         plane = DataPlane(simulator)
         with pytest.raises(DataPlaneError):
-            plane.traceroute(999, PREFIX.host(1))
+            plane.traceroute(999, PREFIX.host(1), PREFIX.family)
         with pytest.raises(DataPlaneError):
             plane.fib(999)
 
@@ -101,17 +103,18 @@ class TestDataPlane:
         simulator = BgpSimulator(topology)
         simulator.announce(1, PREFIX)
         plane = DataPlane(simulator)
-        matrix = {source: plane.ping(source, PREFIX.host(1)).reachable for source in (2, 6)}
+        address = PREFIX.host(1)
+        matrix = {source: plane.ping(source, address, PREFIX.family).reachable for source in (2, 6)}
         assert matrix == {2: True, 6: True}
 
     def test_rebuild_reflects_new_state(self):
         topology = build_figure2_topology()
         simulator = BgpSimulator(topology)
         plane = DataPlane(simulator)
-        assert not plane.ping(6, PREFIX.host(1)).reachable
+        assert not plane.ping(6, PREFIX.host(1), PREFIX.family).reachable
         simulator.announce(1, PREFIX)
         plane.rebuild()
-        assert plane.ping(6, PREFIX.host(1)).reachable
+        assert plane.ping(6, PREFIX.host(1), PREFIX.family).reachable
 
 
 class TestIncrementalRebuild:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.dataplane.fib import Fib, FibEntry
-from repro.net.lpm import LpmTable, infer_family
+from repro.net.lpm import LpmTable
 
 
 def p(text: str) -> Prefix:
@@ -77,10 +77,10 @@ class TestLpmTable:
         table.insert(p("10.0.0.0/8"), "eight")
         table.insert(p("10.1.0.0/16"), "sixteen")
         table.insert(p("10.1.2.0/24"), "twentyfour")
-        assert table.longest_match(p("10.1.2.0/24").network) == "twentyfour"
-        assert table.longest_match(p("10.1.9.0/24").network) == "sixteen"
-        assert table.longest_match(p("10.9.0.0/16").network) == "eight"
-        assert table.longest_match(p("192.0.2.0/24").network) == "default"
+        assert table.longest_match(p("10.1.2.0/24").network, AddressFamily.IPV4) == "twentyfour"
+        assert table.longest_match(p("10.1.9.0/24").network, AddressFamily.IPV4) == "sixteen"
+        assert table.longest_match(p("10.9.0.0/16").network, AddressFamily.IPV4) == "eight"
+        assert table.longest_match(p("192.0.2.0/24").network, AddressFamily.IPV4) == "default"
         # Out of the family's range: not even the default route matches.
         assert table.longest_match(-1, AddressFamily.IPV4) is None
         assert table.longest_match(1 << 32, AddressFamily.IPV4) is None
@@ -89,8 +89,8 @@ class TestLpmTable:
         table = LpmTable()
         host = p("192.0.2.1/32")
         table.insert(host, "host")
-        assert table.longest_match(host.network) == "host"
-        assert table.longest_match(host.network + 1) is None
+        assert table.longest_match(host.network, AddressFamily.IPV4) == "host"
+        assert table.longest_match(host.network + 1, AddressFamily.IPV4) is None
 
     def test_covering_and_covered(self):
         table = LpmTable()
@@ -168,15 +168,9 @@ class TestLpmTable:
         for prefix in order:
             assert table.delete(prefix)
         assert len(table) == 0
-        assert table.longest_match(rng.getrandbits(32)) is None
+        assert table.longest_match(rng.getrandbits(32), AddressFamily.IPV4) is None
         # No emptied prefix length is left to probe.
         assert not table._counts and table._lengths == {AddressFamily.IPV4: []}
-
-    def test_infer_family(self):
-        assert infer_family(0) == AddressFamily.IPV4
-        assert infer_family((1 << 32) - 1) == AddressFamily.IPV4
-        assert infer_family(1 << 32) == AddressFamily.IPV6
-        assert infer_family(-1) == AddressFamily.IPV6
 
     def test_families_are_separate(self):
         table = LpmTable()
@@ -188,7 +182,7 @@ class TestLpmTable:
         table.insert(v6, "v6")
         address = p("10.0.0.1/32").network
         assert v6.contains_address(address)  # the bit pattern really does collide
-        assert table.longest_match(address) == "v4"
+        assert table.longest_match(address, AddressFamily.IPV4) == "v4"
         assert table.longest_match(address, AddressFamily.IPV6) == "v6"
 
     def test_delete_and_get_across_families(self):
@@ -208,7 +202,7 @@ class TestLpmTable:
         table = LpmTable()
         assert table.covering(p("10.0.0.0/8")) == []
         assert table.covered(p("10.0.0.0/8")) == []
-        assert table.longest_match(0) is None
+        assert table.longest_match(0, AddressFamily.IPV4) is None
 
 
 class TestCrossFamilyRegressions:
@@ -221,9 +215,9 @@ class TestCrossFamilyRegressions:
     def test_fib_lookup_is_family_safe(self):
         fib = Fib(1)
         fib.install(FibEntry(self.V6_COLLIDER, next_hop_asn=9))
-        assert fib.lookup(self.ADDRESS) is None
+        assert fib.lookup(self.ADDRESS, AddressFamily.IPV4) is None
         fib.install(FibEntry(self.V4, next_hop_asn=2))
-        hit = fib.lookup(self.ADDRESS)
+        hit = fib.lookup(self.ADDRESS, AddressFamily.IPV4)
         assert hit is not None and hit.next_hop_asn == 2
         hit6 = fib.lookup(self.ADDRESS, AddressFamily.IPV6)
         assert hit6 is not None and hit6.next_hop_asn == 9
@@ -234,10 +228,10 @@ class TestCrossFamilyRegressions:
 
         topology = Topology()
         topology.add_as(AutonomousSystem(asn=9, prefixes=[self.V6_COLLIDER]))
-        assert topology.origin_table().longest_match(self.ADDRESS) is None
+        assert topology.origin_table().longest_match(self.ADDRESS, AddressFamily.IPV4) is None
         topology.add_as(AutonomousSystem(asn=2, prefixes=[self.V4]))
         origins = topology.origin_table()
-        assert origins.longest_match(self.ADDRESS) == 2
+        assert origins.longest_match(self.ADDRESS, AddressFamily.IPV4) == 2
         assert origins.longest_match(self.ADDRESS, AddressFamily.IPV6) == 9
         assert origins.covering(p("10.1.0.0/16")) == [2]
         assert origins.covering(p("2001:db8::/32")) == []
@@ -273,13 +267,13 @@ class TestFibTableConsistency:
         fib = Fib(1)
         prefix = p("10.0.0.0/8")
         fib.install(FibEntry(prefix, next_hop_asn=7))
-        assert fib.lookup(prefix.host()) is not None
+        assert fib.lookup(prefix.host(), prefix.family) is not None
         fib.remove(prefix)
-        assert fib.lookup(prefix.host()) is None
+        assert fib.lookup(prefix.host(), prefix.family) is None
         fib.install(FibEntry(prefix, next_hop_asn=8))
-        assert fib.lookup(prefix.host()).next_hop_asn == 8
+        assert fib.lookup(prefix.host(), prefix.family).next_hop_asn == 8
         fib.remove(prefix)
-        assert fib.lookup(prefix.host()) is None
+        assert fib.lookup(prefix.host(), prefix.family) is None
         assert len(fib) == 0
 
     def test_lookup_prefers_most_specific(self):
@@ -287,5 +281,5 @@ class TestFibTableConsistency:
         outer, inner = p("10.0.0.0/8"), p("10.1.0.0/16")
         fib.install(FibEntry(outer, next_hop_asn=2))
         fib.install(FibEntry(inner, next_hop_asn=3))
-        assert fib.lookup(p("10.1.2.3/32").network).next_hop_asn == 3
-        assert fib.lookup(p("10.2.2.3/32").network).next_hop_asn == 2
+        assert fib.lookup(p("10.1.2.3/32").network, AddressFamily.IPV4).next_hop_asn == 3
+        assert fib.lookup(p("10.2.2.3/32").network, AddressFamily.IPV4).next_hop_asn == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.attacks.scenario import build_figure2_topology
 from repro.bgp.community import CommunitySet
-from repro.bgp.prefix import Prefix
+from repro.bgp.prefix import AddressFamily, Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import build_blackhole_list
 from repro.exceptions import AttackError, AupViolationError, ProbingError, TopologyError
@@ -99,9 +99,9 @@ class TestLookingGlassAndAtlas:
         some_as = topology.stub_ases()[0]
         prefix = some_as.prefixes[0]
         origins = topology.origin_table()
-        assert origins.longest_match(prefix.host(1)) == some_as.asn
+        assert origins.longest_match(prefix.host(1), prefix.family) == some_as.asn
         assert origins.covering(prefix)[-1] == some_as.asn
-        assert origins.longest_match(0) is None
+        assert origins.longest_match(0, AddressFamily.IPV4) is None
 
 
 class TestInjectionPlatforms:

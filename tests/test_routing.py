@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.aspath import ASPath
-from repro.bgp.attributes import Origin, PathAttributes
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Announcement, RouteEntry
@@ -57,15 +57,6 @@ class TestDecisionProcess:
         a = entry(1, [1, 5, 9])
         b = entry(2, [2, 9])
         assert best_path([a, b]) is b
-
-    def test_origin_breaks_ties(self):
-        a = entry(1, [1, 9])
-        b = RouteEntry(
-            prefix=PREFIX,
-            attributes=PathAttributes(as_path=ASPath.of(2, 9), origin=Origin.INCOMPLETE),
-            learned_from=2,
-        )
-        assert best_path([a, b]) is a
 
     def test_lowest_neighbor_asn_is_final_tiebreak(self):
         a = entry(7, [7, 9])
@@ -455,16 +446,10 @@ class TestHandRolledCopies:
     """
 
     def sample_entry(self) -> RouteEntry:
-        from repro.bgp.attributes import Origin
-
         attributes = PathAttributes(
             as_path=ASPath.of(4, 2),
-            origin=Origin.EGP,
-            next_hop=0x0A000001,
-            med=30,
             local_pref=140,
             communities=CommunitySet.of("2:50"),
-            atomic_aggregate=True,
         )
         return RouteEntry(
             prefix=PREFIX,
@@ -585,7 +570,7 @@ class TestFlatRecords:
             return Announcement(PREFIX, attributes, sender_asn=20, origin_asn=5)
 
         assert build() == build() and len({build(), build()}) == 1
-        assert build()._fields == ("prefix", "attributes", "sender_asn", "origin_asn", "timestamp")
+        assert build()._fields == ("prefix", "attributes", "sender_asn", "origin_asn")
         assert build().replace(sender_asn=30) != build()
         with pytest.raises(TypeError):
             build().replace(announcement_id=1)

@@ -5,7 +5,7 @@ hash-equal, since every payload object is frozen), and every malformed
 blob — short header, wrong kind, unknown format byte, corrupt pickle —
 is a :class:`WireError` naming the kind the caller expected.  The
 generators bias toward the protocol's edges: AS0 origins, 32-bit
-MED/LOCAL_PREF bounds, the per-update community ceiling, and empty vs
+LOCAL_PREF bounds, the per-update community ceiling, and empty vs
 ``None`` export scopes.
 """
 
@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.bgp.aspath import ASPath
-from repro.bgp.attributes import MAX_COMMUNITIES_PER_UPDATE, Origin, PathAttributes
+from repro.bgp.attributes import MAX_COMMUNITIES_PER_UPDATE, PathAttributes
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import RouteEntry
@@ -53,12 +53,8 @@ def random_cset(rng: random.Random) -> CommunitySet:
 def random_attributes(rng: random.Random) -> PathAttributes:
     return PathAttributes(
         as_path=random_path(rng),
-        origin=rng.choice(tuple(Origin)),
-        next_hop=rng.getrandbits(32),
-        med=rng.choice((None, 0, 0xFFFFFFFF, rng.getrandbits(32))),
         local_pref=rng.choice((None, 0, 0xFFFFFFFF, rng.getrandbits(32))),
         communities=random_cset(rng),
-        atomic_aggregate=rng.random() < 0.25,
     )
 
 
@@ -149,11 +145,9 @@ class TestRoundTrips:
         assert decoded == events
         assert [hash(event) for event in decoded] == [hash(event) for event in events]
 
-    def test_med_and_local_pref_32bit_bounds(self):
+    def test_local_pref_32bit_bounds(self):
         for bound in (0, 0xFFFFFFFF):
-            attributes = PathAttributes(
-                as_path=ASPath.of(65_001), med=bound, local_pref=bound
-            )
+            attributes = PathAttributes(as_path=ASPath.of(65_001), local_pref=bound)
             states = [
                 (
                     Prefix.from_string("10.0.0.0/24"),
@@ -163,7 +157,6 @@ class TestRoundTrips:
                 )
             ]
             decoded = wire.decode_states(wire.encode_states(states))
-            assert decoded[0][2].med == bound
             assert decoded[0][2].local_pref == bound
 
     def test_max_communities_per_update_round_trips(self):
