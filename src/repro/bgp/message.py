@@ -12,6 +12,12 @@ length-checked first (the paper analyses traditional communities only),
 ATOMIC_AGGREGATE and anything unrecognised are kept as read.  An
 AS_PATH is written as AS_SEQUENCE segments; an AS_SET read from the
 wire joins the flat path with its members in wire order.
+
+What RFC 4271 section 6.3 calls malformed is a :class:`MessageError`
+naming the attribute: an attribute that appears twice, and an UPDATE
+that announces NLRI without ORIGIN, AS_PATH or NEXT_HOP.  The writer
+refuses an opaque attribute it would write itself or that repeats, so
+writing what was read gives the same bytes.
 """
 
 from __future__ import annotations
@@ -52,6 +58,19 @@ _ATTRIBUTE_HEADER_EXTENDED = struct.Struct("!BBH")
 #: Path-attribute type codes the codec reads (RFC 4271, RFC 1997, RFC 8092).
 _ORIGIN, _AS_PATH, _NEXT_HOP, _MULTI_EXIT_DISC, _LOCAL_PREF = 1, 2, 3, 4, 5
 _COMMUNITIES, _LARGE_COMMUNITIES = 8, 32
+_ATTRIBUTE_NAMES = {
+    _ORIGIN: "ORIGIN",
+    _AS_PATH: "AS_PATH",
+    _NEXT_HOP: "NEXT_HOP",
+    _MULTI_EXIT_DISC: "MED",
+    _LOCAL_PREF: "LOCAL_PREF",
+    _COMMUNITIES: "COMMUNITIES",
+    _LARGE_COMMUNITIES: "LARGE_COMMUNITIES",
+}
+#: Attributes every UPDATE that announces NLRI carries (RFC 4271 section 5).
+_MANDATORY = (_ORIGIN, _AS_PATH, _NEXT_HOP)
+#: Type codes the writer writes itself, and so never as opaque bytes.
+_WRITTEN = frozenset((*_MANDATORY, _LOCAL_PREF, _COMMUNITIES))
 #: ORIGIN values (RFC 4271): IGP, EGP, INCOMPLETE.
 _ORIGIN_CODES = (0, 1, 2)
 #: The two mandatory attributes no route carries, as the writer sends
@@ -96,6 +115,10 @@ def _decode_prefix_nlri(data: bytes, offset: int, family: AddressFamily) -> tupl
     padded = raw + b"\x00" * (_ADDRESS_BYTES[family] - byte_count)
     network = int.from_bytes(padded, "big")
     return Prefix(family, network, length), offset
+
+
+def _attribute_name(type_code: int) -> str:
+    return _ATTRIBUTE_NAMES.get(type_code, f"type {type_code}")
 
 
 def _encode_attribute(type_code: int, flags: int, payload: bytes) -> bytes:
@@ -148,7 +171,9 @@ def encode_path_attributes(
     """Encode a path-attribute section: the mandatory and typed attributes, then ``unknown``.
 
     ``attrs`` is None for a withdrawal-only UPDATE, which carries no
-    route attributes.
+    route attributes.  An ``unknown`` entry of a type this function
+    writes itself, or one whose type repeats, is a :class:`MessageError`:
+    the reader would refuse the repeat or read the entry as typed.
     """
     attribute_parts: list[bytes] = []
     if attrs is not None:
@@ -167,7 +192,13 @@ def encode_path_attributes(
                     struct.pack(f"!{len(values)}I", *values),
                 )
             )
+    opaque_types: set[int] = set()
     for type_code, flags, payload in unknown:
+        if type_code in _WRITTEN:
+            raise MessageError(f"{_attribute_name(type_code)} attribute cannot be written opaque")
+        if type_code in opaque_types:
+            raise MessageError(f"repeated {_attribute_name(type_code)} attribute")
+        opaque_types.add(type_code)
         attribute_parts.append(_encode_attribute(type_code, flags, payload))
     return b"".join(attribute_parts)
 
@@ -199,15 +230,24 @@ def decode_path_attributes(
 ) -> tuple[PathAttributes, list[tuple[int, int, bytes]]]:
     """Decode a path-attribute section into attributes plus opaque unknown ones.
 
-    The inverse of :func:`encode_path_attributes`.  A malformed
-    attribute raises :class:`MessageError`; ORIGIN and NEXT_HOP are
-    checked and dropped.  ``as4`` is the AS_PATH encoding (see
+    The inverse of :func:`encode_path_attributes`.  A malformed or
+    repeated attribute raises :class:`MessageError`; ORIGIN and NEXT_HOP
+    are checked and dropped.  ``as4`` is the AS_PATH encoding (see
     :func:`decode_update`).
     """
+    attributes, unknown, _types = _decode_path_attributes(data, as4)
+    return attributes, unknown
+
+
+def _decode_path_attributes(
+    data: bytes, as4: bool
+) -> tuple[PathAttributes, list[tuple[int, int, bytes]], set[int]]:
+    """:func:`decode_path_attributes`, plus the set of type codes read."""
     as_path = ASPath()
     local_pref: int | None = None
     communities = NO_COMMUNITIES
     unknown: list[tuple[int, int, bytes]] = []
+    types: set[int] = set()
 
     offset = 0
     attribute_end = len(data)
@@ -230,6 +270,9 @@ def decode_path_attributes(
             raise MessageError(f"attribute {type_code} overflows the attribute section")
         payload = data[offset:offset + attr_len]
         offset += attr_len
+        if type_code in types:
+            raise MessageError(f"repeated {_attribute_name(type_code)} attribute")
+        types.add(type_code)
 
         if type_code == _ORIGIN:
             if attr_len != 1:
@@ -258,7 +301,7 @@ def decode_path_attributes(
             unknown.append((type_code, flags, payload))
 
     attributes = PathAttributes(as_path=as_path, local_pref=local_pref, communities=communities)
-    return attributes, unknown
+    return attributes, unknown, types
 
 
 def decode_update(
@@ -301,13 +344,19 @@ def decode_update(
     if offset + attribute_length > body_end:
         raise MessageError("truncated UPDATE: path attributes overflow")
     attribute_end = offset + attribute_length
-    attributes, unknown = decode_path_attributes(body[offset:attribute_end], as4)
+    attributes, unknown, types = _decode_path_attributes(body[offset:attribute_end], as4)
     offset = attribute_end
 
     announced: list[Prefix] = []
     while offset < body_end:
         prefix, offset = _decode_prefix_nlri(body, offset, family)
         announced.append(prefix)
+    if announced:
+        for type_code in _MANDATORY:
+            if type_code not in types:
+                raise MessageError(
+                    f"UPDATE announces NLRI without the {_attribute_name(type_code)} attribute"
+                )
 
     return BgpUpdate(
         announced=announced,

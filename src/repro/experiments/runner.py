@@ -15,6 +15,7 @@ outcome into a uniform, JSON-serializable
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Iterable
@@ -310,35 +311,49 @@ class Experiment:
         batch); anything else propagates.  So is a spec carrying a
         parameter the experiment does not declare (one replayed from an
         older results file, say): it must not run the default variant.
+
+        The cyclic collector is paused until the result is built (so the
+        next collection comes once the caller drops the experiment, not
+        over its dataset), then resumed if it was on at entry.  No
+        experiment makes a reference cycle: reference counting frees all
+        the collector would walk.  A process forked while it is paused
+        starts paused, so no stage forks: grid workers start outside
+        ``run``, and every experiment runs the in-process core.
         """
         ctx = self.context
         timings: dict[str, float] = {}
         metrics: dict[str, Any] = {}
         status = ExperimentStatus.OK
         error: str | None = None
+        collector_was_on = gc.isenabled()
+        gc.disable()
         try:
-            self.reject_unknown_params(self.spec.params)
-            for stage in ("build", "attach", "seed"):
+            try:
+                self.reject_unknown_params(self.spec.params)
+                for stage in ("build", "attach", "seed"):
+                    started = time.perf_counter()
+                    getattr(self, stage)(ctx)
+                    timings[stage] = time.perf_counter() - started
                 started = time.perf_counter()
-                getattr(self, stage)(ctx)
-                timings[stage] = time.perf_counter() - started
-            started = time.perf_counter()
-            metrics = self.execute(ctx) or {}
-            timings["execute"] = time.perf_counter() - started
-            started = time.perf_counter()
-            accepted = self.validate(ctx, metrics)
-            timings["validate"] = time.perf_counter() - started
-            if not accepted:
-                status = ExperimentStatus.FAILED
-        except ReproError as exc:
-            status = ExperimentStatus.ERROR
-            error = f"{type(exc).__name__}: {exc}"
-        self.result = ExperimentResult(
-            name=self.spec.name,
-            spec=self.spec.to_dict(),
-            status=status,
-            metrics=metrics,
-            timings=timings,
-            error=error,
-        )
+                metrics = self.execute(ctx) or {}
+                timings["execute"] = time.perf_counter() - started
+                started = time.perf_counter()
+                accepted = self.validate(ctx, metrics)
+                timings["validate"] = time.perf_counter() - started
+                if not accepted:
+                    status = ExperimentStatus.FAILED
+            except ReproError as exc:
+                status = ExperimentStatus.ERROR
+                error = f"{type(exc).__name__}: {exc}"
+            self.result = ExperimentResult(
+                name=self.spec.name,
+                spec=self.spec.to_dict(),
+                status=status,
+                metrics=metrics,
+                timings=timings,
+                error=error,
+            )
+        finally:
+            if collector_was_on:
+                gc.enable()
         return self.result

@@ -175,6 +175,25 @@ class TestValueTypeSemantics:
         assert copy == value and hash(copy) == hash(make())
 
 
+def attribute_bytes(*attributes: tuple[int, int, bytes]) -> bytes:
+    """``(type code, flags, payload)`` attributes as an attribute section, by hand."""
+    return b"".join(bytes([flags, code, len(data)]) + data for code, flags, data in attributes)
+
+
+#: ORIGIN IGP, AS_PATH 3356 and NEXT_HOP 192.0.2.1, as RFC 4271 lays them out.
+MANDATORY_ATTRIBUTES = (
+    (1, 0x40, b"\x00"),
+    (2, 0x40, struct.pack("!BBI", 2, 1, 3356)),
+    (3, 0x40, bytes([192, 0, 2, 1])),
+)
+
+
+def update_message(section: bytes, nlri: bytes = b"") -> bytes:
+    """A BGP UPDATE with no withdrawals, built by hand around an attribute section."""
+    body = struct.pack("!HH", 0, len(section)) + section + nlri
+    return b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
+
+
 class TestUpdateCodec:
     def test_roundtrip_full(self):
         update = BgpUpdate(
@@ -216,6 +235,60 @@ class TestUpdateCodec:
         data[16] = 0xFF  # corrupt the length field
         with pytest.raises(MessageError):
             decode_update(bytes(data))
+
+    @pytest.mark.parametrize(
+        "attribute, name",
+        [
+            ((8, 0xC0, struct.pack("!I", 0x00010001)), "COMMUNITIES"),
+            (MANDATORY_ATTRIBUTES[0], "ORIGIN"),
+            (MANDATORY_ATTRIBUTES[1], "AS_PATH"),
+            ((5, 0x40, struct.pack("!I", 100)), "LOCAL_PREF"),
+            ((4, 0x80, struct.pack("!I", 10)), "MED"),
+            ((99, 0xC0, b"\x01"), "type 99"),
+        ],
+        ids=["communities", "origin", "as-path", "local-pref", "med", "unassigned"],
+    )
+    def test_a_repeated_attribute_is_a_message_error(self, attribute, name):
+        """RFC 4271 section 6.3: an attribute may appear once; the last copy
+        must not silently win (two COMMUNITIES 1:1 then 2:2 read as {2:2})."""
+        code, flags, _ = attribute
+        second = (code, flags, struct.pack("!I", 0x00020002)) if code == 8 else attribute
+        section = attribute_bytes(attribute, second)
+        with pytest.raises(MessageError, match=f"repeated {name} attribute"):
+            decode_path_attributes(section)
+        with pytest.raises(MessageError, match=f"repeated {name} attribute"):
+            decode_update(update_message(section))
+
+    @pytest.mark.parametrize(
+        "missing, name",
+        [((0,), "ORIGIN"), ((1,), "AS_PATH"), ((2,), "NEXT_HOP"), ((0, 1, 2), "ORIGIN")],
+        ids=["ORIGIN", "AS_PATH", "NEXT_HOP", "all-three"],
+    )
+    def test_an_announcement_without_a_mandatory_attribute_is_a_message_error(self, missing, name):
+        # With none of the three it was read as a route with an empty AS path.
+        present = [a for i, a in enumerate(MANDATORY_ATTRIBUTES) if i not in missing]
+        with pytest.raises(MessageError, match=f"announces NLRI without the {name} attribute"):
+            decode_update(update_message(attribute_bytes(*present), nlri=bytes([8, 10])))
+
+    @pytest.mark.parametrize(
+        "attribute", [(1, 0x40, b"\x00")] + [(code, 0xC0, b"") for code in (2, 3, 5, 8)],
+        ids=["origin", "as-path", "next-hop", "local-pref", "communities"],
+    )
+    @pytest.mark.parametrize("announced", [True, False], ids=["announce", "withdraw"])
+    def test_the_writer_refuses_an_opaque_attribute_it_writes_itself(self, attribute, announced):
+        """The reader types or drops these, so writing what it read would change the bytes."""
+        update = BgpUpdate(
+            announced=[Prefix.from_string("10.0.0.0/8")] if announced else [],
+            attributes=make_attributes(),
+            unknown_attributes=[attribute],
+        )
+        with pytest.raises(MessageError, match="cannot be written opaque"):
+            encode_update(update)
+
+    def test_the_writer_refuses_a_repeated_opaque_attribute(self):
+        unknown = [(99, 0xC0, b"\x01"), (4, 0x80, bytes(4)), (99, 0xC0, b"\x02")]
+        with pytest.raises(MessageError, match="repeated type 99 attribute"):
+            encode_path_attributes(make_attributes(), unknown)
 
     def test_unknown_attribute_roundtrip(self):
         update = BgpUpdate(
@@ -390,11 +463,8 @@ class TestMrt:
         ],
     )
     def test_a_malformed_attribute_is_a_message_error(self, attribute, message):
-        type_code, flags, payload = attribute
-        update = encode_update(BgpUpdate(unknown_attributes=[attribute]))
-        assert bytes([flags, type_code, len(payload)]) + payload in update
         with pytest.raises(MessageError, match=message):
-            decode_update(update)
+            decode_update(update_message(attribute_bytes(attribute)))
 
     @pytest.mark.parametrize("field", ["peer_asn", "local_asn"])
     @pytest.mark.parametrize("asn", [1 << 32, (1 << 32) + 10, -1])

@@ -234,9 +234,11 @@ def test_output_matches_its_pinned_digest(digests_by_hash_seed, key):
 
 
 if __name__ == "__main__":
-    # The collector is off, as in the benchmarks: this short run leaves
-    # little cyclic garbage (same peak RSS), and three runs on two cores
-    # finish ~14 % sooner.
+    # The collector is off for the whole process.  The perf ledger never
+    # does that: it only calls gc.collect() between iterations, and its
+    # speed probe pauses the collector inside the probe alone.  Each
+    # experiment runs with it paused anyway (Experiment.run); the rest of
+    # this short run leaves little cyclic garbage (same peak RSS).
     gc.disable()
     with tempfile.TemporaryDirectory() as scratch:
         print(json.dumps(collect_outputs(scratch), indent=2, sort_keys=True))

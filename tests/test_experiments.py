@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -294,6 +295,79 @@ class TestLifecycle:
             assert result.status is ExperimentStatus.OK, name
             replayed = ExperimentResult.from_json(result.to_json())
             assert replayed.comparable() == result.comparable()
+
+
+@pytest.fixture()
+def collector_state():
+    """Restore the cyclic collector's on/off state after the test."""
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _premise_cases():
+    cases = [pytest.param(name, {}, id=name) for name in available()]
+    cases.append(pytest.param("report", {"source": "harvest"}, id="report-source=harvest"))
+    cases.append(pytest.param("rtbh-wild", {"hijack": True}, id="rtbh-wild-hijack=true"))
+    return cases
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPause:
+    """``Experiment.run`` pauses the cyclic collector; nothing it runs makes a cycle."""
+
+    @pytest.mark.parametrize("name, params", _premise_cases())
+    def test_a_run_leaves_no_cyclic_garbage(self, name, params):
+        # Were a run to make cycles, the pause would hold them until the
+        # collector next runs: this fails first.
+        gc.collect()
+        gc.disable()
+        result = run_experiment(get(name).default_spec(seed=7, **params))
+        assert result.status is ExperimentStatus.OK, result.error
+        del result
+        assert gc.collect() == 0
+
+    @pytest.fixture()
+    def recording_experiment(self):
+        seen: list[bool] = []
+
+        @register("test-collector-pause")
+        class RecordingExperiment(Experiment):
+            default_params = {"outcome": "ok"}
+
+            def execute(self, ctx):
+                seen.append(gc.isenabled())
+                if ctx.spec.params["outcome"] == "repro-error":
+                    raise ExperimentError("boom")
+                if ctx.spec.params["outcome"] == "other-error":
+                    raise RuntimeError("boom")
+                return {}
+
+        try:
+            yield RecordingExperiment, seen
+        finally:
+            del registry_module._REGISTRY["test-collector-pause"]
+
+    @pytest.mark.parametrize("on_at_entry", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("outcome", ["ok", "repro-error", "other-error"])
+    def test_paused_inside_and_restored_after(self, recording_experiment, on_at_entry, outcome):
+        experiment_cls, seen = recording_experiment
+        if on_at_entry:
+            gc.enable()
+        else:
+            gc.disable()
+        experiment = experiment_cls(experiment_cls.default_spec(outcome=outcome))
+        if outcome == "other-error":
+            with pytest.raises(RuntimeError, match="boom"):
+                experiment.run()
+        else:
+            status = ExperimentStatus.OK if outcome == "ok" else ExperimentStatus.ERROR
+            assert experiment.run().status is status
+        assert seen == [False]
+        assert gc.isenabled() is on_at_entry
 
 
 class TestGrid:
