@@ -80,6 +80,8 @@ _NEXT_HOP_ZERO = _ATTRIBUTE_HEADER.pack(FLAG_TRANSITIVE, _NEXT_HOP, 4) + bytes(4
 #: AS_PATH segment types (RFC 4271): AS_SET, AS_SEQUENCE.
 _AS_SET, _AS_SEQUENCE = 1, 2
 _SEGMENT_TYPES = (_AS_SET, _AS_SEQUENCE)
+#: The path of every UPDATE read without an AS_PATH or with an empty one.
+_NO_PATH = ASPath()
 _ADDRESS_BYTES = {family: family.bits // 8 for family in AddressFamily}
 
 
@@ -162,7 +164,9 @@ def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
             raise MessageError(f"unknown AS_PATH segment type {segment_type}")
         asns.extend(struct.unpack_from(f"!{count}{code}", payload, offset))
         offset += needed
-    return ASPath(asns)
+    # Each ASN came out of a 2- or 4-byte field, so none can fail the
+    # range check ``ASPath()`` would run on it.
+    return tuple.__new__(ASPath, asns) if asns else _NO_PATH
 
 
 def encode_path_attributes(
@@ -243,7 +247,7 @@ def _decode_path_attributes(
     data: bytes, as4: bool
 ) -> tuple[PathAttributes, list[tuple[int, int, bytes]], set[int]]:
     """:func:`decode_path_attributes`, plus the set of type codes read."""
-    as_path = ASPath()
+    as_path = _NO_PATH
     local_pref: int | None = None
     communities = NO_COMMUNITIES
     unknown: list[tuple[int, int, bytes]] = []

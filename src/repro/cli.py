@@ -110,8 +110,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     try:
         spec = experiment_cls.default_spec(seed=args.seed, scale=args.scale, **params)
-        experiment = experiment_cls(spec)
-        result = experiment.run()
+        # The experiment (its context holds the whole run's state) is
+        # dropped as soon as it returns: what follows reads the result.
+        result = experiment_cls(spec).run()
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -123,7 +124,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    return _print_outcome(experiment, result, as_json=args.json)
+    # ``render_text`` renders from the result alone: a fresh experiment will do.
+    return _print_outcome(experiment_cls(spec), result, as_json=args.json)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

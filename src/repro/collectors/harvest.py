@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.collectors.observation import ObservationArchive, RouteObservation
+from repro.collectors.observation import ObservationArchive, RouteObservation, _observation
 from repro.routing.engine import validate_shards
 from repro.topology.relationships import Relationship
+from repro.utils.collector import collector_paused
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.bgp.aspath import ASPath
@@ -97,12 +98,15 @@ def _export_item(
     """Export one session's full table through the shared memo."""
     router = simulator.router(item.peer_asn)
     platform, collector_id, peer_asn = item.platform, item.collector_id, item.peer_asn
-    # Positional: one observation per exported route, and keywords
-    # double what building the tuple costs.
+    # Built in C from the tuple of all eight fields: one observation per
+    # exported route.
     return [
-        RouteObservation(
-            platform, collector_id, peer_asn, announcement.prefix,
-            paths[announcement.attributes.as_path], announcement.attributes.communities,
+        _observation(
+            (
+                platform, collector_id, peer_asn, announcement.prefix,
+                paths[announcement.attributes.as_path], announcement.attributes.communities,
+                0.0, False,
+            )
         )
         for announcement in router.export_all_to(
             item.collector_asn, export_cache, router.export_memo_key(item.collector_asn)
@@ -292,6 +296,12 @@ def harvest_archive(
     community additions are re-shipped with every task and are always
     current.  A harvest flushes the parent's whole pending-sync backlog
     — after it, every resident Loc-RIB mirrors the parent exactly.
+
+    The serial path runs with the cyclic collector paused (see
+    :class:`~repro.utils.collector.collector_paused`): it makes no
+    reference cycle, so the collector would only re-walk the converged
+    simulator and the rows.  The sharded path is not paused, because a
+    worker it forks would start with the collector off.
     """
     shard_count = simulator.shards if shards is None else validate_shards(shards)
     items = build_worklist(deployment, simulator)
@@ -299,5 +309,6 @@ def harvest_archive(
         # Surplus shards over the distinct peers would only idle.
         shard_count = min(shard_count, len({item.peer_asn for item in items}))
     if shard_count <= 1:
-        return _harvest_serial(items, simulator)
+        with collector_paused():
+            return _harvest_serial(items, simulator)
     return _harvest_sharded(items, simulator, shard_count)

@@ -14,8 +14,8 @@ read, and it hashes as the tuple of its fields, as the frozen dataclass
 it replaced did.  It keeps an instance dict for its cached path view.
 
 Every :class:`ObservationArchive` query reads state built on first use,
-never on :meth:`~ObservationArchive.add` (the inner loop of the harvest
-and of :meth:`~ObservationArchive.from_mrt`):
+never on :meth:`~ObservationArchive.add` (the inner loop of the
+harvest):
 
 * **One scan.**  Every Section 4 analysis starts from the same
   per-route facts: the collapsed path, the last-occurrence position of
@@ -48,7 +48,7 @@ and of :meth:`~ObservationArchive.from_mrt`):
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -62,9 +62,9 @@ from repro.mrt import reader as mrt_reader
 from repro.mrt import writer as mrt_writer
 from repro.mrt.constants import AFI_IPV4, AFI_IPV6
 from repro.mrt.entries import Bgp4mpMessage, MrtRecord
+from repro.utils.collector import collector_paused
 
-#: MRT common headers carry a 32-bit Unix timestamp; anything outside
-#: this window used to wrap silently through the ``& 0xFFFFFFFF`` mask.
+#: MRT common headers carry a 32-bit Unix timestamp.
 _MRT_TIMESTAMP_LIMIT = 1 << 32
 
 #: Synthetic peer addressing for MRT export.  IPv6 peers live in
@@ -101,22 +101,26 @@ def collector_ip_for(address_family: int) -> int:
     return _COLLECTOR_IPV4 if address_family == AFI_IPV4 else _COLLECTOR_IPV6
 
 
-def _validate_timestamp(timestamp: float) -> None:
-    """Reject timestamps the 32-bit MRT header cannot represent."""
-    if not 0 <= timestamp < _MRT_TIMESTAMP_LIMIT:
-        raise MrtError(
-            f"observation timestamp {timestamp} does not fit the 32-bit "
-            "MRT header (must be within 1970-01-01..2106-02-07 UTC)"
-        )
+def _mrt_time(timestamp: float) -> tuple[int, int]:
+    """``timestamp`` as the MRT header's seconds and the BGP4MP_ET microseconds.
+
+    A fraction of a second goes to the microsecond field; rounding to
+    whole microseconds may carry into the seconds, so it is the rounded
+    seconds that must fit the 32-bit header.
+    """
+    if 0 <= timestamp < _MRT_TIMESTAMP_LIMIT:
+        seconds, microseconds = divmod(round(timestamp * 1_000_000), 1_000_000)
+        if seconds < _MRT_TIMESTAMP_LIMIT:
+            return seconds, microseconds
+    raise MrtError(
+        f"observation timestamp {timestamp} does not fit the 32-bit "
+        "MRT header (must be within 1970-01-01..2106-02-07 UTC)"
+    )
 
 
 def _mrt_message(observation: RouteObservation) -> Bgp4mpMessage:
     """The BGP4MP message that carries one observation."""
-    timestamp = observation.timestamp
-    _validate_timestamp(timestamp)
-    # A fraction of a second goes to the BGP4MP_ET microsecond field;
-    # rounding to whole microseconds may carry into the seconds.
-    seconds, microseconds = divmod(round(timestamp * 1_000_000), 1_000_000)
+    seconds, microseconds = _mrt_time(observation.timestamp)
     address_family = AFI_IPV4 if observation.prefix.is_ipv4 else AFI_IPV6
     if observation.withdrawn:
         update = BgpUpdate(withdrawn=[observation.prefix])
@@ -137,6 +141,21 @@ def _mrt_message(observation: RouteObservation) -> Bgp4mpMessage:
         update=update,
         microseconds=microseconds,
     )
+
+
+def _mrt_records(observations: Iterable[RouteObservation]) -> list[bytes]:
+    """The BGP4MP record of each observation, each distinct one encoded once."""
+    encoded: dict[tuple, bytes] = {}
+    records: list[bytes] = []
+    for observation in observations:
+        # Every field but the platform and the collector.
+        key = observation[2:]
+        record = encoded.get(key)
+        if record is None:
+            # Through the module: the perf tracer and the tests patch the attribute.
+            record = encoded[key] = mrt_writer.encode_bgp4mp_message(_mrt_message(observation))
+        records.append(record)
+    return records
 
 
 def _observed_rows(record: MrtRecord) -> tuple[tuple, ...]:
@@ -191,6 +210,11 @@ class RouteObservation(_ObservationFields):
     def path_without_prepending(self) -> tuple[int, ...]:
         """The AS path with consecutive duplicates collapsed (cached)."""
         return tuple(collapse_prepending(self.as_path))
+
+
+#: Builds a :class:`RouteObservation` from the tuple of its eight fields
+#: in C, skipping the generated ``__new__`` and its keyword handling.
+_observation = partial(tuple.__new__, RouteObservation)
 
 
 class RouteFacts:
@@ -388,20 +412,16 @@ class ObservationArchive:
         Every record is encoded before the destination is opened: an
         observation the format cannot carry (a timestamp outside the
         32-bit header, an UPDATE over 4 096 bytes) fails the whole write
-        and leaves whatever was at ``path`` as it was.
+        and leaves whatever was at ``path`` as it was.  The encoding
+        runs with the cyclic collector paused (see
+        :class:`~repro.utils.collector.collector_paused`): it makes no
+        reference cycle, so the collector would only re-walk the
+        archive and the records.
         """
-        encoded: dict[tuple, bytes] = {}
-        records: list[bytes] = []
-        for observation in self._observations:
-            # Every field but the platform and the collector.
-            key = observation[2:]
-            record = encoded.get(key)
-            if record is None:
-                # Through the module: the perf tracer and the tests patch the attribute.
-                record = encoded[key] = mrt_writer.encode_bgp4mp_message(
-                    _mrt_message(observation)
-                )
-            records.append(record)
+        with collector_paused():
+            # The encode memo is freed before the collector resumes, so
+            # it never walks the memo's keys.
+            records = _mrt_records(self._observations)
         with Path(path).open("wb") as stream:
             stream.writelines(records)
         return len(records)
@@ -421,12 +441,15 @@ class ObservationArchive:
         The file is read one record at a time, but the archive it fills
         is in memory, and so is one set of decoded rows per *distinct*
         record body: records that differ in their timestamp only are
-        decoded once and share their path and community objects.
+        decoded once and share their path and community objects.  The
+        read runs with the cyclic collector paused (see
+        :class:`~repro.utils.collector.collector_paused`): it makes no
+        reference cycle, so the collector would only re-walk the rows.
         """
-        archive = cls()
-        add = archive.add
+        observations: list[RouteObservation] = []
+        append = observations.append
         decoded: dict[tuple[int, int, bytes], tuple[tuple, ...]] = {}
-        with Path(path).open("rb") as stream:
+        with collector_paused(), Path(path).open("rb") as stream:
             for record in mrt_reader.iter_stream_records(stream):
                 # ``(mrt_type, subtype, payload)``: the record less its timestamps.
                 key = record[1:4]
@@ -435,16 +458,10 @@ class ObservationArchive:
                     rows = decoded[key] = _observed_rows(record)
                 timestamp = record.timestamp + record.microseconds / 1e6
                 for peer_asn, prefix, as_path, communities, withdrawn in rows:
-                    add(
-                        RouteObservation(
-                            platform,
-                            collector_id,
-                            peer_asn,
-                            prefix,
-                            as_path,
-                            communities,
-                            timestamp,
-                            withdrawn,
+                    append(
+                        _observation(
+                            (platform, collector_id, peer_asn, prefix, as_path, communities,
+                             timestamp, withdrawn)
                         )
                     )
-        return archive
+            return cls(observations)

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.bgp.community import BLACKHOLE, NO_COMMUNITIES, Community, CommunitySet
 from repro.bgp.prefix import Prefix
-from repro.collectors.observation import ObservationArchive, RouteObservation
+from repro.collectors.observation import ObservationArchive, RouteObservation, _observation
 from repro.collectors.platform import CollectorDeployment
 from repro.datasets.communities_db import CommunityUsageModel
 from repro.datasets.giotsas import BlackholeCommunityList, build_blackhole_list
@@ -59,10 +58,6 @@ _PRIVATE_ASN_POOL = [64512, 64513, 64600, 65001, 65100, 65210, 65333, 65500]
 #: :meth:`random.Random.sample` without :meth:`DeterministicRng.sample`'s clamp,
 #: for counts already drawn within the population.
 _sample = random.Random.sample
-
-#: Builds a :class:`RouteObservation` from its eight fields in C: one per
-#: (update, collector) pair.
-_observation = partial(tuple.__new__, RouteObservation)
 
 
 @dataclass

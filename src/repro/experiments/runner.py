@@ -15,7 +15,6 @@ outcome into a uniform, JSON-serializable
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Iterable
@@ -25,6 +24,7 @@ from repro.exceptions import ExperimentError, PrefixError, ReproError
 from repro.experiments.result import ExperimentResult, ExperimentStatus
 from repro.experiments.spec import ExperimentSpec
 from repro.topology.topology import Topology
+from repro.utils.collector import collector_paused
 
 #: The lifecycle stages, in execution order.
 LIFECYCLE_STAGES = ("build", "attach", "seed", "execute", "validate")
@@ -325,9 +325,7 @@ class Experiment:
         metrics: dict[str, Any] = {}
         status = ExperimentStatus.OK
         error: str | None = None
-        collector_was_on = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             try:
                 self.reject_unknown_params(self.spec.params)
                 for stage in ("build", "attach", "seed"):
@@ -353,7 +351,4 @@ class Experiment:
                 timings=timings,
                 error=error,
             )
-        finally:
-            if collector_was_on:
-                gc.enable()
         return self.result

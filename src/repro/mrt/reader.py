@@ -58,7 +58,9 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
     A stream that ends inside a record raises :class:`MrtTruncatedError`
     naming the byte offset where the data ran out and the offset of the
     record it belongs to, both counted from where the stream stood when
-    iteration began.
+    iteration began.  A BGP4MP_ET microsecond field of a whole second or
+    more raises :class:`MrtError`: the writer never writes one, so
+    writing the archive back would not give the bytes read.
     """
     read = stream.read
     unpack_header = _COMMON_HEADER.unpack
@@ -86,6 +88,11 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
             (microseconds,) = _U32.unpack(
                 _read_exact(stream, 4, "BGP4MP_ET microsecond field", offset, record_start)
             )
+            if microseconds >= 1_000_000:
+                raise MrtError(
+                    f"BGP4MP_ET microsecond field {microseconds} is outside 0..999999 "
+                    f"(record starts at {record_start})"
+                )
             offset += 4
             payload_length -= 4
         payload = read(payload_length)

@@ -34,10 +34,16 @@ _MESSAGE_AS4 = int(Bgp4mpSubtype.MESSAGE_AS4)
 
 
 def _encode_header(timestamp: int, mrt_type: int, subtype: int, payload: bytes) -> bytes:
-    """Encode the 12-byte MRT common header followed by the payload."""
+    """Encode the 12-byte MRT common header followed by the payload.
+
+    A timestamp outside the 32-bit field raises :class:`MrtError`; it is
+    never wrapped into another second.
+    """
+    if not 0 <= timestamp <= 0xFFFFFFFF:
+        raise MrtError(f"timestamp {timestamp} does not fit the 32-bit MRT header")
     if len(payload) > 0xFFFFFFFF:
         raise MrtError("MRT payload too large")
-    return _COMMON_HEADER.pack(timestamp & 0xFFFFFFFF, mrt_type, subtype, len(payload)) + payload
+    return _COMMON_HEADER.pack(timestamp, mrt_type, subtype, len(payload)) + payload
 
 
 def encode_bgp4mp_message(message: Bgp4mpMessage) -> bytes:

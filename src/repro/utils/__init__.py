@@ -1,4 +1,5 @@
-"""Shared utilities: prefix arithmetic, statistics helpers, deterministic RNG, tables."""
+"""Shared utilities: prefix arithmetic, statistics helpers, deterministic RNG, tables,
+pausing the cyclic garbage collector."""
 
 from repro.utils.ip import (
     parse_ipv4,
@@ -12,6 +13,7 @@ from repro.utils.ip import (
 from repro.utils.stats import Ecdf, Histogram, fraction, percentile
 from repro.utils.rand import DeterministicRng
 from repro.utils.tables import Table, format_count
+from repro.utils.collector import collector_paused
 
 __all__ = [
     "parse_ipv4",
@@ -28,4 +30,5 @@ __all__ = [
     "DeterministicRng",
     "Table",
     "format_count",
+    "collector_paused",
 ]

@@ -1,5 +1,6 @@
 """Shared fixtures: a small generated Internet, a synthetic dataset over
-it, and the registered experiments' results.
+it, the registered experiments' results, and a guard that puts the
+cyclic garbage collector back as the test found it.
 
 Session-scoped fixtures keep the suite fast: the topology, the dataset
 and each experiment run are produced once and shared read-only by the
@@ -7,6 +8,8 @@ measurement, attack, golden-file and paper-claims tests.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -68,6 +71,17 @@ def experiment_result():
         return results[key]
 
     return run
+
+
+@pytest.fixture()
+def collector_state():
+    """Restore the cyclic collector's on/off state after the test."""
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def pytest_addoption(parser):

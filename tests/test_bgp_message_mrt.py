@@ -861,6 +861,43 @@ class TestSubSecondTimestamps:
         with pytest.raises(MrtError, match="microsecond field"):
             encode_bgp4mp_message(message._replace(microseconds=1_000_000))
 
+    @pytest.mark.parametrize("timestamp", [-1, 1 << 32])
+    def test_the_header_refuses_a_timestamp_outside_32_bits(self, timestamp):
+        # Masked, 2**32 would be written as 1970-01-01.
+        message = next(ObservationArchive([observation()]).to_mrt_messages())
+        with pytest.raises(MrtError, match=f"timestamp {timestamp} does not fit the 32-bit"):
+            encode_bgp4mp_message(message._replace(timestamp=timestamp))
+
+    def test_a_timestamp_that_rounds_to_second_2_to_the_32_is_refused(self, tmp_path):
+        path = tmp_path / "archive.mrt"
+        with pytest.raises(MrtError, match="does not fit the 32-bit MRT header"):
+            ObservationArchive([observation(timestamp=4294967295.9999995)]).write_mrt(path)
+        assert not path.exists()
+        # The last microsecond before it still fits.
+        ObservationArchive([observation(timestamp=4294967295.999999)]).write_mrt(path)
+        (record,) = records_of(path.read_bytes())
+        assert (record.timestamp, record.microseconds) == ((1 << 32) - 1, 999_999)
+
+    @pytest.mark.parametrize("microseconds", [999_999, 1_000_000, 2_500_000, 0xFFFFFFFF])
+    def test_the_reader_refuses_a_microsecond_field_of_a_second_or_more(
+        self, tmp_path, microseconds
+    ):
+        path, _records = self.write(tmp_path, self.T + 0.25)
+        data = path.read_bytes()
+        # The field follows the 12-byte common header.
+        path.write_bytes(data[:12] + struct.pack("!I", microseconds) + data[16:])
+        if microseconds < 1_000_000:
+            assert [o.timestamp for o in ObservationArchive.from_mrt(path)] == [
+                self.T + microseconds / 1e6
+            ]
+            return
+        with pytest.raises(
+            MrtError,
+            match=rf"BGP4MP_ET microsecond field {microseconds} is outside 0\.\.999999 "
+            r"\(record starts at 0\)",
+        ):
+            ObservationArchive.from_mrt(path)
+
 
 _PEERS = (10, 3356, 70000, 4200000001)
 _PREFIXES = tuple(

@@ -6,12 +6,15 @@ import contextlib
 import io
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cli import build_parser, main
+from repro.experiments import Experiment, register
+from repro.experiments import registry as registry_module
 from repro.collectors.observation import ObservationArchive
 from repro.collectors.platform import Collector, CollectorDeployment, CollectorPlatform
 from repro.attacks.scenario import build_figure7_topology
@@ -155,6 +158,36 @@ class TestRegistryCli:
     def test_run_bad_param_syntax_exits(self):
         with pytest.raises(SystemExit):
             main(["run", "rtbh", "--param", "hijack"])
+
+
+class TestRunDropsTheExperiment:
+    """``run`` renders from the result alone, after the experiment that made it is gone."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_the_experiment_is_freed_before_the_result_is_printed(self, flags, capsys, monkeypatch):
+        runs: list[weakref.ref] = []
+        alive_when_printed: list[bool] = []
+
+        @register("test-cli-drop")
+        class ProbeExperiment(Experiment):
+            def execute(self, ctx):
+                runs.append(weakref.ref(self))
+                return {}
+
+            def render_text(self, result):
+                return "rendered"
+
+        def printed(*args, **kwargs):
+            alive_when_printed.append(runs[0]() is not None)
+
+        monkeypatch.setattr("builtins.print", printed)
+        try:
+            assert main(["run", "test-cli-drop", *flags]) == 0
+        finally:
+            del registry_module._REGISTRY["test-cli-drop"]
+        # Freed by reference counting alone: its run state is not
+        # walked again once the collector resumes.
+        assert alive_when_printed == [False]
 
 
 class TestEndToEnd:

@@ -11,15 +11,20 @@ Covers the PR 5 guarantees:
   withdrawals, with distinct per-peer addresses and a clear error for
   timestamps outside the 32-bit MRT window;
 * the indexed ``ObservationArchive`` queries agree with brute-force
-  scans over the same observations.
+  scans over the same observations;
+* the serial harvest, ``write_mrt`` and ``from_mrt`` run with the cyclic
+  collector paused, leave it as they found it, and make no cycle.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
+from repro.collectors import harvest as harvest_module
 from repro.collectors.harvest import build_worklist, harvest_archive
 from repro.collectors.observation import (
     ObservationArchive,
@@ -28,7 +33,9 @@ from repro.collectors.observation import (
     peer_ip_for,
 )
 from repro.collectors.platform import Collector, CollectorDeployment, CollectorPlatform
-from repro.exceptions import MrtError
+from repro.exceptions import MrtError, MrtTruncatedError, RoutingError
+from repro.mrt import reader as mrt_reader
+from repro.mrt import writer as mrt_writer
 from repro.mrt.constants import AFI_IPV4, AFI_IPV6
 from repro.routing.engine import BgpSimulator
 from repro.routing.router import Router
@@ -211,7 +218,8 @@ class TestMrtRoundTrip:
             assert message.peer_ip != message.local_ip
         assert peer_ip_for(1, AFI_IPV6) != collector_ip_for(AFI_IPV6)
 
-    @pytest.mark.parametrize("timestamp", [-1.0, float(1 << 32)])
+    # The last one is inside the window, but rounds to second 2**32.
+    @pytest.mark.parametrize("timestamp", [-1.0, float(1 << 32), 4294967295.9999995])
     def test_out_of_range_timestamp_raises(self, tmp_path, timestamp):
         archive = ObservationArchive(
             [
@@ -466,3 +474,126 @@ class TestHarvestMemo:
         assert untagged and all(
             Community(65100, 1) not in o.communities for o in untagged
         )
+
+
+def _set_collector(on: bool) -> None:
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _recorder(seen: list[bool], function, error: Exception | None = None):
+    """``function``, noting whether the collector is on at each call, then raising ``error``."""
+
+    def wrapper(*args):
+        seen.append(gc.isenabled())
+        if error is not None:
+            raise error
+        return function(*args)
+
+    return wrapper
+
+
+def _observations(*timestamps: float) -> ObservationArchive:
+    return ObservationArchive(
+        RouteObservation(
+            "RIS", "ris-00", peer_asn, Prefix.from_string("203.0.113.0/24"), (peer_asn, 1),
+            timestamp=timestamp,
+        )
+        for peer_asn, timestamp in zip((10, 20, 30), timestamps)
+    )
+
+
+@pytest.mark.usefixtures("collector_state")
+@pytest.mark.parametrize("on_at_entry", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "error"])
+class TestCollectorPause:
+    """The harvest -> MRT -> archive round trip pauses the cyclic collector.
+
+    Inside each paused path the collector is off; on the way out, by
+    return or by error, it is back as it was at entry.
+    """
+
+    def test_serial_harvest(self, harvest_topology, harvest_deployment, monkeypatch, on_at_entry, fails):
+        simulator = _converged(harvest_topology)
+        seen: list[bool] = []
+        error = RoutingError("export failed") if fails else None
+        monkeypatch.setattr(
+            harvest_module, "_export_item", _recorder(seen, harvest_module._export_item, error)
+        )
+        _set_collector(on_at_entry)
+        if fails:
+            with pytest.raises(RoutingError, match="export failed"):
+                harvest_archive(harvest_deployment, simulator)
+        else:
+            assert len(harvest_archive(harvest_deployment, simulator)) > 0
+        assert gc.isenabled() is on_at_entry
+        assert seen and not any(seen)
+
+    def test_write_mrt(self, tmp_path, monkeypatch, on_at_entry, fails):
+        # The second row's timestamp rounds past the 32-bit header.
+        archive = _observations(100.0, 4294967295.9999995 if fails else 101.0)
+        seen: list[bool] = []
+        monkeypatch.setattr(
+            mrt_writer,
+            "encode_bgp4mp_message",
+            _recorder(seen, mrt_writer.encode_bgp4mp_message),
+        )
+        _set_collector(on_at_entry)
+        if fails:
+            with pytest.raises(MrtError, match="does not fit the 32-bit"):
+                archive.write_mrt(tmp_path / "archive.mrt")
+        else:
+            assert archive.write_mrt(tmp_path / "archive.mrt") == 2
+        assert gc.isenabled() is on_at_entry
+        assert seen and not any(seen)
+
+    def test_from_mrt(self, tmp_path, monkeypatch, on_at_entry, fails):
+        path = tmp_path / "archive.mrt"
+        _observations(100.0, 101.0).write_mrt(path)
+        if fails:
+            # Cut inside the second record: the first is decoded first.
+            path.write_bytes(path.read_bytes()[:-1])
+        seen: list[bool] = []
+        monkeypatch.setattr(
+            mrt_reader,
+            "decode_bgp4mp_message",
+            _recorder(seen, mrt_reader.decode_bgp4mp_message),
+        )
+        _set_collector(on_at_entry)
+        if fails:
+            with pytest.raises(MrtTruncatedError):
+                ObservationArchive.from_mrt(path)
+        else:
+            assert len(ObservationArchive.from_mrt(path)) == 2
+        assert gc.isenabled() is on_at_entry
+        assert seen and not any(seen)
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPausePremise:
+    def test_a_round_trip_leaves_no_cyclic_garbage(self, harvest_topology, harvest_deployment, tmp_path):
+        # Were the round trip to make cycles, the pauses would hold them
+        # until the collector next runs: this fails first.
+        path = tmp_path / "harvest.mrt"
+        simulator = _converged(harvest_topology)
+        gc.collect()
+        gc.disable()
+        archive = harvest_deployment.collect_from_simulator(simulator)
+        assert archive.write_mrt(path) == len(archive) > 0
+        assert len(ObservationArchive.from_mrt(path)) == len(archive)
+        del archive
+        assert gc.collect() == 0
+
+    def test_the_sharded_harvest_is_not_paused(self, harvest_topology, harvest_deployment, monkeypatch):
+        # A worker forked while the collector is off would start with it off.
+        seen: list[bool] = []
+        monkeypatch.setattr(
+            harvest_module,
+            "_harvest_sharded",
+            _recorder(seen, lambda *_args: ObservationArchive()),
+        )
+        gc.enable()
+        harvest_archive(harvest_deployment, _converged(harvest_topology), shards=2)
+        assert seen == [True]

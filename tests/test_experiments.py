@@ -297,17 +297,6 @@ class TestLifecycle:
             assert replayed.comparable() == result.comparable()
 
 
-@pytest.fixture()
-def collector_state():
-    """Restore the cyclic collector's on/off state after the test."""
-    was_on = gc.isenabled()
-    yield
-    if was_on:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 def _premise_cases():
     cases = [pytest.param(name, {}, id=name) for name in available()]
     cases.append(pytest.param("report", {"source": "harvest"}, id="report-source=harvest"))

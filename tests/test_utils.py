@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import MeasurementError, PrefixError
+from repro.utils.collector import collector_paused
 from repro.utils.ip import (
     format_ipv4,
     format_ipv6,
@@ -285,3 +287,24 @@ class TestTables:
         assert format_count(1234567) == "1,234,567"
         assert format_count(0.5) == "0.50"
         assert format_count(True) == "True"
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPaused:
+    def test_leaving_the_block_runs_no_collection(self):
+        # The deferred collection must wait for the caller's next
+        # allocation, after it has dropped what the block built: were
+        # leaving the block to allocate, it would walk all of it now.
+        collections: list[str] = []
+
+        def record(phase, info):
+            collections.append(phase)
+
+        gc.enable()
+        with collector_paused():
+            built = [[] for _ in range(10_000)]  # far past the gen-0 threshold
+            gc.callbacks.append(record)
+        gc.callbacks.remove(record)
+        assert collections == []
+        assert gc.isenabled()
+        del built
