@@ -113,7 +113,7 @@ def _grade(gates: list[str]) -> Difficulty:
     return Difficulty.EASY
 
 
-def build_feasibility_matrix(seed: int = 42) -> FeasibilityMatrix:
+def build_feasibility_matrix(seed: int) -> FeasibilityMatrix:
     """Run every scenario variant and assemble Table 3.
 
     The canonical Figure 2/7/8(b)/9 topologies are fully deterministic,

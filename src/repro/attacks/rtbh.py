@@ -47,7 +47,7 @@ class RtbhAttack:
         topology: Topology,
         roles: ScenarioRoles,
         victim_prefix: Prefix,
-        use_hijack: bool = False,
+        use_hijack: bool,
         blackhole_community: Community | None = None,
     ):
         self.topology = topology

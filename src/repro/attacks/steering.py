@@ -220,7 +220,8 @@ class SteeringExperiment(Experiment):
     """Both traffic-steering flavours on their canonical topologies.
 
     ``variant`` selects ``prepend`` (Figure 2), ``local-pref``
-    (Figure 8b), or ``both`` (the default).
+    (Figure 8b), or ``both`` (the default).  ``hijack`` changes the
+    prepend variant alone, so a run without it refuses ``hijack=true``.
     """
 
     description = "traffic steering via prepend and local-pref communities"
@@ -264,6 +265,11 @@ class SteeringExperiment(Experiment):
             raise ExperimentError(
                 f"experiment parameter 'variant' must be one of "
                 f"{', '.join(map(repr, self.VARIANTS))} or 'both', got {variant!r}"
+            )
+        if self.bool_param("hijack") and "prepend" not in selected:
+            raise ExperimentError(
+                "experiment parameter 'hijack' changes the 'prepend' variant, which "
+                f"this run does not select (variant: {variant!r})"
             )
         runners = {"prepend": self._run_prepend, "local-pref": self._run_local_pref}
         variants: dict[str, dict] = {}

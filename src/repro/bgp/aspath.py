@@ -44,7 +44,7 @@ class ASPath(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, asns: Iterable[int] = ()) -> "ASPath":
+    def __new__(cls, asns: Iterable[int]) -> "ASPath":
         asns = tuple(asns)
         for asn in asns:
             _check_asn(asn)
@@ -72,7 +72,7 @@ class ASPath(tuple):
         """Return True if ``asn`` appears anywhere on the path."""
         return asn in self
 
-    def prepend(self, asn: int, count: int = 1) -> "ASPath":
+    def prepend(self, asn: int, count: int) -> "ASPath":
         """Return a path with ``asn`` prepended ``count`` times."""
         if count < 0:
             raise ASPathError(f"cannot prepend a negative count ({count})")
@@ -86,3 +86,7 @@ class ASPath(tuple):
 
     def __repr__(self) -> str:
         return f"ASPath({str(self)!r})"
+
+
+#: The empty path: an originated route's, and every UPDATE's read without an AS_PATH.
+NO_PATH = ASPath(())

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
-from repro.bgp.aspath import ASPath
+from repro.bgp.aspath import NO_PATH, ASPath
 from repro.bgp.community import Community, CommunitySet
 from repro.exceptions import AttributeError_
 
@@ -36,7 +36,7 @@ MAX_COMMUNITIES_PER_UPDATE = (1 << 16) // 4
 class PathAttributes:
     """The mutable-by-copy attribute bundle attached to an announcement."""
 
-    as_path: ASPath = field(default_factory=ASPath)
+    as_path: ASPath = NO_PATH
     local_pref: int | None = None
     communities: CommunitySet = field(default_factory=CommunitySet)
 

@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.bgp.aspath import ASPath
+from repro.bgp.aspath import NO_PATH, ASPath
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import NO_COMMUNITIES, CommunitySet
 from repro.bgp.prefix import AddressFamily, Prefix
@@ -80,8 +80,6 @@ _NEXT_HOP_ZERO = _ATTRIBUTE_HEADER.pack(FLAG_TRANSITIVE, _NEXT_HOP, 4) + bytes(4
 #: AS_PATH segment types (RFC 4271): AS_SET, AS_SEQUENCE.
 _AS_SET, _AS_SEQUENCE = 1, 2
 _SEGMENT_TYPES = (_AS_SET, _AS_SEQUENCE)
-#: The path of every UPDATE read without an AS_PATH or with an empty one.
-_NO_PATH = ASPath()
 _ADDRESS_BYTES = {family: family.bits // 8 for family in AddressFamily}
 
 
@@ -146,7 +144,7 @@ def _encode_as_path(as_path: ASPath) -> bytes:
     return b"".join(parts)
 
 
-def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
+def _decode_as_path(payload: bytes, as4: bool) -> ASPath:
     """Decode an AS_PATH attribute payload; AS_SET members join the path in wire order."""
     width, code = (4, "I") if as4 else (2, "H")
     asns: list[int] = []
@@ -165,12 +163,12 @@ def _decode_as_path(payload: bytes, as4: bool = True) -> ASPath:
         asns.extend(struct.unpack_from(f"!{count}{code}", payload, offset))
         offset += needed
     # Each ASN came out of a 2- or 4-byte field, so none can fail the
-    # range check ``ASPath()`` would run on it.
-    return tuple.__new__(ASPath, asns) if asns else _NO_PATH
+    # range check ``ASPath(asns)`` would run on it.
+    return tuple.__new__(ASPath, asns) if asns else NO_PATH
 
 
 def encode_path_attributes(
-    attrs: PathAttributes | None, unknown: Iterable[tuple[int, int, bytes]] = ()
+    attrs: PathAttributes | None, unknown: Iterable[tuple[int, int, bytes]]
 ) -> bytes:
     """Encode a path-attribute section: the mandatory and typed attributes, then ``unknown``.
 
@@ -207,8 +205,9 @@ def encode_path_attributes(
     return b"".join(attribute_parts)
 
 
-def encode_update(update: BgpUpdate, family: AddressFamily = AddressFamily.IPV4) -> bytes:
-    """Encode a :class:`BgpUpdate` into a full BGP message (header included)."""
+def encode_update(update: BgpUpdate) -> bytes:
+    """Encode a :class:`BgpUpdate` into a full BGP message (header included); each
+    prefix's NLRI encodes its own family."""
     withdrawn_bytes = b"".join(_encode_prefix_nlri(p) for p in update.withdrawn)
     attribute_bytes = encode_path_attributes(
         update.attributes if update.announced else None, update.unknown_attributes
@@ -247,7 +246,7 @@ def _decode_path_attributes(
     data: bytes, as4: bool
 ) -> tuple[PathAttributes, list[tuple[int, int, bytes]], set[int]]:
     """:func:`decode_path_attributes`, plus the set of type codes read."""
-    as_path = _NO_PATH
+    as_path = NO_PATH
     local_pref: int | None = None
     communities = NO_COMMUNITIES
     unknown: list[tuple[int, int, bytes]] = []
@@ -308,9 +307,7 @@ def _decode_path_attributes(
     return attributes, unknown, types
 
 
-def decode_update(
-    data: bytes, family: AddressFamily = AddressFamily.IPV4, as4: bool = True
-) -> BgpUpdate:
+def decode_update(data: bytes, family: AddressFamily, as4: bool) -> BgpUpdate:
     """Decode a full BGP UPDATE message (header included) into a :class:`BgpUpdate`.
 
     ``as4`` is the AS_PATH encoding the two speakers negotiated: 4-byte

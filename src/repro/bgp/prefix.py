@@ -108,7 +108,7 @@ class Prefix(_PrefixFields):
             return False
         return ip_utils.network_address(address, self.length, bits) == self.network
 
-    def subprefix(self, new_length: int, index: int = 0) -> "Prefix":
+    def subprefix(self, new_length: int, index: int) -> "Prefix":
         """Return the ``index``-th more-specific prefix of ``new_length`` bits.
 
         ``Prefix.from_string("10.0.0.0/8").subprefix(24, 1)`` is

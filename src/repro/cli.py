@@ -38,25 +38,19 @@ def _build_dataset(seed: int, scale: str):
     return build_default_dataset(spec.build_topology(), DatasetParameters(seed=seed))
 
 
-def _parse_params(pairs: list[str], parser: argparse.ArgumentParser | None = None) -> dict:
+def _parse_params(pairs: list[str], parser: argparse.ArgumentParser) -> dict:
     """Parse repeated ``--param key=value`` flags (values read as JSON when possible).
 
     Malformed tokens fail through ``parser.error`` (usage line, the
-    offending token named, exit code 2) when a parser is given.
+    offending token named, exit code 2).
     """
-
-    def fail(message: str) -> None:
-        if parser is not None:
-            parser.error(message)
-        raise SystemExit(f"error: {message}")
-
     params: dict = {}
     for pair in pairs:
         key, separator, raw = pair.partition("=")
         if not separator or not key:
-            fail(f"argument --param: expected KEY=VALUE, got {pair!r}")
+            parser.error(f"argument --param: expected KEY=VALUE, got {pair!r}")
         if key in ("seed", "scale"):
-            fail(f"argument --param: use --{key} instead of --param {pair!r}")
+            parser.error(f"argument --param: use --{key} instead of --param {pair!r}")
         try:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -72,7 +66,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _print_outcome(experiment, result, as_json: bool = False) -> int:
+def _print_outcome(experiment, result, as_json: bool) -> int:
     """Render one result (text or JSON); exit code reflects the status."""
     from repro.experiments import ExperimentStatus
 
@@ -181,14 +175,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.exceptions import RoutingError
     from repro.experiments import ExperimentSpec
     from repro.routing.engine import BgpSimulator
-    from repro.routing.stream import DEFAULT_WINDOW, SimulatorService, read_event_stream
+    from repro.routing.stream import SimulatorService, read_event_stream
 
     spec = ExperimentSpec(name="report", seed=args.seed, scale=args.scale)
     simulator = BgpSimulator(spec.build_topology())
     if args.preseed:
         simulator.announce_originated()
-    window = args.window if args.window is not None else DEFAULT_WINDOW
-    service = SimulatorService(simulator, window=window)
+    service = SimulatorService(simulator, window=args.window)
     try:
         if args.events == "-":
             if isinstance(sys.stdin, io.TextIOWrapper):
@@ -241,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduction harness for 'BGP Communities: Even more Worms in the Routing Can'",
     )
     from repro.experiments import SCALE_PRESETS
+    from repro.routing.stream import DEFAULT_WINDOW
 
     scales = list(SCALE_PRESETS)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -307,10 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--window",
         type=_positive_int,
-        default=None,
+        default=DEFAULT_WINDOW,
         metavar="N",
-        help="buffered (origin, prefix) keys per automatic drain "
-        "(default: repro.routing.stream.DEFAULT_WINDOW)",
+        help="buffered (origin, prefix) keys per automatic drain (default: %(default)s)",
     )
     stream.add_argument(
         "--preseed",

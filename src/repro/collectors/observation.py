@@ -412,7 +412,13 @@ class ObservationArchive:
         Every record is encoded before the destination is opened: an
         observation the format cannot carry (a timestamp outside the
         32-bit header, an UPDATE over 4 096 bytes) fails the whole write
-        and leaves whatever was at ``path`` as it was.  The encoding
+        and leaves whatever was at ``path`` as it was.
+
+        Reading an archive this method wrote with :meth:`from_mrt` and
+        writing it again gives back its exact bytes; any other archive
+        comes back as the same rows (a BGP4MP_ET record with a zero
+        microsecond field, for one, is written as plain BGP4MP; see
+        :func:`~repro.mrt.reader.iter_stream_records`).  The encoding
         runs with the cyclic collector paused (see
         :class:`~repro.utils.collector.collector_paused`): it makes no
         reference cycle, so the collector would only re-walk the
@@ -437,6 +443,9 @@ class ObservationArchive:
         layout) and announced prefixes regular ones — so a write →
         read round-trip is lossless for mixed archives.  A BGP4MP_ET
         record's microsecond field is part of its rows' timestamp.
+        Read → :meth:`write_mrt` gives back the exact bytes of any archive
+        :meth:`write_mrt` wrote and the same rows for any other archive
+        (see :func:`~repro.mrt.reader.iter_stream_records`).
 
         The file is read one record at a time, but the archive it fills
         is in memory, and so is one set of decoded rows per *distinct*

@@ -93,7 +93,7 @@ def fib_entry_for(
     return FibEntry(prefix, best.learned_from)
 
 
-def build_fib(asn: int, loc_rib: LocRib, originated: set[Prefix] = frozenset()) -> Fib:
+def build_fib(asn: int, loc_rib: LocRib, originated: set[Prefix]) -> Fib:
     """Build the FIB of one AS from scratch from its Loc-RIB."""
     fib = Fib(asn)
     for prefix in originated:

@@ -7,7 +7,6 @@ from repro.datasets.synthetic import (
     SyntheticDataset,
     SyntheticDatasetBuilder,
 )
-from repro.datasets.timeseries import GrowthModel, YearlySnapshot
 
 __all__ = [
     "CommunityUsageModel",
@@ -17,6 +16,4 @@ __all__ = [
     "DatasetParameters",
     "SyntheticDataset",
     "SyntheticDatasetBuilder",
-    "GrowthModel",
-    "YearlySnapshot",
 ]

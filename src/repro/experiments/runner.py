@@ -138,7 +138,7 @@ class Experiment:
             return self.spec.params[key]
         return self.default_params.get(key, default)
 
-    def int_param(self, key: str, default: int, minimum: int | None = None) -> int:
+    def int_param(self, key: str, default: int, minimum: int) -> int:
         """An integer experiment parameter, or a clear error naming it.
 
         A non-integer override (``2.9`` and ``true`` included: ``int()``
@@ -153,12 +153,11 @@ class Experiment:
             number = int(value)
             if isinstance(value, bool) or number != float(value):
                 raise ValueError
-            if minimum is not None and number < minimum:
+            if number < minimum:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
-            bound = "" if minimum is None else f" >= {minimum}"
             raise ExperimentError(
-                f"experiment parameter {key!r} must be an integer{bound}, got {value!r}"
+                f"experiment parameter {key!r} must be an integer >= {minimum}, got {value!r}"
             ) from None
         return number
 

@@ -15,10 +15,10 @@ from repro.datasets.giotsas import BlackholeCommunityList
 
 def identify_blackhole_communities(
     archive: ObservationArchive,
-    verified_list: BlackholeCommunityList | None = None,
+    verified_list: BlackholeCommunityList,
 ) -> set[Community]:
     """Return the observed communities that are (or look like) blackhole requests."""
-    verified = set(verified_list.communities()) if verified_list is not None else set()
+    verified = set(verified_list.communities())
     result: set[Community] = set()
     for community in archive.unique_communities():
         if community == BLACKHOLE or community.has_blackhole_value or community in verified:

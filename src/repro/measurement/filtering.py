@@ -50,7 +50,7 @@ class FilteringInference:
     edges: dict[tuple[int, int], EdgeIndications] = field(default_factory=dict)
     total_edges_observed: int = 0
 
-    def edges_with_evidence(self, min_paths: int = 0) -> list[EdgeIndications]:
+    def edges_with_evidence(self, min_paths: int) -> list[EdgeIndications]:
         """Edges with at least one indication and ``min_paths`` observed paths."""
         return [
             e

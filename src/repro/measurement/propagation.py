@@ -129,7 +129,7 @@ class PropagationDistances:
 
 def propagation_distance_ecdf(
     archive: ObservationArchive,
-    blackhole_communities: set[Community] | None = None,
+    blackhole_communities: set[Community],
     conservative: bool = True,
 ) -> PropagationDistances:
     """Compute Figure 5(a).
@@ -139,7 +139,6 @@ def propagation_distance_ecdf(
     A community counts as a blackholing community if its value part is
     666 (RFC 7999 convention) or if it is in the supplied verified list.
     """
-    blackhole_communities = blackhole_communities or set()
     per_community: dict[Community, int] = {}
     for route in archive.route_counts():
         for community, index in _taggers(route, conservative):
@@ -195,7 +194,7 @@ class TopValues:
         return [value for value, _share in self.off_path]
 
 
-def top_values(archive: ObservationArchive, n: int = 10) -> TopValues:
+def top_values(archive: ObservationArchive, n: int) -> TopValues:
     """Compute the top-``n`` community values for on-path and off-path communities."""
     on_path_histogram = Histogram()
     off_path_histogram = Histogram()

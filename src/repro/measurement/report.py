@@ -36,8 +36,8 @@ class MeasurementReport:
     """Computes and renders the full Section 4 report for one archive."""
 
     archive: ObservationArchive
-    topology: Topology | None = None
-    blackhole_list: BlackholeCommunityList | None = None
+    topology: Topology
+    blackhole_list: BlackholeCommunityList
     rendered_tables: dict[str, str] = field(default_factory=dict)
 
     # ----------------------------------------------------------------- tables
@@ -151,10 +151,7 @@ class MeasurementReport:
 
     def figure5a(self) -> Table:
         """Figure 5(a): propagation distance of all vs blackhole communities."""
-        verified = (
-            set(self.blackhole_list.communities()) if self.blackhole_list is not None else None
-        )
-        distances = propagation_distance_ecdf(self.archive, verified)
+        distances = propagation_distance_ecdf(self.archive, set(self.blackhole_list.communities()))
         table = Table(
             ["Hop count", "fraction (all)", "fraction (blackhole)"],
             title="Figure 5(a): community propagation distance ECDF",
@@ -238,9 +235,8 @@ class MeasurementReport:
         communities = identify_blackhole_communities(self.archive, self.blackhole_list)
         table = Table(["Quantity", "Value"], title="Blackhole communities observed")
         table.add_row(["distinct blackhole communities", len(communities)])
-        if self.blackhole_list is not None:
-            table.add_row(["verified list size", len(self.blackhole_list.verified())])
-            table.add_row(["inferred list size", len(self.blackhole_list.inferred())])
+        table.add_row(["verified list size", len(self.blackhole_list.verified())])
+        table.add_row(["inferred list size", len(self.blackhole_list.inferred())])
         self.rendered_tables["blackhole"] = table.render()
         return table
 

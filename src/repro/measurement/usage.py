@@ -1,7 +1,7 @@
 """Community usage statistics: Table 1, Figure 4(a), Figure 4(b).
 
 All functions operate on an :class:`~repro.collectors.observation.ObservationArchive`
-(optionally together with the topology it was observed over) and return
+(Table 1 together with the topology it was observed over) and return
 plain data structures the report builder and the benchmarks render.
 """
 
@@ -34,33 +34,18 @@ class PlatformOverview:
     stub_ases: int
 
 
-def _roles_for(topology: Topology | None) -> dict[int, AsRole]:
-    if topology is None:
-        return {}
-    return classify_roles(topology)
-
-
 def _overview_for(name: str, tally: ArchiveTally, roles: dict[int, AsRole]) -> PlatformOverview:
     ipv4 = sum(1 for p in tally.prefixes if p.is_ipv4)
     path_asns: set[int] = set()
     origin_asns: set[int] = set()
-    # Without a topology, transit ASes are inferred structurally: an AS
-    # that appears on a path as neither origin nor collector peer.
-    interior_asns: set[int] = set()
     communities: set[Community] = set()
     for route in tally.routes:
         path = route.path
         path_asns.update(path)
         if path:
             origin_asns.add(path[-1])
-            interior_asns.update(path[1:-1])
         communities.update(community for community, _ in route.taggers)
-    if roles:
-        transit_asns = {
-            asn for asn in path_asns if roles.get(asn) in (AsRole.TRANSIT, AsRole.TIER1)
-        }
-    else:
-        transit_asns = interior_asns
+    transit_asns = {asn for asn in path_asns if roles.get(asn) in (AsRole.TRANSIT, AsRole.TIER1)}
     stub_asns = path_asns - transit_asns
     return PlatformOverview(
         platform=name,
@@ -77,11 +62,10 @@ def _overview_for(name: str, tally: ArchiveTally, roles: dict[int, AsRole]) -> P
     )
 
 
-def dataset_overview(
-    archive: ObservationArchive, topology: Topology | None = None
-) -> list[PlatformOverview]:
-    """Compute Table 1: one row per platform plus a Total row."""
-    roles = _roles_for(topology)
+def dataset_overview(archive: ObservationArchive, topology: Topology) -> list[PlatformOverview]:
+    """Compute Table 1: one row per platform plus a Total row; the topology's
+    roles tell transit ASes from stubs."""
+    roles = classify_roles(topology)
     return [
         _overview_for("Total" if platform is None else platform, tally, roles)
         for platform, tally in archive.tallies().items()

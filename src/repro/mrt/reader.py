@@ -61,6 +61,14 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
     iteration began.  A BGP4MP_ET microsecond field of a whole second or
     more raises :class:`MrtError`: the writer never writes one, so
     writing the archive back would not give the bytes read.
+
+    The round-trip contract (read, then write back with
+    :meth:`~repro.collectors.observation.ObservationArchive.write_mrt`):
+    an archive the writer wrote comes back byte for byte; any other
+    archive this reader accepts comes back as the same rows, though not
+    always in the same framing.  A BGP4MP_ET record whose microsecond
+    field is 0, which RFC 6396 allows, is read as a whole second and
+    written back as the plain BGP4MP record, 4 bytes shorter.
     """
     read = stream.read
     unpack_header = _COMMON_HEADER.unpack

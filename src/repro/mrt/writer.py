@@ -13,7 +13,6 @@ from __future__ import annotations
 import struct
 
 from repro.bgp.message import encode_update
-from repro.bgp.prefix import AddressFamily
 from repro.exceptions import MrtError
 from repro.mrt.constants import AFI_IPV4, AFI_IPV6, Bgp4mpSubtype, MrtType
 from repro.mrt.entries import Bgp4mpMessage
@@ -67,8 +66,7 @@ def encode_bgp4mp_message(message: Bgp4mpMessage) -> bytes:
     for role, asn in (("peer", peer_asn), ("local", local_asn)):
         if not 0 <= asn <= 0xFFFFFFFF:
             raise MrtError(f"{role} ASN {asn} does not fit the 4-byte AS field of a BGP4MP record")
-    family = AddressFamily.IPV4 if address_family == AFI_IPV4 else AddressFamily.IPV6
-    bgp_bytes = encode_update(update, family)
+    bgp_bytes = encode_update(update)
     if address_family == AFI_IPV4:
         header = _BGP4MP_HEADER_AS4_IPV4.pack(
             peer_asn,

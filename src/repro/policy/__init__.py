@@ -20,7 +20,7 @@ from repro.policy.community_policy import (
     PropagationBehavior,
 )
 from repro.policy.services import CommunityServiceCatalog, ServiceDefinition
-from repro.policy.filters import PrefixFilter, IrrDatabase, IrrRoute, MaxPrefixLengthFilter
+from repro.policy.filters import IrrDatabase, IrrRoute, MaxPrefixLengthFilter
 from repro.policy.vendor import VendorProfile, CISCO_PROFILE, JUNIPER_PROFILE
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "PropagationBehavior",
     "CommunityServiceCatalog",
     "ServiceDefinition",
-    "PrefixFilter",
     "IrrDatabase",
     "IrrRoute",
     "MaxPrefixLengthFilter",

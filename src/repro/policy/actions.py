@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 from repro.bgp.attributes import PathAttributes
 from repro.exceptions import PolicyError
@@ -47,7 +48,8 @@ class ActionOutcome:
 class CommunityAction:
     """Base class: an action an AS performs when it sees one of its communities."""
 
-    action_type: ActionType = ActionType.INFORMATIONAL
+    #: The taxonomy category; each subclass names its own.
+    action_type: ClassVar[ActionType]
 
     def apply(self, attributes: PathAttributes, owner_asn: int) -> ActionOutcome:
         """Apply the action at the community owner; return the outcome."""
@@ -59,7 +61,7 @@ class PrependAction(CommunityAction):
     """Prepend the owner's ASN ``count`` extra times on export (e.g. NTT 2914:42x)."""
 
     count: int
-    action_type: ActionType = ActionType.PREPEND
+    action_type: ClassVar[ActionType] = ActionType.PREPEND
 
     def __post_init__(self) -> None:
         if not 1 <= self.count <= 16:
@@ -76,7 +78,7 @@ class LocalPrefAction(CommunityAction):
     """Set LOCAL_PREF to a fixed value (e.g. a "customer backup" preference)."""
 
     local_pref: int
-    action_type: ActionType = ActionType.LOCAL_PREF
+    action_type: ClassVar[ActionType] = ActionType.LOCAL_PREF
 
     def __post_init__(self) -> None:
         if not 0 <= self.local_pref <= 0xFFFFFFFF:
@@ -97,7 +99,7 @@ class BlackholeAction(CommunityAction):
     """
 
     raise_local_pref_to: int | None = 200
-    action_type: ActionType = ActionType.BLACKHOLE
+    action_type: ClassVar[ActionType] = ActionType.BLACKHOLE
 
     def apply(self, attributes: PathAttributes, owner_asn: int) -> ActionOutcome:
         new_attributes = attributes
@@ -111,7 +113,7 @@ class SelectiveAnnounceAction(CommunityAction):
     """Announce the route only to the listed neighbor ASNs."""
 
     neighbor_asns: frozenset[int]
-    action_type: ActionType = ActionType.SELECTIVE_ANNOUNCE
+    action_type: ClassVar[ActionType] = ActionType.SELECTIVE_ANNOUNCE
 
     def __post_init__(self) -> None:
         if not self.neighbor_asns:
@@ -127,7 +129,7 @@ class SuppressAction(CommunityAction):
 
     neighbor_asns: frozenset[int] = frozenset()
     suppress_all: bool = False
-    action_type: ActionType = ActionType.SUPPRESS
+    action_type: ClassVar[ActionType] = ActionType.SUPPRESS
 
     def apply(self, attributes: PathAttributes, owner_asn: int) -> ActionOutcome:
         if self.suppress_all:
@@ -140,7 +142,7 @@ class LocationTagAction(CommunityAction):
     """Tag incoming routes with an ingress-location community (e.g. AS6:201 = LAX)."""
 
     location_value: int
-    action_type: ActionType = ActionType.LOCATION
+    action_type: ClassVar[ActionType] = ActionType.LOCATION
 
     def apply(self, attributes: PathAttributes, owner_asn: int) -> ActionOutcome:
         from repro.bgp.community import Community
@@ -153,7 +155,7 @@ class LocationTagAction(CommunityAction):
 class NoopInformationalAction(CommunityAction):
     """A purely informational community: no routing effect."""
 
-    action_type: ActionType = ActionType.INFORMATIONAL
+    action_type: ClassVar[ActionType] = ActionType.INFORMATIONAL
 
     def apply(self, attributes: PathAttributes, owner_asn: int) -> ActionOutcome:
         return ActionOutcome(attributes=attributes)

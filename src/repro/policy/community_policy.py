@@ -11,10 +11,11 @@ measurement pipeline then re-discovers the mix from the dumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
-from repro.bgp.community import Community, CommunitySet
+from repro.bgp.community import CommunitySet
 
 
 class PropagationBehavior(str, Enum):
@@ -29,7 +30,8 @@ class PropagationBehavior(str, Enum):
 class CommunityPropagationPolicy:
     """Decides which received communities an AS forwards to a given neighbor."""
 
-    behavior: PropagationBehavior = PropagationBehavior.FORWARD_ALL
+    #: The Section 4.4 behaviour; each subclass names its own.
+    behavior: ClassVar[PropagationBehavior]
 
     def outbound_communities(
         self, communities: CommunitySet, own_asn: int, neighbor_asn: int
@@ -56,7 +58,7 @@ class CommunityPropagationPolicy:
 class ForwardAllPolicy(CommunityPropagationPolicy):
     """Forward every received community untouched (Juniper default behaviour)."""
 
-    behavior: PropagationBehavior = PropagationBehavior.FORWARD_ALL
+    behavior: ClassVar[PropagationBehavior] = PropagationBehavior.FORWARD_ALL
 
     def outbound_communities(
         self, communities: CommunitySet, own_asn: int, neighbor_asn: int
@@ -69,18 +71,15 @@ class ForwardAllPolicy(CommunityPropagationPolicy):
 
 @dataclass
 class StripAllPolicy(CommunityPropagationPolicy):
-    """Remove every community on export (also models Cisco with send-community unset)."""
+    """Remove every community on export except the ones this AS added itself (its
+    own signals); also models Cisco with send-community unset."""
 
-    #: If True, communities this AS added itself are still sent (its own signals).
-    keep_own: bool = True
-    behavior: PropagationBehavior = PropagationBehavior.STRIP_ALL
+    behavior: ClassVar[PropagationBehavior] = PropagationBehavior.STRIP_ALL
 
     def outbound_communities(
         self, communities: CommunitySet, own_asn: int, neighbor_asn: int
     ) -> CommunitySet:
-        if self.keep_own:
-            return communities.keep_asn(own_asn)
-        return CommunitySet()
+        return communities.keep_asn(own_asn)
 
     def neighbor_signature(self, neighbor_asn: int) -> object:
         return None
@@ -90,7 +89,7 @@ class StripAllPolicy(CommunityPropagationPolicy):
 class StripOwnPolicy(CommunityPropagationPolicy):
     """Act-and-remove: strip communities addressed to this AS, forward the rest."""
 
-    behavior: PropagationBehavior = PropagationBehavior.STRIP_OWN
+    behavior: ClassVar[PropagationBehavior] = PropagationBehavior.STRIP_OWN
 
     def outbound_communities(
         self, communities: CommunitySet, own_asn: int, neighbor_asn: int
@@ -111,17 +110,14 @@ class SelectivePolicy(CommunityPropagationPolicy):
     """
 
     forward_to_neighbors: frozenset[int] = frozenset()
-    #: Communities always stripped regardless of neighbor (e.g. internal tags).
-    always_strip: frozenset[Community] = field(default_factory=frozenset)
-    behavior: PropagationBehavior = PropagationBehavior.SELECTIVE
+    behavior: ClassVar[PropagationBehavior] = PropagationBehavior.SELECTIVE
 
     def outbound_communities(
         self, communities: CommunitySet, own_asn: int, neighbor_asn: int
     ) -> CommunitySet:
-        remaining = communities.remove(*self.always_strip) if self.always_strip else communities
         if neighbor_asn in self.forward_to_neighbors:
-            return remaining
-        return remaining.keep_asn(own_asn)
+            return communities
+        return communities.keep_asn(own_asn)
 
     def neighbor_signature(self, neighbor_asn: int) -> object:
         # The only neighbor-dependence is allow-list membership.

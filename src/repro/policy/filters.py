@@ -30,16 +30,8 @@ class FilterDecision:
 _ACCEPT = FilterDecision(True)
 
 
-class PrefixFilter:
-    """Base class for per-neighbor inbound prefix filters."""
-
-    def evaluate(self, prefix: Prefix, origin_asn: int, is_blackhole: bool) -> FilterDecision:
-        """Return whether an announcement of ``prefix`` from ``origin_asn`` is accepted."""
-        raise NotImplementedError
-
-
 @dataclass
-class MaxPrefixLengthFilter(PrefixFilter):
+class MaxPrefixLengthFilter:
     """Reject prefixes more specific than the configured per-family maximum.
 
     Blackhole-tagged announcements get their own (longer) maximum, since
@@ -57,6 +49,7 @@ class MaxPrefixLengthFilter(PrefixFilter):
     min_blackhole_length_v6: int = 48
 
     def evaluate(self, prefix: Prefix, origin_asn: int, is_blackhole: bool) -> FilterDecision:
+        """Return whether an announcement of ``prefix`` from ``origin_asn`` is accepted."""
         if prefix.family == AddressFamily.IPV6:
             max_length = self.max_length_v6
             max_blackhole = self.max_blackhole_length_v6

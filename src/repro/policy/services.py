@@ -47,7 +47,7 @@ class CommunityServiceCatalog:
     #: Memo of :meth:`blackhole_communities`, reset by :meth:`add`.
     _blackholes: list[Community] | None = None
 
-    def __init__(self, owner_asn: int, services: Iterable[ServiceDefinition] = ()):
+    def __init__(self, owner_asn: int, services: Iterable[ServiceDefinition]):
         self.owner_asn = owner_asn
         self._services: dict[Community, ServiceDefinition] = {}
         for service in services:

@@ -56,8 +56,8 @@ class AtlasPlatform:
     def deploy(
         cls,
         topology: Topology,
-        probe_count: int = 200,
-        exclude_asns: set[int] | None = None,
+        probe_count: int,
+        exclude_asns: set[int],
     ) -> "AtlasPlatform":
         """Place up to ``probe_count`` probes in distinct, randomly chosen ASes.
 
@@ -65,7 +65,6 @@ class AtlasPlatform:
         sit) and never land in excluded ASes (e.g. the attacker or the
         injection platform).
         """
-        exclude_asns = exclude_asns or set()
         rng = DeterministicRng(11).child("atlas")
         stub_pool = [a.asn for a in topology.stub_ases() if a.asn not in exclude_asns]
         transit_pool = [a.asn for a in topology.transit_ases() if a.asn not in exclude_asns]

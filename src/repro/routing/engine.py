@@ -547,7 +547,7 @@ class BgpSimulator:
         report: SimulationReport,
         prefix: Prefix,
         origins: list[int],
-        export_cache: dict | None = None,
+        export_cache: dict,
     ) -> None:
         """Converge one prefix's worklist partition (seeded at ``origins``).
 

@@ -141,10 +141,11 @@ class Router:
     def originate(
         self,
         prefix: Prefix,
-        communities: CommunitySet | None = None,
-        origin_asn: int | None = None,
+        communities: CommunitySet | None,
+        origin_asn: int | None,
     ) -> RouteEntry:
-        """Originate ``prefix`` locally (optionally spoofing ``origin_asn`` for hijacks).
+        """Originate ``prefix`` locally (spoofing ``origin_asn`` for hijacks, ``None``
+        for an honest origination).
 
         The AS path of an originated route is just the origin ASN; the
         router's own ASN is prepended on export like any other route, so
@@ -155,10 +156,7 @@ class Router:
 
         effective_origin = origin_asn if origin_asn is not None else self.asn
         as_path = ASPath.of(effective_origin) if effective_origin != self.asn else ASPath.of()
-        attributes = PathAttributes(
-            as_path=as_path,
-            communities=communities or CommunitySet(),
-        )
+        attributes = PathAttributes(as_path=as_path, communities=communities or CommunitySet())
         self.originated[prefix] = attributes
         self._refresh_best(prefix)
         return RouteEntry(prefix, attributes, self.asn)
@@ -464,9 +462,7 @@ class Router:
             True, self._announcement(best, neighbor_asn, cache, shared_key), scope=scope
         )
 
-    def export_fanout(
-        self, prefix: Prefix, cache: dict | None = None
-    ) -> list[tuple[int, Announcement | None]]:
+    def export_fanout(self, prefix: Prefix, cache: dict) -> list[tuple[int, Announcement | None]]:
         """What each neighbor receives for ``prefix`` now, in :meth:`neighbors` order.
 
         ``None`` means "withdraw what you hold from me".  Same gates and
@@ -478,15 +474,13 @@ class Router:
         relationship, memo key)`` is constant while the batch-scoped
         ``cache`` lives (see :meth:`export_to`) and is kept in it.
         """
-        sessions = cache.get(("sessions", self.asn)) if cache is not None else None
+        sessions = cache.get(("sessions", self.asn))
         if sessions is None:
             relationships = self.neighbor_relationships
-            sessions = [
+            sessions = cache["sessions", self.asn] = [
                 (neighbor_asn, relationships[neighbor_asn], self.export_memo_key(neighbor_asn))
                 for neighbor_asn in self.neighbors()
             ]
-            if cache is not None:
-                cache["sessions", self.asn] = sessions
         best = self.loc_rib.best(prefix)
         scope = self._route_scope(best)
         if scope[0]:
@@ -505,12 +499,13 @@ class Router:
     def export_all_to(
         self,
         neighbor_asn: int,
-        cache: dict | None = None,
-        shared_key: tuple | None = None,
+        cache: dict,
+        shared_key: tuple,
     ) -> list[Announcement]:
         """Export every best route to one neighbor, in Loc-RIB order (used for collector feeds).
 
-        ``cache``/``shared_key`` are the :meth:`export_to` memo hooks.  The
+        ``cache``/``shared_key`` are the :meth:`export_to` memo hooks
+        (``shared_key`` is this session's :meth:`export_memo_key`).  The
         first session of a (router, ``shared_key``) pair builds a table in
         ``cache`` with one :meth:`export_to` per Loc-RIB prefix: ``(route
         scope, Announcement or None)``, rewritten even where only this
@@ -523,8 +518,7 @@ class Router:
         relationship_out = self.relationship_with(neighbor_asn)
         if relationship_out is None:
             return []
-        shared_key = shared_key or self.export_memo_key(neighbor_asn)
-        table = cache.get(("table", shared_key)) if cache is not None else None
+        table = cache.get(("table", shared_key))
         if table is None:
             table = []
             for best in self.loc_rib.best_routes():
@@ -534,8 +528,7 @@ class Router:
                     # Only this session's gates refused it: the others may not.
                     announcement = self._announcement(best, neighbor_asn, cache, shared_key)
                 table.append((scope, announcement))
-            if cache is not None:
-                cache["table", shared_key] = table
+            cache["table", shared_key] = table
         block = self._session_block
         return [
             announcement

@@ -47,8 +47,8 @@ from repro.routing.engine import RoutingEvent, SimulationReport, validate_shards
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.routing.engine import BgpSimulator
 
-#: Default number of buffered (origin, prefix) keys that triggers an
-#: automatic drain.
+#: The ``repro-bgp stream --window`` default: buffered (origin, prefix)
+#: keys that trigger an automatic drain.
 DEFAULT_WINDOW = 256
 
 
@@ -85,7 +85,7 @@ class SimulatorService:
     def __init__(
         self,
         simulator: "BgpSimulator",
-        window: int = DEFAULT_WINDOW,
+        window: int,
         shards: int | None = None,
     ):
         if window < 1:

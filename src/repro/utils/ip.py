@@ -107,7 +107,7 @@ def format_ipv6(value: int) -> str:
     return ":".join(format(g, "x") for g in groups)
 
 
-def mask_for_length(length: int, bits: int = IPV4_BITS) -> int:
+def mask_for_length(length: int, bits: int) -> int:
     """Return the network mask integer for a prefix length."""
     if not 0 <= length <= bits:
         raise PrefixError(f"prefix length {length} out of range for {bits}-bit addresses")
@@ -116,7 +116,7 @@ def mask_for_length(length: int, bits: int = IPV4_BITS) -> int:
     return ((1 << length) - 1) << (bits - length)
 
 
-def network_address(address: int, length: int, bits: int = IPV4_BITS) -> int:
+def network_address(address: int, length: int, bits: int) -> int:
     """Return the network (base) address of ``address/length``."""
     return address & mask_for_length(length, bits)
 
@@ -126,7 +126,7 @@ def prefix_contains(
     outer_length: int,
     inner_network: int,
     inner_length: int,
-    bits: int = IPV4_BITS,
+    bits: int,
 ) -> bool:
     """Return True if ``outer`` covers ``inner`` (outer is equal or less specific)."""
     if outer_length > inner_length:

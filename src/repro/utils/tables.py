@@ -25,7 +25,7 @@ def format_count(value: float | int) -> str:
 class Table:
     """A simple column-aligned ASCII table builder."""
 
-    def __init__(self, columns: Sequence[str], title: str | None = None):
+    def __init__(self, columns: Sequence[str], title: str):
         self.title = title
         self.columns = list(columns)
         self.rows: list[list[str]] = []
@@ -49,11 +49,7 @@ class Table:
         def render_row(cells: Sequence[str]) -> str:
             return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
 
-        lines = []
-        if self.title:
-            lines.append(self.title)
-        lines.append(render_row(self.columns))
-        lines.append("-+-".join("-" * w for w in widths))
+        lines = [self.title, render_row(self.columns), "-+-".join("-" * w for w in widths)]
         lines.extend(render_row(row) for row in self.rows)
         return "\n".join(lines)
 

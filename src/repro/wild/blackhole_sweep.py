@@ -108,7 +108,7 @@ class BlackholeSweep:
         platform: InjectionPlatform,
         atlas: AtlasPlatform,
         blackhole_list: BlackholeCommunityList,
-        include_well_known: bool = True,
+        include_well_known: bool,
     ):
         self.topology = topology
         self.platform = platform

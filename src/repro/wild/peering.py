@@ -100,7 +100,7 @@ def _next_free_slash20(topology: Topology) -> int:
 
 def attach_peering_testbed(
     topology: Topology,
-    upstream_count: int = 10,
+    upstream_count: int,
 ) -> InjectionPlatform:
     """Attach a PEERING-like multi-PoP stub AS to the topology.
 

@@ -55,7 +55,7 @@ def run_propagation_check(
     topology: Topology,
     platform: InjectionPlatform,
     deployment: CollectorDeployment,
-    community_value: int = BENIGN_COMMUNITY_VALUE,
+    community_value: int,
 ) -> PropagationCheckResult:
     """Announce a benign-community-tagged prefix from ``platform`` and measure propagation."""
     asn_part = platform.asn if platform.asn <= 0xFFFF else 0

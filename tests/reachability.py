@@ -10,7 +10,14 @@ of test files whose calls do.  Calls match by name (``x.f(...)`` and ``f(...)`` 
 call every ``f``; ``C(...)`` calls ``C.__init__``), and a call with ``*`` or ``**``
 supplies every parameter.  It then prints the converse: each defaulted parameter that
 every such call passes, so no program call relies on its default (a ``*`` / ``**`` call
-counts as relying on it).  Usage: ``python tests/reachability.py --knobs``
+counts as relying on it).  Last it prints each field of a ``src/repro`` ``@dataclass`` or
+``NamedTuple`` whose default is a setting (anything but ``default_factory=list``,
+``dict`` or ``set``, which hold results) that no code in ``src/``, ``examples/`` or
+``benchmarks/`` sets, with the number of test files that do.  A field is set by a
+constructor call of its class or a subclass (``cls(...)`` in a method counts), by
+keyword or by position; by ``tuple.__new__``, which sets every field; by a ``replace``
+/ ``_replace`` keyword; or by an attribute assignment, matched by name.
+Usage: ``python tests/reachability.py --knobs``
 
 ``--lines`` runs the same outputs under ``sys.settrace`` and, inside each function they
 enter, prints every statement none of them runs, grouped by module: a statement nested in
@@ -26,6 +33,7 @@ import os
 import runpy
 import sys
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,8 +141,8 @@ def always_supplied(sites, called, keyword, position) -> int:
 
 
 def knobs() -> None:
-    """Print every defaulted ``src/repro`` parameter no program call supplies, then
-    every one all program calls supply."""
+    """Print every defaulted ``src/repro`` parameter no program call supplies, every
+    one all program calls supply, then every dataclass / NamedTuple field no program sets."""
     program = [p for top in ("src", "examples", "benchmarks") for p in sorted((ROOT / top).rglob("*.py"))]
     sites = call_sites(program)
     tests = [call_sites([path]) for path in sorted((ROOT / "tests").rglob("*.py"))]
@@ -159,6 +167,148 @@ def knobs() -> None:
         print(path.relative_to(ROOT))
         print("\n".join(row for where, row in unread if where == path))
     print(f"{len(unread)} defaults no program call relies on (column: calls that pass the parameter)")
+    sources = {path: path.read_text() for path in sorted((ROOT / "src" / "repro").rglob("*.py"))}
+    program_setters = setters(path.read_text() for path in program)
+    test_setters = [setters([path.read_text()]) for path in sorted((ROOT / "tests").rglob("*.py"))]
+    rows, fields = unset_fields(sources, program_setters), fields_of(sources)
+    for path in dict.fromkeys(path for path, _field in rows):
+        print(path.relative_to(ROOT))
+        for _path, (owner, name) in (row for row in rows if row[0] == path):
+            tested = sum(is_set(s, fields, owner, name) for s in test_setters)
+            print(f"  {tested:5d}  {owner}.{name}")
+    print(f"{len(rows)} fields no program sets (column: test files that set it)")
+
+
+#: ``default_factory`` callables whose field holds results, not a setting.
+RESULT_FACTORIES = {"list", "dict", "set"}
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """True for a ``@dataclass`` or a ``NamedTuple`` class."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(_name(d) == "dataclass" for d in decorators) or any(_name(b) == "NamedTuple" for b in node.bases)
+
+
+def _own_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """``(field, True if its default is a setting)`` per constructor field, in order."""
+    fields = []
+    for statement in node.body:
+        if not isinstance(statement, ast.AnnAssign) or not isinstance(statement.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(statement.annotation):
+            continue
+        value, setting = statement.value, statement.value is not None
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            factory = keywords.get("default_factory")
+            setting = "default" in keywords or (factory is not None and _name(factory) not in RESULT_FACTORIES)
+        fields.append((statement.target.id, setting))
+    return fields
+
+
+def fields_of(sources: dict) -> dict[str, list[tuple[str, str, bool]]]:
+    """Each class name in ``sources`` (path -> text) -> its constructor fields in order,
+    inherited ones first, as ``(defining class, field, True if a setting)``."""
+    classes = {}
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                own = [(node.name, name, setting) for name, setting in _own_fields(node)] if _is_record(node) else []
+                classes[node.name] = ([_name(b) for b in node.bases], own)
+
+    def resolve(name: str, seen: frozenset = frozenset()) -> list:
+        if name not in classes or name in seen:
+            return []
+        bases, own = classes[name]
+        inherited = [f for base in bases for f in resolve(base, seen | {name})]
+        return inherited + [f for f in own if f[1] not in {g[1] for g in inherited}]
+
+    return {name: resolve(name) for name in classes}
+
+
+@dataclass
+class Setters:
+    """What a set of sources sets, read by :func:`is_set`."""
+
+    #: Class name -> ``(positional count, keywords)`` per constructor call, keywords
+    #: ``None`` for a ``*`` / ``**`` call (which sets every field).
+    calls: dict[str, list[tuple[int, set[str] | None]]] = field(default_factory=dict)
+    #: Classes built by ``tuple.__new__``, which sets every field.
+    whole: set[str] = field(default_factory=set)
+    #: Field names passed to ``replace`` / ``_replace`` or assigned as an attribute.
+    named: set[str] = field(default_factory=set)
+
+
+def setters(texts) -> Setters:
+    """Everything the sources ``texts`` set (``cls`` is the enclosing class)."""
+    found = Setters()
+
+    def visit(node, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Call):
+            name = _name(node.func)
+            name = cls if name == "cls" else name
+            parts = [node.func, *node.args]
+            for first, second in zip(parts, parts[1:]):
+                if _name(first) == "__new__" and _name(getattr(first, "value", None)) == "tuple":
+                    found.whole.add(cls if _name(second) == "cls" else _name(second))
+            keywords = {k.arg for k in node.keywords}
+            if name in ("replace", "_replace"):
+                found.named |= keywords - {None}
+            elif name in ("setattr", "__setattr__") and len(node.args) > 1:
+                if isinstance(node.args[1], ast.Constant):
+                    found.named.add(node.args[1].value)
+            if name is not None:
+                star = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                found.calls.setdefault(name, []).append((0, None) if star else (len(node.args), keywords))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Attribute):
+                        found.named.add(part.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for text in texts:
+        visit(ast.parse(text), None)
+    return found
+
+
+def is_set(found: Setters, fields: dict, owner: str, name: str) -> bool:
+    """True if ``found`` sets field ``name`` of class ``owner``, through ``owner`` or
+    any subclass's constructor."""
+    if name in found.named:
+        return True
+    for cls, row in fields.items():
+        position = next((i for i, f in enumerate(row) if f[:2] == (owner, name)), None)
+        if position is None:
+            continue
+        if cls in found.whole:
+            return True
+        for count, keywords in found.calls.get(cls, ()):
+            if keywords is None or name in keywords or count > position:
+                return True
+    return False
+
+
+def unset_fields(sources: dict, found: Setters) -> list[tuple[object, tuple[str, str]]]:
+    """``(path, (class, field))`` of each dataclass / NamedTuple field in ``sources``
+    (path -> text) whose default is a setting that ``found`` never sets."""
+    fields = fields_of(sources)
+    rows = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                for name, setting in _own_fields(node):
+                    if setting and not is_set(found, fields, node.name, name):
+                        rows.append((path, (node.name, name)))
+    return rows
 
 
 def traced() -> tuple[set[tuple[str, int]], set[tuple[str, int]]]:

@@ -68,7 +68,7 @@ class TestRtbh:
         topology.get_as(3).services = None
         roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
         with pytest.raises(AttackError):
-            RtbhAttack(topology, roles, VICTIM_FIG7)
+            RtbhAttack(topology, roles, VICTIM_FIG7, use_hijack=False)
 
     def test_as4_as_community_target_via_propagation(self):
         # The same attack works against AS4's service when AS3 propagates communities.
@@ -100,7 +100,7 @@ class TestSteering:
 class TestFeasibilityMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
-        return build_feasibility_matrix()
+        return build_feasibility_matrix(seed=42)
 
     def test_hijack_rows_mention_irr(self, matrix):
         for row in matrix.rows:

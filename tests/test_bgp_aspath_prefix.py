@@ -27,7 +27,7 @@ class TestASPath:
         assert path.origin_asn is None
         assert path.asns() == []
         assert len(path) == 0
-        assert path == ASPath()
+        assert path == ASPath(())
 
     def test_prepending_removal(self):
         path = ASPath.of(3, 3, 3, 2, 1)
@@ -38,12 +38,12 @@ class TestASPath:
         assert type(path) is ASPath
         assert path == ASPath.of(9, 9, 9, 2, 1)
         assert len(path) == 5  # every prepended copy is a hop
-        assert ASPath.of().prepend(7) == ASPath.of(7)
+        assert ASPath.of().prepend(7, 1) == ASPath.of(7)
         assert path.prepend(10, 0) is path
 
     def test_prepend_validates_the_asn(self):
         with pytest.raises(ASPathError):
-            ASPath.of(1).prepend(1 << 32)
+            ASPath.of(1).prepend(1 << 32, 1)
 
     def test_prepend_rejects_negative(self):
         with pytest.raises(ASPathError):
@@ -64,7 +64,7 @@ class TestASPath:
         assert ASPath.of(1, 2) == ASPath.of(1, 2)
         assert hash(ASPath.of(1, 2)) == hash(ASPath.of(1, 2))
         assert ASPath.of(1, 2) != ASPath.of(2, 1)
-        prepended = ASPath.of(2).prepend(1)
+        prepended = ASPath.of(2).prepend(1, 1)
         assert prepended == ASPath.of(1, 2) and hash(prepended) == hash(ASPath.of(1, 2))
 
     @given(st.lists(st.integers(1, 100000), min_size=1, max_size=12))
@@ -130,7 +130,7 @@ class TestPrefix:
 
     def test_subprefix_rejects_shorter(self):
         with pytest.raises(PrefixError):
-            Prefix.from_string("10.0.0.0/24").subprefix(16)
+            Prefix.from_string("10.0.0.0/24").subprefix(16, 0)
 
     def test_subprefix_rejects_bad_index(self):
         with pytest.raises(PrefixError):

@@ -23,7 +23,7 @@ from repro.bgp.message import (
     encode_path_attributes,
     encode_update,
 )
-from repro.bgp.prefix import Prefix
+from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Announcement, RouteEntry
 from repro.collectors.observation import ObservationArchive, RouteObservation
@@ -201,14 +201,14 @@ class TestUpdateCodec:
             withdrawn=[Prefix.from_string("198.51.100.0/24")],
             attributes=make_attributes(),
         )
-        decoded = decode_update(encode_update(update))
+        decoded = decode_update(encode_update(update), AddressFamily.IPV4, True)
         assert decoded.announced == update.announced
         assert decoded.withdrawn == update.withdrawn
         assert decoded.attributes == update.attributes
 
     def test_withdrawal_only(self):
         update = BgpUpdate(withdrawn=[Prefix.from_string("192.0.2.0/24")])
-        decoded = decode_update(encode_update(update))
+        decoded = decode_update(encode_update(update), AddressFamily.IPV4, True)
         assert decoded.withdrawn == update.withdrawn
         assert not decoded.announced
 
@@ -217,14 +217,14 @@ class TestUpdateCodec:
                                                  attributes=make_attributes())))
         data[0] = 0x00
         with pytest.raises(MessageError):
-            decode_update(bytes(data))
+            decode_update(bytes(data), AddressFamily.IPV4, True)
 
     def test_decode_rejects_truncation(self):
         data = encode_update(
             BgpUpdate(announced=[Prefix.from_string("10.0.0.0/8")], attributes=make_attributes())
         )
         with pytest.raises(MessageError):
-            decode_update(data[:-3])
+            decode_update(data[:-3], AddressFamily.IPV4, True)
 
     def test_decode_rejects_wrong_length_header(self):
         data = bytearray(
@@ -234,7 +234,7 @@ class TestUpdateCodec:
         )
         data[16] = 0xFF  # corrupt the length field
         with pytest.raises(MessageError):
-            decode_update(bytes(data))
+            decode_update(bytes(data), AddressFamily.IPV4, True)
 
     @pytest.mark.parametrize(
         "attribute, name",
@@ -257,7 +257,7 @@ class TestUpdateCodec:
         with pytest.raises(MessageError, match=f"repeated {name} attribute"):
             decode_path_attributes(section)
         with pytest.raises(MessageError, match=f"repeated {name} attribute"):
-            decode_update(update_message(section))
+            decode_update(update_message(section), AddressFamily.IPV4, True)
 
     @pytest.mark.parametrize(
         "missing, name",
@@ -268,7 +268,7 @@ class TestUpdateCodec:
         # With none of the three it was read as a route with an empty AS path.
         present = [a for i, a in enumerate(MANDATORY_ATTRIBUTES) if i not in missing]
         with pytest.raises(MessageError, match=f"announces NLRI without the {name} attribute"):
-            decode_update(update_message(attribute_bytes(*present), nlri=bytes([8, 10])))
+            decode_update(update_message(attribute_bytes(*present), nlri=bytes([8, 10])), AddressFamily.IPV4, True)
 
     @pytest.mark.parametrize(
         "attribute", [(1, 0x40, b"\x00")] + [(code, 0xC0, b"") for code in (2, 3, 5, 8)],
@@ -296,7 +296,7 @@ class TestUpdateCodec:
             attributes=make_attributes(),
             unknown_attributes=[(99, 0xC0, b"\x01\x02")],
         )
-        decoded = decode_update(encode_update(update))
+        decoded = decode_update(encode_update(update), AddressFamily.IPV4, True)
         assert decoded.unknown_attributes == [(99, 0xC0, b"\x01\x02")]
 
     @pytest.mark.parametrize(
@@ -327,7 +327,7 @@ class TestUpdateCodec:
             unknown_attributes=list(unknown),
         )
         data = encode_update(update)
-        decoded = decode_update(data)
+        decoded = decode_update(data, AddressFamily.IPV4, True)
         assert decoded == update
         assert hash(decoded.attributes) == hash(update.attributes)
         assert encode_update(decoded) == data
@@ -348,7 +348,7 @@ class TestUpdateCodec:
                 communities=CommunitySet(Community(a, v) for a, v in communities),
             ),
         )
-        decoded = decode_update(encode_update(update))
+        decoded = decode_update(encode_update(update), AddressFamily.IPV4, True)
         assert set(decoded.announced) == set(update.announced)
         assert decoded.attributes.communities == update.attributes.communities
         assert decoded.attributes.as_path == update.attributes.as_path
@@ -464,7 +464,7 @@ class TestMrt:
     )
     def test_a_malformed_attribute_is_a_message_error(self, attribute, message):
         with pytest.raises(MessageError, match=message):
-            decode_update(update_message(attribute_bytes(attribute)))
+            decode_update(update_message(attribute_bytes(attribute)), AddressFamily.IPV4, True)
 
     @pytest.mark.parametrize("field", ["peer_asn", "local_asn"])
     @pytest.mark.parametrize("asn", [1 << 32, (1 << 32) + 10, -1])
@@ -605,7 +605,7 @@ class TestTwoByteAsRecords:
         extra = b"".join(bytes([flags, code, len(data)]) + data for code, flags, data in opaque)
         (message,) = messages_of(two_byte_as_record(extra=extra))
         assert message.update.unknown_attributes == opaque
-        again = decode_update(encode_update(message.update))
+        again = decode_update(encode_update(message.update), AddressFamily.IPV4, True)
         assert again.unknown_attributes == opaque
         assert again == message.update
 
@@ -630,9 +630,9 @@ class TestTwoByteAsRecords:
             announced=[Prefix.from_string("10.0.0.0/8")],
             attributes=PathAttributes(as_path=ASPath.of(70000, 1)),
         )
-        assert decode_update(encode_update(update)).attributes.as_path == ASPath.of(70000, 1)
+        assert decode_update(encode_update(update), AddressFamily.IPV4, True).attributes.as_path == ASPath.of(70000, 1)
         with pytest.raises(MessageError):
-            decode_update(encode_update(update), as4=False)
+            decode_update(encode_update(update), AddressFamily.IPV4, as4=False)
 
 
 def as_path_segments(section: bytes) -> list[tuple[int, int]]:
@@ -681,7 +681,7 @@ class TestAsPathSegments:
     )
     def test_a_path_is_written_as_sequences_of_at_most_255(self, length, counts):
         path = ASPath.of(*range(1, length + 1))
-        section = encode_path_attributes(PathAttributes(as_path=path))
+        section = encode_path_attributes(PathAttributes(as_path=path), ())
         assert as_path_segments(section) == [(2, count) for count in counts]
         decoded, unknown = decode_path_attributes(section)
         assert decoded.as_path == path and hash(decoded.as_path) == hash(path)
@@ -849,6 +849,25 @@ class TestSubSecondTimestamps:
         assert path.stat().st_size == 2 * (12 + len(records[0].payload)) + 4
         assert decode_bgp4mp_message(records[1]).microseconds == 250_000
         assert [o.timestamp for o in ObservationArchive.from_mrt(path)] == [self.T, self.T + 0.25]
+
+    def test_a_zero_microsecond_et_record_reads_the_same_and_writes_back_plain(self, tmp_path):
+        # RFC 6396 allows a BGP4MP_ET record whose microsecond field is 0;
+        # the writer never makes one.  Read -> write keeps its rows, and
+        # gives the plain BGP4MP framing, 4 bytes shorter.
+        path = tmp_path / "plain.mrt"
+        ObservationArchive([observation(communities=CommunitySet())]).write_mrt(path)
+        plain = path.read_bytes()
+        timestamp, _mrt_type, subtype, length = struct.unpack("!IHHI", plain[:12])
+        twin = tmp_path / "et.mrt"
+        twin.write_bytes(
+            struct.pack("!IHHII", timestamp, MrtType.BGP4MP_ET, subtype, length + 4, 0) + plain[12:]
+        )
+        assert (len(plain), twin.stat().st_size) == (83, 87)
+        read = ObservationArchive.from_mrt(twin)
+        assert list(read) == list(ObservationArchive.from_mrt(path))
+        again = tmp_path / "again.mrt"
+        assert read.write_mrt(again) == 1
+        assert again.read_bytes() == plain
 
     def test_rounding_to_microseconds_carries_into_the_seconds(self, tmp_path):
         _path, records = self.write(tmp_path, self.T + 0.9999997)

@@ -16,8 +16,8 @@ from repro.collectors.platform import Collector, CollectorDeployment, CollectorP
 from repro.datasets.communities_db import CommunityUsageModel
 from repro.datasets.giotsas import build_blackhole_list
 from repro.datasets.synthetic import DatasetParameters, SyntheticDatasetBuilder
-from repro.datasets.timeseries import GrowthModel, YearlySnapshot
 from repro.exceptions import CollectorError, DatasetError
+from repro.measurement.timeseries import growth_table
 from repro.routing.engine import BgpSimulator
 from repro.attacks.scenario import build_figure2_topology
 from repro.utils.rand import DeterministicRng
@@ -168,6 +168,19 @@ class TestArchiveIndexes:
             else:
                 _check_against_scan(archive, rows, step)
         _check_against_scan(archive, rows, _QUERY_KINDS)
+
+    def test_a_memoised_query_sees_rows_appended_by_extend(self):
+        first = [make_observation()]
+        later = [
+            make_observation(peer=20, communities=("20:1",)),
+            make_observation(peer=30, prefix="2001:db8::/32"),
+        ]
+        archive = ObservationArchive(first)
+        _check_against_scan(archive, first, _QUERY_KINDS)  # warms every memo
+        assert archive.derived(len) == 1
+        archive.extend(iter(later))
+        assert archive.derived(len) == 3
+        _check_against_scan(archive, first + later, _QUERY_KINDS)
 
     def test_results_are_the_callers_own(self):
         archive = ObservationArchive([make_observation()])
@@ -355,21 +368,9 @@ class TestSyntheticDataset:
 
 
 class TestTimeseries:
-    def test_series_is_monotone(self):
-        series = GrowthModel().series(YearlySnapshot(2018, 5659, 63797, 7_000_000_000, 967_499))
+    def test_series_is_monotone(self, archive):
+        series = growth_table(archive)
         assert [s.year for s in series] == list(range(2010, 2019))
         for earlier, later in zip(series, series[1:]):
             assert later.unique_communities > earlier.unique_communities
             assert later.unique_ases_in_communities >= earlier.unique_ases_in_communities
-
-    def test_final_year_increase_matches_model(self):
-        model = GrowthModel(community_growth_rate=0.18)
-        series = model.series(
-            YearlySnapshot(2018, 5659, 63797, 7_000_000_000, 967_499)
-        )
-        increase = series[-1].unique_communities / series[-2].unique_communities - 1.0
-        assert 0.15 <= increase <= 0.22
-
-    def test_year_mismatch_rejected(self):
-        with pytest.raises(DatasetError):
-            GrowthModel(final_year=2018).series(YearlySnapshot(2017, 1, 1, 1, 1))

@@ -69,19 +69,18 @@ class TestEmptyArchive:
         archive = ObservationArchive()
         assert len(archive) == 0
         assert overall_update_community_fraction(archive) == 0.0
-        assert dataset_overview(archive) == [
-            dataset_overview(archive)[0]
-        ]  # only the Total row
-        assert dataset_overview(archive)[0].messages == 0
+        overview = dataset_overview(archive, Topology())
+        assert overview == [overview[0]]  # only the Total row
+        assert overview[0].messages == 0
         distributions = communities_per_update_ecdf(archive)
         assert distributions.fraction_with_more_than(0) == 0.0
         summary = observed_as_summary(archive)[-1]
         assert summary.total == 0
-        distances = propagation_distance_ecdf(archive)
+        distances = propagation_distance_ecdf(archive, set())
         assert len(distances.all_communities) == 0
         assert transit_forwarders(archive).forwarder_count == 0
         assert transit_forwarders(archive).forwarder_fraction == 0.0
-        ranking = top_values(archive)
+        ranking = top_values(archive, 10)
         assert ranking.on_path == [] and ranking.off_path == []
         inference = infer_filtering(archive)
         assert inference.total_edges_observed == 0
@@ -158,7 +157,7 @@ class TestAttackFailureInjection:
         topology = build_figure7_topology()
         roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=99)
         with pytest.raises(TopologyError):
-            RtbhAttack(topology, roles, Prefix.from_string("203.0.113.0/24"))
+            RtbhAttack(topology, roles, Prefix.from_string("203.0.113.0/24"), use_hijack=False)
 
     def test_wild_experiment_without_rtbh_providers(self):
         from repro.probing.atlas import AtlasPlatform, VantagePoint

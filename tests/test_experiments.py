@@ -411,7 +411,7 @@ def worker_death_experiment():
 
         def execute(self, ctx):
             markers = Path(self.param("markers"))
-            cell = self.int_param("cell", 0)
+            cell = self.int_param("cell", 0, minimum=0)
             if self.bool_param("die"):
                 # Wait until the two surviving cells have run, so which
                 # cells complete does not depend on scheduling.
@@ -639,6 +639,16 @@ class TestWorkerBudget:
             assert result.error.startswith("ExperimentError: experiment parameter 'upstream_count'")
         assert run_experiment(cls.default_spec(seed=3, upstream_count=3)).status is ExperimentStatus.OK
 
+    def test_steering_hijack_is_refused_where_no_prepend_variant_reads_it(self):
+        # The local-pref variant never reads the flag, yet the spec recorded it.
+        cls = get("steering")
+        result = run_experiment(cls.default_spec(variant="local-pref", hijack=True))
+        assert result.status is ExperimentStatus.ERROR
+        assert result.error.startswith("ExperimentError: experiment parameter 'hijack'")
+        for variant in ("prepend", "both"):
+            assert run_experiment(cls.default_spec(variant=variant, hijack=True)).status is ExperimentStatus.OK
+        assert run_experiment(cls.default_spec(variant="local-pref", hijack=False)).status is ExperimentStatus.OK
+
     @pytest.mark.parametrize(
         "name, param",
         [
@@ -667,5 +677,5 @@ class TestWorkerBudget:
     def test_integral_floats_and_digit_strings_still_count_as_integers(self):
         cls = get("rtbh-wild")
         experiment = cls(cls.default_spec(seed=3, probes=5.0, upstream_count="2"))
-        assert experiment.int_param("probes", 200) == 5
-        assert experiment.int_param("upstream_count", 10) == 2
+        assert experiment.int_param("probes", 200, minimum=1) == 5
+        assert experiment.int_param("upstream_count", 10, minimum=0) == 2

@@ -101,14 +101,10 @@ class TestPropagationPolicies:
         assert policy.outbound_communities(self.COMMUNITIES, 10, 99) == self.COMMUNITIES
         assert policy.behavior == PropagationBehavior.FORWARD_ALL
 
-    def test_strip_all_keeps_own_by_default(self):
+    def test_strip_all_keeps_own(self):
         policy = StripAllPolicy()
         out = policy.outbound_communities(self.COMMUNITIES, 10, 99)
         assert list(out) == [Community(10, 1)]
-
-    def test_strip_all_fully(self):
-        policy = StripAllPolicy(keep_own=False)
-        assert len(policy.outbound_communities(self.COMMUNITIES, 10, 99)) == 0
 
     def test_strip_own(self):
         policy = StripOwnPolicy()
@@ -121,14 +117,6 @@ class TestPropagationPolicies:
         assert policy.outbound_communities(self.COMMUNITIES, 10, 99) == self.COMMUNITIES
         restricted = policy.outbound_communities(self.COMMUNITIES, 10, 42)
         assert list(restricted) == [Community(10, 1)]
-
-    def test_selective_always_strip(self):
-        policy = SelectivePolicy(
-            forward_to_neighbors=frozenset({99}), always_strip=frozenset({Community(30, 3)})
-        )
-        out = policy.outbound_communities(self.COMMUNITIES, 10, 99)
-        assert Community(30, 3) not in out
-        assert Community(20, 2) in out
 
 
 class TestServiceCatalog:
@@ -147,7 +135,7 @@ class TestServiceCatalog:
         assert [s.community.value for s in triggered] == [421, 423]
 
     def test_duplicate_definition_rejected(self):
-        catalog = CommunityServiceCatalog(1)
+        catalog = CommunityServiceCatalog(1, [])
         catalog.add(ServiceDefinition(Community(1, 1), PrependAction(1)))
         with pytest.raises(PolicyError):
             catalog.add(ServiceDefinition(Community(1, 1), PrependAction(2)))

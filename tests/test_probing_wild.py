@@ -123,7 +123,7 @@ class TestInjectionPlatforms:
     def test_cannot_attach_twice(self, wild_setup):
         topology, peering, *_ = wild_setup
         with pytest.raises(TopologyError):
-            attach_peering_testbed(topology)
+            attach_peering_testbed(topology, upstream_count=8)
 
     def test_aup_blocks_hijack_from_peering(self, wild_setup):
         topology, peering, *_ = wild_setup
@@ -214,7 +214,7 @@ class TestSection7:
     def test_blackhole_sweep(self, wild_setup):
         topology, peering, _research, atlas = wild_setup
         blackhole_list = build_blackhole_list(topology, seed=5)
-        sweep = BlackholeSweep(topology, peering, atlas, blackhole_list)
+        sweep = BlackholeSweep(topology, peering, atlas, blackhole_list, include_well_known=True)
         result = sweep.run(confirm=True)
         assert result.probe_count == len(atlas.vantage_points)
         assert len(result.outcomes) == len(blackhole_list.verified()) + 1
@@ -248,7 +248,7 @@ class TestSection7:
             return outcome
 
         monkeypatch.setattr(BlackholeSweep, "_sweep_one", second_pass_loses_one_more)
-        result = BlackholeSweep(topology, peering, atlas, blackhole_list).run(confirm=True)
+        result = BlackholeSweep(topology, peering, atlas, blackhole_list, include_well_known=True).run(confirm=True)
         assert tampered
         first = {o.community for o in outcomes[: first_pass - 1] if o.induced_blackholing}
         assert first == {o.community for o in outcomes[first_pass:] if o.induced_blackholing}
@@ -272,7 +272,7 @@ class TestSection7:
             topology,
             ctx.platform("peering"),
             ctx.platform("atlas"),
-            build_blackhole_list(topology, inferred_count=experiment.int_param("inferred_count", 0), seed=seed),
+            build_blackhole_list(topology, inferred_count=experiment.int_param("inferred_count", 0, minimum=0), seed=seed),
             include_well_known=experiment.bool_param("include_well_known"),
         ).run(confirm=experiment.bool_param("confirm"))
         swept = ctx.scratch["sweep"]

@@ -79,7 +79,7 @@ def two_as_router() -> Router:
 class TestRouter:
     def test_origination_and_export(self):
         router = two_as_router()
-        router.originate(PREFIX)
+        router.originate(PREFIX, communities=None, origin_asn=None)
         decision = router.export_to(20, PREFIX)
         assert decision.export
         assert decision.announcement.attributes.as_path.asns() == [10]
@@ -184,7 +184,7 @@ class TestRouter:
     def test_export_additions(self):
         router = two_as_router()
         router.export_community_additions[20] = CommunitySet.of("99:666")
-        router.originate(PREFIX)
+        router.originate(PREFIX, communities=None, origin_asn=None)
         exported = router.export_to(20, PREFIX).announcement
         assert Community(99, 666) in exported.attributes.communities
 
@@ -255,7 +255,7 @@ class TestRouter:
 
         asys = AutonomousSystem(asn=10, propagation_policy=ForwardAllPolicy())
         router = Router(asys, {20: Relationship.PEER, 30: Relationship.CUSTOMER})
-        router.originate(PREFIX, communities=CommunitySet.of(NO_PEER))
+        router.originate(PREFIX, communities=CommunitySet.of(NO_PEER), origin_asn=None)
         peer_decision = router.export_to(20, PREFIX)
         assert not peer_decision.export
         assert peer_decision.reason == "NO_PEER"
@@ -267,7 +267,7 @@ class TestRouter:
         # AS0 is falsy: the old `origin_asn or self.asn` fallback silently
         # rewrote an AS0-origin hijack into a legitimate-looking origin.
         router = two_as_router()
-        router.originate(PREFIX, origin_asn=0)
+        router.originate(PREFIX, communities=None, origin_asn=0)
         decision = router.export_to(30, PREFIX)
         assert decision.export
         assert decision.announcement.origin_asn == 0
@@ -357,7 +357,7 @@ class TestSimulator:
         prefix = Prefix.from_string("198.51.100.0/24")
         simulator.announce(1, prefix)
         simulator.register_collector_peering(4, 65100)
-        exports = simulator.router(4).export_all_to(65100)
+        exports = simulator.router(4).export_all_to(65100, {}, simulator.router(4).export_memo_key(65100))
         assert any(a.prefix == prefix for a in exports)
 
     def test_strip_all_policy_limits_community_propagation(self):
@@ -555,7 +555,7 @@ class TestFlatRecords:
 
         router = simulator.routers[events[0].origin_asn]
         best = router.loc_rib.best(events[0].prefix)
-        announcement = next(a for _, a in router.export_fanout(events[0].prefix) if a is not None)
+        announcement = next(a for _, a in router.export_fanout(events[0].prefix, {}) if a is not None)
         fib_entry = dataplane.fibs[router.asn].get(events[0].prefix)
         for record in (best, router.loc_rib.candidates(best.prefix)[0], announcement, fib_entry):
             for name in record._fields:
@@ -578,8 +578,8 @@ class TestFlatRecords:
             AutonomousSystem(asn=10, propagation_policy=ForwardAllPolicy()),
             {asn: Relationship.CUSTOMER for asn in (20, 30, 40)},
         )
-        router.originate(PREFIX)
-        sent = [announcement for _, announcement in router.export_fanout(PREFIX)]
+        router.originate(PREFIX, communities=None, origin_asn=None)
+        sent = [announcement for _, announcement in router.export_fanout(PREFIX, {})]
         assert sent[0] is sent[1] is sent[2] is not None
 
 

@@ -215,7 +215,7 @@ class TestSchedulerEdgeCases:
         with pytest.raises(RoutingError, match=message):
             simulator.apply(events, shards=value)
         with pytest.raises(RoutingError, match=message):
-            SimulatorService(simulator, shards=value)
+            SimulatorService(simulator, window=4, shards=value)
         deployment = CollectorDeployment.default_deployment(topology, seed=7)
         with pytest.raises(RoutingError, match=message):
             deployment.collect_from_simulator(simulator, shards=value)

@@ -121,7 +121,7 @@ class TestSimulatorService:
 
     def test_drain_empty_is_a_noop(self):
         simulator = BgpSimulator(small_topology(), shards=1)
-        service = SimulatorService(simulator)
+        service = SimulatorService(simulator, window=DEFAULT_WINDOW)
         assert service.window == DEFAULT_WINDOW
         report = service.drain()
         assert isinstance(report, SimulationReport)

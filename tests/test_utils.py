@@ -88,26 +88,26 @@ class TestIpv6:
 
 class TestMasks:
     def test_mask_24(self):
-        assert mask_for_length(24) == 0xFFFFFF00
+        assert mask_for_length(24, 32) == 0xFFFFFF00
 
     def test_mask_0(self):
-        assert mask_for_length(0) == 0
+        assert mask_for_length(0, 32) == 0
 
     def test_mask_32(self):
-        assert mask_for_length(32) == 0xFFFFFFFF
+        assert mask_for_length(32, 32) == 0xFFFFFFFF
 
     def test_mask_rejects_invalid(self):
         with pytest.raises(PrefixError):
-            mask_for_length(33)
+            mask_for_length(33, 32)
 
     def test_network_address(self):
-        assert network_address(parse_ipv4("192.0.2.77"), 24) == parse_ipv4("192.0.2.0")
+        assert network_address(parse_ipv4("192.0.2.77"), 24, 32) == parse_ipv4("192.0.2.0")
 
     def test_contains(self):
         outer = parse_ipv4("10.0.0.0")
         inner = parse_ipv4("10.1.2.0")
-        assert prefix_contains(outer, 8, inner, 24)
-        assert not prefix_contains(inner, 24, outer, 8)
+        assert prefix_contains(outer, 8, inner, 24, 32)
+        assert not prefix_contains(inner, 24, outer, 8, 32)
 
 
 # -------------------------------------------------------------------- stats
@@ -279,7 +279,7 @@ class TestTables:
         assert len(lines) == 5  # title, header, separator, two rows
 
     def test_wrong_column_count_rejected(self):
-        table = Table(["A", "B"])
+        table = Table(["A", "B"], title="demo")
         with pytest.raises(ValueError):
             table.add_row(["only one"])
 
