@@ -21,7 +21,7 @@ from repro.experiments import get
 
 def main() -> None:
     experiment_cls = get("blackhole-sweep")
-    spec = experiment_cls.default_spec(seed=23, probes=200, inferred_count=8).replace(
+    spec = experiment_cls.default_spec(seed=23, probes=200).replace(
         topology={"tier1_count": 3, "transit_count": 30, "stub_count": 120}
     )
     experiment = experiment_cls(spec)

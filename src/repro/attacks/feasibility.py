@@ -231,9 +231,7 @@ class FeasibilityExperiment(Experiment):
 
     description = "Table 3 feasibility matrix: every attack, with and without hijack"
     paper_section = "Section 6"
-
-    def build(self, ctx: ExperimentContext) -> None:
-        self.reject_topology_spec(ctx)
+    canonical_topology = True
 
     def execute(self, ctx: ExperimentContext) -> dict:
         matrix = build_feasibility_matrix(seed=ctx.spec.seed)

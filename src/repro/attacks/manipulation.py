@@ -19,7 +19,7 @@ from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Announcement
-from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
+from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.routing.route_server import RouteServer
 from repro.topology.ixp import Ixp
 from repro.topology.topology import Topology
@@ -117,14 +117,13 @@ class RouteManipulationExperiment(Experiment):
 
     description = "suppress a member's route at an IXP route server (Figure 9)"
     paper_section = "Section 5.3"
-    default_params = {"member_count": 6, "victim_prefix": "203.0.113.0/24"}
+    canonical_topology = True
+    parameters = (Param("victim_prefix", "203.0.113.0/24", "prefix"),)
 
     def build(self, ctx: ExperimentContext) -> None:
         from repro.attacks.scenario import build_figure9_ixp
 
-        self.reject_topology_spec(ctx)
-        # The scenario's IXP has three fixed members (AS1, AS2 and AS4).
-        topology, ixp = build_figure9_ixp(member_count=self.int_param("member_count", 6, minimum=3))
+        topology, ixp = build_figure9_ixp()
         ctx.topology = topology
         ctx.scratch["ixp"] = ixp
 

@@ -23,7 +23,7 @@ from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.exceptions import AttackError
-from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
+from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
 
@@ -193,12 +193,15 @@ class RtbhLabExperiment(Experiment):
 
     description = "RTBH on the Figure 7 topology, with or without hijack"
     paper_section = "Section 5.1"
-    default_params = {"hijack": False, "victim_prefix": "203.0.113.0/24"}
+    canonical_topology = True
+    parameters = (
+        Param("hijack", False, "bool"),
+        Param("victim_prefix", "203.0.113.0/24", "prefix"),
+    )
 
     def build(self, ctx: ExperimentContext) -> None:
         from repro.attacks.scenario import build_figure7_topology
 
-        self.reject_topology_spec(ctx)
         ctx.topology = build_figure7_topology()
 
     def execute(self, ctx: ExperimentContext) -> dict:

@@ -144,7 +144,11 @@ def build_figure8b_topology() -> Topology:
     return topology
 
 
-def build_figure9_ixp(member_count: int = 6) -> tuple[Topology, Ixp]:
+#: Members of the Figure 9 IXP: the three the scenario names and three more.
+FIGURE9_MEMBER_COUNT = 6
+
+
+def build_figure9_ixp() -> tuple[Topology, Ixp]:
     """The route-manipulation-at-an-IXP scenario of Figure 9.
 
     AS1 (attackee-2 / origin), AS2 (attacker) and AS4 (attackee-1) are
@@ -154,7 +158,7 @@ def build_figure9_ixp(member_count: int = 6) -> tuple[Topology, Ixp]:
     """
     topology = Topology()
     rs_asn = 9000
-    members = [1, 2, 4] + [10 + i for i in range(max(0, member_count - 3))]
+    members = [1, 2, 4] + [10 + i for i in range(FIGURE9_MEMBER_COUNT - 3)]
     topology.add_as(AutonomousSystem(asn=rs_asn, role=AsRole.IXP, name="IXP-RS"))
     for member in members:
         topology.add_as(_transit_as(member))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from repro.attacks.scenario import AttackOutcome, ScenarioRoles
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
-from repro.exceptions import AttackError, ExperimentError
-from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
+from repro.exceptions import AttackError
+from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.policy.actions import ActionType
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
@@ -226,12 +226,11 @@ class SteeringExperiment(Experiment):
 
     description = "traffic steering via prepend and local-pref communities"
     paper_section = "Section 5.2"
-    default_params = {"variant": "both", "hijack": False}
-
-    VARIANTS = ("prepend", "local-pref")
-
-    def build(self, ctx: ExperimentContext) -> None:
-        self.reject_topology_spec(ctx)
+    canonical_topology = True
+    parameters = (
+        Param("variant", "both", "choice", choices=("both", "prepend", "local-pref")),
+        Param("hijack", False, "bool", needs=("variant", ("both", "prepend"))),
+    )
 
     def _run_prepend(self) -> SteeringResult:
         from repro.attacks.scenario import build_figure2_topology
@@ -256,24 +255,10 @@ class SteeringExperiment(Experiment):
         return attack.run()
 
     def execute(self, ctx: ExperimentContext) -> dict:
-        variant = self.param("variant")
-        if variant == "both":
-            selected = list(self.VARIANTS)
-        elif variant in self.VARIANTS:
-            selected = [variant]
-        else:
-            raise ExperimentError(
-                f"experiment parameter 'variant' must be one of "
-                f"{', '.join(map(repr, self.VARIANTS))} or 'both', got {variant!r}"
-            )
-        if self.bool_param("hijack") and "prepend" not in selected:
-            raise ExperimentError(
-                "experiment parameter 'hijack' changes the 'prepend' variant, which "
-                f"this run does not select (variant: {variant!r})"
-            )
         runners = {"prepend": self._run_prepend, "local-pref": self._run_local_pref}
+        variant = self.param("variant")
         variants: dict[str, dict] = {}
-        for key in selected:
+        for key in runners if variant == "both" else [variant]:
             outcome = runners[key]()
             ctx.scratch[key] = outcome
             variants[key] = _steering_metrics(outcome)

@@ -11,7 +11,7 @@ Sub-commands:
   ``run report`` is the Section 4 measurement report, ``run
   feasibility`` the Table 3 matrix, ``run blackhole-sweep`` the
   Section 7.6 sweep, ``run propagation-check`` the Section 7.2 check;
-* ``list``      — list the registered experiments;
+* ``list``      — list the registered experiments and their parameters;
 * ``export-mrt`` — write an observation archive (synthetic dataset or a
   live collector harvest) to an MRT file;
 * ``stream``    — feed a JSON-lines announce/withdraw event stream
@@ -93,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     # Unknown parameter names fail as argparse errors naming the exact
     # offending --param token, before any spec or topology work starts.
-    known = set(experiment_cls.default_params) | set(experiment_cls.optional_params)
+    known = experiment_cls.declared()
     for token in args.param:
         key = token.partition("=")[0]
         if key and key not in known:
@@ -123,14 +123,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    """Each experiment, then each ``--param`` it takes: kind, default, bound or choices."""
     from repro.experiments import available, get
+    from repro.experiments.runner import PLATFORM_OF
 
     names = available()
+    params = {
+        name: {
+            key: {**param.describe(), **({"platform": PLATFORM_OF[key]} if key in PLATFORM_OF else {})}
+            for key, param in get(name).declared().items()
+        }
+        for name in names
+    }
     if args.json:
         catalogue = {
             name: {
                 "section": get(name).paper_section,
                 "description": get(name).description,
+                "params": params[name],
             }
             for name in names
         }
@@ -144,6 +154,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
             f"{name:<{width}}  {experiment_cls.paper_section:<{section_width}}"
             f"  {experiment_cls.description}"
         )
+        for key, entry in params[name].items():
+            rest = "  ".join(f"{field} {json.dumps(value)}" for field, value in list(entry.items())[2:])
+            print(f"    {key:<20} {entry['kind']:<7} {json.dumps(entry['default']):<17} {rest}".rstrip())
     return 0
 
 

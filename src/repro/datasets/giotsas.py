@@ -4,9 +4,9 @@ Section 7.6 of the paper sweeps the 307 *verified* blackhole
 communities identified by prior work (plus notes 115 further *inferred*
 ones).  We regenerate an equivalent labelled list from the simulated
 topology: every AS that offers an RTBH service contributes its
-blackhole communities, and a configurable number of extra "inferred"
-entries (some of which are wrong, as inference is imperfect) pads the
-list to the requested size.
+blackhole communities, and :data:`INFERRED_COUNT` extra "inferred"
+entries (some of which are wrong, as inference is imperfect) pad the
+list.  The Section 7.6 sweep reads only the verified entries.
 """
 
 from __future__ import annotations
@@ -52,9 +52,11 @@ class BlackholeCommunityList:
         return len(self.records)
 
 
-def build_blackhole_list(
-    topology: Topology, seed: int, inferred_count: int = 10
-) -> BlackholeCommunityList:
+#: Inferred (unverified) ``asn:666`` entries in each blackhole list.
+INFERRED_COUNT = 10
+
+
+def build_blackhole_list(topology: Topology, seed: int) -> BlackholeCommunityList:
     """Build the blackhole community list for a topology.
 
     Verified entries are the RTBH communities of every AS whose service
@@ -86,7 +88,7 @@ def build_blackhole_list(
         for asys in topology.transit_ases()
         if asys.asn not in offering_asns and asys.asn <= 0xFFFF
     ]
-    for asn in rng.sample(candidates, min(inferred_count, len(candidates))):
+    for asn in rng.sample(candidates, min(INFERRED_COUNT, len(candidates))):
         records.append(
             BlackholeCommunityRecord(
                 community=Community(asn, 666),

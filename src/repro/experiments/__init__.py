@@ -9,6 +9,8 @@ One API for every scenario in the repo (paper Sections 6-7):
 * :class:`Experiment` + :func:`run_experiment` — the common lifecycle
   (build topology -> attach platforms -> seed routes -> execute ->
   validate) with per-stage timings;
+* :class:`Param` — one row of an experiment's parameter table (default,
+  kind, bound or choices, needs), checked before any stage runs;
 * :class:`ExperimentResult` — the uniform, JSON-serializable outcome;
 * :class:`GridRunner` / :func:`expand_grid` — fan a (seeds x scales x
   params) grid across worker processes with deterministic ordering.
@@ -35,6 +37,7 @@ from repro.experiments.runner import (
     LIFECYCLE_STAGES,
     Experiment,
     ExperimentContext,
+    Param,
 )
 from repro.experiments.spec import SCALE_PRESETS, ExperimentSpec
 
@@ -47,6 +50,7 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentStatus",
     "GridRunner",
+    "Param",
     "available",
     "expand_grid",
     "get",

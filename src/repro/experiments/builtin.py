@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.exceptions import ExperimentError
 from repro.experiments.registry import register
-from repro.experiments.runner import Experiment, ExperimentContext
+from repro.experiments.runner import Experiment, ExperimentContext, Param
 from repro.experiments.result import ExperimentResult
 
 
@@ -28,17 +27,16 @@ class ReportExperiment(Experiment):
     #: ``source="synthetic"`` replays the generator; ``source="harvest"``
     #: converges the topology's originations and harvests the collector
     #: feeds from the live simulation.
-    default_params = {"source": "synthetic"}
+    parameters = (Param("source", "synthetic", "choice", choices=("synthetic", "harvest")),)
 
     def seed(self, ctx: ExperimentContext) -> None:
-        source = self.param("source")
-        if source == "synthetic":
+        if self.param("source") == "synthetic":
             from repro.datasets.synthetic import DatasetParameters, build_default_dataset
 
             ctx.scratch["dataset"] = build_default_dataset(
                 ctx.require_topology(), DatasetParameters(seed=ctx.spec.seed)
             )
-        elif source == "harvest":
+        else:
             from repro.collectors.platform import CollectorDeployment
 
             simulator = self.seed_originated(ctx)
@@ -47,10 +45,6 @@ class ReportExperiment(Experiment):
             )
             ctx.scratch["deployment"] = deployment
             ctx.scratch["archive"] = deployment.collect_from_simulator(simulator)
-        else:
-            raise ExperimentError(
-                f"report parameter 'source' must be 'synthetic' or 'harvest', got {source!r}"
-            )
 
     def execute(self, ctx: ExperimentContext) -> dict[str, Any]:
         from repro.datasets.giotsas import build_blackhole_list

@@ -47,6 +47,9 @@ def expand_grid(
 
     Axes iterate in the order given (parameter axes by sorted key), so the
     same arguments always produce the same spec list in the same order.
+    Every spec is held to its experiment's declarations before any is
+    returned: a bad axis value raises :class:`ExperimentError` naming the
+    parameter before any cell runs.
     """
     experiment_cls = get(name)
     axes = sorted((param_grid or {}).items())
@@ -58,7 +61,9 @@ def expand_grid(
             for combo in itertools.product(*value_lists) if value_lists else [()]:
                 params = dict(base_params)
                 params.update(zip(keys, combo))
-                specs.append(experiment_cls.default_spec(seed=seed, scale=scale, **params))
+                spec = experiment_cls.default_spec(seed=seed, scale=scale, **params)
+                experiment_cls.check_spec(spec)
+                specs.append(spec)
     return specs
 
 

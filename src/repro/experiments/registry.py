@@ -5,10 +5,13 @@ Attack and wild modules register their experiment classes with the
 
     @register("rtbh-wild")
     class WildRtbhExperiment(Experiment):
+        parameters = (Param("probes", 100, "int", minimum=1), ...)
         ...
 
 and every consumer (CLI, grid runner, notebooks) resolves names through
-:func:`get`/:func:`available`.  The built-in experiment modules are
+:func:`get`/:func:`available`.  A registered class carries its own
+parameter table, so the CLI's ``list`` and known-name check, the grid's
+pre-run check and the run itself all read the same declarations.  The built-in experiment modules are
 imported lazily on first lookup so importing :mod:`repro.experiments`
 stays cheap and free of import cycles.
 """

@@ -30,6 +30,81 @@ from repro.utils.collector import collector_paused
 LIFECYCLE_STAGES = ("build", "attach", "seed", "execute", "validate")
 
 
+@dataclass(frozen=True)
+class Param:
+    """One declared experiment parameter.
+
+    ``kind`` is ``"int"`` (integral, from ``minimum`` up to ``maximum``
+    if set), ``"bool"`` (JSON ``true`` / ``false`` only), ``"prefix"``
+    (text such as ``"203.0.113.0/24"``) or ``"choice"`` (one of
+    ``choices``).  ``needs`` is ``(other, values)``: a value other than
+    the default is refused unless parameter ``other`` is one of ``values``.
+    """
+
+    name: str
+    default: Any
+    kind: str
+    minimum: int = 0
+    maximum: int | None = None
+    choices: tuple[str, ...] = ()
+    needs: tuple[str, tuple[Any, ...]] | None = None
+
+    def read(self, value: Any) -> Any:
+        """``value`` as this parameter's type, or an :class:`ExperimentError` naming it.
+
+        ``int()`` would truncate ``2.9`` and read ``true`` as 1, and
+        ``bool()`` reads every non-empty string (``"False"``) as True.
+        """
+        if self.kind == "bool":
+            if isinstance(value, bool):
+                return value
+            expected = "true or false"
+        elif self.kind == "choice":
+            if value in self.choices:
+                return value
+            expected = f"one of {', '.join(map(repr, self.choices))}"
+        elif self.kind == "prefix":
+            if isinstance(value, str):
+                try:
+                    return Prefix.from_string(value)
+                except PrefixError:
+                    pass
+            expected = "a prefix such as '203.0.113.0/24'"
+        else:
+            try:
+                number = int(value)
+                if not isinstance(value, bool) and number == float(value) and self.minimum <= number:
+                    if self.maximum is None or number <= self.maximum:
+                        return number
+            except (TypeError, ValueError, OverflowError):
+                pass
+            expected = f"an integer >= {self.minimum}"
+            expected += "" if self.maximum is None else f" and <= {self.maximum}"
+        raise ExperimentError(f"experiment parameter {self.name!r} must be {expected}, got {value!r}")
+
+    def describe(self) -> dict[str, Any]:
+        """The declaration as JSON: kind, default, and each bound, choice list or need set."""
+        entry = {"kind": self.kind, "default": self.default, "minimum": self.minimum, "maximum": self.maximum}
+        if self.kind != "int":
+            entry = {"kind": self.kind, "default": self.default, "choices": list(self.choices)}
+        if self.needs is not None:
+            entry["needs"] = {self.needs[0]: list(self.needs[1])}
+        return {key: value for key, value in entry.items() if value not in (None, [])}
+
+
+#: The platforms a spec can attach, each with the parameters it reads.
+#: A spec accepts a platform's parameters only when it attaches that
+#: platform, and records one only when it is given.
+PLATFORMS: dict[str, tuple[Param, ...]] = {
+    "peering": (Param("upstream_count", 10, "int"),),
+    "research": (),
+    "collectors": (),
+    "atlas": (),
+}
+#: The platform that reads each platform parameter.
+PLATFORM_OF = {param.name: name for name, table in PLATFORMS.items() for param in table}
+
+
 @dataclass
 class ExperimentContext:
     """Mutable state threaded through the lifecycle stages of one run."""
@@ -64,9 +139,15 @@ class Experiment:
     """Base class for registered experiments.
 
     Subclasses set the class-level metadata (``description``,
-    ``paper_section`` and the ``default_*`` spec fields), override the
-    lifecycle stages they need, and are registered under their public
-    name with :func:`repro.experiments.register`.
+    ``paper_section``, the ``default_*`` spec fields and the
+    ``parameters`` table), override the lifecycle stages they need, and
+    are registered under their public name with
+    :func:`repro.experiments.register`.
+
+    ``parameters`` declares each parameter the experiment reads once:
+    its default (what :meth:`default_spec` records), kind, bound or
+    choices, and needs.  :meth:`check_spec` holds a spec to it and to
+    :data:`PLATFORMS` before any stage runs; :meth:`param` reads through it.
     """
 
     #: Set by the @register decorator.
@@ -77,11 +158,11 @@ class Experiment:
     default_scale: ClassVar[str | None] = None
     default_topology: ClassVar[dict[str, Any]] = {}
     default_platforms: ClassVar[tuple[str, ...]] = ()
-    default_params: ClassVar[dict[str, Any]] = {}
-    #: Parameters accepted beyond ``default_params``: attach-time knobs
-    #: of the platforms the experiment attaches (``upstream_count`` for
-    #: ``peering``).  A name the run never reads must not be accepted.
-    optional_params: ClassVar[tuple[str, ...]] = ()
+    #: True for an experiment that runs on its paper figure's topology:
+    #: a scale or topology override, which could not take effect, is refused.
+    canonical_topology: ClassVar[bool] = False
+    #: The experiment's own parameters, in the order its specs record them.
+    parameters: ClassVar[tuple[Param, ...]] = ()
 
     def __init__(self, spec: ExperimentSpec):
         if spec.name != self.name:
@@ -107,10 +188,11 @@ class Experiment:
         overrides would silently mask the preset and the spec would
         record a scale that had no effect).  Unknown parameter names are
         rejected — a typo must not silently run the default variant and
-        bake itself into the replayable spec.
+        bake itself into the replayable spec.  Values are checked when
+        the spec runs (or by :func:`~repro.experiments.expand_grid`).
         """
         cls.reject_unknown_params(params)
-        merged = dict(cls.default_params)
+        merged = {param.name: param.default for param in cls.parameters}
         merged.update(params)
         return ExperimentSpec(
             name=cls.name,
@@ -122,87 +204,69 @@ class Experiment:
         )
 
     @classmethod
+    def declared(cls) -> dict[str, Param]:
+        """Every parameter the experiment takes, by name: its own, then those
+        of the platforms it attaches by default."""
+        table = {param.name: param for param in cls.parameters}
+        for platform in cls.default_platforms:
+            table.update((param.name, param) for param in PLATFORMS[platform])
+        return table
+
+    @classmethod
     def reject_unknown_params(cls, params: Iterable[str]) -> None:
         """Raise :class:`ExperimentError` naming any parameter this experiment lacks."""
-        known = set(cls.default_params) | set(cls.optional_params)
-        unknown = set(params) - known
+        known = cls.declared()
+        unknown = set(params) - set(known)
         if unknown:
             raise ExperimentError(
                 f"unknown parameter(s) for {cls.name!r}: {', '.join(sorted(unknown))}"
                 f" (known: {', '.join(sorted(known)) or 'none'})"
             )
 
-    def param(self, key: str, default: Any = None) -> Any:
-        """An experiment parameter: spec value, class default, then ``default``."""
-        if key in self.spec.params:
-            return self.spec.params[key]
-        return self.default_params.get(key, default)
-
-    def int_param(self, key: str, default: int, minimum: int) -> int:
-        """An integer experiment parameter, or a clear error naming it.
-
-        A non-integer override (``2.9`` and ``true`` included: ``int()``
-        would truncate them silently) must surface as an
-        :class:`~repro.exceptions.ExperimentError` (caught by
-        :meth:`run` and the CLI) rather than a raw ``ValueError``
-        traceback out of ``int()``; so must a count below ``minimum``,
-        which would otherwise reach ``random.sample`` or be ignored.
-        """
-        value = self.param(key, default)
-        try:
-            number = int(value)
-            if isinstance(value, bool) or number != float(value):
-                raise ValueError
-            if number < minimum:
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
+    @classmethod
+    def check_spec(cls, spec: ExperimentSpec) -> None:
+        """Hold ``spec`` to the declarations (every platform name, parameter
+        name, value and ``needs``), or raise :class:`ExperimentError`."""
+        if cls.canonical_topology and (spec.scale is not None or spec.topology):
             raise ExperimentError(
-                f"experiment parameter {key!r} must be an integer >= {minimum}, got {value!r}"
-            ) from None
-        return number
-
-    def prefix_param(self, key: str) -> Prefix:
-        """A prefix experiment parameter (``"203.0.113.0/24"``), or an error naming it."""
-        value = self.param(key)
-        if isinstance(value, str):
-            try:
-                return Prefix.from_string(value)
-            except PrefixError:
-                pass
-        raise ExperimentError(
-            f"experiment parameter {key!r} must be a prefix such as '203.0.113.0/24', "
-            f"got {value!r}"
-        )
-
-    def bool_param(self, key: str) -> bool:
-        """A boolean experiment parameter: JSON ``true`` / ``false`` and nothing else.
-
-        ``bool()`` reads every non-empty string as True, and a
-        ``--param`` value that is not JSON stays a string — so
-        ``hijack=False`` and ``hijack=maybe`` would both run *with* the
-        hijack instead of failing.
-        """
-        value = self.param(key)
-        if not isinstance(value, bool):
-            raise ExperimentError(
-                f"experiment parameter {key!r} must be true or false, got {value!r}"
-            )
-        return value
-
-    # ------------------------------------------------------- lifecycle stages
-    def reject_topology_spec(self, ctx: ExperimentContext) -> None:
-        """Fail loudly when a scale/topology override cannot take effect.
-
-        Canonical-figure experiments call this from ``build``: accepting
-        ``--scale`` there would record a knob in the replayable spec
-        that never influenced the outcome.
-        """
-        if ctx.spec.scale is not None or ctx.spec.topology:
-            raise ExperimentError(
-                f"experiment {self.name!r} runs on its canonical paper topology; "
+                f"experiment {cls.name!r} runs on its canonical paper topology; "
                 "scale/topology overrides are not supported"
             )
+        for platform in spec.platforms:
+            if platform not in PLATFORMS:
+                raise ExperimentError(f"unknown platform attachment {platform!r}")
+        cls.reject_unknown_params(spec.params)
+        declared = cls.declared()
+        for name, value in spec.params.items():
+            if name in PLATFORM_OF and PLATFORM_OF[name] not in spec.platforms:
+                raise ExperimentError(
+                    f"experiment parameter {name!r} belongs to the {PLATFORM_OF[name]!r} platform, which "
+                    f"this run does not attach (platforms: {', '.join(spec.platforms) or 'none'})"
+                )
+            declared[name].read(value)
+        for name, value in spec.params.items():
+            if declared[name].needs is None or value == declared[name].default:
+                continue
+            other, allowed = declared[name].needs
+            current = spec.params.get(other, declared[other].default)
+            if current not in allowed:
+                raise ExperimentError(
+                    f"experiment parameter {name!r} needs {other!r} to be one of "
+                    f"{', '.join(map(repr, allowed))} ({other}: {current!r})"
+                )
 
+    def param(self, key: str) -> Any:
+        """A declared parameter's value, the spec's or else its default, read as its kind."""
+        try:
+            declared = self.declared()[key]
+        except KeyError:
+            raise ExperimentError(f"experiment {self.name!r} declares no parameter {key!r}") from None
+        return declared.read(self.spec.params.get(key, declared.default))
+
+    #: :meth:`param`, named for the kind its call site reads.
+    int_param = bool_param = prefix_param = param
+
+    # ------------------------------------------------------- lifecycle stages
     def build(self, ctx: ExperimentContext) -> None:
         """Build the topology the spec describes (skipped for canonical-figure
         experiments whose spec carries neither a scale nor overrides)."""
@@ -210,18 +274,7 @@ class Experiment:
             ctx.topology = ctx.spec.build_topology()
 
     def attach(self, ctx: ExperimentContext) -> None:
-        """Attach every platform the spec lists, in order.
-
-        ``upstream_count`` sizes the ``peering`` platform alone: a spec
-        that carries it without that platform (``rtbh-wild`` with
-        ``hijack=true`` runs from the research network) is refused, not
-        recorded as a knob that changed nothing.
-        """
-        if "upstream_count" in ctx.spec.params and "peering" not in ctx.spec.platforms:
-            raise ExperimentError(
-                "experiment parameter 'upstream_count' sizes the 'peering' platform, which "
-                f"this run does not attach (platforms: {', '.join(ctx.spec.platforms) or 'none'})"
-            )
+        """Attach every platform the spec lists, in order."""
         for platform_name in ctx.spec.platforms:
             self.attach_platform(ctx, platform_name)
 
@@ -243,7 +296,7 @@ class Experiment:
         topology = ctx.require_topology()
         if platform_name == "peering":
             ctx.platforms[platform_name] = attach_peering_testbed(
-                topology, upstream_count=self.int_param("upstream_count", 10, minimum=0)
+                topology, upstream_count=self.int_param("upstream_count")
             )
         elif platform_name == "research":
             ctx.platforms[platform_name] = attach_research_network(topology)
@@ -257,11 +310,9 @@ class Experiment:
             }
             ctx.platforms[platform_name] = AtlasPlatform.deploy(
                 topology,
-                probe_count=self.int_param("probes", 200, minimum=1),
+                probe_count=self.int_param("probes"),
                 exclude_asns=exclude,
             )
-        else:
-            raise ExperimentError(f"unknown platform attachment {platform_name!r}")
 
     def seed(self, ctx: ExperimentContext) -> None:
         """Pre-seed the control plane (default: nothing).
@@ -307,9 +358,10 @@ class Experiment:
 
         Exceptions from the repro library are captured as
         ``status="error"`` results (so one bad grid cell never kills the
-        batch); anything else propagates.  So is a spec carrying a
-        parameter the experiment does not declare (one replayed from an
-        older results file, say): it must not run the default variant.
+        batch); anything else propagates.  :meth:`check_spec` runs
+        first, so a spec that breaks a declaration (one replayed from an
+        older results file, say) ends as such a result with no stage run:
+        it must not run the default variant, nor fail after the build.
 
         The cyclic collector is paused until the result is built (so the
         next collection comes once the caller drops the experiment, not
@@ -326,7 +378,7 @@ class Experiment:
         error: str | None = None
         with collector_paused():
             try:
-                self.reject_unknown_params(self.spec.params)
+                self.check_spec(self.spec)
                 for stage in ("build", "attach", "seed"):
                     started = time.perf_counter()
                     getattr(self, stage)(ctx)

@@ -27,7 +27,7 @@ from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import BlackholeCommunityList
-from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
+from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.probing.atlas import AtlasPlatform, ProbeMeasurement
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
@@ -197,22 +197,16 @@ class BlackholeSweepExperiment(Experiment):
     paper_section = "Section 7.6"
     default_topology = {"tier1_count": 3, "transit_count": 25, "stub_count": 80}
     default_platforms = ("peering", "atlas")
-    default_params = {
-        "probes": 60,
-        "confirm": True,
-        "include_well_known": True,
-        "inferred_count": 10,
-    }
-    optional_params = ("upstream_count",)
+    parameters = (
+        Param("probes", 60, "int", minimum=1),
+        Param("confirm", True, "bool"),
+        Param("include_well_known", True, "bool"),
+    )
 
     def execute(self, ctx: ExperimentContext) -> dict:
         from repro.datasets.giotsas import build_blackhole_list
 
-        blackhole_list = build_blackhole_list(
-            ctx.require_topology(),
-            inferred_count=self.int_param("inferred_count", 0, minimum=0),
-            seed=ctx.spec.seed,
-        )
+        blackhole_list = build_blackhole_list(ctx.require_topology(), seed=ctx.spec.seed)
         sweep = BlackholeSweep(
             ctx.require_topology(),
             ctx.platform("peering"),

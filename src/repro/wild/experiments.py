@@ -21,7 +21,7 @@ from repro.bgp.community import BLACKHOLE, Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.exceptions import AttackError
-from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
+from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.policy.filters import IrrDatabase
 from repro.probing.atlas import AtlasPlatform
 from repro.probing.looking_glass import LookingGlass
@@ -164,8 +164,11 @@ class WildRtbhExperiment(Experiment):
     paper_section = "Section 7.3"
     default_topology = {"tier1_count": 3, "transit_count": 25, "stub_count": 90}
     default_platforms = ("peering", "atlas")
-    default_params = {"probes": 100, "hijack": False, "min_hops_to_target": 2}
-    optional_params = ("upstream_count",)
+    parameters = (
+        Param("probes", 100, "int", minimum=1),
+        Param("hijack", False, "bool"),
+        Param("min_hops_to_target", 2, "int"),
+    )
 
     @classmethod
     def default_spec(cls, seed=None, scale=None, **params):
@@ -197,7 +200,7 @@ class WildRtbhExperiment(Experiment):
             ctx.require_topology(),
             platform,
             ctx.platform("atlas"),
-            min_hops_to_target=self.int_param("min_hops_to_target", 0, minimum=0),
+            min_hops_to_target=self.int_param("min_hops_to_target"),
         )
         outcome = experiment.run(
             use_hijack=use_hijack, hijack_space=ctx.scratch.get("hijack_space")

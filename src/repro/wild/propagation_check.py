@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from repro.bgp.community import Community, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.collectors.platform import CollectorDeployment
-from repro.exceptions import ExperimentError
-from repro.experiments import Experiment, ExperimentContext, ExperimentResult, register
+from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
 from repro.wild.peering import InjectionPlatform
@@ -94,17 +93,11 @@ class PropagationCheckExperiment(Experiment):
     paper_section = "Section 7.2"
     default_topology = {"tier1_count": 3, "transit_count": 30, "stub_count": 120}
     default_platforms = ("peering", "research", "collectors")
-    default_params = {"community_value": BENIGN_COMMUNITY_VALUE}
-    optional_params = ("upstream_count",)
+    parameters = (Param("community_value", BENIGN_COMMUNITY_VALUE, "int", maximum=0xFFFF),)
 
     def execute(self, ctx: ExperimentContext) -> dict:
         deployment = ctx.platform("collectors")
-        community_value = self.int_param("community_value", 0, minimum=0)
-        if community_value > 0xFFFF:
-            raise ExperimentError(
-                f"experiment parameter 'community_value' must be a 16-bit value "
-                f"(0-65535), got {community_value!r}"
-            )
+        community_value = self.int_param("community_value")
         checks: list[dict] = []
         # The research network first, then PEERING — the order the paper
         # (and the legacy CLI subcommand) reports them in.

@@ -7,6 +7,7 @@ import pytest
 from repro.attacks.feasibility import build_feasibility_matrix
 from repro.attacks.rtbh import RtbhAttack
 from repro.attacks.scenario import (
+    FIGURE9_MEMBER_COUNT,
     ScenarioRoles,
     build_figure2_topology,
     build_figure7_topology,
@@ -36,8 +37,8 @@ class TestScenarioTopologies:
         assert topology.validate() == []
 
     def test_figure9_topology(self):
-        _topology, ixp = build_figure9_ixp(member_count=8)
-        assert ixp.member_count() == 8
+        _topology, ixp = build_figure9_ixp()
+        assert ixp.member_count() == FIGURE9_MEMBER_COUNT
         assert ixp.route_server_config.ixp_asn == ixp.route_server_asn
         assert ixp.route_server_config.suppress_before_redistribute
 

@@ -51,7 +51,7 @@ def _fuzz_targets() -> list[tuple[str, str]]:
     return [
         (name, param)
         for name in available()
-        for param in sorted(set(get(name).default_params) | set(get(name).optional_params))
+        for param in sorted(get(name).declared())
     ]
 
 
@@ -134,6 +134,22 @@ class TestRegistryCli:
         assert main(["list", "--json"]) == 0
         catalogue = json.loads(capsys.readouterr().out)
         assert catalogue["feasibility"]["section"] == "Section 6"
+        assert catalogue["feasibility"]["params"] == {}
+        assert catalogue["rtbh-wild"]["params"]["upstream_count"] == {
+            "kind": "int", "default": 10, "minimum": 0, "platform": "peering"
+        }
+        assert catalogue["propagation-check"]["params"]["community_value"]["maximum"] == 65535
+        assert catalogue["steering"]["params"]["hijack"]["needs"] == {"variant": ["both", "prepend"]}
+        assert catalogue["report"]["params"]["source"]["choices"] == ["synthetic", "harvest"]
+
+    def test_list_prints_every_parameter_from_the_table(self, capsys):
+        from repro.experiments import available, get
+
+        assert main(["list"]) == 0
+        rows = {tuple(line.split()[:3]) for line in capsys.readouterr().out.splitlines()}
+        for name in available():
+            for key, param in get(name).declared().items():
+                assert (key, param.kind, json.dumps(param.default)) in rows, (name, key)
 
     def test_run_unknown_experiment_exits_2(self, capsys):
         assert main(["run", "not-an-experiment"]) == 2
@@ -335,11 +351,11 @@ class TestRunParamErrors:
             ("blackhole-sweep", "probes=-5"),
             ("blackhole-sweep", "probes=0"),  # an Atlas platform needs one vantage point
             ("rtbh-wild", "probes=0"),
-            ("blackhole-sweep", "inferred_count=-4"),
             ("rtbh-wild", "upstream_count=-2"),
             ("rtbh-wild", "min_hops_to_target=-1"),
-            ("route-manipulation", "member_count=-1"),
-            ("route-manipulation", "member_count=2"),  # the IXP has three fixed members
+            ("report", "source=mrt"),
+            ("steering", "variant=sideways"),
+            ("propagation-check", "community_value=65536"),
         ],
     )
     def test_bad_boolean_or_negative_count_exits_1_without_a_traceback(self, name, token, capsys):
@@ -370,6 +386,16 @@ class TestRunParamErrors:
             captured = capsys.readouterr()
             assert code != 0, (param, token)
             assert repr(param) in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "name, token",
+        [("route-manipulation", "member_count=2"), ("blackhole-sweep", "inferred_count=8")],
+    )
+    def test_params_that_changed_no_metric_are_unknown(self, name, token, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", name, "--param", token])
+        assert excinfo.value.code == 2
+        assert f"unknown parameter {token.partition('=')[0]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["shards=2", "residency=auto"])
     def test_removed_shard_params_are_unknown(self, token, capsys):

@@ -14,7 +14,7 @@ from repro.bgp.prefix import Prefix
 from repro.collectors.observation import ObservationArchive, RouteObservation
 from repro.collectors.platform import Collector, CollectorDeployment, CollectorPlatform
 from repro.datasets.communities_db import CommunityUsageModel
-from repro.datasets.giotsas import build_blackhole_list
+from repro.datasets.giotsas import INFERRED_COUNT, build_blackhole_list
 from repro.datasets.synthetic import DatasetParameters, SyntheticDatasetBuilder
 from repro.exceptions import CollectorError, DatasetError
 from repro.measurement.timeseries import growth_table
@@ -268,9 +268,9 @@ class TestCommunityUsageModel:
 
 class TestBlackholeList:
     def test_list_contents(self, small_topology):
-        blackhole_list = build_blackhole_list(small_topology, inferred_count=5, seed=1)
+        blackhole_list = build_blackhole_list(small_topology, seed=1)
         assert len(blackhole_list.verified()) > 0
-        assert len(blackhole_list.inferred()) <= 5
+        assert len(blackhole_list.inferred()) <= INFERRED_COUNT
         for record in blackhole_list.verified():
             assert record.community.value == 666
             assert record.actually_blackholes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import multiprocessing
@@ -9,7 +10,6 @@ import os
 import re
 import signal
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +21,7 @@ from repro.experiments import (
     ExperimentSpec,
     ExperimentStatus,
     GridRunner,
+    Param,
     available,
     expand_grid,
     get,
@@ -159,7 +160,7 @@ class TestRegistry:
         @register("test-custom")
         class CustomExperiment(Experiment):
             description = "unit-test experiment"
-            default_params = {"value": 0}
+            parameters = (Param("value", 0, "int"),)
 
             def execute(self, ctx):
                 return {"answer": ctx.spec.params["value"] * 2}
@@ -325,7 +326,9 @@ class TestCollectorPause:
 
         @register("test-collector-pause")
         class RecordingExperiment(Experiment):
-            default_params = {"outcome": "ok"}
+            parameters = (
+                Param("outcome", "ok", "choice", choices=("ok", "repro-error", "other-error")),
+            )
 
             def execute(self, ctx):
                 seen.append(gc.isenabled())
@@ -361,15 +364,16 @@ class TestCollectorPause:
 
 class TestGrid:
     def test_expand_grid_is_deterministic_and_ordered(self):
+        prefixes = ["203.0.113.0/24", "198.51.100.0/24"]
         specs = expand_grid(
             "route-manipulation",
             seeds=(1, 2),
-            param_grid={"member_count": [4, 6]},
+            param_grid={"victim_prefix": prefixes},
         )
         assert [spec.seed for spec in specs] == [1, 1, 2, 2]
-        assert [spec.params["member_count"] for spec in specs] == [4, 6, 4, 6]
+        assert [spec.params["victim_prefix"] for spec in specs] == prefixes * 2
         assert specs == expand_grid(
-            "route-manipulation", seeds=(1, 2), param_grid={"member_count": [4, 6]}
+            "route-manipulation", seeds=(1, 2), param_grid={"victim_prefix": prefixes}
         )
 
     def test_parallel_equals_sequential(self):
@@ -390,7 +394,13 @@ class TestGrid:
         assert results[0].metrics["seed"] == 3
 
     def test_grid_survives_erroring_cells(self):
-        specs = expand_grid("steering", seeds=(1, 2), param_grid={"variant": ["prepend", "bogus"]})
+        # expand_grid refuses the bad variant up front, so the cells are built by hand.
+        cls = get("steering")
+        specs = [
+            cls.default_spec(seed=seed, variant=variant)
+            for seed in (1, 2)
+            for variant in ("prepend", "bogus")
+        ]
         results = GridRunner(max_workers=2).run(specs)
         assert [result.status for result in results] == [
             ExperimentStatus.OK,
@@ -401,17 +411,21 @@ class TestGrid:
 
 
 @pytest.fixture()
-def worker_death_experiment():
-    """A grid cell that SIGKILLs its own worker once the other cells finished."""
+def worker_death_experiment(tmp_path):
+    """A grid cell that SIGKILLs its own worker once the other cells finished.
+
+    Each finished cell touches a file in the ``markers`` directory.
+    """
+    markers = tmp_path / "markers"
+    markers.mkdir()
 
     @register("grid-worker-death")
     class WorkerDeathExperiment(Experiment):
         description = "kills its own grid worker in one cell (unit tests only)"
-        default_params = {"cell": 0, "die": False, "markers": ""}
+        parameters = (Param("cell", 0, "int"), Param("die", False, "bool"))
 
         def execute(self, ctx):
-            markers = Path(self.param("markers"))
-            cell = self.int_param("cell", 0, minimum=0)
+            cell = self.int_param("cell")
             if self.bool_param("die"):
                 # Wait until the two surviving cells have run, so which
                 # cells complete does not depend on scheduling.
@@ -433,12 +447,7 @@ class TestGridWorkerDeath:
     def test_killed_worker_becomes_an_error_cell_and_the_rest_survive(
         self, worker_death_experiment, tmp_path
     ):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        specs = [
-            worker_death_experiment.default_spec(cell=cell, die=cell == 1, markers=str(markers))
-            for cell in range(3)
-        ]
+        specs = [worker_death_experiment.default_spec(cell=cell, die=cell == 1) for cell in range(3)]
         path = tmp_path / "results.jsonl"
         results = GridRunner(max_workers=2).run(specs, output_path=str(path))
 
@@ -606,21 +615,15 @@ class TestWorkerBudget:
         [
             ("blackhole-sweep", "probes", -5),
             ("blackhole-sweep", "probes", 0),
-            ("blackhole-sweep", "inferred_count", -4),
             ("rtbh-wild", "upstream_count", -2),
             ("rtbh-wild", "min_hops_to_target", -1),
-            ("route-manipulation", "member_count", -1),
-            ("route-manipulation", "member_count", 0),
-            ("route-manipulation", "member_count", 2),
         ],
     )
     def test_negative_counts_are_rejected_by_name_not_by_random_sample(self, name, param, value):
-        # Negative probes, inferred_count and upstream_count used to die with a raw
-        # ValueError out of random.sample; zero probes with a ProbingError that did
-        # not name the parameter (an Atlas platform needs one probe); the last four
-        # were silently accepted (a member_count below 3 ran the IXP's three fixed
-        # members while the spec recorded the smaller count).
-        minimum = {"probes": 1, "member_count": 3}.get(param, 0)
+        # Negative probes and upstream_count used to die with a raw ValueError
+        # out of random.sample; zero probes with a ProbingError that did not
+        # name the parameter (an Atlas platform needs one probe).
+        minimum = {"probes": 1}.get(param, 0)
         result = run_experiment(get(name).default_spec(seed=3, **{param: value}))
         assert result.status is ExperimentStatus.ERROR
         assert result.error == (
@@ -677,5 +680,80 @@ class TestWorkerBudget:
     def test_integral_floats_and_digit_strings_still_count_as_integers(self):
         cls = get("rtbh-wild")
         experiment = cls(cls.default_spec(seed=3, probes=5.0, upstream_count="2"))
-        assert experiment.int_param("probes", 200, minimum=1) == 5
-        assert experiment.int_param("upstream_count", 10, minimum=0) == 2
+        assert experiment.int_param("probes") == 5
+        assert experiment.int_param("upstream_count") == 2
+
+
+def _declared_cases():
+    return [
+        pytest.param(name, param, id=f"{name}-{param.name}")
+        for name in available()
+        for param in get(name).declared().values()
+    ]
+
+
+def _other_value(param: Param):
+    """A legal value of ``param`` other than its default."""
+    if param.kind == "bool":
+        return not param.default
+    if param.kind == "choice":
+        return next(choice for choice in param.choices if choice != param.default)
+    if param.kind == "prefix":
+        return next(p for p in ("198.51.100.0/24", "203.0.113.0/24") if p != param.default)
+    return param.default + 1 if param.maximum is None or param.default < param.maximum else param.default - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _default_metrics(name: str) -> dict:
+    return run_experiment(get(name).default_spec(seed=7)).metrics
+
+
+class TestParameterTable:
+    """Each experiment's ``parameters`` (and its platforms') is the one declaration
+    of every ``--param``: checked before any stage runs, and every entry live."""
+
+    @pytest.mark.parametrize("name, param", _declared_cases())
+    def test_every_declared_parameter_changes_the_metrics(self, name, param):
+        # Metrics, not comparable(): that embeds spec.params, which any
+        # value changes whether the run reads it or not.
+        value = _other_value(param)
+        result = run_experiment(get(name).default_spec(seed=7, **{param.name: value}))
+        assert result.status is ExperimentStatus.OK, result.error
+        assert result.metrics != _default_metrics(name), f"{name} {param.name}={value!r} changed no metric"
+
+    @pytest.mark.parametrize(
+        "name, axes, base, param",
+        [
+            ("rtbh-wild", {"hijack": [False, True]}, {"upstream_count": 3}, "upstream_count"),
+            ("blackhole-sweep", {"probes": [10, "x"]}, {}, "probes"),
+            ("steering", {"variant": ["prepend", "local-pref"]}, {"hijack": True}, "hijack"),
+        ],
+    )
+    def test_expand_grid_refuses_a_bad_cell_before_any_runs(self, name, axes, base, param):
+        with pytest.raises(ExperimentError, match=f"experiment parameter {param!r}"):
+            expand_grid(name, param_grid=axes, **base)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            get("report").default_spec(source="mrt"),
+            get("steering").default_spec(variant="sideways"),
+            get("propagation-check").default_spec(community_value=0x10000),
+            ExperimentSpec.from_dict(
+                {**get("rtbh-wild").default_spec().to_dict(), "platforms": ["bogus", "atlas"]}
+            ),
+        ],
+        ids=["report-source", "steering-variant", "community-value", "bogus-platform"],
+    )
+    def test_a_bad_spec_fails_before_the_build_stage(self, spec):
+        result = run_experiment(spec)
+        assert result.status is ExperimentStatus.ERROR
+        assert result.timings == {}
+        assert result.error.startswith("ExperimentError: ")
+
+    def test_an_unread_setting_is_no_parameter(self):
+        # member_count and inferred_count changed no metric at any value.
+        with pytest.raises(ExperimentError, match="unknown parameter.*member_count"):
+            get("route-manipulation").default_spec(member_count=8)
+        with pytest.raises(ExperimentError, match="unknown parameter.*inferred_count"):
+            get("blackhole-sweep").default_spec(inferred_count=8)

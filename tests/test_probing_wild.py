@@ -272,7 +272,7 @@ class TestSection7:
             topology,
             ctx.platform("peering"),
             ctx.platform("atlas"),
-            build_blackhole_list(topology, inferred_count=experiment.int_param("inferred_count", 0, minimum=0), seed=seed),
+            build_blackhole_list(topology, seed=seed),
             include_well_known=experiment.bool_param("include_well_known"),
         ).run(confirm=experiment.bool_param("confirm"))
         swept = ctx.scratch["sweep"]
