@@ -17,7 +17,6 @@ from repro.bgp.attributes import PathAttributes
 from repro.bgp.route import Announcement, RouteEntry
 from repro.bgp.message import (
     BgpUpdate,
-    decode_path_attributes,
     decode_update,
     encode_path_attributes,
     encode_update,
@@ -44,7 +43,6 @@ __all__ = [
     "encode_update",
     "decode_update",
     "encode_path_attributes",
-    "decode_path_attributes",
     "AdjRibIn",
     "LocRib",
 ]

@@ -6,7 +6,7 @@ AS_PATH (on-path or off-path, hop distance, prepending), LOCAL_PREF
 These are the only typed attributes.  Nothing in the model sets ORIGIN,
 NEXT_HOP, MED or ATOMIC_AGGREGATE, so a bundle does not carry them; the
 wire codec (:mod:`repro.bgp.message`) writes ORIGIN and NEXT_HOP as
-constants and keeps any other attribute it reads as opaque bytes.
+constants and checks, then skips, any other attribute it reads.
 Instances are immutable; the policy engine produces modified copies via
 :meth:`PathAttributes.replace`.
 """

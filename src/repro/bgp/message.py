@@ -5,26 +5,22 @@ and the MRT reader decodes them back; this module implements that wire
 format.  Three attributes are typed, the ones :class:`PathAttributes`
 carries: AS_PATH, LOCAL_PREF and COMMUNITIES.  The writer adds the two
 other mandatory ones as constants, ORIGIN as IGP and NEXT_HOP as
-0.0.0.0; the reader checks their form and drops them.  Every other
-attribute round-trips as opaque bytes in the ``unknown`` list, so no
-information is silently dropped: MED and RFC 8092 LARGE_COMMUNITIES are
-length-checked first (the paper analyses traditional communities only),
-ATOMIC_AGGREGATE and anything unrecognised are kept as read.  An
+0.0.0.0; the reader checks their form and drops them.  The reader
+checks every other attribute's header and length too, MED and RFC 8092
+LARGE_COMMUNITIES against their fixed sizes, then skips it: no output
+reads it (the paper analyses traditional communities only).  An
 AS_PATH is written as AS_SEQUENCE segments; an AS_SET read from the
 wire joins the flat path with its members in wire order.
 
 What RFC 4271 section 6.3 calls malformed is a :class:`MessageError`
 naming the attribute: an attribute that appears twice, and an UPDATE
-that announces NLRI without ORIGIN, AS_PATH or NEXT_HOP.  The writer
-refuses an opaque attribute it would write itself or that repeats, so
-writing what was read gives the same bytes.
+that announces NLRI without ORIGIN, AS_PATH or NEXT_HOP.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.bgp.aspath import NO_PATH, ASPath
 from repro.bgp.attributes import PathAttributes
@@ -69,8 +65,6 @@ _ATTRIBUTE_NAMES = {
 }
 #: Attributes every UPDATE that announces NLRI carries (RFC 4271 section 5).
 _MANDATORY = (_ORIGIN, _AS_PATH, _NEXT_HOP)
-#: Type codes the writer writes itself, and so never as opaque bytes.
-_WRITTEN = frozenset((*_MANDATORY, _LOCAL_PREF, _COMMUNITIES))
 #: ORIGIN values (RFC 4271): IGP, EGP, INCOMPLETE.
 _ORIGIN_CODES = (0, 1, 2)
 #: The two mandatory attributes no route carries, as the writer sends
@@ -90,7 +84,6 @@ class BgpUpdate:
     announced: list[Prefix] = field(default_factory=list)
     withdrawn: list[Prefix] = field(default_factory=list)
     attributes: PathAttributes = field(default_factory=PathAttributes)
-    unknown_attributes: list[tuple[int, int, bytes]] = field(default_factory=list)
 
 
 def _encode_prefix_nlri(prefix: Prefix) -> bytes:
@@ -167,15 +160,11 @@ def _decode_as_path(payload: bytes, as4: bool) -> ASPath:
     return tuple.__new__(ASPath, asns) if asns else NO_PATH
 
 
-def encode_path_attributes(
-    attrs: PathAttributes | None, unknown: Iterable[tuple[int, int, bytes]]
-) -> bytes:
-    """Encode a path-attribute section: the mandatory and typed attributes, then ``unknown``.
+def encode_path_attributes(attrs: PathAttributes | None) -> bytes:
+    """Encode a path-attribute section: the mandatory and typed attributes.
 
     ``attrs`` is None for a withdrawal-only UPDATE, which carries no
-    route attributes.  An ``unknown`` entry of a type this function
-    writes itself, or one whose type repeats, is a :class:`MessageError`:
-    the reader would refuse the repeat or read the entry as typed.
+    route attributes.
     """
     attribute_parts: list[bytes] = []
     if attrs is not None:
@@ -194,14 +183,6 @@ def encode_path_attributes(
                     struct.pack(f"!{len(values)}I", *values),
                 )
             )
-    opaque_types: set[int] = set()
-    for type_code, flags, payload in unknown:
-        if type_code in _WRITTEN:
-            raise MessageError(f"{_attribute_name(type_code)} attribute cannot be written opaque")
-        if type_code in opaque_types:
-            raise MessageError(f"repeated {_attribute_name(type_code)} attribute")
-        opaque_types.add(type_code)
-        attribute_parts.append(_encode_attribute(type_code, flags, payload))
     return b"".join(attribute_parts)
 
 
@@ -209,9 +190,7 @@ def encode_update(update: BgpUpdate) -> bytes:
     """Encode a :class:`BgpUpdate` into a full BGP message (header included); each
     prefix's NLRI encodes its own family."""
     withdrawn_bytes = b"".join(_encode_prefix_nlri(p) for p in update.withdrawn)
-    attribute_bytes = encode_path_attributes(
-        update.attributes if update.announced else None, update.unknown_attributes
-    )
+    attribute_bytes = encode_path_attributes(update.attributes if update.announced else None)
     nlri_bytes = b"".join(_encode_prefix_nlri(p) for p in update.announced)
     body = b"".join(
         (
@@ -228,28 +207,17 @@ def encode_update(update: BgpUpdate) -> bytes:
     return _MESSAGE_HEADER.pack(BGP_MARKER, total_length, MESSAGE_TYPE_UPDATE) + body
 
 
-def decode_path_attributes(
-    data: bytes, as4: bool = True
-) -> tuple[PathAttributes, list[tuple[int, int, bytes]]]:
-    """Decode a path-attribute section into attributes plus opaque unknown ones.
+def _decode_path_attributes(data: bytes, as4: bool) -> tuple[PathAttributes, set[int]]:
+    """Decode a path-attribute section into its attributes and the set of type codes read.
 
     The inverse of :func:`encode_path_attributes`.  A malformed or
-    repeated attribute raises :class:`MessageError`; ORIGIN and NEXT_HOP
-    are checked and dropped.  ``as4`` is the AS_PATH encoding (see
-    :func:`decode_update`).
+    repeated attribute raises :class:`MessageError`; ORIGIN, NEXT_HOP
+    and every untyped attribute are checked and dropped.  ``as4`` is the
+    AS_PATH encoding (see :func:`decode_update`).
     """
-    attributes, unknown, _types = _decode_path_attributes(data, as4)
-    return attributes, unknown
-
-
-def _decode_path_attributes(
-    data: bytes, as4: bool
-) -> tuple[PathAttributes, list[tuple[int, int, bytes]], set[int]]:
-    """:func:`decode_path_attributes`, plus the set of type codes read."""
     as_path = NO_PATH
     local_pref: int | None = None
     communities = NO_COMMUNITIES
-    unknown: list[tuple[int, int, bytes]] = []
     types: set[int] = set()
 
     offset = 0
@@ -295,16 +263,14 @@ def _decode_path_attributes(
             if attr_len % 4 != 0:
                 raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
             communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
-        else:
-            # Kept opaque like any unread attribute, but still well-formed.
-            if type_code == _MULTI_EXIT_DISC and attr_len != 4:
-                raise MessageError("MED attribute must be exactly 4 bytes")
-            if type_code == _LARGE_COMMUNITIES and attr_len % 12 != 0:
-                raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
-            unknown.append((type_code, flags, payload))
+        elif type_code == _MULTI_EXIT_DISC and attr_len != 4:
+            raise MessageError("MED attribute must be exactly 4 bytes")
+        elif type_code == _LARGE_COMMUNITIES and attr_len % 12 != 0:
+            raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
+        # Every other attribute is skipped once its header and length are read.
 
     attributes = PathAttributes(as_path=as_path, local_pref=local_pref, communities=communities)
-    return attributes, unknown, types
+    return attributes, types
 
 
 def decode_update(data: bytes, family: AddressFamily, as4: bool) -> BgpUpdate:
@@ -345,7 +311,7 @@ def decode_update(data: bytes, family: AddressFamily, as4: bool) -> BgpUpdate:
     if offset + attribute_length > body_end:
         raise MessageError("truncated UPDATE: path attributes overflow")
     attribute_end = offset + attribute_length
-    attributes, unknown, types = _decode_path_attributes(body[offset:attribute_end], as4)
+    attributes, types = _decode_path_attributes(body[offset:attribute_end], as4)
     offset = attribute_end
 
     announced: list[Prefix] = []
@@ -359,9 +325,4 @@ def decode_update(data: bytes, family: AddressFamily, as4: bool) -> BgpUpdate:
                     f"UPDATE announces NLRI without the {_attribute_name(type_code)} attribute"
                 )
 
-    return BgpUpdate(
-        announced=announced,
-        withdrawn=withdrawn,
-        attributes=attributes,
-        unknown_attributes=unknown,
-    )
+    return BgpUpdate(announced=announced, withdrawn=withdrawn, attributes=attributes)

@@ -237,6 +237,11 @@ class Experiment:
                 raise ExperimentError(f"unknown platform attachment {platform!r}")
         cls.reject_unknown_params(spec.params)
         declared = cls.declared()
+        if "atlas" in spec.platforms and "probes" not in declared:
+            raise ExperimentError(
+                f"experiment {cls.name!r} declares no 'probes' parameter, "
+                "which the 'atlas' platform reads for its probe count"
+            )
         for name, value in spec.params.items():
             if name in PLATFORM_OF and PLATFORM_OF[name] not in spec.platforms:
                 raise ExperimentError(

@@ -14,7 +14,7 @@ The central methodological choices follow the paper:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +25,7 @@ from repro.collectors.observation import (
     RouteFacts,
     RouteObservation,
 )
-from repro.utils.stats import Ecdf, Histogram, fraction
+from repro.utils.stats import Ecdf, fraction
 
 
 @dataclass(frozen=True)
@@ -196,18 +196,18 @@ class TopValues:
 
 def top_values(archive: ObservationArchive, n: int) -> TopValues:
     """Compute the top-``n`` community values for on-path and off-path communities."""
-    on_path_histogram = Histogram()
-    off_path_histogram = Histogram()
+    on_path: Counter[int] = Counter()
+    off_path: Counter[int] = Counter()
     for route, count in archive.route_counts().items():
         for community, index in route.taggers:
-            target = off_path_histogram if index is None else on_path_histogram
-            target.add(community.value, count)
+            target = off_path if index is None else on_path
+            target[community.value] += count
 
-    def ranked(histogram: Histogram) -> list[tuple[int, float]]:
-        total = histogram.total()
-        return [(value, fraction(count, total)) for value, count in histogram.top(n)]
+    def ranked(counts: Counter[int]) -> list[tuple[int, float]]:
+        total = counts.total()
+        return [(value, fraction(count, total)) for value, count in counts.most_common(n)]
 
-    return TopValues(on_path=ranked(on_path_histogram), off_path=ranked(off_path_histogram))
+    return TopValues(on_path=ranked(on_path), off_path=ranked(off_path))
 
 
 # --------------------------------------------------------------- §4.3 forwarders

@@ -7,7 +7,7 @@ path as the unit-tested analysis functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.collectors.observation import ObservationArchive
 from repro.datasets.giotsas import BlackholeCommunityList
@@ -38,7 +38,6 @@ class MeasurementReport:
     archive: ObservationArchive
     topology: Topology
     blackhole_list: BlackholeCommunityList
-    rendered_tables: dict[str, str] = field(default_factory=dict)
 
     # ----------------------------------------------------------------- tables
     def table1(self) -> Table:
@@ -75,7 +74,6 @@ class MeasurementReport:
                     row.stub_ases,
                 ]
             )
-        self.rendered_tables["table1"] = table.render()
         return table
 
     def table2(self) -> Table:
@@ -95,7 +93,6 @@ class MeasurementReport:
                     row.off_path_without_private,
                 ]
             )
-        self.rendered_tables["table2"] = table.render()
         return table
 
     # ---------------------------------------------------------------- figures
@@ -115,7 +112,6 @@ class MeasurementReport:
                     snapshot.bgp_table_entries,
                 ]
             )
-        self.rendered_tables["figure3"] = table.render()
         return table
 
     def figure4a(self) -> Table:
@@ -133,7 +129,6 @@ class MeasurementReport:
         table.add_row(
             ["ALL", "overall", round(100 * overall_update_community_fraction(self.archive), 1)]
         )
-        self.rendered_tables["figure4a"] = table.render()
         return table
 
     def figure4b(self) -> Table:
@@ -146,7 +141,6 @@ class MeasurementReport:
         table.add_row(["fraction of updates with >2 communities", round(distributions.fraction_with_more_than(2), 3)])
         table.add_row(["fraction of updates with >50 communities", round(distributions.fraction_with_more_than(50), 5)])
         table.add_row(["fraction with communities of >1 AS", round(distributions.fraction_with_multiple_asns(), 3)])
-        self.rendered_tables["figure4b"] = table.render()
         return table
 
     def figure5a(self) -> Table:
@@ -164,7 +158,6 @@ class MeasurementReport:
                     round(distances.blackhole_communities.at(hops), 3),
                 ]
             )
-        self.rendered_tables["figure5a"] = table.render()
         return table
 
     def figure5b(self) -> Table:
@@ -183,7 +176,6 @@ class MeasurementReport:
                     round(ecdf.survival(0.5), 3) if len(ecdf) else 0.0,
                 ]
             )
-        self.rendered_tables["figure5b"] = table.render()
         return table
 
     def figure5c(self) -> Table:
@@ -197,7 +189,6 @@ class MeasurementReport:
             off = ranking.off_path[rank] if rank < len(ranking.off_path) else ("-", 0.0)
             on = ranking.on_path[rank] if rank < len(ranking.on_path) else ("-", 0.0)
             table.add_row([rank + 1, off[0], round(100 * off[1], 2), on[0], round(100 * on[1], 2)])
-        self.rendered_tables["figure5c"] = table.render()
         return table
 
     def figure6(self) -> Table:
@@ -217,7 +208,6 @@ class MeasurementReport:
             ["filtering fraction (edges with >=100 paths)", round(inference.filtering_fraction(100), 3)]
         )
         table.add_row(["scatter points (>=100 paths)", len(inference.scatter_points())])
-        self.rendered_tables["figure6"] = table.render()
         return table
 
     def section43_transit_forwarders(self) -> Table:
@@ -227,7 +217,6 @@ class MeasurementReport:
         table.add_row(["transit ASes observed", summary.transit_count])
         table.add_row(["transit ASes forwarding foreign communities", summary.forwarder_count])
         table.add_row(["fraction", round(summary.forwarder_fraction, 3)])
-        self.rendered_tables["section43"] = table.render()
         return table
 
     def blackhole_summary(self) -> Table:
@@ -237,7 +226,6 @@ class MeasurementReport:
         table.add_row(["distinct blackhole communities", len(communities)])
         table.add_row(["verified list size", len(self.blackhole_list.verified())])
         table.add_row(["inferred list size", len(self.blackhole_list.inferred())])
-        self.rendered_tables["blackhole"] = table.render()
         return table
 
     # ------------------------------------------------------------------- full

@@ -1,6 +1,6 @@
 """AS-level Internet topology: relationships, AS nodes, IXPs, generation, queries."""
 
-from repro.topology.relationships import Relationship, RelationshipDataset
+from repro.topology.relationships import Relationship
 from repro.topology.asys import AutonomousSystem, AsRole
 from repro.topology.ixp import Ixp, RouteServerConfig
 from repro.topology.topology import Topology
@@ -9,7 +9,6 @@ from repro.topology.graph import classify_roles, valley_free_paths
 
 __all__ = [
     "Relationship",
-    "RelationshipDataset",
     "AutonomousSystem",
     "AsRole",
     "Ixp",

@@ -149,11 +149,11 @@ class TopologyGenerator:
             candidates = tier1_asns + transit_asns[:index]
             provider_count = rng.randint(1, params.max_transit_providers)
             for provider in rng.sample(candidates, provider_count):
-                if not topology.relationships.has_edge(provider, asn):
+                if topology.relationship(provider, asn) is None:
                     topology.add_customer_link(provider, asn)
             # Lateral peering among transit ASes.
             for other in transit_asns[:index]:
-                if other != asn and not topology.relationships.has_edge(other, asn):
+                if other != asn and topology.relationship(other, asn) is None:
                     if rng.chance(params.transit_peering_probability):
                         topology.add_peer_link(other, asn)
 
@@ -165,7 +165,7 @@ class TopologyGenerator:
         for asn in stub_asns:
             provider_count = rng.randint(1, params.max_stub_providers)
             for provider in rng.sample(provider_pool, provider_count):
-                if not topology.relationships.has_edge(provider, asn):
+                if topology.relationship(provider, asn) is None:
                     topology.add_customer_link(provider, asn)
 
     # ------------------------------------------------------------------- IXPs

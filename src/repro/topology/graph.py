@@ -69,7 +69,7 @@ def valley_free_paths(topology: Topology, origin_asn: int) -> dict[int, list[int
     if origin_asn not in topology:
         raise TopologyError(f"origin AS{origin_asn} not in topology")
 
-    relationships = topology.relationships
+    adjacency = topology.adjacency
     # state per AS: (preference rank, path length, path list)
     best: dict[int, tuple[int, int, list[int]]] = {origin_asn: (0, 0, [origin_asn])}
     learned_via: dict[int, Relationship | None] = {origin_asn: None}
@@ -84,7 +84,7 @@ def valley_free_paths(topology: Topology, origin_asn: int) -> dict[int, list[int
         # Routes learned from providers or peers are exported only to customers.
         customers_only = incoming is not None and incoming != Relationship.CUSTOMER
         candidate_length = current_length + 1
-        for neighbor, relationship in relationships.neighbor_relationships(current):
+        for neighbor, relationship in sorted(adjacency.get(current, {}).items()):
             if customers_only and relationship != Relationship.CUSTOMER:
                 continue
             if neighbor in current_path:

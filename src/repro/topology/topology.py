@@ -10,7 +10,7 @@ from repro.exceptions import TopologyError
 from repro.net.lpm import LpmTable
 from repro.topology.asys import AutonomousSystem
 from repro.topology.ixp import Ixp
-from repro.topology.relationships import Relationship, RelationshipDataset
+from repro.topology.relationships import Relationship
 
 
 @dataclass
@@ -18,8 +18,10 @@ class Topology:
     """A full AS-level topology: nodes, business relationships, and IXPs."""
 
     ases: dict[int, AutonomousSystem] = field(default_factory=dict)
-    relationships: RelationshipDataset = field(default_factory=RelationshipDataset)
     ixps: dict[str, Ixp] = field(default_factory=dict)
+    #: ``asn -> {neighbor: relationship as seen from asn}``, both ends of each
+    #: link, so the per-AS queries cost the AS's degree.
+    adjacency: dict[int, dict[int, Relationship]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ nodes
     def add_as(self, asys: AutonomousSystem) -> AutonomousSystem:
@@ -49,10 +51,20 @@ class Topology:
 
     # ------------------------------------------------------------------ edges
     def add_link(self, asn_a: int, asn_b: int, relationship: Relationship) -> None:
-        """Add a business relationship edge; both ASes must already exist."""
+        """Record that, from ``asn_a``'s view, ``asn_b`` is ``relationship``; both ASes
+        must already exist."""
         if asn_a not in self.ases or asn_b not in self.ases:
             raise TopologyError(f"both AS{asn_a} and AS{asn_b} must exist before linking them")
-        self.relationships.add(asn_a, asn_b, relationship)
+        if asn_a == asn_b:
+            raise TopologyError(f"AS{asn_a} cannot have a relationship with itself")
+        existing = self.relationship(asn_a, asn_b)
+        if existing is not None and existing != relationship:
+            raise TopologyError(
+                f"conflicting relationship for AS{asn_a}-AS{asn_b}: "
+                f"{existing.name} vs {relationship.name}"
+            )
+        self.adjacency.setdefault(asn_a, {})[asn_b] = relationship
+        self.adjacency.setdefault(asn_b, {})[asn_a] = relationship.inverse()
 
     def add_customer_link(self, provider: int, customer: int) -> None:
         """Add a provider→customer link."""
@@ -62,29 +74,36 @@ class Topology:
         """Add a settlement-free peering link."""
         self.add_link(asn_a, asn_b, Relationship.PEER)
 
+    def _neighbors_with(self, asn: int, relationship: Relationship) -> list[int]:
+        return sorted(
+            neighbor
+            for neighbor, seen_as in self.adjacency.get(asn, {}).items()
+            if seen_as == relationship
+        )
+
     def neighbors(self, asn: int) -> list[int]:
         """Return every AS adjacent to ``asn``."""
-        return self.relationships.neighbors(asn)
+        return sorted(self.adjacency.get(asn, ()))
 
     def customers(self, asn: int) -> list[int]:
         """Return the customers of ``asn``."""
-        return self.relationships.customers(asn)
+        return self._neighbors_with(asn, Relationship.CUSTOMER)
 
     def providers(self, asn: int) -> list[int]:
         """Return the providers of ``asn``."""
-        return self.relationships.providers(asn)
+        return self._neighbors_with(asn, Relationship.PROVIDER)
 
     def peers(self, asn: int) -> list[int]:
         """Return the peers of ``asn``."""
-        return self.relationships.peers(asn)
+        return self._neighbors_with(asn, Relationship.PEER)
 
     def relationship(self, asn_a: int, asn_b: int) -> Relationship | None:
-        """Return the relationship from ``asn_a``'s view of ``asn_b``."""
-        return self.relationships.get(asn_a, asn_b)
+        """Return the relationship from ``asn_a``'s view of ``asn_b`` (None if no edge)."""
+        return self.adjacency.get(asn_a, {}).get(asn_b)
 
     def edge_count(self) -> int:
         """Return the number of undirected AS edges."""
-        return self.relationships.edge_count()
+        return sum(len(neighbors) for neighbors in self.adjacency.values()) // 2
 
     # ------------------------------------------------------------------- IXPs
     def add_ixp(self, ixp: Ixp) -> Ixp:
@@ -136,7 +155,7 @@ class Topology:
     def validate(self) -> list[str]:
         """Return a list of consistency problems (empty when the topology is sound)."""
         problems: list[str] = []
-        for asn in self.relationships.asns():
+        for asn in self.adjacency:
             if asn not in self.ases:
                 problems.append(f"relationship references unknown AS{asn}")
         for ixp in self.ixps.values():

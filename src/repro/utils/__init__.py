@@ -10,7 +10,7 @@ from repro.utils.ip import (
     network_address,
     prefix_contains,
 )
-from repro.utils.stats import Ecdf, Histogram, fraction, percentile
+from repro.utils.stats import Ecdf, fraction, percentile
 from repro.utils.rand import DeterministicRng
 from repro.utils.tables import Table, format_count
 from repro.utils.collector import collector_paused
@@ -24,7 +24,6 @@ __all__ = [
     "network_address",
     "prefix_contains",
     "Ecdf",
-    "Histogram",
     "fraction",
     "percentile",
     "DeterministicRng",

@@ -1,7 +1,6 @@
 """Print each ``src/repro`` function that no output, ``repro-bgp`` command, example or
-quick ``benchmarks/perf`` workload enters under ``sys.setprofile`` (code run only by
-forked shard workers counts as unreached).  A measurement, not a gate: it exits 0
-unless a run fails.  Usage: ``PYTHONPATH=src python tests/reachability.py``
+quick ``benchmarks/perf`` workload enters under ``sys.settrace`` (code run only by forked
+shard workers counts as unreached).  Usage: ``PYTHONPATH=src python tests/reachability.py``
 
 ``--knobs`` runs nothing: it parses the source and prints each defaulted parameter of a
 ``src/repro`` function, method or class constructor that no call in ``src/``,
@@ -19,20 +18,29 @@ keyword or by position; by ``tuple.__new__``, which sets every field; by a ``rep
 / ``_replace`` keyword; or by an attribute assignment, matched by name.
 Usage: ``python tests/reachability.py --knobs``
 
-``--lines`` runs the same outputs under ``sys.settrace`` and, inside each function they
-enter, prints every statement none of them runs, grouped by module: a statement nested in
-an unrun one is counted with it, and ``raise`` statements and docstrings are left out.
-Usage: ``PYTHONPATH=src python tests/reachability.py --lines``"""
+``--lines`` runs the same outputs and, inside each function they enter, prints every
+statement none of them runs, grouped by module: a statement nested in an unrun one is
+counted with it, and ``raise`` statements and docstrings are left out.
+Usage: ``PYTHONPATH=src python tests/reachability.py --lines``
+
+``--check`` prints all five lists, then compares them with ``tests/fixtures/census.json``,
+which records every entry with a reason from its legend, and exits 1 if a list holds an
+entry the file lacks or the file holds one no list prints.  A statement is recorded by
+its function and text, not its line, so edits elsewhere leave the file alone.  The
+other three modes are measurements: they exit 0 unless a run fails.
+Usage: ``PYTHONPATH=src python tests/reachability.py --check``"""
 
 from __future__ import annotations
 
 import ast
 import contextlib
 import io
+import json
 import os
 import runpy
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,16 +72,6 @@ def exercise(scratch: str) -> None:
     for workload in (cls(7, True, Path(scratch)) for cls in WORKLOADS.values()):
         for step in ("setup", "iterate", "digest", "twin_iterate", "teardown"):
             getattr(workload, step)()
-
-
-def definitions(body: list, prefix: str = ""):
-    """``(qualified name, first line, line count)`` of each function and method."""
-    for node in body:
-        if isinstance(node, ast.ClassDef):
-            yield from definitions(node.body, f"{prefix}{node.name}.")
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield prefix + node.name, first, node.end_lineno - first + 1
 
 
 def defaulted(body: list, prefix: str = "", cls: ast.ClassDef | None = None):
@@ -140,43 +138,52 @@ def always_supplied(sites, called, keyword, position) -> int:
     return 0
 
 
-def knobs() -> None:
-    """Print every defaulted ``src/repro`` parameter no program call supplies, every
-    one all program calls supply, then every dataclass / NamedTuple field no program sets."""
+def knob_rows() -> tuple[list, list, list]:
+    """The three ``--knobs`` lists, each as ``(path, entry, column)`` rows: the defaulted
+    parameters no program call supplies (column: test files whose calls do), the defaults
+    every program call overrides (column: those calls), and the dataclass / NamedTuple
+    fields no program sets (column: test files that set it)."""
     program = [p for top in ("src", "examples", "benchmarks") for p in sorted((ROOT / top).rglob("*.py"))]
     sites = call_sites(program)
     tests = [call_sites([path]) for path in sorted((ROOT / "tests").rglob("*.py"))]
-    count = untested = 0
-    unread: list[tuple[Path, str]] = []
+    unsupplied, overridden = [], []
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        rows = []
         for name, called, (param, keyword), position in defaulted(ast.parse(path.read_text()).body):
             calls = always_supplied(sites, called, keyword, position)
             if calls:
-                unread.append((path, f"  {calls:5d}  {name}({param})"))
-            if supplied(sites, called, keyword, position):
-                continue
-            tested = sum(supplied(s, called, keyword, position) for s in tests)
-            rows.append(f"  {tested:5d}  {name}({param})")
-            count, untested = count + 1, untested + (tested == 0)
-        if rows:
-            print(path.relative_to(ROOT))
-            print("\n".join(rows))
-    print(f"{count} parameters no program call supplies ({untested} supplied by no test file either)")
-    for path in dict.fromkeys(path for path, _row in unread):
-        print(path.relative_to(ROOT))
-        print("\n".join(row for where, row in unread if where == path))
-    print(f"{len(unread)} defaults no program call relies on (column: calls that pass the parameter)")
+                overridden.append((path, f"{name}({param})", calls))
+            if not supplied(sites, called, keyword, position):
+                tested = sum(supplied(s, called, keyword, position) for s in tests)
+                unsupplied.append((path, f"{name}({param})", tested))
     sources = {path: path.read_text() for path in sorted((ROOT / "src" / "repro").rglob("*.py"))}
     program_setters = setters(path.read_text() for path in program)
     test_setters = [setters([path.read_text()]) for path in sorted((ROOT / "tests").rglob("*.py"))]
-    rows, fields = unset_fields(sources, program_setters), fields_of(sources)
-    for path in dict.fromkeys(path for path, _field in rows):
+    fields = fields_of(sources)
+    unset = [
+        (path, f"{owner}.{name}", sum(is_set(s, fields, owner, name) for s in test_setters))
+        for path, (owner, name) in unset_fields(sources, program_setters)
+    ]
+    return unsupplied, overridden, unset
+
+
+def print_rows(rows, summary: str) -> None:
+    """Print ``(path, entry, column)`` rows grouped by path, then ``summary``."""
+    for path in dict.fromkeys(path for path, *_rest in rows):
         print(path.relative_to(ROOT))
-        for _path, (owner, name) in (row for row in rows if row[0] == path):
-            tested = sum(is_set(s, fields, owner, name) for s in test_setters)
-            print(f"  {tested:5d}  {owner}.{name}")
-    print(f"{len(rows)} fields no program sets (column: test files that set it)")
+        for _path, entry, column in (row for row in rows if row[0] == path):
+            print(f"  {column:5d}  {entry}")
+    print(summary)
+
+
+def print_knobs(unsupplied, overridden, unset) -> None:
+    """Print the three :func:`knob_rows` lists, each with its count."""
+    untested = sum(tested == 0 for _path, _entry, tested in unsupplied)
+    print_rows(
+        unsupplied,
+        f"{len(unsupplied)} parameters no program call supplies ({untested} supplied by no test file either)",
+    )
+    print_rows(overridden, f"{len(overridden)} defaults no program call relies on (column: calls that pass the parameter)")
+    print_rows(unset, f"{len(unset)} fields no program sets (column: test files that set it)")
 
 
 #: ``default_factory`` callables whose field holds results, not a setting.
@@ -379,55 +386,97 @@ def functions(body: list, prefix: str = ""):
             yield prefix + node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]), node
 
 
-def lines_report() -> None:
-    """Print every statement no output runs inside a function some output enters."""
-    entered, ran = traced()
-    count = lines = 0
+def unrun_rows(source: str, entered: set[int], ran: set[int]):
+    """``(function, line, statement text, line count)`` of each statement of ``source``
+    that never ran (``ran``: the lines run) inside a function that did run (``entered``:
+    the first lines of the functions entered)."""
+    lines = source.splitlines()
+    for name, first, node in functions(ast.parse(source).body):
+        if first in entered:
+            for statement in unrun(node.body, ran):
+                text = lines[statement.lineno - 1].strip()
+                yield name, statement.lineno, text, statement.end_lineno - statement.lineno + 1
+
+
+def census_rows(entered, ran) -> tuple[list, list]:
+    """The unreached functions as ``(path, name, line count)`` rows and the unrun
+    statements as ``(path, function, line, text, line count)`` rows, from :func:`traced`."""
+    by_file: dict[str, tuple[set[int], set[int]]] = {}
+    for index, pairs in enumerate((entered, ran)):
+        for file, line in pairs:
+            by_file.setdefault(file, (set(), set()))[index].add(line)
+    unreached, statements = [], []
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        where = os.path.realpath(path)
-        source = path.read_text().splitlines()
-        here = {line for file, line in ran if file == where}
-        rows = []
-        for name, first, node in functions(ast.parse("\n".join(source)).body):
-            if (where, first) not in entered:
-                continue
-            for statement in unrun(node.body, here):
-                size = statement.end_lineno - statement.lineno + 1
-                text = source[statement.lineno - 1].strip()
-                rows.append(f"  {size:5d}  {name}:{statement.lineno}  {text}")
-                count, lines = count + 1, lines + size
-        if rows:
-            print(path.relative_to(ROOT))
-            print("\n".join(rows))
-    print(f"{count} statements no output runs in reached functions, {lines} lines")
+        source = path.read_text()
+        here_entered, here_ran = by_file.get(os.path.realpath(path), (set(), set()))
+        for name, first, node in functions(ast.parse(source).body):
+            if first not in here_entered:
+                unreached.append((path, name, node.end_lineno - first + 1))
+        statements += [(path, *row) for row in unrun_rows(source, here_entered, here_ran)]
+    return unreached, statements
 
 
-def reached() -> set[tuple[str, int]]:
-    """``(file, first line)`` of every code object :func:`exercise` enters."""
-    entered = set()
-    sys.setprofile(lambda frame, event, _arg: event == "call" and entered.add(frame.f_code))
-    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
-        exercise(scratch)
-    sys.setprofile(None)
-    return {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in entered}
+#: The committed census: every entry of the five lists, each with its reason.
+CENSUS = ROOT / "tests" / "fixtures" / "census.json"
+#: The census's lists, in the order ``--check`` prints them.
+LISTS = ("unreached", "lines", "unsupplied", "overridden", "fields")
+
+
+def census_of(unreached, statements, unsupplied, overridden, unset) -> dict[str, list[tuple[str, ...]]]:
+    """Each list's entries as the census keys them: the file, then the function or
+    parameter or field, and for a statement its text, not its line, so that an edit
+    elsewhere in the file leaves the key alone."""
+    relative = lambda path: path.relative_to(ROOT).as_posix()  # noqa: E731
+    found = {
+        "unreached": [(relative(path), name) for path, name, _size in unreached],
+        "lines": [(relative(path), name, text) for path, name, _line, text, _size in statements],
+    }
+    for key, rows in zip(LISTS[2:], (unsupplied, overridden, unset)):
+        found[key] = [(relative(path), entry) for path, entry, _column in rows]
+    return found
+
+
+def compare(census: dict, found: dict[str, list[tuple[str, ...]]]) -> list[str]:
+    """One line per difference between ``census`` (the census file's content) and
+    ``found`` (:func:`census_of`): an entry a list holds that the file lacks, an entry
+    the file holds that no list does (each counted as often as it occurs), and a reason
+    the file's legend does not name."""
+    problems = []
+    legend = census.get("legend", {})
+    for key in LISTS:
+        recorded: Counter = Counter()
+        for *entry, reason in census.get(key, ()):
+            recorded[tuple(entry)] += 1
+            if reason not in legend:
+                problems.append(f"{key}: reason {reason!r} is not in the legend: {json.dumps([*entry, reason])}")
+        listed = Counter(found[key])
+        for entry in (listed - recorded).elements():
+            problems.append(f"{key}: new, add it with its reason: {json.dumps([*entry, 'REASON'])}")
+        for entry in (recorded - listed).elements():
+            problems.append(f"{key}: gone, delete it: {json.dumps(list(entry))}")
+    return problems
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--knobs"]:
-        knobs()
+    mode = sys.argv[1:]
+    if mode not in ([], ["--lines"], ["--knobs"], ["--check"]):
+        raise SystemExit("usage: tests/reachability.py [--lines | --knobs | --check]")
+    if mode == ["--knobs"]:
+        print_knobs(*knob_rows())
         raise SystemExit(0)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks" / "perf")]
-    if sys.argv[1:] == ["--lines"]:
-        lines_report()
-        raise SystemExit(0)
-    entered = reached()
-    count = lines = 0  # of unreached functions
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        where = os.path.realpath(path)
-        misses = [d for d in definitions(ast.parse(path.read_text()).body) if (where, d[1]) not in entered]
-        if misses:
-            print(path.relative_to(ROOT))
-        for name, _first, size in misses:
-            print(f"  {size:5d}  {name}")
-            count, lines = count + 1, lines + size
-    print(f"{count} unreached functions, {lines} lines")
+    unreached, statements = census_rows(*traced())
+    if mode != ["--lines"]:
+        print_rows(unreached, f"{len(unreached)} unreached functions, {sum(row[2] for row in unreached)} lines")
+    if mode != []:
+        print_rows(
+            [(path, f"{name}:{line}  {text}", size) for path, name, line, text, size in statements],
+            f"{len(statements)} statements no output runs in reached functions, "
+            f"{sum(row[4] for row in statements)} lines",
+        )
+    if mode == ["--check"]:
+        knobs = knob_rows()
+        print_knobs(*knobs)
+        problems = compare(json.loads(CENSUS.read_text()), census_of(unreached, statements, *knobs))
+        print("\n".join(problems) or f"{CENSUS.relative_to(ROOT)} holds every entry of the five lists, and no other")
+        raise SystemExit(1 if problems else 0)

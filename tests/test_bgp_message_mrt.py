@@ -16,13 +16,7 @@ import repro
 from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import Community, CommunitySet
-from repro.bgp.message import (
-    BgpUpdate,
-    decode_path_attributes,
-    decode_update,
-    encode_path_attributes,
-    encode_update,
-)
+from repro.bgp.message import BgpUpdate, decode_update, encode_path_attributes, encode_update
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.bgp.rib import AdjRibIn, LocRib
 from repro.bgp.route import Announcement, RouteEntry
@@ -245,8 +239,21 @@ class TestUpdateCodec:
             ((5, 0x40, struct.pack("!I", 100)), "LOCAL_PREF"),
             ((4, 0x80, struct.pack("!I", 10)), "MED"),
             ((99, 0xC0, b"\x01"), "type 99"),
+            (MANDATORY_ATTRIBUTES[2], "NEXT_HOP"),
+            ((6, 0x40, b""), "type 6"),
+            ((32, 0xC0, struct.pack("!3I", 3356, 1, 2)), "LARGE_COMMUNITIES"),
         ],
-        ids=["communities", "origin", "as-path", "local-pref", "med", "unassigned"],
+        ids=[
+            "communities",
+            "origin",
+            "as-path",
+            "local-pref",
+            "med",
+            "unassigned",
+            "next-hop",
+            "atomic-aggregate",
+            "large-communities",
+        ],
     )
     def test_a_repeated_attribute_is_a_message_error(self, attribute, name):
         """RFC 4271 section 6.3: an attribute may appear once; the last copy
@@ -254,8 +261,6 @@ class TestUpdateCodec:
         code, flags, _ = attribute
         second = (code, flags, struct.pack("!I", 0x00020002)) if code == 8 else attribute
         section = attribute_bytes(attribute, second)
-        with pytest.raises(MessageError, match=f"repeated {name} attribute"):
-            decode_path_attributes(section)
         with pytest.raises(MessageError, match=f"repeated {name} attribute"):
             decode_update(update_message(section), AddressFamily.IPV4, True)
 
@@ -271,66 +276,69 @@ class TestUpdateCodec:
             decode_update(update_message(attribute_bytes(*present), nlri=bytes([8, 10])), AddressFamily.IPV4, True)
 
     @pytest.mark.parametrize(
-        "attribute", [(1, 0x40, b"\x00")] + [(code, 0xC0, b"") for code in (2, 3, 5, 8)],
-        ids=["origin", "as-path", "next-hop", "local-pref", "communities"],
-    )
-    @pytest.mark.parametrize("announced", [True, False], ids=["announce", "withdraw"])
-    def test_the_writer_refuses_an_opaque_attribute_it_writes_itself(self, attribute, announced):
-        """The reader types or drops these, so writing what it read would change the bytes."""
-        update = BgpUpdate(
-            announced=[Prefix.from_string("10.0.0.0/8")] if announced else [],
-            attributes=make_attributes(),
-            unknown_attributes=[attribute],
-        )
-        with pytest.raises(MessageError, match="cannot be written opaque"):
-            encode_update(update)
-
-    def test_the_writer_refuses_a_repeated_opaque_attribute(self):
-        unknown = [(99, 0xC0, b"\x01"), (4, 0x80, bytes(4)), (99, 0xC0, b"\x02")]
-        with pytest.raises(MessageError, match="repeated type 99 attribute"):
-            encode_path_attributes(make_attributes(), unknown)
-
-    def test_unknown_attribute_roundtrip(self):
-        update = BgpUpdate(
-            announced=[Prefix.from_string("192.0.2.0/24")],
-            attributes=make_attributes(),
-            unknown_attributes=[(99, 0xC0, b"\x01\x02")],
-        )
-        decoded = decode_update(encode_update(update), AddressFamily.IPV4, True)
-        assert decoded.unknown_attributes == [(99, 0xC0, b"\x01\x02")]
-
-    @pytest.mark.parametrize(
-        "overrides, unknown",
+        "overrides",
         [
-            # RFC 8092 large communities ride along as an opaque attribute.
-            ({}, ((32, 0xC0, struct.pack("!6I", 3356, 1, 2, 1299, 0, 0xFFFFFFFF)),)),
-            # Opaque means unsorted and duplicated entries stay as sent.
-            ({}, ((32, 0xC0, struct.pack("!9I", 1299, 0, 0, 3356, 1, 2, 1299, 0, 0)),)),
-            # ATOMIC_AGGREGATE is opaque too: no route carries it.
-            ({}, ((6, 0x40, b""),)),
-            ({}, ((99, 0xC0, b"\x01\x02"),)),
+            {},
             # More ASNs than one AS_PATH segment holds: written as two.
-            ({"as_path": ASPath.of(*range(1, 301))}, ()),
+            {"as_path": ASPath.of(*range(1, 301))},
         ],
-        ids=[
-            "large-communities",
-            "large-communities-unsorted-duplicates",
-            "atomic-aggregate",
-            "unknown-attribute",
-            "300-asn-path",
-        ],
+        ids=["typed-attributes", "300-asn-path"],
     )
-    def test_roundtrip_keeps_every_attribute(self, overrides, unknown):
+    def test_roundtrip_keeps_every_attribute(self, overrides):
         update = BgpUpdate(
             announced=[Prefix.from_string("203.0.113.0/24")],
             attributes=make_attributes(**overrides),
-            unknown_attributes=list(unknown),
         )
         data = encode_update(update)
         decoded = decode_update(data, AddressFamily.IPV4, True)
         assert decoded == update
         assert hash(decoded.attributes) == hash(update.attributes)
         assert encode_update(decoded) == data
+
+    @pytest.mark.parametrize(
+        "untyped",
+        [
+            bytes([0x80, 4, 4]) + struct.pack("!I", 10),
+            bytes([0x40, 6, 0]),
+            bytes([0xC0, 32, 12]) + struct.pack("!3I", 3356, 1, 2),
+            # Unsorted and duplicated entries: the reader orders nothing it skips.
+            bytes([0xC0, 32, 36]) + struct.pack("!9I", 1299, 0, 0, 3356, 1, 2, 1299, 0, 0),
+            bytes([0xC0, 99, 2, 1, 2]),
+            # A 2-byte length field, which a sender may set on any attribute.
+            bytes([0xD0, 99]) + struct.pack("!H", 300) + bytes(300),
+        ],
+        ids=[
+            "med",
+            "atomic-aggregate",
+            "large-communities",
+            "large-communities-unsorted-duplicates",
+            "unknown-attribute",
+            "extended-length",
+        ],
+    )
+    def test_an_untyped_attribute_is_skipped_wherever_it_sits(self, untyped):
+        """A foreign UPDATE reads as the same update with the attribute left out."""
+        update = BgpUpdate(announced=[Prefix.from_string("203.0.113.0/24")], attributes=make_attributes())
+        section = encode_path_attributes(update.attributes)
+        for placed in (untyped + section, section + untyped):
+            message = update_message(placed, nlri=bytes([24, 203, 0, 113]))
+            assert decode_update(message, AddressFamily.IPV4, True) == update
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"\xc0", "truncated path attribute header"),
+            (bytes([0xD0, 99, 0]), "truncated extended attribute length"),
+            (bytes([0xC0, 99]), "truncated attribute length"),
+            (bytes([0xC0, 99, 3, 1, 2]), "attribute 99 overflows the attribute section"),
+        ],
+        ids=["header", "extended-length", "length", "payload"],
+    )
+    def test_a_truncated_attribute_is_a_message_error(self, tail, message):
+        """Each attribute's header is read before its type is looked at."""
+        section = attribute_bytes(*MANDATORY_ATTRIBUTES) + tail
+        with pytest.raises(MessageError, match=message):
+            decode_update(update_message(section), AddressFamily.IPV4, True)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -594,20 +602,40 @@ class TestTwoByteAsRecords:
         assert message.update.attributes.communities == CommunitySet.of("3356:100")
         assert message.update.announced == [Prefix.from_string("203.0.113.0/24")]
 
-    def test_opaque_attributes_survive_decode_and_encode(self):
-        """What the model does not read is carried, in wire order, as sent."""
-        opaque = [
-            (4, 0x80, struct.pack("!I", 10)),  # MULTI_EXIT_DISC
-            (6, 0x40, b""),  # ATOMIC_AGGREGATE
-            (32, 0xC0, struct.pack("!3I", 3356, 1, 2)),  # LARGE_COMMUNITIES
-            (99, 0xC0, b"\x01\x02"),  # unassigned
+    #: What a foreign UPDATE carries beyond the typed attributes.
+    UNTYPED = (
+        (4, 0x80, struct.pack("!I", 10)),  # MULTI_EXIT_DISC
+        (6, 0x40, b""),  # ATOMIC_AGGREGATE
+        (32, 0xC0, struct.pack("!3I", 3356, 1, 2)),  # LARGE_COMMUNITIES
+        (99, 0xC0, b"\x01\x02"),  # unassigned, optional transitive
+    )
+
+    def test_untyped_attributes_leave_the_rows_unchanged(self, tmp_path):
+        """The reader skips what no row carries, once its form is checked."""
+        rows = {}
+        for name, extra in (("plain", b""), ("untyped", attribute_bytes(*self.UNTYPED))):
+            path = tmp_path / f"{name}.mrt"
+            path.write_bytes(two_byte_as_record(extra=extra))
+            rows[name] = [
+                (o.peer_asn, o.prefix, o.as_path, o.communities) for o in ObservationArchive.from_mrt(path)
+            ]
+        assert rows["untyped"] == rows["plain"] == [
+            (3356, Prefix.from_string("203.0.113.0/24"), (3356, 1299, 13335), CommunitySet.of("3356:100"))
         ]
-        extra = b"".join(bytes([flags, code, len(data)]) + data for code, flags, data in opaque)
-        (message,) = messages_of(two_byte_as_record(extra=extra))
-        assert message.update.unknown_attributes == opaque
-        again = decode_update(encode_update(message.update), AddressFamily.IPV4, True)
-        assert again.unknown_attributes == opaque
-        assert again == message.update
+
+    @pytest.mark.parametrize(
+        "attributes, message",
+        [
+            (((4, 0x80, bytes(3)), *UNTYPED[1:]), "MED attribute must be exactly 4 bytes"),
+            ((*UNTYPED, UNTYPED[3]), "repeated type 99 attribute"),
+        ],
+        ids=["3-byte-med", "repeated-unknown"],
+    )
+    def test_untyped_attributes_are_still_checked(self, tmp_path, attributes, message):
+        path = tmp_path / "malformed.mrt"
+        path.write_bytes(two_byte_as_record(extra=attribute_bytes(*attributes)))
+        with pytest.raises(MessageError, match=message):
+            ObservationArchive.from_mrt(path)
 
     @pytest.mark.parametrize(
         "segments, row_path",
@@ -681,11 +709,11 @@ class TestAsPathSegments:
     )
     def test_a_path_is_written_as_sequences_of_at_most_255(self, length, counts):
         path = ASPath.of(*range(1, length + 1))
-        section = encode_path_attributes(PathAttributes(as_path=path), ())
+        section = encode_path_attributes(PathAttributes(as_path=path))
         assert as_path_segments(section) == [(2, count) for count in counts]
-        decoded, unknown = decode_path_attributes(section)
+        message = update_message(section, nlri=bytes([8, 10]))
+        decoded = decode_update(message, AddressFamily.IPV4, True).attributes
         assert decoded.as_path == path and hash(decoded.as_path) == hash(path)
-        assert unknown == []
 
     @pytest.mark.parametrize("as4", [True, False], ids=["4-byte", "2-byte"])
     @pytest.mark.parametrize(
@@ -709,14 +737,14 @@ class TestAsPathSegments:
     )
     def test_a_malformed_segment_is_a_message_error(self, segments, message, as4):
         with pytest.raises(MessageError, match=message):
-            decode_path_attributes(as_path_section(segments, as4), as4)
+            decode_update(update_message(as_path_section(segments, as4)), AddressFamily.IPV4, as4)
 
     @pytest.mark.parametrize("as4", [True, False], ids=["4-byte", "2-byte"])
     def test_a_stray_byte_after_the_last_segment_is_a_message_error(self, as4):
         section = as_path_section([(2, None, (3356, 1299))], as4)
         section = bytes([section[0], section[1], section[2] + 1]) + section[3:] + b"\x02"
         with pytest.raises(MessageError, match="truncated AS_PATH segment header"):
-            decode_path_attributes(section, as4)
+            decode_update(update_message(section), AddressFamily.IPV4, as4)
 
 
 def observation(**overrides) -> RouteObservation:
@@ -1061,7 +1089,6 @@ class TestArchiveBridgeEquivalence:
         assert first.update is not second.update
         assert first.update.announced is not second.update.announced
         assert first.update.withdrawn is not second.update.withdrawn
-        assert first.update.unknown_attributes is not second.update.unknown_attributes
         first.update.announced.clear()
         assert second.update.announced == [Prefix.from_string("203.0.113.0/24")]
 

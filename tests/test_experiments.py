@@ -734,22 +734,36 @@ class TestParameterTable:
             expand_grid(name, param_grid=axes, **base)
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, named",
         [
-            get("report").default_spec(source="mrt"),
-            get("steering").default_spec(variant="sideways"),
-            get("propagation-check").default_spec(community_value=0x10000),
-            ExperimentSpec.from_dict(
-                {**get("rtbh-wild").default_spec().to_dict(), "platforms": ["bogus", "atlas"]}
+            (get("report").default_spec(source="mrt"), ["source"]),
+            (get("steering").default_spec(variant="sideways"), ["variant"]),
+            (get("propagation-check").default_spec(community_value=0x10000), ["community_value"]),
+            (
+                ExperimentSpec.from_dict(
+                    {**get("rtbh-wild").default_spec().to_dict(), "platforms": ["bogus", "atlas"]}
+                ),
+                ["bogus"],
+            ),
+            # The atlas platform deploys `probes` probes, which this experiment does not declare.
+            (
+                ExperimentSpec.from_dict(
+                    {
+                        **get("propagation-check").default_spec().to_dict(),
+                        "platforms": ["peering", "research", "collectors", "atlas"],
+                    }
+                ),
+                ["atlas", "probes"],
             ),
         ],
-        ids=["report-source", "steering-variant", "community-value", "bogus-platform"],
+        ids=["report-source", "steering-variant", "community-value", "bogus-platform", "atlas-without-probes"],
     )
-    def test_a_bad_spec_fails_before_the_build_stage(self, spec):
+    def test_a_bad_spec_fails_before_the_build_stage(self, spec, named):
         result = run_experiment(spec)
         assert result.status is ExperimentStatus.ERROR
         assert result.timings == {}
         assert result.error.startswith("ExperimentError: ")
+        assert all(repr(name) in result.error for name in named)
 
     def test_an_unread_setting_is_no_parameter(self):
         # member_count and inferred_count changed no metric at any value.

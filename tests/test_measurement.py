@@ -130,7 +130,7 @@ class TestTable2AndFigure5:
         assert per_length
         for length, ecdf in per_length.items():
             assert 3 <= length <= 10
-            assert all(0.0 < p.x <= 1.0 for p in ecdf.points())
+            assert all(0.0 < x <= 1.0 for x in ecdf.values)
 
 
 class TestFigure6Filtering:
@@ -220,7 +220,6 @@ class TestTimeseriesAndReport:
             "Blackhole communities observed",
         ):
             assert marker in text
-        assert len(report.rendered_tables) == 11
 
 
 # ------------------------------------------------ per-observation loop oracles

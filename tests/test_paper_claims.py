@@ -289,8 +289,8 @@ def _target_drops_traffic(raise_local_pref: bool) -> bool:
 
 def _local_pref_steering_over_peer_session() -> bool:
     topology = build_figure8b_topology()
-    topology.relationships._adjacency[1][2] = Relationship.PEER
-    topology.relationships._adjacency[2][1] = Relationship.PEER
+    topology.adjacency[1][2] = Relationship.PEER
+    topology.adjacency[2][1] = Relationship.PEER
     roles = ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1)
     return LocalPrefSteeringAttack(topology, roles, Prefix.from_string("198.18.0.0/24")).run().succeeded
 

@@ -12,30 +12,38 @@ from repro.topology.asys import AsRole, AutonomousSystem
 from repro.topology.generator import PolicyMix, TopologyGenerator, TopologyParameters
 from repro.topology.graph import classify_roles, valley_free_paths
 from repro.topology.ixp import Ixp, RouteServerConfig
-from repro.topology.relationships import Relationship, RelationshipDataset
+from repro.topology.relationships import Relationship
 from repro.topology.topology import Topology
 
 
+def unlinked(*asns: int) -> Topology:
+    """A topology of the ASes ``asns`` and no links."""
+    topology = Topology()
+    for asn in asns:
+        topology.add_as(AutonomousSystem(asn=asn))
+    return topology
+
+
 class TestRelationships:
-    def test_dataset_symmetry(self):
-        dataset = RelationshipDataset()
-        dataset.add(1, 2, Relationship.CUSTOMER)
-        assert dataset.get(1, 2) == Relationship.CUSTOMER
-        assert dataset.get(2, 1) == Relationship.PROVIDER
-        assert dataset.customers(1) == [2]
-        assert dataset.providers(2) == [1]
-        assert dataset.neighbors(1) == [2]
-        assert dataset.edge_count() == 1
+    def test_links_are_symmetric(self):
+        topology = unlinked(1, 2)
+        topology.add_link(1, 2, Relationship.CUSTOMER)
+        assert topology.relationship(1, 2) == Relationship.CUSTOMER
+        assert topology.relationship(2, 1) == Relationship.PROVIDER
+        assert topology.customers(1) == [2]
+        assert topology.providers(2) == [1]
+        assert topology.neighbors(1) == [2]
+        assert topology.edge_count() == 1
 
     def test_conflicting_relationship_rejected(self):
-        dataset = RelationshipDataset()
-        dataset.add(1, 2, Relationship.CUSTOMER)
+        topology = unlinked(1, 2)
+        topology.add_link(1, 2, Relationship.CUSTOMER)
         with pytest.raises(TopologyError):
-            dataset.add(1, 2, Relationship.PEER)
+            topology.add_link(1, 2, Relationship.PEER)
 
     def test_self_relationship_rejected(self):
         with pytest.raises(TopologyError):
-            RelationshipDataset().add(1, 1, Relationship.PEER)
+            unlinked(1).add_link(1, 1, Relationship.PEER)
 
 
 class TestAutonomousSystem:
@@ -70,7 +78,7 @@ class _EdgeScanOracle:
         self.relationships: dict[tuple[int, int], Relationship] = {}
 
     def add(self, asn_a: int, asn_b: int, relationship: Relationship) -> bool:
-        """Apply one add; return False where the dataset must raise."""
+        """Apply one add; return False where the topology must raise."""
         existing = self.relationships.get((asn_a, asn_b))
         if asn_a == asn_b or (existing is not None and existing != relationship):
             return False
@@ -94,34 +102,24 @@ class TestRelationshipAdjacency:
         )
     )
     def test_answers_match_an_edge_scan(self, adds):
-        dataset, oracle = RelationshipDataset(), _EdgeScanOracle()
+        topology, oracle = unlinked(*range(1, 9)), _EdgeScanOracle()
         for asn_a, asn_b, relationship in adds:
             # The small ASN range makes re-adds, reversed re-adds and
             # conflicting re-adds all common.
             if oracle.add(asn_a, asn_b, relationship):
-                dataset.add(asn_a, asn_b, relationship)
+                topology.add_link(asn_a, asn_b, relationship)
             else:
                 with pytest.raises(TopologyError):
-                    dataset.add(asn_a, asn_b, relationship)
-        assert dataset.asns() == {a for a, _b in oracle.relationships}
-        assert dataset.edge_count() == len(oracle.relationships) // 2
+                    topology.add_link(asn_a, asn_b, relationship)
+        assert set(topology.adjacency) == {a for a, _b in oracle.relationships}
+        assert topology.edge_count() == len(oracle.relationships) // 2
         for asn in range(0, 10):
-            assert dataset.neighbors(asn) == oracle.related(asn)
-            assert dataset.customers(asn) == oracle.related(asn, Relationship.CUSTOMER)
-            assert dataset.providers(asn) == oracle.related(asn, Relationship.PROVIDER)
-            assert dataset.peers(asn) == oracle.related(asn, Relationship.PEER)
+            assert topology.neighbors(asn) == oracle.related(asn)
+            assert topology.customers(asn) == oracle.related(asn, Relationship.CUSTOMER)
+            assert topology.providers(asn) == oracle.related(asn, Relationship.PROVIDER)
+            assert topology.peers(asn) == oracle.related(asn, Relationship.PEER)
             for other in range(0, 10):
-                assert dataset.get(asn, other) == oracle.relationships.get((asn, other))
-                assert dataset.has_edge(asn, other) == ((asn, other) in oracle.relationships)
-        edges = list(dataset.edges())
-        assert len(edges) == dataset.edge_count()
-        # Each undirected edge once, in order of its lower-sorting (a, b) key.
-        assert [frozenset((e.asn_a, e.asn_b)) for e in edges] == list(
-            dict.fromkeys(frozenset(pair) for pair in sorted(oracle.relationships))
-        )
-        for edge in edges:
-            assert edge.relationship != Relationship.PROVIDER
-            assert oracle.relationships[(edge.asn_a, edge.asn_b)] == edge.relationship
+                assert topology.relationship(asn, other) == oracle.relationships.get((asn, other))
 
 
 class TestIxp:

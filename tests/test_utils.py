@@ -21,7 +21,7 @@ from repro.utils.ip import (
     prefix_contains,
 )
 from repro.utils.rand import DeterministicRng
-from repro.utils.stats import Ecdf, Histogram, fraction, percentile
+from repro.utils.stats import Ecdf, fraction, percentile
 from repro.utils.tables import Table, format_count
 
 
@@ -125,24 +125,8 @@ class TestEcdf:
         assert ecdf.at(0) == 0.0
         assert ecdf.at(10) == 1.0
 
-    def test_points_monotone(self):
-        ecdf = Ecdf([3, 1, 2, 2, 5])
-        points = ecdf.points()
-        xs = [p.x for p in points]
-        fractions = [p.fraction for p in points]
-        assert xs == sorted(xs)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-
     def test_quantile_median(self):
         assert Ecdf([1, 2, 3]).quantile(0.5) == pytest.approx(2)
-
-    def test_mean(self):
-        assert Ecdf([2, 4]).mean() == pytest.approx(3.0)
-
-    def test_mean_empty_raises(self):
-        with pytest.raises(MeasurementError):
-            Ecdf([]).mean()
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1))
     def test_at_is_monotone_property(self, values):
@@ -150,6 +134,9 @@ class TestEcdf:
         lo, hi = min(values), max(values)
         assert ecdf.at(lo - 1) <= ecdf.at(lo) <= ecdf.at(hi) <= 1.0
         assert ecdf.at(hi) == pytest.approx(1.0)
+        # P(X <= x) is the share of samples at or below x, ties included.
+        for x in values:
+            assert ecdf.at(x) == sum(v <= x for v in values) / len(values)
 
 
 class TestStatsHelpers:
@@ -169,18 +156,6 @@ class TestStatsHelpers:
     def test_percentile_empty(self):
         with pytest.raises(MeasurementError):
             percentile([], 50)
-
-    def test_histogram_top(self):
-        histogram = Histogram(["a", "b", "a", "a", "c"])
-        assert histogram.top(1) == [("a", 3)]
-        assert histogram.total() == 5
-        assert histogram.count("b") == 1
-        assert "c" in histogram
-
-    def test_histogram_fractions(self):
-        histogram = Histogram(["x", "x", "y", "y"])
-        fractions = histogram.fractions()
-        assert fractions["x"] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------- rng
