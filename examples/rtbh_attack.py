@@ -10,36 +10,39 @@ with Atlas-style probes.
 Run with::
 
     python examples/rtbh_attack.py
+
+It exits with status 1 if either Figure 7 scenario does not succeed.
 """
 
 from __future__ import annotations
 
+import sys
+
 from repro.attacks.rtbh import RtbhAttack
-from repro.attacks.scenario import ScenarioRoles, build_figure7_topology
-from repro.bgp.prefix import Prefix
 from repro.probing.atlas import AtlasPlatform
 from repro.topology.generator import TopologyGenerator, TopologyParameters
 from repro.wild.experiments import RtbhWildExperiment
 from repro.wild.peering import attach_peering_testbed
 
-VICTIM = Prefix.from_string("203.0.113.0/24")
 
+def figure7_scenarios() -> bool:
+    """The canonical Figure 7 scenarios: with and without prefix hijacking.
 
-def figure7_scenarios() -> None:
-    """The canonical Figure 7 scenarios: with and without prefix hijacking."""
+    Returns True if both succeeded.
+    """
+    succeeded = True
     for hijack in (False, True):
-        topology = build_figure7_topology()
-        roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
-        attack = RtbhAttack(topology, roles, VICTIM, use_hijack=hijack)
-        result = attack.run(vantage_points=[4])
+        result = RtbhAttack.figure7(hijack=hijack).run(vantage_points=[4])
         print(f"--- Figure 7 {'(b) with hijack' if hijack else '(a) without hijack'} ---")
-        print(result.description)
-        print(f"  attack prefix:            {result.attack_prefix}")
-        print(f"  target's looking glass:   {result.target_next_hop}")
-        print(f"  ASes dropping traffic:    {result.blackholed_at}")
-        print(f"  vantage points cut off:   {result.unreachable_from}")
-        print(f"  attack succeeded:         {result.succeeded}")
+        print(result["description"])
+        print(f"  attack prefix:            {result['attack_prefix']}")
+        print(f"  target's looking glass:   {result['target_next_hop']}")
+        print(f"  ASes dropping traffic:    {result['blackholed_at']}")
+        print(f"  vantage points cut off:   {result['unreachable_from']}")
+        print(f"  attack succeeded:         {result['succeeded']}")
         print()
+        succeeded = succeeded and result["succeeded"]
+    return succeeded
 
 
 def wild_experiment() -> None:
@@ -63,8 +66,10 @@ def wild_experiment() -> None:
 
 
 def main() -> None:
-    figure7_scenarios()
+    succeeded = figure7_scenarios()
     wild_experiment()
+    if not succeeded:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

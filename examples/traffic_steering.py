@@ -16,71 +16,58 @@ Three demonstrations:
 Run with::
 
     python examples/traffic_steering.py
+
+It exits with status 1 if any of the three scenarios does not succeed.
 """
 
 from __future__ import annotations
 
+import sys
+
 from repro.attacks.manipulation import RouteManipulationAttack
-from repro.attacks.scenario import (
-    ScenarioRoles,
-    build_figure2_topology,
-    build_figure8b_topology,
-    build_figure9_ixp,
-)
 from repro.attacks.steering import LocalPrefSteeringAttack, PrependSteeringAttack
-from repro.bgp.prefix import Prefix
 
 
-def prepend_steering() -> None:
-    topology = build_figure2_topology()
-    roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
-    attack = PrependSteeringAttack(
-        topology, roles, Prefix.from_string("198.51.100.0/24"), observer_asn=6
-    )
+def prepend_steering() -> bool:
+    attack = PrependSteeringAttack.figure2()
     result = attack.run()
     print("--- Figure 2: AS-path prepending abuse ---")
     print(f"  prepend community used:   {attack.prepend_community}")
-    print(f"  observer path before:     {result.path_before}")
-    print(f"  observer path after:      {result.path_after}")
-    print(f"  attack succeeded:         {result.succeeded}")
+    print(f"  observer path before:     {result['path_before']}")
+    print(f"  observer path after:      {result['path_after']}")
+    print(f"  attack succeeded:         {result['succeeded']}")
     print()
+    return result["succeeded"]
 
 
-def local_pref_steering() -> None:
-    topology = build_figure8b_topology()
-    roles = ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1)
-    attack = LocalPrefSteeringAttack(topology, roles, Prefix.from_string("198.18.0.0/24"))
+def local_pref_steering() -> bool:
+    attack = LocalPrefSteeringAttack.figure8b()
     result = attack.run()
     print("--- Figure 8(b): local-pref (customer backup) abuse ---")
     print(f"  backup community used:    {attack.backup_community}")
-    print(f"  target ingress before:    AS{result.details['ingress_before']}")
-    print(f"  target ingress after:     AS{result.details['ingress_after']}")
-    print(f"  local-pref before/after:  {result.local_pref_before} / {result.local_pref_after}")
-    print(f"  attack succeeded:         {result.succeeded}")
+    print(f"  target ingress before:    AS{result['details']['ingress_before']}")
+    print(f"  target ingress after:     AS{result['details']['ingress_after']}")
+    print(f"  local-pref before/after:  {result['local_pref_before']} / {result['local_pref_after']}")
+    print(f"  attack succeeded:         {result['succeeded']}")
     print()
+    return result["succeeded"]
 
 
-def route_manipulation() -> None:
-    topology, ixp = build_figure9_ixp()
-    roles = ScenarioRoles(
-        attacker_asn=2, attackee_asn=1, community_target_asn=ixp.route_server_asn
-    )
-    attack = RouteManipulationAttack(
-        topology, ixp, roles, Prefix.from_string("203.0.113.0/24"), victim_member_asn=4
-    )
-    result = attack.run()
+def route_manipulation() -> bool:
+    result = RouteManipulationAttack.figure9().run()
     print("--- Figure 9: route manipulation at the IXP route server ---")
-    print(f"  announce community:       {result.details['announce_community']}")
-    print(f"  suppress community:       {result.details['suppress_community']}")
-    print(f"  AS4 had the route before: {result.attackee_route_before}")
-    print(f"  AS4 has the route after:  {result.attackee_route_after}")
-    print(f"  attack succeeded:         {result.succeeded}")
+    print(f"  announce community:       {result['details']['announce_community']}")
+    print(f"  suppress community:       {result['details']['suppress_community']}")
+    print(f"  AS4 had the route before: {result['route_before']}")
+    print(f"  AS4 has the route after:  {result['route_after']}")
+    print(f"  attack succeeded:         {result['succeeded']}")
+    return result["succeeded"]
 
 
 def main() -> None:
-    prepend_steering()
-    local_pref_steering()
-    route_manipulation()
+    outcomes = [prepend_steering(), local_pref_steering(), route_manipulation()]
+    if not all(outcomes):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,13 @@ route to the prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.attacks.scenario import AttackOutcome, ScenarioRoles
+from repro.attacks.scenario import (
+    FIGURE9_ROLES,
+    FIGURE9_VICTIM,
+    FIGURE9_VICTIM_MEMBER_ASN,
+    ScenarioRoles,
+    build_figure9_ixp,
+)
 from repro.bgp.aspath import ASPath
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import CommunitySet
@@ -22,20 +26,6 @@ from repro.bgp.route import Announcement
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.routing.route_server import RouteServer
 from repro.topology.ixp import Ixp
-from repro.topology.topology import Topology
-
-
-@dataclass
-class ManipulationResult(AttackOutcome):
-    """Outcome of the route-manipulation attack."""
-
-    attackee_route_before: bool = False
-    attackee_route_after: bool = False
-
-    @property
-    def route_withdrawn(self) -> bool:
-        """True if the victim member lost the route because of the attack."""
-        return self.attackee_route_before and not self.attackee_route_after
 
 
 class RouteManipulationAttack:
@@ -43,19 +33,23 @@ class RouteManipulationAttack:
 
     def __init__(
         self,
-        topology: Topology,
         ixp: Ixp,
         roles: ScenarioRoles,
         victim_prefix: Prefix,
         #: The member the attackee wants to reach (attackee-1 in Figure 9).
         victim_member_asn: int,
     ):
-        self.topology = topology
         self.ixp = ixp
         self.roles = roles
         self.victim_prefix = victim_prefix
         self.victim_member_asn = victim_member_asn
         self.config = ixp.route_server_config
+
+    @classmethod
+    def figure9(cls, victim_prefix: Prefix = FIGURE9_VICTIM) -> RouteManipulationAttack:
+        """AS2's attack on AS1's route towards AS4 at a fresh Figure 9 IXP."""
+        _topology, ixp = build_figure9_ixp()
+        return cls(ixp, FIGURE9_ROLES, victim_prefix, FIGURE9_VICTIM_MEMBER_ASN)
 
     def _member_announcement(
         self, member_asn: int, communities: CommunitySet
@@ -68,8 +62,9 @@ class RouteManipulationAttack:
             origin_asn=member_asn,
         )
 
-    def run(self) -> ManipulationResult:
-        """Execute the attack against a fresh route-server instance."""
+    def run(self) -> dict:
+        """Execute the attack against a fresh route-server instance; return the
+        JSON-safe record the ``route-manipulation`` experiment stores."""
         roles = self.roles
         server = RouteServer(self.ixp)
 
@@ -92,23 +87,22 @@ class RouteManipulationAttack:
 
         # The attack succeeds when the conflicting communities remove the
         # victim's visibility of the prefix (suppression evaluated first).
-        succeeded = route_before and not route_after
-        description = (
-            f"route manipulation at {self.ixp.name}: AS{roles.attacker_asn} suppresses "
-            f"{self.victim_prefix} towards AS{self.victim_member_asn}"
-        )
-        return ManipulationResult(
-            succeeded=succeeded,
-            roles=roles,
-            description=description,
-            details={
+        withdrawn = route_before and not route_after
+        return {
+            "succeeded": withdrawn,
+            "description": (
+                f"route manipulation at {self.ixp.name}: AS{roles.attacker_asn} suppresses "
+                f"{self.victim_prefix} towards AS{self.victim_member_asn}"
+            ),
+            "route_before": route_before,
+            "route_after": route_after,
+            "route_withdrawn": withdrawn,
+            "details": {
                 "announce_community": str(announce_community),
                 "suppress_community": str(suppress_community),
                 "suppress_before_redistribute": self.config.suppress_before_redistribute,
             },
-            attackee_route_before=route_before,
-            attackee_route_after=route_after,
-        )
+        }
 
 
 @register("route-manipulation")
@@ -118,39 +112,10 @@ class RouteManipulationExperiment(Experiment):
     description = "suppress a member's route at an IXP route server (Figure 9)"
     paper_section = "Section 5.3"
     canonical_topology = True
-    parameters = (Param("victim_prefix", "203.0.113.0/24", "prefix"),)
-
-    def build(self, ctx: ExperimentContext) -> None:
-        from repro.attacks.scenario import build_figure9_ixp
-
-        topology, ixp = build_figure9_ixp()
-        ctx.topology = topology
-        ctx.scratch["ixp"] = ixp
+    parameters = (Param("victim_prefix", str(FIGURE9_VICTIM), "prefix"),)
 
     def execute(self, ctx: ExperimentContext) -> dict:
-        from repro.attacks.scenario import ScenarioRoles
-
-        ixp = ctx.scratch["ixp"]
-        roles = ScenarioRoles(
-            attacker_asn=2, attackee_asn=1, community_target_asn=ixp.route_server_asn
-        )
-        attack = RouteManipulationAttack(
-            ctx.require_topology(),
-            ixp,
-            roles,
-            victim_prefix=self.prefix_param("victim_prefix"),
-            victim_member_asn=4,
-        )
-        outcome = attack.run()
-        ctx.scratch["outcome"] = outcome
-        return {
-            "succeeded": outcome.succeeded,
-            "description": outcome.description,
-            "route_before": outcome.attackee_route_before,
-            "route_after": outcome.attackee_route_after,
-            "route_withdrawn": outcome.route_withdrawn,
-            "details": outcome.details,
-        }
+        return RouteManipulationAttack.figure9(self.prefix_param("victim_prefix")).run()
 
     def validate(self, ctx: ExperimentContext, metrics: dict) -> bool:
         return bool(metrics["succeeded"])

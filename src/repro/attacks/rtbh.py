@@ -16,27 +16,19 @@ Two variants, mirroring Figure 7:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.attacks.scenario import AttackOutcome, ScenarioRoles
-from repro.bgp.community import BLACKHOLE, Community, CommunitySet
+from repro.attacks.scenario import (
+    FIGURE7_ROLES,
+    FIGURE7_VICTIM,
+    ScenarioRoles,
+    build_figure7_topology,
+)
+from repro.bgp.community import BLACKHOLE, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.exceptions import AttackError
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
-
-
-@dataclass
-class RtbhResult(AttackOutcome):
-    """Outcome of an RTBH attack: where traffic is dropped and who lost reachability."""
-
-    blackholed_at: list[int] = field(default_factory=list)
-    unreachable_from: list[int] = field(default_factory=list)
-    reachable_before: list[int] = field(default_factory=list)
-    attack_prefix: Prefix | None = None
-    target_next_hop: str = ""
 
 
 class RtbhAttack:
@@ -48,21 +40,22 @@ class RtbhAttack:
         roles: ScenarioRoles,
         victim_prefix: Prefix,
         use_hijack: bool,
-        blackhole_community: Community | None = None,
     ):
         self.topology = topology
         self.roles = roles
         self.victim_prefix = victim_prefix
         self.use_hijack = use_hijack
         target = topology.get_as(roles.community_target_asn)
-        if blackhole_community is not None:
-            self.blackhole_community = blackhole_community
-        elif target.services is not None and target.services.blackhole_communities():
-            self.blackhole_community = target.services.blackhole_communities()[0]
-        else:
+        if target.services is None or not target.services.blackhole_communities():
             raise AttackError(
                 f"community target AS{roles.community_target_asn} offers no blackhole community"
             )
+        self.blackhole_community = target.services.blackhole_communities()[0]
+
+    @classmethod
+    def figure7(cls, hijack: bool, victim_prefix: Prefix = FIGURE7_VICTIM) -> RtbhAttack:
+        """AS2's attack via AS3's blackhole community on a fresh Figure 7 topology."""
+        return cls(build_figure7_topology(), FIGURE7_ROLES, victim_prefix, use_hijack=hijack)
 
     def _attack_prefix(self) -> Prefix:
         """The prefix announced in the hijack variant: a /32 inside the victim prefix."""
@@ -101,8 +94,8 @@ class RtbhAttack:
             if asys.asn not in (self.roles.attacker_asn, self.roles.attackee_asn)
         ]
 
-    def run(self, vantage_points: list[int] | None = None) -> RtbhResult:
-        """Execute the attack and return the measured outcome."""
+    def run(self, vantage_points: list[int] | None = None) -> dict:
+        """Execute the attack; return the JSON-safe record the ``rtbh`` experiment stores."""
         roles = self.roles
         vantage_points = self._vantage_points(vantage_points)
         victim_address = self.victim_prefix.host()
@@ -151,18 +144,19 @@ class RtbhAttack:
             if not attacked_plane.ping(asn, probe_address, family).reachable
         ]
         target_drops = roles.community_target_asn in blackholed_at
-        succeeded = target_drops or bool(unreachable_from)
-        target_next_hop = self._looking_glass_next_hop(attacked, attack_prefix)
-        description = (
-            f"RTBH attack by AS{roles.attacker_asn} against {self.victim_prefix} "
-            f"using AS{roles.community_target_asn}'s community {self.blackhole_community}"
-            f" ({'hijack' if self.use_hijack else 'no hijack'})"
-        )
-        return RtbhResult(
-            succeeded=succeeded,
-            roles=roles,
-            description=description,
-            details={
+        return {
+            "succeeded": target_drops or bool(unreachable_from),
+            "description": (
+                f"RTBH attack by AS{roles.attacker_asn} against {self.victim_prefix} "
+                f"using AS{roles.community_target_asn}'s community {self.blackhole_community}"
+                f" ({'hijack' if self.use_hijack else 'no hijack'})"
+            ),
+            "attack_prefix": str(attack_prefix),
+            "target_next_hop": self._looking_glass_next_hop(attacked, attack_prefix),
+            "blackholed_at": blackholed_at,
+            "unreachable_from": sorted(unreachable_from),
+            "reachable_before": sorted(reachable_before),
+            "details": {
                 "blackhole_community": str(self.blackhole_community),
                 "attack_prefix": str(attack_prefix),
                 "hijack": self.use_hijack,
@@ -170,12 +164,7 @@ class RtbhAttack:
                 "vantage_points": len(vantage_points),
                 **self._hijack_overlap(attack_prefix),
             },
-            blackholed_at=blackholed_at,
-            unreachable_from=unreachable_from,
-            reachable_before=reachable_before,
-            attack_prefix=attack_prefix,
-            target_next_hop=target_next_hop,
-        )
+        }
 
     def _looking_glass_next_hop(self, simulator: BgpSimulator, prefix: Prefix) -> str:
         """What the target's looking glass reports for the attack prefix."""
@@ -196,36 +185,14 @@ class RtbhLabExperiment(Experiment):
     canonical_topology = True
     parameters = (
         Param("hijack", False, "bool"),
-        Param("victim_prefix", "203.0.113.0/24", "prefix"),
+        Param("victim_prefix", str(FIGURE7_VICTIM), "prefix"),
     )
 
-    def build(self, ctx: ExperimentContext) -> None:
-        from repro.attacks.scenario import build_figure7_topology
-
-        ctx.topology = build_figure7_topology()
-
     def execute(self, ctx: ExperimentContext) -> dict:
-        from repro.attacks.scenario import ScenarioRoles
-
-        roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
-        attack = RtbhAttack(
-            ctx.require_topology(),
-            roles,
-            victim_prefix=self.prefix_param("victim_prefix"),
-            use_hijack=self.bool_param("hijack"),
+        attack = RtbhAttack.figure7(
+            hijack=self.bool_param("hijack"), victim_prefix=self.prefix_param("victim_prefix")
         )
-        outcome = attack.run()
-        ctx.scratch["outcome"] = outcome
-        return {
-            "succeeded": outcome.succeeded,
-            "description": outcome.description,
-            "attack_prefix": str(outcome.attack_prefix),
-            "target_next_hop": outcome.target_next_hop,
-            "blackholed_at": sorted(outcome.blackholed_at),
-            "unreachable_from": sorted(outcome.unreachable_from),
-            "reachable_before": sorted(outcome.reachable_before),
-            "details": outcome.details,
-        }
+        return attack.run()
 
     def validate(self, ctx: ExperimentContext, metrics: dict) -> bool:
         return bool(metrics["succeeded"])

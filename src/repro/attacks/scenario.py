@@ -1,17 +1,20 @@
-"""Scenario roles, outcomes, and the paper's canonical example topologies.
+"""The paper's four lab scenarios: each figure's topology, roles and victim prefix.
 
 Section 3.3 fixes the terminology used throughout: the **attacker**
 manipulates the community attribute (or announces a hijack), the
 **community target** is the AS whose community service is being abused,
 and the **attackee** is the AS whose prefix or traffic is affected.
-The ``build_figure*`` helpers construct the exact topologies of
-Figures 2, 7, 8(b) and 9 so the lab experiments, the examples, and the
+Each of Figures 2, 7, 8(b) and 9 is declared once here: its
+``build_figure*`` builder, its ``FIGURE*_ROLES`` and its
+``FIGURE*_VICTIM`` prefix (Figure 2 adds the observer, Figure 9 the
+victim member).  Each attack module's factory runs its attack on that
+declaration, so the lab experiments, Table 3, the examples and the
 tests all speak about the same picture as the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.community import Community
 from repro.policy.actions import LocalPrefAction, PrependAction
@@ -32,16 +35,6 @@ class ScenarioRoles:
     community_target_asn: int
 
 
-@dataclass
-class AttackOutcome:
-    """Generic outcome record shared by the attack classes."""
-
-    succeeded: bool
-    roles: ScenarioRoles
-    description: str = ""
-    details: dict = field(default_factory=dict)
-
-
 def _transit_as(asn: int, services: CommunityServiceCatalog | None = None) -> AutonomousSystem:
     return AutonomousSystem(
         asn=asn,
@@ -53,6 +46,12 @@ def _transit_as(asn: int, services: CommunityServiceCatalog | None = None) -> Au
 
 def _stub_as(asn: int) -> AutonomousSystem:
     return AutonomousSystem(asn=asn, role=AsRole.STUB, propagation_policy=ForwardAllPolicy())
+
+
+#: Figure 2: AS2 tags AS1's prefix with AS3's prepend community; AS6 observes.
+FIGURE2_ROLES = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
+FIGURE2_VICTIM = Prefix.from_string("198.51.100.0/24")
+FIGURE2_OBSERVER_ASN = 6
 
 
 def build_figure2_topology() -> Topology:
@@ -87,8 +86,13 @@ def build_figure2_topology() -> Topology:
     topology.add_customer_link(3, 6)
     topology.add_customer_link(5, 6)
     # The attackee's prefix.
-    topology.get_as(1).add_prefix(Prefix.from_string("198.51.100.0/24"))
+    topology.get_as(1).add_prefix(FIGURE2_VICTIM)
     return topology
+
+
+#: Figure 7: AS2 tags AS1's prefix with AS3's blackhole community.
+FIGURE7_ROLES = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
+FIGURE7_VICTIM = Prefix.from_string("203.0.113.0/24")
 
 
 def build_figure7_topology() -> Topology:
@@ -107,10 +111,15 @@ def build_figure7_topology() -> Topology:
     topology.add_customer_link(3, 1)
     topology.add_customer_link(3, 2)
     topology.add_customer_link(4, 3)
-    topology.get_as(1).add_prefix(Prefix.from_string("203.0.113.0/24"))
+    topology.get_as(1).add_prefix(FIGURE7_VICTIM)
     # Attacker AS2 owns its own space too (for non-hijack variants).
     topology.get_as(2).add_prefix(Prefix.from_string("192.0.2.0/24"))
     return topology
+
+
+#: Figure 8(b): AS2 tags AS5's prefix with AS1's backup local-pref community.
+FIGURE8B_ROLES = ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1)
+FIGURE8B_VICTIM = Prefix.from_string("198.18.0.0/24")
 
 
 def build_figure8b_topology() -> Topology:
@@ -140,12 +149,20 @@ def build_figure8b_topology() -> Topology:
     topology.add_customer_link(1, 2)
     topology.add_customer_link(1, 4)
     topology.add_customer_link(4, 2)
-    topology.get_as(5).add_prefix(Prefix.from_string("198.18.0.0/24"))
+    topology.get_as(5).add_prefix(FIGURE8B_VICTIM)
     return topology
 
 
 #: Members of the Figure 9 IXP: the three the scenario names and three more.
 FIGURE9_MEMBER_COUNT = 6
+FIGURE9_ROUTE_SERVER_ASN = 9000
+#: Figure 9: AS2 suppresses AS1's prefix towards AS4 at the IXP's route server.
+#: The prefix is Figure 7's: both figures call it p.
+FIGURE9_ROLES = ScenarioRoles(
+    attacker_asn=2, attackee_asn=1, community_target_asn=FIGURE9_ROUTE_SERVER_ASN
+)
+FIGURE9_VICTIM = FIGURE7_VICTIM
+FIGURE9_VICTIM_MEMBER_ASN = 4
 
 
 def build_figure9_ixp() -> tuple[Topology, Ixp]:
@@ -157,7 +174,7 @@ def build_figure9_ixp() -> tuple[Topology, Ixp]:
     default the paper verified).
     """
     topology = Topology()
-    rs_asn = 9000
+    rs_asn = FIGURE9_ROUTE_SERVER_ASN
     members = [1, 2, 4] + [10 + i for i in range(FIGURE9_MEMBER_COUNT - 3)]
     topology.add_as(AutonomousSystem(asn=rs_asn, role=AsRole.IXP, name="IXP-RS"))
     for member in members:
@@ -169,6 +186,6 @@ def build_figure9_ixp() -> tuple[Topology, Ixp]:
         route_server_config=RouteServerConfig(ixp_asn=rs_asn),
     )
     topology.add_ixp(ixp)
-    topology.get_as(1).add_prefix(Prefix.from_string("203.0.113.0/24"))
+    topology.get_as(1).add_prefix(FIGURE9_VICTIM)
     topology.get_as(2).add_prefix(Prefix.from_string("192.0.2.0/24"))
     return topology, ixp

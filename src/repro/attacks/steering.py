@@ -14,9 +14,16 @@ documented services:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.attacks.scenario import AttackOutcome, ScenarioRoles
+from repro.attacks.scenario import (
+    FIGURE2_OBSERVER_ASN,
+    FIGURE2_ROLES,
+    FIGURE2_VICTIM,
+    FIGURE8B_ROLES,
+    FIGURE8B_VICTIM,
+    ScenarioRoles,
+    build_figure2_topology,
+    build_figure8b_topology,
+)
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.exceptions import AttackError
@@ -26,19 +33,26 @@ from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
 
 
-@dataclass
-class SteeringResult(AttackOutcome):
-    """Outcome of a steering attack: paths and preferences before vs after."""
-
-    path_before: list[int] | None = None
-    path_after: list[int] | None = None
-    local_pref_before: int | None = None
-    local_pref_after: int | None = None
-
-    @property
-    def path_changed(self) -> bool:
-        """True if the observed best path changed."""
-        return self.path_before != self.path_after
+def _record(
+    succeeded: bool,
+    description: str,
+    path_before: list[int] | None,
+    path_after: list[int] | None,
+    details: dict,
+    local_pref_before: int | None = None,
+    local_pref_after: int | None = None,
+) -> dict:
+    """One steering run as the ``steering`` experiment stores it (both variants share its keys)."""
+    return {
+        "succeeded": succeeded,
+        "description": description,
+        "path_before": path_before,
+        "path_after": path_after,
+        "path_changed": path_before != path_after,
+        "local_pref_before": local_pref_before,
+        "local_pref_after": local_pref_after,
+        "details": details,
+    }
 
 
 class PrependSteeringAttack:
@@ -50,7 +64,7 @@ class PrependSteeringAttack:
         roles: ScenarioRoles,
         victim_prefix: Prefix,
         observer_asn: int,
-        use_hijack: bool = False,
+        use_hijack: bool,
     ):
         self.topology = topology
         self.roles = roles
@@ -65,7 +79,18 @@ class PrependSteeringAttack:
             raise AttackError(f"AS{roles.community_target_asn} offers no prepend community")
         self.prepend_community = prepends[-1].community  # largest prepend count
 
-    def run(self) -> SteeringResult:
+    @classmethod
+    def figure2(cls, hijack: bool = False) -> PrependSteeringAttack:
+        """AS2's attack via AS3's prepend community on a fresh Figure 2 topology, seen from AS6."""
+        return cls(
+            build_figure2_topology(),
+            FIGURE2_ROLES,
+            FIGURE2_VICTIM,
+            observer_asn=FIGURE2_OBSERVER_ASN,
+            use_hijack=hijack,
+        )
+
+    def run(self) -> dict:
         """Execute the attack and compare the observer's best path before and after."""
         roles = self.roles
         baseline = BgpSimulator(self.topology)
@@ -95,15 +120,14 @@ class PrependSteeringAttack:
         went_through_target_before = path_before is not None and target in path_before
         avoids_target_after = path_after is not None and target not in path_after
         prepended_after = path_after is not None and path_after.count(target) > 1
-        succeeded = (went_through_target_before and avoids_target_after) or prepended_after
-        description = (
-            f"prepend steering by AS{roles.attacker_asn}: observer AS{self.observer_asn} path to "
-            f"{self.victim_prefix} manipulated via community {self.prepend_community}"
-        )
-        return SteeringResult(
-            succeeded=succeeded,
-            roles=roles,
-            description=description,
+        return _record(
+            succeeded=(went_through_target_before and avoids_target_after) or prepended_after,
+            description=(
+                f"prepend steering by AS{roles.attacker_asn}: observer AS{self.observer_asn} path to "
+                f"{self.victim_prefix} manipulated via community {self.prepend_community}"
+            ),
+            path_before=path_before,
+            path_after=path_after,
             details={
                 "prepend_community": str(self.prepend_community),
                 "hijack": self.use_hijack,
@@ -111,8 +135,6 @@ class PrependSteeringAttack:
                 "avoids_target_after": avoids_target_after,
                 "prepending_visible": prepended_after,
             },
-            path_before=path_before,
-            path_after=path_after,
         )
 
 
@@ -136,7 +158,12 @@ class LocalPrefSteeringAttack:
             raise AttackError(f"AS{roles.community_target_asn} offers no local-pref community")
         self.backup_community = local_prefs[0].community
 
-    def run(self) -> SteeringResult:
+    @classmethod
+    def figure8b(cls) -> LocalPrefSteeringAttack:
+        """AS2's attack via AS1's backup community on a fresh Figure 8(b) topology."""
+        return cls(build_figure8b_topology(), FIGURE8B_ROLES, FIGURE8B_VICTIM)
+
+    def run(self) -> dict:
         """Execute the attack; success means the target's preferred ingress moved."""
         roles = self.roles
         baseline = BgpSimulator(self.topology)
@@ -179,40 +206,23 @@ class LocalPrefSteeringAttack:
                         candidate.attributes.effective_local_pref()
                         < (local_pref_before or 100)
                     )
-        succeeded = ingress_changed or tagged_route_demoted
-        description = (
-            f"local-pref steering by AS{roles.attacker_asn} against AS{roles.community_target_asn}"
-            f" using community {self.backup_community}"
-        )
-        return SteeringResult(
-            succeeded=succeeded,
-            roles=roles,
-            description=description,
+        return _record(
+            succeeded=ingress_changed or tagged_route_demoted,
+            description=(
+                f"local-pref steering by AS{roles.attacker_asn} against AS{roles.community_target_asn}"
+                f" using community {self.backup_community}"
+            ),
+            path_before=path_before,
+            path_after=path_after,
             details={
                 "backup_community": str(self.backup_community),
                 "ingress_before": best_before.learned_from if best_before else None,
                 "ingress_after": best_after.learned_from if best_after else None,
                 "tagged_route_demoted": tagged_route_demoted,
             },
-            path_before=path_before,
-            path_after=path_after,
             local_pref_before=local_pref_before,
             local_pref_after=local_pref_after,
         )
-
-
-def _steering_metrics(outcome: SteeringResult) -> dict:
-    """JSON-safe view of one steering run."""
-    return {
-        "succeeded": outcome.succeeded,
-        "description": outcome.description,
-        "path_before": outcome.path_before,
-        "path_after": outcome.path_after,
-        "path_changed": outcome.path_changed,
-        "local_pref_before": outcome.local_pref_before,
-        "local_pref_after": outcome.local_pref_after,
-        "details": outcome.details,
-    }
 
 
 @register("steering")
@@ -232,36 +242,13 @@ class SteeringExperiment(Experiment):
         Param("hijack", False, "bool", needs=("variant", ("both", "prepend"))),
     )
 
-    def _run_prepend(self) -> SteeringResult:
-        from repro.attacks.scenario import build_figure2_topology
-
-        attack = PrependSteeringAttack(
-            build_figure2_topology(),
-            ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3),
-            victim_prefix=Prefix.from_string("198.51.100.0/24"),
-            observer_asn=6,
-            use_hijack=self.bool_param("hijack"),
-        )
-        return attack.run()
-
-    def _run_local_pref(self) -> SteeringResult:
-        from repro.attacks.scenario import build_figure8b_topology
-
-        attack = LocalPrefSteeringAttack(
-            build_figure8b_topology(),
-            ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1),
-            victim_prefix=Prefix.from_string("198.18.0.0/24"),
-        )
-        return attack.run()
-
     def execute(self, ctx: ExperimentContext) -> dict:
-        runners = {"prepend": self._run_prepend, "local-pref": self._run_local_pref}
+        attacks = {
+            "prepend": lambda: PrependSteeringAttack.figure2(hijack=self.bool_param("hijack")),
+            "local-pref": LocalPrefSteeringAttack.figure8b,
+        }
         variant = self.param("variant")
-        variants: dict[str, dict] = {}
-        for key in runners if variant == "both" else [variant]:
-            outcome = runners[key]()
-            ctx.scratch[key] = outcome
-            variants[key] = _steering_metrics(outcome)
+        variants = {key: attacks[key]().run() for key in (attacks if variant == "both" else [variant])}
         return {
             "variants": variants,
             "succeeded": all(v["succeeded"] for v in variants.values()),

@@ -2,19 +2,22 @@
 
 The MRT writer embeds full BGP UPDATE messages inside BGP4MP records,
 and the MRT reader decodes them back; this module implements that wire
-format.  Three attributes are typed, the ones :class:`PathAttributes`
-carries: AS_PATH, LOCAL_PREF and COMMUNITIES.  The writer adds the two
-other mandatory ones as constants, ORIGIN as IGP and NEXT_HOP as
-0.0.0.0; the reader checks their form and drops them.  The reader
-checks every other attribute's header and length too, MED and RFC 8092
+format.  Two attributes are typed: AS_PATH and COMMUNITIES.  The
+writer adds the two other mandatory ones as constants, ORIGIN as IGP
+and NEXT_HOP as 0.0.0.0; the reader checks their form and drops them.
+LOCAL_PREF is not written: RFC 4271 section 5.1.5 keeps it off external
+sessions, and a collector's session is one.  The reader checks every
+other attribute's header and length too, LOCAL_PREF, MED and RFC 8092
 LARGE_COMMUNITIES against their fixed sizes, then skips it: no output
 reads it (the paper analyses traditional communities only).  An
 AS_PATH is written as AS_SEQUENCE segments; an AS_SET read from the
 wire joins the flat path with its members in wire order.
 
 What RFC 4271 section 6.3 calls malformed is a :class:`MessageError`
-naming the attribute: an attribute that appears twice, and an UPDATE
-that announces NLRI without ORIGIN, AS_PATH or NEXT_HOP.
+naming the attribute: an attribute that appears twice, flags that
+conflict with its type (a known attribute's optional and transitive
+bits, or an unrecognised attribute that is not optional), and an
+UPDATE that announces NLRI without ORIGIN, AS_PATH or NEXT_HOP.
 """
 
 from __future__ import annotations
@@ -46,22 +49,42 @@ FLAG_PARTIAL = 0x20
 FLAG_EXTENDED_LENGTH = 0x10
 
 _U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
 _MESSAGE_HEADER = struct.Struct("!16sHB")
 _ATTRIBUTE_HEADER = struct.Struct("!BBB")
 _ATTRIBUTE_HEADER_EXTENDED = struct.Struct("!BBH")
 
 #: Path-attribute type codes the codec reads (RFC 4271, RFC 1997, RFC 8092).
 _ORIGIN, _AS_PATH, _NEXT_HOP, _MULTI_EXIT_DISC, _LOCAL_PREF = 1, 2, 3, 4, 5
-_COMMUNITIES, _LARGE_COMMUNITIES = 8, 32
+_ATOMIC_AGGREGATE, _AGGREGATOR, _COMMUNITIES, _LARGE_COMMUNITIES = 6, 7, 8, 32
 _ATTRIBUTE_NAMES = {
     _ORIGIN: "ORIGIN",
     _AS_PATH: "AS_PATH",
     _NEXT_HOP: "NEXT_HOP",
     _MULTI_EXIT_DISC: "MED",
     _LOCAL_PREF: "LOCAL_PREF",
+    _ATOMIC_AGGREGATE: "ATOMIC_AGGREGATE",
+    _AGGREGATOR: "AGGREGATOR",
     _COMMUNITIES: "COMMUNITIES",
     _LARGE_COMMUNITIES: "LARGE_COMMUNITIES",
+}
+#: What RFC 4271 section 6.3 holds an attribute's flags to, as ``(mask,
+#: required bits, category)``: a known type's optional and transitive bits
+#: name its category, and an unrecognised type must be optional.
+_CATEGORY_BITS = FLAG_OPTIONAL | FLAG_TRANSITIVE
+_WELL_KNOWN = (_CATEGORY_BITS, FLAG_TRANSITIVE, "well-known")
+_OPTIONAL_NON_TRANSITIVE = (_CATEGORY_BITS, FLAG_OPTIONAL, "optional non-transitive")
+_OPTIONAL_TRANSITIVE = (_CATEGORY_BITS, FLAG_OPTIONAL | FLAG_TRANSITIVE, "optional transitive")
+_UNRECOGNISED = (FLAG_OPTIONAL, FLAG_OPTIONAL, "optional, as an unrecognised attribute")
+_FLAG_RULES = {
+    _ORIGIN: _WELL_KNOWN,
+    _AS_PATH: _WELL_KNOWN,
+    _NEXT_HOP: _WELL_KNOWN,
+    _MULTI_EXIT_DISC: _OPTIONAL_NON_TRANSITIVE,
+    _LOCAL_PREF: _WELL_KNOWN,
+    _ATOMIC_AGGREGATE: _WELL_KNOWN,
+    _AGGREGATOR: _OPTIONAL_TRANSITIVE,
+    _COMMUNITIES: _OPTIONAL_TRANSITIVE,
+    _LARGE_COMMUNITIES: _OPTIONAL_TRANSITIVE,
 }
 #: Attributes every UPDATE that announces NLRI carries (RFC 4271 section 5).
 _MANDATORY = (_ORIGIN, _AS_PATH, _NEXT_HOP)
@@ -161,19 +184,15 @@ def _decode_as_path(payload: bytes, as4: bool) -> ASPath:
 
 
 def encode_path_attributes(attrs: PathAttributes | None) -> bytes:
-    """Encode a path-attribute section: the mandatory and typed attributes.
+    """Encode a path-attribute section: the mandatory attributes and COMMUNITIES.
 
     ``attrs`` is None for a withdrawal-only UPDATE, which carries no
-    route attributes.
+    route attributes.  Its LOCAL_PREF is not sent (see the module docstring).
     """
     attribute_parts: list[bytes] = []
     if attrs is not None:
         as_path = _encode_attribute(_AS_PATH, FLAG_TRANSITIVE, _encode_as_path(attrs.as_path))
         attribute_parts += (_ORIGIN_IGP, as_path, _NEXT_HOP_ZERO)
-        if attrs.local_pref is not None:
-            attribute_parts.append(
-                _encode_attribute(_LOCAL_PREF, FLAG_TRANSITIVE, _U32.pack(attrs.local_pref))
-            )
         if attrs.communities:
             values = [c.to_int() for c in attrs.communities]
             attribute_parts.append(
@@ -216,7 +235,6 @@ def _decode_path_attributes(data: bytes, as4: bool) -> tuple[PathAttributes, set
     AS_PATH encoding (see :func:`decode_update`).
     """
     as_path = NO_PATH
-    local_pref: int | None = None
     communities = NO_COMMUNITIES
     types: set[int] = set()
 
@@ -244,6 +262,12 @@ def _decode_path_attributes(data: bytes, as4: bool) -> tuple[PathAttributes, set
         if type_code in types:
             raise MessageError(f"repeated {_attribute_name(type_code)} attribute")
         types.add(type_code)
+        mask, required, category = _FLAG_RULES.get(type_code, _UNRECOGNISED)
+        if flags & mask != required:
+            raise MessageError(
+                f"attribute flags error: {_attribute_name(type_code)} has flags 0x{flags:02X}, "
+                f"but it must be {category}"
+            )
 
         if type_code == _ORIGIN:
             if attr_len != 1:
@@ -255,22 +279,17 @@ def _decode_path_attributes(data: bytes, as4: bool) -> tuple[PathAttributes, set
         elif type_code == _NEXT_HOP:
             if attr_len != 4:
                 raise MessageError("NEXT_HOP attribute must be exactly 4 bytes")
-        elif type_code == _LOCAL_PREF:
-            if attr_len != 4:
-                raise MessageError("LOCAL_PREF attribute must be exactly 4 bytes")
-            (local_pref,) = _U32.unpack(payload)
         elif type_code == _COMMUNITIES:
             if attr_len % 4 != 0:
                 raise MessageError("COMMUNITIES attribute length must be a multiple of 4")
             communities = CommunitySet(struct.unpack(f"!{attr_len // 4}I", payload))
-        elif type_code == _MULTI_EXIT_DISC and attr_len != 4:
-            raise MessageError("MED attribute must be exactly 4 bytes")
+        elif type_code in (_MULTI_EXIT_DISC, _LOCAL_PREF) and attr_len != 4:
+            raise MessageError(f"{_attribute_name(type_code)} attribute must be exactly 4 bytes")
         elif type_code == _LARGE_COMMUNITIES and attr_len % 12 != 0:
             raise MessageError("LARGE_COMMUNITIES attribute length must be a multiple of 12")
         # Every other attribute is skipped once its header and length are read.
 
-    attributes = PathAttributes(as_path=as_path, local_pref=local_pref, communities=communities)
-    return attributes, types
+    return PathAttributes(as_path=as_path, communities=communities), types
 
 
 def decode_update(data: bytes, family: AddressFamily, as4: bool) -> BgpUpdate:

@@ -8,7 +8,7 @@ from repro.routing.engine import (
     SimulationReport,
     origination_events,
 )
-from repro.routing.route_server import RouteServer, RouteServerDecision
+from repro.routing.route_server import RouteServer
 from repro.routing.shard import ShardPool, partition_events, stable_shard
 from repro.routing.stream import (
     SimulatorService,
@@ -28,7 +28,6 @@ __all__ = [
     "partition_events",
     "stable_shard",
     "RouteServer",
-    "RouteServerDecision",
     "SimulatorService",
     "StreamStats",
     "parse_event",

@@ -11,24 +11,11 @@ experiment probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.bgp.community import CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.bgp.route import Announcement
 from repro.exceptions import RoutingError
 from repro.topology.ixp import Ixp, RouteServerConfig
-
-
-@dataclass
-class RouteServerDecision:
-    """Per-member redistribution decision for one received announcement."""
-
-    prefix: Prefix
-    from_member: int
-    redistributed_to: frozenset[int]
-    suppressed_to: frozenset[int]
-    reasons: dict[int, str] = field(default_factory=dict)
 
 
 class RouteServer:
@@ -45,8 +32,8 @@ class RouteServer:
         }
 
     # ----------------------------------------------------------------- intake
-    def receive(self, announcement: Announcement) -> RouteServerDecision:
-        """Process one member announcement and redistribute it."""
+    def receive(self, announcement: Announcement) -> frozenset[int]:
+        """Process one member announcement; return the members it was redistributed to."""
         member = announcement.sender_asn
         if not self.ixp.is_member(member):
             raise RoutingError(
@@ -55,10 +42,9 @@ class RouteServer:
         self._received[(member, announcement.prefix)] = announcement
         return self._redistribute(announcement)
 
-    def _evaluate_targets(self, communities: CommunitySet, from_member: int) -> tuple[set[int], set[int], dict[int, str]]:
-        """Return (allowed members, suppressed members, reasons) for a community set."""
+    def _evaluate_targets(self, communities: CommunitySet, from_member: int) -> set[int]:
+        """The members a route tagged with ``communities`` is redistributed to."""
         members = set(self.ixp.members) - {from_member}
-        reasons: dict[int, str] = {}
 
         announce_requests: set[int] = set()
         suppress_requests: set[int] = set()
@@ -74,40 +60,21 @@ class RouteServer:
             elif community.asn == 0 and community.value in members:
                 suppress_requests.add(community.value)
 
+        if suppress_all:
+            return set()
         # Default behaviour: redistribute to everyone unless selective
         # announcement communities are present.
-        if announce_requests and not announce_all:
-            allowed = set(announce_requests)
-            # Sorted so the reasons mapping fills member-order deterministically
-            # (set iteration order must never leak into rendered output).
-            for member in sorted(members - allowed):
-                reasons[member] = "not in selective-announce set"
-        else:
-            allowed = set(members)
-        if suppress_all:
-            for member in sorted(allowed):
-                reasons[member] = "suppress-to-all community"
-            allowed = set()
+        allowed = announce_requests if announce_requests and not announce_all else members
         # Conflict resolution: the paper's target IXP evaluates suppression
         # after computing the announce set when suppress_before_redistribute
         # is True, meaning "do not announce" wins over "announce".
-        suppressed = set()
-        for member in sorted(suppress_requests):
-            if member in allowed:
-                if self.config.suppress_before_redistribute:
-                    allowed.discard(member)
-                    suppressed.add(member)
-                    reasons[member] = "suppression community evaluated before redistribution"
-                else:
-                    reasons[member] = "redistribution community evaluated before suppression"
-            else:
-                suppressed.add(member)
-                reasons.setdefault(member, "suppression community")
-        return allowed, suppressed | (members - allowed - suppressed), reasons
+        if self.config.suppress_before_redistribute:
+            allowed -= suppress_requests
+        return allowed
 
-    def _redistribute(self, announcement: Announcement) -> RouteServerDecision:
+    def _redistribute(self, announcement: Announcement) -> frozenset[int]:
         """Update every member's view with the redistribution decision."""
-        allowed, suppressed, reasons = self._evaluate_targets(
+        allowed = self._evaluate_targets(
             announcement.attributes.communities, announcement.sender_asn
         )
         # The route server strips its own control communities before
@@ -126,13 +93,7 @@ class RouteServer:
                 view[announcement.prefix] = outbound
             else:
                 view.pop(announcement.prefix, None)
-        return RouteServerDecision(
-            prefix=announcement.prefix,
-            from_member=announcement.sender_asn,
-            redistributed_to=frozenset(allowed),
-            suppressed_to=frozenset(suppressed),
-            reasons=reasons,
-        )
+        return frozenset(allowed)
 
     # -------------------------------------------------------------- inspection
     def routes_for_member(self, member_asn: int) -> dict[Prefix, Announcement]:

@@ -188,17 +188,30 @@ def update_message(section: bytes, nlri: bytes = b"") -> bytes:
     return b"\xff" * 16 + struct.pack("!HB", 19 + len(body), 2) + body
 
 
+def wire_attributes(**overrides) -> PathAttributes:
+    """:func:`make_attributes` without LOCAL_PREF, which the writer does not send."""
+    return make_attributes(local_pref=None, **overrides)
+
+
 class TestUpdateCodec:
     def test_roundtrip_full(self):
         update = BgpUpdate(
             announced=[Prefix.from_string("192.0.2.0/24"), Prefix.from_string("10.0.0.0/8")],
             withdrawn=[Prefix.from_string("198.51.100.0/24")],
-            attributes=make_attributes(),
+            attributes=wire_attributes(),
         )
         decoded = decode_update(encode_update(update), AddressFamily.IPV4, True)
         assert decoded.announced == update.announced
         assert decoded.withdrawn == update.withdrawn
         assert decoded.attributes == update.attributes
+
+    def test_local_pref_is_not_sent(self):
+        """RFC 4271 section 5.1.5: LOCAL_PREF stays off external sessions, and a
+        collector's is one."""
+        prefix = Prefix.from_string("203.0.113.0/24")
+        sent = encode_update(BgpUpdate(announced=[prefix], attributes=make_attributes()))
+        assert sent == encode_update(BgpUpdate(announced=[prefix], attributes=wire_attributes()))
+        assert decode_update(sent, AddressFamily.IPV4, True).attributes == wire_attributes()
 
     def test_withdrawal_only(self):
         update = BgpUpdate(withdrawn=[Prefix.from_string("192.0.2.0/24")])
@@ -240,7 +253,7 @@ class TestUpdateCodec:
             ((4, 0x80, struct.pack("!I", 10)), "MED"),
             ((99, 0xC0, b"\x01"), "type 99"),
             (MANDATORY_ATTRIBUTES[2], "NEXT_HOP"),
-            ((6, 0x40, b""), "type 6"),
+            ((6, 0x40, b""), "ATOMIC_AGGREGATE"),
             ((32, 0xC0, struct.pack("!3I", 3356, 1, 2)), "LARGE_COMMUNITIES"),
         ],
         ids=[
@@ -287,7 +300,7 @@ class TestUpdateCodec:
     def test_roundtrip_keeps_every_attribute(self, overrides):
         update = BgpUpdate(
             announced=[Prefix.from_string("203.0.113.0/24")],
-            attributes=make_attributes(**overrides),
+            attributes=wire_attributes(**overrides),
         )
         data = encode_update(update)
         decoded = decode_update(data, AddressFamily.IPV4, True)
@@ -299,30 +312,77 @@ class TestUpdateCodec:
         "untyped",
         [
             bytes([0x80, 4, 4]) + struct.pack("!I", 10),
+            bytes([0x40, 5, 4]) + struct.pack("!I", 150),
             bytes([0x40, 6, 0]),
             bytes([0xC0, 32, 12]) + struct.pack("!3I", 3356, 1, 2),
+            # The partial bit: only the optional and transitive bits are compared.
+            bytes([0xE0, 32, 12]) + struct.pack("!3I", 3356, 1, 2),
             # Unsorted and duplicated entries: the reader orders nothing it skips.
             bytes([0xC0, 32, 36]) + struct.pack("!9I", 1299, 0, 0, 3356, 1, 2, 1299, 0, 0),
             bytes([0xC0, 99, 2, 1, 2]),
+            bytes([0x80, 99, 1, 7]),
+            bytes([0xC0, 7, 8]) + struct.pack("!I", 3356) + bytes([192, 0, 2, 1]),
             # A 2-byte length field, which a sender may set on any attribute.
             bytes([0xD0, 99]) + struct.pack("!H", 300) + bytes(300),
         ],
         ids=[
             "med",
+            "local-pref",
             "atomic-aggregate",
             "large-communities",
+            "large-communities-partial",
             "large-communities-unsorted-duplicates",
             "unknown-attribute",
+            "unknown-non-transitive-attribute",
+            "aggregator",
             "extended-length",
         ],
     )
     def test_an_untyped_attribute_is_skipped_wherever_it_sits(self, untyped):
         """A foreign UPDATE reads as the same update with the attribute left out."""
-        update = BgpUpdate(announced=[Prefix.from_string("203.0.113.0/24")], attributes=make_attributes())
+        update = BgpUpdate(announced=[Prefix.from_string("203.0.113.0/24")], attributes=wire_attributes())
         section = encode_path_attributes(update.attributes)
         for placed in (untyped + section, section + untyped):
             message = update_message(placed, nlri=bytes([24, 203, 0, 113]))
             assert decode_update(message, AddressFamily.IPV4, True) == update
+
+    @pytest.mark.parametrize(
+        "attribute, message",
+        [
+            ((8, 0x40, struct.pack("!I", 0x00010001)), "COMMUNITIES has flags 0x40, but it must be optional transitive"),
+            ((1, 0xC0, b"\x00"), "ORIGIN has flags 0xC0, but it must be well-known"),
+            ((2, 0x80, struct.pack("!BBI", 2, 1, 3356)), "AS_PATH has flags 0x80, but it must be well-known"),
+            ((3, 0x00, bytes(4)), "NEXT_HOP has flags 0x00, but it must be well-known"),
+            ((4, 0x40, struct.pack("!I", 10)), "MED has flags 0x40, but it must be optional non-transitive"),
+            ((4, 0xC0, struct.pack("!I", 10)), "MED has flags 0xC0, but it must be optional non-transitive"),
+            ((5, 0xC0, struct.pack("!I", 100)), "LOCAL_PREF has flags 0xC0, but it must be well-known"),
+            ((6, 0x80, b""), "ATOMIC_AGGREGATE has flags 0x80, but it must be well-known"),
+            ((7, 0x40, bytes(8)), "AGGREGATOR has flags 0x40, but it must be optional transitive"),
+            ((32, 0x80, struct.pack("!3I", 3356, 1, 2)), "LARGE_COMMUNITIES has flags 0x80, but it must be optional transitive"),
+            ((99, 0x40, b"\x01"), "type 99 has flags 0x40, but it must be optional, as an unrecognised attribute"),
+            ((99, 0x00, b"\x01"), "type 99 has flags 0x00, but it must be optional, as an unrecognised attribute"),
+        ],
+        ids=[
+            "communities-well-known",
+            "origin-optional",
+            "as-path-optional",
+            "next-hop-non-transitive",
+            "med-well-known",
+            "med-transitive",
+            "local-pref-optional",
+            "atomic-aggregate-optional",
+            "aggregator-well-known",
+            "large-communities-non-transitive",
+            "unrecognised-well-known",
+            "unrecognised-non-transitive-well-known",
+        ],
+    )
+    def test_flags_that_conflict_with_the_type_are_a_message_error(self, attribute, message):
+        """RFC 4271 section 6.3: an Attribute Flags Error, or an Unrecognized
+        Well-known Attribute; before, each of these read as a valid UPDATE."""
+        section = attribute_bytes(attribute)
+        with pytest.raises(MessageError, match=message):
+            decode_update(update_message(section), AddressFamily.IPV4, True)
 
     @pytest.mark.parametrize(
         "tail, message",

@@ -24,17 +24,10 @@ import pytest
 
 from repro.attacks.manipulation import RouteManipulationAttack
 from repro.attacks.rtbh import RtbhAttack
-from repro.attacks.scenario import (
-    ScenarioRoles,
-    build_figure2_topology,
-    build_figure7_topology,
-    build_figure8b_topology,
-    build_figure9_ixp,
-)
+from repro.attacks.scenario import FIGURE7_VICTIM as VICTIM, build_figure7_topology
 from repro.attacks.steering import LocalPrefSteeringAttack, PrependSteeringAttack
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.community import Community, CommunitySet
-from repro.bgp.prefix import Prefix
 from repro.collectors.platform import CollectorDeployment
 from repro.datasets.synthetic import DatasetParameters, SyntheticDatasetBuilder
 from repro.exceptions import ReproError
@@ -70,7 +63,6 @@ from repro.topology.relationships import Relationship
 SEED = 7
 DATASET = "dataset"
 LAB = "lab"
-VICTIM = Prefix.from_string("203.0.113.0/24")
 
 
 def experiment(name: str, **params: Any) -> tuple[str, dict]:
@@ -267,39 +259,34 @@ def _nanog_order_blackholes_hijack() -> bool:
 def _prepend_steering_through(as4_policy: CommunityPropagationPolicy) -> bool:
     """Figure 2 prepend steering by AS2 via AS3's 3:33, on the core, with ``as4_policy``
     at AS4: the one AS between the attacker and the community target."""
-    topology = build_figure2_topology()
-    topology.get_as(4).propagation_policy = as4_policy
-    roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
-    attack = PrependSteeringAttack(topology, roles, Prefix.from_string("198.51.100.0/24"), observer_asn=6)
-    return attack.run().succeeded
+    attack = PrependSteeringAttack.figure2()
+    attack.topology.get_as(4).propagation_policy = as4_policy
+    return attack.run()["succeeded"]
 
 
 def _target_drops_traffic(raise_local_pref: bool) -> bool:
     """Figure 7 RTBH by AS2 via AS3's 3:666, with or without the service's local-pref raise."""
-    topology = build_figure7_topology()
+    attack = RtbhAttack.figure7(hijack=False)
+    assert attack.blackhole_community == Community(3, 666)
     if not raise_local_pref:
         service = ServiceDefinition(
             Community(3, 666), BlackholeAction(raise_local_pref_to=None), "RTBH", customers_only=False
         )
-        topology.get_as(3).services = CommunityServiceCatalog(3, [service])
-    roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=3)
-    attack = RtbhAttack(topology, roles, VICTIM, use_hijack=False, blackhole_community=Community(3, 666))
-    return 3 in attack.run(vantage_points=[4]).blackholed_at
+        attack.topology.get_as(3).services = CommunityServiceCatalog(3, [service])
+    return 3 in attack.run(vantage_points=[4])["blackholed_at"]
 
 
 def _local_pref_steering_over_peer_session() -> bool:
-    topology = build_figure8b_topology()
-    topology.adjacency[1][2] = Relationship.PEER
-    topology.adjacency[2][1] = Relationship.PEER
-    roles = ScenarioRoles(attacker_asn=2, attackee_asn=5, community_target_asn=1)
-    return LocalPrefSteeringAttack(topology, roles, Prefix.from_string("198.18.0.0/24")).run().succeeded
+    attack = LocalPrefSteeringAttack.figure8b()
+    attack.topology.adjacency[1][2] = Relationship.PEER
+    attack.topology.adjacency[2][1] = Relationship.PEER
+    return attack.run()["succeeded"]
 
 
 def _manipulation_with_announce_first() -> bool:
-    topology, ixp = build_figure9_ixp()
-    ixp.route_server_config.suppress_before_redistribute = False
-    roles = ScenarioRoles(attacker_asn=2, attackee_asn=1, community_target_asn=ixp.route_server_asn)
-    return RouteManipulationAttack(topology, ixp, roles, VICTIM, victim_member_asn=4).run().succeeded
+    attack = RouteManipulationAttack.figure9()
+    attack.config.suppress_before_redistribute = False
+    return attack.run()["succeeded"]
 
 
 # --------------------------------------------------------- experiment readers

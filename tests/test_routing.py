@@ -662,8 +662,8 @@ class TestRouteServer:
         _topology, ixp = build_figure9_ixp()
         server = RouteServer(ixp)
         prefix = Prefix.from_string("203.0.113.0/24")
-        decision = server.receive(self.make_announcement(1, prefix))
-        assert 4 in decision.redistributed_to
+        redistributed = server.receive(self.make_announcement(1, prefix))
+        assert redistributed == frozenset(ixp.members) - {1}
         assert server.member_has_route(4, prefix)
         assert not server.member_has_route(1, prefix)  # never back to the sender
 
@@ -672,8 +672,8 @@ class TestRouteServer:
         server = RouteServer(ixp)
         prefix = Prefix.from_string("203.0.113.0/24")
         announce_to_4 = str(ixp.route_server_config.announce_to(4))
-        decision = server.receive(self.make_announcement(1, prefix, announce_to_4))
-        assert decision.redistributed_to == frozenset({4})
+        redistributed = server.receive(self.make_announcement(1, prefix, announce_to_4))
+        assert redistributed == frozenset({4})
         assert server.member_has_route(4, prefix)
         assert not server.member_has_route(2, prefix)
 
@@ -683,11 +683,11 @@ class TestRouteServer:
         prefix = Prefix.from_string("203.0.113.0/24")
         announce_to_4 = str(ixp.route_server_config.announce_to(4))
         suppress_to_4 = str(ixp.route_server_config.suppress_to(4))
-        decision = server.receive(
+        redistributed = server.receive(
             self.make_announcement(2, prefix, announce_to_4, suppress_to_4)
         )
-        assert 4 not in decision.redistributed_to
-        assert 4 in decision.suppressed_to
+        assert redistributed == frozenset()
+        assert not server.member_has_route(4, prefix)
 
     def test_announce_wins_when_order_flipped(self):
         _topology, ixp = build_figure9_ixp()
@@ -696,10 +696,10 @@ class TestRouteServer:
         prefix = Prefix.from_string("203.0.113.0/24")
         announce_to_4 = str(ixp.route_server_config.announce_to(4))
         suppress_to_4 = str(ixp.route_server_config.suppress_to(4))
-        decision = server.receive(
+        redistributed = server.receive(
             self.make_announcement(2, prefix, announce_to_4, suppress_to_4)
         )
-        assert 4 in decision.redistributed_to
+        assert redistributed == frozenset({4})
 
     def test_control_communities_are_stripped_on_redistribution(self):
         _topology, ixp = build_figure9_ixp()
@@ -722,5 +722,6 @@ class TestRouteServer:
         server = RouteServer(ixp)
         prefix = Prefix.from_string("203.0.113.0/24")
         suppress_all = str(ixp.route_server_config.suppress_to_all())
-        decision = server.receive(self.make_announcement(1, prefix, suppress_all))
-        assert decision.redistributed_to == frozenset()
+        redistributed = server.receive(self.make_announcement(1, prefix, suppress_all))
+        assert redistributed == frozenset()
+        assert not server.member_has_route(4, prefix)
