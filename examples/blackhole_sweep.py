@@ -6,8 +6,8 @@ spec (seed, topology overrides, platform attachments, parameters) drives
 the common lifecycle — build topology, attach the PEERING-like injection
 platform and the Atlas probes, sweep every verified blackhole community
 with a confirmation pass — and returns a uniform, JSON-serializable
-result.  The rich per-community outcomes stay available on the
-experiment's context for detail rendering like the table below.
+result.  Its metrics hold one row per effective community, which the
+table below prints.
 
 Run with::
 

@@ -54,15 +54,15 @@ def wild_experiment() -> None:
     experiment = RtbhWildExperiment(topology, platform, atlas)
     result = experiment.run(use_hijack=False)
     print("--- Section 7.3 in the (simulated) wild ---")
-    print(f"  community target:         AS{result.target_asn} "
-          f"({result.target_hops_from_injection} AS hops from the injection point)")
-    print(f"  blackhole community:      {result.community}")
-    print(f"  announced prefix:         {result.attack_prefix}")
-    print(f"  target looking glass:     {result.target_next_hop}")
-    print(f"  probes reaching before:   {result.probes_reachable_before}")
-    print(f"  probes reaching after:    {result.probes_reachable_after}")
-    print(f"  probes losing reachability: {len(result.probes_lost)}")
-    print(f"  attack succeeded:         {result.succeeded}")
+    print(f"  community target:         AS{result['target_asn']} "
+          f"({result['target_hops_from_injection']} AS hops from the injection point)")
+    print(f"  blackhole community:      {result['community']}")
+    print(f"  announced prefix:         {result['attack_prefix']}")
+    print(f"  target looking glass:     {result['target_next_hop']}")
+    print(f"  probes reaching before:   {result['probes_reachable_before']}")
+    print(f"  probes reaching after:    {result['probes_reachable_after']}")
+    print(f"  probes losing reachability: {result['probes_lost']}")
+    print(f"  attack succeeded:         {result['succeeded']}")
 
 
 def main() -> None:

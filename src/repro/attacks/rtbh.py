@@ -108,7 +108,7 @@ class RtbhAttack:
         reachable_before = [
             asn
             for asn in vantage_points
-            if baseline_plane.ping(asn, victim_address, family).reachable
+            if baseline_plane.ping(asn, victim_address, family)
         ]
 
         # The attack run.
@@ -141,7 +141,7 @@ class RtbhAttack:
         unreachable_from = [
             asn
             for asn in reachable_before
-            if not attacked_plane.ping(asn, probe_address, family).reachable
+            if not attacked_plane.ping(asn, probe_address, family)
         ]
         target_drops = roles.community_target_asn in blackholed_at
         return {

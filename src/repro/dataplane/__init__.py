@@ -1,12 +1,7 @@
 """Data-plane simulation: FIBs, packet forwarding, ping and traceroute."""
 
 from repro.dataplane.fib import Fib, FibEntry, build_fib
-from repro.dataplane.forwarding import (
-    DataPlane,
-    ForwardingOutcome,
-    PingResult,
-    TracerouteResult,
-)
+from repro.dataplane.forwarding import DataPlane, ForwardingOutcome, TracerouteResult
 
 __all__ = [
     "Fib",
@@ -14,6 +9,5 @@ __all__ = [
     "build_fib",
     "DataPlane",
     "ForwardingOutcome",
-    "PingResult",
     "TracerouteResult",
 ]

@@ -48,23 +48,6 @@ class TracerouteResult:
         return self.outcome == ForwardingOutcome.DELIVERED
 
 
-@dataclass
-class PingResult:
-    """Reachability of a destination address from a source AS."""
-
-    source_asn: int
-    destination: int
-    reachable: bool
-    outcome: ForwardingOutcome
-    hops: int = 0
-
-    @classmethod
-    def from_trace(cls, trace: TracerouteResult) -> "PingResult":
-        """The ping a traceroute answers: a ping is a traceroute that reports only its end."""
-        hops = max(0, len(trace.path) - 1)
-        return cls(trace.source_asn, trace.destination, trace.reached, trace.outcome, hops)
-
-
 class DataPlane:
     """Per-AS FIBs plus hop-by-hop forwarding over a converged simulation."""
 
@@ -144,6 +127,6 @@ class DataPlane:
             source_asn, destination, ForwardingOutcome.TTL_EXPIRED, path, dropped_at=current
         )
 
-    def ping(self, source_asn: int, destination: int, family: AddressFamily) -> PingResult:
-        """Return reachability of ``destination`` from ``source_asn``."""
-        return PingResult.from_trace(self.traceroute(source_asn, destination, family))
+    def ping(self, source_asn: int, destination: int, family: AddressFamily) -> bool:
+        """True if a packet from ``source_asn`` reaches ``destination``: a traceroute's end."""
+        return self.traceroute(source_asn, destination, family).reached

@@ -43,7 +43,6 @@ class ReportExperiment(Experiment):
             deployment = CollectorDeployment.default_deployment(
                 ctx.require_topology(), seed=ctx.spec.seed
             )
-            ctx.scratch["deployment"] = deployment
             ctx.scratch["archive"] = deployment.collect_from_simulator(simulator)
 
     def execute(self, ctx: ExperimentContext) -> dict[str, Any]:

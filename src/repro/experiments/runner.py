@@ -113,7 +113,8 @@ class ExperimentContext:
     topology: Topology | None = None
     #: Attached platforms by name (injection platforms, collectors, atlas).
     platforms: dict[str, Any] = field(default_factory=dict)
-    #: Stage-to-stage scratch space (simulators, rich result objects, ...).
+    #: Stage-to-stage scratch space: what a ``seed`` hands its ``execute``
+    #: (the report's dataset or harvested archive).
     scratch: dict[str, Any] = field(default_factory=dict)
 
     def require_topology(self) -> Topology:
@@ -336,8 +337,7 @@ class Experiment:
         from repro.routing.engine import BgpSimulator
 
         simulator = BgpSimulator(ctx.require_topology())
-        ctx.scratch["seed_report"] = simulator.announce_originated()
-        ctx.scratch["simulator"] = simulator
+        simulator.announce_originated()
         return simulator
 
     def execute(self, ctx: ExperimentContext) -> dict[str, Any]:

@@ -1,12 +1,8 @@
-"""Active measurement: Atlas-like vantage points and looking glasses."""
+"""Active measurement: Atlas-like vantage points.
 
-from repro.probing.atlas import AtlasPlatform, ProbeMeasurement, VantagePoint
-from repro.probing.looking_glass import LookingGlass, LookingGlassEntry
+One probe round is the set of probe ids whose ping reached the target.
+"""
 
-__all__ = [
-    "AtlasPlatform",
-    "ProbeMeasurement",
-    "VantagePoint",
-    "LookingGlass",
-    "LookingGlassEntry",
-]
+from repro.probing.atlas import AtlasPlatform, VantagePoint
+
+__all__ = ["AtlasPlatform", "VantagePoint"]

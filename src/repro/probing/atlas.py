@@ -3,17 +3,18 @@
 The paper uses ~200 randomly chosen but fixed Atlas vantage points to
 probe a prefix before and after each announcement (Section 7.6).  The
 :class:`AtlasPlatform` here does the same: it owns a fixed set of
-vantage points (ASes), issues ICMP-like pings and traceroutes through a
-:class:`~repro.dataplane.forwarding.DataPlane`, and returns per-probe
-results that the experiment drivers compare across announcement steps.
+vantage points (ASes), pings through a
+:class:`~repro.dataplane.forwarding.DataPlane`, and returns the set of
+probes that answered, which the experiment drivers compare across
+announcement steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.prefix import Prefix
-from repro.dataplane.forwarding import DataPlane, PingResult, TracerouteResult
+from repro.dataplane.forwarding import DataPlane
 from repro.exceptions import ProbingError
 from repro.topology.topology import Topology
 from repro.utils.rand import DeterministicRng
@@ -25,23 +26,6 @@ class VantagePoint:
 
     probe_id: int
     asn: int
-
-
-@dataclass
-class ProbeMeasurement:
-    """The results of one measurement round across all vantage points."""
-
-    target: Prefix
-    pings: dict[int, PingResult] = field(default_factory=dict)
-    traceroutes: dict[int, TracerouteResult] = field(default_factory=dict)
-
-    def responsive_probes(self) -> set[int]:
-        """Probe ids whose ping reached the target."""
-        return {probe_id for probe_id, ping in self.pings.items() if ping.reachable}
-
-    def unresponsive_probes(self) -> set[int]:
-        """Probe ids whose ping did not reach the target."""
-        return set(self.pings) - self.responsive_probes()
 
 
 class AtlasPlatform:
@@ -75,32 +59,19 @@ class AtlasPlatform:
         points = [VantagePoint(probe_id=i + 1, asn=asn) for i, asn in enumerate(chosen)]
         return cls(points)
 
-    def measure(
-        self, dataplane: DataPlane, target: Prefix, with_traceroute: bool = False
-    ) -> ProbeMeasurement:
-        """Ping (and optionally traceroute) ``target`` from every vantage point."""
-        measurement = ProbeMeasurement(target=target)
+    def measure(self, dataplane: DataPlane, target: Prefix) -> set[int]:
+        """One probe round: the ids of the vantage points whose ping reaches ``target``.
+
+        Two rounds over the same router set (one simulator, or its fork)
+        compare by set difference: ``before - after`` lost reachability.
+        """
         address = target.host()
         # Pass the target's family explicitly: low IPv6 addresses (::/96)
         # would otherwise be inferred as IPv4 and miss their routes.
         family = target.family
-        for vantage_point in self.vantage_points:
-            if vantage_point.asn not in dataplane.fibs:
-                continue
-            if with_traceroute:
-                # One forwarding walk answers both: the ping is the trace's end.
-                trace = dataplane.traceroute(vantage_point.asn, address, family)
-                measurement.traceroutes[vantage_point.probe_id] = trace
-                ping = PingResult.from_trace(trace)
-            else:
-                ping = dataplane.ping(vantage_point.asn, address, family)
-            measurement.pings[vantage_point.probe_id] = ping
-        return measurement
-
-    def compare(
-        self, before: ProbeMeasurement, after: ProbeMeasurement
-    ) -> tuple[set[int], set[int]]:
-        """Return (probes that lost reachability, probes that gained reachability)."""
-        lost = before.responsive_probes() & after.unresponsive_probes()
-        gained = before.unresponsive_probes() & after.responsive_probes()
-        return lost, gained
+        return {
+            vantage_point.probe_id
+            for vantage_point in self.vantage_points
+            if vantage_point.asn in dataplane.fibs
+            and dataplane.ping(vantage_point.asn, address, family)
+        }

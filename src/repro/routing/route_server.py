@@ -65,11 +65,14 @@ class RouteServer:
         # Default behaviour: redistribute to everyone unless selective
         # announcement communities are present.
         allowed = announce_requests if announce_requests and not announce_all else members
-        # Conflict resolution: the paper's target IXP evaluates suppression
-        # after computing the announce set when suppress_before_redistribute
-        # is True, meaning "do not announce" wins over "announce".
+        # A lone "do not announce to X" always holds.  The config decides
+        # only conflicts: the paper's target IXP evaluates suppression first
+        # (suppress_before_redistribute), so "do not announce" wins over
+        # "announce"; the other order lets "announce" win.
         if self.config.suppress_before_redistribute:
             allowed -= suppress_requests
+        else:
+            allowed -= suppress_requests - announce_requests
         return allowed
 
     def _redistribute(self, announcement: Announcement) -> frozenset[int]:

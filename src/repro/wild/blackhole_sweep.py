@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bgp.community import BLACKHOLE, Community, CommunitySet
-from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import BlackholeCommunityList
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
-from repro.probing.atlas import AtlasPlatform, ProbeMeasurement
+from repro.probing.atlas import AtlasPlatform
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
 from repro.wild.peering import InjectionPlatform
@@ -53,52 +52,6 @@ class CommunitySweepOutcome:
         return bool(self.probes_lost)
 
 
-@dataclass
-class SweepResult:
-    """Aggregate results of the full sweep."""
-
-    outcomes: list[CommunitySweepOutcome] = field(default_factory=list)
-    probe_count: int = 0
-    confirmed: bool = False
-
-    def effective_communities(self) -> list[CommunitySweepOutcome]:
-        """Outcomes where the community induced blackholing somewhere."""
-        return [o for o in self.outcomes if o.induced_blackholing]
-
-    def effective_fraction(self) -> float:
-        """Fraction of swept communities that induced blackholing (8.1 % in the paper)."""
-        if not self.outcomes:
-            return 0.0
-        return len(self.effective_communities()) / len(self.outcomes)
-
-    def affected_probes(self) -> set[int]:
-        """Vantage points affected by at least one community."""
-        affected: set[int] = set()
-        for outcome in self.effective_communities():
-            affected |= outcome.probes_lost
-        return affected
-
-    def affected_probe_fraction(self) -> float:
-        """Fraction of vantage points affected by at least one community (24 % in the paper)."""
-        if not self.probe_count:
-            return 0.0
-        return len(self.affected_probes()) / self.probe_count
-
-    def direct_peer_pairs(self) -> int:
-        """Community/path pairs where the target is the injection point's direct peer."""
-        return sum(1 for o in self.effective_communities() if o.target_hops == 1)
-
-    def multi_hop_pairs(self) -> int:
-        """Community/path pairs where the target is two or more hops away."""
-        return sum(
-            1 for o in self.effective_communities() if o.target_hops is not None and o.target_hops >= 2
-        )
-
-    def offpath_pairs(self) -> int:
-        """Pairs where the target AS is not on the affected forwarding paths at all."""
-        return sum(1 for o in self.effective_communities() if o.target_hops is None)
-
-
 class BlackholeSweep:
     """Runs the Section 7.6 sweep over the verified blackhole community list."""
 
@@ -117,7 +70,7 @@ class BlackholeSweep:
         self.include_well_known = include_well_known
         self.experiment_prefix = platform.allocated_prefixes[0].subprefix(24, 2)
 
-    def _baseline(self) -> tuple[BgpSimulator, DataPlane, ProbeMeasurement]:
+    def _baseline(self) -> tuple[BgpSimulator, DataPlane, set[int]]:
         """Steps 1–2, shared by every community: the clean announcement.
 
         The converged clean simulator, its data plane (the traceroute
@@ -140,8 +93,8 @@ class BlackholeSweep:
             simulator, self.experiment_prefix, communities=CommunitySet.of(community)
         )
         dataplane.rebuild(report)
-        after = self.atlas.measure(dataplane, self.experiment_prefix, with_traceroute=True)
-        lost, _gained = self.atlas.compare(before, after)
+        after = self.atlas.measure(dataplane, self.experiment_prefix)
+        lost = before - after
 
         target_hops: int | None = None
         if lost:
@@ -157,8 +110,8 @@ class BlackholeSweep:
         return CommunitySweepOutcome(
             community=community,
             target_asn=target_asn,
-            probes_before=len(before.responsive_probes()),
-            probes_after=len(after.responsive_probes()),
+            probes_before=len(before),
+            probes_after=len(after),
             probes_lost=lost,
             target_hops=target_hops,
         )
@@ -169,15 +122,19 @@ class BlackholeSweep:
                 return vantage_point.asn
         raise KeyError(f"unknown probe id {probe_id}")
 
-    def run(self, confirm: bool = True) -> SweepResult:
-        """Sweep every verified community (optionally confirming with a second pass)."""
+    def run(self, confirm: bool = True) -> dict:
+        """Sweep every verified community (optionally confirming with a second pass).
+
+        Returns the JSON-safe record ``blackhole-sweep`` stores.
+        """
         records = list(self.blackhole_list.verified())
-        result = SweepResult(probe_count=len(self.atlas.vantage_points))
         baseline = self._baseline()
-        for record in records:
-            result.outcomes.append(self._sweep_one(record.community, record.target_asn, baseline))
+        outcomes = [
+            self._sweep_one(record.community, record.target_asn, baseline) for record in records
+        ]
         if self.include_well_known:
-            result.outcomes.append(self._sweep_one(BLACKHOLE, 0, baseline))
+            outcomes.append(self._sweep_one(BLACKHOLE, 0, baseline))
+        confirmed = False
         if confirm:
             second = [
                 self._sweep_one(record.community, record.target_asn, baseline)
@@ -185,8 +142,39 @@ class BlackholeSweep:
             ]
             # Every field of every record must agree (the well-known
             # BLACKHOLE run, last in the first pass, is not repeated).
-            result.confirmed = result.outcomes[: len(records)] == second
-        return result
+            confirmed = outcomes[: len(records)] == second
+
+        effective = [o for o in outcomes if o.induced_blackholing]
+        affected = set().union(*(o.probes_lost for o in effective))
+        probe_count = len(self.atlas.vantage_points)
+        return {
+            "communities_swept": len(outcomes),
+            "effective_communities": len(effective),
+            # 8.1 % of the swept list in the paper.
+            "effective_fraction": len(effective) / len(outcomes) if outcomes else 0.0,
+            "affected_probes": len(affected),
+            "probe_count": probe_count,
+            # 24 % of the vantage points in the paper (a platform has at least one).
+            "affected_probe_fraction": len(affected) / probe_count,
+            "confirmed": confirmed,
+            # Community/path pairs by the target's distance on the affected
+            # forwarding paths: the injection point's direct peer, two or
+            # more hops away, or not on them at all.
+            "direct_peer_pairs": sum(1 for o in effective if o.target_hops == 1),
+            "multi_hop_pairs": sum(
+                1 for o in effective if o.target_hops is not None and o.target_hops >= 2
+            ),
+            "offpath_pairs": sum(1 for o in effective if o.target_hops is None),
+            "outcomes": [
+                {
+                    "community": str(o.community),
+                    "target_asn": o.target_asn,
+                    "probes_lost": len(o.probes_lost),
+                    "target_hops": o.target_hops,
+                }
+                for o in effective
+            ],
+        }
 
 
 @register("blackhole-sweep")
@@ -214,30 +202,7 @@ class BlackholeSweepExperiment(Experiment):
             blackhole_list,
             include_well_known=self.bool_param("include_well_known"),
         )
-        outcome = sweep.run(confirm=self.bool_param("confirm"))
-        ctx.scratch["sweep"] = outcome
-        effective = outcome.effective_communities()
-        return {
-            "communities_swept": len(outcome.outcomes),
-            "effective_communities": len(effective),
-            "effective_fraction": outcome.effective_fraction(),
-            "affected_probes": len(outcome.affected_probes()),
-            "probe_count": outcome.probe_count,
-            "affected_probe_fraction": outcome.affected_probe_fraction(),
-            "confirmed": outcome.confirmed,
-            "direct_peer_pairs": outcome.direct_peer_pairs(),
-            "multi_hop_pairs": outcome.multi_hop_pairs(),
-            "offpath_pairs": outcome.offpath_pairs(),
-            "outcomes": [
-                {
-                    "community": str(o.community),
-                    "target_asn": o.target_asn,
-                    "probes_lost": len(o.probes_lost),
-                    "target_hops": o.target_hops,
-                }
-                for o in effective
-            ],
-        }
+        return sweep.run(confirm=self.bool_param("confirm"))
 
     def validate(self, ctx: ExperimentContext, metrics: dict) -> bool:
         # A requested confirmation pass that disagrees with the first

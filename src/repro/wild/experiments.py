@@ -15,41 +15,21 @@ The experiment follows the paper's protocol step by step:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.bgp.community import BLACKHOLE, Community, CommunitySet
+from repro.bgp.community import BLACKHOLE, CommunitySet
 from repro.bgp.prefix import Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.exceptions import AttackError
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.policy.filters import IrrDatabase
 from repro.probing.atlas import AtlasPlatform
-from repro.probing.looking_glass import LookingGlass
 from repro.routing.engine import BgpSimulator
 from repro.topology.topology import Topology
 from repro.wild.peering import InjectionPlatform
 
 
-@dataclass
-class RtbhWildResult:
-    """Everything the Section 7.3 experiment records."""
-
-    target_asn: int
-    target_hops_from_injection: int
-    attack_prefix: Prefix
-    hijack: bool
-    community: Community
-    accepted_at_target: bool = False
-    target_next_hop: str = ""
-    probes_reachable_before: int = 0
-    probes_reachable_after: int = 0
-    probes_lost: set[int] = field(default_factory=set)
-    irr_updated: bool = False
-
-    @property
-    def succeeded(self) -> bool:
-        """True if the target blackholes the prefix or the data plane lost reachability."""
-        return self.target_next_hop == "null0" or bool(self.probes_lost)
+#: The address block the research network has permission to hijack; the
+#: hijack variant announces its first /24 after registering it in the IRR.
+HIJACK_SPACE = Prefix.from_string("203.0.112.0/20")
 
 
 class RtbhWildExperiment:
@@ -95,21 +75,21 @@ class RtbhWildExperiment:
         return candidates[0]
 
     # ---------------------------------------------------------------- protocol
-    def run(self, use_hijack: bool = False, hijack_space: Prefix | None = None) -> RtbhWildResult:
-        """Run the experiment; ``use_hijack`` selects the Figure 7(b)-style variant."""
+    def run(self, use_hijack: bool = False, hijack_space: Prefix | None = None) -> dict:
+        """Run the experiment; return the JSON-safe record ``rtbh-wild`` stores.
+
+        ``use_hijack`` selects the Figure 7(b)-style variant, which
+        announces from ``hijack_space``.
+        """
         if use_hijack:
             if hijack_space is None:
                 raise AttackError("the hijack variant needs the permissioned hijack space")
             attack_prefix = hijack_space.subprefix(24, 0) if hijack_space.length < 24 else hijack_space
-        else:
-            attack_prefix = self.platform.allocated_prefixes[0].subprefix(24, 1)
-
-        irr_updated = False
-        if use_hijack:
             # The research network's provider validates against the IRR, so the
             # experiment first registers a route object for the hijacked space.
             self.irr.register(attack_prefix, self.platform.asn)
-            irr_updated = True
+        else:
+            attack_prefix = self.platform.allocated_prefixes[0].subprefix(24, 1)
 
         # Step 1: announce without the blackhole community, choose the
         # target from the converged routes, and measure the baseline.
@@ -130,23 +110,29 @@ class RtbhWildExperiment:
         )
         dataplane.rebuild(report)
         after = self.atlas.measure(dataplane, attack_prefix)
-        lost, _gained = self.atlas.compare(before, after)
+        lost = before - after
 
-        looking_glass = LookingGlass(simulator, target_asn)
-        entry = looking_glass.show_route(attack_prefix)
-        return RtbhWildResult(
-            target_asn=target_asn,
-            target_hops_from_injection=hops,
-            attack_prefix=attack_prefix,
-            hijack=use_hijack,
-            community=community,
-            accepted_at_target=entry is not None,
-            target_next_hop=entry.next_hop if entry is not None else "no route",
-            probes_reachable_before=len(before.responsive_probes()),
-            probes_reachable_after=len(after.responsive_probes()),
-            probes_lost=lost,
-            irr_updated=irr_updated,
-        )
+        # Step 3: what the target's looking glass shows for the prefix.
+        best = simulator.best_route(target_asn, attack_prefix)
+        if best is None:
+            next_hop = "no route"
+        else:
+            next_hop = "null0" if best.blackholed else f"AS{best.learned_from}"
+        return {
+            "succeeded": next_hop == "null0" or bool(lost),
+            "platform": self.platform.name,
+            "target_asn": target_asn,
+            "target_hops_from_injection": hops,
+            "attack_prefix": str(attack_prefix),
+            "hijack": use_hijack,
+            "community": str(community),
+            "accepted_at_target": best is not None,
+            "target_next_hop": next_hop,
+            "probes_reachable_before": len(before),
+            "probes_reachable_after": len(after),
+            "probes_lost": len(lost),
+            "irr_updated": use_hijack,
+        }
 
 
 @register("rtbh-wild")
@@ -185,42 +171,21 @@ class WildRtbhExperiment(Experiment):
             # explicit permission to announce (registered in the IRR later).
             from repro.wild.peering import attach_research_network
 
-            hijack_space = Prefix.from_string("203.0.112.0/20")
             ctx.platforms[platform_name] = attach_research_network(
-                ctx.require_topology(), permissioned_hijack_space=hijack_space
+                ctx.require_topology(), permissioned_hijack_space=HIJACK_SPACE
             )
-            ctx.scratch["hijack_space"] = hijack_space
         else:
             super().attach_platform(ctx, platform_name)
 
     def execute(self, ctx: ExperimentContext) -> dict:
         use_hijack = self.bool_param("hijack")
-        platform = ctx.platform("research" if use_hijack else "peering")
         experiment = RtbhWildExperiment(
             ctx.require_topology(),
-            platform,
+            ctx.platform("research" if use_hijack else "peering"),
             ctx.platform("atlas"),
             min_hops_to_target=self.int_param("min_hops_to_target"),
         )
-        outcome = experiment.run(
-            use_hijack=use_hijack, hijack_space=ctx.scratch.get("hijack_space")
-        )
-        ctx.scratch["outcome"] = outcome
-        return {
-            "succeeded": outcome.succeeded,
-            "platform": platform.name,
-            "target_asn": outcome.target_asn,
-            "target_hops_from_injection": outcome.target_hops_from_injection,
-            "attack_prefix": str(outcome.attack_prefix),
-            "hijack": outcome.hijack,
-            "community": str(outcome.community),
-            "accepted_at_target": outcome.accepted_at_target,
-            "target_next_hop": outcome.target_next_hop,
-            "probes_reachable_before": outcome.probes_reachable_before,
-            "probes_reachable_after": outcome.probes_reachable_after,
-            "probes_lost": len(outcome.probes_lost),
-            "irr_updated": outcome.irr_updated,
-        }
+        return experiment.run(use_hijack=use_hijack, hijack_space=HIJACK_SPACE)
 
     def validate(self, ctx: ExperimentContext, metrics: dict) -> bool:
         return bool(metrics["succeeded"])

@@ -78,16 +78,6 @@ class InjectionPlatform:
             self.asn, prefix, communities=communities, spoofed_origin_asn=spoofed_origin_asn
         )
 
-    def withdraw(self, simulator: BgpSimulator, prefix: Prefix) -> SimulationReport:
-        """Withdraw a previously announced prefix."""
-        return simulator.withdraw(self.asn, prefix)
-
-    def withdraw_many(
-        self, simulator: BgpSimulator, prefixes: list[Prefix]
-    ) -> SimulationReport:
-        """Withdraw many previously announced prefixes in one batched pass."""
-        return simulator.withdraw_many((self.asn, prefix) for prefix in prefixes)
-
 
 def _next_free_slash20(topology: Topology) -> int:
     """Find an unused /20 network for the platform allocation."""

@@ -9,10 +9,7 @@ simulated Internet, for both injection platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.bgp.community import Community, CommunitySet
-from repro.bgp.prefix import Prefix
 from repro.collectors.platform import CollectorDeployment
 from repro.experiments import Experiment, ExperimentContext, ExperimentResult, Param, register
 from repro.routing.engine import BgpSimulator
@@ -23,40 +20,16 @@ from repro.wild.peering import InjectionPlatform
 BENIGN_COMMUNITY_VALUE = 4242
 
 
-@dataclass
-class PropagationCheckResult:
-    """Which ASes forwarded the benign community, as seen at the collectors."""
-
-    platform_name: str
-    benign_community: Community
-    test_prefix: Prefix
-    #: Transit ASes seen forwarding the prefix *with* the community intact.
-    forwarding_transit_ases: set[int] = field(default_factory=set)
-    #: All transit/origin ASes seen on any path towards the test prefix.
-    ases_on_paths: set[int] = field(default_factory=set)
-    #: Collector peers at which the community was observed.
-    observing_peers: set[int] = field(default_factory=set)
-
-    @property
-    def forwarding_count(self) -> int:
-        """Number of transit providers forwarding the community."""
-        return len(self.forwarding_transit_ases)
-
-    @property
-    def coverage_fraction(self) -> float:
-        """Fraction of on-path ASes seen forwarding the community."""
-        if not self.ases_on_paths:
-            return 0.0
-        return len(self.forwarding_transit_ases) / len(self.ases_on_paths)
-
-
 def run_propagation_check(
     topology: Topology,
     platform: InjectionPlatform,
     deployment: CollectorDeployment,
     community_value: int,
-) -> PropagationCheckResult:
-    """Announce a benign-community-tagged prefix from ``platform`` and measure propagation."""
+) -> dict:
+    """Announce a benign-community-tagged prefix from ``platform`` and measure propagation.
+
+    Returns the JSON-safe record ``propagation-check`` stores for the platform.
+    """
     asn_part = platform.asn if platform.asn <= 0xFFFF else 0
     benign = Community(asn_part, community_value)
     test_prefix = platform.allocated_prefixes[0].subprefix(24, 0)
@@ -65,24 +38,32 @@ def run_propagation_check(
     platform.announce(simulator, test_prefix, communities=CommunitySet.of(benign))
     archive = deployment.collect_from_simulator(simulator)
 
-    result = PropagationCheckResult(
-        platform_name=platform.name, benign_community=benign, test_prefix=test_prefix
-    )
+    # Transit ASes seen forwarding the prefix *with* the community intact,
+    # every AS on any path towards it, and the collector peers that saw it.
+    forwarding: set[int] = set()
+    on_paths: set[int] = set()
+    observing_peers: set[int] = set()
     for observation in archive:
         if observation.prefix != test_prefix:
             continue
         path = observation.path_without_prepending
         # ASes on the announcement path excluding the injection AS itself.
-        result.ases_on_paths.update(a for a in path if a != platform.asn)
+        on_paths.update(a for a in path if a != platform.asn)
         if benign in observation.communities:
-            result.observing_peers.add(observation.peer_asn)
+            observing_peers.add(observation.peer_asn)
             # Every AS between the injection point and the collector peer
             # (inclusive of the peer) relayed the community.
             if platform.asn in path:
-                injection_index = path.index(platform.asn)
-                for index in range(0, injection_index):
-                    result.forwarding_transit_ases.add(path[index])
-    return result
+                forwarding.update(path[: path.index(platform.asn)])
+    return {
+        "platform": platform.name,
+        "benign_community": str(benign),
+        "test_prefix": str(test_prefix),
+        "forwarding_count": len(forwarding),
+        "ases_on_paths": len(on_paths),
+        "observing_peers": len(observing_peers),
+        "coverage_fraction": len(forwarding) / len(on_paths) if on_paths else 0.0,
+    }
 
 
 @register("propagation-check")
@@ -96,31 +77,19 @@ class PropagationCheckExperiment(Experiment):
     parameters = (Param("community_value", BENIGN_COMMUNITY_VALUE, "int", maximum=0xFFFF),)
 
     def execute(self, ctx: ExperimentContext) -> dict:
-        deployment = ctx.platform("collectors")
-        community_value = self.int_param("community_value")
-        checks: list[dict] = []
-        # The research network first, then PEERING — the order the paper
-        # (and the legacy CLI subcommand) reports them in.
-        for platform in (ctx.platform("research"), ctx.platform("peering")):
-            check = run_propagation_check(
-                ctx.require_topology(),
-                platform,
-                deployment,
-                community_value=community_value,
-            )
-            ctx.scratch[platform.name] = check
-            checks.append(
-                {
-                    "platform": check.platform_name,
-                    "benign_community": str(check.benign_community),
-                    "test_prefix": str(check.test_prefix),
-                    "forwarding_count": check.forwarding_count,
-                    "ases_on_paths": len(check.ases_on_paths),
-                    "observing_peers": len(check.observing_peers),
-                    "coverage_fraction": check.coverage_fraction,
-                }
-            )
-        return {"checks": checks}
+        # The research network first, then PEERING: the order the paper
+        # reports them in.
+        return {
+            "checks": [
+                run_propagation_check(
+                    ctx.require_topology(),
+                    ctx.platform(name),
+                    ctx.platform("collectors"),
+                    community_value=self.int_param("community_value"),
+                )
+                for name in ("research", "peering")
+            ]
+        }
 
     def validate(self, ctx: ExperimentContext, metrics: dict) -> bool:
         # The announced prefix must at least have reached the collectors

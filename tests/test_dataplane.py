@@ -58,17 +58,14 @@ class TestDataPlane:
         assert trace.outcome == ForwardingOutcome.DELIVERED
         assert trace.path[0] == 6
         assert trace.path[-1] == 1
-        ping = plane.ping(6, PREFIX.host(1), PREFIX.family)
-        assert ping.reachable
-        assert ping.hops == len(trace.path) - 1
+        assert plane.ping(6, PREFIX.host(1), PREFIX.family)
 
     def test_no_route(self):
         topology = build_figure2_topology()
         simulator = BgpSimulator(topology)
         plane = DataPlane(simulator)
-        result = plane.ping(6, PREFIX.host(1), PREFIX.family)
-        assert not result.reachable
-        assert result.outcome == ForwardingOutcome.NO_ROUTE
+        assert not plane.ping(6, PREFIX.host(1), PREFIX.family)
+        assert plane.traceroute(6, PREFIX.host(1), PREFIX.family).outcome == ForwardingOutcome.NO_ROUTE
 
     def test_blackholed_traffic_is_dropped_at_target(self):
         # AS4 without its own RTBH service, so the drop happens exactly at AS3.
@@ -88,7 +85,7 @@ class TestDataPlane:
         assert trace.outcome == ForwardingOutcome.BLACKHOLED
         assert trace.dropped_at == 3
         # AS2 still reaches the victim directly.
-        assert plane.ping(2, victim.host(1), victim.family).reachable
+        assert plane.ping(2, victim.host(1), victim.family)
 
     def test_unknown_source_raises(self):
         simulator = BgpSimulator(build_figure2_topology())
@@ -104,17 +101,17 @@ class TestDataPlane:
         simulator.announce(1, PREFIX)
         plane = DataPlane(simulator)
         address = PREFIX.host(1)
-        matrix = {source: plane.ping(source, address, PREFIX.family).reachable for source in (2, 6)}
+        matrix = {source: plane.ping(source, address, PREFIX.family) for source in (2, 6)}
         assert matrix == {2: True, 6: True}
 
     def test_rebuild_reflects_new_state(self):
         topology = build_figure2_topology()
         simulator = BgpSimulator(topology)
         plane = DataPlane(simulator)
-        assert not plane.ping(6, PREFIX.host(1), PREFIX.family).reachable
+        assert not plane.ping(6, PREFIX.host(1), PREFIX.family)
         simulator.announce(1, PREFIX)
         plane.rebuild()
-        assert plane.ping(6, PREFIX.host(1), PREFIX.family).reachable
+        assert plane.ping(6, PREFIX.host(1), PREFIX.family)
 
 
 class TestIncrementalRebuild:
@@ -165,6 +162,6 @@ class TestIncrementalRebuild:
         )
         plane = DataPlane(simulator)
         # A /32 target must not crash the representative-host derivation.
-        result = plane.ping(4, blackhole_prefix.host(), blackhole_prefix.family)
-        assert result.outcome in (ForwardingOutcome.BLACKHOLED, ForwardingOutcome.NO_ROUTE)
-        assert not result.reachable
+        trace = plane.traceroute(4, blackhole_prefix.host(), blackhole_prefix.family)
+        assert trace.outcome in (ForwardingOutcome.BLACKHOLED, ForwardingOutcome.NO_ROUTE)
+        assert not plane.ping(4, blackhole_prefix.host(), blackhole_prefix.family)

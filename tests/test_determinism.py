@@ -125,8 +125,9 @@ def collect_outputs(directory: str) -> dict[str, str]:
     context = run("report", source="harvest")
     outputs["export-mrt harvest"] = _mrt_digest(context.scratch["archive"], directory, "harvest.mrt")
 
-    # The harvest's converged simulator is `stream --preseed` at this seed.
-    simulator = context.scratch["simulator"]
+    # `stream --preseed` at this seed: the topology's originations, converged.
+    simulator = BgpSimulator(context.require_topology())
+    simulator.announce_originated()
     with SimulatorService(simulator, window=4) as service:
         for event in read_event_stream(_stream_lines(context.require_topology())):
             service.feed(event)

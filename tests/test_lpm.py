@@ -256,8 +256,7 @@ class TestCrossFamilyRegressions:
         simulator.announce(20, target)
         plane = DataPlane(simulator)
         atlas = AtlasPlatform([VantagePoint(probe_id=1, asn=10)])
-        measurement = atlas.measure(plane, target, with_traceroute=True)
-        assert measurement.responsive_probes() == {1}
+        assert atlas.measure(plane, target) == {1}
 
 
 class TestFibTableConsistency:

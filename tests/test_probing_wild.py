@@ -1,17 +1,16 @@
-"""Tests for probing (Atlas, looking glasses, IP-to-AS) and the Section 7 experiments."""
+"""Tests for probing (Atlas, IP-to-AS) and the Section 7 experiments."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.attacks.scenario import build_figure2_topology
-from repro.bgp.community import CommunitySet
+from repro.bgp.community import BLACKHOLE, CommunitySet
 from repro.bgp.prefix import AddressFamily, Prefix
 from repro.dataplane.forwarding import DataPlane
 from repro.datasets.giotsas import build_blackhole_list
 from repro.exceptions import AttackError, AupViolationError, ProbingError, TopologyError
 from repro.probing.atlas import AtlasPlatform, VantagePoint
-from repro.probing.looking_glass import LookingGlass
 from repro.routing.engine import BgpSimulator
 from repro.wild.blackhole_sweep import BlackholeSweep, CommunitySweepOutcome
 from repro.wild.experiments import RtbhWildExperiment
@@ -40,48 +39,35 @@ def wild_setup():
     return topology, peering, research, atlas
 
 
-class TestLookingGlassAndAtlas:
-    def test_looking_glass_entry(self):
-        topology = build_figure2_topology()
-        simulator = BgpSimulator(topology)
-        simulator.announce(1, PREFIX)
-        glass = LookingGlass(simulator, 6)
-        entry = glass.show_route(PREFIX)
-        assert entry is not None
-        assert entry.as_path[-1] == 1
-        assert entry.local_pref == 100
-        assert not entry.blackholed
-        assert glass.show_route(Prefix.from_string("192.0.2.0/24")) is None
-
-    def test_looking_glass_requires_known_as(self):
-        simulator = BgpSimulator(build_figure2_topology())
-        with pytest.raises(ProbingError):
-            LookingGlass(simulator, 999)
-
-    def test_atlas_measurement_and_compare(self):
+class TestAtlas:
+    def test_a_probe_round_is_the_set_of_probes_that_answered(self):
         topology = build_figure2_topology()
         simulator = BgpSimulator(topology)
         plane = DataPlane(simulator)
         atlas = AtlasPlatform([VantagePoint(1, 6), VantagePoint(2, 4)])
         before = atlas.measure(plane, PREFIX)
-        assert before.responsive_probes() == set()
+        assert before == set()
         simulator.announce(1, PREFIX)
         plane.rebuild()
-        after = atlas.measure(plane, PREFIX, with_traceroute=True)
-        assert after.responsive_probes() == {1, 2}
-        lost, gained = atlas.compare(before, after)
-        assert lost == set()
-        assert gained == {1, 2}
-        assert after.unresponsive_probes() == set()
-        assert after.traceroutes[1].reached
-        # A traced round reads each ping off its probe's one walk: for every
-        # vantage point it is the ping an untraced round sends, reached or not.
-        assert after.pings == atlas.measure(plane, PREFIX).pings
+        after = atlas.measure(plane, PREFIX)
+        assert after == {1, 2}
+        assert before - after == set()  # nobody lost reachability
+        # Each probe's answer is its traceroute's end.
+        assert after == {
+            vp.probe_id
+            for vp in atlas.vantage_points
+            if plane.traceroute(vp.asn, PREFIX.host(), PREFIX.family).reached
+        }
         simulator.withdraw(1, PREFIX)
         plane.rebuild()
-        traced = atlas.measure(plane, PREFIX, with_traceroute=True)
-        assert traced.pings == atlas.measure(plane, PREFIX).pings == before.pings
-        assert not traced.traceroutes[2].reached
+        assert atlas.measure(plane, PREFIX) == before
+        assert not plane.traceroute(4, PREFIX.host(), PREFIX.family).reached
+
+    def test_a_probe_outside_the_data_plane_does_not_answer(self):
+        simulator = BgpSimulator(build_figure2_topology())
+        simulator.announce(1, PREFIX)
+        atlas = AtlasPlatform([VantagePoint(1, 6), VantagePoint(2, 999)])
+        assert atlas.measure(DataPlane(simulator), PREFIX) == {1}
 
     def test_atlas_deploy_excludes(self, wild_setup):
         topology, peering, research, atlas = wild_setup
@@ -167,13 +153,15 @@ class TestSection7:
 
         cls = get("rtbh-wild")
         experiment = cls(cls.default_spec(seed=19, min_hops_to_target=3))
-        assert experiment.run().succeeded
+        result = experiment.run()
+        assert result.succeeded
         ctx = experiment.context
-        outcome = ctx.scratch["outcome"]
+        metrics = result.metrics
+        attack_prefix = Prefix.from_string(metrics["attack_prefix"])
         simulator = BgpSimulator(ctx.require_topology())
-        ctx.platform("peering").announce(simulator, outcome.attack_prefix)
-        path = simulator.observed_path(outcome.target_asn, outcome.attack_prefix)
-        assert outcome.target_hops_from_injection == len(path) - 1 >= 3
+        ctx.platform("peering").announce(simulator, attack_prefix)
+        path = simulator.observed_path(metrics["target_asn"], attack_prefix)
+        assert metrics["target_hops_from_injection"] == len(path) - 1 >= 3
 
     @pytest.mark.parametrize("min_hops", [2, 3])
     @pytest.mark.parametrize("seed", range(1, 13))
@@ -207,25 +195,26 @@ class TestSection7:
             assert "no RTBH-offering provider reachable" in result.error
             return
         assert result.succeeded
-        outcome = ctx.scratch["outcome"]
-        assert outcome.attack_prefix == attack_prefix
-        assert (outcome.target_hops_from_injection, outcome.target_asn) == min(qualifying)
+        metrics = result.metrics
+        assert metrics["attack_prefix"] == str(attack_prefix)
+        assert (metrics["target_hops_from_injection"], metrics["target_asn"]) == min(qualifying)
 
     def test_blackhole_sweep(self, wild_setup):
         topology, peering, _research, atlas = wild_setup
         blackhole_list = build_blackhole_list(topology, seed=5)
         sweep = BlackholeSweep(topology, peering, atlas, blackhole_list, include_well_known=True)
         result = sweep.run(confirm=True)
-        assert result.probe_count == len(atlas.vantage_points)
-        assert len(result.outcomes) == len(blackhole_list.verified()) + 1
-        assert result.confirmed
-        effective = result.effective_communities()
-        assert effective, "no community induced blackholing"
-        assert 0.0 < result.effective_fraction() <= 1.0
-        assert result.affected_probes() <= {vp.probe_id for vp in atlas.vantage_points}
+        assert result["probe_count"] == len(atlas.vantage_points)
+        assert result["communities_swept"] == len(blackhole_list.verified()) + 1
+        assert result["confirmed"]
+        assert result["effective_communities"] == len(result["outcomes"]) > 0, (
+            "no community induced blackholing"
+        )
+        assert 0.0 < result["effective_fraction"] <= 1.0
+        assert 0 < result["affected_probes"] <= result["probe_count"]
         # Affected pairs include community targets that are not direct peers of
         # the injection platform (the paper's multi-hop finding).
-        assert result.multi_hop_pairs() + result.offpath_pairs() > 0
+        assert result["multi_hop_pairs"] + result["offpath_pairs"] > 0
 
     def test_confirmation_pass_compares_every_record(self, wild_setup, monkeypatch):
         """A second pass that loses one more probe on a community that is
@@ -252,33 +241,47 @@ class TestSection7:
         assert tampered
         first = {o.community for o in outcomes[: first_pass - 1] if o.induced_blackholing}
         assert first == {o.community for o in outcomes[first_pass:] if o.induced_blackholing}
-        assert result.confirmed is False
+        assert result["confirmed"] is False
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_each_community_on_a_fork_equals_the_fresh_simulator_protocol(self, seed):
+        """Each community on a fork of the one converged baseline gets what a
+        fresh simulator announcing clean, probing, tagging and re-probing gets,
+        in every field of its outcome, whether it blackholed anything or not."""
+        sweep, reference = _sweep_pair(seed, {"confirm": False})[1:]
+        baseline = sweep._baseline()
+        swept = [(r.community, r.target_asn) for r in sweep.blackhole_list.verified()]
+        for community, target_asn in swept + [(BLACKHOLE, 0)]:
+            outcome = sweep._sweep_one(community, target_asn, baseline)
+            assert outcome == reference._sweep_one(community, target_asn, None)
 
     @pytest.mark.parametrize(
         "params", [{}, {"confirm": False}, {"include_well_known": False}], ids=["defaults", "no-confirm", "no-well-known"]
     )
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_blackhole_sweep_equals_the_fresh_simulator_protocol(self, seed, params):
-        """Each community on a fork of the one converged baseline gets what a
-        fresh simulator announcing clean, probing, tagging and re-probing gets."""
-        from repro.experiments import get
+        """The experiment stores the record the fresh-simulator protocol gives."""
+        experiment, _sweep, reference = _sweep_pair(seed, params)
+        assert experiment.result.metrics == reference.run(confirm=experiment.bool_param("confirm"))
 
-        cls = get("blackhole-sweep")
-        experiment = cls(cls.default_spec(seed=seed, **params))
-        assert experiment.run().succeeded
-        ctx = experiment.context
-        topology = ctx.require_topology()
-        reference = FreshSimulatorSweep(
-            topology,
-            ctx.platform("peering"),
-            ctx.platform("atlas"),
-            build_blackhole_list(topology, seed=seed),
-            include_well_known=experiment.bool_param("include_well_known"),
-        ).run(confirm=experiment.bool_param("confirm"))
-        swept = ctx.scratch["sweep"]
-        assert swept.outcomes == reference.outcomes
-        assert swept.probe_count == reference.probe_count
-        assert swept.confirmed == reference.confirmed
+
+def _sweep_pair(seed: int, params: dict):
+    """Run ``blackhole-sweep``; return it, plus the forking sweep and the
+    fresh-simulator reference over its topology, platforms and list."""
+    from repro.experiments import get
+
+    cls = get("blackhole-sweep")
+    experiment = cls(cls.default_spec(seed=seed, **params))
+    assert experiment.run().succeeded
+    ctx = experiment.context
+    topology = ctx.require_topology()
+    args = (ctx.platform("peering"), ctx.platform("atlas"), build_blackhole_list(topology, seed=seed))
+    include_well_known = experiment.bool_param("include_well_known")
+    return (
+        experiment,
+        BlackholeSweep(topology, *args, include_well_known=include_well_known),
+        FreshSimulatorSweep(topology, *args, include_well_known=include_well_known),
+    )
 
 
 class FreshSimulatorSweep(BlackholeSweep):
@@ -296,8 +299,8 @@ class FreshSimulatorSweep(BlackholeSweep):
         clean_plane, dataplane = DataPlane(simulator), DataPlane(simulator)
         before = self.atlas.measure(dataplane, prefix)
         dataplane.rebuild(self.platform.announce(simulator, prefix, communities=CommunitySet.of(community)))
-        after = self.atlas.measure(dataplane, prefix, with_traceroute=True)
-        lost, _gained = self.atlas.compare(before, after)
+        after = self.atlas.measure(dataplane, prefix)
+        lost = before - after
         target_hops = None
         if lost:
             probe_asn = {vp.probe_id: vp.asn for vp in self.atlas.vantage_points}[min(lost)]
@@ -307,8 +310,8 @@ class FreshSimulatorSweep(BlackholeSweep):
         return CommunitySweepOutcome(
             community,
             target_asn,
-            len(before.responsive_probes()),
-            len(after.responsive_probes()),
+            len(before),
+            len(after),
             lost,
             target_hops,
         )

@@ -701,6 +701,19 @@ class TestRouteServer:
         )
         assert redistributed == frozenset({4})
 
+    @pytest.mark.parametrize("suppress_first", [True, False], ids=["suppress-first", "announce-first"])
+    def test_a_lone_suppression_holds_in_either_order(self, suppress_first):
+        """The evaluation order decides only conflicts: without a matching
+        "announce to X", a "do not announce to X" always withholds the route."""
+        _topology, ixp = build_figure9_ixp()
+        ixp.route_server_config.suppress_before_redistribute = suppress_first
+        server = RouteServer(ixp)
+        prefix = Prefix.from_string("203.0.113.0/24")
+        suppress_to_4 = str(ixp.route_server_config.suppress_to(4))
+        redistributed = server.receive(self.make_announcement(1, prefix, suppress_to_4))
+        assert redistributed == frozenset(ixp.members) - {1, 4} == frozenset({2, 10, 11, 12})
+        assert not server.member_has_route(4, prefix)
+
     def test_control_communities_are_stripped_on_redistribution(self):
         _topology, ixp = build_figure9_ixp()
         server = RouteServer(ixp)
